@@ -1,16 +1,11 @@
-"""Hot numeric kernels.
-
-Two implementations of each kernel: a numba @njit version and a pure-numpy
-fallback. The numpy path is selected when numba is unavailable or when the
-environment variable CEXDEX_DISABLE_NUMBA is set to a truthy value; both
-paths produce bit-identical results (see tests and benchmarks/).
-"""
+"""Numeric kernels: the step-function quote lookup and the splitmix64 stream."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+# There is no compiled path; the benchmark harness stamps this flag on every run.
+USING_NUMBA = False
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -21,9 +16,7 @@ LOOKUP_NO_QUOTE = 1
 LOOKUP_STALE = 2
 
 
-# --- pure numpy implementations ---
-
-def _step_mid_lookup_np(ts, bid, ask, queries, staleness_ms):
+def step_mid_lookup(ts, bid, ask, queries, staleness_ms):
     """Last-quote-at-or-before midpoint lookup (step function).
 
     Returns (mids, status); status 0 = ok, 1 = no quote before, 2 = stale.
@@ -42,77 +35,13 @@ def _step_mid_lookup_np(ts, bid, ask, queries, staleness_ms):
     return mids, status
 
 
-def _splitmix64_np(seed, start, count):
+def splitmix64(seed, start, count):
     """Counter-based splitmix64 stream: value i = mix(seed + (start+i+1)*golden)."""
     i = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed) + i * _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
-
-
-def _markout_matrix_np(pa, pb, x, y, taker_fee_rate):
-    """MR per trade (rows) and grid offset (cols) from price matrices."""
-    leg_a = x[:, None] * pa
-    leg_b = y[:, None] * pb
-    return leg_a - leg_b - taker_fee_rate * (leg_a + leg_b)
-
-
-_DISABLE = os.environ.get("CEXDEX_DISABLE_NUMBA", "").lower() not in ("", "0", "false")
-
-USING_NUMBA = False
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _step_mid_lookup_nb(ts, bid, ask, queries, staleness_ms):
-            n = queries.shape[0]
-            mids = np.zeros(n, dtype=np.float64)
-            status = np.zeros(n, dtype=np.int8)
-            for i in range(n):
-                j = np.searchsorted(ts, queries[i], side="right") - 1
-                if j < 0:
-                    status[i] = LOOKUP_NO_QUOTE
-                elif queries[i] - ts[j] > staleness_ms:
-                    status[i] = LOOKUP_STALE
-                else:
-                    mids[i] = (bid[j] + ask[j]) / 2.0
-            return mids, status
-
-        @njit(cache=True)
-        def _splitmix64_nb(seed, start, count):
-            out = np.empty(count, dtype=np.uint64)
-            for i in range(count):
-                z = np.uint64(seed) + np.uint64(start + i + 1) * _GOLDEN
-                z = (z ^ (z >> np.uint64(30))) * _MIX1
-                z = (z ^ (z >> np.uint64(27))) * _MIX2
-                out[i] = z ^ (z >> np.uint64(31))
-            return out
-
-        @njit(cache=True)
-        def _markout_matrix_nb(pa, pb, x, y, taker_fee_rate):
-            n, m = pa.shape
-            out = np.empty((n, m), dtype=np.float64)
-            for i in range(n):
-                for j in range(m):
-                    leg_a = x[i] * pa[i, j]
-                    leg_b = y[i] * pb[i, j]
-                    out[i, j] = leg_a - leg_b - taker_fee_rate * (leg_a + leg_b)
-            return out
-
-        USING_NUMBA = True
-    except ImportError:
-        pass
-
-if USING_NUMBA:
-    step_mid_lookup = _step_mid_lookup_nb
-    splitmix64 = _splitmix64_nb
-    markout_matrix = _markout_matrix_nb
-else:
-    step_mid_lookup = _step_mid_lookup_np
-    splitmix64 = _splitmix64_np
-    markout_matrix = _markout_matrix_np
 
 
 def uniform01(seed: int, start: int, count: int) -> np.ndarray:

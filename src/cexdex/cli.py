@@ -26,7 +26,8 @@ def _error(kind: str, message: str) -> None:
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--charts", action="store_true", help="also write SVG charts")
 
 
@@ -155,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             report = synth.score(truth, args.out_dir)
             print(json.dumps(report, indent=2, sort_keys=True))
             return EXIT_OK
-        ws = pipeline.Workspace(args.input_dir, args.out_dir, threads=args.threads)
+        ws = pipeline.Workspace(args.input_dir, args.out_dir)
         if args.command == "all":
             pipeline.run_all(ws)
         else:

@@ -87,10 +87,6 @@ class NotTwoSided(PipelineError):
 
 # --- markout / economics ---
 
-class ZeroVolume(PipelineError):
-    pass
-
-
 class PatternThreeExcluded(PipelineError):
     pass
 

@@ -119,30 +119,22 @@ def _utc_day(ts_ms: int) -> str:
     return datetime.fromtimestamp(ts_ms / 1000, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
-def _iso_week(ts_ms: int) -> str:
-    iso = datetime.fromtimestamp(ts_ms / 1000, tz=timezone.utc).isocalendar()
-    return f"{iso.year}-W{iso.week:02d}"
-
-
 def cumulative_ev_series(
-    economics: list[TradeEconomics], bucketing: str = "daily"
+    economics: list[TradeEconomics],
 ) -> dict[str, list[tuple[str, float, float]]]:
-    """Per-searcher (bucket, ev_sum, cumulative_ev) series.
+    """Per-searcher (UTC day, ev_sum, cumulative_ev) series.
 
-    Daily buckets are UTC calendar days; weekly buckets are ISO weeks
-    (Monday start). Empty buckets between trades are emitted with 0.
+    Empty days between a searcher's first and last trade are emitted with 0.
     """
-    if bucketing not in ("daily", "weekly"):
-        raise ValueError(f"unknown bucketing {bucketing!r}")
     by_searcher: dict[str, dict[str, float]] = {}
     for e in economics:
-        key = _utc_day(e.slot_time_ms) if bucketing == "daily" else _iso_week(e.slot_time_ms)
+        key = _utc_day(e.slot_time_ms)
         buckets = by_searcher.setdefault(e.searcher_label, {})
         buckets[key] = buckets.get(key, 0.0) + e.ev_usd
 
     out: dict[str, list[tuple[str, float, float]]] = {}
     for label, buckets in by_searcher.items():
-        keys = _fill_buckets(sorted(buckets), bucketing)
+        keys = _fill_days(sorted(buckets))
         rows = []
         cum = 0.0
         for k in keys:
@@ -153,23 +145,8 @@ def cumulative_ev_series(
     return out
 
 
-def _fill_buckets(sorted_keys: list[str], bucketing: str) -> list[str]:
-    if not sorted_keys:
-        return []
-    if bucketing == "daily":
-        start = datetime.strptime(sorted_keys[0], "%Y-%m-%d").replace(tzinfo=timezone.utc)
-        end = datetime.strptime(sorted_keys[-1], "%Y-%m-%d").replace(tzinfo=timezone.utc)
-        days = (end - start).days
-        return [(start + timedelta(days=i)).strftime("%Y-%m-%d") for i in range(days + 1)]
-    # weekly: walk Mondays between the first and last ISO week
-    def monday(key: str) -> datetime:
-        year, week = key.split("-W")
-        return datetime.fromisocalendar(int(year), int(week), 1).replace(tzinfo=timezone.utc)
-
-    cur, last = monday(sorted_keys[0]), monday(sorted_keys[-1])
-    keys = []
-    while cur <= last:
-        iso = cur.isocalendar()
-        keys.append(f"{iso.year}-W{iso.week:02d}")
-        cur += timedelta(days=7)
-    return keys
+def _fill_days(sorted_keys: list[str]) -> list[str]:
+    start = datetime.strptime(sorted_keys[0], "%Y-%m-%d").replace(tzinfo=timezone.utc)
+    end = datetime.strptime(sorted_keys[-1], "%Y-%m-%d").replace(tzinfo=timezone.utc)
+    days = (end - start).days
+    return [(start + timedelta(days=i)).strftime("%Y-%m-%d") for i in range(days + 1)]

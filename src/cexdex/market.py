@@ -48,10 +48,6 @@ class IntegrationMatrix:
     builders: list[str]  # column order
     cells: np.ndarray  # row-normalized volume fractions
 
-    def row(self, searcher: str) -> dict[str, float]:
-        i = self.searchers.index(searcher)
-        return {b: float(self.cells[i, j]) for j, b in enumerate(self.builders)}
-
 
 def integration_matrix(trades: list[ArbTrade]) -> IntegrationMatrix:
     """Volume-weighted, row-normalized searcher x builder matrix.

@@ -14,7 +14,7 @@ import numpy as np
 from .config import MarkoutGrid, PipelineConfig
 from .data_model import TokenRegistry
 from .detect import ArbTrade
-from .errors import NoQuoteBefore, StaleQuote, UnknownToken, UnlistedToken, ZeroVolume
+from .errors import NoQuoteBefore, StaleQuote, UnknownToken, UnlistedToken
 from .quotes import QuoteStore
 
 EXCLUSION_QUOTE_GAP = "QuoteGap"
@@ -35,19 +35,15 @@ class MarkoutCurve:
         idx = [round(o * 1000) for o in self.offsets_s].index(ms)
         return float(self.mr_usd[idx])
 
-    def gr_at(self, offset_s: float) -> float:
-        ms = round(offset_s * 1000)
-        idx = [round(o * 1000) for o in self.offsets_s].index(ms)
-        return float(self.gr[idx])
 
-
-def _leg_prices(
-    trade: ArbTrade, t_ms: int, store: QuoteStore, registry: TokenRegistry,
-    staleness_ms: int,
-) -> tuple[float, float]:
-    pa = store.usd_price(trade.token_bought, t_ms, registry, staleness_ms)
-    pb = store.usd_price(trade.token_sold, t_ms, registry, staleness_ms)
-    return pa, pb
+def _mr(trade: ArbTrade, t_ms, store: QuoteStore, registry: TokenRegistry,
+        cfg: PipelineConfig):
+    """MR at one time (a float) or an array of times (an array), in USD."""
+    pa = store.usd_price(trade.token_bought, t_ms, registry, cfg.quote_staleness_ms)
+    pb = store.usd_price(trade.token_sold, t_ms, registry, cfg.quote_staleness_ms)
+    leg_a = float(trade.amount_bought) * pa
+    leg_b = float(trade.amount_sold) * pb
+    return leg_a - leg_b - cfg.taker_fee_rate * (leg_a + leg_b)
 
 
 def markout_revenue(
@@ -58,25 +54,7 @@ def markout_revenue(
     cfg: PipelineConfig,
 ) -> float:
     """MR at one offset, in USD. Propagates quote errors."""
-    t_ms = trade.slot_time_ms + round(t_offset_s * 1000)
-    pa, pb = _leg_prices(trade, t_ms, store, registry, cfg.quote_staleness_ms)
-    x = float(trade.amount_bought)
-    y = float(trade.amount_sold)
-    leg_a = x * pa
-    leg_b = y * pb
-    return leg_a - leg_b - cfg.taker_fee_rate * (leg_a + leg_b)
-
-
-def gross_return(
-    trade: ArbTrade,
-    t_offset_s: float,
-    store: QuoteStore,
-    registry: TokenRegistry,
-    cfg: PipelineConfig,
-) -> float:
-    if trade.volume_usd <= 0:
-        raise ZeroVolume(trade.tx_hash)
-    return markout_revenue(trade, t_offset_s, store, registry, cfg) / trade.volume_usd
+    return _mr(trade, trade.slot_time_ms + round(t_offset_s * 1000), store, registry, cfg)
 
 
 def markout_curve(
@@ -88,18 +66,11 @@ def markout_curve(
 ) -> MarkoutCurve:
     """One MR/GR sample per grid offset; quote failures mark the trade excluded."""
     n = len(grid)
-    mr = np.zeros(n)
+    query_ts = np.asarray(
+        [trade.slot_time_ms + off for off in grid.offsets_ms], dtype=np.int64
+    )
     try:
-        query_ts = np.asarray(
-            [trade.slot_time_ms + off for off in grid.offsets_ms], dtype=np.int64
-        )
-        x = float(trade.amount_bought)
-        y = float(trade.amount_sold)
-        pa = _token_prices(trade.token_bought, query_ts, store, registry, cfg)
-        pb = _token_prices(trade.token_sold, query_ts, store, registry, cfg)
-        leg_a = x * pa
-        leg_b = y * pb
-        mr = leg_a - leg_b - cfg.taker_fee_rate * (leg_a + leg_b)
+        mr = _mr(trade, query_ts, store, registry, cfg)
     except (NoQuoteBefore, StaleQuote, UnlistedToken, UnknownToken):
         return MarkoutCurve(
             tx_hash=trade.tx_hash,
@@ -116,27 +87,6 @@ def markout_curve(
         mr_usd=mr,
         gr=gr,
     )
-
-
-def _token_prices(
-    token: str, query_ts: np.ndarray, store: QuoteStore,
-    registry: TokenRegistry, cfg: PipelineConfig,
-) -> np.ndarray:
-    info = registry.get(token)
-    if info is None:
-        raise UnknownToken(token)
-    if not info.cex_listed:
-        raise UnlistedToken(token)
-    if info.quote_symbol == "USDT":
-        return np.ones(len(query_ts))
-    series = store.get(f"{info.quote_symbol}USDT")
-    mids, status = series.mid_many(query_ts, cfg.quote_staleness_ms)
-    if np.any(status != 0):
-        bad = int(np.argmax(status != 0))
-        if status[bad] == 1:
-            raise NoQuoteBefore(int(query_ts[bad]))
-        raise StaleQuote(int(query_ts[bad] - series.ts_ms[0]))
-    return mids
 
 
 def flag_inventory_adjustment(

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from pathlib import Path
 
@@ -78,11 +77,10 @@ def _require_input(input_dir: Path, name: str) -> Path:
 class Workspace:
     """Shared lazy loading of the raw input files for one run."""
 
-    def __init__(self, input_dir: str | Path, out_dir: str | Path, threads: int = 1):
+    def __init__(self, input_dir: str | Path, out_dir: str | Path):
         self.input_dir = Path(input_dir)
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.threads = max(1, threads)
         self._cache: dict[str, object] = {}
 
     @property
@@ -208,11 +206,7 @@ def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> MarkoutCurve:
 
 def run_markout(ws: Workspace) -> None:
     trades = _load_detections(ws)
-    if ws.threads > 1:
-        with ThreadPoolExecutor(max_workers=ws.threads) as pool:
-            curves = list(pool.map(lambda t: _curve_for_trade(t, ws), trades))
-    else:
-        curves = [_curve_for_trade(t, ws) for t in trades]
+    curves = [_curve_for_trade(t, ws) for t in trades]
 
     def rows():
         for trade, curve in zip(trades, curves):
@@ -368,7 +362,7 @@ def run_estimate(ws: Workspace) -> None:
         ),
     )
 
-    series = estimate_mod.cumulative_ev_series(economics, bucketing="daily")
+    series = estimate_mod.cumulative_ev_series(economics)
     _write_csv(
         ws.out_dir / "cumulative_ev.csv",
         ["searcher_label", "date", "ev_usd", "cumulative_ev_usd"],

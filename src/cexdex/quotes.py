@@ -29,27 +29,29 @@ class QuoteSeries:
     def __len__(self) -> int:
         return len(self.ts_ms)
 
-    def mid_at(self, t_ms: int, staleness_ms: int) -> float:
-        mids, status = _kernels.step_mid_lookup(
-            self.ts_ms, self.bid, self.ask,
-            np.asarray([t_ms], dtype=np.int64), staleness_ms,
-        )
-        if status[0] == _kernels.LOOKUP_NO_QUOTE:
-            raise NoQuoteBefore(t_ms)
-        if status[0] == _kernels.LOOKUP_STALE:
-            idx = int(np.searchsorted(self.ts_ms, t_ms, side="right")) - 1
-            raise StaleQuote(int(t_ms - self.ts_ms[idx]))
-        return float(mids[0])
-
     def mid_many(self, ts: np.ndarray, staleness_ms: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized lookup; returns (mids, status codes) without raising."""
         return _kernels.step_mid_lookup(
             self.ts_ms, self.bid, self.ask, np.asarray(ts, dtype=np.int64), staleness_ms
         )
 
+    def mid_at(self, t_ms, staleness_ms: int):
+        """Mid at one time (a float) or at an ndarray of times (an array).
 
-def mid_price(series: QuoteSeries, t_ms: int, staleness_ms: int) -> float:
-    return series.mid_at(t_ms, staleness_ms)
+        Raises NoQuoteBefore or StaleQuote for the first time that fails;
+        the stale gap is measured from the last quote at or before it.
+        """
+        scalar = not isinstance(t_ms, np.ndarray)
+        queries = np.array([t_ms], dtype=np.int64) if scalar else t_ms
+        mids, status = self.mid_many(queries, staleness_ms)
+        if np.count_nonzero(status):
+            bad = int(np.argmax(status != _kernels.LOOKUP_OK))
+            t = int(queries[bad])
+            if status[bad] == _kernels.LOOKUP_NO_QUOTE:
+                raise NoQuoteBefore(t)
+            idx = int(np.searchsorted(self.ts_ms, t, side="right")) - 1
+            raise StaleQuote(t - int(self.ts_ms[idx]))
+        return float(mids[0]) if scalar else mids
 
 
 class QuoteStore:
@@ -64,32 +66,23 @@ class QuoteStore:
             raise NoQuoteBefore(0)
         return s
 
-    def mid(self, symbol: str, t_ms: int, staleness_ms: int) -> float:
+    def mid(self, symbol: str, t_ms, staleness_ms: int):
         return self.get(symbol).mid_at(t_ms, staleness_ms)
 
     def eth_usd(self, t_ms: int, staleness_ms: int) -> float:
         return self.mid("ETHUSDT", t_ms, staleness_ms)
 
-    def usd_price(
-        self, token: str, t_ms: int, registry: TokenRegistry, staleness_ms: int
-    ) -> float:
-        """Token USD valuation via its Binance USDT pair; USDT pegged at 1."""
+    def usd_price(self, token: str, t_ms, registry: TokenRegistry, staleness_ms: int):
+        """Token USD valuation via its Binance USDT pair; USDT pegged at 1.
+
+        Takes one time (returns a float) or an ndarray of times (an array).
+        """
         info = registry.get(token)
         if info is None:
             raise UnknownToken(token)
         if not info.cex_listed:
             raise UnlistedToken(token)
         if info.quote_symbol == "USDT":
-            return 1.0
+            return np.ones(len(t_ms)) if isinstance(t_ms, np.ndarray) else 1.0
         return self.mid(f"{info.quote_symbol}USDT", t_ms, staleness_ms)
 
-
-def usd_price(
-    token: str, t_ms: int, registry: TokenRegistry, store: QuoteStore,
-    staleness_ms: int = 5000,
-) -> float:
-    return store.usd_price(token, t_ms, registry, staleness_ms)
-
-
-def eth_usd(t_ms: int, store: QuoteStore, staleness_ms: int = 5000) -> float:
-    return store.eth_usd(t_ms, staleness_ms)

@@ -16,8 +16,7 @@ TOKB = "0x" + "5" * 40  # unlisted alt
 TOKC = "0x" + "6" * 40  # second listed alt
 
 
-@pytest.fixture
-def registry():
+def make_registry() -> TokenRegistry:
     return TokenRegistry({
         WETH: TokenInfo("WETH", True, True, 18, "ETH"),
         WBTC: TokenInfo("WBTC", True, True, 8, "BTC"),
@@ -26,6 +25,11 @@ def registry():
         TOKB: TokenInfo("TOKB", False, False, 18, "TOKB"),
         TOKC: TokenInfo("TOKC", True, False, 18, "TOKC"),
     })
+
+
+@pytest.fixture
+def registry():
+    return make_registry()
 
 
 @pytest.fixture

@@ -111,7 +111,7 @@ def test_summary_counts_include_exclusions():
 def test_cumulative_series_daily():
     rows = [econ(3.0, 3.0, slot=T0), econ(4.0, 4.0, slot=T0 + 1000),
             econ(5.0, 5.0, slot=T0 + 2 * DAY_MS)]
-    series = cumulative_ev_series(rows, bucketing="daily")["s1"]
+    series = cumulative_ev_series(rows)["s1"]
     assert series == [
         ("2024-06-01", 7.0, 7.0),
         ("2024-06-02", 0.0, 7.0),  # empty day emitted
@@ -119,15 +119,8 @@ def test_cumulative_series_daily():
     ]
 
 
-def test_cumulative_series_weekly():
-    rows = [econ(7.0, 7.0, slot=T0), econ(5.0, 5.0, slot=T0 + 14 * DAY_MS)]
-    series = cumulative_ev_series(rows, bucketing="weekly")["s1"]
-    assert [b for b, _, _ in series] == ["2024-W22", "2024-W23", "2024-W24"]
-    assert [c for _, _, c in series] == [7.0, 7.0, 12.0]
-
-
 def test_utc_day_boundary():
     rows = [econ(1.0, 1.0, slot=T0 + DAY_MS - 1), econ(2.0, 2.0, slot=T0 + DAY_MS)]
-    series = cumulative_ev_series(rows, bucketing="daily")["s1"]
+    series = cumulative_ev_series(rows)["s1"]
     assert series[0][:2] == ("2024-06-01", 1.0)
     assert series[1][:2] == ("2024-06-02", 2.0)

@@ -1,11 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cexdex import _kernels as k
-
-NB_AVAILABLE = k.USING_NUMBA
 
 
 def random_series(rng, n):
@@ -36,7 +33,7 @@ def test_lookup_matches_linear_scan():
         n = int(rng.integers(1, 200))
         ts, bid, ask = random_series(rng, n)
         queries = rng.integers(ts[0] - 2000, ts[-1] + 10000, 100).astype(np.int64)
-        mids, codes = k._step_mid_lookup_np(ts, bid, ask, queries, 5000)
+        mids, codes = k.step_mid_lookup(ts, bid, ask, queries, 5000)
         for q, code, mid in zip(queries, codes, mids):
             ref_code, ref_mid = linear_scan_lookup(ts, bid, ask, int(q), 5000)
             assert code == ref_code
@@ -44,47 +41,17 @@ def test_lookup_matches_linear_scan():
                 assert mid == ref_mid
 
 
-@pytest.mark.skipif(not NB_AVAILABLE, reason="numba path disabled")
-def test_lookup_numba_numpy_identical():
-    rng = np.random.default_rng(23)
-    ts, bid, ask = random_series(rng, 1000)
-    queries = rng.integers(ts[0] - 100, ts[-1] + 8000, 5000).astype(np.int64)
-    m_np, c_np = k._step_mid_lookup_np(ts, bid, ask, queries, 5000)
-    m_nb, c_nb = k._step_mid_lookup_nb(ts, bid, ask, queries, 5000)
-    assert np.array_equal(c_np, c_nb)
-    assert np.array_equal(m_np, m_nb)  # bit-identical, not just close
-
-
-@pytest.mark.skipif(not NB_AVAILABLE, reason="numba path disabled")
-def test_splitmix_numba_numpy_identical():
-    a = k._splitmix64_np(np.uint64(42), np.uint64(7), 10000)
-    b = k._splitmix64_nb(np.uint64(42), np.uint64(7), 10000)
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.skipif(not NB_AVAILABLE, reason="numba path disabled")
-def test_markout_matrix_numba_numpy_identical():
-    rng = np.random.default_rng(31)
-    pa = rng.uniform(50, 60, (200, 23))
-    pb = rng.uniform(0.9, 1.1, (200, 23))
-    x = rng.uniform(1, 10, 200)
-    y = rng.uniform(100, 1000, 200)
-    a = k._markout_matrix_np(pa, pb, x, y, 0.0001725)
-    b = k._markout_matrix_nb(pa, pb, x, y, 0.0001725)
-    assert np.array_equal(a, b)
-
-
 def test_splitmix_counter_based_slicing():
     # stream position i is a pure function of (seed, i): slices concatenate
-    whole = k._splitmix64_np(np.uint64(9), np.uint64(0), 100)
-    part1 = k._splitmix64_np(np.uint64(9), np.uint64(0), 40)
-    part2 = k._splitmix64_np(np.uint64(9), np.uint64(40), 60)
+    whole = k.splitmix64(np.uint64(9), np.uint64(0), 100)
+    part1 = k.splitmix64(np.uint64(9), np.uint64(0), 40)
+    part2 = k.splitmix64(np.uint64(9), np.uint64(40), 60)
     assert np.array_equal(whole, np.concatenate([part1, part2]))
 
 
 def test_splitmix_seed_sensitivity():
-    a = k._splitmix64_np(np.uint64(1), np.uint64(0), 100)
-    b = k._splitmix64_np(np.uint64(2), np.uint64(0), 100)
+    a = k.splitmix64(np.uint64(1), np.uint64(0), 100)
+    b = k.splitmix64(np.uint64(2), np.uint64(0), 100)
     assert not np.array_equal(a, b)
 
 
@@ -96,13 +63,6 @@ def test_uniform01_range_and_determinism():
     assert abs(u.mean() - 0.5) < 0.01
 
 
-def test_markout_matrix_formula():
-    pa = np.array([[55.0]])
-    pb = np.array([[1.0]])
-    out = k._markout_matrix_np(pa, pb, np.array([2.0]), np.array([100.0]), 0.0001725)
-    assert out[0, 0] == pytest.approx(9.963775, abs=1e-12)
-
-
 @given(
     st.lists(st.integers(min_value=0, max_value=10 ** 9), min_size=1, max_size=50),
     st.integers(min_value=-1000, max_value=10 ** 9 + 10 ** 5),
@@ -112,7 +72,7 @@ def test_lookup_property_vs_linear_scan(raw_ts, query):
     ts = np.array(sorted(set(raw_ts)), dtype=np.int64)
     bid = np.linspace(10, 20, len(ts))
     ask = bid + 0.5
-    mids, codes = k._step_mid_lookup_np(ts, bid, ask, np.array([query], dtype=np.int64), 5000)
+    mids, codes = k.step_mid_lookup(ts, bid, ask, np.array([query], dtype=np.int64), 5000)
     ref_code, ref_mid = linear_scan_lookup(ts, bid, ask, query, 5000)
     assert codes[0] == ref_code
     if ref_code == k.LOOKUP_OK:

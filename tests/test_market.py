@@ -58,8 +58,9 @@ def test_integration_matrix_normalization():
         make_trade("0x3", searcher_label="s2", builder_label="bA", volume_usd=10.0),
     ]
     m = integration_matrix(trades)
-    assert m.row("s1") == pytest.approx({"bA": 0.6, "bB": 0.4})
-    assert m.row("s2") == pytest.approx({"bA": 1.0, "bB": 0.0})
+    assert m.searchers == ["s1", "s2"]
+    assert m.builders == ["bA", "bB"]
+    assert m.cells == pytest.approx(np.array([[0.6, 0.4], [1.0, 0.0]]))
     assert np.allclose(m.cells.sum(axis=1), 1.0)
 
 

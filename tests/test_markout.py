@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from cexdex.config import PipelineConfig
-from cexdex.errors import ZeroVolume
 from cexdex.markout import (
     EXCLUSION_QUOTE_GAP,
     flag_inventory_adjustment,
-    gross_return,
     markout_curve,
     markout_revenue,
 )
@@ -47,17 +45,6 @@ def test_markout_revenue_fee_only(registry, config):
     trade = make_trade(amount_bought="2", amount_sold="100", volume_usd=100.0)
     mr = markout_revenue(trade, 0.0, store, registry, config)
     assert mr == pytest.approx(-0.0345, abs=1e-12)
-
-
-def test_gross_return(registry, config):
-    gr = gross_return(two_leg_trade(), 0.0, flat_store(), registry, config)
-    assert gr == pytest.approx(9.963775 / 110.0, abs=1e-15)
-
-
-def test_gross_return_zero_volume(registry, config):
-    trade = make_trade(volume_usd=0.0)
-    with pytest.raises(ZeroVolume):
-        gross_return(trade, 0.0, flat_store(), registry, config)
 
 
 def test_markout_curve_full_grid(registry, config, grid):

@@ -6,12 +6,16 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cexdex.config import PipelineConfig
 from cexdex.detect import aggregate_swaps
 from cexdex.errors import DegenerateRanks, SharesDontSumToOne
 from cexdex.market import hhi, spearman
+from cexdex.markout import markout_revenue
 from cexdex import _kernels as k
 
-from conftest import make_swap, make_tx
+from conftest import TOKC, make_registry, make_store, make_swap, make_trade, make_tx
+
+REGISTRY = make_registry()
 
 amounts = st.decimals(min_value="0.000001", max_value="1000000",
                       allow_nan=False, allow_infinity=False, places=6)
@@ -105,9 +109,16 @@ def test_spearman_monotone_transform_invariance(xs, transform):
        st.integers(min_value=1, max_value=500))
 @settings(max_examples=100, deadline=None)
 def test_splitmix_slice_composition(seed, start, count):
-    whole = k._splitmix64_np(np.uint64(seed), np.uint64(0), start + count)
-    tail = k._splitmix64_np(np.uint64(seed), np.uint64(start), count)
+    whole = k.splitmix64(np.uint64(seed), np.uint64(0), start + count)
+    tail = k.splitmix64(np.uint64(seed), np.uint64(start), count)
     assert np.array_equal(whole[start:], tail)
+
+
+def one_quote_mr(pa, pb, x, y):
+    """markout_revenue at offset 0 with TOKA at pa and TOKC at pb, one quote each."""
+    store = make_store({"TOKAUSDT": [(1_000_000, pa, pa)], "TOKCUSDT": [(1_000_000, pb, pb)]})
+    trade = make_trade(amount_bought=repr(x), token_sold=TOKC, amount_sold=repr(y))
+    return markout_revenue(trade, 0.0, store, REGISTRY, PipelineConfig())
 
 
 @given(
@@ -117,18 +128,12 @@ def test_splitmix_slice_composition(seed, start, count):
 )
 @settings(max_examples=300, deadline=None)
 def test_markout_matrix_scale_homogeneous(pa, pb, x, y, c):
-    one = k._markout_matrix_np(np.array([[pa]]), np.array([[pb]]),
-                               np.array([x]), np.array([y]), 0.0001725)
-    scaled = k._markout_matrix_np(np.array([[pa]]), np.array([[pb]]),
-                                  np.array([x * c]), np.array([y * c]), 0.0001725)
-    assert abs(scaled[0, 0] - one[0, 0] * c) <= 1e-9 * max(1.0, abs(one[0, 0] * c))
+    one = one_quote_mr(pa, pb, x, y)
+    scaled = one_quote_mr(pa, pb, x * c, y * c)
+    assert abs(scaled - one * c) <= 1e-9 * max(1.0, abs(one * c))
 
 
 @given(st.floats(min_value=1.0, max_value=1e6), st.floats(min_value=1.0, max_value=1e6))
 @settings(max_examples=200, deadline=None)
 def test_markout_matrix_monotone_in_pa(pa, bump):
-    lo = k._markout_matrix_np(np.array([[pa]]), np.array([[1.0]]),
-                              np.array([2.0]), np.array([100.0]), 0.0001725)
-    hi = k._markout_matrix_np(np.array([[pa + bump]]), np.array([[1.0]]),
-                              np.array([2.0]), np.array([100.0]), 0.0001725)
-    assert hi[0, 0] > lo[0, 0]
+    assert one_quote_mr(pa + bump, 1.0, 2.0, 100.0) > one_quote_mr(pa, 1.0, 2.0, 100.0)

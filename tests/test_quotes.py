@@ -24,11 +24,18 @@ def test_mid_is_last_at_or_before(store):
 def test_no_quote_before(store):
     with pytest.raises(NoQuoteBefore):
         store.mid("BTCUSDT", -1, 5000)
+    with pytest.raises(NoQuoteBefore) as e:
+        store.mid("BTCUSDT", np.array([200, -1], dtype=np.int64), 5000)
+    assert e.value.t_ms == -1
 
 
 def test_stale_quote(store):
     with pytest.raises(StaleQuote) as e:
         store.mid("BTCUSDT", 11001, 5000)
+    assert e.value.gap_ms == 6001
+    # the array form measures the gap from the last quote at or before, too
+    with pytest.raises(StaleQuote) as e:
+        store.mid("BTCUSDT", np.array([200, 11001], dtype=np.int64), 5000)
     assert e.value.gap_ms == 6001
 
 
