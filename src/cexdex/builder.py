@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data_model import BlockRecord, SearcherLabelFile
+from .data_model import BlockRecord
 from .errors import ZeroDenominator
 from .estimate import TradeEconomics
 
@@ -59,25 +59,29 @@ def builder_onchain_profit(
     return bp_eth * eth_usd
 
 
+def index_pnl(economics: list[TradeEconomics]) -> dict[tuple[int, str], list[float]]:
+    """Trade PnLs by (block_number, searcher_label), in economics-row order."""
+    out: dict[tuple[int, str], list[float]] = {}
+    for e in economics:
+        out.setdefault((e.block_number, e.searcher_label), []).append(e.pnl_usd)
+    return out
+
+
 def integrated_searcher_pnl(
     block: BlockRecord,
-    economics: list[TradeEconomics],
-    labels: SearcherLabelFile,
+    pnl_by_block: dict[tuple[int, str], list[float]],
+    searcher_of_builder: dict[str, str],
 ) -> tuple[float, bool]:
     """(SP, applicable) for this block.
 
     Only the integrated searcher's trades landing in this exact block
-    count; builders without an integrated searcher get SP = 0 marked N/A.
+    count, summed in economics-row order; builders without an integrated
+    searcher get SP = 0 marked N/A.
     """
-    searcher = labels.builder_to_searcher().get(block.builder_label)
+    searcher = searcher_of_builder.get(block.builder_label)
     if searcher is None:
         return 0.0, False
-    sp = sum(
-        e.pnl_usd
-        for e in economics
-        if e.block_number == block.block_number and e.searcher_label == searcher
-    )
-    return sp, True
+    return sum(pnl_by_block.get((block.block_number, searcher), [])), True
 
 
 def aggregated_margin(
@@ -99,13 +103,15 @@ def subsidy_flags(bp_usd: float, p_usd: float) -> tuple[bool, bool]:
 
 def block_economics(
     block: BlockRecord,
-    economics: list[TradeEconomics],
-    labels: SearcherLabelFile,
+    pnl_by_block: dict[tuple[int, str], list[float]],
+    searcher_of_builder: dict[str, str],
     schedule: RefundSchedule,
     eth_usd: float,
 ) -> BuilderBlockEconomics:
+    """``pnl_by_block`` from ``index_pnl``; ``searcher_of_builder`` from
+    ``SearcherLabelFile.builder_to_searcher``."""
     bp = builder_onchain_profit(block, schedule, eth_usd)
-    sp, applicable = integrated_searcher_pnl(block, economics, labels)
+    sp, applicable = integrated_searcher_pnl(block, pnl_by_block, searcher_of_builder)
     p = bp + sp
     try:
         margin = aggregated_margin(block, p, schedule, eth_usd)

@@ -11,9 +11,12 @@ from __future__ import annotations
 import csv
 import decimal
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     DuplicateBlock,
@@ -102,14 +105,6 @@ class RawTransaction:
     coinbase_transfer_eth: float
     builder_label: str
     volume_usd: float
-
-
-@dataclass(frozen=True)
-class Quote:
-    symbol: str
-    ts_ms: int
-    bid: float
-    ask: float
 
 
 @dataclass(frozen=True)
@@ -332,27 +327,76 @@ def load_transactions(path: str | Path, registry: TokenRegistry) -> list[RawTran
 
 QUOTE_COLUMNS = ["symbol", "ts_ms", "bid", "ask"]
 
+QuoteArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # ts_ms, bid, ask
 
-def load_quotes(path: str | Path) -> dict[str, list[Quote]]:
-    """Per-symbol quote series sorted by timestamp ascending."""
-    series: dict[str, list[Quote]] = {}
-    seen: set[tuple[str, int]] = set()
-    for i, row in _iter_rows(path, QUOTE_COLUMNS):
-        symbol = row["symbol"].strip()
-        ts = _parse_int(row["ts_ms"], i, "ts_ms")
-        bid = _parse_float(row["bid"], i, "bid")
-        ask = _parse_float(row["ask"], i, "ask")
-        if bid <= 0:
-            raise MalformedRow(i, "bid must be > 0")
-        if ask < bid:
-            raise CrossedQuote(i)
-        if (symbol, ts) in seen:
-            raise DuplicateTimestamp(symbol, ts)
-        seen.add((symbol, ts))
-        series.setdefault(symbol, []).append(Quote(symbol, ts, bid, ask))
-    for q in series.values():
-        q.sort(key=lambda x: x.ts_ms)
-    return series
+
+def _read_columns(path: Path, columns: list[str]) -> tuple[Sequence[int], list[list[str]]]:
+    """(1-based row indices as ``_iter_rows`` numbers them, each column's raw strings)."""
+    if path.suffix.lower() in (".jsonl", ".ndjson"):
+        pairs = list(_iter_rows(path, columns))
+        return [i for i, _ in pairs], [[row[c] for _, row in pairs] for c in columns]
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        for col in columns:
+            if col not in header:
+                raise MissingColumn(col, str(path))
+        rows = [r for r in reader if r]  # blank lines are skipped, as csv.DictReader does
+    for k, r in enumerate(rows):
+        if len(r) < len(header):
+            raise MalformedRow(k + 1, "fewer fields than the header")
+    return range(1, len(rows) + 1), [[r[j] for r in rows] for j in map(header.index, columns)]
+
+
+def _parse_column(raw: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``parse`` of every entry, and the mask of the entries it rejects (left 0)."""
+    try:
+        return np.array(list(map(parse, raw)), dtype=dtype), np.zeros(len(raw), dtype=bool)
+    except ValueError:
+        pass
+    values, bad = np.zeros(len(raw), dtype=dtype), np.zeros(len(raw), dtype=bool)
+    for k, v in enumerate(raw):
+        try:
+            values[k] = parse(v)
+        except ValueError:
+            bad[k] = True
+    return values, bad
+
+
+def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
+    """Per-symbol (ts_ms, bid, ask) arrays sorted by timestamp ascending.
+
+    Raises for the first row that fails a check, with the first check it
+    fails in the order listed below.
+    """
+    row_index, (symbols, ts_raw, bid_raw, ask_raw) = _read_columns(Path(path), QUOTE_COLUMNS)
+    ts, bad_ts = _parse_column(ts_raw, int, np.int64)
+    bid, bad_bid = _parse_column(bid_raw, float, np.float64)
+    ask, bad_ask = _parse_column(ask_raw, float, np.float64)
+    codes: dict[str, int] = {}
+    code = np.array([codes.setdefault(s.strip(), len(codes)) for s in symbols], dtype=np.int64)
+    # by symbol, time and row: a row with the key of the one before it is a duplicate
+    order = np.lexsort((np.arange(len(ts)), ts, code))
+    dup = np.zeros(len(ts), dtype=bool)
+    dup[order[1:]] = (np.diff(code[order]) == 0) & (np.diff(ts[order]) == 0)
+    # a rejected entry is left 0, which can only fail checks listed after its own
+    checks = [
+        (bad_ts, lambda i, k: MalformedRow(i, f"bad integer {ts_raw[k]!r} in ts_ms")),
+        (bad_bid, lambda i, k: MalformedRow(i, f"bad number {bid_raw[k]!r} in bid")),
+        (bad_ask, lambda i, k: MalformedRow(i, f"bad number {ask_raw[k]!r} in ask")),
+        (bid <= 0, lambda i, k: MalformedRow(i, "bid must be > 0")),
+        (ask < bid, lambda i, k: CrossedQuote(i)),
+        (dup, lambda i, k: DuplicateTimestamp(symbols[k].strip(), int(ts[k]))),
+    ]
+    failing = np.vstack([mask for mask, _ in checks])
+    if failing.any():
+        k = int(np.argmax(failing.any(axis=0)))
+        raise checks[int(np.argmax(failing[:, k]))][1](row_index[k], k)
+    bounds = np.searchsorted(code[order], np.arange(len(codes) + 1))
+    return {
+        symbol: tuple(a[order[bounds[c]:bounds[c + 1]]] for a in (ts, bid, ask))
+        for symbol, c in codes.items()
+    }
 
 
 BLOCK_COLUMNS = [

@@ -21,6 +21,7 @@ from . import estimate as estimate_mod
 from . import horizon as horizon_mod
 from . import market as market_mod
 from . import markout as markout_mod
+from ._kernels import LOOKUP_NO_QUOTE, LOOKUP_OK
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .data_model import (
     BlockRecord,
@@ -42,29 +43,34 @@ class DependencyMissing(PipelineError):
     """A stage was invoked before the stage whose outputs it consumes."""
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+class OutdatedOutput(PipelineError):
+    """A stage output is not in the layout this version writes."""
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """csv.writer writes None as "" and other values with str(), which for a
+    float is repr(); bools are written as true/false."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(
+            [("true" if v else "false") if v.__class__ is bool else v for v in row]
+            for row in rows
+        )
 
 
-def _read_csv(path: Path) -> list[dict]:
+def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """(header, data rows) of a stage output."""
     if not path.exists():
         raise DependencyMissing(f"{path.name} not found in {path.parent}; run the producing stage first")
     with open(path, newline="") as f:
-        return list(csv.DictReader(f))
+        reader = csv.reader(f)
+        return next(reader, []), [r for r in reader if r]
+
+
+def _read_records(path: Path) -> list[dict]:
+    header, rows = _read_csv(path)
+    return [dict(zip(header, r)) for r in rows]
 
 
 def _require_input(input_dir: Path, name: str) -> Path:
@@ -160,7 +166,7 @@ def run_detect(ws: Workspace) -> None:
 
 
 def _load_detections(ws: Workspace) -> list[ArbTrade]:
-    rows = _read_csv(ws.out_dir / "detections.csv")
+    rows = _read_records(ws.out_dir / "detections.csv")
     return [
         ArbTrade(
             tx_hash=r["tx_hash"],
@@ -183,10 +189,13 @@ def _load_detections(ws: Workspace) -> list[ArbTrade]:
 # ---------------------------------------------------------------------------
 # markout
 
-MARKOUTS_HEADER = [
-    "tx_hash", "searcher_label", "offset_s", "mr_usd", "gr",
-    "excluded", "exclusion_reason",
-]
+MARKOUTS_KEYS = ["tx_hash", "searcher_label", "excluded", "exclusion_reason"]
+
+
+def _markouts_header(offsets_s: list[float]) -> list[str]:
+    """One row per trade: keys, then MR at every offset, then GR at every offset."""
+    return (MARKOUTS_KEYS + [f"mr_usd@{o!r}" for o in offsets_s]
+            + [f"gr@{o!r}" for o in offsets_s])
 
 
 def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> MarkoutCurve:
@@ -207,38 +216,49 @@ def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> MarkoutCurve:
 def run_markout(ws: Workspace) -> None:
     trades = _load_detections(ws)
     curves = [_curve_for_trade(t, ws) for t in trades]
-
-    def rows():
-        for trade, curve in zip(trades, curves):
-            for k, off in enumerate(curve.offsets_s):
-                yield [
-                    trade.tx_hash, trade.searcher_label, off,
-                    float(curve.mr_usd[k]), float(curve.gr[k]),
-                    curve.excluded, curve.exclusion_reason or "",
-                ]
-
-    _write_csv(ws.out_dir / "markouts.csv", MARKOUTS_HEADER, rows())
+    _write_csv(
+        ws.out_dir / "markouts.csv",
+        _markouts_header(ws.grid.offsets_s),
+        (
+            [trade.tx_hash, trade.searcher_label, curve.excluded,
+             curve.exclusion_reason or "", *curve.mr_usd.tolist(), *curve.gr.tolist()]
+            for trade, curve in zip(trades, curves)
+        ),
+    )
 
 
 def _load_markout_curves(ws: Workspace) -> dict[str, MarkoutCurve]:
-    """tx_hash -> curve, with searcher label stashed on the side."""
-    rows = _read_csv(ws.out_dir / "markouts.csv")
-    grouped: dict[str, list[dict]] = {}
-    for r in rows:
-        grouped.setdefault(r["tx_hash"], []).append(r)
-    curves: dict[str, MarkoutCurve] = {}
-    for tx, rws in grouped.items():
-        rws.sort(key=lambda r: float(r["offset_s"]))
-        curve = MarkoutCurve(
-            tx_hash=tx,
-            offsets_s=[float(r["offset_s"]) for r in rws],
-            mr_usd=np.array([float(r["mr_usd"]) for r in rws]),
-            gr=np.array([float(r["gr"]) for r in rws]),
-            excluded=rws[0]["excluded"] == "true",
-            exclusion_reason=rws[0]["exclusion_reason"] or None,
+    """tx_hash -> curve, with searcher label stashed on the side.
+
+    Every curve's MR and GR are rows of two 2-D arrays parsed in one pass.
+    """
+    path = ws.out_dir / "markouts.csv"
+    header, rows = _read_csv(path)
+    width = len(MARKOUTS_KEYS)
+    n = (len(header) - width) // 2
+    try:
+        offsets_s = [float(h.partition("@")[2]) for h in header[width:width + n]]
+    except ValueError:
+        offsets_s = []
+    if (not offsets_s or header != _markouts_header(offsets_s)
+            or any(len(r) != len(header) for r in rows)):
+        raise OutdatedOutput(
+            f"{path} is not one row per trade with a column per offset (an older "
+            "version's layout?); rerun the markout stage"
         )
-        curve.searcher_label = rws[0]["searcher_label"]  # type: ignore[attr-defined]
-        curves[tx] = curve
+    values = np.array([float(v) for r in rows for v in r[width:]]).reshape(len(rows), 2 * n)
+    curves: dict[str, MarkoutCurve] = {}
+    for r, mr, gr in zip(rows, values[:, :n], values[:, n:]):
+        curve = MarkoutCurve(
+            tx_hash=r[0],
+            offsets_s=offsets_s,
+            mr_usd=mr,
+            gr=gr,
+            excluded=r[2] == "true",
+            exclusion_reason=r[3] or None,
+        )
+        curve.searcher_label = r[1]  # type: ignore[attr-defined]
+        curves[r[0]] = curve
     return curves
 
 
@@ -274,7 +294,7 @@ def run_horizon(ws: Workspace) -> None:
 
 
 def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
-    rows = _read_csv(ws.out_dir / "profiles.csv")
+    rows = _read_records(ws.out_dir / "profiles.csv")
     out = {}
     for r in rows:
         out[r["searcher_label"]] = horizon_mod.SearcherProfile(
@@ -309,7 +329,7 @@ def run_estimate(ws: Workspace) -> None:
     curves = _load_markout_curves(ws)
     profiles = _load_profiles(ws)
 
-    economics: list[TradeEconomics] = []
+    priced = []
     excl_counts: dict[str, dict[str, int]] = {}
     for trade in trades:
         curve = curves[trade.tx_hash]
@@ -323,8 +343,15 @@ def run_estimate(ws: Workspace) -> None:
         profile = profiles.get(trade.searcher_label)
         if profile is None or profile.pattern == horizon_mod.PATTERN_FLAT:
             continue
-        eth = ws.quotes.eth_usd(trade.slot_time_ms, ws.config.quote_staleness_ms)
-        economics.append(estimate_mod.trade_economics(trade, curve, profile, eth))
+        priced.append((trade, curve, profile))
+    eth: list[float] = []
+    if priced:  # one lookup; raises for the first trade without an ETH quote
+        slot_ms = np.array([t.slot_time_ms for t, _, _ in priced], dtype=np.int64)
+        eth = ws.quotes.eth_usd(slot_ms, ws.config.quote_staleness_ms).tolist()
+    economics = [
+        estimate_mod.trade_economics(trade, curve, profile, eth_usd)
+        for (trade, curve, profile), eth_usd in zip(priced, eth)
+    ]
 
     _write_csv(
         ws.out_dir / "economics.csv",
@@ -375,7 +402,7 @@ def run_estimate(ws: Workspace) -> None:
 
 
 def _load_economics(ws: Workspace) -> list[TradeEconomics]:
-    rows = _read_csv(ws.out_dir / "economics.csv")
+    rows = _read_records(ws.out_dir / "economics.csv")
     return [
         TradeEconomics(
             tx_hash=r["tx_hash"],
@@ -405,12 +432,15 @@ def run_market(ws: Workspace) -> None:
 
     included = [t for t in trades if not curves[t.tx_hash].excluded]
 
-    # daily volume shares (all patterns) and EV shares (P3 excluded)
+    # daily volume shares (all patterns) and EV shares (P3 excluded);
+    # pair_volume keeps each (searcher, day, builder)'s volumes in trade order
     day_volume: dict[str, dict[str, float]] = {}
+    pair_volume: dict[tuple[str, str, str], list[float]] = {}
     for t in included:
         d = estimate_mod._utc_day(t.slot_time_ms)
         day_volume.setdefault(d, {}).setdefault(t.searcher_label, 0.0)
         day_volume[d][t.searcher_label] += t.volume_usd
+        pair_volume.setdefault((t.searcher_label, d, t.builder_label), []).append(t.volume_usd)
     day_ev: dict[str, dict[str, float]] = {}
     for e in economics:
         d = estimate_mod._utc_day(e.slot_time_ms)
@@ -500,12 +530,7 @@ def run_market(ws: Workspace) -> None:
             x, y = [], []
             for d in dates:
                 total_v = sum(day_volume[d].values())
-                in_builder = sum(
-                    t.volume_usd
-                    for t in by_searcher.get(label, [])
-                    if estimate_mod._utc_day(t.slot_time_ms) == d
-                    and t.builder_label == cls_builder
-                )
+                in_builder = sum(pair_volume.get((label, d, cls_builder), []))
                 blk = day_blocks.get(d, {})
                 total_b = sum(blk.values())
                 if total_v <= 0 or total_b <= 0:
@@ -551,23 +576,25 @@ BUILDER_SUMMARY_HEADER = [
 
 def run_builder(ws: Workspace) -> None:
     economics = _load_economics(ws)
+    pnl_by_block = builder_mod.index_pnl(economics)
+    searcher_of_builder = ws.labels.builder_to_searcher()
     schedule = builder_mod.RefundSchedule()
-    per_block = []
-    eth_by_block = {}
-    used_blocks = []
-    skipped_quotes = 0
-    for bn in sorted(ws.blocks):
-        block = ws.blocks[bn]
-        try:
-            eth = ws.quotes.eth_usd(block.slot_time_ms, ws.config.quote_staleness_ms)
-        except (NoQuoteBefore, StaleQuote):
-            skipped_quotes += 1
-            continue
-        eth_by_block[bn] = eth
-        used_blocks.append(block)
-        per_block.append(
-            builder_mod.block_economics(block, economics, ws.labels, schedule, eth)
+    blocks = [ws.blocks[bn] for bn in sorted(ws.blocks)]
+    slot_ms = np.array([b.slot_time_ms for b in blocks], dtype=np.int64)
+    try:
+        mids, status = ws.quotes.get("ETHUSDT").mid_many(slot_ms, ws.config.quote_staleness_ms)
+    except NoQuoteBefore:  # no ETHUSDT series: every block is skipped
+        mids, status = np.zeros(len(blocks)), np.full(len(blocks), LOOKUP_NO_QUOTE)
+    ok = status == LOOKUP_OK
+    used_blocks = [b for b, priced in zip(blocks, ok.tolist()) if priced]
+    eth_by_block = dict(zip([b.block_number for b in used_blocks], mids[ok].tolist()))
+    per_block = [
+        builder_mod.block_economics(
+            b, pnl_by_block, searcher_of_builder, schedule, eth_by_block[b.block_number]
         )
+        for b in used_blocks
+    ]
+    skipped_quotes = len(blocks) - len(used_blocks)
     if skipped_quotes:
         print(f"builder: skipped {skipped_quotes} blocks with no ETH quote", file=sys.stderr)
 

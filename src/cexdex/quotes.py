@@ -11,18 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .data_model import Quote, TokenRegistry
+from .data_model import QuoteArrays, TokenRegistry
 from .errors import NoQuoteBefore, StaleQuote, UnknownToken, UnlistedToken
 
 
 class QuoteSeries:
     """One symbol's quotes as sorted parallel arrays."""
 
-    def __init__(self, symbol: str, quotes: list[Quote]):
+    def __init__(self, symbol: str, ts_ms: np.ndarray, bid: np.ndarray, ask: np.ndarray):
         self.symbol = symbol
-        self.ts_ms = np.array([q.ts_ms for q in quotes], dtype=np.int64)
-        self.bid = np.array([q.bid for q in quotes], dtype=np.float64)
-        self.ask = np.array([q.ask for q in quotes], dtype=np.float64)
+        self.ts_ms = np.asarray(ts_ms, dtype=np.int64)
+        self.bid = np.asarray(bid, dtype=np.float64)
+        self.ask = np.asarray(ask, dtype=np.float64)
         if np.any(np.diff(self.ts_ms) <= 0):
             raise ValueError(f"{symbol}: timestamps not strictly increasing")
 
@@ -55,9 +55,9 @@ class QuoteSeries:
 
 
 class QuoteStore:
-    def __init__(self, series_by_symbol: dict[str, list[Quote]]):
+    def __init__(self, series_by_symbol: dict[str, QuoteArrays]):
         self.series = {
-            sym: QuoteSeries(sym, quotes) for sym, quotes in series_by_symbol.items()
+            sym: QuoteSeries(sym, *arrays) for sym, arrays in series_by_symbol.items()
         }
 
     def get(self, symbol: str) -> QuoteSeries:
@@ -69,7 +69,8 @@ class QuoteStore:
     def mid(self, symbol: str, t_ms, staleness_ms: int):
         return self.get(symbol).mid_at(t_ms, staleness_ms)
 
-    def eth_usd(self, t_ms: int, staleness_ms: int) -> float:
+    def eth_usd(self, t_ms, staleness_ms: int):
+        """ETHUSDT mid at one time (a float) or an ndarray of times (an array)."""
         return self.mid("ETHUSDT", t_ms, staleness_ms)
 
     def usd_price(self, token: str, t_ms, registry: TokenRegistry, staleness_ms: int):

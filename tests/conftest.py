@@ -1,9 +1,10 @@
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from cexdex.config import MarkoutGrid, PipelineConfig
-from cexdex.data_model import Quote, RawTransaction, SwapEvent, TokenInfo, TokenRegistry
+from cexdex.data_model import RawTransaction, SwapEvent, TokenInfo, TokenRegistry
 from cexdex.detect import ArbTrade
 from cexdex.quotes import QuoteStore
 
@@ -44,7 +45,9 @@ def grid():
 
 def make_store(series: dict[str, list[tuple[int, float, float]]]) -> QuoteStore:
     return QuoteStore({
-        sym: [Quote(sym, ts, bid, ask) for ts, bid, ask in quotes]
+        sym: (np.array([q[0] for q in quotes], dtype=np.int64),
+              np.array([q[1] for q in quotes], dtype=np.float64),
+              np.array([q[2] for q in quotes], dtype=np.float64))
         for sym, quotes in series.items()
     })
 

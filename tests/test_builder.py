@@ -7,6 +7,7 @@ from cexdex.builder import (
     block_economics,
     builder_onchain_profit,
     builder_summary,
+    index_pnl,
     integrated_searcher_pnl,
     subsidy_flags,
 )
@@ -74,14 +75,16 @@ def test_sp_sums_integrated_only():
     labels = SearcherLabelFile(labels={}, integrated_with={"s1": "b1"})
     rows = [econ(3.0), econ(-1.0), econ(100.0, label="s2"),
             econ(50.0, block_number=2)]
-    sp, applicable = integrated_searcher_pnl(block(1), rows, labels)
+    sp, applicable = integrated_searcher_pnl(block(1), index_pnl(rows),
+                                             labels.builder_to_searcher())
     assert sp == pytest.approx(2.0)  # other searchers and other blocks excluded
     assert applicable
 
 
 def test_sp_not_applicable():
     labels = SearcherLabelFile(labels={}, integrated_with={})
-    sp, applicable = integrated_searcher_pnl(block(1), [econ(3.0)], labels)
+    sp, applicable = integrated_searcher_pnl(block(1), index_pnl([econ(3.0)]),
+                                             labels.builder_to_searcher())
     assert sp == 0.0 and not applicable
 
 
@@ -112,7 +115,8 @@ def test_subsidy_flags():
 def test_block_economics_composition():
     labels = SearcherLabelFile(labels={}, integrated_with={"s1": "b1"})
     b = block(delta_c=5.0, bid=10.0, used=True, delta=4.0, slot=AFTER)
-    e = block_economics(b, [econ(2.0)], labels, RefundSchedule(), 1.0)
+    e = block_economics(b, index_pnl([econ(2.0)]), labels.builder_to_searcher(),
+                        RefundSchedule(), 1.0)
     assert e.bp_usd == pytest.approx(-3.0)
     assert e.sp_usd == pytest.approx(2.0)
     assert e.p_usd == pytest.approx(e.bp_usd + e.sp_usd)
@@ -123,7 +127,8 @@ def test_summary_single_subsidized_block():
     labels = SearcherLabelFile(labels={}, integrated_with={"s1": "b1"})
     b = block(delta_c=5.0, bid=10.0, used=True, delta=4.0, slot=AFTER)
     rows = [econ(2.0)]  # BP=-3, SP=+2, P=-1... before: yes, after: yes
-    per = [block_economics(b, rows, labels, RefundSchedule(), 1.0)]
+    per = [block_economics(b, index_pnl(rows), labels.builder_to_searcher(),
+                           RefundSchedule(), 1.0)]
     (s,) = builder_summary([b], per, RefundSchedule(), {1: 1.0})
     assert s.subsidized_blocks_before == 1
     assert s.subsidy_bp_before_usd == pytest.approx(-3.0)
@@ -137,7 +142,8 @@ def test_summary_sp_lifts_subsidy():
     labels = SearcherLabelFile(labels={}, integrated_with={"s1": "b1"})
     b = block(delta_c=5.0, bid=10.0, used=True, delta=4.0, slot=AFTER)
     rows = [econ(7.0)]  # BP=-3, SP=+7, P=+4
-    per = [block_economics(b, rows, labels, RefundSchedule(), 1.0)]
+    per = [block_economics(b, index_pnl(rows), labels.builder_to_searcher(),
+                           RefundSchedule(), 1.0)]
     (s,) = builder_summary([b], per, RefundSchedule(), {1: 1.0})
     assert s.subsidized_blocks_before == 1 and s.subsidized_blocks_after == 0
     assert s.subsidy_p_after_usd == 0.0
@@ -146,7 +152,8 @@ def test_summary_sp_lifts_subsidy():
 def test_summary_all_positive_no_subsidy():
     labels = SearcherLabelFile(labels={})
     blocks = [block(i, delta_c=1.0, slot=AFTER) for i in range(1, 4)]
-    per = [block_economics(b, [], labels, RefundSchedule(), 1.0) for b in blocks]
+    per = [block_economics(b, {}, labels.builder_to_searcher(), RefundSchedule(), 1.0)
+           for b in blocks]
     (s,) = builder_summary(blocks, per, RefundSchedule(), {b.block_number: 1.0 for b in blocks})
     assert s.subsidized_blocks_before == 0 and s.subsidized_blocks_after == 0
     assert s.total_bp_usd == pytest.approx(3.0)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cexdex.data_model import (
@@ -126,8 +127,79 @@ def test_load_transactions_sorted_by_block(tmp_path, token_registry):
 def test_load_quotes_sorted_and_validated(tmp_path):
     p = tmp_path / "quotes.csv"
     p.write_text("symbol,ts_ms,bid,ask\nBTCUSDT,200,99,101\nBTCUSDT,100,98,100\n")
+    ts, bid, ask = load_quotes(p)["BTCUSDT"]
+    assert ts.dtype == np.int64 and ts.tolist() == [100, 200]
+    assert bid.tolist() == [98.0, 99.0] and ask.tolist() == [100.0, 101.0]
+
+
+def test_load_quotes_splits_symbols_in_first_seen_order(tmp_path):
+    p = tmp_path / "quotes.csv"
+    p.write_text("symbol,ts_ms,bid,ask\n ETHUSDT ,300,1,2\nBTCUSDT,100,3,4\n"
+                 "ETHUSDT,200,5,6\n\nBTCUSDT,50,7,8\n")
     series = load_quotes(p)
-    assert [q.ts_ms for q in series["BTCUSDT"]] == [100, 200]
+    assert list(series) == ["ETHUSDT", "BTCUSDT"]
+    assert series["ETHUSDT"][0].tolist() == [200, 300]
+    assert series["ETHUSDT"][1].tolist() == [5.0, 1.0]
+    assert series["BTCUSDT"][0].tolist() == [50, 100]
+    assert series["BTCUSDT"][2].tolist() == [8.0, 4.0]
+
+
+QUOTES_HEADER = "symbol,ts_ms,bid,ask\n"
+GOOD_QUOTE = "BTCUSDT,{ts},99,101\n"
+
+
+def quotes_file(tmp_path, bad_row: str, at: int, n: int = 5):
+    """n good rows with ``bad_row`` as the 1-based data row ``at``."""
+    rows = [GOOD_QUOTE.format(ts=100 * (k + 1)) for k in range(n)]
+    rows[at - 1] = bad_row
+    p = tmp_path / "quotes.csv"
+    p.write_text(QUOTES_HEADER + "".join(rows))
+    return p
+
+
+@pytest.mark.parametrize("bad_row", [
+    "BTCUSDT,1x,99,101\n", "BTCUSDT,300,abc,101\n", "BTCUSDT,300,99,\n",
+    "BTCUSDT,300.5,99,101\n", "BTCUSDT,300,0,101\n", "BTCUSDT,300,-1,101\n",
+])
+def test_load_quotes_malformed_reports_first_row(tmp_path, bad_row):
+    with pytest.raises(MalformedRow) as e:
+        load_quotes(quotes_file(tmp_path, bad_row, at=3))
+    assert e.value.row_index == 3
+
+
+def test_load_quotes_crossed_reports_first_row(tmp_path):
+    with pytest.raises(CrossedQuote) as e:
+        load_quotes(quotes_file(tmp_path, "BTCUSDT,300,101,99\n", at=4))
+    assert e.value.row_index == 4
+
+
+def test_load_quotes_first_offending_row_wins_across_checks(tmp_path):
+    p = tmp_path / "quotes.csv"
+    p.write_text(QUOTES_HEADER + "BTCUSDT,100,99,101\nBTCUSDT,200,102,101\n"
+                 "BTCUSDT,zz,99,101\nBTCUSDT,400,0,101\n")
+    with pytest.raises(CrossedQuote) as e:
+        load_quotes(p)
+    assert e.value.row_index == 2
+    # within one row, a parse error comes before the value checks
+    p.write_text(QUOTES_HEADER + "BTCUSDT,100,99,101\nBTCUSDT,x,-1,-2\n")
+    with pytest.raises(MalformedRow) as e:
+        load_quotes(p)
+    assert e.value.row_index == 2 and "ts_ms" in str(e.value)
+
+
+def test_load_quotes_duplicate_not_adjacent(tmp_path):
+    p = tmp_path / "quotes.csv"
+    p.write_text(QUOTES_HEADER + "BTCUSDT,100,99,101\nETHUSDT,100,9,10\n"
+                 "BTCUSDT,200,99,101\nBTCUSDT,100,98,102\n")
+    with pytest.raises(DuplicateTimestamp) as e:
+        load_quotes(p)
+    assert (e.value.symbol, e.value.ts_ms) == ("BTCUSDT", 100)
+
+
+def test_load_quotes_same_ts_other_symbol_is_not_duplicate(tmp_path):
+    p = tmp_path / "quotes.csv"
+    p.write_text(QUOTES_HEADER + "BTCUSDT,100,99,101\nETHUSDT,100,9,10\n")
+    assert set(load_quotes(p)) == {"BTCUSDT", "ETHUSDT"}
 
 
 def test_load_quotes_crossed(tmp_path):
@@ -183,6 +255,16 @@ def test_load_searchers(tmp_path):
 
 def test_jsonl_input_accepted(tmp_path):
     p = tmp_path / "quotes.jsonl"
-    p.write_text('{"symbol": "BTCUSDT", "ts_ms": 100, "bid": 99, "ask": 101}\n')
-    series = load_quotes(p)
-    assert series["BTCUSDT"][0].bid == 99.0
+    p.write_text('{"symbol": "BTCUSDT", "ts_ms": 200, "bid": 98.5, "ask": 101}\n'
+                 '{"symbol": "BTCUSDT", "ts_ms": 100, "bid": 99, "ask": 101}\n')
+    ts, bid, ask = load_quotes(p)["BTCUSDT"]
+    assert ts.tolist() == [100, 200] and bid.tolist() == [99.0, 98.5]
+
+
+def test_jsonl_errors_report_the_line(tmp_path):
+    p = tmp_path / "quotes.jsonl"
+    p.write_text('{"symbol": "BTCUSDT", "ts_ms": 100, "bid": 99, "ask": 101}\n\n'
+                 '{"symbol": "BTCUSDT", "ts_ms": 200, "bid": 102, "ask": 101}\n')
+    with pytest.raises(CrossedQuote) as e:
+        load_quotes(p)
+    assert e.value.row_index == 3

@@ -1,0 +1,347 @@
+"""Stage boundaries: the CSV layouts stages hand each other and the joins
+the market and builder stages make over them."""
+
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cexdex import estimate, market, pipeline
+from cexdex.cli import main
+from cexdex.synth import SearcherSpec, SynthConfig, generate
+
+SLOT_MS = 12_000
+T0_MS = 1717200000000
+
+
+def read_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def write_rows(path: Path, header: list[str], rows: list[list]) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
+# builder: SP is the integrated searcher's PnL in the block, in row order
+
+ECONOMICS_HEADER = [
+    "tx_hash", "searcher_label", "builder_label", "block_number", "slot_time_ms",
+    "volume_usd", "ev_usd", "pnl_usd", "margin", "builder_tip_usd", "base_fee_usd",
+]
+
+
+def test_builder_sp_sums_in_economics_row_order(tmp_path):
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    builders = {1: "builderA", 2: "builderB", 3: "builderA", 4: "builderA"}
+    write_rows(
+        inputs / "blocks.csv",
+        ["block_number", "builder_label", "coinbase_delta_eth", "bid_eth",
+         "used_bid_adjustment", "adjustment_delta_eth", "slot_time_ms"],
+        [[bn, b, 0.01, 0.0, "false", 0.0, T0_MS + bn * SLOT_MS] for bn, b in builders.items()],
+    )
+    write_rows(inputs / "quotes.csv", ["symbol", "ts_ms", "bid", "ask"],
+               [["ETHUSDT", T0_MS + bn * SLOT_MS - 1000, 2000.0, 2000.0] for bn in builders])
+    (inputs / "searchers.json").write_text(json.dumps(
+        {"labels": {"s_int": ["0xa"], "s_other": ["0xb"]},
+         "integrated_with": {"s_int": "builderA"}}))
+    # (block, searcher, pnl): block 1 holds three s_int trades whose sum
+    # depends on the order, with another searcher's trade between them;
+    # block 2 holds an s_int trade in a builder it is not integrated with;
+    # block 3 has no trades.
+    trades = [
+        (1, "s_int", 1e16), (1, "s_other", 5.0), (4, "s_int", 0.1), (1, "s_int", 1.0),
+        (2, "s_int", 7.0), (4, "s_int", 0.2), (1, "s_int", -1e16), (4, "s_int", 0.3),
+    ]
+    write_rows(out / "economics.csv", ECONOMICS_HEADER, [
+        [f"0x{k}", label, builders[bn], bn, T0_MS + bn * SLOT_MS, 100.0,
+         pnl + 1.0, pnl, "", 1.0, 0.0]
+        for k, (bn, label, pnl) in enumerate(trades)
+    ])
+    assert main(["builder", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+
+    econ = read_rows(out / "economics.csv")
+    sp = {int(r["block_number"]): float(r["sp_usd"]) for r in read_rows(out / "builder_blocks.csv")}
+    assert sorted(sp) == [1, 2, 3, 4]
+    for bn, builder in builders.items():
+        expected = sum(
+            float(r["pnl_usd"]) for r in econ
+            if int(r["block_number"]) == bn and r["searcher_label"] == "s_int"
+        ) if builder == "builderA" else 0.0
+        assert sp[bn] == expected, bn
+    # the order matters for these values, so the check above pins it
+    assert sp[1] == 0.0 and sum([1e16, -1e16, 1.0]) == 1.0
+    assert sp[4] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+
+# ---------------------------------------------------------------------------
+# market: the integrated searcher's daily share vs its builder's block share
+
+N_DAYS = 12
+# per day: how many of s_int's 10 trades go to builderB, and how many of the
+# other searchers' 20 blocks go to builderA (the rest alternate B and C)
+INT_AWAY = [0, 3, 1, 4, 2, 0, 3, 1, 4, 2, 1, 3]
+OTHERS_TO_A = [2, 14, 8, 18, 1, 11, 5, 16, 9, 0, 13, 4]
+
+
+@pytest.fixture(scope="module")
+def varied_builders(tmp_path_factory):
+    """A synth corpus whose builder labels vary by day, consistently in
+    transactions.csv and blocks.csv; s_int stays exclusive to builderA."""
+    root = tmp_path_factory.mktemp("varied")
+    inputs = root / "in"
+    generate(SynthConfig(
+        seed=11, n_days=N_DAYS,
+        searchers=(
+            SearcherSpec("s_int", "abrupt", 10, true_hedge_delay_s=0.5),
+            SearcherSpec("s_gentle", "gentle", 10, true_hedge_delay_s=1.0),
+            SearcherSpec("s_flat", "none", 10),
+        ),
+        builders=("builderA", "builderB", "builderC"),
+        integrated_with={"s_int": "builderA"},
+        base_volatility=5e-4,
+    ), inputs)
+    int_contract = json.loads((inputs / "searchers.json").read_text())["labels"]["s_int"][0]
+    txs = read_rows(inputs / "transactions.csv")
+    builder_of: dict[str, str] = {}
+    seen: dict[tuple[int, bool], int] = {}
+    for r in txs:
+        day = (int(r["slot_time_ms"]) - T0_MS) // 86_400_000
+        is_int = r["searcher_contract"] == int_contract
+        k = seen[(day, is_int)] = seen.get((day, is_int), -1) + 1
+        if is_int:
+            b = "builderB" if k < INT_AWAY[day] else "builderA"
+        else:
+            b = "builderA" if k < OTHERS_TO_A[day] else ("builderB", "builderC")[k % 2]
+        builder_of[r["block_number"]] = b
+    for name in ("transactions.csv", "blocks.csv"):
+        rows = read_rows(inputs / name)
+        for r in rows:
+            r["builder_label"] = builder_of[r["block_number"]]
+        write_rows(inputs / name, list(rows[0]), [list(r.values()) for r in rows])
+    config = json.loads((inputs / "config.json").read_text())
+    config["rolling_window_days"] = 5
+    (inputs / "config.json").write_text(json.dumps(config))
+    out = root / "out"
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    return inputs, out
+
+
+def brute_pair_series(inputs: Path, out: Path, label: str, builder: str):
+    """The pair series the way the market stage first computed it: every
+    date re-scans the searcher's trades."""
+    excluded = {r["tx_hash"] for r in read_rows(out / "markouts.csv") if r["excluded"] == "true"}
+    included = [r for r in read_rows(out / "detections.csv") if r["tx_hash"] not in excluded]
+    day = lambda r: estimate._utc_day(int(r["slot_time_ms"]))  # noqa: E731
+    day_volume: dict[str, dict[str, float]] = {}
+    for r in included:
+        vols = day_volume.setdefault(day(r), {})
+        vols[r["searcher_label"]] = vols.get(r["searcher_label"], 0.0) + float(r["volume_usd"])
+    day_blocks: dict[str, dict[str, int]] = {}
+    for r in read_rows(inputs / "blocks.csv"):
+        blk = day_blocks.setdefault(day(r), {})
+        blk[r["builder_label"]] = blk.get(r["builder_label"], 0) + 1
+    dates = sorted(day_volume)
+    x, y = [], []
+    for d in dates:
+        total_v = sum(day_volume[d].values())
+        in_builder = sum(
+            float(r["volume_usd"]) for r in included
+            if r["searcher_label"] == label and day(r) == d and r["builder_label"] == builder
+        )
+        blk = day_blocks.get(d, {})
+        total_b = sum(blk.values())
+        if total_v <= 0 or total_b <= 0:
+            continue
+        x.append(in_builder / total_v)
+        y.append(blk.get(builder, 0) / total_b)
+    return x, y, dates
+
+
+def test_market_pair_series_match_brute_force(varied_builders):
+    inputs, out = varied_builders
+    rows = [r for r in read_rows(out / "correlations.csv") if r["analysis"].startswith("pair_")]
+    assert {r["analysis"] for r in rows} == {"pair_contemporaneous", "pair_lagged", "pair_rolling"}
+    pairs = sorted({r["pair"] for r in rows})
+    assert "s_int->builderA" in pairs
+    for pair in pairs:
+        label, builder = pair.split("->")
+        x, y, dates = brute_pair_series(inputs, out, label, builder)
+        assert len(set(x)) > 1 and len(set(y)) > 1
+        expected = [("pair_contemporaneous", 0, "", market.spearman(x, y))]
+        expected += [("pair_lagged", r.lag_days, "", r) for r in market.lagged_correlation(x, y)]
+        expected += [
+            ("pair_rolling", 0, end, r)
+            for end, r in market.rolling_correlation(x, y, dates=dates[-len(x):], window_days=5)
+        ]
+        got = [r for r in rows if r["pair"] == pair]
+        assert [(r["analysis"], int(r["lag_days"]), r["window_end"]) for r in got] == [
+            (a, lag, end) for a, lag, end, _ in expected
+        ]
+        for r, (_, _, _, res) in zip(got, expected):
+            assert float(r["rho"]) == res.rho and int(r["n"]) == res.n
+
+
+# ---------------------------------------------------------------------------
+# markouts.csv: one row per trade, parsed back bit for bit
+
+@pytest.fixture(scope="module")
+def markout_corpus(tmp_path_factory):
+    """Small corpus with QuoteGap and InventoryAdjustment exclusions and a
+    grid of quarter seconds starting at -1.5 s."""
+    root = tmp_path_factory.mktemp("markouts")
+    inputs = root / "in"
+    generate(SynthConfig(
+        seed=5, n_days=1,
+        searchers=(
+            SearcherSpec("s_gentle", "gentle", 12, true_hedge_delay_s=1.0, major_share=0.4),
+            SearcherSpec("s_abrupt", "abrupt", 8, true_hedge_delay_s=0.5),
+            SearcherSpec("s_flat", "none", 6),
+        ),
+        base_volatility=5e-4,
+    ), inputs)
+    quotes = read_rows(inputs / "quotes.csv")
+    # s_abrupt's token loses its quotes: its non-major trades are QuoteGap
+    write_rows(inputs / "quotes.csv", list(quotes[0]),
+               [list(r.values()) for r in quotes if r["symbol"] != "TOK01USDT"])
+    txs = read_rows(inputs / "transactions.csv")
+    # the first two trades find no fresh quote at -1.5 s (QuoteGap); the
+    # third never covers this fee (InventoryAdjustment)
+    txs[2]["base_fee_eth"] = "10.0"
+    write_rows(inputs / "transactions.csv", list(txs[0]), [list(r.values()) for r in txs])
+    config = json.loads((inputs / "config.json").read_text())
+    config.update(grid_start_s=-1.5, grid_step_s=0.25)
+    (inputs / "config.json").write_text(json.dumps(config))
+    out = root / "out"
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    return inputs, out
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_markouts_round_trip_bit_identical(markout_corpus):
+    inputs, out = markout_corpus
+    ws = pipeline.Workspace(inputs, out)
+    trades = pipeline._load_detections(ws)
+    computed = [pipeline._curve_for_trade(t, ws) for t in trades]
+    loaded = pipeline._load_markout_curves(ws)
+    assert list(loaded) == [t.tx_hash for t in trades]
+    reasons = {c.exclusion_reason for c in computed}
+    assert reasons == {None, "QuoteGap", "InventoryAdjustment"}
+    assert ws.grid.offsets_s[:3] == [-1.5, -1.25, -1.0]
+    for trade, c in zip(trades, computed):
+        got = loaded[trade.tx_hash]
+        assert got.offsets_s == ws.grid.offsets_s
+        assert same_bits(got.mr_usd, c.mr_usd) and same_bits(got.gr, c.gr)
+        assert (got.excluded, got.exclusion_reason) == (c.excluded, c.exclusion_reason)
+        assert got.searcher_label == trade.searcher_label
+
+
+def test_markouts_header_carries_the_offsets(markout_corpus):
+    _, out = markout_corpus
+    with open(out / "markouts.csv", newline="") as f:
+        header = next(csv.reader(f))
+    assert header[:6] == ["tx_hash", "searcher_label", "excluded", "exclusion_reason",
+                          "mr_usd@-1.5", "mr_usd@-1.25"]
+    assert header[-1] == "gr@10.0"
+    detections = read_rows(out / "detections.csv")
+    assert len(read_rows(out / "markouts.csv")) == len(detections)
+
+
+def long_format(path: Path) -> None:
+    """Rewrite a markouts.csv in the earlier one-row-per-offset layout."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    n = (len(header) - 4) // 2
+    offsets = [h.split("@")[1] for h in header[4:4 + n]]
+    write_rows(path, ["tx_hash", "searcher_label", "offset_s", "mr_usd", "gr",
+                      "excluded", "exclusion_reason"],
+               [[r[0], r[1], off, r[4 + k], r[4 + n + k], r[2], r[3]]
+                for r in rows for k, off in enumerate(offsets)])
+
+
+def truncate_last_row(path: Path) -> None:
+    text = path.read_text().rstrip("\n")
+    path.write_text(text[:text.rindex(",")] + "\n")
+
+
+@pytest.mark.parametrize("damage", [long_format, truncate_last_row])
+@pytest.mark.parametrize("stage", ["horizon", "estimate", "market"])
+def test_outdated_markouts_exit_1(markout_corpus, tmp_path, capsys, damage, stage):
+    inputs, out = markout_corpus
+    stale = tmp_path / "out"
+    stale.mkdir()
+    for p in out.glob("*.csv"):
+        (stale / p.name).write_bytes(p.read_bytes())
+    damage(stale / "markouts.csv")
+    capsys.readouterr()
+    assert main([stage, "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OutdatedOutput"
+    assert "markouts.csv" in err["message"] and "rerun the markout stage" in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# one ETH lookup per stage: the same blocks skipped and the same first error
+
+def copy_tree(src: Path, dst: Path) -> Path:
+    dst.mkdir()
+    for p in src.iterdir():
+        (dst / p.name).write_bytes(p.read_bytes())
+    return dst
+
+
+def drop_eth_quotes(inputs: Path, keep) -> list[int]:
+    """Keep the ETHUSDT quotes whose timestamp passes ``keep``; return their times."""
+    rows = read_rows(inputs / "quotes.csv")
+    rows = [r for r in rows if r["symbol"] != "ETHUSDT" or keep(int(r["ts_ms"]))]
+    write_rows(inputs / "quotes.csv", ["symbol", "ts_ms", "bid", "ask"],
+               [list(r.values()) for r in rows])
+    return [int(r["ts_ms"]) for r in rows if r["symbol"] == "ETHUSDT"]
+
+
+@pytest.mark.parametrize("keep_eth", ["some", "none"])
+def test_builder_skips_blocks_without_eth_quote(markout_corpus, tmp_path, capsys, keep_eth):
+    inputs, out = markout_corpus
+    inputs = copy_tree(inputs, tmp_path / "in")
+    out = copy_tree(out, tmp_path / "out")
+    blocks = sorted(int(r["block_number"]) for r in read_rows(inputs / "blocks.csv"))
+    slot = {int(r["block_number"]): int(r["slot_time_ms"]) for r in read_rows(inputs / "blocks.csv")}
+    if keep_eth == "some":  # every third block loses its ETH quote
+        lost = set(slot[b] - 1000 for b in blocks[::3])
+        kept = drop_eth_quotes(inputs, lambda ts: ts not in lost)
+    else:
+        kept = drop_eth_quotes(inputs, lambda ts: False)
+    priced = [b for b in blocks if any(0 <= slot[b] - ts <= 5000 for ts in kept)]
+    capsys.readouterr()
+    assert main(["builder", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    written = [int(r["block_number"]) for r in read_rows(out / "builder_blocks.csv")]
+    assert written == priced and len(priced) < len(blocks)
+    assert (f"builder: skipped {len(blocks) - len(priced)} blocks with no ETH quote"
+            in capsys.readouterr().err)
+
+
+def test_estimate_fails_on_first_trade_without_eth_quote(markout_corpus, tmp_path, capsys):
+    inputs, out = markout_corpus
+    inputs = copy_tree(inputs, tmp_path / "in")
+    out = copy_tree(out, tmp_path / "out")
+    priced = [int(r["slot_time_ms"]) for r in read_rows(out / "economics.csv")]
+    cut = priced[len(priced) // 2]
+    kept = drop_eth_quotes(inputs, lambda ts: ts < cut - 6000)
+    first = next(t for t in priced if not any(0 <= t - ts <= 5000 for ts in kept))
+    gap = first - max(ts for ts in kept if ts <= first)
+    capsys.readouterr()
+    assert main(["estimate", "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "StaleQuote", "message": f"latest quote is {gap} ms old"}
