@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .data_model import SearcherLabelFile, TokenRegistry
 from .detect import ArbTrade
@@ -188,8 +187,13 @@ def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> floa
 def _t_approx_p(rho: float, n: int) -> float:
     if abs(rho) >= 1.0:
         return 0.0
+    # scipy.special is imported here, not at start-up: it costs a fraction
+    # of a second and only this path needs it. stdtr(df, -|t|) is what
+    # scipy.stats.t.sf(|t|, df) evaluates, so the p-values are the same bits.
+    from scipy.special import stdtr
+
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return float(2.0 * _scipy_stats.t.sf(abs(t), df=n - 2))
+    return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
 def lagged_correlation(

@@ -68,9 +68,16 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
         return next(reader, []), [r for r in reader if r]
 
 
-def _read_records(path: Path) -> list[dict]:
-    header, rows = _read_csv(path)
-    return [dict(zip(header, r)) for r in rows]
+def _read_output(path: Path, header: list[str], stage: str) -> list[list[str]]:
+    """Data rows of a stage output, checked once to have ``header``'s columns,
+    so loaders can unpack them by position."""
+    found, rows = _read_csv(path)
+    if found != header or any(len(r) != len(header) for r in rows):
+        raise OutdatedOutput(
+            f"{path} does not have the columns this version writes (an older "
+            f"version's layout?); rerun the {stage} stage"
+        )
+    return rows
 
 
 def _require_input(input_dir: Path, name: str) -> Path:
@@ -166,23 +173,14 @@ def run_detect(ws: Workspace) -> None:
 
 
 def _load_detections(ws: Workspace) -> list[ArbTrade]:
-    rows = _read_records(ws.out_dir / "detections.csv")
+    rows = _read_output(ws.out_dir / "detections.csv", DETECTIONS_HEADER, "detect")
     return [
         ArbTrade(
-            tx_hash=r["tx_hash"],
-            block_number=int(r["block_number"]),
-            searcher_label=r["searcher_label"],
-            builder_label=r["builder_label"],
-            slot_time_ms=int(r["slot_time_ms"]),
-            token_bought=r["token_bought"],
-            amount_bought=Decimal(r["amount_bought"]),
-            token_sold=r["token_sold"],
-            amount_sold=Decimal(r["amount_sold"]),
-            volume_usd=float(r["volume_usd"]),
-            base_fee_eth=float(r["base_fee_eth"]),
-            builder_tip_eth=float(r["builder_tip_eth"]),
+            tx, int(block), searcher, builder, int(slot_ms), bought, Decimal(amount_bought),
+            sold, Decimal(amount_sold), float(volume), float(base_fee), float(tip),
         )
-        for r in rows
+        for (tx, block, searcher, builder, slot_ms, bought, amount_bought, sold,
+             amount_sold, volume, base_fee, tip) in rows
     ]
 
 
@@ -294,18 +292,18 @@ def run_horizon(ws: Workspace) -> None:
 
 
 def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
-    rows = _read_records(ws.out_dir / "profiles.csv")
-    out = {}
-    for r in rows:
-        out[r["searcher_label"]] = horizon_mod.SearcherProfile(
-            searcher_label=r["searcher_label"],
-            t_star_s=float(r["t_star_s"]) if r["t_star_s"] else None,
-            pattern=r["pattern"],
-            decline_3s_fraction=float(r["decline_3s_fraction"]) if r["decline_3s_fraction"] else None,
-            n_arb_trades=int(r["n_arb_trades"]),
-            low_confidence=r["low_confidence"] == "true",
+    rows = _read_output(ws.out_dir / "profiles.csv", PROFILES_HEADER, "horizon")
+    return {
+        label: horizon_mod.SearcherProfile(
+            label,
+            float(t_star) if t_star else None,
+            pattern,
+            float(decline) if decline else None,
+            int(n_trades),
+            low_confidence == "true",
         )
-    return out
+        for label, t_star, pattern, decline, n_trades, low_confidence in rows
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +400,14 @@ def run_estimate(ws: Workspace) -> None:
 
 
 def _load_economics(ws: Workspace) -> list[TradeEconomics]:
-    rows = _read_records(ws.out_dir / "economics.csv")
+    rows = _read_output(ws.out_dir / "economics.csv", ECONOMICS_HEADER, "estimate")
     return [
         TradeEconomics(
-            tx_hash=r["tx_hash"],
-            searcher_label=r["searcher_label"],
-            builder_label=r["builder_label"],
-            block_number=int(r["block_number"]),
-            slot_time_ms=int(r["slot_time_ms"]),
-            volume_usd=float(r["volume_usd"]),
-            ev_usd=float(r["ev_usd"]),
-            pnl_usd=float(r["pnl_usd"]),
-            margin=float(r["margin"]) if r["margin"] else None,
-            builder_tip_usd=float(r["builder_tip_usd"]),
-            base_fee_usd=float(r["base_fee_usd"]),
+            tx, searcher, builder, int(block), int(slot_ms), float(volume), float(ev),
+            float(pnl), float(margin) if margin else None, float(tip), float(base_fee),
         )
-        for r in rows
+        for (tx, searcher, builder, block, slot_ms, volume, ev, pnl, margin, tip,
+             base_fee) in rows
     ]
 
 
@@ -629,19 +619,26 @@ INPUT_FILES = ["transactions.csv", "quotes.csv", "tokens.csv", "blocks.csv",
                "searchers.json", "config.json"]
 
 
-def _sha256(path: Path) -> str:
+def _manifest_entry(path: Path) -> dict:
+    """sha256 of the file and, for a CSV, its data rows, from one binary pass.
+
+    Rows are lines less the header, counted as text mode counts them: "\r\n",
+    "\n" and a bare "\r" each end a line, as does the end of the file.
+    """
     h = hashlib.sha256()
+    ends = 0  # "\n", and "\r" followed by a byte other than "\n"
+    tail = b""  # the last byte read: the next chunk decides whether it ends a line
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
-    return h.hexdigest()
-
-
-def _row_count(path: Path) -> int | None:
-    if path.suffix != ".csv":
-        return None
-    with open(path) as f:
-        return max(sum(1 for _ in f) - 1, 0)
+            b = np.frombuffer(tail + chunk, dtype=np.uint8)
+            ends += np.count_nonzero(b[len(tail):] == 10)
+            ends += np.count_nonzero((b[:-1] == 13) & (b[1:] != 10))
+            tail = chunk[-1:]
+    rows = None
+    if path.suffix == ".csv":  # a last "\r", or a last line without a line end, ends one more
+        rows = max(int(ends) + (tail not in (b"", b"\n")) - 1, 0)
+    return {"sha256": h.hexdigest(), "rows": rows}
 
 
 def write_manifest(ws: Workspace) -> None:
@@ -654,9 +651,9 @@ def write_manifest(ws: Workspace) -> None:
     for name in INPUT_FILES:
         p = ws.input_dir / name
         if p.exists():
-            manifest["inputs"][name] = {"sha256": _sha256(p), "rows": _row_count(p)}
+            manifest["inputs"][name] = _manifest_entry(p)
     for p in sorted(ws.out_dir.glob("*.csv")):
-        manifest["outputs"][p.name] = {"sha256": _sha256(p), "rows": _row_count(p)}
+        manifest["outputs"][p.name] = _manifest_entry(p)
     with open(ws.out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
 

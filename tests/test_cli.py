@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,14 @@ def test_charts_flag(synth_inputs, tmp_path):
     assert rc == 0
     assert (out / "median_gr.svg").exists()
     assert (out / "integration.svg").exists()
+
+
+def test_startup_imports_no_scipy():
+    """Every `cexdex <stage>` process starts without scipy; only the
+    t-approximation p-value imports scipy.special, on first use."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys, cexdex.cli, cexdex.pipeline; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -146,6 +146,19 @@ def test_spearman_t_approx_large_n():
     assert res.p_value == pytest.approx(ref_p, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [10, 11, 30, 365, 10_000])
+@pytest.mark.parametrize("rho", [1e-9, -1e-9, 0.3, -0.3, 0.999999, -0.999999, 1.0, -1.0])
+def test_t_approx_p_bit_identical_to_scipy_stats(rho, n):
+    from scipy import stats
+
+    from cexdex.market import _t_approx_p
+    if abs(rho) == 1.0:
+        assert _t_approx_p(rho, n) == 0.0
+        return
+    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+    assert _t_approx_p(rho, n) == float(2.0 * stats.t.sf(abs(t), df=n - 2))
+
+
 def test_spearman_errors():
     with pytest.raises(TooShort):
         spearman([1, 2], [1, 2])

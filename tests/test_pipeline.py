@@ -2,6 +2,7 @@
 the market and builder stages make over them."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -135,6 +136,12 @@ def varied_builders(tmp_path_factory):
     return inputs, out
 
 
+def t_approx_reference(rho: float, n: int) -> float:
+    from scipy import stats
+    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+    return float(2.0 * stats.t.sf(abs(t), df=n - 2))
+
+
 def brute_pair_series(inputs: Path, out: Path, label: str, builder: str):
     """The pair series the way the market stage first computed it: every
     date re-scans the searcher's trades."""
@@ -188,6 +195,9 @@ def test_market_pair_series_match_brute_force(varied_builders):
         ]
         for r, (_, _, _, res) in zip(got, expected):
             assert float(r["rho"]) == res.rho and int(r["n"]) == res.n
+        for r in got:
+            if int(r["n"]) >= 10:  # the t-approximation, bit for bit
+                assert float(r["p_value"]) == t_approx_reference(float(r["rho"]), int(r["n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +302,31 @@ def test_outdated_markouts_exit_1(markout_corpus, tmp_path, capsys, damage, stag
     assert "markouts.csv" in err["message"] and "rerun the markout stage" in err["message"]
 
 
+def swap_first_columns(path: Path) -> None:
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    write_rows(path, rows[0][1::-1] + rows[0][2:], [r[1::-1] + r[2:] for r in rows[1:]])
+
+
+@pytest.mark.parametrize("damage", [swap_first_columns, truncate_last_row])
+@pytest.mark.parametrize("name, stage, producer", [
+    ("detections.csv", "markout", "detect"),
+    ("profiles.csv", "estimate", "horizon"),
+    ("economics.csv", "builder", "estimate"),
+])
+def test_other_layout_exits_1(markout_corpus, tmp_path, capsys, damage, name, stage, producer):
+    """Loaders unpack rows by position, so a file whose header or row width is
+    not what this version writes is refused, not read with its columns crossed."""
+    inputs, out = markout_corpus
+    stale = copy_tree(out, tmp_path / "out")
+    damage(stale / name)
+    capsys.readouterr()
+    assert main([stage, "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OutdatedOutput"
+    assert name in err["message"] and f"rerun the {producer} stage" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # one ETH lookup per stage: the same blocks skipped and the same first error
 
@@ -345,3 +380,48 @@ def test_estimate_fails_on_first_trade_without_eth_quote(markout_corpus, tmp_pat
     assert main(["estimate", "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "StaleQuote", "message": f"latest quote is {gap} ms old"}
+
+
+# ---------------------------------------------------------------------------
+# manifest: digest and row count from one binary pass
+
+CHUNK = 1 << 20
+
+
+def text_mode_rows(path: Path) -> int:
+    with open(path) as f:
+        return max(sum(1 for _ in f) - 1, 0)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"a,b\n1,2\n3,4\n", id="lf"),
+    pytest.param(b"a,b\r\n1,2\r\n3,4\r\n", id="crlf"),
+    pytest.param(b"a,b\r1,2\r3,4\r", id="bare-cr"),
+    pytest.param(b"a,b\r\n1,2\n3,4\r5,6\r\r\n\n7,8", id="mixed"),
+    pytest.param(b"a,b\n1,2\n3,4", id="no-trailing-newline"),
+    pytest.param(b"a,b\n", id="header-only"),
+    pytest.param(b"a,b", id="header-only-no-newline"),
+    pytest.param(b"", id="empty"),
+    pytest.param(b"\n", id="lf-only"),
+    pytest.param(b"\r", id="cr-only"),
+    pytest.param(b"\r\n\r\n", id="blank-lines"),
+    pytest.param(b"x" * (CHUNK - 1) + b"\r\n1,2\r\n", id="crlf-split-across-chunks"),
+    pytest.param(b"x" * (CHUNK - 1) + b"\r1,2\r\n", id="bare-cr-ends-chunk"),
+    pytest.param(b"x" * (CHUNK - 1) + b"\r\r\n1,2", id="cr-crlf-split-across-chunks"),
+    pytest.param(b"x" * CHUNK + b"\n1,2", id="lf-starts-chunk"),
+    pytest.param(b"x" * (2 * CHUNK - 1) + b"\r\n" + b"1,2\r\n" * 3, id="crlf-split-second-boundary"),
+])
+def test_manifest_rows_match_text_mode(tmp_path, data):
+    path = tmp_path / "f.csv"
+    path.write_bytes(data)
+    assert pipeline._manifest_entry(path) == {
+        "sha256": hashlib.sha256(data).hexdigest(), "rows": text_mode_rows(path),
+    }
+
+
+def test_manifest_counts_no_rows_outside_csv(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"a":\n 1}\n')
+    assert pipeline._manifest_entry(path) == {
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "rows": None,
+    }
