@@ -64,11 +64,10 @@ def _write_charts(ws: pipeline.Workspace) -> None:
 
     from . import horizon as horizon_mod
 
-    curves = pipeline._load_markout_curves(ws)
     by_searcher: dict[str, list] = {}
-    for c in curves.values():
+    for c in ws.curves.values():
         if not c.excluded:
-            by_searcher.setdefault(c.searcher_label, []).append(c)  # type: ignore[attr-defined]
+            by_searcher.setdefault(c.searcher_label, []).append(c)
     if by_searcher:
         fig, ax = plt.subplots(figsize=(8, 5))
         for label in sorted(by_searcher):

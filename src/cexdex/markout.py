@@ -29,6 +29,7 @@ class MarkoutCurve:
     gr: np.ndarray
     excluded: bool = False
     exclusion_reason: str | None = None
+    searcher_label: str | None = None  # the trade's, for grouping curves by searcher
 
     def mr_at(self, offset_s: float) -> float:
         ms = round(offset_s * 1000)
@@ -79,6 +80,7 @@ def markout_curve(
             gr=np.zeros(n),
             excluded=True,
             exclusion_reason=EXCLUSION_QUOTE_GAP,
+            searcher_label=trade.searcher_label,
         )
     gr = mr / trade.volume_usd if trade.volume_usd > 0 else np.zeros(n)
     return MarkoutCurve(
@@ -86,6 +88,7 @@ def markout_curve(
         offsets_s=list(grid.offsets_s),
         mr_usd=mr,
         gr=gr,
+        searcher_label=trade.searcher_label,
     )
 
 

@@ -1,5 +1,5 @@
-"""Stage drivers: each stage reads input files and/or earlier stage CSVs
-from disk and writes its own CSVs, so every intermediate is auditable.
+"""Stage drivers: each stage reads input files and/or earlier stages' outputs
+and writes its own CSVs, so every intermediate is auditable.
 
 Stage outputs land in --out-dir; a manifest.json with input digests and
 row counts is refreshed after every stage for reproducibility checks.
@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 from decimal import Decimal
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from ._kernels import LOOKUP_NO_QUOTE, LOOKUP_OK
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .data_model import (
     BlockRecord,
+    SearcherLabelFile,
     TokenRegistry,
     load_block_records,
     load_quotes,
@@ -88,50 +90,59 @@ def _require_input(input_dir: Path, name: str) -> Path:
 
 
 class Workspace:
-    """Shared lazy loading of the raw input files for one run."""
+    """One run's inputs and stage outputs, each loaded on first use.
+
+    A stage that writes an output also keeps the objects it wrote here, so a
+    later stage in the same Workspace (as in ``cexdex all``) reads them from
+    memory; a fresh Workspace parses them from the stage's CSV. Later stages
+    treat them as read-only.
+    """
 
     def __init__(self, input_dir: str | Path, out_dir: str | Path):
         self.input_dir = Path(input_dir)
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._cache: dict[str, object] = {}
 
-    @property
+    @cached_property
     def config(self) -> PipelineConfig:
-        if "config" not in self._cache:
-            p = self.input_dir / "config.json"
-            self._cache["config"] = load_config(p) if p.exists() else PipelineConfig()
-        return self._cache["config"]  # type: ignore[return-value]
+        p = self.input_dir / "config.json"
+        return load_config(p) if p.exists() else PipelineConfig()
 
-    @property
+    @cached_property
     def grid(self) -> MarkoutGrid:
         return MarkoutGrid.from_config(self.config)
 
-    @property
+    @cached_property
     def registry(self) -> TokenRegistry:
-        if "registry" not in self._cache:
-            self._cache["registry"] = load_tokens(_require_input(self.input_dir, "tokens.csv"))
-        return self._cache["registry"]  # type: ignore[return-value]
+        return load_tokens(_require_input(self.input_dir, "tokens.csv"))
 
-    @property
+    @cached_property
     def quotes(self) -> QuoteStore:
-        if "quotes" not in self._cache:
-            self._cache["quotes"] = QuoteStore(
-                load_quotes(_require_input(self.input_dir, "quotes.csv"))
-            )
-        return self._cache["quotes"]  # type: ignore[return-value]
+        return QuoteStore(load_quotes(_require_input(self.input_dir, "quotes.csv")))
 
-    @property
-    def labels(self):
-        if "labels" not in self._cache:
-            self._cache["labels"] = load_searchers(_require_input(self.input_dir, "searchers.json"))
-        return self._cache["labels"]
+    @cached_property
+    def labels(self) -> SearcherLabelFile:
+        return load_searchers(_require_input(self.input_dir, "searchers.json"))
 
-    @property
+    @cached_property
     def blocks(self) -> dict[int, BlockRecord]:
-        if "blocks" not in self._cache:
-            self._cache["blocks"] = load_block_records(_require_input(self.input_dir, "blocks.csv"))
-        return self._cache["blocks"]  # type: ignore[return-value]
+        return load_block_records(_require_input(self.input_dir, "blocks.csv"))
+
+    @cached_property
+    def detections(self) -> list[ArbTrade]:
+        return _load_detections(self)
+
+    @cached_property
+    def curves(self) -> dict[str, MarkoutCurve]:
+        return _load_markout_curves(self)
+
+    @cached_property
+    def profiles(self) -> dict[str, horizon_mod.SearcherProfile]:
+        return _load_profiles(self)
+
+    @cached_property
+    def economics(self) -> list[TradeEconomics]:
+        return _load_economics(self)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +181,7 @@ def run_detect(ws: Workspace) -> None:
             for v in verdicts
         ),
     )
+    ws.detections = trades
 
 
 def _load_detections(ws: Workspace) -> list[ArbTrade]:
@@ -212,21 +224,21 @@ def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> MarkoutCurve:
 
 
 def run_markout(ws: Workspace) -> None:
-    trades = _load_detections(ws)
-    curves = [_curve_for_trade(t, ws) for t in trades]
+    curves = [_curve_for_trade(t, ws) for t in ws.detections]
     _write_csv(
         ws.out_dir / "markouts.csv",
         _markouts_header(ws.grid.offsets_s),
         (
-            [trade.tx_hash, trade.searcher_label, curve.excluded,
-             curve.exclusion_reason or "", *curve.mr_usd.tolist(), *curve.gr.tolist()]
-            for trade, curve in zip(trades, curves)
+            [c.tx_hash, c.searcher_label, c.excluded, c.exclusion_reason or "",
+             *c.mr_usd.tolist(), *c.gr.tolist()]
+            for c in curves
         ),
     )
+    ws.curves = {curve.tx_hash: curve for curve in curves}
 
 
 def _load_markout_curves(ws: Workspace) -> dict[str, MarkoutCurve]:
-    """tx_hash -> curve, with searcher label stashed on the side.
+    """tx_hash -> curve.
 
     Every curve's MR and GR are rows of two 2-D arrays parsed in one pass.
     """
@@ -247,16 +259,15 @@ def _load_markout_curves(ws: Workspace) -> dict[str, MarkoutCurve]:
     values = np.array([float(v) for r in rows for v in r[width:]]).reshape(len(rows), 2 * n)
     curves: dict[str, MarkoutCurve] = {}
     for r, mr, gr in zip(rows, values[:, :n], values[:, n:]):
-        curve = MarkoutCurve(
+        curves[r[0]] = MarkoutCurve(
             tx_hash=r[0],
             offsets_s=offsets_s,
             mr_usd=mr,
             gr=gr,
             excluded=r[2] == "true",
             exclusion_reason=r[3] or None,
+            searcher_label=r[1],
         )
-        curve.searcher_label = r[1]  # type: ignore[attr-defined]
-        curves[r[0]] = curve
     return curves
 
 
@@ -270,10 +281,9 @@ PROFILES_HEADER = [
 
 
 def run_horizon(ws: Workspace) -> None:
-    curves = _load_markout_curves(ws)
     by_searcher: dict[str, list[MarkoutCurve]] = {}
-    for c in curves.values():
-        by_searcher.setdefault(c.searcher_label, []).append(c)  # type: ignore[attr-defined]
+    for c in ws.curves.values():
+        by_searcher.setdefault(c.searcher_label, []).append(c)
     profiles = []
     for label in sorted(by_searcher):
         usable = [c for c in by_searcher[label] if not c.excluded]
@@ -289,6 +299,7 @@ def run_horizon(ws: Workspace) -> None:
             for p in profiles
         ),
     )
+    ws.profiles = {p.searcher_label: p for p in profiles}
 
 
 def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
@@ -323,9 +334,7 @@ SUMMARY_HEADER = [
 
 
 def run_estimate(ws: Workspace) -> None:
-    trades = _load_detections(ws)
-    curves = _load_markout_curves(ws)
-    profiles = _load_profiles(ws)
+    trades, curves, profiles = ws.detections, ws.curves, ws.profiles
 
     priced = []
     excl_counts: dict[str, dict[str, int]] = {}
@@ -361,6 +370,7 @@ def run_estimate(ws: Workspace) -> None:
             for e in economics
         ),
     )
+    ws.economics = economics
 
     by_searcher: dict[str, list[TradeEconomics]] = {}
     for e in economics:
@@ -414,31 +424,34 @@ def _load_economics(ws: Workspace) -> list[TradeEconomics]:
 # ---------------------------------------------------------------------------
 # market
 
+DAY_MS = 86_400_000
+
+
 def run_market(ws: Workspace) -> None:
-    trades = _load_detections(ws)
-    curves = _load_markout_curves(ws)
-    profiles = _load_profiles(ws)
-    economics = _load_economics(ws)
+    trades, curves, profiles, economics = ws.detections, ws.curves, ws.profiles, ws.economics
 
     included = [t for t in trades if not curves[t.tx_hash].excluded]
 
-    # daily volume shares (all patterns) and EV shares (P3 excluded);
-    # pair_volume keeps each (searcher, day, builder)'s volumes in trade order
-    day_volume: dict[str, dict[str, float]] = {}
-    pair_volume: dict[tuple[str, str, str], list[float]] = {}
+    # daily volume shares (all patterns) and EV shares (P3 excluded), keyed
+    # by UTC day number; pair_volume keeps each (searcher, day, builder)'s
+    # volumes in trade order
+    day_volume: dict[int, dict[str, float]] = {}
+    pair_volume: dict[tuple[str, int, str], list[float]] = {}
     for t in included:
-        d = estimate_mod._utc_day(t.slot_time_ms)
+        d = t.slot_time_ms // DAY_MS
         day_volume.setdefault(d, {}).setdefault(t.searcher_label, 0.0)
         day_volume[d][t.searcher_label] += t.volume_usd
         pair_volume.setdefault((t.searcher_label, d, t.builder_label), []).append(t.volume_usd)
-    day_ev: dict[str, dict[str, float]] = {}
+    day_ev: dict[int, dict[str, float]] = {}
     for e in economics:
-        d = estimate_mod._utc_day(e.slot_time_ms)
+        d = e.slot_time_ms // DAY_MS
         day_ev.setdefault(d, {}).setdefault(e.searcher_label, 0.0)
         day_ev[d][e.searcher_label] += e.ev_usd
+    days = sorted(day_volume)
+    dates = [estimate_mod._utc_day(d * DAY_MS) for d in days]
 
     market_rows = []
-    for d in sorted(day_volume):
+    for d, date in zip(days, dates):
         vols = day_volume[d]
         total_v = sum(vols.values())
         evs = day_ev.get(d, {})
@@ -451,7 +464,7 @@ def run_market(ws: Workspace) -> None:
         )
         for label in sorted(vols):
             market_rows.append([
-                d, label, vols[label],
+                date, label, vols[label],
                 vols[label] / total_v if total_v > 0 else None,
                 evs.get(label, 0.0),
                 (evs.get(label, 0.0) / total_ev) if total_ev > 0 else None,
@@ -507,18 +520,17 @@ def run_market(ws: Workspace) -> None:
     except FileNotFoundError:
         blocks = {}
     if blocks:
-        day_blocks: dict[str, dict[str, int]] = {}
+        day_blocks: dict[int, dict[str, int]] = {}
         for b in blocks.values():
-            d = estimate_mod._utc_day(b.slot_time_ms)
+            d = b.slot_time_ms // DAY_MS
             day_blocks.setdefault(d, {}).setdefault(b.builder_label, 0)
             day_blocks[d][b.builder_label] += 1
-        dates = sorted(day_volume)
         for label in sorted(matrix.searchers):
             cls, cls_builder = classes[label]
             if cls == market_mod.EXCL_NEUTRAL or cls_builder is None:
                 continue
             x, y = [], []
-            for d in dates:
+            for d in days:
                 total_v = sum(day_volume[d].values())
                 in_builder = sum(pair_volume.get((label, d, cls_builder), []))
                 blk = day_blocks.get(d, {})
@@ -565,8 +577,7 @@ BUILDER_SUMMARY_HEADER = [
 
 
 def run_builder(ws: Workspace) -> None:
-    economics = _load_economics(ws)
-    pnl_by_block = builder_mod.index_pnl(economics)
+    pnl_by_block = builder_mod.index_pnl(ws.economics)
     searcher_of_builder = ws.labels.builder_to_searcher()
     schedule = builder_mod.RefundSchedule()
     blocks = [ws.blocks[bn] for bn in sorted(ws.blocks)]

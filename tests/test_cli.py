@@ -61,6 +61,15 @@ def test_stagewise_equals_all(synth_inputs, tmp_path):
         assert p.read_bytes() == (staged / p.name).read_bytes(), p.name
 
 
+def test_stagewise_manifest_equals_all(synth_inputs, tmp_path):
+    staged = tmp_path / "staged"
+    combined = tmp_path / "combined"
+    for stage in ("detect", "markout", "horizon", "estimate", "market", "builder"):
+        assert main([stage, "--input-dir", str(synth_inputs), "--out-dir", str(staged)]) == 0
+    assert main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(combined)]) == 0
+    assert (staged / "manifest.json").read_bytes() == (combined / "manifest.json").read_bytes()
+
+
 def test_rerun_reproduces_byte_identical(synth_inputs, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(a)])

@@ -2,14 +2,16 @@
 the market and builder stages make over them."""
 
 import csv
+import dataclasses
 import hashlib
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cexdex import estimate, market, pipeline
+from cexdex import estimate, horizon, market, pipeline
 from cexdex.cli import main
 from cexdex.synth import SearcherSpec, SynthConfig, generate
 
@@ -425,3 +427,110 @@ def test_manifest_counts_no_rows_outside_csv(tmp_path):
     assert pipeline._manifest_entry(path) == {
         "sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "rows": None,
     }
+
+
+# ---------------------------------------------------------------------------
+# stage outputs handed on in memory: the same values the CSVs hold
+
+@pytest.fixture(scope="module")
+def handoff_corpus(markout_corpus, tmp_path_factory):
+    """markout_corpus with a flat (P3) searcher and a trade whose EV is not
+    positive, so every optional field of the stage outputs is None somewhere."""
+    src, out = markout_corpus
+    inputs = copy_tree(src, tmp_path_factory.mktemp("handoff") / "in")
+    ws = pipeline.Workspace(src, out)
+    by_searcher: dict[str, list] = {}
+    for c in ws.curves.values():
+        if not c.excluded:
+            by_searcher.setdefault(c.searcher_label, []).append(c)
+    spread_bps = {label: float(np.ptp(horizon.median_curve(label, cs).median_gr)) * 1e4
+                  for label, cs in by_searcher.items()}
+    assert spread_bps["s_flat"] < min(v for k, v in spread_bps.items() if k != "s_flat")
+    config = json.loads((inputs / "config.json").read_text())
+    config["pattern_flat_epsilon_bps"] = spread_bps["s_flat"] * 1.01
+    (inputs / "config.json").write_text(json.dumps(config))
+    # a trade whose MR at its searcher's t* is below its own best MR: a base
+    # fee between the two keeps it included and makes its EV negative
+    for trade in ws.detections:
+        curve = ws.curves[trade.tx_hash]
+        if curve.excluded or trade.searcher_label == "s_flat":
+            continue
+        low = curve.mr_at(ws.profiles[trade.searcher_label].t_star_s)
+        high = float(curve.mr_usd.max())
+        if low < high:
+            break
+    else:
+        raise AssertionError("every included trade peaks at its searcher's t*")
+    eth = ws.quotes.eth_usd(trade.slot_time_ms, ws.config.quote_staleness_ms)
+    txs = read_rows(inputs / "transactions.csv")
+    for r in txs:
+        if r["tx_hash"] == trade.tx_hash:
+            r["base_fee_eth"] = repr((low + high) / 2 / eth)
+    write_rows(inputs / "transactions.csv", list(txs[0]), [list(r.values()) for r in txs])
+    return inputs
+
+
+def same_fields(kept, parsed) -> None:
+    """Dataclass fields equal and of the same Python type; arrays and floats
+    bit for bit, Decimals with the same exponent."""
+    for f in dataclasses.fields(kept):
+        a, b = getattr(kept, f.name), getattr(parsed, f.name)
+        assert type(a) is type(b), (f.name, a, b)
+        if isinstance(a, (float, np.ndarray)):
+            assert same_bits(a, b), (f.name, a, b)
+        elif isinstance(a, Decimal):
+            assert a.as_tuple() == b.as_tuple(), (f.name, a, b)
+        elif isinstance(a, list):
+            assert all(type(x) is float for x in a + b) and same_bits(a, b), f.name
+        else:
+            assert a == b, (f.name, a, b)
+
+
+def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path):
+    """After a whole run, the objects a Workspace kept equal what a fresh
+    Workspace parses from the CSVs, so no later stage changed one."""
+    kept = pipeline.Workspace(handoff_corpus, tmp_path)
+    pipeline.run_all(kept)
+    parsed = pipeline.Workspace(handoff_corpus, tmp_path)
+    assert len(kept.detections) == len(parsed.detections)
+    for a, b in zip(kept.detections, parsed.detections):
+        same_fields(a, b)
+    assert list(kept.curves) == list(parsed.curves)
+    for a, b in zip(kept.curves.values(), parsed.curves.values()):
+        same_fields(a, b)
+        assert a.searcher_label is not None
+    assert list(kept.profiles) == list(parsed.profiles)
+    for a, b in zip(kept.profiles.values(), parsed.profiles.values()):
+        same_fields(a, b)
+    assert len(kept.economics) == len(parsed.economics)
+    for a, b in zip(kept.economics, parsed.economics):
+        same_fields(a, b)
+    # every optional field is None somewhere
+    assert {c.exclusion_reason for c in kept.curves.values()} == {
+        None, "QuoteGap", "InventoryAdjustment"}
+    assert any(p.t_star_s is None for p in kept.profiles.values())
+    assert any(p.decline_3s_fraction is None for p in kept.profiles.values())
+    assert any(e.margin is None for e in kept.economics)
+
+
+def test_all_parses_no_stage_output(markout_corpus, tmp_path, monkeypatch):
+    inputs, _ = markout_corpus
+    out = tmp_path / "out"
+    read: list[str] = []
+    parse = pipeline._read_csv
+    monkeypatch.setattr(pipeline, "_read_csv", lambda path: read.append(path.name) or parse(path))
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    assert read == []
+    assert main(["estimate", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    assert read == ["detections.csv", "markouts.csv", "profiles.csv"]
+
+
+def test_market_formats_each_day_once(varied_builders, tmp_path, monkeypatch):
+    inputs, out = varied_builders
+    out = copy_tree(out, tmp_path / "out")
+    formatted: list[int] = []
+    utc_day = estimate._utc_day
+    monkeypatch.setattr(estimate, "_utc_day", lambda ms: formatted.append(ms) or utc_day(ms))
+    assert main(["market", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    dates = list(dict.fromkeys(r["date"] for r in read_rows(out / "market.csv")))
+    assert len(dates) == N_DAYS and [utc_day(ms) for ms in formatted] == dates
