@@ -140,7 +140,7 @@ class BuilderSummary:
     total_sp_usd: float
     total_p_usd: float
     builder_margin: float | None  # cumulative mean over BP-only margins
-    aggregated_margin: float | None  # cumulative mean over P margins
+    aggregated_profit_margin: float | None  # cumulative mean over P margins
     sp_applicable: bool
     subsidized_blocks_before: int
     subsidized_blocks_after: int
@@ -188,7 +188,7 @@ def builder_summary(
                 total_p_usd=sum(e.p_usd for _, e in rows),
                 builder_margin=(sum(builder_margins) / len(builder_margins))
                 if builder_margins else None,
-                aggregated_margin=(sum(agg_margins) / len(agg_margins))
+                aggregated_profit_margin=(sum(agg_margins) / len(agg_margins))
                 if agg_margins else None,
                 sp_applicable=any(e.sp_applicable for _, e in rows),
                 subsidized_blocks_before=len(before),

@@ -8,7 +8,7 @@ ETH-USDT mid at slot time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -16,6 +16,8 @@ from .detect import ArbTrade
 from .errors import PatternThreeExcluded
 from .horizon import PATTERN_FLAT, SearcherProfile
 from .markout import MarkoutCurve
+
+DAY_MS = 86_400_000
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def trade_economics(
 
 @dataclass
 class SearcherSummary:
-    label: str
+    searcher_label: str
     total_volume_usd: float
     total_ev_usd: float
     total_tips_usd: float
@@ -98,7 +100,7 @@ def searcher_summary(
     n_arb = len(economics)
     profitable = int(sum(1 for e in economics if e.pnl_usd >= 0))
     return SearcherSummary(
-        label=label,
+        searcher_label=label,
         total_volume_usd=float(sum(e.volume_usd for e in economics)),
         total_ev_usd=float(evs.sum()) if n_arb else 0.0,
         total_tips_usd=float(sum(e.builder_tip_usd for e in economics)),
@@ -124,29 +126,22 @@ def cumulative_ev_series(
 ) -> dict[str, list[tuple[str, float, float]]]:
     """Per-searcher (UTC day, ev_sum, cumulative_ev) series.
 
-    Empty days between a searcher's first and last trade are emitted with 0.
+    Trades are bucketed by UTC day number; empty days between a searcher's
+    first and last trade are emitted with 0, and each day is formatted once.
     """
-    by_searcher: dict[str, dict[str, float]] = {}
+    by_searcher: dict[str, dict[int, float]] = {}
     for e in economics:
-        key = _utc_day(e.slot_time_ms)
+        day = e.slot_time_ms // DAY_MS
         buckets = by_searcher.setdefault(e.searcher_label, {})
-        buckets[key] = buckets.get(key, 0.0) + e.ev_usd
+        buckets[day] = buckets.get(day, 0.0) + e.ev_usd
 
     out: dict[str, list[tuple[str, float, float]]] = {}
     for label, buckets in by_searcher.items():
-        keys = _fill_days(sorted(buckets))
         rows = []
         cum = 0.0
-        for k in keys:
-            v = buckets.get(k, 0.0)
+        for day in range(min(buckets), max(buckets) + 1):
+            v = buckets.get(day, 0.0)
             cum += v
-            rows.append((k, v, cum))
+            rows.append((_utc_day(day * DAY_MS), v, cum))
         out[label] = rows
     return out
-
-
-def _fill_days(sorted_keys: list[str]) -> list[str]:
-    start = datetime.strptime(sorted_keys[0], "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    end = datetime.strptime(sorted_keys[-1], "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    days = (end - start).days
-    return [(start + timedelta(days=i)).strftime("%Y-%m-%d") for i in range(days + 1)]

@@ -8,8 +8,10 @@ row counts is refreshed after every stage for reproducibility checks.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
+import operator
 import sys
 from decimal import Decimal
 from functools import cached_property
@@ -36,7 +38,7 @@ from .data_model import (
 )
 from .detect import ArbTrade, detect_all
 from .errors import NoQuoteBefore, PipelineError, StaleQuote
-from .estimate import TradeEconomics
+from .estimate import DAY_MS, TradeEconomics
 from .markout import EXCLUSION_INVENTORY, EXCLUSION_QUOTE_GAP, MarkoutCurve
 from .quotes import QuoteStore
 
@@ -70,16 +72,44 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
         return next(reader, []), [r for r in reader if r]
 
 
-def _read_output(path: Path, header: list[str], stage: str) -> list[list[str]]:
-    """Data rows of a stage output, checked once to have ``header``'s columns,
-    so loaders can unpack them by position."""
+def _write_output(path: Path, cls: type, rows) -> None:
+    """Write dataclass instances of ``cls``, one column per field in
+    declaration order: the field names are the header."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    _write_csv(path, names, map(operator.attrgetter(*names), rows))
+
+
+# Decoders by field annotation: each reads back what _write_csv wrote.
+_DECODERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "Decimal": Decimal,
+    "bool": "true".__eq__,
+    "float | None": lambda v: float(v) if v else None,
+}
+
+
+def _read_output(path: Path, cls: type, stage: str) -> list:
+    """Instances of ``cls`` from a file _write_output wrote.
+
+    The header and every row's width are checked once against the fields of
+    ``cls``, so a file in another layout is refused, not read with its
+    columns crossed.
+    """
+    fields = dataclasses.fields(cls)
+    try:
+        decoders = [_DECODERS[f.type] for f in fields]
+    except KeyError as e:
+        raise TypeError(f"{cls.__name__}: no CSV decoder for a field annotated {e}") from None
     found, rows = _read_csv(path)
-    if found != header or any(len(r) != len(header) for r in rows):
+    if found != [f.name for f in fields] or any(len(r) != len(fields) for r in rows):
         raise OutdatedOutput(
             f"{path} does not have the columns this version writes (an older "
             f"version's layout?); rerun the {stage} stage"
         )
-    return rows
+    columns = [map(decode, column) for decode, column in zip(decoders, zip(*rows))]
+    return [cls(*values) for values in zip(*columns)]
 
 
 def _require_input(input_dir: Path, name: str) -> Path:
@@ -148,29 +178,10 @@ class Workspace:
 # ---------------------------------------------------------------------------
 # detect
 
-DETECTIONS_HEADER = [
-    "tx_hash", "block_number", "searcher_label", "builder_label", "slot_time_ms",
-    "token_bought", "amount_bought", "token_sold", "amount_sold",
-    "volume_usd", "base_fee_eth", "builder_tip_eth",
-]
-
-
 def run_detect(ws: Workspace) -> None:
     txs = load_transactions(_require_input(ws.input_dir, "transactions.csv"), ws.registry)
     trades, verdicts = detect_all(txs, ws.registry, ws.labels)
-    _write_csv(
-        ws.out_dir / "detections.csv",
-        DETECTIONS_HEADER,
-        (
-            [
-                t.tx_hash, t.block_number, t.searcher_label, t.builder_label,
-                t.slot_time_ms, t.token_bought, str(t.amount_bought),
-                t.token_sold, str(t.amount_sold), t.volume_usd,
-                t.base_fee_eth, t.builder_tip_eth,
-            ]
-            for t in trades
-        ),
-    )
+    _write_output(ws.out_dir / "detections.csv", ArbTrade, trades)
     _write_csv(
         ws.out_dir / "verdicts.csv",
         ["tx_hash", "passed", "h1", "h2", "h3", "h4", "h5", "h6", "failure_reasons"],
@@ -185,15 +196,7 @@ def run_detect(ws: Workspace) -> None:
 
 
 def _load_detections(ws: Workspace) -> list[ArbTrade]:
-    rows = _read_output(ws.out_dir / "detections.csv", DETECTIONS_HEADER, "detect")
-    return [
-        ArbTrade(
-            tx, int(block), searcher, builder, int(slot_ms), bought, Decimal(amount_bought),
-            sold, Decimal(amount_sold), float(volume), float(base_fee), float(tip),
-        )
-        for (tx, block, searcher, builder, slot_ms, bought, amount_bought, sold,
-             amount_sold, volume, base_fee, tip) in rows
-    ]
+    return _read_output(ws.out_dir / "detections.csv", ArbTrade, "detect")
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +277,6 @@ def _load_markout_curves(ws: Workspace) -> dict[str, MarkoutCurve]:
 # ---------------------------------------------------------------------------
 # horizon
 
-PROFILES_HEADER = [
-    "searcher_label", "t_star_s", "pattern", "decline_3s_fraction",
-    "n_arb_trades", "low_confidence",
-]
-
-
 def run_horizon(ws: Workspace) -> None:
     by_searcher: dict[str, list[MarkoutCurve]] = {}
     for c in ws.curves.values():
@@ -290,48 +287,17 @@ def run_horizon(ws: Workspace) -> None:
         if not usable:
             continue
         profiles.append(horizon_mod.build_profile(label, usable, ws.config, ws.grid))
-    _write_csv(
-        ws.out_dir / "profiles.csv",
-        PROFILES_HEADER,
-        (
-            [p.searcher_label, p.t_star_s, p.pattern, p.decline_3s_fraction,
-             p.n_arb_trades, p.low_confidence]
-            for p in profiles
-        ),
-    )
+    _write_output(ws.out_dir / "profiles.csv", horizon_mod.SearcherProfile, profiles)
     ws.profiles = {p.searcher_label: p for p in profiles}
 
 
 def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
-    rows = _read_output(ws.out_dir / "profiles.csv", PROFILES_HEADER, "horizon")
-    return {
-        label: horizon_mod.SearcherProfile(
-            label,
-            float(t_star) if t_star else None,
-            pattern,
-            float(decline) if decline else None,
-            int(n_trades),
-            low_confidence == "true",
-        )
-        for label, t_star, pattern, decline, n_trades, low_confidence in rows
-    }
+    profiles = _read_output(ws.out_dir / "profiles.csv", horizon_mod.SearcherProfile, "horizon")
+    return {p.searcher_label: p for p in profiles}
 
 
 # ---------------------------------------------------------------------------
 # estimate
-
-ECONOMICS_HEADER = [
-    "tx_hash", "searcher_label", "builder_label", "block_number", "slot_time_ms",
-    "volume_usd", "ev_usd", "pnl_usd", "margin", "builder_tip_usd", "base_fee_usd",
-]
-
-SUMMARY_HEADER = [
-    "searcher_label", "total_volume_usd", "total_ev_usd", "total_tips_usd",
-    "total_pnl_usd", "median_trade_ev", "median_trade_pnl", "median_margin",
-    "count_total", "count_inventory_adj", "count_quote_gap", "count_arbitrage",
-    "count_profitable", "count_unprofitable",
-]
-
 
 def run_estimate(ws: Workspace) -> None:
     trades, curves, profiles = ws.detections, ws.curves, ws.profiles
@@ -360,16 +326,7 @@ def run_estimate(ws: Workspace) -> None:
         for (trade, curve, profile), eth_usd in zip(priced, eth)
     ]
 
-    _write_csv(
-        ws.out_dir / "economics.csv",
-        ECONOMICS_HEADER,
-        (
-            [e.tx_hash, e.searcher_label, e.builder_label, e.block_number,
-             e.slot_time_ms, e.volume_usd, e.ev_usd, e.pnl_usd, e.margin,
-             e.builder_tip_usd, e.base_fee_usd]
-            for e in economics
-        ),
-    )
+    _write_output(ws.out_dir / "economics.csv", TradeEconomics, economics)
     ws.economics = economics
 
     by_searcher: dict[str, list[TradeEconomics]] = {}
@@ -385,17 +342,7 @@ def run_estimate(ws: Workspace) -> None:
         )
         for label in all_labels
     ]
-    _write_csv(
-        ws.out_dir / "summary.csv",
-        SUMMARY_HEADER,
-        (
-            [s.label, s.total_volume_usd, s.total_ev_usd, s.total_tips_usd,
-             s.total_pnl_usd, s.median_trade_ev, s.median_trade_pnl, s.median_margin,
-             s.count_total, s.count_inventory_adj, s.count_quote_gap,
-             s.count_arbitrage, s.count_profitable, s.count_unprofitable]
-            for s in summaries
-        ),
-    )
+    _write_output(ws.out_dir / "summary.csv", estimate_mod.SearcherSummary, summaries)
 
     series = estimate_mod.cumulative_ev_series(economics)
     _write_csv(
@@ -410,22 +357,11 @@ def run_estimate(ws: Workspace) -> None:
 
 
 def _load_economics(ws: Workspace) -> list[TradeEconomics]:
-    rows = _read_output(ws.out_dir / "economics.csv", ECONOMICS_HEADER, "estimate")
-    return [
-        TradeEconomics(
-            tx, searcher, builder, int(block), int(slot_ms), float(volume), float(ev),
-            float(pnl), float(margin) if margin else None, float(tip), float(base_fee),
-        )
-        for (tx, searcher, builder, block, slot_ms, volume, ev, pnl, margin, tip,
-             base_fee) in rows
-    ]
+    return _read_output(ws.out_dir / "economics.csv", TradeEconomics, "estimate")
 
 
 # ---------------------------------------------------------------------------
 # market
-
-DAY_MS = 86_400_000
-
 
 def run_market(ws: Workspace) -> None:
     trades, curves, profiles, economics = ws.detections, ws.curves, ws.profiles, ws.economics
@@ -529,8 +465,8 @@ def run_market(ws: Workspace) -> None:
             cls, cls_builder = classes[label]
             if cls == market_mod.EXCL_NEUTRAL or cls_builder is None:
                 continue
-            x, y = [], []
-            for d in days:
+            x, y, x_dates = [], [], []
+            for d, date in zip(days, dates):
                 total_v = sum(day_volume[d].values())
                 in_builder = sum(pair_volume.get((label, d, cls_builder), []))
                 blk = day_blocks.get(d, {})
@@ -539,6 +475,7 @@ def run_market(ws: Workspace) -> None:
                     continue
                 x.append(in_builder / total_v)
                 y.append(blk.get(cls_builder, 0) / total_b)
+                x_dates.append(date)
             name = f"{label}->{cls_builder}"
             try:
                 res = market_mod.spearman(x, y)
@@ -546,7 +483,7 @@ def run_market(ws: Workspace) -> None:
                 for res in market_mod.lagged_correlation(x, y):
                     corr_rows.append(["pair_lagged", name, res.lag_days, "", res.rho, res.n, res.p_value])
                 for end, res in market_mod.rolling_correlation(
-                    x, y, dates=dates[-len(x):], window_days=ws.config.rolling_window_days
+                    x, y, dates=x_dates, window_days=ws.config.rolling_window_days
                 ):
                     corr_rows.append(["pair_rolling", name, 0, end, res.rho, res.n, res.p_value])
             except (market_mod.TooShort, market_mod.DegenerateRanks, market_mod.LengthMismatch):
@@ -561,20 +498,6 @@ def run_market(ws: Workspace) -> None:
 
 # ---------------------------------------------------------------------------
 # builder
-
-BUILDER_BLOCKS_HEADER = [
-    "block_number", "builder_label", "bp_usd", "sp_usd", "p_usd", "margin",
-    "sp_applicable", "subsidized_before", "subsidized_after",
-]
-
-BUILDER_SUMMARY_HEADER = [
-    "builder_label", "n_blocks", "total_bid_eth", "total_bp_usd", "total_sp_usd",
-    "total_p_usd", "builder_margin", "aggregated_profit_margin", "sp_applicable",
-    "subsidized_blocks_before", "subsidized_blocks_after",
-    "subsidy_bp_before_usd", "subsidy_bp_after_usd", "subsidy_p_after_usd",
-    "margin_skipped_blocks",
-]
-
 
 def run_builder(ws: Workspace) -> None:
     pnl_by_block = builder_mod.index_pnl(ws.economics)
@@ -599,28 +522,9 @@ def run_builder(ws: Workspace) -> None:
     if skipped_quotes:
         print(f"builder: skipped {skipped_quotes} blocks with no ETH quote", file=sys.stderr)
 
-    _write_csv(
-        ws.out_dir / "builder_blocks.csv",
-        BUILDER_BLOCKS_HEADER,
-        (
-            [e.block_number, e.builder_label, e.bp_usd, e.sp_usd, e.p_usd,
-             e.margin, e.sp_applicable, e.subsidized_before, e.subsidized_after]
-            for e in per_block
-        ),
-    )
+    _write_output(ws.out_dir / "builder_blocks.csv", builder_mod.BuilderBlockEconomics, per_block)
     summaries = builder_mod.builder_summary(used_blocks, per_block, schedule, eth_by_block)
-    _write_csv(
-        ws.out_dir / "builder_summary.csv",
-        BUILDER_SUMMARY_HEADER,
-        (
-            [s.builder_label, s.n_blocks, s.total_bid_eth, s.total_bp_usd,
-             s.total_sp_usd, s.total_p_usd, s.builder_margin, s.aggregated_margin,
-             s.sp_applicable, s.subsidized_blocks_before, s.subsidized_blocks_after,
-             s.subsidy_bp_before_usd, s.subsidy_bp_after_usd, s.subsidy_p_after_usd,
-             s.margin_skipped_blocks]
-            for s in summaries
-        ),
-    )
+    _write_output(ws.out_dir / "builder_summary.csv", builder_mod.BuilderSummary, summaries)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ stream so identical seeds reproduce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,9 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from ._kernels import uniform01
-from .builder import RefundSchedule
+from .builder import BuilderBlockEconomics, RefundSchedule
 from .config import MarkoutGrid
 from .errors import InvalidConfig, MissingOutputs
+from .estimate import TradeEconomics
+from .horizon import SearcherProfile
+from .pipeline import _read_output, _write_csv
 
 DECAY_GENTLE = "gentle"
 DECAY_ABRUPT = "abrupt"
@@ -289,46 +291,42 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     return truth
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def score(ground_truth: dict, out_dir: str | Path) -> dict:
     """Compare pipeline outputs against the generator's ledger."""
     out = Path(out_dir)
     report: dict = {"searchers": {}, "trades": {}, "blocks": {}, "pattern_confusion": {}}
+    for name in ("profiles.csv", "economics.csv", "builder_blocks.csv"):
+        if not (out / name).exists():
+            raise MissingOutputs(name)
 
-    profiles = _read_csv(out / "profiles.csv", "profiles.csv")
-    est_profiles = {r["searcher_label"]: r for r in profiles}
+    profiles = _read_output(out / "profiles.csv", SearcherProfile, "horizon")
+    est_profiles = {p.searcher_label: p for p in profiles}
     confusion: dict[str, int] = {}
     horizon_errors = {}
     for label, truth in ground_truth["searchers"].items():
         est = est_profiles.get(label)
         if est is None:
             continue
-        key = f"{truth['true_pattern']}->{est['pattern']}"
+        key = f"{truth['true_pattern']}->{est.pattern}"
         confusion[key] = confusion.get(key, 0) + 1
-        entry: dict = {"true_pattern": truth["true_pattern"], "est_pattern": est["pattern"]}
-        if truth["true_hedge_delay_s"] is not None and est["t_star_s"]:
-            err = abs(float(est["t_star_s"]) - truth["true_hedge_delay_s"])
+        entry: dict = {"true_pattern": truth["true_pattern"], "est_pattern": est.pattern}
+        if truth["true_hedge_delay_s"] is not None and est.t_star_s is not None:
+            err = abs(est.t_star_s - truth["true_hedge_delay_s"])
             entry["t_star_error_s"] = err
             horizon_errors[label] = err
         report["searchers"][label] = entry
     report["pattern_confusion"] = confusion
     report["max_t_star_error_s"] = max(horizon_errors.values()) if horizon_errors else None
 
-    economics = _read_csv(out / "economics.csv", "economics.csv")
-    est_by_tx = {r["tx_hash"]: r for r in economics}
+    economics = _read_output(out / "economics.csv", TradeEconomics, "estimate")
+    est_by_tx = {e.tx_hash: e for e in economics}
     ev_errs, pnl_errs = [], []
     for tx, truth in ground_truth["trades"].items():
         est = est_by_tx.get(tx)
         if est is None:
             continue
-        ev_errs.append(_rel_err(float(est["ev_usd"]), truth["true_ev_usd"]))
-        pnl_errs.append(_rel_err(float(est["pnl_usd"]), truth["true_pnl_usd"]))
+        ev_errs.append(_rel_err(est.ev_usd, truth["true_ev_usd"]))
+        pnl_errs.append(_rel_err(est.pnl_usd, truth["true_pnl_usd"]))
     report["trades"] = {
         "n_compared": len(ev_errs),
         "n_truth": len(ground_truth["trades"]),
@@ -336,8 +334,8 @@ def score(ground_truth: dict, out_dir: str | Path) -> dict:
         "max_pnl_rel_error": max(pnl_errs) if pnl_errs else None,
     }
 
-    blocks = _read_csv(out / "builder_blocks.csv", "builder_blocks.csv")
-    est_bp = {r["block_number"]: float(r["bp_usd"]) for r in blocks}
+    blocks = _read_output(out / "builder_blocks.csv", BuilderBlockEconomics, "builder")
+    est_bp = {str(b.block_number): b.bp_usd for b in blocks}
     matches = sum(
         1
         for b, truth in ground_truth["blocks"].items()
@@ -349,10 +347,3 @@ def score(ground_truth: dict, out_dir: str | Path) -> dict:
 
 def _rel_err(est: float, true: float) -> float:
     return abs(est - true) / max(abs(true), 1e-12)
-
-
-def _read_csv(path: Path, what: str) -> list[dict]:
-    if not path.exists():
-        raise MissingOutputs(what)
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))

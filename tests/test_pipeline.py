@@ -17,6 +17,7 @@ from cexdex.synth import SearcherSpec, SynthConfig, generate
 
 SLOT_MS = 12_000
 T0_MS = 1717200000000
+DAY_MS = 86_400_000
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -32,13 +33,87 @@ def write_rows(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# builder: SP is the integrated searcher's PnL in the block, in row order
+# layouts: every output's header, written out here, so that renaming a field
+# of a row type cannot change a file unnoticed
 
-ECONOMICS_HEADER = [
-    "tx_hash", "searcher_label", "builder_label", "block_number", "slot_time_ms",
-    "volume_usd", "ev_usd", "pnl_usd", "margin", "builder_tip_usd", "base_fee_usd",
+DEFAULT_OFFSETS = [
+    "-1.0", "-0.5", "0.0", "0.5", "1.0", "1.5", "2.0", "2.5", "3.0", "3.5", "4.0", "4.5",
+    "5.0", "5.5", "6.0", "6.5", "7.0", "7.5", "8.0", "8.5", "9.0", "9.5", "10.0",
 ]
 
+LAYOUTS = {
+    "detections.csv": [
+        "tx_hash", "block_number", "searcher_label", "builder_label", "slot_time_ms",
+        "token_bought", "amount_bought", "token_sold", "amount_sold",
+        "volume_usd", "base_fee_eth", "builder_tip_eth",
+    ],
+    "verdicts.csv": [
+        "tx_hash", "passed", "h1", "h2", "h3", "h4", "h5", "h6", "failure_reasons",
+    ],
+    "markouts.csv": (
+        ["tx_hash", "searcher_label", "excluded", "exclusion_reason"]
+        + [f"mr_usd@{o}" for o in DEFAULT_OFFSETS] + [f"gr@{o}" for o in DEFAULT_OFFSETS]
+    ),
+    "profiles.csv": [
+        "searcher_label", "t_star_s", "pattern", "decline_3s_fraction",
+        "n_arb_trades", "low_confidence",
+    ],
+    "economics.csv": [
+        "tx_hash", "searcher_label", "builder_label", "block_number", "slot_time_ms",
+        "volume_usd", "ev_usd", "pnl_usd", "margin", "builder_tip_usd", "base_fee_usd",
+    ],
+    "summary.csv": [
+        "searcher_label", "total_volume_usd", "total_ev_usd", "total_tips_usd",
+        "total_pnl_usd", "median_trade_ev", "median_trade_pnl", "median_margin",
+        "count_total", "count_inventory_adj", "count_quote_gap", "count_arbitrage",
+        "count_profitable", "count_unprofitable",
+    ],
+    "cumulative_ev.csv": ["searcher_label", "date", "ev_usd", "cumulative_ev_usd"],
+    "market.csv": [
+        "date", "searcher_label", "volume_usd", "volume_share",
+        "ev_usd", "ev_share", "hhi_volume", "hhi_ev",
+    ],
+    "integration.csv": [
+        "searcher_label", "builder_label", "volume_fraction", "class", "class_builder",
+    ],
+    "correlations.csv": ["analysis", "pair", "lag_days", "window_end", "rho", "n", "p_value"],
+    "builder_blocks.csv": [
+        "block_number", "builder_label", "bp_usd", "sp_usd", "p_usd", "margin",
+        "sp_applicable", "subsidized_before", "subsidized_after",
+    ],
+    "builder_summary.csv": [
+        "builder_label", "n_blocks", "total_bid_eth", "total_bp_usd", "total_sp_usd",
+        "total_p_usd", "builder_margin", "aggregated_profit_margin", "sp_applicable",
+        "subsidized_blocks_before", "subsidized_blocks_after",
+        "subsidy_bp_before_usd", "subsidy_bp_after_usd", "subsidy_p_after_usd",
+        "margin_skipped_blocks",
+    ],
+}
+
+
+def test_every_output_has_its_pinned_header(varied_builders):
+    _, out = varied_builders  # a cexdex all run on the default grid
+    headers = {}
+    for p in out.glob("*.csv"):
+        with open(p, newline="") as f:
+            headers[p.name] = next(csv.reader(f))
+    assert headers == LAYOUTS
+
+
+def test_reader_refuses_a_field_it_cannot_decode(tmp_path):
+    @dataclasses.dataclass
+    class Row:
+        name: "str"
+        values: "list[int]"
+
+    path = tmp_path / "rows.csv"
+    pipeline._write_output(path, Row, [Row("a", [1])])
+    with pytest.raises(TypeError, match=r"list\[int\]"):
+        pipeline._read_output(path, Row, "test")
+
+
+# ---------------------------------------------------------------------------
+# builder: SP is the integrated searcher's PnL in the block, in row order
 
 def test_builder_sp_sums_in_economics_row_order(tmp_path):
     inputs, out = tmp_path / "in", tmp_path / "out"
@@ -64,7 +139,7 @@ def test_builder_sp_sums_in_economics_row_order(tmp_path):
         (1, "s_int", 1e16), (1, "s_other", 5.0), (4, "s_int", 0.1), (1, "s_int", 1.0),
         (2, "s_int", 7.0), (4, "s_int", 0.2), (1, "s_int", -1e16), (4, "s_int", 0.3),
     ]
-    write_rows(out / "economics.csv", ECONOMICS_HEADER, [
+    write_rows(out / "economics.csv", LAYOUTS["economics.csv"], [
         [f"0x{k}", label, builders[bn], bn, T0_MS + bn * SLOT_MS, 100.0,
          pnl + 1.0, pnl, "", 1.0, 0.0]
         for k, (bn, label, pnl) in enumerate(trades)
@@ -158,9 +233,8 @@ def brute_pair_series(inputs: Path, out: Path, label: str, builder: str):
     for r in read_rows(inputs / "blocks.csv"):
         blk = day_blocks.setdefault(day(r), {})
         blk[r["builder_label"]] = blk.get(r["builder_label"], 0) + 1
-    dates = sorted(day_volume)
-    x, y = [], []
-    for d in dates:
+    x, y, dates = [], [], []
+    for d in sorted(day_volume):
         total_v = sum(day_volume[d].values())
         in_builder = sum(
             float(r["volume_usd"]) for r in included
@@ -172,6 +246,7 @@ def brute_pair_series(inputs: Path, out: Path, label: str, builder: str):
             continue
         x.append(in_builder / total_v)
         y.append(blk.get(builder, 0) / total_b)
+        dates.append(d)
     return x, y, dates
 
 
@@ -189,7 +264,7 @@ def test_market_pair_series_match_brute_force(varied_builders):
         expected += [("pair_lagged", r.lag_days, "", r) for r in market.lagged_correlation(x, y)]
         expected += [
             ("pair_rolling", 0, end, r)
-            for end, r in market.rolling_correlation(x, y, dates=dates[-len(x):], window_days=5)
+            for end, r in market.rolling_correlation(x, y, dates=dates, window_days=5)
         ]
         got = [r for r in rows if r["pair"] == pair]
         assert [(r["analysis"], int(r["lag_days"]), r["window_end"]) for r in got] == [
@@ -534,3 +609,35 @@ def test_market_formats_each_day_once(varied_builders, tmp_path, monkeypatch):
     assert main(["market", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
     dates = list(dict.fromkeys(r["date"] for r in read_rows(out / "market.csv")))
     assert len(dates) == N_DAYS and [utc_day(ms) for ms in formatted] == dates
+
+
+def test_estimate_formats_each_cumulative_ev_row_once(varied_builders, tmp_path, monkeypatch):
+    inputs, out = varied_builders
+    out = copy_tree(out, tmp_path / "out")
+    formatted: list[int] = []
+    utc_day = estimate._utc_day
+    monkeypatch.setattr(estimate, "_utc_day", lambda ms: formatted.append(ms) or utc_day(ms))
+    assert main(["estimate", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    dates = [r["date"] for r in read_rows(out / "cumulative_ev.csv")]
+    assert len(dates) > N_DAYS
+    assert sorted(utc_day(ms) for ms in formatted) == sorted(dates)
+
+
+def test_rolling_windows_are_labelled_by_their_last_day(varied_builders, tmp_path):
+    """A day without blocks drops out of the pair series, so a window's label
+    is the last day it holds, not the day at its position in the calendar."""
+    src, _ = varied_builders
+    inputs = copy_tree(src, tmp_path / "in")
+    lost_day = T0_MS // DAY_MS + 8  # 2024-06-09
+    blocks = read_rows(inputs / "blocks.csv")
+    write_rows(inputs / "blocks.csv", list(blocks[0]),
+               [list(r.values()) for r in blocks if int(r["slot_time_ms"]) // DAY_MS != lost_day])
+    config = json.loads((inputs / "config.json").read_text())
+    config["rolling_window_days"] = 3
+    (inputs / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    ends = [r["window_end"] for r in read_rows(out / "correlations.csv")
+            if r["analysis"] == "pair_rolling" and r["pair"] == "s_int->builderA"]
+    assert ends[0] == "2024-06-03"
+    assert "2024-06-09" not in ends

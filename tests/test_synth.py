@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cexdex.cli import main
 from cexdex.config import MarkoutGrid
 from cexdex.errors import InvalidConfig, MissingOutputs
 from cexdex.synth import SearcherSpec, SynthConfig, generate, score
@@ -86,6 +87,17 @@ def test_score_requires_outputs(tmp_path):
     truth = json.loads((tmp_path / "out" / "ground_truth.json").read_text())
     with pytest.raises(MissingOutputs):
         score(truth, tmp_path / "empty")
+
+
+def test_score_zero_horizon(tmp_path):
+    """A t* of 0.0 s is an estimate, scored like any other."""
+    cfg = small_config(searchers=(SearcherSpec("z", "gentle", 20, true_hedge_delay_s=0.0),),
+                       integrated_with={})
+    truth = generate(cfg, tmp_path / "in")
+    assert main(["all", "--input-dir", str(tmp_path / "in"), "--out-dir", str(tmp_path / "out")]) == 0
+    report = score(truth, tmp_path / "out")
+    assert report["searchers"]["z"]["t_star_error_s"] == 0.0
+    assert report["max_t_star_error_s"] == 0.0
 
 
 def test_from_json_round_trip(tmp_path):
