@@ -68,12 +68,6 @@ class TokenRegistry:
         info = self.get(address)
         return info is not None and info.cex_listed
 
-    def __contains__(self, address: str) -> bool:
-        return address.lower() in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class SwapEvent:

@@ -24,7 +24,7 @@ from . import estimate as estimate_mod
 from . import horizon as horizon_mod
 from . import market as market_mod
 from . import markout as markout_mod
-from ._kernels import LOOKUP_NO_QUOTE, LOOKUP_OK
+from ._kernels import LOOKUP_OK
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .data_model import (
     BlockRecord,
@@ -37,7 +37,7 @@ from .data_model import (
     load_transactions,
 )
 from .detect import ArbTrade, detect_all
-from .errors import NoQuoteBefore, PipelineError, StaleQuote
+from .errors import NoQuoteBefore, PipelineError
 from .estimate import DAY_MS, TradeEconomics
 from .markout import EXCLUSION_INVENTORY, EXCLUSION_QUOTE_GAP, MarkoutCurve
 from .quotes import QuoteStore
@@ -202,76 +202,87 @@ def _load_detections(ws: Workspace) -> list[ArbTrade]:
 # ---------------------------------------------------------------------------
 # markout
 
-MARKOUTS_KEYS = ["tx_hash", "searcher_label", "excluded", "exclusion_reason"]
+MARKOUTS_KEYS = ["tx_hash", "searcher_label", "excluded", "exclusion_reason", "volume_usd"]
 
 
 def _markouts_header(offsets_s: list[float]) -> list[str]:
-    """One row per trade: keys, then MR at every offset, then GR at every offset."""
-    return (MARKOUTS_KEYS + [f"mr_usd@{o!r}" for o in offsets_s]
-            + [f"gr@{o!r}" for o in offsets_s])
+    """One row per trade: keys, then MR at every offset. GR is not written:
+    it is MR / volume_usd, recomputed on load."""
+    return MARKOUTS_KEYS + [f"mr_usd@{o!r}" for o in offsets_s]
+
+
+def _eth_usd_many(ws: Workspace, slot_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ETHUSDT mids at ``slot_ms`` and the mask of those priced (none without the series)."""
+    try:
+        mids, status = ws.quotes.get("ETHUSDT").mid_many(slot_ms, ws.config.quote_staleness_ms)
+    except NoQuoteBefore:
+        return np.zeros(len(slot_ms)), np.zeros(len(slot_ms), dtype=bool)
+    return mids, status == LOOKUP_OK
+
+
+def _markout_curves(trades: list[ArbTrade], ws: Workspace) -> list[MarkoutCurve]:
+    """Every trade's curve from one batched markout. A trade without a fresh
+    ETH quote at its slot is a QuoteGap, and one whose MR never covers its
+    base fee an InventoryAdjustment; both keep their MR and GR."""
+    mr, gr, gap = markout_mod.markout_table(trades, ws.grid, ws.quotes, ws.registry, ws.config)
+    reasons = [EXCLUSION_QUOTE_GAP if g else None for g in gap.tolist()]
+    rows = np.flatnonzero(~gap)
+    eth, priced = _eth_usd_many(ws, np.array([trades[i].slot_time_ms for i in rows], dtype=np.int64))
+    base_fee = np.array([trades[i].base_fee_eth for i in rows])
+    inventory = markout_mod.never_covers_base_fee(mr[rows], base_fee, eth)
+    for i, ok, inv in zip(rows.tolist(), priced.tolist(), inventory.tolist()):
+        if inv or not ok:
+            reasons[i] = EXCLUSION_INVENTORY if ok else EXCLUSION_QUOTE_GAP
+    offsets_s = list(ws.grid.offsets_s)
+    return [
+        MarkoutCurve(t.tx_hash, offsets_s, m, g, r is not None, r, t.searcher_label)
+        for t, m, g, r in zip(trades, mr, gr, reasons)
+    ]
 
 
 def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> MarkoutCurve:
-    curve = markout_mod.markout_curve(trade, ws.grid, ws.quotes, ws.registry, ws.config)
-    if not curve.excluded:
-        try:
-            eth = ws.quotes.eth_usd(trade.slot_time_ms, ws.config.quote_staleness_ms)
-        except (NoQuoteBefore, StaleQuote):
-            curve.excluded = True
-            curve.exclusion_reason = EXCLUSION_QUOTE_GAP
-            return curve
-        if markout_mod.flag_inventory_adjustment(curve, trade, eth):
-            curve.excluded = True
-            curve.exclusion_reason = EXCLUSION_INVENTORY
-    return curve
+    return _markout_curves([trade], ws)[0]
 
 
 def run_markout(ws: Workspace) -> None:
-    curves = [_curve_for_trade(t, ws) for t in ws.detections]
+    trades = ws.detections
+    curves = _markout_curves(trades, ws)
     _write_csv(
         ws.out_dir / "markouts.csv",
         _markouts_header(ws.grid.offsets_s),
         (
             [c.tx_hash, c.searcher_label, c.excluded, c.exclusion_reason or "",
-             *c.mr_usd.tolist(), *c.gr.tolist()]
-            for c in curves
+             t.volume_usd, *c.mr_usd.tolist()]
+            for t, c in zip(trades, curves)
         ),
     )
     ws.curves = {curve.tx_hash: curve for curve in curves}
 
 
 def _load_markout_curves(ws: Workspace) -> dict[str, MarkoutCurve]:
-    """tx_hash -> curve.
-
-    Every curve's MR and GR are rows of two 2-D arrays parsed in one pass.
-    """
+    """tx_hash -> curve. MR is parsed in one pass into a 2-D array whose rows
+    the curves view; GR is recomputed from it and volume_usd."""
     path = ws.out_dir / "markouts.csv"
     header, rows = _read_csv(path)
     width = len(MARKOUTS_KEYS)
-    n = (len(header) - width) // 2
     try:
-        offsets_s = [float(h.partition("@")[2]) for h in header[width:width + n]]
+        offsets_s = [float(h.partition("@")[2]) for h in header[width:]]
     except ValueError:
         offsets_s = []
     if (not offsets_s or header != _markouts_header(offsets_s)
             or any(len(r) != len(header) for r in rows)):
         raise OutdatedOutput(
-            f"{path} is not one row per trade with a column per offset (an older "
-            "version's layout?); rerun the markout stage"
+            f"{path} is not one row per trade with an MR column per offset (an "
+            "older version's layout?); rerun the markout stage"
         )
-    values = np.array([float(v) for r in rows for v in r[width:]]).reshape(len(rows), 2 * n)
-    curves: dict[str, MarkoutCurve] = {}
-    for r, mr, gr in zip(rows, values[:, :n], values[:, n:]):
-        curves[r[0]] = MarkoutCurve(
-            tx_hash=r[0],
-            offsets_s=offsets_s,
-            mr_usd=mr,
-            gr=gr,
-            excluded=r[2] == "true",
-            exclusion_reason=r[3] or None,
-            searcher_label=r[1],
-        )
-    return curves
+    values = np.array([float(v) for r in rows for v in r[width - 1:]]).reshape(
+        len(rows), len(offsets_s) + 1)
+    mr = values[:, 1:]
+    gr = markout_mod.gross_return(mr, values[:, 0])
+    return {
+        r[0]: MarkoutCurve(r[0], offsets_s, m, g, r[2] == "true", r[3] or None, r[1])
+        for r, m, g in zip(rows, mr, gr)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +487,19 @@ def run_market(ws: Workspace) -> None:
                 x.append(in_builder / total_v)
                 y.append(blk.get(cls_builder, 0) / total_b)
                 x_dates.append(date)
-            name = f"{label}->{cls_builder}"
-            try:
-                res = market_mod.spearman(x, y)
-                corr_rows.append(["pair_contemporaneous", name, 0, "", res.rho, res.n, res.p_value])
-                for res in market_mod.lagged_correlation(x, y):
-                    corr_rows.append(["pair_lagged", name, res.lag_days, "", res.rho, res.n, res.p_value])
-                for end, res in market_mod.rolling_correlation(
-                    x, y, dates=x_dates, window_days=ws.config.rolling_window_days
-                ):
-                    corr_rows.append(["pair_rolling", name, 0, end, res.rho, res.n, res.p_value])
-            except (market_mod.TooShort, market_mod.DegenerateRanks, market_mod.LengthMismatch):
-                continue
+            # each analysis fails on its own: lag 7 needs 10 days, a window does not
+            analyses = {
+                "pair_contemporaneous": lambda: [(0, "", market_mod.spearman(x, y))],
+                "pair_lagged": lambda: [(r.lag_days, "", r) for r in market_mod.lagged_correlation(x, y)],
+                "pair_rolling": lambda: [(0, end, r) for end, r in market_mod.rolling_correlation(
+                    x, y, dates=x_dates, window_days=ws.config.rolling_window_days)],
+            }
+            for analysis, results in analyses.items():
+                try:
+                    corr_rows += [[analysis, f"{label}->{cls_builder}", lag, end, r.rho, r.n, r.p_value]
+                                  for lag, end, r in results()]
+                except (market_mod.TooShort, market_mod.DegenerateRanks, market_mod.LengthMismatch):
+                    pass
 
     _write_csv(
         ws.out_dir / "correlations.csv",
@@ -505,11 +517,7 @@ def run_builder(ws: Workspace) -> None:
     schedule = builder_mod.RefundSchedule()
     blocks = [ws.blocks[bn] for bn in sorted(ws.blocks)]
     slot_ms = np.array([b.slot_time_ms for b in blocks], dtype=np.int64)
-    try:
-        mids, status = ws.quotes.get("ETHUSDT").mid_many(slot_ms, ws.config.quote_staleness_ms)
-    except NoQuoteBefore:  # no ETHUSDT series: every block is skipped
-        mids, status = np.zeros(len(blocks)), np.full(len(blocks), LOOKUP_NO_QUOTE)
-    ok = status == LOOKUP_OK
+    mids, ok = _eth_usd_many(ws, slot_ms)
     used_blocks = [b for b, priced in zip(blocks, ok.tolist()) if priced]
     eth_by_block = dict(zip([b.block_number for b in used_blocks], mids[ok].tolist()))
     per_block = [

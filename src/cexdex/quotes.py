@@ -26,9 +26,6 @@ class QuoteSeries:
         if np.any(np.diff(self.ts_ms) <= 0):
             raise ValueError(f"{symbol}: timestamps not strictly increasing")
 
-    def __len__(self) -> int:
-        return len(self.ts_ms)
-
     def mid_many(self, ts: np.ndarray, staleness_ms: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized lookup; returns (mids, status codes) without raising."""
         return _kernels.step_mid_lookup(
@@ -73,17 +70,21 @@ class QuoteStore:
         """ETHUSDT mid at one time (a float) or an ndarray of times (an array)."""
         return self.mid("ETHUSDT", t_ms, staleness_ms)
 
-    def usd_price(self, token: str, t_ms, registry: TokenRegistry, staleness_ms: int):
-        """Token USD valuation via its Binance USDT pair; USDT pegged at 1.
+    def usd_series(self, token: str, registry: TokenRegistry) -> QuoteSeries | None:
+        """The series that values ``token`` in USD: its Binance USDT pair, or
+        None for USDT, which is pegged at 1.
 
-        Takes one time (returns a float) or an ndarray of times (an array).
+        Raises UnknownToken, UnlistedToken, or NoQuoteBefore when there is no
+        <SYM>USDT series.
         """
         info = registry.get(token)
         if info is None:
             raise UnknownToken(token)
         if not info.cex_listed:
             raise UnlistedToken(token)
-        if info.quote_symbol == "USDT":
-            return np.ones(len(t_ms)) if isinstance(t_ms, np.ndarray) else 1.0
-        return self.mid(f"{info.quote_symbol}USDT", t_ms, staleness_ms)
+        return None if info.quote_symbol == "USDT" else self.get(f"{info.quote_symbol}USDT")
 
+    def usd_price(self, token: str, t_ms: int, registry: TokenRegistry, staleness_ms: int) -> float:
+        """Token USD valuation at one time."""
+        series = self.usd_series(token, registry)
+        return 1.0 if series is None else series.mid_at(t_ms, staleness_ms)

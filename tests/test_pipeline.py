@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cexdex import estimate, horizon, market, pipeline
+from cexdex import _kernels, estimate, horizon, market, pipeline
 from cexdex.cli import main
 from cexdex.synth import SearcherSpec, SynthConfig, generate
+
+from markout_oracle import assert_same_curve, oracle_curve, same_bits
 
 SLOT_MS = 12_000
 T0_MS = 1717200000000
@@ -51,8 +53,8 @@ LAYOUTS = {
         "tx_hash", "passed", "h1", "h2", "h3", "h4", "h5", "h6", "failure_reasons",
     ],
     "markouts.csv": (
-        ["tx_hash", "searcher_label", "excluded", "exclusion_reason"]
-        + [f"mr_usd@{o}" for o in DEFAULT_OFFSETS] + [f"gr@{o}" for o in DEFAULT_OFFSETS]
+        ["tx_hash", "searcher_label", "excluded", "exclusion_reason", "volume_usd"]
+        + [f"mr_usd@{o}" for o in DEFAULT_OFFSETS]
     ),
     "profiles.csv": [
         "searcher_label", "t_star_s", "pattern", "decline_3s_fraction",
@@ -312,50 +314,75 @@ def markout_corpus(tmp_path_factory):
     return inputs, out
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def test_markouts_round_trip_bit_identical(markout_corpus):
+    """Parsed curves, GR recomputed from MR and volume_usd, equal the frozen
+    per-trade reference's bit for bit."""
     inputs, out = markout_corpus
     ws = pipeline.Workspace(inputs, out)
     trades = pipeline._load_detections(ws)
-    computed = [pipeline._curve_for_trade(t, ws) for t in trades]
+    computed = [oracle_curve(t, ws.grid, ws.quotes, ws.registry, ws.config) for t in trades]
     loaded = pipeline._load_markout_curves(ws)
     assert list(loaded) == [t.tx_hash for t in trades]
     reasons = {c.exclusion_reason for c in computed}
     assert reasons == {None, "QuoteGap", "InventoryAdjustment"}
     assert ws.grid.offsets_s[:3] == [-1.5, -1.25, -1.0]
     for trade, c in zip(trades, computed):
-        got = loaded[trade.tx_hash]
-        assert got.offsets_s == ws.grid.offsets_s
-        assert same_bits(got.mr_usd, c.mr_usd) and same_bits(got.gr, c.gr)
-        assert (got.excluded, got.exclusion_reason) == (c.excluded, c.exclusion_reason)
-        assert got.searcher_label == trade.searcher_label
+        assert_same_curve(loaded[trade.tx_hash], c)
+
+
+def test_markout_looks_up_each_symbol_once(markout_corpus, tmp_path, monkeypatch):
+    """One quote lookup per leg symbol and one for ETH, whatever the trade count."""
+    inputs, out = markout_corpus
+    ws = pipeline.Workspace(inputs, copy_tree(out, tmp_path / "out"))
+    symbols = {ws.registry.get(token).quote_symbol for t in ws.detections
+               for token in (t.token_bought, t.token_sold)} - {"USDT"}
+    assert len(ws.detections) > len(symbols) + 1
+    calls = []
+    lookup = _kernels.step_mid_lookup
+    monkeypatch.setattr(_kernels, "step_mid_lookup", lambda *a: calls.append(a) or lookup(*a))
+    pipeline.run_markout(ws)
+    assert 0 < len(calls) <= len(symbols) + 1
+    assert (tmp_path / "out" / "markouts.csv").read_bytes() == (out / "markouts.csv").read_bytes()
 
 
 def test_markouts_header_carries_the_offsets(markout_corpus):
     _, out = markout_corpus
     with open(out / "markouts.csv", newline="") as f:
         header = next(csv.reader(f))
-    assert header[:6] == ["tx_hash", "searcher_label", "excluded", "exclusion_reason",
-                          "mr_usd@-1.5", "mr_usd@-1.25"]
-    assert header[-1] == "gr@10.0"
+    assert header[:7] == ["tx_hash", "searcher_label", "excluded", "exclusion_reason",
+                          "volume_usd", "mr_usd@-1.5", "mr_usd@-1.25"]
+    assert header[-1] == "mr_usd@10.0"
     detections = read_rows(out / "detections.csv")
     assert len(read_rows(out / "markouts.csv")) == len(detections)
 
 
+def gr_columns(header: list[str], rows: list[list[str]]) -> tuple[list[str], list[list[str]]]:
+    """The offsets of a markouts.csv and, per row, GR at each as written before
+    GR was dropped from the file: repr(MR / volume_usd), or 0.0."""
+    offsets = [h.split("@")[1] for h in header[5:]]
+    return offsets, [[repr(float(mr) / float(r[4]) if float(r[4]) > 0 else 0.0)
+                      for mr in r[5:]] for r in rows]
+
+
 def long_format(path: Path) -> None:
-    """Rewrite a markouts.csv in the earlier one-row-per-offset layout."""
+    """Rewrite a markouts.csv in the earliest one-row-per-offset layout."""
     with open(path, newline="") as f:
         header, *rows = list(csv.reader(f))
-    n = (len(header) - 4) // 2
-    offsets = [h.split("@")[1] for h in header[4:4 + n]]
+    offsets, grs = gr_columns(header, rows)
     write_rows(path, ["tx_hash", "searcher_label", "offset_s", "mr_usd", "gr",
                       "excluded", "exclusion_reason"],
-               [[r[0], r[1], off, r[4 + k], r[4 + n + k], r[2], r[3]]
-                for r in rows for k, off in enumerate(offsets)])
+               [[r[0], r[1], off, r[5 + k], gr[k], r[2], r[3]]
+                for r, gr in zip(rows, grs) for k, off in enumerate(offsets)])
+
+
+def wide_with_gr(path: Path) -> None:
+    """Rewrite a markouts.csv in the earlier wide layout: no volume_usd, and
+    an MR column then a GR column per offset."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    offsets, grs = gr_columns(header, rows)
+    write_rows(path, header[:4] + header[5:] + [f"gr@{o}" for o in offsets],
+               [r[:4] + r[5:] + gr for r, gr in zip(rows, grs)])
 
 
 def truncate_last_row(path: Path) -> None:
@@ -363,7 +390,7 @@ def truncate_last_row(path: Path) -> None:
     path.write_text(text[:text.rindex(",")] + "\n")
 
 
-@pytest.mark.parametrize("damage", [long_format, truncate_last_row])
+@pytest.mark.parametrize("damage", [long_format, wide_with_gr, truncate_last_row])
 @pytest.mark.parametrize("stage", ["horizon", "estimate", "market"])
 def test_outdated_markouts_exit_1(markout_corpus, tmp_path, capsys, damage, stage):
     inputs, out = markout_corpus
@@ -641,3 +668,25 @@ def test_rolling_windows_are_labelled_by_their_last_day(varied_builders, tmp_pat
             if r["analysis"] == "pair_rolling" and r["pair"] == "s_int->builderA"]
     assert ends[0] == "2024-06-03"
     assert "2024-06-09" not in ends
+
+
+def test_each_pair_analysis_fails_on_its_own(varied_builders, tmp_path):
+    """With 8 days, lag 7 leaves too few pairs and the lagged analysis fails;
+    the contemporaneous and rolling rows of the pair are still written."""
+    src, _ = varied_builders
+    inputs = copy_tree(src, tmp_path / "in")
+    last_day = T0_MS // DAY_MS + 7
+    for name in ("transactions.csv", "blocks.csv"):
+        rows = read_rows(inputs / name)
+        write_rows(inputs / name, list(rows[0]),
+                   [list(r.values()) for r in rows if int(r["slot_time_ms"]) // DAY_MS <= last_day])
+    assert json.loads((inputs / "config.json").read_text())["rolling_window_days"] == 5
+    out = tmp_path / "out"
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    assert len({r["date"] for r in read_rows(out / "market.csv")}) == 8
+    with pytest.raises(market.TooShort):
+        market.lagged_correlation(list(range(8)), list(range(8)))
+    rows = [r for r in read_rows(out / "correlations.csv") if r["pair"] == "s_int->builderA"]
+    analyses = [r["analysis"] for r in rows]
+    assert "pair_contemporaneous" in analyses and "pair_rolling" in analyses
+    assert "pair_lagged" not in analyses
