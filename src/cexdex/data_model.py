@@ -1,7 +1,7 @@
 """Domain types and file ingestion.
 
-All five input datasets are CSV with a header row; JSONL files with the same
-field names are accepted interchangeably (extension .jsonl / .ndjson).
+The four tabular inputs are CSV with a header row, read by ``read_csv``; an
+error names the 1-based data row, blank lines not counted. Searchers are JSON.
 Token amounts are parsed as Decimal so that ERC-20 integer amounts beyond
 2^64 survive the round trip; everything price-like stays float downstream.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import decimal
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -132,66 +131,51 @@ class SearcherLabelFile:
 
 
 # ---------------------------------------------------------------------------
-# row iteration (CSV / JSONL)
+# reading CSV rows and cells
+
+
+def read_csv(path: str | Path, required: list[str]) -> tuple[list[str], list[list[str]]]:
+    """(header, data rows) of a CSV file, blank lines skipped: list index k is
+    data row k + 1. Raises MissingColumn for a ``required`` column not in the header."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        for col in required:
+            if col not in header:
+                raise MissingColumn(col, str(path))
+        return header, [r for r in reader if r]
 
 
 def _iter_rows(path: str | Path, required: list[str]):
-    """Yield (row_index, dict) pairs; row_index is 1-based over data rows."""
-    path = Path(path)
-    if path.suffix.lower() in (".jsonl", ".ndjson"):
-        with open(path) as f:
-            first = True
-            for i, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                row = {k: ("" if v is None else str(v)) for k, v in row.items()}
-                if first:
-                    for col in required:
-                        if col not in row:
-                            raise MissingColumn(col, str(path))
-                    first = False
-                yield i, row
-    else:
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            header = reader.fieldnames or []
-            for col in required:
-                if col not in header:
-                    raise MissingColumn(col, str(path))
-            for i, row in enumerate(reader, start=1):
-                yield i, row
+    """Yield (1-based data row index, row as a dict); cells past the header are ignored."""
+    header, rows = read_csv(path, required)
+    for i, r in enumerate(rows, start=1):
+        if len(r) < len(header):
+            raise MalformedRow(i, "fewer fields than the header")
+        yield i, dict(zip(header, r))
 
 
-def _parse_bool(raw: str, row_index: int, col: str) -> bool:
+def _bad_value(raw: str, row_index: int, col: str) -> MalformedRow:
+    return MalformedRow(row_index, f"bad value {raw!r} in {col}")
+
+
+def parse_cell(parse, raw: str, row_index: int, col: str):
+    """``parse(raw)``; a cell it rejects raises MalformedRow naming the row and ``col``."""
+    try:
+        return parse(raw)
+    except (ValueError, ArithmeticError):  # decimal.InvalidOperation is an ArithmeticError
+        raise _bad_value(raw, row_index, col) from None
+
+
+def _bool(raw: str) -> bool:
     v = raw.strip().lower()
-    if v in _TRUE:
-        return True
-    if v in _FALSE:
-        return False
-    raise MalformedRow(row_index, f"bad boolean {raw!r} in {col}")
+    if v not in _TRUE and v not in _FALSE:
+        raise ValueError(raw)
+    return v in _TRUE
 
 
-def _parse_int(raw: str, row_index: int, col: str) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise MalformedRow(row_index, f"bad integer {raw!r} in {col}") from None
-
-
-def _parse_float(raw: str, row_index: int, col: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise MalformedRow(row_index, f"bad number {raw!r} in {col}") from None
-
-
-def _parse_amount(raw: str, row_index: int, col: str) -> Decimal:
-    try:
-        return AMOUNT_CONTEXT.create_decimal(raw.strip())
-    except decimal.InvalidOperation:
-        raise MalformedRow(row_index, f"bad amount {raw!r} in {col}") from None
+def _amount(raw: str) -> Decimal:
+    return AMOUNT_CONTEXT.create_decimal(raw.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +198,9 @@ def load_tokens(path: str | Path) -> TokenRegistry:
             quote_symbol = QUOTE_SYMBOL_ALIASES.get(symbol, symbol)
         entries[addr] = TokenInfo(
             symbol=symbol,
-            cex_listed=_parse_bool(row["cex_listed"], i, "cex_listed"),
-            is_major=_parse_bool(row["is_major"], i, "is_major"),
-            decimals=_parse_int(row["decimals"], i, "decimals"),
+            cex_listed=parse_cell(_bool, row["cex_listed"], i, "cex_listed"),
+            is_major=parse_cell(_bool, row["is_major"], i, "is_major"),
+            decimals=parse_cell(int, row["decimals"], i, "decimals"),
             quote_symbol=quote_symbol,
         )
     return TokenRegistry(entries)
@@ -247,8 +231,8 @@ def load_transactions(path: str | Path, registry: TokenRegistry) -> list[RawTran
     # tx_hash -> (header fields, swaps, first row index)
     grouped: dict[str, dict] = {}
     for i, row in _iter_rows(path, TRANSACTION_COLUMNS):
-        amount_in = _parse_amount(row["amount_in"], i, "amount_in")
-        amount_out = _parse_amount(row["amount_out"], i, "amount_out")
+        amount_in = parse_cell(_amount, row["amount_in"], i, "amount_in")
+        amount_out = parse_cell(_amount, row["amount_out"], i, "amount_out")
         token_in = row["token_in"].strip().lower()
         token_out = row["token_out"].strip().lower()
         if amount_in <= 0:
@@ -264,27 +248,27 @@ def load_transactions(path: str | Path, registry: TokenRegistry) -> list[RawTran
             amount_in=amount_in,
             token_out=token_out,
             amount_out=amount_out,
-            log_index=_parse_int(row["log_index"], i, "log_index"),
-            first_in_direction=_parse_bool(row["first_in_direction"], i, "first_in_direction"),
+            log_index=parse_cell(int, row["log_index"], i, "log_index"),
+            first_in_direction=parse_cell(_bool, row["first_in_direction"], i, "first_in_direction"),
         )
-        erc721 = _parse_int(row["erc721_transfer_count"], i, "erc721_transfer_count")
+        erc721 = parse_cell(int, row["erc721_transfer_count"], i, "erc721_transfer_count")
         if erc721 < 0:
             raise MalformedRow(i, "erc721_transfer_count must be >= 0")
         fees = {}
         for col in ("base_fee_eth", "priority_fee_eth", "coinbase_transfer_eth", "volume_usd"):
-            v = _parse_float(row[col], i, col)
+            v = parse_cell(float, row[col], i, col)
             if v < 0:
                 raise MalformedRow(i, f"{col} must be >= 0")
             fees[col] = v
         header = dict(
             tx_hash=row["tx_hash"].strip(),
-            block_number=_parse_int(row["block_number"], i, "block_number"),
-            slot_time_ms=_parse_int(row["slot_time_ms"], i, "slot_time_ms"),
+            block_number=parse_cell(int, row["block_number"], i, "block_number"),
+            slot_time_ms=parse_cell(int, row["slot_time_ms"], i, "slot_time_ms"),
             searcher_contract=row["searcher_contract"].strip().lower(),
             erc721_transfer_count=erc721,
             builder_label=row["builder_label"].strip(),
             **fees,
-            **{c: _parse_bool(row[c], i, c) for c in _TX_FLAGS},
+            **{c: parse_cell(_bool, row[c], i, c) for c in _TX_FLAGS},
         )
         if not header["tx_hash"]:
             raise MalformedRow(i, "empty tx_hash")
@@ -324,35 +308,26 @@ QUOTE_COLUMNS = ["symbol", "ts_ms", "bid", "ask"]
 QuoteArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # ts_ms, bid, ask
 
 
-def _read_columns(path: Path, columns: list[str]) -> tuple[Sequence[int], list[list[str]]]:
-    """(1-based row indices as ``_iter_rows`` numbers them, each column's raw strings)."""
-    if path.suffix.lower() in (".jsonl", ".ndjson"):
-        pairs = list(_iter_rows(path, columns))
-        return [i for i, _ in pairs], [[row[c] for _, row in pairs] for c in columns]
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        for col in columns:
-            if col not in header:
-                raise MissingColumn(col, str(path))
-        rows = [r for r in reader if r]  # blank lines are skipped, as csv.DictReader does
-    for k, r in enumerate(rows):
-        if len(r) < len(header):
-            raise MalformedRow(k + 1, "fewer fields than the header")
-    return range(1, len(rows) + 1), [[r[j] for r in rows] for j in map(header.index, columns)]
+def _read_columns(path: Path, columns: list[str]) -> tuple[np.ndarray, list[list[str]]]:
+    """(mask of the rows shorter than the header, each column's raw strings, "" if missing)."""
+    header, rows = read_csv(path, columns)
+    short = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < len(header)
+    if short.any():
+        rows = [r + [""] * (len(header) - len(r)) for r in rows]
+    return short, [[r[j] for r in rows] for j in map(header.index, columns)]
 
 
 def _parse_column(raw: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
     """``parse`` of every entry, and the mask of the entries it rejects (left 0)."""
     try:
         return np.array(list(map(parse, raw)), dtype=dtype), np.zeros(len(raw), dtype=bool)
-    except ValueError:
+    except (ValueError, ArithmeticError):  # OverflowError: an int past int64
         pass
     values, bad = np.zeros(len(raw), dtype=dtype), np.zeros(len(raw), dtype=bool)
     for k, v in enumerate(raw):
         try:
             values[k] = parse(v)
-        except ValueError:
+        except (ValueError, ArithmeticError):
             bad[k] = True
     return values, bad
 
@@ -363,7 +338,7 @@ def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
     Raises for the first row that fails a check, with the first check it
     fails in the order listed below.
     """
-    row_index, (symbols, ts_raw, bid_raw, ask_raw) = _read_columns(Path(path), QUOTE_COLUMNS)
+    short, (symbols, ts_raw, bid_raw, ask_raw) = _read_columns(Path(path), QUOTE_COLUMNS)
     ts, bad_ts = _parse_column(ts_raw, int, np.int64)
     bid, bad_bid = _parse_column(bid_raw, float, np.float64)
     ask, bad_ask = _parse_column(ask_raw, float, np.float64)
@@ -375,9 +350,10 @@ def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
     dup[order[1:]] = (np.diff(code[order]) == 0) & (np.diff(ts[order]) == 0)
     # a rejected entry is left 0, which can only fail checks listed after its own
     checks = [
-        (bad_ts, lambda i, k: MalformedRow(i, f"bad integer {ts_raw[k]!r} in ts_ms")),
-        (bad_bid, lambda i, k: MalformedRow(i, f"bad number {bid_raw[k]!r} in bid")),
-        (bad_ask, lambda i, k: MalformedRow(i, f"bad number {ask_raw[k]!r} in ask")),
+        (short, lambda i, k: MalformedRow(i, "fewer fields than the header")),
+        (bad_ts, lambda i, k: _bad_value(ts_raw[k], i, "ts_ms")),
+        (bad_bid, lambda i, k: _bad_value(bid_raw[k], i, "bid")),
+        (bad_ask, lambda i, k: _bad_value(ask_raw[k], i, "ask")),
         (bid <= 0, lambda i, k: MalformedRow(i, "bid must be > 0")),
         (ask < bid, lambda i, k: CrossedQuote(i)),
         (dup, lambda i, k: DuplicateTimestamp(symbols[k].strip(), int(ts[k]))),
@@ -385,7 +361,7 @@ def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
     failing = np.vstack([mask for mask, _ in checks])
     if failing.any():
         k = int(np.argmax(failing.any(axis=0)))
-        raise checks[int(np.argmax(failing[:, k]))][1](row_index[k], k)
+        raise checks[int(np.argmax(failing[:, k]))][1](k + 1, k)
     bounds = np.searchsorted(code[order], np.arange(len(codes) + 1))
     return {
         symbol: tuple(a[order[bounds[c]:bounds[c + 1]]] for a in (ts, bid, ask))
@@ -402,12 +378,12 @@ BLOCK_COLUMNS = [
 def load_block_records(path: str | Path) -> dict[int, BlockRecord]:
     records: dict[int, BlockRecord] = {}
     for i, row in _iter_rows(path, BLOCK_COLUMNS):
-        block = _parse_int(row["block_number"], i, "block_number")
+        block = parse_cell(int, row["block_number"], i, "block_number")
         if block in records:
             raise DuplicateBlock(block)
-        used = _parse_bool(row["used_bid_adjustment"], i, "used_bid_adjustment")
-        delta = _parse_float(row["adjustment_delta_eth"], i, "adjustment_delta_eth")
-        bid = _parse_float(row["bid_eth"], i, "bid_eth")
+        used = parse_cell(_bool, row["used_bid_adjustment"], i, "used_bid_adjustment")
+        delta = parse_cell(float, row["adjustment_delta_eth"], i, "adjustment_delta_eth")
+        bid = parse_cell(float, row["bid_eth"], i, "bid_eth")
         if bid < 0:
             raise MalformedRow(i, "bid_eth must be >= 0")
         if delta < 0:
@@ -417,11 +393,11 @@ def load_block_records(path: str | Path) -> dict[int, BlockRecord]:
         records[block] = BlockRecord(
             block_number=block,
             builder_label=row["builder_label"].strip(),
-            coinbase_delta_eth=_parse_float(row["coinbase_delta_eth"], i, "coinbase_delta_eth"),
+            coinbase_delta_eth=parse_cell(float, row["coinbase_delta_eth"], i, "coinbase_delta_eth"),
             bid_eth=bid,
             used_bid_adjustment=used,
             adjustment_delta_eth=delta,
-            slot_time_ms=_parse_int(row["slot_time_ms"], i, "slot_time_ms"),
+            slot_time_ms=parse_cell(int, row["slot_time_ms"], i, "slot_time_ms"),
         )
     return records
 

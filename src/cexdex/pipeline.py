@@ -35,6 +35,8 @@ from .data_model import (
     load_searchers,
     load_tokens,
     load_transactions,
+    parse_cell,
+    read_csv,
 )
 from .detect import ArbTrade, detect_all
 from .errors import NoQuoteBefore, PipelineError
@@ -67,9 +69,7 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     """(header, data rows) of a stage output."""
     if not path.exists():
         raise DependencyMissing(f"{path.name} not found in {path.parent}; run the producing stage first")
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        return next(reader, []), [r for r in reader if r]
+    return read_csv(path, [])
 
 
 def _write_output(path: Path, cls: type, rows) -> None:
@@ -109,7 +109,12 @@ def _read_output(path: Path, cls: type, stage: str) -> list:
             f"version's layout?); rerun the {stage} stage"
         )
     columns = [map(decode, column) for decode, column in zip(decoders, zip(*rows))]
-    return [cls(*values) for values in zip(*columns)]
+    try:
+        return [cls(*values) for values in zip(*columns)]
+    except (ValueError, ArithmeticError):  # again cell by cell, to name the first bad one
+        names = [f"{f.name} of {path.name}" for f in fields]
+        return [cls(*(parse_cell(d, v, i, n) for d, v, n in zip(decoders, r, names)))
+                for i, r in enumerate(rows, start=1)]
 
 
 def _require_input(input_dir: Path, name: str) -> Path:
@@ -275,8 +280,13 @@ def _load_markout_curves(ws: Workspace) -> dict[str, MarkoutCurve]:
             f"{path} is not one row per trade with an MR column per offset (an "
             "older version's layout?); rerun the markout stage"
         )
-    values = np.array([float(v) for r in rows for v in r[width - 1:]]).reshape(
-        len(rows), len(offsets_s) + 1)
+    try:
+        values = np.array([float(v) for r in rows for v in r[width - 1:]])
+    except ValueError:  # again cell by cell, to name the first bad one
+        names = [f"{h} of {path.name}" for h in header[width - 1:]]
+        values = np.array([parse_cell(float, v, i, n) for i, r in enumerate(rows, start=1)
+                           for n, v in zip(names, r[width - 1:])])
+    values = values.reshape(len(rows), len(offsets_s) + 1)
     mr = values[:, 1:]
     gr = markout_mod.gross_return(mr, values[:, 0])
     return {

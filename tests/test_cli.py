@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,19 @@ def test_missing_input_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "io"
     assert "transactions.csv" in err["message"]
+
+
+def test_short_input_row_exits_1(synth_inputs, tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(synth_inputs, inputs)
+    lines = (inputs / "tokens.csv").read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:2])
+    (inputs / "tokens.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["detect", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "MalformedRow",
+                   "message": "malformed row 3: fewer fields than the header"}
 
 
 def test_stage_dependency_exits_1(synth_inputs, tmp_path, capsys):

@@ -160,6 +160,7 @@ def quotes_file(tmp_path, bad_row: str, at: int, n: int = 5):
 @pytest.mark.parametrize("bad_row", [
     "BTCUSDT,1x,99,101\n", "BTCUSDT,300,abc,101\n", "BTCUSDT,300,99,\n",
     "BTCUSDT,300.5,99,101\n", "BTCUSDT,300,0,101\n", "BTCUSDT,300,-1,101\n",
+    "BTCUSDT,99999999999999999999,99,101\n",  # past int64
 ])
 def test_load_quotes_malformed_reports_first_row(tmp_path, bad_row):
     with pytest.raises(MalformedRow) as e:
@@ -185,6 +186,11 @@ def test_load_quotes_first_offending_row_wins_across_checks(tmp_path):
     with pytest.raises(MalformedRow) as e:
         load_quotes(p)
     assert e.value.row_index == 2 and "ts_ms" in str(e.value)
+    # a short row after a bad value: the bad value's row is the first
+    p.write_text(QUOTES_HEADER + "BTCUSDT,100,99,101\nBTCUSDT,200,zz,101\nBTCUSDT,300,99\n")
+    with pytest.raises(MalformedRow) as e:
+        load_quotes(p)
+    assert e.value.row_index == 2 and "bid" in str(e.value)
 
 
 def test_load_quotes_duplicate_not_adjacent(tmp_path):
@@ -253,18 +259,24 @@ def test_load_searchers(tmp_path):
     assert labels.integrated_with == {"s1": "builderA"}
 
 
-def test_jsonl_input_accepted(tmp_path):
-    p = tmp_path / "quotes.jsonl"
-    p.write_text('{"symbol": "BTCUSDT", "ts_ms": 200, "bid": 98.5, "ask": 101}\n'
-                 '{"symbol": "BTCUSDT", "ts_ms": 100, "bid": 99, "ask": 101}\n')
-    ts, bid, ask = load_quotes(p)["BTCUSDT"]
-    assert ts.tolist() == [100, 200] and bid.tolist() == [99.0, 98.5]
+def third_row_short(text: str) -> str:
+    """``text`` with a blank line before data row 3, which keeps only its
+    first two fields."""
+    header, r1, r2, r3, *rest = text.splitlines()
+    return "\n".join([header, r1, r2, "", ",".join(r3.split(",")[:2]), *rest]) + "\n"
 
 
-def test_jsonl_errors_report_the_line(tmp_path):
-    p = tmp_path / "quotes.jsonl"
-    p.write_text('{"symbol": "BTCUSDT", "ts_ms": 100, "bid": 99, "ask": 101}\n\n'
-                 '{"symbol": "BTCUSDT", "ts_ms": 200, "bid": 102, "ask": 101}\n')
-    with pytest.raises(CrossedQuote) as e:
-        load_quotes(p)
-    assert e.value.row_index == 3
+@pytest.mark.parametrize("text, load", [
+    (TOKENS_CSV, load_tokens),
+    (TX_HEADER + "\n" + "\n".join(tx_row(f"0x{k}", k, 12000 * k) for k in range(1, 5)),
+     lambda p: load_transactions(p, TokenRegistry({}))),
+    (QUOTES_HEADER + "".join(GOOD_QUOTE.format(ts=100 * k) for k in range(1, 5)), load_quotes),
+    (BLOCK_HEADER + "".join(f"\n{k},b1,1.5,2.0,false,0.0,{12000 * k}" for k in range(1, 5)),
+     load_block_records),
+], ids=["tokens", "transactions", "quotes", "blocks"])
+def test_short_row_reports_its_data_row(tmp_path, text, load):
+    p = tmp_path / "input.csv"
+    p.write_text(third_row_short(text))
+    with pytest.raises(MalformedRow) as e:
+        load(p)
+    assert e.value.row_index == 3 and "fewer fields" in str(e.value)

@@ -431,6 +431,30 @@ def test_other_layout_exits_1(markout_corpus, tmp_path, capsys, damage, name, st
     assert name in err["message"] and f"rerun the {producer} stage" in err["message"]
 
 
+def damage_cell(path: Path, column: str) -> None:
+    """Write 12x into ``column`` of data row 2."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    rows[1][header.index(column)] = "12x"
+    write_rows(path, header, rows)
+
+
+@pytest.mark.parametrize("name, column, stage", [
+    ("detections.csv", "amount_bought", "markout"),  # Decimal
+    ("detections.csv", "block_number", "markout"),  # int
+    ("markouts.csv", "mr_usd@0.0", "horizon"),
+])
+def test_undecodable_output_cell_exits_1(markout_corpus, tmp_path, capsys, name, column, stage):
+    inputs, out = markout_corpus
+    stale = copy_tree(out, tmp_path / "out")
+    damage_cell(stale / name, column)
+    capsys.readouterr()
+    assert main([stage, "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "MalformedRow",
+                   "message": f"malformed row 2: bad value '12x' in {column} of {name}"}
+
+
 # ---------------------------------------------------------------------------
 # one ETH lookup per stage: the same blocks skipped and the same first error
 
