@@ -4,7 +4,7 @@ horizons, trade economics, market structure, and builder profitability."""
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .detect import ArbTrade, DetectionVerdict, detect_all
 from .errors import PipelineError
-from .markout import MarkoutCurve, markout_curve
+from .markout import MarkoutTable, markout_curve
 from .horizon import SearcherProfile, build_profile
 from .estimate import TradeEconomics, trade_economics
 from .quotes import QuoteStore
@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArbTrade",
     "DetectionVerdict",
-    "MarkoutCurve",
     "MarkoutGrid",
+    "MarkoutTable",
     "PipelineConfig",
     "PipelineError",
     "QuoteStore",

@@ -64,14 +64,12 @@ def _write_charts(ws: pipeline.Workspace) -> None:
 
     from . import horizon as horizon_mod
 
-    by_searcher: dict[str, list] = {}
-    for c in ws.curves.values():
-        if not c.excluded:
-            by_searcher.setdefault(c.searcher_label, []).append(c)
-    if by_searcher:
+    table = ws.markouts
+    rows = table.included_rows()
+    if rows:
         fig, ax = plt.subplots(figsize=(8, 5))
-        for label in sorted(by_searcher):
-            med = horizon_mod.median_curve(label, by_searcher[label])
+        for label in sorted(rows):
+            med = horizon_mod.median_curve(label, table.gr[rows[label]], ws.grid.offsets_s)
             ax.plot(med.offsets_s, med.median_gr * 1e4, label=label)
             ax.fill_between(med.offsets_s, med.q25_gr * 1e4, med.q75_gr * 1e4, alpha=0.15)
             peak = int(np.argmax(med.median_gr))

@@ -7,6 +7,9 @@ from dataclasses import dataclass, asdict, fields
 
 from .errors import InvalidConfig
 
+# horizon measures a searcher's decline over this window after t*
+DECLINE_HORIZON_S = 3.0
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -25,6 +28,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.grid_step_s <= 0:
             raise InvalidConfig("grid_step_s must be > 0")
+        step_ms = round(self.grid_step_s * 1000)
+        if step_ms == 0 or round(DECLINE_HORIZON_S * 1000) % step_ms:
+            raise InvalidConfig(
+                f"grid_step_s must divide the {DECLINE_HORIZON_S} s decline window after t*, to the ms"
+            )
         if self.grid_start_s >= self.grid_end_s:
             raise InvalidConfig("grid_start_s must be < grid_end_s")
         if not (0 < self.exclusivity_threshold < 1):

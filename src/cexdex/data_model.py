@@ -222,7 +222,7 @@ _TX_FLAGS = [
 ]
 
 
-def load_transactions(path: str | Path, registry: TokenRegistry) -> list[RawTransaction]:
+def load_transactions(path: str | Path) -> list[RawTransaction]:
     """Load transactions.csv; one row per swap, grouped by tx_hash.
 
     Rows violating per-type invariants are rejected with the 1-based index

@@ -45,7 +45,7 @@ class ArbTrade:
     builder_tip_eth: float  # priority fee + coinbase transfer
 
 
-def aggregate_swaps(tx: RawTransaction, registry: TokenRegistry) -> dict[str, Decimal]:
+def aggregate_swaps(tx: RawTransaction) -> dict[str, Decimal]:
     """Net signed flow per token: received minus spent, dust dropped."""
     net: dict[str, Decimal] = {}
     for s in tx.swaps:
@@ -83,7 +83,7 @@ def apply_heuristics(tx: RawTransaction, registry: TokenRegistry) -> DetectionVe
         reasons.append("H6: contains ERC-721 transfer")
     else:
         try:
-            token_bought, _, token_sold, _ = effective_pair(aggregate_swaps(tx, registry))
+            token_bought, _, token_sold, _ = effective_pair(aggregate_swaps(tx))
         except NotTwoSided as e:
             h6 = False
             reasons.append(f"H6: {e}")
@@ -132,7 +132,7 @@ def detect_all(
         verdicts.append(verdict)
         if not verdict.passed:
             continue
-        token_bought, x, token_sold, y = effective_pair(aggregate_swaps(tx, registry))
+        token_bought, x, token_sold, y = effective_pair(aggregate_swaps(tx))
         label = addr_to_label.get(tx.searcher_contract, f"other:{tx.searcher_contract}")
         trades.append(
             ArbTrade(

@@ -1,7 +1,8 @@
 """Per-trade EV / PnL / margin at the searcher's horizon, plus summaries.
 
 EV = MR(t*) - base fees, PnL = EV - builder tips (priority fee + coinbase
-transfer), margin = PnL / EV only when EV > 0. Fee conversions use the
+transfer), margin = PnL / EV only when EV > 0. MR(t*) is the trade's row of
+the markout table read at t*'s grid column. Fee conversions use the
 ETH-USDT mid at slot time.
 """
 
@@ -15,7 +16,6 @@ import numpy as np
 from .detect import ArbTrade
 from .errors import PatternThreeExcluded
 from .horizon import PATTERN_FLAT, SearcherProfile
-from .markout import MarkoutCurve
 
 DAY_MS = 86_400_000
 
@@ -37,17 +37,16 @@ class TradeEconomics:
 
 def trade_economics(
     trade: ArbTrade,
-    curve: MarkoutCurve,
+    mr_usd: float,
     profile: SearcherProfile,
     eth_usd_at_slot: float,
 ) -> TradeEconomics:
+    """Economics of an included trade whose MR at its searcher's t* is ``mr_usd``."""
     if profile.pattern == PATTERN_FLAT or profile.t_star_s is None:
         raise PatternThreeExcluded(profile.searcher_label)
-    if curve.excluded:
-        raise ValueError(f"{trade.tx_hash}: curve is excluded ({curve.exclusion_reason})")
     base_fee_usd = trade.base_fee_eth * eth_usd_at_slot
     tip_usd = trade.builder_tip_eth * eth_usd_at_slot
-    ev = curve.mr_at(profile.t_star_s) - base_fee_usd
+    ev = mr_usd - base_fee_usd
     pnl = ev - tip_usd
     margin = pnl / ev if ev > 0 else None
     return TradeEconomics(

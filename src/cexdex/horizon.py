@@ -1,6 +1,8 @@
 """Per-searcher optimal execution horizon and curve-shape classification.
 
-The horizon t* is the grid offset maximizing the cross-trade median gross
+A searcher's input is the GR rows of its included trades, one column per
+grid offset (``MarkoutTable.gr`` at ``MarkoutTable.included_rows()``). The
+horizon t* is the grid offset maximizing the cross-trade median gross
 return; tied maxima on the leading plateau (before the first strict
 decrease) resolve to the largest offset. Searchers with no discernible
 peak (flat curve) are classified Pattern 3 and carry no horizon.
@@ -12,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MarkoutGrid, PipelineConfig
+from .config import DECLINE_HORIZON_S, MarkoutGrid, PipelineConfig
 from .errors import NoTrades, OutOfGrid, PeakNonPositive
-from .markout import MarkoutCurve
 
 PATTERN_GENTLE = "P1"
 PATTERN_ABRUPT = "P2"
 PATTERN_FLAT = "P3"
-
-DECLINE_HORIZON_S = 3.0
 
 
 @dataclass
@@ -43,23 +42,21 @@ class SearcherProfile:
     low_confidence: bool = False
 
 
-def median_curve(searcher_label: str, curves: list[MarkoutCurve]) -> MedianCurve:
-    """Per-offset median and quartiles over one searcher's included trades.
+def median_curve(searcher_label: str, grs: np.ndarray, offsets_s: list[float]) -> MedianCurve:
+    """Per-offset median and quartiles over the GR rows of one searcher's trades.
 
     Even-cardinality medians are the mean of the two central order
     statistics (numpy's default).
     """
-    usable = [c for c in curves if not c.excluded]
-    if not usable:
+    if len(grs) == 0:
         raise NoTrades(searcher_label)
-    grs = np.vstack([c.gr for c in usable])
     return MedianCurve(
         searcher_label=searcher_label,
-        offsets_s=list(usable[0].offsets_s),
+        offsets_s=list(offsets_s),
         median_gr=np.median(grs, axis=0),
         q25_gr=np.quantile(grs, 0.25, axis=0),
         q75_gr=np.quantile(grs, 0.75, axis=0),
-        n_trades=len(usable),
+        n_trades=len(grs),
     )
 
 
@@ -119,12 +116,12 @@ def _decline_to_grid_end(curve: MedianCurve, t_star_s: float) -> float:
 
 def build_profile(
     searcher_label: str,
-    curves: list[MarkoutCurve],
+    grs: np.ndarray,
     cfg: PipelineConfig,
     grid: MarkoutGrid,
 ) -> SearcherProfile:
-    """Median curve -> pattern -> horizon for one searcher."""
-    med = median_curve(searcher_label, curves)
+    """Median curve -> pattern -> horizon for one searcher from its GR rows on ``grid``."""
+    med = median_curve(searcher_label, grs, grid.offsets_s)
     pattern = classify_pattern(med, cfg)
     t_star = None if pattern == PATTERN_FLAT else optimal_horizon(med)
     decline = None

@@ -1,15 +1,17 @@
 """Markout revenue and gross return of trades over the markout grid.
 
 MR(t) = x * P_A(t) - y * P_B(t) - taker fees, with the fee charged on both
-hedge legs' notionals (the hedge closes both directions on the CEX). Any
-quote failure at any grid offset excludes the whole trade. All trades are
-marked out together: one quote lookup per quote series over the
-(trades, offsets) matrix of query times.
+hedge legs' notionals (the hedge closes both directions on the CEX). All
+trades are marked out together into one MarkoutTable, a row per trade and a
+column per grid offset, with one quote lookup per quote series over the
+(trades, offsets) matrix of query times. ``markout_table`` is the only place
+that decides which trades are excluded, and why.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,23 +26,28 @@ EXCLUSION_INVENTORY = "InventoryAdjustment"
 
 
 @dataclass
-class MarkoutCurve:
-    tx_hash: str
-    offsets_s: list[float]
-    mr_usd: np.ndarray  # aligned with offsets_s
-    gr: np.ndarray
-    excluded: bool = False
-    exclusion_reason: str | None = None
-    searcher_label: str | None = None  # the trade's, for grouping curves by searcher
+class MarkoutTable:
+    """MR of trades (rows, in the order they were marked out) at every grid
+    offset (columns, in grid order). ``exclusion_reason[i]`` is None for a
+    trade that is included."""
 
-    def mr_at(self, offset_s: float) -> float:
-        """MR at ``offset_s`` rounded to ms; ValueError if that is not on the grid."""
-        ms = round(offset_s * 1000)
-        try:  # a grid's offsets are ms / 1000.0, found without rounding each one
-            idx = self.offsets_s.index(ms / 1000.0)
-        except ValueError:
-            idx = [round(o * 1000) for o in self.offsets_s].index(ms)
-        return float(self.mr_usd[idx])
+    tx_hash: list[str]
+    searcher_label: list[str]
+    volume_usd: np.ndarray
+    mr_usd: np.ndarray  # (trades, offsets)
+    exclusion_reason: list[str | None]
+
+    @cached_property
+    def gr(self) -> np.ndarray:
+        return gross_return(self.mr_usd, self.volume_usd)
+
+    def included_rows(self) -> dict[str, list[int]]:
+        """Searcher label -> rows of its included trades; searchers with none are absent."""
+        rows: dict[str, list[int]] = {}
+        for i, (label, reason) in enumerate(zip(self.searcher_label, self.exclusion_reason)):
+            if reason is None:
+                rows.setdefault(label, []).append(i)
+        return rows
 
 
 def _mr(x, pa, y, pb, cfg: PipelineConfig):
@@ -55,12 +62,6 @@ def gross_return(mr: np.ndarray, volume_usd: np.ndarray) -> np.ndarray:
     """GR = MR / volume_usd per row of ``mr``; zeros on rows whose volume is not above 0."""
     volume = np.asarray(volume_usd, dtype=np.float64)[:, None]
     return np.divide(mr, volume, out=np.zeros_like(mr), where=volume > 0)
-
-
-def never_covers_base_fee(mr, base_fee_eth, eth_usd):
-    """Per row of ``mr``: True iff MR is below the base-fee cost at every offset."""
-    cost = np.multiply(base_fee_eth, eth_usd)
-    return np.all(mr < np.expand_dims(cost, -1), axis=-1)
 
 
 def markout_revenue(trade: ArbTrade, t_offset_s: float, store: QuoteStore,
@@ -97,10 +98,13 @@ def _usd_prices(tokens: list[str], queries: np.ndarray, store: QuoteStore,
 
 
 def markout_table(trades: list[ArbTrade], grid: MarkoutGrid, store: QuoteStore,
-                  registry: TokenRegistry, cfg: PipelineConfig):
-    """MR and GR of every trade at every grid offset, as two (trades, offsets)
-    arrays, and the mask of trades a quote failure at any offset excludes
-    (their MR and GR are zeros)."""
+                  registry: TokenRegistry, cfg: PipelineConfig) -> MarkoutTable:
+    """Every trade's MR at every grid offset, and why a trade is excluded.
+
+    A trade is a QuoteGap when either leg lacks a fresh USD quote at any
+    offset (its MR is then zeros) or ETH has no fresh quote at its slot, and
+    an InventoryAdjustment when its MR never covers its base fee.
+    """
     n = len(trades)
     slot_ms = np.array([t.slot_time_ms for t in trades], dtype=np.int64)
     queries = slot_ms[:, None] + np.array(grid.offsets_ms, dtype=np.int64)
@@ -111,23 +115,20 @@ def markout_table(trades: list[ArbTrade], grid: MarkoutGrid, store: QuoteStore,
     x = np.array([float(t.amount_bought) for t in trades])[:, None]
     y = np.array([float(t.amount_sold) for t in trades])[:, None]
     mr = _mr(x, prices[:n], y, prices[n:], cfg)
-    gap = ~(ok[:n] & ok[n:])
-    mr[gap] = 0.0
-    return mr, gross_return(mr, np.array([t.volume_usd for t in trades])), gap
+    priced = ok[:n] & ok[n:]
+    mr[~priced] = 0.0
+    eth, eth_priced = store.eth_usd_many(slot_ms, cfg.quote_staleness_ms)
+    base_fee_usd = np.array([t.base_fee_eth for t in trades]) * eth
+    inventory = np.all(mr < base_fee_usd[:, None], axis=1)  # MR never covers the base fee
+    reasons = [
+        EXCLUSION_QUOTE_GAP if not (p and e) else EXCLUSION_INVENTORY if inv else None
+        for p, e, inv in zip(priced.tolist(), eth_priced.tolist(), inventory.tolist())
+    ]
+    return MarkoutTable([t.tx_hash for t in trades], [t.searcher_label for t in trades],
+                        np.array([t.volume_usd for t in trades], dtype=np.float64), mr, reasons)
 
 
 def markout_curve(trade: ArbTrade, grid: MarkoutGrid, store: QuoteStore,
-                  registry: TokenRegistry, cfg: PipelineConfig) -> MarkoutCurve:
-    """One MR/GR sample per grid offset; quote failures mark the trade excluded."""
-    (mr,), (gr,), (gap,) = markout_table([trade], grid, store, registry, cfg)
-    return MarkoutCurve(trade.tx_hash, list(grid.offsets_s), mr, gr, bool(gap),
-                        EXCLUSION_QUOTE_GAP if gap else None, trade.searcher_label)
-
-
-def flag_inventory_adjustment(
-    curve: MarkoutCurve, trade: ArbTrade, eth_usd_at_slot: float
-) -> bool:
-    """True iff MR never covers base-fee cost anywhere on the grid."""
-    if curve.excluded:
-        raise ValueError("curve already excluded")
-    return bool(never_covers_base_fee(curve.mr_usd, trade.base_fee_eth, eth_usd_at_slot))
+                  registry: TokenRegistry, cfg: PipelineConfig) -> MarkoutTable:
+    """One trade's one-row table; kept for perfbench/spans.py until ROADMAP item 1."""
+    return markout_table([trade], grid, store, registry, cfg)

@@ -24,7 +24,6 @@ from . import estimate as estimate_mod
 from . import horizon as horizon_mod
 from . import market as market_mod
 from . import markout as markout_mod
-from ._kernels import LOOKUP_OK
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .data_model import (
     BlockRecord,
@@ -39,9 +38,9 @@ from .data_model import (
     read_csv,
 )
 from .detect import ArbTrade, detect_all
-from .errors import NoQuoteBefore, PipelineError
+from .errors import PipelineError
 from .estimate import DAY_MS, TradeEconomics
-from .markout import EXCLUSION_INVENTORY, EXCLUSION_QUOTE_GAP, MarkoutCurve
+from .markout import EXCLUSION_INVENTORY
 from .quotes import QuoteStore
 
 
@@ -168,7 +167,7 @@ class Workspace:
         return _load_detections(self)
 
     @cached_property
-    def curves(self) -> dict[str, MarkoutCurve]:
+    def markouts(self) -> markout_mod.MarkoutTable:
         return _load_markout_curves(self)
 
     @cached_property
@@ -184,7 +183,7 @@ class Workspace:
 # detect
 
 def run_detect(ws: Workspace) -> None:
-    txs = load_transactions(_require_input(ws.input_dir, "transactions.csv"), ws.registry)
+    txs = load_transactions(_require_input(ws.input_dir, "transactions.csv"))
     trades, verdicts = detect_all(txs, ws.registry, ws.labels)
     _write_output(ws.out_dir / "detections.csv", ArbTrade, trades)
     _write_csv(
@@ -216,98 +215,67 @@ def _markouts_header(offsets_s: list[float]) -> list[str]:
     return MARKOUTS_KEYS + [f"mr_usd@{o!r}" for o in offsets_s]
 
 
-def _eth_usd_many(ws: Workspace, slot_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ETHUSDT mids at ``slot_ms`` and the mask of those priced (none without the series)."""
-    try:
-        mids, status = ws.quotes.get("ETHUSDT").mid_many(slot_ms, ws.config.quote_staleness_ms)
-    except NoQuoteBefore:
-        return np.zeros(len(slot_ms)), np.zeros(len(slot_ms), dtype=bool)
-    return mids, status == LOOKUP_OK
-
-
-def _markout_curves(trades: list[ArbTrade], ws: Workspace) -> list[MarkoutCurve]:
-    """Every trade's curve from one batched markout. A trade without a fresh
-    ETH quote at its slot is a QuoteGap, and one whose MR never covers its
-    base fee an InventoryAdjustment; both keep their MR and GR."""
-    mr, gr, gap = markout_mod.markout_table(trades, ws.grid, ws.quotes, ws.registry, ws.config)
-    reasons = [EXCLUSION_QUOTE_GAP if g else None for g in gap.tolist()]
-    rows = np.flatnonzero(~gap)
-    eth, priced = _eth_usd_many(ws, np.array([trades[i].slot_time_ms for i in rows], dtype=np.int64))
-    base_fee = np.array([trades[i].base_fee_eth for i in rows])
-    inventory = markout_mod.never_covers_base_fee(mr[rows], base_fee, eth)
-    for i, ok, inv in zip(rows.tolist(), priced.tolist(), inventory.tolist()):
-        if inv or not ok:
-            reasons[i] = EXCLUSION_INVENTORY if ok else EXCLUSION_QUOTE_GAP
-    offsets_s = list(ws.grid.offsets_s)
-    return [
-        MarkoutCurve(t.tx_hash, offsets_s, m, g, r is not None, r, t.searcher_label)
-        for t, m, g, r in zip(trades, mr, gr, reasons)
-    ]
-
-
-def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> MarkoutCurve:
-    return _markout_curves([trade], ws)[0]
+def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable:
+    """One trade's one-row table; kept for perfbench/spans.py until ROADMAP item 1."""
+    return markout_mod.markout_table([trade], ws.grid, ws.quotes, ws.registry, ws.config)
 
 
 def run_markout(ws: Workspace) -> None:
-    trades = ws.detections
-    curves = _markout_curves(trades, ws)
+    table = markout_mod.markout_table(ws.detections, ws.grid, ws.quotes, ws.registry, ws.config)
     _write_csv(
         ws.out_dir / "markouts.csv",
         _markouts_header(ws.grid.offsets_s),
         (
-            [c.tx_hash, c.searcher_label, c.excluded, c.exclusion_reason or "",
-             t.volume_usd, *c.mr_usd.tolist()]
-            for t, c in zip(trades, curves)
+            [tx, label, reason is not None, reason or "", volume, *mr]
+            for tx, label, reason, volume, mr in zip(
+                table.tx_hash, table.searcher_label, table.exclusion_reason,
+                table.volume_usd.tolist(), table.mr_usd.tolist())
         ),
     )
-    ws.curves = {curve.tx_hash: curve for curve in curves}
+    ws.markouts = table
 
 
-def _load_markout_curves(ws: Workspace) -> dict[str, MarkoutCurve]:
-    """tx_hash -> curve. MR is parsed in one pass into a 2-D array whose rows
-    the curves view; GR is recomputed from it and volume_usd."""
+def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
+    """The table markouts.csv holds, MR parsed in one pass; named for
+    perfbench/spans.py, which times it as the parse, until ROADMAP item 1."""
     path = ws.out_dir / "markouts.csv"
     header, rows = _read_csv(path)
-    width = len(MARKOUTS_KEYS)
-    try:
-        offsets_s = [float(h.partition("@")[2]) for h in header[width:]]
-    except ValueError:
-        offsets_s = []
-    if (not offsets_s or header != _markouts_header(offsets_s)
-            or any(len(r) != len(header) for r in rows)):
+    if header != _markouts_header(ws.grid.offsets_s) or any(len(r) != len(header) for r in rows):
         raise OutdatedOutput(
-            f"{path} is not one row per trade with an MR column per offset (an "
-            "older version's layout?); rerun the markout stage"
+            f"{path} is not one row per trade with an MR column per offset of this "
+            "config's grid (an older version's layout, or another grid?); rerun the markout stage"
         )
+    width = len(MARKOUTS_KEYS)
     try:
         values = np.array([float(v) for r in rows for v in r[width - 1:]])
     except ValueError:  # again cell by cell, to name the first bad one
         names = [f"{h} of {path.name}" for h in header[width - 1:]]
         values = np.array([parse_cell(float, v, i, n) for i, r in enumerate(rows, start=1)
                            for n, v in zip(names, r[width - 1:])])
-    values = values.reshape(len(rows), len(offsets_s) + 1)
-    mr = values[:, 1:]
-    gr = markout_mod.gross_return(mr, values[:, 0])
-    return {
-        r[0]: MarkoutCurve(r[0], offsets_s, m, g, r[2] == "true", r[3] or None, r[1])
-        for r, m, g in zip(rows, mr, gr)
-    }
+    values = values.reshape(len(rows), len(header) - width + 1)
+    return markout_mod.MarkoutTable([r[0] for r in rows], [r[1] for r in rows],
+                                    values[:, 0], values[:, 1:], [r[3] or None for r in rows])
+
+
+def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:
+    """ws.markouts, refused unless its rows are ws.detections' trades in order."""
+    table = ws.markouts
+    if table.tx_hash != [t.tx_hash for t in ws.detections]:
+        raise OutdatedOutput(
+            f"markouts.csv in {ws.out_dir} does not hold the trades of detections.csv "
+            "in order; rerun the markout stage"
+        )
+    return table
 
 
 # ---------------------------------------------------------------------------
 # horizon
 
 def run_horizon(ws: Workspace) -> None:
-    by_searcher: dict[str, list[MarkoutCurve]] = {}
-    for c in ws.curves.values():
-        by_searcher.setdefault(c.searcher_label, []).append(c)
-    profiles = []
-    for label in sorted(by_searcher):
-        usable = [c for c in by_searcher[label] if not c.excluded]
-        if not usable:
-            continue
-        profiles.append(horizon_mod.build_profile(label, usable, ws.config, ws.grid))
+    table = ws.markouts
+    rows = table.included_rows()
+    profiles = [horizon_mod.build_profile(label, table.gr[rows[label]], ws.config, ws.grid)
+                for label in sorted(rows)]
     _write_output(ws.out_dir / "profiles.csv", horizon_mod.SearcherProfile, profiles)
     ws.profiles = {p.searcher_label: p for p in profiles}
 
@@ -321,30 +289,30 @@ def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
 # estimate
 
 def run_estimate(ws: Workspace) -> None:
-    trades, curves, profiles = ws.detections, ws.curves, ws.profiles
+    trades, table, profiles = ws.detections, _markouts_of_detections(ws), ws.profiles
 
-    priced = []
+    priced, rows = [], []
     excl_counts: dict[str, dict[str, int]] = {}
-    for trade in trades:
-        curve = curves[trade.tx_hash]
+    for i, (trade, reason) in enumerate(zip(trades, table.exclusion_reason)):
         counts = excl_counts.setdefault(trade.searcher_label, {"inv": 0, "gap": 0})
-        if curve.excluded:
-            if curve.exclusion_reason == EXCLUSION_INVENTORY:
-                counts["inv"] += 1
-            else:
-                counts["gap"] += 1
+        if reason is not None:
+            counts["inv" if reason == EXCLUSION_INVENTORY else "gap"] += 1
             continue
         profile = profiles.get(trade.searcher_label)
         if profile is None or profile.pattern == horizon_mod.PATTERN_FLAT:
             continue
-        priced.append((trade, curve, profile))
+        priced.append((trade, profile))
+        rows.append(i)
     eth: list[float] = []
     if priced:  # one lookup; raises for the first trade without an ETH quote
-        slot_ms = np.array([t.slot_time_ms for t, _, _ in priced], dtype=np.int64)
+        slot_ms = np.array([t.slot_time_ms for t, _ in priced], dtype=np.int64)
         eth = ws.quotes.eth_usd(slot_ms, ws.config.quote_staleness_ms).tolist()
+    # MR at each trade's t* column; a profile without t* is refused by trade_economics
+    cols = [ws.grid.index_of(p.t_star_s or 0.0) for _, p in priced]
+    mr = table.mr_usd[rows, cols].tolist()
     economics = [
-        estimate_mod.trade_economics(trade, curve, profile, eth_usd)
-        for (trade, curve, profile), eth_usd in zip(priced, eth)
+        estimate_mod.trade_economics(trade, mr_usd, profile, eth_usd)
+        for (trade, profile), mr_usd, eth_usd in zip(priced, mr, eth)
     ]
 
     _write_output(ws.out_dir / "economics.csv", TradeEconomics, economics)
@@ -385,9 +353,10 @@ def _load_economics(ws: Workspace) -> list[TradeEconomics]:
 # market
 
 def run_market(ws: Workspace) -> None:
-    trades, curves, profiles, economics = ws.detections, ws.curves, ws.profiles, ws.economics
+    trades, table, profiles, economics = (
+        ws.detections, _markouts_of_detections(ws), ws.profiles, ws.economics)
 
-    included = [t for t in trades if not curves[t.tx_hash].excluded]
+    included = [t for t, reason in zip(trades, table.exclusion_reason) if reason is None]
 
     # daily volume shares (all patterns) and EV shares (P3 excluded), keyed
     # by UTC day number; pair_volume keeps each (searcher, day, builder)'s
@@ -527,7 +496,7 @@ def run_builder(ws: Workspace) -> None:
     schedule = builder_mod.RefundSchedule()
     blocks = [ws.blocks[bn] for bn in sorted(ws.blocks)]
     slot_ms = np.array([b.slot_time_ms for b in blocks], dtype=np.int64)
-    mids, ok = _eth_usd_many(ws, slot_ms)
+    mids, ok = ws.quotes.eth_usd_many(slot_ms, ws.config.quote_staleness_ms)
     used_blocks = [b for b, priced in zip(blocks, ok.tolist()) if priced]
     eth_by_block = dict(zip([b.block_number for b in used_blocks], mids[ok].tolist()))
     per_block = [

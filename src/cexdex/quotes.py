@@ -70,6 +70,14 @@ class QuoteStore:
         """ETHUSDT mid at one time (a float) or an ndarray of times (an array)."""
         return self.mid("ETHUSDT", t_ms, staleness_ms)
 
+    def eth_usd_many(self, t_ms: np.ndarray, staleness_ms: int) -> tuple[np.ndarray, np.ndarray]:
+        """ETHUSDT mids at ``t_ms`` and the mask of those priced (none without the series)."""
+        series = self.series.get("ETHUSDT")
+        if series is None:
+            return np.zeros(len(t_ms)), np.zeros(len(t_ms), dtype=bool)
+        mids, status = series.mid_many(t_ms, staleness_ms)
+        return mids, status == _kernels.LOOKUP_OK
+
     def usd_series(self, token: str, registry: TokenRegistry) -> QuoteSeries | None:
         """The series that values ``token`` in USD: its Binance USDT pair, or
         None for USDT, which is pegged at 1.

@@ -26,7 +26,7 @@ from cexdex.market import (
     lagged_correlation,
     spearman,
 )
-from cexdex.markout import MarkoutCurve, markout_revenue
+from cexdex.markout import markout_revenue
 from cexdex.synth import SearcherSpec, SynthConfig, generate, score
 from cexdex import _kernels
 
@@ -76,15 +76,11 @@ def test_criterion_2_markout_anchor(registry, config):
     })
     trade = make_trade(amount_bought="2", amount_sold="100", volume_usd=101.0,
                        base_fee_eth=0.00098266375, builder_tip_eth=0.005)
-    offsets = [-1.0 + 0.5 * k for k in range(23)]
     mr0 = markout_revenue(trade, 0.0, flat, registry, config)
-    curve = MarkoutCurve(tx_hash=trade.tx_hash, offsets_s=offsets,
-                         mr_usd=np.full(23, mr0), gr=np.full(23, mr0 / 101.0),
-                         excluded=False, exclusion_reason=None)
     profile = SearcherProfile(searcher_label="s1", t_star_s=0.0, pattern="P1",
                               decline_3s_fraction=0.1, n_arb_trades=500,
                               low_confidence=False)
-    e = trade_economics(trade, curve, profile, eth_usd_at_slot=2000.0)
+    e = trade_economics(trade, mr0, profile, eth_usd_at_slot=2000.0)
     assert e.ev_usd == pytest.approx(-1.0, abs=1e-9)
     assert e.pnl_usd == pytest.approx(-11.0, abs=1e-9)
     assert e.margin is None

@@ -42,6 +42,20 @@ def test_all_produces_bundle(synth_inputs, tmp_path):
         assert (out / name).exists(), name
 
 
+def test_grid_step_off_the_decline_window_exits_1(synth_inputs, tmp_path, capsys):
+    """A grid step that does not divide horizon's 3 s decline window is refused
+    when the config is read, before any stage runs."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(synth_inputs, inputs)
+    config = json.loads((inputs / "config.json").read_text())
+    config.update(grid_start_s=-1.4, grid_step_s=0.7)
+    (inputs / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InvalidConfig" and "grid_step_s" in err["message"]
+
+
 def test_manifest_digests_match(synth_inputs, tmp_path):
     out = tmp_path / "out"
     main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out)])

@@ -70,7 +70,7 @@ def test_registry_rejects_major_unlisted():
         TokenRegistry({"0xbad": TokenInfo("X", False, True, 18, "X")})
 
 
-def test_load_transactions_groups_by_hash(tmp_path, token_registry):
+def test_load_transactions_groups_by_hash(tmp_path):
     p = tmp_path / "transactions.csv"
     rows = [
         tx_row("0xa", 1, 12000),
@@ -79,48 +79,48 @@ def test_load_transactions_groups_by_hash(tmp_path, token_registry):
         tx_row("0xb", 2, 24000),
     ]
     p.write_text(TX_HEADER + "\n" + "\n".join(rows) + "\n")
-    txs = load_transactions(p, token_registry)
+    txs = load_transactions(p)
     assert [t.tx_hash for t in txs] == ["0xa", "0xb"]
     assert len(txs[0].swaps) == 2
     assert txs[0].swaps[0].log_index == 0  # sorted by log index
 
 
-def test_load_transactions_rejects_zero_amount(tmp_path, token_registry):
+def test_load_transactions_rejects_zero_amount(tmp_path):
     p = tmp_path / "transactions.csv"
     p.write_text(TX_HEADER + "\n" + tx_row("0xa", 1, 12000, amount_in="0") + "\n")
     with pytest.raises(MalformedRow) as e:
-        load_transactions(p, token_registry)
+        load_transactions(p)
     assert e.value.row_index == 1
 
 
-def test_load_transactions_rejects_duplicate_log_index(tmp_path, token_registry):
+def test_load_transactions_rejects_duplicate_log_index(tmp_path):
     p = tmp_path / "transactions.csv"
     rows = [tx_row("0xa", 1, 12000), tx_row("0xa", 1, 12000)]
     p.write_text(TX_HEADER + "\n" + "\n".join(rows) + "\n")
     with pytest.raises(MalformedRow):
-        load_transactions(p, token_registry)
+        load_transactions(p)
 
 
-def test_load_transactions_missing_column(tmp_path, token_registry):
+def test_load_transactions_missing_column(tmp_path):
     p = tmp_path / "transactions.csv"
     p.write_text("tx_hash,block_number\n0xa,1\n")
     with pytest.raises(MissingColumn):
-        load_transactions(p, token_registry)
+        load_transactions(p)
 
 
-def test_load_transactions_nonmonotonic_slot_time(tmp_path, token_registry):
+def test_load_transactions_nonmonotonic_slot_time(tmp_path):
     p = tmp_path / "transactions.csv"
     rows = [tx_row("0xa", 1, 24000), tx_row("0xb", 2, 12000)]
     p.write_text(TX_HEADER + "\n" + "\n".join(rows) + "\n")
     with pytest.raises(NonMonotonicSlotTime):
-        load_transactions(p, token_registry)
+        load_transactions(p)
 
 
-def test_load_transactions_sorted_by_block(tmp_path, token_registry):
+def test_load_transactions_sorted_by_block(tmp_path):
     p = tmp_path / "transactions.csv"
     rows = [tx_row("0xb", 5, 60000), tx_row("0xa", 1, 12000)]
     p.write_text(TX_HEADER + "\n" + "\n".join(rows) + "\n")
-    txs = load_transactions(p, token_registry)
+    txs = load_transactions(p)
     assert [t.block_number for t in txs] == [1, 5]
 
 
@@ -269,7 +269,7 @@ def third_row_short(text: str) -> str:
 @pytest.mark.parametrize("text, load", [
     (TOKENS_CSV, load_tokens),
     (TX_HEADER + "\n" + "\n".join(tx_row(f"0x{k}", k, 12000 * k) for k in range(1, 5)),
-     lambda p: load_transactions(p, TokenRegistry({}))),
+     load_transactions),
     (QUOTES_HEADER + "".join(GOOD_QUOTE.format(ts=100 * k) for k in range(1, 5)), load_quotes),
     (BLOCK_HEADER + "".join(f"\n{k},b1,1.5,2.0,false,0.0,{12000 * k}" for k in range(1, 5)),
      load_block_records),

@@ -10,35 +10,35 @@ from conftest import TOKA, TOKC, USDT, make_swap, make_tx
 from heuristic_corpus import build_corpus
 
 
-def test_aggregate_multi_hop(registry):
+def test_aggregate_multi_hop():
     tx = make_tx(swaps=(
         make_swap("0xA", 1, "0xB", 2, log_index=0),
         make_swap("0xB", 2, "0xC", 5, log_index=1),
     ))
-    assert aggregate_swaps(tx, registry) == {"0xA": Decimal(-1), "0xC": Decimal(5)}
+    assert aggregate_swaps(tx) == {"0xA": Decimal(-1), "0xC": Decimal(5)}
 
 
-def test_aggregate_single_swap(registry):
+def test_aggregate_single_swap():
     tx = make_tx(swaps=(make_swap(USDT, 1000, TOKA, 100),))
-    assert aggregate_swaps(tx, registry) == {USDT: Decimal(-1000), TOKA: Decimal(100)}
+    assert aggregate_swaps(tx) == {USDT: Decimal(-1000), TOKA: Decimal(100)}
 
 
-def test_aggregate_circular_cancels(registry):
+def test_aggregate_circular_cancels():
     tx = make_tx(swaps=(
         make_swap("0xA", 1, "0xB", 2, log_index=0),
         make_swap("0xB", 2, "0xA", 1, log_index=1),
     ))
-    assert aggregate_swaps(tx, registry) == {}
+    assert aggregate_swaps(tx) == {}
 
 
-def test_aggregate_exact_decimal_no_drift(registry):
+def test_aggregate_exact_decimal_no_drift():
     # amounts near 18-decimals token scale survive exactly
     big = "123456789012345678.123456789012345678"
     tx = make_tx(swaps=(
         make_swap(USDT, big, TOKA, 1, log_index=0),
         make_swap(USDT, "0.000000000000000001", TOKA, 1, log_index=1),
     ))
-    net = aggregate_swaps(tx, registry)
+    net = aggregate_swaps(tx)
     assert net[USDT] == Decimal("-123456789012345678.123456789012345679")
 
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from cexdex.errors import PatternThreeExcluded
@@ -9,19 +8,11 @@ from cexdex.estimate import (
     trade_economics,
 )
 from cexdex.horizon import SearcherProfile
-from cexdex.markout import MarkoutCurve
 
 from conftest import make_trade
 
 DAY_MS = 86_400_000
 T0 = 1_717_200_000_000  # 2024-06-01T00:00:00Z
-
-
-def curve_with_mr(mr_at_zero, tx="0xt1"):
-    offsets = [-1.0 + 0.5 * k for k in range(23)]
-    mr = np.full(23, mr_at_zero)
-    return MarkoutCurve(tx_hash=tx, offsets_s=offsets, mr_usd=mr, gr=mr / 100.0,
-                        excluded=False, exclusion_reason=None)
 
 
 def profile(t_star=0.0, pattern="P1"):
@@ -41,7 +32,7 @@ def econ(ev, pnl, *, label="s1", slot=T0, volume=100.0):
 def test_anchor_negative_ev_with_tips():
     # EV = -1, tips = 10 -> PnL = -11, margin undefined
     trade = make_trade(base_fee_eth=0.001, builder_tip_eth=0.005)
-    e = trade_economics(trade, curve_with_mr(1.0), profile(), eth_usd_at_slot=2000.0)
+    e = trade_economics(trade, 1.0, profile(), eth_usd_at_slot=2000.0)
     assert e.ev_usd == pytest.approx(-1.0, abs=1e-12)
     assert e.builder_tip_usd == pytest.approx(10.0, abs=1e-12)
     assert e.pnl_usd == pytest.approx(-11.0, abs=1e-12)
@@ -51,7 +42,7 @@ def test_anchor_negative_ev_with_tips():
 def test_hand_eq_values():
     # MR(t*) = 12, base fee 2, tips 3 -> EV 10, PnL 7, margin 0.7
     trade = make_trade(base_fee_eth=0.001, builder_tip_eth=0.0015)
-    e = trade_economics(trade, curve_with_mr(12.0), profile(), eth_usd_at_slot=2000.0)
+    e = trade_economics(trade, 12.0, profile(), eth_usd_at_slot=2000.0)
     assert e.ev_usd == pytest.approx(10.0)
     assert e.pnl_usd == pytest.approx(7.0)
     assert e.margin == pytest.approx(0.7)
@@ -59,7 +50,7 @@ def test_hand_eq_values():
 
 def test_zero_ev_margin_undefined():
     trade = make_trade(base_fee_eth=0.001, builder_tip_eth=0.002)
-    e = trade_economics(trade, curve_with_mr(2.0), profile(), eth_usd_at_slot=2000.0)
+    e = trade_economics(trade, 2.0, profile(), eth_usd_at_slot=2000.0)
     assert e.ev_usd == 0.0
     assert e.margin is None
     assert e.pnl_usd == pytest.approx(-4.0)
@@ -68,18 +59,7 @@ def test_zero_ev_margin_undefined():
 def test_p3_excluded():
     trade = make_trade()
     with pytest.raises(PatternThreeExcluded):
-        trade_economics(trade, curve_with_mr(5.0),
-                        profile(t_star=None, pattern="P3"), 2000.0)
-
-
-def test_ev_uses_t_star_offset():
-    offsets = [-1.0 + 0.5 * k for k in range(23)]
-    mr = np.arange(23, dtype=np.float64)
-    curve = MarkoutCurve(tx_hash="0x", offsets_s=offsets, mr_usd=mr, gr=mr / 100,
-                         excluded=False, exclusion_reason=None)
-    trade = make_trade(base_fee_eth=0.0, builder_tip_eth=0.0)
-    e = trade_economics(trade, curve, profile(t_star=1.5), eth_usd_at_slot=2000.0)
-    assert e.ev_usd == mr[5]  # offset 1.5 is index 5
+        trade_economics(trade, 5.0, profile(t_star=None, pattern="P3"), 2000.0)
 
 
 def test_summary_singleton():

@@ -10,14 +10,13 @@ from cexdex.horizon import (
     median_curve,
     optimal_horizon,
 )
-from cexdex.markout import MarkoutCurve
+
+OFFSETS = [-1.0 + 0.5 * k for k in range(23)]
 
 
-def curve_from_gr(gr, tx="0x1", volume=100.0):
-    gr = np.asarray(gr, dtype=np.float64)
-    offsets = [-1.0 + 0.5 * k for k in range(len(gr))]
-    return MarkoutCurve(tx_hash=tx, offsets_s=offsets, mr_usd=gr * volume, gr=gr,
-                        excluded=False, exclusion_reason=None)
+def grs(*rows):
+    """A searcher's GR rows, one per trade, over the 23 default offsets."""
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 23)
 
 
 def med(values, offsets=None):
@@ -29,26 +28,24 @@ def med(values, offsets=None):
 
 
 def test_median_odd():
-    curves = [curve_from_gr([1.0] * 23, "0xa"),
-              curve_from_gr([2.0] * 23, "0xb"),
-              curve_from_gr([3.0] * 23, "0xc")]
-    assert median_curve("s", curves).median_gr[0] == 2.0
+    assert median_curve("s", grs([1.0] * 23, [2.0] * 23, [3.0] * 23), OFFSETS).median_gr[0] == 2.0
 
 
 def test_median_even_is_midpoint():
-    curves = [curve_from_gr([float(v)] * 23, f"0x{v}") for v in (1, 2, 3, 4)]
-    assert median_curve("s", curves).median_gr[0] == 2.5
+    rows = grs(*([float(v)] * 23 for v in (1, 2, 3, 4)))
+    assert median_curve("s", rows, OFFSETS).median_gr[0] == 2.5
 
 
 def test_median_single_trade_identity():
     gr = np.linspace(0.0, 1.0, 23)
-    m = median_curve("s", [curve_from_gr(gr)])
+    m = median_curve("s", grs(gr), OFFSETS)
     assert np.array_equal(m.median_gr, gr)
+    assert m.offsets_s == OFFSETS and m.n_trades == 1
 
 
 def test_median_no_trades():
     with pytest.raises(NoTrades):
-        median_curve("s", [])
+        median_curve("s", grs(), OFFSETS)
 
 
 def test_optimal_horizon_unique_max():

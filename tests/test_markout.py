@@ -2,25 +2,27 @@ import numpy as np
 import pytest
 
 from cexdex import pipeline
-from cexdex.config import PipelineConfig
+from cexdex.config import MarkoutGrid, PipelineConfig
+from cexdex.errors import InvalidConfig
 from cexdex.markout import (
+    EXCLUSION_INVENTORY,
     EXCLUSION_QUOTE_GAP,
-    MarkoutCurve,
-    flag_inventory_adjustment,
     markout_curve,
     markout_revenue,
+    markout_table,
 )
 
 from conftest import TOKA, TOKB, TOKC, USDT, WBTC, WETH, make_store, make_trade
-from markout_oracle import assert_same_curve, oracle_curve, same_bits
+from markout_oracle import assert_same_row, oracle_curve
 
 
 def flat_store(price_a=55.0, full_grid_ms=11_000):
-    # constant quotes covering the whole markout window around slot 1_000_000
+    # constant quotes covering the whole markout window around slot 1_000_000,
+    # and ETH quoted 1 s before the slot
     ticks = [(1_000_000 - 2000 + k * 500, price_a, price_a) for k in range(30)]
     return make_store({
         "TOKAUSDT": ticks,
-        "ETHUSDT": [(990_000, 2000.0, 2000.0)],
+        "ETHUSDT": [(999_000, 2000.0, 2000.0)],
     })
 
 
@@ -51,24 +53,25 @@ def test_markout_revenue_fee_only(registry, config):
 
 
 def test_markout_curve_full_grid(registry, config, grid):
-    curve = markout_curve(two_leg_trade(), grid, flat_store(), registry, config)
-    assert not curve.excluded
-    assert len(curve.mr_usd) == 23
+    table = markout_curve(two_leg_trade(), grid, flat_store(), registry, config)
+    assert table.exclusion_reason == [None]
+    (mr,), (gr,) = table.mr_usd, table.gr
+    assert len(mr) == 23
     # constant prices -> constant curve
-    assert np.allclose(curve.mr_usd, curve.mr_usd[0])
-    assert np.allclose(curve.gr, curve.mr_usd / 110.0)
+    assert np.allclose(mr, mr[0])
+    assert np.allclose(gr, mr / 110.0)
 
 
 def test_markout_curve_matches_scalar_path(registry, config, grid):
     store = make_store({
         "TOKAUSDT": [(1_000_000 - 2000 + k * 500, 55.0 + 0.1 * k, 55.2 + 0.1 * k)
                      for k in range(30)],
-        "ETHUSDT": [(990_000, 2000.0, 2000.0)],
+        "ETHUSDT": [(999_000, 2000.0, 2000.0)],
     })
     trade = two_leg_trade()
-    curve = markout_curve(trade, grid, store, registry, config)
+    (mr,) = markout_curve(trade, grid, store, registry, config).mr_usd
     for off in grid.offsets_s:
-        assert curve.mr_at(off) == pytest.approx(
+        assert mr[grid.index_of(off)] == pytest.approx(
             markout_revenue(trade, off, store, registry, config), abs=1e-12
         )
 
@@ -77,20 +80,19 @@ def test_markout_curve_quote_gap_excludes(registry, config, grid):
     # no quotes late in the window -> excluded entirely
     store = make_store({
         "TOKAUSDT": [(999_000, 55.0, 55.0)],  # stale by +10s offset
-        "ETHUSDT": [(990_000, 2000.0, 2000.0)],
+        "ETHUSDT": [(999_000, 2000.0, 2000.0)],
     })
-    curve = markout_curve(two_leg_trade(), grid, store, registry, config)
-    assert curve.excluded
-    assert curve.exclusion_reason == EXCLUSION_QUOTE_GAP
+    table = markout_curve(two_leg_trade(), grid, store, registry, config)
+    assert table.exclusion_reason == [EXCLUSION_QUOTE_GAP]
 
 
 def test_inventory_flag_all_below(registry, config, grid):
     trade = make_trade(amount_bought="2", amount_sold="100", volume_usd=100.0,
                        base_fee_eth=0.001)
     store = flat_store(price_a=50.0)
-    curve = markout_curve(trade, grid, store, registry, config)
-    # MR = -0.0345 everywhere, cost = 2 USD
-    assert flag_inventory_adjustment(curve, trade, 2000.0) is True
+    table = markout_curve(trade, grid, store, registry, config)
+    # MR = -0.0345 everywhere, cost = 2 USD at ETH 2000
+    assert table.exclusion_reason == [EXCLUSION_INVENTORY]
 
 
 def test_inventory_flag_single_crossing(registry, config, grid):
@@ -99,9 +101,9 @@ def test_inventory_flag_single_crossing(registry, config, grid):
     ticks = [(1_000_000 - 2000 + k * 500, 50.0, 50.0) for k in range(30)]
     # one rich tick inside the window lifts MR above cost there
     ticks[6] = (ticks[6][0], 53.0, 53.0)
-    store = make_store({"TOKAUSDT": ticks, "ETHUSDT": [(990_000, 2000.0, 2000.0)]})
-    curve = markout_curve(trade, grid, store, registry, config)
-    assert flag_inventory_adjustment(curve, trade, 2000.0) is False
+    store = make_store({"TOKAUSDT": ticks, "ETHUSDT": [(999_000, 2000.0, 2000.0)]})
+    table = markout_curve(trade, grid, store, registry, config)
+    assert table.exclusion_reason == [None]
 
 
 def test_inventory_flag_zero_boundary(registry, grid):
@@ -109,8 +111,9 @@ def test_inventory_flag_zero_boundary(registry, grid):
     cfg = PipelineConfig(taker_fee_rate=0.0)
     trade = make_trade(amount_bought="2", amount_sold="110", volume_usd=110.0,
                        base_fee_eth=0.0)
-    curve = markout_curve(trade, grid, flat_store(), registry, cfg)
-    assert flag_inventory_adjustment(curve, trade, 2000.0) is False
+    table = markout_curve(trade, grid, flat_store(), registry, cfg)
+    assert not table.mr_usd.any()
+    assert table.exclusion_reason == [None]
 
 
 def test_mr_scale_invariance_of_gr(registry, config, grid):
@@ -173,52 +176,44 @@ def branch_trades():
     return trades
 
 
-def batched_curves(tmp_path, store, registry):
-    ws = pipeline.Workspace(tmp_path, tmp_path / "out")
-    ws.quotes, ws.registry = store, registry
-    return ws, pipeline._markout_curves(branch_trades(), ws)
-
-
 @pytest.mark.parametrize("with_eth", [True, False])
-def test_batched_markout_equals_per_trade_reference(tmp_path, registry, with_eth):
+def test_batched_markout_equals_per_trade_reference(registry, config, grid, with_eth):
     store = branch_store(with_eth)
-    ws, curves = batched_curves(tmp_path, store, registry)
     trades = branch_trades()
-    assert len(curves) == len(trades)
-    for trade, got in zip(trades, curves):
-        want = oracle_curve(trade, ws.grid, store, registry, ws.config)
-        assert_same_curve(got, want)
-        assert_same_curve(pipeline._curve_for_trade(trade, ws), want)
-    reason = {c.tx_hash: c.exclusion_reason for c in curves}
+    table = markout_table(trades, grid, store, registry, config)
+    assert len(table.tx_hash) == len(trades) and table.mr_usd.shape == (len(trades), len(grid))
+    for i, trade in enumerate(trades):
+        assert_same_row(table, i, trade, oracle_curve(trade, grid, store, registry, config))
+    reason = dict(zip(table.tx_hash, table.exclusion_reason))
     gap_in_markout = ["0xunknown", "0xunlisted", "0xnoseries", "0xnoquote", "0xlatestale"]
     assert all(reason[h] == EXCLUSION_QUOTE_GAP for h in gap_in_markout)
-    mr = {c.tx_hash: c.mr_usd for c in curves}
+    mr = dict(zip(table.tx_hash, table.mr_usd))
     assert all(not mr[h].any() for h in gap_in_markout)
     if with_eth:
         assert reason["0xstaleeth"] == EXCLUSION_QUOTE_GAP and mr["0xstaleeth"].all()
-        assert reason["0xinventory"] == "InventoryAdjustment"
+        assert reason["0xinventory"] == EXCLUSION_INVENTORY
         assert reason["0xusdt"] is None and reason["0xmix0"] is None
     else:  # no ETHUSDT series: every trade is a QuoteGap, priced ones keep their MR
         assert set(reason.values()) == {EXCLUSION_QUOTE_GAP}
         assert mr["0xusdt"].all() and mr["0xmix0"].all()
-    gr = {c.tx_hash: c.gr for c in curves}
+    gr = dict(zip(table.tx_hash, table.gr))
     assert mr["0xzerovol"].all() and not gr["0xzerovol"].any() and not gr["0xnegvol"].any()
 
 
-def test_public_markout_curve_equals_reference_before_the_eth_check(registry, config, grid):
+def test_public_markout_curve_equals_reference(tmp_path, registry, config, grid):
+    """The one-trade entries decide exclusion as the stage does, ETH and
+    inventory rules included."""
     store = branch_store()
+    ws = pipeline.Workspace(tmp_path, tmp_path / "out")
+    ws.quotes, ws.registry = store, registry
     for trade in branch_trades():
         want = oracle_curve(trade, grid, store, registry, config)
-        got = markout_curve(trade, grid, store, registry, config)
-        assert same_bits(got.mr_usd, want.mr_usd) and same_bits(got.gr, want.gr)
-        assert got.excluded == (want.exclusion_reason == EXCLUSION_QUOTE_GAP
-                                and not want.mr_usd.any())
+        assert_same_row(markout_curve(trade, grid, store, registry, config), 0, trade, want)
+        assert_same_row(pipeline._curve_for_trade(trade, ws), 0, trade, want)
 
 
-def test_mr_at_rounds_to_ms_and_refuses_off_grid(registry, config, grid):
-    curve = markout_curve(two_leg_trade(), grid, flat_store(), registry, config)
-    assert curve.mr_at(0.5) == curve.mr_at(0.5004) == float(curve.mr_usd[3])
-    off_grid = MarkoutCurve("0x", [0.1, 0.2, 0.1 + 0.2], np.arange(3.0), np.zeros(3))
-    assert off_grid.mr_at(0.3) == 2.0  # 0.1 + 0.2 is 0.3 to the ms
-    with pytest.raises(ValueError):
-        curve.mr_at(0.25)
+def test_grid_index_rounds_to_ms_and_refuses_off_grid(grid):
+    assert grid.index_of(0.5) == grid.index_of(0.5004) == 3
+    assert MarkoutGrid(-0.1, 0.3, 0.1).index_of(0.1 + 0.2) == 4  # 0.3 to the ms
+    with pytest.raises(InvalidConfig):
+        grid.index_of(0.25)

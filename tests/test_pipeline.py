@@ -15,7 +15,7 @@ from cexdex import _kernels, estimate, horizon, market, pipeline
 from cexdex.cli import main
 from cexdex.synth import SearcherSpec, SynthConfig, generate
 
-from markout_oracle import assert_same_curve, oracle_curve, same_bits
+from markout_oracle import assert_same_row, oracle_curve, same_bits
 
 SLOT_MS = 12_000
 T0_MS = 1717200000000
@@ -315,19 +315,19 @@ def markout_corpus(tmp_path_factory):
 
 
 def test_markouts_round_trip_bit_identical(markout_corpus):
-    """Parsed curves, GR recomputed from MR and volume_usd, equal the frozen
-    per-trade reference's bit for bit."""
+    """The parsed table, GR recomputed from MR and volume_usd, equals the
+    frozen per-trade reference's bit for bit."""
     inputs, out = markout_corpus
     ws = pipeline.Workspace(inputs, out)
     trades = pipeline._load_detections(ws)
     computed = [oracle_curve(t, ws.grid, ws.quotes, ws.registry, ws.config) for t in trades]
     loaded = pipeline._load_markout_curves(ws)
-    assert list(loaded) == [t.tx_hash for t in trades]
-    reasons = {c.exclusion_reason for c in computed}
+    assert loaded.tx_hash == [t.tx_hash for t in trades]
+    reasons = {reason for _, _, reason in computed}
     assert reasons == {None, "QuoteGap", "InventoryAdjustment"}
     assert ws.grid.offsets_s[:3] == [-1.5, -1.25, -1.0]
-    for trade, c in zip(trades, computed):
-        assert_same_curve(loaded[trade.tx_hash], c)
+    for i, (trade, c) in enumerate(zip(trades, computed)):
+        assert_same_row(loaded, i, trade, c)
 
 
 def test_markout_looks_up_each_symbol_once(markout_corpus, tmp_path, monkeypatch):
@@ -390,7 +390,14 @@ def truncate_last_row(path: Path) -> None:
     path.write_text(text[:text.rindex(",")] + "\n")
 
 
-@pytest.mark.parametrize("damage", [long_format, wide_with_gr, truncate_last_row])
+def drop_first_offset(path: Path) -> None:
+    """Rewrite a markouts.csv as if written for a grid starting one step later."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    write_rows(path, rows[0][:5] + rows[0][6:], [r[:5] + r[6:] for r in rows[1:]])
+
+
+@pytest.mark.parametrize("damage", [long_format, wide_with_gr, truncate_last_row, drop_first_offset])
 @pytest.mark.parametrize("stage", ["horizon", "estimate", "market"])
 def test_outdated_markouts_exit_1(markout_corpus, tmp_path, capsys, damage, stage):
     inputs, out = markout_corpus
@@ -398,6 +405,33 @@ def test_outdated_markouts_exit_1(markout_corpus, tmp_path, capsys, damage, stag
     stale.mkdir()
     for p in out.glob("*.csv"):
         (stale / p.name).write_bytes(p.read_bytes())
+    damage(stale / "markouts.csv")
+    capsys.readouterr()
+    assert main([stage, "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OutdatedOutput"
+    assert "markouts.csv" in err["message"] and "rerun the markout stage" in err["message"]
+
+
+def drop_second_row(path: Path) -> None:
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    write_rows(path, rows[0], rows[1:2] + rows[3:])
+
+
+def swap_first_rows(path: Path) -> None:
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    write_rows(path, rows[0], [rows[2], rows[1]] + rows[3:])
+
+
+@pytest.mark.parametrize("damage", [drop_second_row, swap_first_rows])
+@pytest.mark.parametrize("stage", ["estimate", "market"])
+def test_markouts_of_other_trades_exit_1(markout_corpus, tmp_path, capsys, damage, stage):
+    """estimate and market join markouts.csv to detections.csv row by row, so
+    a markouts.csv whose trades are not detections.csv's, in order, is refused."""
+    inputs, out = markout_corpus
+    stale = copy_tree(out, tmp_path / "out")
     damage(stale / "markouts.csv")
     capsys.readouterr()
     assert main([stage, "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
@@ -565,24 +599,24 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
     src, out = markout_corpus
     inputs = copy_tree(src, tmp_path_factory.mktemp("handoff") / "in")
     ws = pipeline.Workspace(src, out)
-    by_searcher: dict[str, list] = {}
-    for c in ws.curves.values():
-        if not c.excluded:
-            by_searcher.setdefault(c.searcher_label, []).append(c)
-    spread_bps = {label: float(np.ptp(horizon.median_curve(label, cs).median_gr)) * 1e4
-                  for label, cs in by_searcher.items()}
+    table = ws.markouts
+    spread_bps = {
+        label: float(np.ptp(horizon.median_curve(label, table.gr[rows], ws.grid.offsets_s)
+                            .median_gr)) * 1e4
+        for label, rows in table.included_rows().items()
+    }
     assert spread_bps["s_flat"] < min(v for k, v in spread_bps.items() if k != "s_flat")
     config = json.loads((inputs / "config.json").read_text())
     config["pattern_flat_epsilon_bps"] = spread_bps["s_flat"] * 1.01
     (inputs / "config.json").write_text(json.dumps(config))
     # a trade whose MR at its searcher's t* is below its own best MR: a base
     # fee between the two keeps it included and makes its EV negative
-    for trade in ws.detections:
-        curve = ws.curves[trade.tx_hash]
-        if curve.excluded or trade.searcher_label == "s_flat":
+    for i, trade in enumerate(ws.detections):
+        if table.exclusion_reason[i] is not None or trade.searcher_label == "s_flat":
             continue
-        low = curve.mr_at(ws.profiles[trade.searcher_label].t_star_s)
-        high = float(curve.mr_usd.max())
+        t_star = ws.profiles[trade.searcher_label].t_star_s
+        low = float(table.mr_usd[i, ws.grid.index_of(t_star)])
+        high = float(table.mr_usd[i].max())
         if low < high:
             break
     else:
@@ -606,8 +640,8 @@ def same_fields(kept, parsed) -> None:
             assert same_bits(a, b), (f.name, a, b)
         elif isinstance(a, Decimal):
             assert a.as_tuple() == b.as_tuple(), (f.name, a, b)
-        elif isinstance(a, list):
-            assert all(type(x) is float for x in a + b) and same_bits(a, b), f.name
+        elif isinstance(a, list):  # the markout table's columns of strings and None
+            assert [type(x) for x in a] == [type(x) for x in b] and a == b, f.name
         else:
             assert a == b, (f.name, a, b)
 
@@ -621,10 +655,9 @@ def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path):
     assert len(kept.detections) == len(parsed.detections)
     for a, b in zip(kept.detections, parsed.detections):
         same_fields(a, b)
-    assert list(kept.curves) == list(parsed.curves)
-    for a, b in zip(kept.curves.values(), parsed.curves.values()):
-        same_fields(a, b)
-        assert a.searcher_label is not None
+    same_fields(kept.markouts, parsed.markouts)
+    assert same_bits(kept.markouts.gr, parsed.markouts.gr)
+    assert None not in kept.markouts.searcher_label
     assert list(kept.profiles) == list(parsed.profiles)
     for a, b in zip(kept.profiles.values(), parsed.profiles.values()):
         same_fields(a, b)
@@ -632,11 +665,26 @@ def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path):
     for a, b in zip(kept.economics, parsed.economics):
         same_fields(a, b)
     # every optional field is None somewhere
-    assert {c.exclusion_reason for c in kept.curves.values()} == {
-        None, "QuoteGap", "InventoryAdjustment"}
+    assert set(kept.markouts.exclusion_reason) == {None, "QuoteGap", "InventoryAdjustment"}
     assert any(p.t_star_s is None for p in kept.profiles.values())
     assert any(p.decline_3s_fraction is None for p in kept.profiles.values())
     assert any(e.margin is None for e in kept.economics)
+
+
+def test_ev_uses_t_star_offset(markout_corpus):
+    """EV is the trade's MR in its searcher's t* column less the base fee, bit
+    for bit, with t* off 0 for some trades."""
+    inputs, out = markout_corpus
+    ws = pipeline.Workspace(inputs, out)
+    table = ws.markouts
+    row = {tx: i for i, tx in enumerate(table.tx_hash)}
+    off_zero = 0
+    for e in ws.economics:
+        mr = table.mr_usd[row[e.tx_hash]]
+        col = ws.grid.index_of(ws.profiles[e.searcher_label].t_star_s)
+        assert same_bits(e.ev_usd, float(mr[col]) - e.base_fee_usd), e.tx_hash
+        off_zero += bool(mr[col] != mr[ws.grid.index_of(0.0)])
+    assert ws.economics and off_zero
 
 
 def test_all_parses_no_stage_output(markout_corpus, tmp_path, monkeypatch):

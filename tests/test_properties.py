@@ -43,7 +43,7 @@ def test_aggregate_swaps_permutation_invariant(swaps, rnd):
         make_swap(s.token_in, s.amount_in, s.token_out, s.amount_out, log_index=i)
         for i, s in enumerate(shuffled)
     ))
-    assert aggregate_swaps(tx_a, None) == aggregate_swaps(tx_b, None)
+    assert aggregate_swaps(tx_a) == aggregate_swaps(tx_b)
 
 
 @given(swap_lists())
@@ -51,7 +51,7 @@ def test_aggregate_swaps_permutation_invariant(swaps, rnd):
 def test_aggregate_swaps_conserves_sign_sum(swaps):
     # every token's net equals receipts minus spends computed independently
     tx = make_tx(swaps=tuple(swaps))
-    net = aggregate_swaps(tx, None)
+    net = aggregate_swaps(tx)
     for token in {s.token_in for s in swaps} | {s.token_out for s in swaps}:
         expected = sum((s.amount_out for s in swaps if s.token_out == token),
                        Decimal(0))
