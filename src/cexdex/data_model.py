@@ -1,7 +1,8 @@
 """Domain types and file ingestion.
 
-The four tabular inputs are CSV with a header row, read by ``read_csv``; an
-error names the 1-based data row, blank lines not counted. Searchers are JSON.
+The four tabular inputs are CSV with a header row, read by ``read_csv``
+(``quotes.csv`` by numpy's C tokenizer, to the same cells); an error names
+the file and the 1-based data row, blank lines not counted. Searchers are JSON.
 Token amounts are parsed as Decimal so that ERC-20 integer amounts beyond
 2^64 survive the round trip; everything price-like stays float downstream.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import decimal
 import json
+import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -134,15 +136,22 @@ class SearcherLabelFile:
 # reading CSV rows and cells
 
 
+def _read_header(reader, path: str | Path, required: list[str]) -> list[str]:
+    """The first row of ``reader``, a csv.reader of the file at ``path``.
+    Raises MissingColumn for a ``required`` column not in it."""
+    header = next(reader, [])
+    for col in required:
+        if col not in header:
+            raise MissingColumn(col, str(path))
+    return header
+
+
 def read_csv(path: str | Path, required: list[str]) -> tuple[list[str], list[list[str]]]:
     """(header, data rows) of a CSV file, blank lines skipped: list index k is
     data row k + 1. Raises MissingColumn for a ``required`` column not in the header."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, [])
-        for col in required:
-            if col not in header:
-                raise MissingColumn(col, str(path))
+        header = _read_header(reader, path, required)
         return header, [r for r in reader if r]
 
 
@@ -151,20 +160,21 @@ def _iter_rows(path: str | Path, required: list[str]):
     header, rows = read_csv(path, required)
     for i, r in enumerate(rows, start=1):
         if len(r) < len(header):
-            raise MalformedRow(i, "fewer fields than the header")
+            raise MalformedRow(i, "fewer fields than the header", Path(path).name)
         yield i, dict(zip(header, r))
 
 
-def _bad_value(raw: str, row_index: int, col: str) -> MalformedRow:
-    return MalformedRow(row_index, f"bad value {raw!r} in {col}")
+def _bad_value(raw: str, row_index: int, col: str, file: str = "") -> MalformedRow:
+    return MalformedRow(row_index, f"bad value {raw!r} in {col}", file)
 
 
-def parse_cell(parse, raw: str, row_index: int, col: str):
-    """``parse(raw)``; a cell it rejects raises MalformedRow naming the row and ``col``."""
+def parse_cell(parse, raw: str, row_index: int, col: str, file: str = ""):
+    """``parse(raw)``; a cell it rejects raises MalformedRow naming the row,
+    ``col`` and ``file``."""
     try:
         return parse(raw)
     except (ValueError, ArithmeticError):  # decimal.InvalidOperation is an ArithmeticError
-        raise _bad_value(raw, row_index, col) from None
+        raise _bad_value(raw, row_index, col, file) from None
 
 
 def _bool(raw: str) -> bool:
@@ -186,21 +196,22 @@ TOKEN_COLUMNS = ["address", "symbol", "cex_listed", "is_major", "decimals"]
 
 def load_tokens(path: str | Path) -> TokenRegistry:
     entries: dict[str, TokenInfo] = {}
+    name = Path(path).name
     for i, row in _iter_rows(path, TOKEN_COLUMNS):
         addr = row["address"].strip().lower()
         if not addr:
-            raise MalformedRow(i, "empty address")
+            raise MalformedRow(i, "empty address", name)
         if addr in entries:
-            raise MalformedRow(i, f"duplicate token address {addr}")
+            raise MalformedRow(i, f"duplicate token address {addr}", name)
         symbol = row["symbol"].strip()
         quote_symbol = (row.get("quote_symbol") or "").strip()
         if not quote_symbol:
             quote_symbol = QUOTE_SYMBOL_ALIASES.get(symbol, symbol)
         entries[addr] = TokenInfo(
             symbol=symbol,
-            cex_listed=parse_cell(_bool, row["cex_listed"], i, "cex_listed"),
-            is_major=parse_cell(_bool, row["is_major"], i, "is_major"),
-            decimals=parse_cell(int, row["decimals"], i, "decimals"),
+            cex_listed=parse_cell(_bool, row["cex_listed"], i, "cex_listed", name),
+            is_major=parse_cell(_bool, row["is_major"], i, "is_major", name),
+            decimals=parse_cell(int, row["decimals"], i, "decimals", name),
             quote_symbol=quote_symbol,
         )
     return TokenRegistry(entries)
@@ -230,17 +241,18 @@ def load_transactions(path: str | Path) -> list[RawTransaction]:
     """
     # tx_hash -> (header fields, swaps, first row index)
     grouped: dict[str, dict] = {}
+    name = Path(path).name
     for i, row in _iter_rows(path, TRANSACTION_COLUMNS):
-        amount_in = parse_cell(_amount, row["amount_in"], i, "amount_in")
-        amount_out = parse_cell(_amount, row["amount_out"], i, "amount_out")
+        amount_in = parse_cell(_amount, row["amount_in"], i, "amount_in", name)
+        amount_out = parse_cell(_amount, row["amount_out"], i, "amount_out", name)
         token_in = row["token_in"].strip().lower()
         token_out = row["token_out"].strip().lower()
         if amount_in <= 0:
-            raise MalformedRow(i, "amount_in must be > 0")
+            raise MalformedRow(i, "amount_in must be > 0", name)
         if amount_out <= 0:
-            raise MalformedRow(i, "amount_out must be > 0")
+            raise MalformedRow(i, "amount_out must be > 0", name)
         if token_in == token_out:
-            raise MalformedRow(i, "token_in == token_out")
+            raise MalformedRow(i, "token_in == token_out", name)
         swap = SwapEvent(
             pool_id=row["pool_id"].strip(),
             dex=row["dex"].strip(),
@@ -248,38 +260,39 @@ def load_transactions(path: str | Path) -> list[RawTransaction]:
             amount_in=amount_in,
             token_out=token_out,
             amount_out=amount_out,
-            log_index=parse_cell(int, row["log_index"], i, "log_index"),
-            first_in_direction=parse_cell(_bool, row["first_in_direction"], i, "first_in_direction"),
+            log_index=parse_cell(int, row["log_index"], i, "log_index", name),
+            first_in_direction=parse_cell(
+                _bool, row["first_in_direction"], i, "first_in_direction", name),
         )
-        erc721 = parse_cell(int, row["erc721_transfer_count"], i, "erc721_transfer_count")
+        erc721 = parse_cell(int, row["erc721_transfer_count"], i, "erc721_transfer_count", name)
         if erc721 < 0:
-            raise MalformedRow(i, "erc721_transfer_count must be >= 0")
+            raise MalformedRow(i, "erc721_transfer_count must be >= 0", name)
         fees = {}
         for col in ("base_fee_eth", "priority_fee_eth", "coinbase_transfer_eth", "volume_usd"):
-            v = parse_cell(float, row[col], i, col)
+            v = parse_cell(float, row[col], i, col, name)
             if v < 0:
-                raise MalformedRow(i, f"{col} must be >= 0")
+                raise MalformedRow(i, f"{col} must be >= 0", name)
             fees[col] = v
         header = dict(
             tx_hash=row["tx_hash"].strip(),
-            block_number=parse_cell(int, row["block_number"], i, "block_number"),
-            slot_time_ms=parse_cell(int, row["slot_time_ms"], i, "slot_time_ms"),
+            block_number=parse_cell(int, row["block_number"], i, "block_number", name),
+            slot_time_ms=parse_cell(int, row["slot_time_ms"], i, "slot_time_ms", name),
             searcher_contract=row["searcher_contract"].strip().lower(),
             erc721_transfer_count=erc721,
             builder_label=row["builder_label"].strip(),
             **fees,
-            **{c: parse_cell(_bool, row[c], i, c) for c in _TX_FLAGS},
+            **{c: parse_cell(_bool, row[c], i, c, name) for c in _TX_FLAGS},
         )
         if not header["tx_hash"]:
-            raise MalformedRow(i, "empty tx_hash")
+            raise MalformedRow(i, "empty tx_hash", name)
         entry = grouped.get(header["tx_hash"])
         if entry is None:
             grouped[header["tx_hash"]] = {"header": header, "swaps": [swap], "row": i}
         else:
             if entry["header"] != header:
-                raise MalformedRow(i, "transaction-level fields differ across rows of one tx")
+                raise MalformedRow(i, "transaction-level fields differ across rows of one tx", name)
             if any(s.log_index == swap.log_index for s in entry["swaps"]):
-                raise MalformedRow(i, f"duplicate log_index {swap.log_index}")
+                raise MalformedRow(i, f"duplicate log_index {swap.log_index}", name)
             entry["swaps"].append(swap)
 
     txs = []
@@ -294,12 +307,12 @@ def load_transactions(path: str | Path) -> list[RawTransaction]:
     for t in txs:
         prev = by_block.get(t.block_number)
         if prev is not None and prev != t.slot_time_ms:
-            raise NonMonotonicSlotTime(f"block {t.block_number} has two slot times")
+            raise NonMonotonicSlotTime(f"block {t.block_number} has two slot times in {name}")
         by_block[t.block_number] = t.slot_time_ms
     ordered = sorted(by_block.items())
     for (b1, s1), (b2, s2) in zip(ordered, ordered[1:]):
         if s2 <= s1:
-            raise NonMonotonicSlotTime(f"slot time not increasing from block {b1} to {b2}")
+            raise NonMonotonicSlotTime(f"slot time not increasing from block {b1} to {b2} in {name}")
     return txs
 
 
@@ -307,14 +320,90 @@ QUOTE_COLUMNS = ["symbol", "ts_ms", "bid", "ask"]
 
 QuoteArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # ts_ms, bid, ask
 
+_QUOTE_VALUES = np.dtype([("ts_ms", np.int64), ("bid", np.float64), ("ask", np.float64)])
+# ASCII bytes that numpy's tokenizer reads otherwise than csv, int() and
+# float(): numpy skips the separators \x1c-\x1f as blanks around a number,
+# and csv refuses NUL.
+_NOT_PLAIN = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
-def _read_columns(path: Path, columns: list[str]) -> tuple[np.ndarray, list[list[str]]]:
-    """(mask of the rows shorter than the header, each column's raw strings, "" if missing)."""
-    header, rows = read_csv(path, columns)
+
+def _plain_ascii(path: Path) -> bool:
+    """Whether ``path`` is ASCII without the bytes in _NOT_PLAIN. numpy's int
+    parser misreads some non-ASCII digits: the Devanagari two is 2360, where
+    int() says 2."""
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            if not chunk.isascii() or any(b in chunk for b in _NOT_PLAIN):
+                return False
+    return True
+
+
+def _symbol_codes(symbols: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(the stripped symbols in first-seen order, each row's index into that
+    list), with one dict lookup per run of equal symbols."""
+    new_run = np.ones(len(symbols), dtype=bool)
+    new_run[1:] = symbols[1:] != symbols[:-1]
+    starts = np.flatnonzero(new_run)
+    codes: dict[str, int] = {}
+    run_codes = [codes.setdefault(s.strip(), len(codes)) for s in symbols[starts].tolist()]
+    run_lengths = np.diff(starts, append=len(symbols))
+    return list(codes), np.repeat(np.array(run_codes, dtype=np.int64), run_lengths)
+
+
+def _tokenize_quotes(path: Path) -> tuple | None:
+    """(symbols in first-seen order, each row's index into them, ts_ms, bid,
+    ask), read by numpy's C tokenizer with no Python object per cell. None for
+    a file it might read otherwise than csv, int() and float() do, and for
+    one with a short row or a cell it does not parse."""
+    if not _plain_ascii(path):
+        return None
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = _read_header(reader, path, QUOTE_COLUMNS)
+    cols = [header.index(c) for c in QUOTE_COLUMNS]
+    last = len(header) - 1
+    csv_format = dict(delimiter=",", quotechar='"', comments=None, skiprows=reader.line_num)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # The header's last column is read with the symbols unless it is a
+            # quote column, so that a row shorter than the header fails. A
+            # fresh StringDType each call: numpy 2.4 can raise SystemError
+            # when one instance is reused after a failed loadtxt.
+            names, code = _symbol_codes(np.loadtxt(
+                path, dtype=np.dtypes.StringDType(), ndmin=2, **csv_format,
+                usecols=cols[:1] if last in cols else [cols[0], last])[:, 0])
+            # numpy reads with universal newlines, which turn a "\r" inside a
+            # quoted symbol into "\n"
+            if any("\n" in s for s in names):
+                return None
+            values = np.loadtxt(path, dtype=_QUOTE_VALUES, ndmin=1, usecols=cols[1:], **csv_format)
+    except (ValueError, ArithmeticError):
+        return None
+    return names, code, values["ts_ms"], values["bid"], values["ask"]
+
+
+def _parse_quotes_by_cell(path: Path) -> tuple:
+    """As _tokenize_quotes, plus the parse checks, by csv, int() and float():
+    one Python object per cell, but every short row and bad cell is masked,
+    for ``load_quotes`` to name the first. A rejected cell is left 0."""
+    header, rows = read_csv(path, QUOTE_COLUMNS)
     short = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < len(header)
     if short.any():
         rows = [r + [""] * (len(header) - len(r)) for r in rows]
-    return short, [[r[j] for r in rows] for j in map(header.index, columns)]
+    symbols, ts_raw, bid_raw, ask_raw = (
+        [r[j] for r in rows] for j in map(header.index, QUOTE_COLUMNS))
+    ts, bad_ts = _parse_column(ts_raw, int, np.int64)
+    bid, bad_bid = _parse_column(bid_raw, float, np.float64)
+    ask, bad_ask = _parse_column(ask_raw, float, np.float64)
+    name = path.name
+    checks = [
+        (short, lambda i, k: MalformedRow(i, "fewer fields than the header", name)),
+        (bad_ts, lambda i, k: _bad_value(ts_raw[k], i, "ts_ms", name)),
+        (bad_bid, lambda i, k: _bad_value(bid_raw[k], i, "bid", name)),
+        (bad_ask, lambda i, k: _bad_value(ask_raw[k], i, "ask", name)),
+    ]
+    return *_symbol_codes(np.array(symbols, dtype=np.dtypes.StringDType())), ts, bid, ask, checks
 
 
 def _parse_column(raw: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -335,37 +424,39 @@ def _parse_column(raw: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]
 def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
     """Per-symbol (ts_ms, bid, ask) arrays sorted by timestamp ascending.
 
-    Raises for the first row that fails a check, with the first check it
-    fails in the order listed below.
+    numpy's C tokenizer reads the file; one it cannot read is read again
+    cell by cell. Raises for the first row that fails a check, with the
+    first check it fails in the order listed below.
     """
-    short, (symbols, ts_raw, bid_raw, ask_raw) = _read_columns(Path(path), QUOTE_COLUMNS)
-    ts, bad_ts = _parse_column(ts_raw, int, np.int64)
-    bid, bad_bid = _parse_column(bid_raw, float, np.float64)
-    ask, bad_ask = _parse_column(ask_raw, float, np.float64)
-    codes: dict[str, int] = {}
-    code = np.array([codes.setdefault(s.strip(), len(codes)) for s in symbols], dtype=np.int64)
-    # by symbol, time and row: a row with the key of the one before it is a duplicate
-    order = np.lexsort((np.arange(len(ts)), ts, code))
+    path = Path(path)
+    checks = []
+    quotes = _tokenize_quotes(path)
+    if quotes is None:
+        *quotes, checks = _parse_quotes_by_cell(path)
+    names, code, ts, bid, ask = quotes
+    # by symbol and time, rows in file order within a key (lexsort is stable):
+    # a row with the key of the one before it is a duplicate
+    order = np.lexsort((ts, code))
+    code_sorted, ts_sorted = code[order], ts[order]
     dup = np.zeros(len(ts), dtype=bool)
-    dup[order[1:]] = (np.diff(code[order]) == 0) & (np.diff(ts[order]) == 0)
+    dup[order[1:]] = (np.diff(code_sorted) == 0) & (np.diff(ts_sorted) == 0)
+    name = path.name
     # a rejected entry is left 0, which can only fail checks listed after its own
-    checks = [
-        (short, lambda i, k: MalformedRow(i, "fewer fields than the header")),
-        (bad_ts, lambda i, k: _bad_value(ts_raw[k], i, "ts_ms")),
-        (bad_bid, lambda i, k: _bad_value(bid_raw[k], i, "bid")),
-        (bad_ask, lambda i, k: _bad_value(ask_raw[k], i, "ask")),
-        (bid <= 0, lambda i, k: MalformedRow(i, "bid must be > 0")),
-        (ask < bid, lambda i, k: CrossedQuote(i)),
-        (dup, lambda i, k: DuplicateTimestamp(symbols[k].strip(), int(ts[k]))),
+    checks += [
+        (bid <= 0, lambda i, k: MalformedRow(i, "bid must be > 0", name)),
+        (ask < bid, lambda i, k: CrossedQuote(i, name)),
+        (dup, lambda i, k: DuplicateTimestamp(names[code[k]], int(ts[k]), name)),
     ]
     failing = np.vstack([mask for mask, _ in checks])
     if failing.any():
         k = int(np.argmax(failing.any(axis=0)))
         raise checks[int(np.argmax(failing[:, k]))][1](k + 1, k)
-    bounds = np.searchsorted(code[order], np.arange(len(codes) + 1))
+    del failing, dup, checks  # their memory goes to the sorted columns
+    columns = (ts_sorted, bid[order], ask[order])
+    bounds = np.searchsorted(code_sorted, np.arange(len(names) + 1))
     return {
-        symbol: tuple(a[order[bounds[c]:bounds[c + 1]]] for a in (ts, bid, ask))
-        for symbol, c in codes.items()
+        symbol: tuple(a[bounds[c]:bounds[c + 1]] for a in columns)
+        for c, symbol in enumerate(names)
     }
 
 
@@ -377,27 +468,29 @@ BLOCK_COLUMNS = [
 
 def load_block_records(path: str | Path) -> dict[int, BlockRecord]:
     records: dict[int, BlockRecord] = {}
+    name = Path(path).name
     for i, row in _iter_rows(path, BLOCK_COLUMNS):
-        block = parse_cell(int, row["block_number"], i, "block_number")
+        block = parse_cell(int, row["block_number"], i, "block_number", name)
         if block in records:
-            raise DuplicateBlock(block)
-        used = parse_cell(_bool, row["used_bid_adjustment"], i, "used_bid_adjustment")
-        delta = parse_cell(float, row["adjustment_delta_eth"], i, "adjustment_delta_eth")
-        bid = parse_cell(float, row["bid_eth"], i, "bid_eth")
+            raise DuplicateBlock(block, name)
+        used = parse_cell(_bool, row["used_bid_adjustment"], i, "used_bid_adjustment", name)
+        delta = parse_cell(float, row["adjustment_delta_eth"], i, "adjustment_delta_eth", name)
+        bid = parse_cell(float, row["bid_eth"], i, "bid_eth", name)
         if bid < 0:
-            raise MalformedRow(i, "bid_eth must be >= 0")
+            raise MalformedRow(i, "bid_eth must be >= 0", name)
         if delta < 0:
-            raise MalformedRow(i, "adjustment_delta_eth must be >= 0")
+            raise MalformedRow(i, "adjustment_delta_eth must be >= 0", name)
         if not used and delta != 0:
-            raise MalformedRow(i, "adjustment_delta_eth > 0 without used_bid_adjustment")
+            raise MalformedRow(i, "adjustment_delta_eth > 0 without used_bid_adjustment", name)
         records[block] = BlockRecord(
             block_number=block,
             builder_label=row["builder_label"].strip(),
-            coinbase_delta_eth=parse_cell(float, row["coinbase_delta_eth"], i, "coinbase_delta_eth"),
+            coinbase_delta_eth=parse_cell(
+                float, row["coinbase_delta_eth"], i, "coinbase_delta_eth", name),
             bid_eth=bid,
             used_bid_adjustment=used,
             adjustment_delta_eth=delta,
-            slot_time_ms=parse_cell(int, row["slot_time_ms"], i, "slot_time_ms"),
+            slot_time_ms=parse_cell(int, row["slot_time_ms"], i, "slot_time_ms", name),
         )
     return records
 

@@ -20,10 +20,12 @@ class MissingColumn(PipelineError):
 
 
 class MalformedRow(PipelineError):
-    def __init__(self, row_index: int, reason: str = ""):
+    def __init__(self, row_index: int, reason: str = "", file: str = ""):
         self.row_index = row_index
         self.reason = reason
-        super().__init__(f"malformed row {row_index}" + (f": {reason}" if reason else ""))
+        self.file = file
+        super().__init__(f"malformed row {row_index}" + (f" of {file}" if file else "")
+                         + (f": {reason}" if reason else ""))
 
 
 class NonMonotonicSlotTime(PipelineError):
@@ -31,22 +33,27 @@ class NonMonotonicSlotTime(PipelineError):
 
 
 class CrossedQuote(PipelineError):
-    def __init__(self, row_index: int):
+    def __init__(self, row_index: int, file: str = ""):
         self.row_index = row_index
-        super().__init__(f"crossed quote (ask < bid) at row {row_index}")
+        self.file = file
+        super().__init__(f"crossed quote (ask < bid) at row {row_index}"
+                         + (f" of {file}" if file else ""))
 
 
 class DuplicateTimestamp(PipelineError):
-    def __init__(self, symbol: str, ts_ms: int):
+    def __init__(self, symbol: str, ts_ms: int, file: str = ""):
         self.symbol = symbol
         self.ts_ms = ts_ms
-        super().__init__(f"duplicate timestamp {ts_ms} for {symbol}")
+        self.file = file
+        super().__init__(f"duplicate timestamp {ts_ms} for {symbol}"
+                         + (f" in {file}" if file else ""))
 
 
 class DuplicateBlock(PipelineError):
-    def __init__(self, block_number: int):
+    def __init__(self, block_number: int, file: str = ""):
         self.block_number = block_number
-        super().__init__(f"duplicate block {block_number}")
+        self.file = file
+        super().__init__(f"duplicate block {block_number}" + (f" in {file}" if file else ""))
 
 
 class InvalidConfig(PipelineError):

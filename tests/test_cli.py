@@ -112,7 +112,7 @@ def test_short_input_row_exits_1(synth_inputs, tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "MalformedRow",
-                   "message": "malformed row 3: fewer fields than the header"}
+                   "message": "malformed row 3 of tokens.csv: fewer fields than the header"}
 
 
 def test_stage_dependency_exits_1(synth_inputs, tmp_path, capsys):

@@ -1,8 +1,15 @@
+import csv
+import gc
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cexdex import data_model
 from cexdex.data_model import (
     TokenInfo,
     TokenRegistry,
@@ -222,6 +229,127 @@ def test_load_quotes_duplicate_ts(tmp_path):
         load_quotes(p)
 
 
+def reference_quotes(path):
+    """load_quotes of a valid file by csv.reader, int() and float(), row by row."""
+    with open(path, newline="") as f:
+        header, *rows = [r for r in csv.reader(f) if r]
+    cols = [header.index(c) for c in ("symbol", "ts_ms", "bid", "ask")]
+    series: dict[str, list] = {}
+    for r in rows:
+        symbol, ts, bid, ask = (r[j] for j in cols)
+        series.setdefault(symbol.strip(), []).append((int(ts), float(bid), float(ask)))
+    dtypes = (np.int64, np.float64, np.float64)
+    return {
+        symbol: tuple(np.array(c, dtype=t) for c, t in zip(zip(*sorted(quotes)), dtypes))
+        for symbol, quotes in series.items()
+    }
+
+
+def assert_same_quotes(got, want):
+    assert list(got) == list(want)  # first-seen symbol order
+    for symbol in want:
+        for a, b in zip(got[symbol], want[symbol], strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), symbol
+
+
+@pytest.mark.parametrize("text, tokenized", [
+    ('symbol,ts_ms,bid,ask\n"BTC,USDT",100,"99.5",101\n"ETH""X",100,1,2\n"BTC,USDT",50,1,2\n', True),
+    ("symbol,ts_ms,bid,ask\nA#x,100,1,2\n#B,100,1,2\n", True),
+    ("symbol,ts_ms,bid,ask\r\n BTCUSDT , 200 ,\t99.5 , 101 \r\n\r\n\nBTCUSDT,100,1,2\r\n", True),
+    ('symbol,ts_ms,bid,ask\r\n"BTC\r\nUSDT",1,1,2\r\n', False),  # a line break in a symbol
+    ("ask,extra,bid,symbol,ts_ms\n2,x,1,BTC,100,past,the,header\n3,,2,BTC,50\n", True),
+    ('"ex\r\ntra",symbol,ts_ms,bid,ask\r\nx,BTC,1,1,2\r\n', True),  # a header on two lines
+    ("symbol,ts_ms,bid,ask\nA_SYMBOL_LONGER_THAN_16_CHARACTERS,1,1,2\nA_SYMBOL_LONGER_THAN_16,1,1,2\n",
+     True),
+    ("symbol,ts_ms,bid,ask\nBTC,1,1,2\nETH,1,1,2\nBTC,2,1,2\nETH,0,1,2\nBTC,0,1,2\n", True),
+    ("symbol,ts_ms,bid,ask\nÉTHUSDT,1,1,2\n", False),  # not ASCII: read cell by cell
+    ("symbol,ts_ms,bid,ask\nBTC,1_000,1,2\nBTC,999,1.5,2\n", False),  # numpy refuses 1_000
+], ids=["quoted", "hash", "padded-crlf-blank", "crlf-in-symbol", "reordered-extra-long",
+        "two-line-header", "long-symbol", "interleaved", "non-ascii", "underscore"])
+def test_load_quotes_equals_a_csv_reference(tmp_path, text, tokenized):
+    p = tmp_path / "quotes.csv"
+    p.write_bytes(text.encode())
+    assert (data_model._tokenize_quotes(p) is not None) == tokenized
+    assert_same_quotes(load_quotes(p), reference_quotes(p))
+
+
+def test_load_quotes_header_only_is_empty(tmp_path):
+    p = tmp_path / "quotes.csv"
+    for text in (QUOTES_HEADER, QUOTES_HEADER + "\n\n"):
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_quotes(p) == {}
+
+
+def test_load_quotes_reads_numbers_as_int_and_float_do(tmp_path):
+    # numpy's C parser reads the Devanagari digit two as 2360 and skips \x1c as
+    # a blank; int() reads the first as 2 and refuses the second
+    p = tmp_path / "quotes.csv"
+    p.write_bytes("symbol,ts_ms,bid,ask\nBTC,1२,1,2\n".encode())
+    assert load_quotes(p)["BTC"][0].tolist() == [12]
+    p.write_bytes(b"symbol,ts_ms,bid,ask\nBTC,1,1,2\nBTC,\x1c2,1,2\n")
+    with pytest.raises(MalformedRow) as e:
+        load_quotes(p)
+    assert e.value.row_index == 2 and "ts_ms" in str(e.value)
+
+
+def test_load_quotes_after_a_failed_tokenizer_pass(tmp_path):
+    # Both files fail numpy's pass and are read again cell by cell. The
+    # second, whose unclosed quote makes the rest of the file one field,
+    # raised SystemError when the first pass's StringDType was reused.
+    p = tmp_path / "quotes.csv"
+    for text, row in [
+        ("symbol,ts_ms,bid,ask,extra\nBTC,1,1,2,x\nBTC,2,1,2\n", 2),
+        ('symbol,ts_ms,bid,ask,extra\n"\tB\r\n\tC\n \r\n\nBTC,2,1\n', 1),
+    ]:
+        p.write_bytes(text.encode())
+        with pytest.raises(MalformedRow) as e:
+            load_quotes(p)
+        assert e.value.row_index == row and "fewer fields" in str(e.value)
+
+
+decimal_strings = st.from_regex(r"\A[0-9]{1,20}\Z").flatmap(
+    lambda d: st.integers(0, len(d)).map(lambda k: d[:k] + "." + d[k:]))
+
+
+@given(
+    st.lists(st.one_of(st.floats(min_value=0, exclude_min=True).map(repr), decimal_strings),
+             min_size=1, max_size=40),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=40, max_size=40, unique=True),
+)
+@settings(max_examples=100, deadline=None)
+def test_load_quotes_parses_numbers_bit_for_bit(tmp_path_factory, bids, stamps):
+    bids = [b for b in bids if float(b) > 0]
+    p = tmp_path_factory.mktemp("quotes") / "quotes.csv"
+    p.write_text(QUOTES_HEADER + "".join(f"X,{t},{b},inf\n" for t, b in zip(stamps, bids)))
+    assert data_model._tokenize_quotes(p) is not None
+    assert_same_quotes(load_quotes(p), reference_quotes(p))
+
+
+def test_load_quotes_peak_memory_per_row(tmp_path):
+    # numpy's tokenizer peaks near 72 B/row; a parse that makes a Python
+    # object per cell peaks near 380
+    n = 200_000
+    rng = np.random.default_rng(0)
+    p = tmp_path / "quotes.csv"
+    with open(p, "w") as f:
+        f.write(QUOTES_HEADER)
+        for symbol, ts, bid in zip(np.repeat(["ETHUSDT", "BTCUSDT", "TOKAUSDT", "TOKCUSDT"], n // 4),
+                                   np.tile(1_717_200_000_000 + 12_000 * np.arange(n // 4), 4),
+                                   rng.lognormal(5, 2, n).tolist()):
+            f.write(f"{symbol},{ts},{bid!r},{bid * 1.0001!r}\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        series = load_quotes(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(ts) for ts, _, _ in series.values()) == n
+    assert peak / n <= 160
+
+
 BLOCK_HEADER = ("block_number,builder_label,coinbase_delta_eth,bid_eth,"
                 "used_bid_adjustment,adjustment_delta_eth,slot_time_ms")
 
@@ -279,4 +407,35 @@ def test_short_row_reports_its_data_row(tmp_path, text, load):
     p.write_text(third_row_short(text))
     with pytest.raises(MalformedRow) as e:
         load(p)
-    assert e.value.row_index == 3 and "fewer fields" in str(e.value)
+    assert e.value.row_index == 3
+    assert str(e.value) == "malformed row 3 of input.csv: fewer fields than the header"
+
+
+@pytest.mark.parametrize("name, text, load, error, message", [
+    ("tokens.csv", TOKENS_CSV.replace(",6\n", ",six\n"), load_tokens, MalformedRow,
+     "malformed row 1 of tokens.csv: bad value 'six' in decimals"),
+    ("transactions.csv", TX_HEADER + "\n" + tx_row("0xa", 1, 12000, amount_in="0"), load_transactions,
+     MalformedRow, "malformed row 1 of transactions.csv: amount_in must be > 0"),
+    ("blocks.csv", BLOCK_HEADER + "\n1,b1,1.5,-2.0,false,0.0,12000", load_block_records, MalformedRow,
+     "malformed row 1 of blocks.csv: bid_eth must be >= 0"),
+    ("quotes.csv", QUOTES_HEADER + "BTCUSDT,100,99,101\nBTCUSDT,200,99,98\n", load_quotes, CrossedQuote,
+     "crossed quote (ask < bid) at row 2 of quotes.csv"),
+    ("quotes.csv", QUOTES_HEADER + "BTCUSDT,100,99,101\nBTCUSDT,100,99,101\n", load_quotes,
+     DuplicateTimestamp, "duplicate timestamp 100 for BTCUSDT in quotes.csv"),
+    ("quotes.csv", QUOTES_HEADER + "BTCUSDT,100,99,101\nBTCUSDT,200,0,101\n", load_quotes, MalformedRow,
+     "malformed row 2 of quotes.csv: bid must be > 0"),
+    ("quotes.csv", QUOTES_HEADER + "BTCUSDT,100,9x,101\n", load_quotes, MalformedRow,
+     "malformed row 1 of quotes.csv: bad value '9x' in bid"),
+    ("transactions.csv", TX_HEADER + "\n" + tx_row("0xa", 1, 24000) + "\n" + tx_row("0xb", 2, 12000),
+     load_transactions, NonMonotonicSlotTime,
+     "slot time not increasing from block 1 to 2 in transactions.csv"),
+    ("blocks.csv", BLOCK_HEADER + "\n1,b1,1.5,2.0,false,0.0,12000" * 2, load_block_records,
+     DuplicateBlock, "duplicate block 1 in blocks.csv"),
+], ids=["tokens", "transactions", "blocks", "crossed", "duplicate-ts", "bid", "bad-cell",
+        "slot-times", "duplicate-block"])
+def test_loader_errors_name_their_file(tmp_path, name, text, load, error, message):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(error) as e:
+        load(p)
+    assert str(e.value) == message
