@@ -26,8 +26,6 @@ def _error(kind: str, message: str) -> None:
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--charts", action="store_true", help="also write SVG charts")
 
 
@@ -58,11 +56,9 @@ def _write_charts(ws: pipeline.Workspace) -> None:
     except ImportError:
         print("charts skipped: matplotlib not installed", file=sys.stderr)
         return
-    import csv
-
     import numpy as np
 
-    from . import horizon as horizon_mod
+    from . import estimate, horizon as horizon_mod, market
 
     table = ws.markouts
     rows = table.included_rows()
@@ -82,16 +78,12 @@ def _write_charts(ws: pipeline.Workspace) -> None:
 
     cum_path = ws.out_dir / "cumulative_ev.csv"
     if cum_path.exists():
-        series: dict[str, tuple[list[str], list[float]]] = {}
-        with open(cum_path, newline="") as f:
-            for r in csv.DictReader(f):
-                d, c = series.setdefault(r["searcher_label"], ([], []))
-                d.append(r["date"])
-                c.append(float(r["cumulative_ev_usd"]))
+        series: dict[str, list[float]] = {}
+        for r in pipeline._read_output(cum_path, estimate.CumulativeEv, "estimate"):
+            series.setdefault(r.searcher_label, []).append(r.cumulative_ev_usd)
         fig, ax = plt.subplots(figsize=(8, 5))
         for label in sorted(series):
-            d, c = series[label]
-            ax.plot(range(len(d)), c, label=label)
+            ax.plot(range(len(series[label])), series[label], label=label)
         ax.set_xlabel("day index")
         ax.set_ylabel("cumulative EV (USD)")
         ax.legend(fontsize=7)
@@ -100,17 +92,13 @@ def _write_charts(ws: pipeline.Workspace) -> None:
 
     market_path = ws.out_dir / "market.csv"
     if market_path.exists():
-        dates, hhis = [], []
-        seen = set()
-        with open(market_path, newline="") as f:
-            for r in csv.DictReader(f):
-                if r["date"] not in seen and r["hhi_volume"]:
-                    seen.add(r["date"])
-                    dates.append(r["date"])
-                    hhis.append(float(r["hhi_volume"]))
-        if dates:
+        hhis: dict[str, float] = {}  # the first HHI of each date, in file order
+        for r in pipeline._read_output(market_path, market.DailyShare, "market"):
+            if r.hhi_volume is not None:
+                hhis.setdefault(r.date, r.hhi_volume)
+        if hhis:
             fig, ax = plt.subplots(figsize=(8, 4))
-            ax.plot(range(len(dates)), hhis)
+            ax.plot(range(len(hhis)), list(hhis.values()))
             ax.set_xlabel("day index")
             ax.set_ylabel("volume HHI")
             ax.set_ylim(0, 1)
@@ -119,10 +107,8 @@ def _write_charts(ws: pipeline.Workspace) -> None:
 
     integ_path = ws.out_dir / "integration.csv"
     if integ_path.exists():
-        cells: dict[tuple[str, str], float] = {}
-        with open(integ_path, newline="") as f:
-            for r in csv.DictReader(f):
-                cells[(r["searcher_label"], r["builder_label"])] = float(r["volume_fraction"])
+        cells = {(r.searcher_label, r.builder_label): r.volume_fraction
+                 for r in pipeline._read_output(integ_path, market.IntegrationCell, "market")}
         if cells:
             searchers = sorted({s for s, _ in cells})
             builders = sorted({b for _, b in cells})

@@ -45,16 +45,25 @@ class PipelineConfig:
 
 
 def load_config(path: str) -> PipelineConfig:
-    """Read config.json; unknown keys are rejected rather than ignored."""
+    """Read config.json: an object of PipelineConfig fields, each of its
+    field's JSON type; unknown keys are rejected rather than ignored."""
     with open(path) as f:
         try:
             raw = json.load(f)
         except json.JSONDecodeError as e:
             raise InvalidConfig(f"config is not valid JSON: {e}") from e
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(raw) - known
+    if not isinstance(raw, dict):
+        raise InvalidConfig("config must be a JSON object")
+    annotation = {f.name: f.type for f in fields(PipelineConfig)}
+    unknown = set(raw) - set(annotation)
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+    json_types = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
+    for key, value in raw.items():
+        types, what = json_types[annotation[key]]
+        # a JSON true/false is a Python bool, which Python counts as an int
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise InvalidConfig(f"config key {key!r} must be {what}, not {json.dumps(value)}")
     return PipelineConfig(**raw)
 
 

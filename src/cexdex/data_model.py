@@ -496,13 +496,26 @@ def load_block_records(path: str | Path) -> dict[int, BlockRecord]:
 
 
 def load_searchers(path: str | Path) -> SearcherLabelFile:
+    """searchers.json: {"labels": {label: [address, ...]}, "integrated_with":
+    {label: builder}}, either key optional; any other shape is refused."""
     with open(path) as f:
         raw = json.load(f)
-    labels = {
-        str(label): [str(a).lower() for a in addrs]
-        for label, addrs in raw.get("labels", {}).items()
-    }
-    integrated = {str(k): str(v) for k, v in (raw.get("integrated_with") or {}).items()}
+    name = Path(path).name
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{name} must be a JSON object")
+    labels, integrated = raw.get("labels") or {}, raw.get("integrated_with") or {}
+    for key, section in (("labels", labels), ("integrated_with", integrated)):
+        if not isinstance(section, dict):
+            raise InvalidConfig(f"{key!r} in {name} must be an object keyed by searcher label")
+    for label, addrs in labels.items():
+        if not isinstance(addrs, list) or not all(isinstance(a, str) for a in addrs):
+            raise InvalidConfig(f"'labels' of {label!r} in {name} must be a list of "
+                                f"address strings, not {json.dumps(addrs)}")
+    for label, builder in integrated.items():
+        if not isinstance(builder, str):
+            raise InvalidConfig(f"'integrated_with' of {label!r} in {name} must be one "
+                                f"builder label, not {json.dumps(builder)}")
+    labels = {label: [a.lower() for a in addrs] for label, addrs in labels.items()}
     for label in integrated:
         if label not in labels:
             raise InvalidConfig(f"integrated_with references unknown label {label!r}")

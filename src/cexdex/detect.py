@@ -4,6 +4,9 @@ External-knowledge heuristics (mempool privacy, atomic-MEV classification,
 OFA backruns, router/bot labels) arrive as precomputed boolean flags on the
 transaction; this module only combines them and reconstructs the effective
 traded pair from per-swap net flows.
+
+DetectionVerdict declares the rows of verdicts.csv, one per transaction, and
+ArbTrade those of detections.csv, one per transaction that passed.
 """
 
 from __future__ import annotations
@@ -23,10 +26,17 @@ DUST_THRESHOLD = Decimal("1e-12")
 
 @dataclass(frozen=True)
 class DetectionVerdict:
+    """One row of verdicts.csv: h1..h6 in HEURISTICS order, and the reasons
+    for failing, "; "-joined with H6's first ("" when the transaction passed)."""
     tx_hash: str
     passed: bool
-    per_heuristic: dict[str, bool]
-    failure_reasons: tuple[str, ...]
+    h1: bool
+    h2: bool
+    h3: bool
+    h4: bool
+    h5: bool
+    h6: bool
+    failure_reasons: str
 
 
 @dataclass(frozen=True)
@@ -69,14 +79,7 @@ def effective_pair(net_flows: dict[str, Decimal]) -> tuple[str, Decimal, str, De
 
 
 def apply_heuristics(tx: RawTransaction, registry: TokenRegistry) -> DetectionVerdict:
-    per: dict[str, bool] = {}
     reasons: list[str] = []
-
-    per["H1"] = not tx.seen_in_mempool
-    per["H2"] = any(s.first_in_direction for s in tx.swaps)
-    per["H3"] = not tx.atomic_mev_flag and not tx.liquidation_flag
-    per["H4"] = not tx.ofa_backrun_flag
-    per["H5"] = not tx.router_or_bot_flag
 
     h6 = tx.erc721_transfer_count == 0
     if not h6:
@@ -92,25 +95,17 @@ def apply_heuristics(tx: RawTransaction, registry: TokenRegistry) -> DetectionVe
                 if not registry.is_listed(t):
                     h6 = False
                     reasons.append(f"H6: token {t} not CEX-listed")
-    per["H6"] = h6
 
-    if not per["H1"]:
-        reasons.append("H1: seen in public mempool")
-    if not per["H2"]:
-        reasons.append("H2: no swap is first in its direction")
-    if not per["H3"]:
-        reasons.append("H3: atomic MEV or liquidation")
-    if not per["H4"]:
-        reasons.append("H4: OFA backrun")
-    if not per["H5"]:
-        reasons.append("H5: router or labeled bot")
-
-    return DetectionVerdict(
-        tx_hash=tx.tx_hash,
-        passed=all(per.values()),
-        per_heuristic=per,
-        failure_reasons=tuple(reasons),
+    h1_to_h5 = (
+        (not tx.seen_in_mempool, "seen in public mempool"),
+        (any(s.first_in_direction for s in tx.swaps), "no swap is first in its direction"),
+        (not tx.atomic_mev_flag and not tx.liquidation_flag, "atomic MEV or liquidation"),
+        (not tx.ofa_backrun_flag, "OFA backrun"),
+        (not tx.router_or_bot_flag, "router or labeled bot"),
     )
+    reasons += [f"{h}: {why}" for h, (ok, why) in zip(HEURISTICS, h1_to_h5) if not ok]
+    per_heuristic = [ok for ok, _ in h1_to_h5] + [h6]
+    return DetectionVerdict(tx.tx_hash, all(per_heuristic), *per_heuristic, "; ".join(reasons))
 
 
 def detect_all(

@@ -4,6 +4,9 @@ EV = MR(t*) - base fees, PnL = EV - builder tips (priority fee + coinbase
 transfer), margin = PnL / EV only when EV > 0. MR(t*) is the trade's row of
 the markout table read at t*'s grid column. Fee conversions use the
 ETH-USDT mid at slot time.
+
+TradeEconomics, SearcherSummary and CumulativeEv declare the rows of
+economics.csv, summary.csv and cumulative_ev.csv.
 """
 
 from __future__ import annotations
@@ -120,10 +123,16 @@ def _utc_day(ts_ms: int) -> str:
     return datetime.fromtimestamp(ts_ms / 1000, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
-def cumulative_ev_series(
-    economics: list[TradeEconomics],
-) -> dict[str, list[tuple[str, float, float]]]:
-    """Per-searcher (UTC day, ev_sum, cumulative_ev) series.
+@dataclass(frozen=True)
+class CumulativeEv:
+    searcher_label: str
+    date: str
+    ev_usd: float
+    cumulative_ev_usd: float
+
+
+def cumulative_ev_series(economics: list[TradeEconomics]) -> list[CumulativeEv]:
+    """Per-searcher daily EV sums and their running total, by label then day.
 
     Trades are bucketed by UTC day number; empty days between a searcher's
     first and last trade are emitted with 0, and each day is formatted once.
@@ -134,13 +143,12 @@ def cumulative_ev_series(
         buckets = by_searcher.setdefault(e.searcher_label, {})
         buckets[day] = buckets.get(day, 0.0) + e.ev_usd
 
-    out: dict[str, list[tuple[str, float, float]]] = {}
-    for label, buckets in by_searcher.items():
-        rows = []
+    out: list[CumulativeEv] = []
+    for label in sorted(by_searcher):
+        buckets = by_searcher[label]
         cum = 0.0
         for day in range(min(buckets), max(buckets) + 1):
             v = buckets.get(day, 0.0)
             cum += v
-            rows.append((_utc_day(day * DAY_MS), v, cum))
-        out[label] = rows
+            out.append(CumulativeEv(label, _utc_day(day * DAY_MS), v, cum))
     return out

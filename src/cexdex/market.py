@@ -1,5 +1,8 @@
 """Market-structure analytics: shares, HHI, integration, correlations.
 
+DailyShare, IntegrationCell and Correlation declare the rows of market.csv,
+integration.csv and correlations.csv.
+
 Spearman uses midranks for ties; its p-value is the exact two-sided
 permutation probability for n < 10 and the t-approximation otherwise.
 """
@@ -41,6 +44,19 @@ def hhi(shares: list[float]) -> float:
     return float(np.sum(arr * arr))
 
 
+@dataclass(frozen=True)
+class DailyShare:
+    """One row of market.csv; a share or HHI is None where the day's total is 0."""
+    date: str
+    searcher_label: str
+    volume_usd: float
+    volume_share: float | None
+    ev_usd: float
+    ev_share: float | None
+    hhi_volume: float | None
+    hhi_ev: float | None
+
+
 @dataclass
 class IntegrationMatrix:
     searchers: list[str]  # row order
@@ -66,6 +82,16 @@ def integration_matrix(trades: list[ArbTrade]) -> IntegrationMatrix:
         for j, b in enumerate(builders):
             cells[i, j] = volume[s].get(b, 0.0) / total
     return IntegrationMatrix(searchers, builders, cells)
+
+
+@dataclass(frozen=True)
+class IntegrationCell:
+    """One row of integration.csv; class_builder is "" for a Neutral searcher."""
+    searcher_label: str
+    builder_label: str
+    volume_fraction: float
+    class_: str
+    class_builder: str
 
 
 def classify_exclusivity(
@@ -121,6 +147,18 @@ class CorrelationResult:
     n: int
     p_value: float
     lag_days: int = 0
+
+
+@dataclass(frozen=True)
+class Correlation:
+    """One row of correlations.csv; pair and window_end are "" where unused."""
+    analysis: str
+    pair: str
+    lag_days: int
+    window_end: str
+    rho: float
+    n: int
+    p_value: float
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from .data_model import (
     parse_cell,
     read_csv,
 )
-from .detect import ArbTrade, detect_all
+from .detect import ArbTrade, DetectionVerdict, detect_all
 from .errors import PipelineError
 from .estimate import DAY_MS, TradeEconomics
 from .markout import EXCLUSION_INVENTORY
@@ -71,11 +71,16 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return read_csv(path, [])
 
 
+def _columns(cls: type) -> list[str]:
+    """The header of ``cls``'s file: its field names in declaration order,
+    less PEP 8's trailing underscore, so the field ``class_`` is the column ``class``."""
+    return [f.name.removesuffix("_") for f in dataclasses.fields(cls)]
+
+
 def _write_output(path: Path, cls: type, rows) -> None:
-    """Write dataclass instances of ``cls``, one column per field in
-    declaration order: the field names are the header."""
+    """Write dataclass instances of ``cls``, one column per field."""
     names = [f.name for f in dataclasses.fields(cls)]
-    _write_csv(path, names, map(operator.attrgetter(*names), rows))
+    _write_csv(path, _columns(cls), map(operator.attrgetter(*names), rows))
 
 
 # Decoders by field annotation: each reads back what _write_csv wrote.
@@ -102,7 +107,7 @@ def _read_output(path: Path, cls: type, stage: str) -> list:
     except KeyError as e:
         raise TypeError(f"{cls.__name__}: no CSV decoder for a field annotated {e}") from None
     found, rows = _read_csv(path)
-    if found != [f.name for f in fields] or any(len(r) != len(fields) for r in rows):
+    if found != _columns(cls) or any(len(r) != len(fields) for r in rows):
         raise OutdatedOutput(
             f"{path} does not have the columns this version writes (an older "
             f"version's layout?); rerun the {stage} stage"
@@ -124,7 +129,7 @@ def _require_input(input_dir: Path, name: str) -> Path:
 
 
 class Workspace:
-    """One run's inputs and stage outputs, each loaded on first use.
+    """One run's config, and its inputs and stage outputs, each loaded on first use.
 
     A stage that writes an output also keeps the objects it wrote here, so a
     later stage in the same Workspace (as in ``cexdex all``) reads them from
@@ -136,11 +141,9 @@ class Workspace:
         self.input_dir = Path(input_dir)
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-
-    @cached_property
-    def config(self) -> PipelineConfig:
+        # read now, so that a bad config.json is refused before any stage runs
         p = self.input_dir / "config.json"
-        return load_config(p) if p.exists() else PipelineConfig()
+        self.config: PipelineConfig = load_config(p) if p.exists() else PipelineConfig()
 
     @cached_property
     def grid(self) -> MarkoutGrid:
@@ -186,16 +189,7 @@ def run_detect(ws: Workspace) -> None:
     txs = load_transactions(_require_input(ws.input_dir, "transactions.csv"))
     trades, verdicts = detect_all(txs, ws.registry, ws.labels)
     _write_output(ws.out_dir / "detections.csv", ArbTrade, trades)
-    _write_csv(
-        ws.out_dir / "verdicts.csv",
-        ["tx_hash", "passed", "h1", "h2", "h3", "h4", "h5", "h6", "failure_reasons"],
-        (
-            [v.tx_hash, v.passed]
-            + [v.per_heuristic[h] for h in ("H1", "H2", "H3", "H4", "H5", "H6")]
-            + ["; ".join(v.failure_reasons)]
-            for v in verdicts
-        ),
-    )
+    _write_output(ws.out_dir / "verdicts.csv", DetectionVerdict, verdicts)
     ws.detections = trades
 
 
@@ -333,16 +327,8 @@ def run_estimate(ws: Workspace) -> None:
     ]
     _write_output(ws.out_dir / "summary.csv", estimate_mod.SearcherSummary, summaries)
 
-    series = estimate_mod.cumulative_ev_series(economics)
-    _write_csv(
-        ws.out_dir / "cumulative_ev.csv",
-        ["searcher_label", "date", "ev_usd", "cumulative_ev_usd"],
-        (
-            [label, date, ev, cum]
-            for label in sorted(series)
-            for date, ev, cum in series[label]
-        ),
-    )
+    _write_output(ws.out_dir / "cumulative_ev.csv", estimate_mod.CumulativeEv,
+                  estimate_mod.cumulative_ev_series(economics))
 
 
 def _load_economics(ws: Workspace) -> list[TradeEconomics]:
@@ -389,19 +375,14 @@ def run_market(ws: Workspace) -> None:
             if total_ev > 0 else None
         )
         for label in sorted(vols):
-            market_rows.append([
+            market_rows.append(market_mod.DailyShare(
                 date, label, vols[label],
                 vols[label] / total_v if total_v > 0 else None,
                 evs.get(label, 0.0),
                 (evs.get(label, 0.0) / total_ev) if total_ev > 0 else None,
                 hhi_v, hhi_e,
-            ])
-    _write_csv(
-        ws.out_dir / "market.csv",
-        ["date", "searcher_label", "volume_usd", "volume_share",
-         "ev_usd", "ev_share", "hhi_volume", "hhi_ev"],
-        market_rows,
-    )
+            ))
+    _write_output(ws.out_dir / "market.csv", market_mod.DailyShare, market_rows)
 
     matrix = market_mod.integration_matrix(included)
     classes = market_mod.classify_exclusivity(matrix, ws.labels, ws.config.exclusivity_threshold)
@@ -409,12 +390,9 @@ def run_market(ws: Workspace) -> None:
     for i, s in enumerate(matrix.searchers):
         cls, cls_builder = classes[s]
         for j, b in enumerate(matrix.builders):
-            integration_rows.append([s, b, float(matrix.cells[i, j]), cls, cls_builder or ""])
-    _write_csv(
-        ws.out_dir / "integration.csv",
-        ["searcher_label", "builder_label", "volume_fraction", "class", "class_builder"],
-        integration_rows,
-    )
+            integration_rows.append(market_mod.IntegrationCell(
+                s, b, float(matrix.cells[i, j]), cls, cls_builder or ""))
+    _write_output(ws.out_dir / "integration.csv", market_mod.IntegrationCell, integration_rows)
 
     corr_rows = []
     # decline fraction vs Major-Major share across searchers
@@ -435,8 +413,8 @@ def run_market(ws: Workspace) -> None:
             r_count, r_vol = market_mod.decline_vs_major_correlation(
                 declines, [c for _, c, _ in decline_points], [v for _, _, v in decline_points]
             )
-            corr_rows.append(["decline_vs_major_count", "", 0, "", r_count.rho, r_count.n, r_count.p_value])
-            corr_rows.append(["decline_vs_major_volume", "", 0, "", r_vol.rho, r_vol.n, r_vol.p_value])
+            corr_rows += [market_mod.Correlation(name, "", 0, "", r.rho, r.n, r.p_value) for name, r in
+                          (("decline_vs_major_count", r_count), ("decline_vs_major_volume", r_vol))]
         except (market_mod.DegenerateRanks, market_mod.TooShort):
             pass
 
@@ -475,16 +453,13 @@ def run_market(ws: Workspace) -> None:
             }
             for analysis, results in analyses.items():
                 try:
-                    corr_rows += [[analysis, f"{label}->{cls_builder}", lag, end, r.rho, r.n, r.p_value]
+                    corr_rows += [market_mod.Correlation(analysis, f"{label}->{cls_builder}",
+                                                         lag, end, r.rho, r.n, r.p_value)
                                   for lag, end, r in results()]
                 except (market_mod.TooShort, market_mod.DegenerateRanks, market_mod.LengthMismatch):
                     pass
 
-    _write_csv(
-        ws.out_dir / "correlations.csv",
-        ["analysis", "pair", "lag_days", "window_end", "rho", "n", "p_value"],
-        corr_rows,
-    )
+    _write_output(ws.out_dir / "correlations.csv", market_mod.Correlation, corr_rows)
 
 
 # ---------------------------------------------------------------------------

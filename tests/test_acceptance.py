@@ -16,7 +16,7 @@ from cexdex.builder import RefundSchedule, builder_onchain_profit, subsidy_flags
 from cexdex.cli import main
 from cexdex.config import PipelineConfig
 from cexdex.data_model import BlockRecord
-from cexdex.detect import apply_heuristics
+from cexdex.detect import HEURISTICS, apply_heuristics
 from cexdex.estimate import trade_economics
 from cexdex.horizon import SearcherProfile
 from cexdex.market import (
@@ -33,9 +33,8 @@ from cexdex import _kernels
 from conftest import make_store, make_trade
 
 
-def run_pipeline(inputs: Path, out: Path, threads: int = 1):
-    rc = main(["all", "--input-dir", str(inputs), "--out-dir", str(out),
-               "--threads", str(threads)])
+def run_pipeline(inputs: Path, out: Path):
+    rc = main(["all", "--input-dir", str(inputs), "--out-dir", str(out)])
     assert rc == 0
 
 
@@ -59,7 +58,7 @@ def test_criterion_1_heuristic_corpus(registry):
         verdict = apply_heuristics(tx, registry)
         expected_pass, expected_failed = manifest[tx.tx_hash]
         assert verdict.passed == expected_pass, tx.tx_hash
-        failed = {h for h, ok in verdict.per_heuristic.items() if not ok}
+        failed = {h for h in HEURISTICS if not getattr(verdict, h.lower())}
         assert failed == set(expected_failed), tx.tx_hash
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -256,7 +255,9 @@ def test_criterion_7_statistics():
 
 # 8 ------------------------------------------------------------------------
 
-def test_criterion_8_thread_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path):
+    """Two `cexdex all` runs and one run of the six stage commands write the
+    same bytes: every CSV and manifest.json."""
     cfg = SynthConfig(
         seed=9, n_days=2,
         searchers=(
@@ -269,15 +270,20 @@ def test_criterion_8_thread_determinism(tmp_path):
     )
     inputs = tmp_path / "in"
     generate(cfg, inputs)
+    for run in ("all_1", "all_2"):
+        run_pipeline(inputs, tmp_path / run)
+    for stage in ("detect", "markout", "horizon", "estimate", "market", "builder"):
+        rc = main([stage, "--input-dir", str(inputs), "--out-dir", str(tmp_path / "stages")])
+        assert rc == 0
     outs = {}
-    for threads in (1, 4, 7):
-        out = tmp_path / f"out_t{threads}"
-        run_pipeline(inputs, out, threads=threads)
-        outs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
-    assert outs[1] == outs[4] == outs[7]
-    assert len(outs[1]) >= 12
-    print(f"\nPASS criterion 8: {len(outs[1])} CSVs byte-identical across "
-          "--threads 1/4/7")
+    for run in ("all_1", "all_2", "stages"):
+        files = sorted((tmp_path / run).glob("*.csv")) + [tmp_path / run / "manifest.json"]
+        outs[run] = {p.name: p.read_bytes() for p in files}
+    assert outs["all_1"] == outs["all_2"] == outs["stages"]
+    n_csv = sum(name.endswith(".csv") for name in outs["all_1"])
+    assert n_csv >= 12
+    print(f"\nPASS criterion 8: {n_csv} CSVs and manifest.json byte-identical "
+          "across two `all` runs and one stagewise run")
 
 
 # 9 ------------------------------------------------------------------------

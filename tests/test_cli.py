@@ -1,9 +1,11 @@
+import csv
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,55 @@ def test_grid_step_off_the_decline_window_exits_1(synth_inputs, tmp_path, capsys
     assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "out")]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidConfig" and "grid_step_s" in err["message"]
+
+
+def run_with_replaced_input(synth_inputs, tmp_path, capsys, name: str, text: str):
+    """(exit code, error JSON, CSVs written) of `cexdex all` on a copy of the
+    inputs whose ``name`` holds ``text``."""
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    shutil.copytree(synth_inputs, inputs)
+    (inputs / name).write_text(text)
+    capsys.readouterr()
+    rc = main(["all", "--input-dir", str(inputs), "--out-dir", str(out)])
+    lines = capsys.readouterr().err.strip().splitlines()
+    return rc, json.loads(lines[-1]) if lines else None, sorted(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("update, message", [
+    ({"grid_step_s": "0.5"}, "'grid_step_s' must be a number, not \"0.5\""),
+    ({"min_trades_low_confidence": "x"}, "'min_trades_low_confidence' must be an integer"),
+    ({"quote_staleness_ms": True}, "'quote_staleness_ms' must be an integer, not true"),
+    ({"rolling_window_days": 30.5}, "'rolling_window_days' must be an integer, not 30.5"),
+    ({"taker_fee_rate": False}, "'taker_fee_rate' must be a number, not false"),
+], ids=["str_for_float", "str_for_int", "bool_for_int", "float_for_int", "bool_for_float"])
+def test_config_value_of_another_type_exits_1(synth_inputs, tmp_path, capsys, update, message):
+    """Each config.json value must have its field's JSON type (a bool is
+    neither an integer nor a number); it is checked before any stage runs."""
+    config = json.loads((synth_inputs / "config.json").read_text())
+    rc, err, written = run_with_replaced_input(
+        synth_inputs, tmp_path, capsys, "config.json", json.dumps({**config, **update}))
+    assert (rc, err["error"], written) == (1, "InvalidConfig", [])
+    assert message in err["message"]
+
+
+def test_config_that_is_not_an_object_exits_1(synth_inputs, tmp_path, capsys):
+    rc, err, written = run_with_replaced_input(synth_inputs, tmp_path, capsys, "config.json", "[]")
+    assert (rc, err["error"], written) == (1, "InvalidConfig", [])
+    assert "JSON object" in err["message"]
+
+
+@pytest.mark.parametrize("searchers, message", [
+    ([{"labels": {}}], "searchers.json must be a JSON object"),
+    ({"labels": {"s_gentle": "0x5ea"}},
+     "'labels' of 's_gentle' in searchers.json must be a list of address strings"),
+    ({"labels": {"s_gentle": ["0x5ea"]}, "integrated_with": {"s_gentle": ["builderA"]}},
+     "'integrated_with' of 's_gentle' in searchers.json must be one builder label"),
+], ids=["top_level_list", "labels_a_string", "integrated_with_a_list"])
+def test_searchers_of_another_shape_exit_1(synth_inputs, tmp_path, capsys, searchers, message):
+    rc, err, _ = run_with_replaced_input(
+        synth_inputs, tmp_path, capsys, "searchers.json", json.dumps(searchers))
+    assert (rc, err["error"]) == (1, "InvalidConfig")
+    assert message in err["message"]
 
 
 def test_manifest_digests_match(synth_inputs, tmp_path):
@@ -155,6 +206,112 @@ def test_charts_flag(synth_inputs, tmp_path):
     assert rc == 0
     assert (out / "median_gr.svg").exists()
     assert (out / "integration.svg").exists()
+
+
+class Recorder:
+    """Stands for a matplotlib figure or axes: each method call is appended
+    to the list its figure shares with its axes."""
+
+    def __init__(self, calls: list):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self.calls.append((name, args, kwargs))
+
+
+@pytest.fixture
+def charts(monkeypatch):
+    """A recording stand-in for matplotlib: {saved file name: its figure's
+    calls}, filled as --charts saves each figure."""
+    figures: list[list] = []
+
+    def subplots(**kwargs):
+        figures.append([])
+        return Recorder(figures[-1]), Recorder(figures[-1])
+
+    mpl = types.ModuleType("matplotlib")
+    mpl.use = lambda backend: None
+    mpl.pyplot = plt = types.ModuleType("matplotlib.pyplot")
+    plt.subplots, plt.close = subplots, lambda fig: None
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+
+    def saved() -> dict[str, list]:
+        return {Path(args[0]).name: calls for calls in figures
+                for name, args, _ in calls if name == "savefig"}
+    return saved
+
+
+def read_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def calls_named(calls: list, name: str) -> list:
+    return [(args, kwargs) for n, args, kwargs in calls if n == name]
+
+
+def test_charts_draw_the_stage_outputs(tmp_path, charts):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(dict(SCENARIO, n_days=3)))
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    assert main(["synth", "--config", str(scenario), "--out-dir", str(inputs)]) == 0
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out), "--charts"]) == 0
+    figures = charts()
+    assert set(figures) == {"median_gr.svg", "cumulative_ev.svg", "hhi.svg", "integration.svg"}
+
+    cumulative: dict[str, list[float]] = {}
+    for r in read_rows(out / "cumulative_ev.csv"):
+        cumulative.setdefault(r["searcher_label"], []).append(float(r["cumulative_ev_usd"]))
+    lines = calls_named(figures["cumulative_ev.svg"], "plot")
+    assert {kw["label"]: list(args[1]) for args, kw in lines} == cumulative
+    assert all(list(args[0]) == list(range(len(args[1]))) for args, _ in lines)
+
+    hhis: dict[str, float] = {}
+    for r in read_rows(out / "market.csv"):
+        if r["hhi_volume"]:
+            hhis.setdefault(r["date"], float(r["hhi_volume"]))
+    assert len(hhis) == 3
+    [(args, _)] = calls_named(figures["hhi.svg"], "plot")
+    assert list(args[1]) == list(hhis.values())
+
+    cells = {(r["searcher_label"], r["builder_label"]): float(r["volume_fraction"])
+             for r in read_rows(out / "integration.csv")}
+    searchers, builders = sorted({s for s, _ in cells}), sorted({b for _, b in cells})
+    [(args, _)] = calls_named(figures["integration.svg"], "imshow")
+    assert args[0].tolist() == [[cells[(s, b)] for b in builders] for s in searchers]
+
+
+def test_charts_hhi_takes_each_dates_first_value(synth_inputs, tmp_path, charts):
+    """An empty hhi_volume is skipped; "0.0" is a value."""
+    out = tmp_path / "out"
+    assert main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out)]) == 0
+    with open(out / "market.csv", newline="") as f:
+        header = next(csv.reader(f))
+    rows = [("2024-06-01", "a", ""), ("2024-06-01", "b", "0.5"), ("2024-06-01", "c", "0.25"),
+            ("2024-06-02", "a", "0.0"), ("2024-06-02", "b", "0.75"), ("2024-06-03", "a", "")]
+    with open(out / "market.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([date, label, 1.0, "", 0.0, "", hhi, ""] for date, label, hhi in rows)
+    assert main(["builder", "--input-dir", str(synth_inputs), "--out-dir", str(out),
+                 "--charts"]) == 0
+    [(args, _)] = calls_named(charts()["hhi.svg"], "plot")
+    assert list(args[1]) == [0.5, 0.0]
+
+
+def test_charts_refuse_an_older_layout(synth_inputs, tmp_path, charts, capsys):
+    out = tmp_path / "out"
+    assert main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out)]) == 0
+    path = out / "cumulative_ev.csv"
+    text = path.read_text()
+    path.write_text(text.replace("cumulative_ev_usd", "cum_ev_usd", 1))
+    capsys.readouterr()
+    assert main(["market", "--input-dir", str(synth_inputs), "--out-dir", str(out),
+                 "--charts"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OutdatedOutput"
+    assert "cumulative_ev.csv" in err["message"] and "estimate stage" in err["message"]
 
 
 def test_startup_imports_no_scipy():

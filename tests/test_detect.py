@@ -2,8 +2,11 @@ from decimal import Decimal
 
 import pytest
 
+from cexdex import pipeline
 from cexdex.data_model import SearcherLabelFile
-from cexdex.detect import aggregate_swaps, apply_heuristics, detect_all, effective_pair
+from cexdex.detect import (
+    HEURISTICS, DetectionVerdict, aggregate_swaps, apply_heuristics, detect_all, effective_pair,
+)
 from cexdex.errors import NotTwoSided
 
 from conftest import TOKA, TOKC, USDT, make_swap, make_tx
@@ -68,10 +71,48 @@ def test_corpus_verdicts(registry):
         verdict = apply_heuristics(tx, registry)
         expected_pass, expected_failed = manifest[tx.tx_hash]
         assert verdict.passed == expected_pass, tx.tx_hash
-        failed = {h for h, ok in verdict.per_heuristic.items() if not ok}
+        failed = {h for h in HEURISTICS if not getattr(verdict, h.lower())}
         assert failed == set(expected_failed), tx.tx_hash
         if not expected_pass:
             assert verdict.failure_reasons
+
+
+UNLISTED = "0x" + "5" * 40
+
+# verdicts.csv lines of the corpus: one failure per heuristic, several
+# reasons (H6's first) and a pass, whose reasons field is empty
+VERDICT_LINES = {
+    "0xcase0001": "0xcase0001,true,true,true,true,true,true,true,",
+    "0xcase0002": "0xcase0002,false,false,true,true,true,true,true,H1: seen in public mempool",
+    "0xcase0003": "0xcase0003,false,true,false,true,true,true,true,"
+                  "H2: no swap is first in its direction",
+    "0xcase0004": "0xcase0004,false,true,true,false,true,true,true,H3: atomic MEV or liquidation",
+    "0xcase0007": "0xcase0007,false,true,true,true,false,true,true,H4: OFA backrun",
+    "0xcase0008": "0xcase0008,false,true,true,true,true,false,true,H5: router or labeled bot",
+    "0xcase0009": "0xcase0009,false,true,true,true,true,true,false,H6: contains ERC-721 transfer",
+    "0xcase0012": "0xcase0012,false,true,true,true,true,true,false,H6: net flows over 0 tokens",
+    "0xcase0014": f"0xcase0014,false,true,true,true,true,true,false,H6: token {UNLISTED} not CEX-listed",
+    "0xcase0024": f"0xcase0024,false,true,false,true,true,true,false,H6: token {UNLISTED} "
+                  "not CEX-listed; H2: no swap is first in its direction",
+    "0xcase0025": "0xcase0025,false,false,false,false,false,false,false,"
+                  "H6: contains ERC-721 transfer; H1: seen in public mempool; "
+                  "H2: no swap is first in its direction; H3: atomic MEV or liquidation; "
+                  "H4: OFA backrun; H5: router or labeled bot",
+}
+
+
+def test_corpus_verdicts_csv_lines(registry, tmp_path):
+    """The corpus's verdicts, written as run_detect writes verdicts.csv."""
+    txs, _ = build_corpus()
+    verdicts = [apply_heuristics(tx, registry) for tx in txs]
+    path = tmp_path / "verdicts.csv"
+    pipeline._write_output(path, DetectionVerdict, verdicts)
+    header, *lines = path.read_text().splitlines()
+    assert header == "tx_hash,passed,h1,h2,h3,h4,h5,h6,failure_reasons"
+    by_hash = {line.split(",")[0]: line for line in lines}
+    assert len(lines) == len(by_hash) == 40
+    assert {h: by_hash[h] for h in VERDICT_LINES} == VERDICT_LINES
+    assert pipeline._read_output(path, DetectionVerdict, "detect") == verdicts
 
 
 def test_detect_all_counts_and_labels(registry):

@@ -2,6 +2,7 @@ import pytest
 
 from cexdex.errors import PatternThreeExcluded
 from cexdex.estimate import (
+    CumulativeEv,
     TradeEconomics,
     cumulative_ev_series,
     searcher_summary,
@@ -91,16 +92,16 @@ def test_summary_counts_include_exclusions():
 def test_cumulative_series_daily():
     rows = [econ(3.0, 3.0, slot=T0), econ(4.0, 4.0, slot=T0 + 1000),
             econ(5.0, 5.0, slot=T0 + 2 * DAY_MS)]
-    series = cumulative_ev_series(rows)["s1"]
+    series = cumulative_ev_series(rows)
     assert series == [
-        ("2024-06-01", 7.0, 7.0),
-        ("2024-06-02", 0.0, 7.0),  # empty day emitted
-        ("2024-06-03", 5.0, 12.0),
+        CumulativeEv("s1", "2024-06-01", 7.0, 7.0),
+        CumulativeEv("s1", "2024-06-02", 0.0, 7.0),  # empty day emitted
+        CumulativeEv("s1", "2024-06-03", 5.0, 12.0),
     ]
 
 
 def test_utc_day_boundary():
     rows = [econ(1.0, 1.0, slot=T0 + DAY_MS - 1), econ(2.0, 2.0, slot=T0 + DAY_MS)]
-    series = cumulative_ev_series(rows)["s1"]
-    assert series[0][:2] == ("2024-06-01", 1.0)
-    assert series[1][:2] == ("2024-06-02", 2.0)
+    series = cumulative_ev_series(rows)
+    assert [(r.searcher_label, r.date, r.ev_usd) for r in series] == [
+        ("s1", "2024-06-01", 1.0), ("s1", "2024-06-02", 2.0)]
