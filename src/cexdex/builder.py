@@ -3,7 +3,8 @@
 Without bid adjustment, the builder's on-chain profit is the coinbase
 balance delta. With it, the original bid is paid from an EOA and part of
 the adjustment delta is refunded, so BP = dC - b + r*delta with the refund
-rate r taken from a dated schedule. Aggregated profit adds the integrated
+rate r set by the slot time: 1 until Ultra Sound relay halved it at
+REFUND_CUTOFF_MS, 0.5 from then on. Aggregated profit adds the integrated
 searcher's PnL earned inside the same block.
 """
 
@@ -16,22 +17,12 @@ from .errors import ZeroDenominator
 from .estimate import TradeEconomics
 
 # Ultra Sound relay halved the refund rate at 2024-03-05 05:00 UTC.
-DEFAULT_REFUND_CUTOFF_MS = 1709614800000
+REFUND_CUTOFF_MS = 1709614800000
 
 
-@dataclass(frozen=True)
-class RefundSchedule:
-    cutoff_ts_ms: int = DEFAULT_REFUND_CUTOFF_MS
-    rate_before: float = 1.0
-    rate_after: float = 0.5
-
-    def __post_init__(self):
-        for r in (self.rate_before, self.rate_after):
-            if not (0.0 <= r <= 1.0):
-                raise ValueError("refund rates must be in [0, 1]")
-
-    def rate_at(self, slot_time_ms: int) -> float:
-        return self.rate_before if slot_time_ms < self.cutoff_ts_ms else self.rate_after
+def refund_rate(slot_time_ms: int) -> float:
+    """Share of the adjustment delta refunded to a block at this slot time."""
+    return 1.0 if slot_time_ms < REFUND_CUTOFF_MS else 0.5
 
 
 @dataclass
@@ -47,14 +38,12 @@ class BuilderBlockEconomics:
     subsidized_after: bool
 
 
-def builder_onchain_profit(
-    block: BlockRecord, schedule: RefundSchedule, eth_usd: float
-) -> float:
+def builder_onchain_profit(block: BlockRecord, eth_usd: float) -> float:
     """BP in USD at the slot-time ETH price."""
     if not block.used_bid_adjustment:
         bp_eth = block.coinbase_delta_eth
     else:
-        r = schedule.rate_at(block.slot_time_ms)
+        r = refund_rate(block.slot_time_ms)
         bp_eth = block.coinbase_delta_eth - block.bid_eth + r * block.adjustment_delta_eth
     return bp_eth * eth_usd
 
@@ -84,11 +73,9 @@ def integrated_searcher_pnl(
     return sum(pnl_by_block.get((block.block_number, searcher), [])), True
 
 
-def aggregated_margin(
-    block: BlockRecord, p_usd: float, schedule: RefundSchedule, eth_usd: float
-) -> float:
+def aggregated_margin(block: BlockRecord, p_usd: float, eth_usd: float) -> float:
     """PM = P / (P + b - r*delta), all USD."""
-    r = schedule.rate_at(block.slot_time_ms) if block.used_bid_adjustment else 0.0
+    r = refund_rate(block.slot_time_ms) if block.used_bid_adjustment else 0.0
     denom = p_usd + (block.bid_eth - r * block.adjustment_delta_eth) * eth_usd
     if denom == 0:
         raise ZeroDenominator(f"block {block.block_number}")
@@ -105,16 +92,15 @@ def block_economics(
     block: BlockRecord,
     pnl_by_block: dict[tuple[int, str], list[float]],
     searcher_of_builder: dict[str, str],
-    schedule: RefundSchedule,
     eth_usd: float,
 ) -> BuilderBlockEconomics:
     """``pnl_by_block`` from ``index_pnl``; ``searcher_of_builder`` from
     ``SearcherLabelFile.builder_to_searcher``."""
-    bp = builder_onchain_profit(block, schedule, eth_usd)
+    bp = builder_onchain_profit(block, eth_usd)
     sp, applicable = integrated_searcher_pnl(block, pnl_by_block, searcher_of_builder)
     p = bp + sp
     try:
-        margin = aggregated_margin(block, p, schedule, eth_usd)
+        margin = aggregated_margin(block, p, eth_usd)
     except ZeroDenominator:
         margin = None
     before, after = subsidy_flags(bp, p)
@@ -153,7 +139,6 @@ class BuilderSummary:
 def builder_summary(
     blocks: list[BlockRecord],
     per_block: list[BuilderBlockEconomics],
-    schedule: RefundSchedule,
     eth_usd_by_block: dict[int, float],
 ) -> list[BuilderSummary]:
     """One Table-2/3 style row per builder, deterministic label order."""
@@ -171,7 +156,7 @@ def builder_summary(
         for block, econ in rows:
             eth = eth_usd_by_block[block.block_number]
             try:
-                builder_margins.append(aggregated_margin(block, econ.bp_usd, schedule, eth))
+                builder_margins.append(aggregated_margin(block, econ.bp_usd, eth))
             except ZeroDenominator:
                 skipped += 1
             if econ.margin is not None:

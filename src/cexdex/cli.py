@@ -60,16 +60,18 @@ def _write_charts(ws: pipeline.Workspace) -> None:
 
     from . import estimate, horizon as horizon_mod, market
 
-    table = ws.markouts
-    rows = table.included_rows()
+    rows = {}
+    if (ws.out_dir / "markouts.csv").exists():
+        table = ws.markouts
+        rows = table.included_rows()
     if rows:
         fig, ax = plt.subplots(figsize=(8, 5))
         for label in sorted(rows):
-            med = horizon_mod.median_curve(label, table.gr[rows[label]], ws.grid.offsets_s)
-            ax.plot(med.offsets_s, med.median_gr * 1e4, label=label)
-            ax.fill_between(med.offsets_s, med.q25_gr * 1e4, med.q75_gr * 1e4, alpha=0.15)
+            med = horizon_mod.median_curve(label, table.gr[rows[label]], ws.grid)
+            ax.plot(med.grid.offsets_s, med.median_gr * 1e4, label=label)
+            ax.fill_between(med.grid.offsets_s, med.q25_gr * 1e4, med.q75_gr * 1e4, alpha=0.15)
             peak = int(np.argmax(med.median_gr))
-            ax.plot(med.offsets_s[peak], med.median_gr[peak] * 1e4, "v")
+            ax.plot(med.grid.offsets_s[peak], med.median_gr[peak] * 1e4, "v")
         ax.set_xlabel("markout offset (s)")
         ax.set_ylabel("median gross return (bps)")
         ax.legend(fontsize=7)

@@ -1,8 +1,14 @@
-"""Run configuration and the markout grid."""
+"""Run configuration and the markout grid it defines.
+
+A PipelineConfig is checked whole when it is made, so a bad config.json is
+refused before any stage runs; MarkoutGrid is built from one and holds no
+settings of its own.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, fields
 
 from .errors import InvalidConfig
@@ -26,6 +32,10 @@ class PipelineConfig:
     min_trades_low_confidence: int = 100
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InvalidConfig(f"config key {f.name!r} must be a finite number, not {value}")
         if self.grid_step_s <= 0:
             raise InvalidConfig("grid_step_s must be > 0")
         step_ms = round(self.grid_step_s * 1000)
@@ -35,6 +45,9 @@ class PipelineConfig:
             )
         if self.grid_start_s >= self.grid_end_s:
             raise InvalidConfig("grid_start_s must be < grid_end_s")
+        if 0 not in MarkoutGrid(self).offsets_ms:
+            raise InvalidConfig("the grid from grid_start_s to grid_end_s by grid_step_s "
+                                "must contain offset 0.0")
         if not (0 < self.exclusivity_threshold < 1):
             raise InvalidConfig("exclusivity_threshold must be in (0, 1)")
         if self.quote_staleness_ms <= 0:
@@ -68,26 +81,17 @@ def load_config(path: str) -> PipelineConfig:
 
 
 class MarkoutGrid:
-    """Ordered markout offsets in seconds; default -1.0 .. +10.0 at 0.5 s.
+    """A config's markout offsets, grid_start_s to grid_end_s by grid_step_s.
 
     Offsets are stored both in seconds and in integer milliseconds so that
-    quote-store lookups never accumulate float error.
+    quote-store lookups never accumulate float error. PipelineConfig has
+    checked that they include 0.
     """
 
-    def __init__(self, start_s: float = -1.0, end_s: float = 10.0, step_s: float = 0.5):
-        if step_s <= 0 or start_s >= end_s:
-            raise InvalidConfig("bad grid bounds")
-        step_ms = round(step_s * 1000)
-        start_ms = round(start_s * 1000)
-        end_ms = round(end_s * 1000)
-        self.offsets_ms: list[int] = list(range(start_ms, end_ms + 1, step_ms))
+    def __init__(self, cfg: PipelineConfig):
+        start_ms, end_ms = round(cfg.grid_start_s * 1000), round(cfg.grid_end_s * 1000)
+        self.offsets_ms = list(range(start_ms, end_ms + 1, round(cfg.grid_step_s * 1000)))
         self.offsets_s: list[float] = [ms / 1000.0 for ms in self.offsets_ms]
-        if 0 not in self.offsets_ms:
-            raise InvalidConfig("grid must contain offset 0.0")
-
-    @classmethod
-    def from_config(cls, cfg: PipelineConfig) -> "MarkoutGrid":
-        return cls(cfg.grid_start_s, cfg.grid_end_s, cfg.grid_step_s)
 
     def __len__(self) -> int:
         return len(self.offsets_ms)

@@ -49,7 +49,6 @@ class TokenInfo:
     symbol: str
     cex_listed: bool
     is_major: bool
-    decimals: int
     quote_symbol: str  # symbol used for the Binance USDT pair
 
 
@@ -207,11 +206,11 @@ def load_tokens(path: str | Path) -> TokenRegistry:
         quote_symbol = (row.get("quote_symbol") or "").strip()
         if not quote_symbol:
             quote_symbol = QUOTE_SYMBOL_ALIASES.get(symbol, symbol)
+        parse_cell(int, row["decimals"], i, "decimals", name)  # checked, not kept
         entries[addr] = TokenInfo(
             symbol=symbol,
             cex_listed=parse_cell(_bool, row["cex_listed"], i, "cex_listed", name),
             is_major=parse_cell(_bool, row["is_major"], i, "is_major", name),
-            decimals=parse_cell(int, row["decimals"], i, "decimals", name),
             quote_symbol=quote_symbol,
         )
     return TokenRegistry(entries)

@@ -1,11 +1,12 @@
 """Per-searcher optimal execution horizon and curve-shape classification.
 
 A searcher's input is the GR rows of its included trades, one column per
-grid offset (``MarkoutTable.gr`` at ``MarkoutTable.included_rows()``). The
-horizon t* is the grid offset maximizing the cross-trade median gross
-return; tied maxima on the leading plateau (before the first strict
-decrease) resolve to the largest offset. Searchers with no discernible
-peak (flat curve) are classified Pattern 3 and carry no horizon.
+offset of the run's MarkoutGrid (``MarkoutTable.gr`` at
+``MarkoutTable.included_rows()``); an offset's column is always
+``MarkoutGrid.index_of``. The horizon t* is the grid offset maximizing the
+cross-trade median gross return; tied maxima on the leading plateau (before
+the first strict decrease) resolve to the largest offset. Searchers with no
+discernible peak (flat curve) are classified Pattern 3 and carry no horizon.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ PATTERN_FLAT = "P3"
 @dataclass
 class MedianCurve:
     searcher_label: str
-    offsets_s: list[float]
+    grid: MarkoutGrid
     median_gr: np.ndarray
     q25_gr: np.ndarray
     q75_gr: np.ndarray
@@ -42,7 +43,7 @@ class SearcherProfile:
     low_confidence: bool = False
 
 
-def median_curve(searcher_label: str, grs: np.ndarray, offsets_s: list[float]) -> MedianCurve:
+def median_curve(searcher_label: str, grs: np.ndarray, grid: MarkoutGrid) -> MedianCurve:
     """Per-offset median and quartiles over the GR rows of one searcher's trades.
 
     Even-cardinality medians are the mean of the two central order
@@ -52,7 +53,7 @@ def median_curve(searcher_label: str, grs: np.ndarray, offsets_s: list[float]) -
         raise NoTrades(searcher_label)
     return MedianCurve(
         searcher_label=searcher_label,
-        offsets_s=list(offsets_s),
+        grid=grid,
         median_gr=np.median(grs, axis=0),
         q25_gr=np.quantile(grs, 0.25, axis=0),
         q75_gr=np.quantile(grs, 0.75, axis=0),
@@ -70,19 +71,16 @@ def optimal_horizon(curve: MedianCurve) -> float:
     # extend over consecutive ties until the first strict decrease
     while peak + 1 < med.size and med[peak + 1] == best:
         peak += 1
-    return curve.offsets_s[peak]
+    return curve.grid.offsets_s[peak]
 
 
-def decline_after_peak(
-    curve: MedianCurve, t_star_s: float, horizon_s: float = DECLINE_HORIZON_S
-) -> float:
-    """Fractional drop of the median between t* and t* + horizon."""
-    target_ms = round((t_star_s + horizon_s) * 1000)
-    offsets_ms = [round(o * 1000) for o in curve.offsets_s]
-    if target_ms > offsets_ms[-1]:
-        raise OutOfGrid(f"t*+{horizon_s}s = {target_ms / 1000}s beyond grid")
-    at_peak = float(curve.median_gr[offsets_ms.index(round(t_star_s * 1000))])
-    at_target = float(curve.median_gr[offsets_ms.index(target_ms)])
+def decline_after_peak(curve: MedianCurve, t_star_s: float) -> float:
+    """Fractional drop of the median between t* and t* + DECLINE_HORIZON_S."""
+    grid, target_s = curve.grid, t_star_s + DECLINE_HORIZON_S
+    if round(target_s * 1000) > grid.offsets_ms[-1]:
+        raise OutOfGrid(f"t*+{DECLINE_HORIZON_S}s = {target_s}s beyond grid")
+    at_peak = float(curve.median_gr[grid.index_of(t_star_s)])
+    at_target = float(curve.median_gr[grid.index_of(target_s)])
     if at_peak <= 0:
         raise PeakNonPositive(f"median at t* is {at_peak}")
     return (at_peak - at_target) / at_peak
@@ -107,8 +105,7 @@ def classify_pattern(curve: MedianCurve, cfg: PipelineConfig) -> str:
 
 
 def _decline_to_grid_end(curve: MedianCurve, t_star_s: float) -> float:
-    offsets_ms = [round(o * 1000) for o in curve.offsets_s]
-    at_peak = float(curve.median_gr[offsets_ms.index(round(t_star_s * 1000))])
+    at_peak = float(curve.median_gr[curve.grid.index_of(t_star_s)])
     if at_peak <= 0:
         return 0.0
     return (at_peak - float(curve.median_gr[-1])) / at_peak
@@ -121,7 +118,7 @@ def build_profile(
     grid: MarkoutGrid,
 ) -> SearcherProfile:
     """Median curve -> pattern -> horizon for one searcher from its GR rows on ``grid``."""
-    med = median_curve(searcher_label, grs, grid.offsets_s)
+    med = median_curve(searcher_label, grs, grid)
     pattern = classify_pattern(med, cfg)
     t_star = None if pattern == PATTERN_FLAT else optimal_horizon(med)
     decline = None

@@ -263,15 +263,13 @@ def lagged_correlation(
 
 
 def rolling_correlation(
-    x, y, dates: list[str] | None = None, window_days: int = 30
+    x, y, dates: list[str], window_days: int
 ) -> list[tuple[str, CorrelationResult]]:
     """One Spearman per trailing window end-date; empty below the window."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise LengthMismatch(f"{x.shape} vs {y.shape}")
-    if dates is None:
-        dates = [str(i) for i in range(len(x))]
     out = []
     for end in range(window_days, len(x) + 1):
         sl = slice(end - window_days, end)
@@ -281,17 +279,3 @@ def rolling_correlation(
             continue
         out.append((dates[end - 1], res))
     return out
-
-
-def decline_vs_major_correlation(
-    declines: list[float],
-    count_shares: list[float],
-    volume_shares: list[float],
-) -> tuple[CorrelationResult, CorrelationResult]:
-    """Spearman of post-peak decline vs Major-Major count and volume share."""
-    if len(declines) < 3:
-        raise TooShort(f"n={len(declines)}")
-    return (
-        spearman(declines, count_shares),
-        spearman(declines, volume_shares),
-    )

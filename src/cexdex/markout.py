@@ -50,27 +50,10 @@ class MarkoutTable:
         return rows
 
 
-def _mr(x, pa, y, pb, cfg: PipelineConfig):
-    """MR in USD of buying x at USD price pa and selling y at pb; scalars or
-    arrays, elementwise."""
-    leg_a = x * pa
-    leg_b = y * pb
-    return leg_a - leg_b - cfg.taker_fee_rate * (leg_a + leg_b)
-
-
 def gross_return(mr: np.ndarray, volume_usd: np.ndarray) -> np.ndarray:
     """GR = MR / volume_usd per row of ``mr``; zeros on rows whose volume is not above 0."""
     volume = np.asarray(volume_usd, dtype=np.float64)[:, None]
     return np.divide(mr, volume, out=np.zeros_like(mr), where=volume > 0)
-
-
-def markout_revenue(trade: ArbTrade, t_offset_s: float, store: QuoteStore,
-                    registry: TokenRegistry, cfg: PipelineConfig) -> float:
-    """MR at one offset, in USD. Propagates quote errors."""
-    t_ms = trade.slot_time_ms + round(t_offset_s * 1000)
-    pa = store.usd_price(trade.token_bought, t_ms, registry, cfg.quote_staleness_ms)
-    pb = store.usd_price(trade.token_sold, t_ms, registry, cfg.quote_staleness_ms)
-    return _mr(float(trade.amount_bought), pa, float(trade.amount_sold), pb, cfg)
 
 
 def _usd_prices(tokens: list[str], queries: np.ndarray, store: QuoteStore,
@@ -112,9 +95,9 @@ def markout_table(trades: list[ArbTrade], grid: MarkoutGrid, store: QuoteStore,
         [t.token_bought for t in trades] + [t.token_sold for t in trades],
         np.concatenate([queries, queries]), store, registry, cfg.quote_staleness_ms,
     )
-    x = np.array([float(t.amount_bought) for t in trades])[:, None]
-    y = np.array([float(t.amount_sold) for t in trades])[:, None]
-    mr = _mr(x, prices[:n], y, prices[n:], cfg)
+    leg_a = np.array([float(t.amount_bought) for t in trades])[:, None] * prices[:n]
+    leg_b = np.array([float(t.amount_sold) for t in trades])[:, None] * prices[n:]
+    mr = leg_a - leg_b - cfg.taker_fee_rate * (leg_a + leg_b)
     priced = ok[:n] & ok[n:]
     mr[~priced] = 0.0
     eth, eth_priced = store.eth_usd_many(slot_ms, cfg.quote_staleness_ms)

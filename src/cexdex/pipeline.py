@@ -147,7 +147,7 @@ class Workspace:
 
     @cached_property
     def grid(self) -> MarkoutGrid:
-        return MarkoutGrid.from_config(self.config)
+        return MarkoutGrid(self.config)
 
     @cached_property
     def registry(self) -> TokenRegistry:
@@ -404,19 +404,16 @@ def run_market(ws: Workspace) -> None:
         p = profiles[label]
         if p.decline_3s_fraction is None or label not in by_searcher:
             continue
-        cs, vs, empty = market_mod.major_major_share(by_searcher[label], ws.registry)
-        if not empty:
-            decline_points.append((p.decline_3s_fraction, cs, vs))
-    if len(decline_points) >= 3:
-        declines = [d for d, _, _ in decline_points]
-        try:
-            r_count, r_vol = market_mod.decline_vs_major_correlation(
-                declines, [c for _, c, _ in decline_points], [v for _, _, v in decline_points]
-            )
-            corr_rows += [market_mod.Correlation(name, "", 0, "", r.rho, r.n, r.p_value) for name, r in
-                          (("decline_vs_major_count", r_count), ("decline_vs_major_volume", r_vol))]
-        except (market_mod.DegenerateRanks, market_mod.TooShort):
-            pass
+        cs, vs, _ = market_mod.major_major_share(by_searcher[label], ws.registry)
+        decline_points.append((p.decline_3s_fraction, cs, vs))
+    declines = [d for d, _, _ in decline_points]
+    try:
+        r_count = market_mod.spearman(declines, [c for _, c, _ in decline_points])
+        r_vol = market_mod.spearman(declines, [v for _, _, v in decline_points])
+        corr_rows += [market_mod.Correlation(name, "", 0, "", r.rho, r.n, r.p_value) for name, r in
+                      (("decline_vs_major_count", r_count), ("decline_vs_major_volume", r_vol))]
+    except (market_mod.DegenerateRanks, market_mod.TooShort):
+        pass
 
     # exclusive searcher daily volume share vs builder daily block share
     try:
@@ -468,7 +465,6 @@ def run_market(ws: Workspace) -> None:
 def run_builder(ws: Workspace) -> None:
     pnl_by_block = builder_mod.index_pnl(ws.economics)
     searcher_of_builder = ws.labels.builder_to_searcher()
-    schedule = builder_mod.RefundSchedule()
     blocks = [ws.blocks[bn] for bn in sorted(ws.blocks)]
     slot_ms = np.array([b.slot_time_ms for b in blocks], dtype=np.int64)
     mids, ok = ws.quotes.eth_usd_many(slot_ms, ws.config.quote_staleness_ms)
@@ -476,8 +472,7 @@ def run_builder(ws: Workspace) -> None:
     eth_by_block = dict(zip([b.block_number for b in used_blocks], mids[ok].tolist()))
     per_block = [
         builder_mod.block_economics(
-            b, pnl_by_block, searcher_of_builder, schedule, eth_by_block[b.block_number]
-        )
+            b, pnl_by_block, searcher_of_builder, eth_by_block[b.block_number])
         for b in used_blocks
     ]
     skipped_quotes = len(blocks) - len(used_blocks)
@@ -485,7 +480,7 @@ def run_builder(ws: Workspace) -> None:
         print(f"builder: skipped {skipped_quotes} blocks with no ETH quote", file=sys.stderr)
 
     _write_output(ws.out_dir / "builder_blocks.csv", builder_mod.BuilderBlockEconomics, per_block)
-    summaries = builder_mod.builder_summary(used_blocks, per_block, schedule, eth_by_block)
+    summaries = builder_mod.builder_summary(used_blocks, per_block, eth_by_block)
     _write_output(ws.out_dir / "builder_summary.csv", builder_mod.BuilderSummary, summaries)
 
 

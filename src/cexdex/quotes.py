@@ -91,8 +91,3 @@ class QuoteStore:
         if not info.cex_listed:
             raise UnlistedToken(token)
         return None if info.quote_symbol == "USDT" else self.get(f"{info.quote_symbol}USDT")
-
-    def usd_price(self, token: str, t_ms: int, registry: TokenRegistry, staleness_ms: int) -> float:
-        """Token USD valuation at one time."""
-        series = self.usd_series(token, registry)
-        return 1.0 if series is None else series.mid_at(t_ms, staleness_ms)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from ._kernels import uniform01
-from .builder import BuilderBlockEconomics, RefundSchedule
-from .config import MarkoutGrid
+from .builder import BuilderBlockEconomics, refund_rate
+from .config import MarkoutGrid, PipelineConfig
 from .errors import InvalidConfig, MissingOutputs
 from .estimate import TradeEconomics
 from .horizon import SearcherProfile
@@ -138,7 +138,7 @@ def _spread_at(offset_s: float, delay_s: float | None, decay: str,
 
 def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     """Write the five input files plus ground_truth.json; returns the ledger."""
-    grid = MarkoutGrid()
+    grid = MarkoutGrid(PipelineConfig())
     cfg.validate(grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -156,7 +156,6 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     for j, s in enumerate(cfg.searchers):
         token_rows.append((alt_addr[s.label], f"TOK{j:02d}", "true", "false", 18))
 
-    schedule = RefundSchedule()
     tx_rows = []
     quote_rows = []  # (symbol, ts_ms, px)
     block_rows = []
@@ -263,8 +262,7 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
                     slot_time_ms=slot_ms,
                 ))
                 if used_adj:
-                    r = schedule.rate_at(slot_ms)
-                    bp_eth = delta_c - bid + r * delta
+                    bp_eth = delta_c - bid + refund_rate(slot_ms) * delta
                 else:
                     bp_eth = delta_c
                 truth["blocks"][str(block)] = {"true_bp_usd": bp_eth * cfg.eth_price}

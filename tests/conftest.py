@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import Decimal
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.data_model import RawTransaction, SwapEvent, TokenInfo, TokenRegistry
 from cexdex.detect import ArbTrade
+from cexdex.markout import markout_table
 from cexdex.quotes import QuoteStore
 
 # fixed addresses reused across tests
@@ -19,12 +21,12 @@ TOKC = "0x" + "6" * 40  # second listed alt
 
 def make_registry() -> TokenRegistry:
     return TokenRegistry({
-        WETH: TokenInfo("WETH", True, True, 18, "ETH"),
-        WBTC: TokenInfo("WBTC", True, True, 8, "BTC"),
-        USDT: TokenInfo("USDT", True, True, 6, "USDT"),
-        TOKA: TokenInfo("TOKA", True, False, 18, "TOKA"),
-        TOKB: TokenInfo("TOKB", False, False, 18, "TOKB"),
-        TOKC: TokenInfo("TOKC", True, False, 18, "TOKC"),
+        WETH: TokenInfo("WETH", True, True, "ETH"),
+        WBTC: TokenInfo("WBTC", True, True, "BTC"),
+        USDT: TokenInfo("USDT", True, True, "USDT"),
+        TOKA: TokenInfo("TOKA", True, False, "TOKA"),
+        TOKB: TokenInfo("TOKB", False, False, "TOKB"),
+        TOKC: TokenInfo("TOKC", True, False, "TOKC"),
     })
 
 
@@ -40,7 +42,7 @@ def config():
 
 @pytest.fixture
 def grid():
-    return MarkoutGrid()
+    return MarkoutGrid(PipelineConfig())
 
 
 def make_store(series: dict[str, list[tuple[int, float, float]]]) -> QuoteStore:
@@ -94,3 +96,16 @@ def make_trade(tx_hash="0xt1", *, block_number=100, searcher_label="s1",
         volume_usd=volume_usd, base_fee_eth=base_fee_eth,
         builder_tip_eth=builder_tip_eth,
     )
+
+
+def mr_at_zero(trade: ArbTrade, store: QuoteStore, registry: TokenRegistry,
+               cfg: PipelineConfig) -> float:
+    """The trade's MR at offset 0 from ``markout_table``, at ``cfg``'s fee.
+
+    The grid is {0, 0.5 s}: markout_table zeroes the MR of a trade not priced
+    at every offset, and on this grid a quote from 4.5 s before the slot
+    prices both offsets.
+    """
+    cfg = dataclasses.replace(cfg, grid_start_s=0.0, grid_end_s=0.5, grid_step_s=0.5)
+    grid = MarkoutGrid(cfg)
+    return float(markout_table([trade], grid, store, registry, cfg).mr_usd[0, grid.index_of(0.0)])

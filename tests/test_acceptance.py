@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cexdex.builder import RefundSchedule, builder_onchain_profit, subsidy_flags
+from cexdex.builder import REFUND_CUTOFF_MS, builder_onchain_profit, subsidy_flags
 from cexdex.cli import main
 from cexdex.config import PipelineConfig
 from cexdex.data_model import BlockRecord
@@ -26,11 +26,10 @@ from cexdex.market import (
     lagged_correlation,
     spearman,
 )
-from cexdex.markout import markout_revenue
 from cexdex.synth import SearcherSpec, SynthConfig, generate, score
 from cexdex import _kernels
 
-from conftest import make_store, make_trade
+from conftest import make_store, make_trade, mr_at_zero
 
 
 def run_pipeline(inputs: Path, out: Path):
@@ -75,7 +74,7 @@ def test_criterion_2_markout_anchor(registry, config):
     })
     trade = make_trade(amount_bought="2", amount_sold="100", volume_usd=101.0,
                        base_fee_eth=0.00098266375, builder_tip_eth=0.005)
-    mr0 = markout_revenue(trade, 0.0, flat, registry, config)
+    mr0 = mr_at_zero(trade, flat, registry, config)
     profile = SearcherProfile(searcher_label="s1", t_star_s=0.0, pattern="P1",
                               decline_3s_fraction=0.1, n_arb_trades=500,
                               low_confidence=False)
@@ -98,7 +97,7 @@ def test_criterion_2_markout_anchor(registry, config):
             "ETHUSDT": [(998_000, 2000.0, 2000.0)],
         })
         t = make_trade(amount_bought=x, amount_sold=y, volume_usd=float(y))
-        assert markout_revenue(t, 0.0, store, registry, config) == pytest.approx(
+        assert mr_at_zero(t, store, registry, config) == pytest.approx(
             expected, abs=1e-9
         )
     print("\nPASS criterion 2: EV/PnL anchor exact, 4 MR fixtures within 1e-9")
@@ -190,8 +189,7 @@ def test_criterion_5_ev_pnl_oracle(tmp_path):
 # 6 ------------------------------------------------------------------------
 
 def test_criterion_6_builder_correction():
-    cutoff = RefundSchedule().cutoff_ts_ms
-    sched = RefundSchedule()
+    cutoff = REFUND_CUTOFF_MS
 
     def mk(delta_c, bid, used, delta, slot):
         return BlockRecord(block_number=1, builder_label="b",
@@ -200,9 +198,9 @@ def test_criterion_6_builder_correction():
                            slot_time_ms=slot)
 
     # three branch fixtures, hand values
-    assert builder_onchain_profit(mk(1.0, 9.0, False, 0.0, cutoff), sched, 1.0) == 1.0
-    assert builder_onchain_profit(mk(5.0, 10.0, True, 4.0, cutoff - 1), sched, 1.0) == pytest.approx(-1.0)
-    assert builder_onchain_profit(mk(5.0, 10.0, True, 4.0, cutoff), sched, 1.0) == pytest.approx(-3.0)
+    assert builder_onchain_profit(mk(1.0, 9.0, False, 0.0, cutoff), 1.0) == 1.0
+    assert builder_onchain_profit(mk(5.0, 10.0, True, 4.0, cutoff - 1), 1.0) == pytest.approx(-1.0)
+    assert builder_onchain_profit(mk(5.0, 10.0, True, 4.0, cutoff), 1.0) == pytest.approx(-3.0)
 
     # subsidy monotonicity over 1000 randomized fixtures
     u = _kernels.uniform01(777, 0, 3000)

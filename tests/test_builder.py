@@ -1,8 +1,7 @@
 import pytest
 
 from cexdex.builder import (
-    DEFAULT_REFUND_CUTOFF_MS,
-    RefundSchedule,
+    REFUND_CUTOFF_MS,
     aggregated_margin,
     block_economics,
     builder_onchain_profit,
@@ -15,8 +14,8 @@ from cexdex.data_model import BlockRecord, SearcherLabelFile
 from cexdex.errors import ZeroDenominator
 from cexdex.estimate import TradeEconomics
 
-BEFORE = DEFAULT_REFUND_CUTOFF_MS - 1
-AFTER = DEFAULT_REFUND_CUTOFF_MS
+BEFORE = REFUND_CUTOFF_MS - 1
+AFTER = REFUND_CUTOFF_MS
 
 
 def block(block_number=1, *, builder="b1", delta_c=1.0, bid=0.0, used=False,
@@ -35,17 +34,17 @@ def econ(pnl, *, block_number=1, label="s1"):
 
 
 def test_bp_no_adjustment_identity():
-    assert builder_onchain_profit(block(delta_c=1.0), RefundSchedule(), 1.0) == 1.0
+    assert builder_onchain_profit(block(delta_c=1.0), 1.0) == 1.0
 
 
 def test_bp_after_cutoff():
     b = block(delta_c=5.0, bid=10.0, used=True, delta=4.0, slot=AFTER)
-    assert builder_onchain_profit(b, RefundSchedule(), 1.0) == pytest.approx(-3.0)
+    assert builder_onchain_profit(b, 1.0) == pytest.approx(-3.0)
 
 
 def test_bp_before_cutoff():
     b = block(delta_c=5.0, bid=10.0, used=True, delta=4.0, slot=BEFORE)
-    assert builder_onchain_profit(b, RefundSchedule(), 1.0) == pytest.approx(-1.0)
+    assert builder_onchain_profit(b, 1.0) == pytest.approx(-1.0)
 
 
 def test_bp_cutoff_boundary():
@@ -53,22 +52,21 @@ def test_bp_cutoff_boundary():
     b = block(delta_c=0.0, bid=1.0, used=True, delta=1.0)
     assert builder_onchain_profit(
         block(delta_c=0.0, bid=1.0, used=True, delta=1.0, slot=AFTER),
-        RefundSchedule(), 1.0) == pytest.approx(-0.5)
+        1.0) == pytest.approx(-0.5)
     assert builder_onchain_profit(
         block(delta_c=0.0, bid=1.0, used=True, delta=1.0, slot=BEFORE),
-        RefundSchedule(), 1.0) == pytest.approx(0.0)
+        1.0) == pytest.approx(0.0)
 
 
 def test_bp_eth_conversion():
     b = block(delta_c=2.0)
-    assert builder_onchain_profit(b, RefundSchedule(), 2000.0) == 4000.0
+    assert builder_onchain_profit(b, 2000.0) == 4000.0
 
 
 def test_schedule_continuity_with_zero_delta():
     b1 = block(delta_c=3.0, bid=1.0, used=True, delta=0.0, slot=BEFORE)
     b2 = block(delta_c=3.0, bid=1.0, used=True, delta=0.0, slot=AFTER)
-    s = RefundSchedule()
-    assert builder_onchain_profit(b1, s, 1.0) == builder_onchain_profit(b2, s, 1.0)
+    assert builder_onchain_profit(b1, 1.0) == builder_onchain_profit(b2, 1.0)
 
 
 def test_sp_sums_integrated_only():
@@ -91,18 +89,18 @@ def test_sp_not_applicable():
 def test_aggregated_margin_hand_value():
     # P=2, b=10, r*delta=2 -> 2 / (2 + 10 - 2) = 0.2
     b = block(bid=10.0, used=True, delta=4.0, slot=AFTER)
-    assert aggregated_margin(b, 2.0, RefundSchedule(), 1.0) == pytest.approx(0.2)
+    assert aggregated_margin(b, 2.0, 1.0) == pytest.approx(0.2)
 
 
 def test_aggregated_margin_zero_numerator():
     b = block(bid=10.0, used=True, delta=4.0, slot=AFTER)
-    assert aggregated_margin(b, 0.0, RefundSchedule(), 1.0) == 0.0
+    assert aggregated_margin(b, 0.0, 1.0) == 0.0
 
 
 def test_aggregated_margin_zero_denominator():
     b = block(bid=2.0, used=True, delta=4.0, slot=AFTER)  # b - r*delta = 0
     with pytest.raises(ZeroDenominator):
-        aggregated_margin(b, 0.0, RefundSchedule(), 1.0)
+        aggregated_margin(b, 0.0, 1.0)
 
 
 def test_subsidy_flags():
@@ -116,7 +114,7 @@ def test_block_economics_composition():
     labels = SearcherLabelFile(labels={}, integrated_with={"s1": "b1"})
     b = block(delta_c=5.0, bid=10.0, used=True, delta=4.0, slot=AFTER)
     e = block_economics(b, index_pnl([econ(2.0)]), labels.builder_to_searcher(),
-                        RefundSchedule(), 1.0)
+                        1.0)
     assert e.bp_usd == pytest.approx(-3.0)
     assert e.sp_usd == pytest.approx(2.0)
     assert e.p_usd == pytest.approx(e.bp_usd + e.sp_usd)
@@ -128,8 +126,8 @@ def test_summary_single_subsidized_block():
     b = block(delta_c=5.0, bid=10.0, used=True, delta=4.0, slot=AFTER)
     rows = [econ(2.0)]  # BP=-3, SP=+2, P=-1... before: yes, after: yes
     per = [block_economics(b, index_pnl(rows), labels.builder_to_searcher(),
-                           RefundSchedule(), 1.0)]
-    (s,) = builder_summary([b], per, RefundSchedule(), {1: 1.0})
+                           1.0)]
+    (s,) = builder_summary([b], per, {1: 1.0})
     assert s.subsidized_blocks_before == 1
     assert s.subsidy_bp_before_usd == pytest.approx(-3.0)
     assert s.total_p_usd == pytest.approx(-1.0)
@@ -143,8 +141,8 @@ def test_summary_sp_lifts_subsidy():
     b = block(delta_c=5.0, bid=10.0, used=True, delta=4.0, slot=AFTER)
     rows = [econ(7.0)]  # BP=-3, SP=+7, P=+4
     per = [block_economics(b, index_pnl(rows), labels.builder_to_searcher(),
-                           RefundSchedule(), 1.0)]
-    (s,) = builder_summary([b], per, RefundSchedule(), {1: 1.0})
+                           1.0)]
+    (s,) = builder_summary([b], per, {1: 1.0})
     assert s.subsidized_blocks_before == 1 and s.subsidized_blocks_after == 0
     assert s.subsidy_p_after_usd == 0.0
 
@@ -152,8 +150,8 @@ def test_summary_sp_lifts_subsidy():
 def test_summary_all_positive_no_subsidy():
     labels = SearcherLabelFile(labels={})
     blocks = [block(i, delta_c=1.0, slot=AFTER) for i in range(1, 4)]
-    per = [block_economics(b, {}, labels.builder_to_searcher(), RefundSchedule(), 1.0)
+    per = [block_economics(b, {}, labels.builder_to_searcher(), 1.0)
            for b in blocks]
-    (s,) = builder_summary(blocks, per, RefundSchedule(), {b.block_number: 1.0 for b in blocks})
+    (s,) = builder_summary(blocks, per, {b.block_number: 1.0 for b in blocks})
     assert s.subsidized_blocks_before == 0 and s.subsidized_blocks_after == 0
     assert s.total_bp_usd == pytest.approx(3.0)

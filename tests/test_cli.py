@@ -87,6 +87,23 @@ def test_config_value_of_another_type_exits_1(synth_inputs, tmp_path, capsys, up
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("update, key", [
+    ({"taker_fee_rate": float("nan")}, "taker_fee_rate"),
+    ({"grid_end_s": float("inf")}, "grid_end_s"),
+    ({"grid_step_s": float("nan")}, "grid_step_s"),
+    ({"grid_start_s": -0.7}, "grid_start_s"),
+], ids=["nan_fee", "infinite_grid_end", "nan_grid_step", "grid_without_zero"])
+def test_config_non_finite_or_grid_without_zero_exits_1(synth_inputs, tmp_path, capsys,
+                                                         update, key):
+    """JSON's NaN and Infinity, and a grid that misses offset 0, are refused
+    naming the key, before any stage writes a file."""
+    config = json.loads((synth_inputs / "config.json").read_text())
+    rc, err, written = run_with_replaced_input(
+        synth_inputs, tmp_path, capsys, "config.json", json.dumps({**config, **update}))
+    assert (rc, err["error"], written) == (1, "InvalidConfig", [])
+    assert key in err["message"]
+
+
 def test_config_that_is_not_an_object_exits_1(synth_inputs, tmp_path, capsys):
     rc, err, written = run_with_replaced_input(synth_inputs, tmp_path, capsys, "config.json", "[]")
     assert (rc, err["error"], written) == (1, "InvalidConfig", [])
@@ -312,6 +329,14 @@ def test_charts_refuse_an_older_layout(synth_inputs, tmp_path, charts, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "OutdatedOutput"
     assert "cumulative_ev.csv" in err["message"] and "estimate stage" in err["message"]
+
+
+def test_charts_after_a_stage_before_markout(synth_inputs, tmp_path, charts):
+    """--charts draws only what the outputs so far hold: after detect, nothing."""
+    out = tmp_path / "out"
+    assert main(["detect", "--input-dir", str(synth_inputs), "--out-dir", str(out),
+                 "--charts"]) == 0
+    assert charts() == {} and not list(out.glob("*.svg"))
 
 
 def test_startup_imports_no_scipy():

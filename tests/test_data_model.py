@@ -74,7 +74,7 @@ def test_load_tokens_address_case_insensitive(token_registry):
 
 def test_registry_rejects_major_unlisted():
     with pytest.raises(InvalidConfig):
-        TokenRegistry({"0xbad": TokenInfo("X", False, True, 18, "X")})
+        TokenRegistry({"0xbad": TokenInfo("X", False, True, "X")})
 
 
 def test_load_transactions_groups_by_hash(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cexdex.config import PipelineConfig
+from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.errors import NoTrades, OutOfGrid, PeakNonPositive
 from cexdex.horizon import (
     MedianCurve,
@@ -11,7 +11,7 @@ from cexdex.horizon import (
     optimal_horizon,
 )
 
-OFFSETS = [-1.0 + 0.5 * k for k in range(23)]
+GRID = MarkoutGrid(PipelineConfig())  # the 23 offsets -1.0 .. 10.0 s
 
 
 def grs(*rows):
@@ -23,29 +23,32 @@ def med(values, offsets=None):
     values = np.asarray(values, dtype=np.float64)
     if offsets is None:
         offsets = [-1.0 + 0.5 * k for k in range(len(values))]
-    return MedianCurve(searcher_label="s", offsets_s=list(offsets),
+    grid = MarkoutGrid(PipelineConfig(grid_start_s=offsets[0], grid_end_s=offsets[-1],
+                                      grid_step_s=offsets[1] - offsets[0]))
+    assert grid.offsets_s == list(offsets)
+    return MedianCurve(searcher_label="s", grid=grid,
                        median_gr=values, q25_gr=values, q75_gr=values, n_trades=1)
 
 
 def test_median_odd():
-    assert median_curve("s", grs([1.0] * 23, [2.0] * 23, [3.0] * 23), OFFSETS).median_gr[0] == 2.0
+    assert median_curve("s", grs([1.0] * 23, [2.0] * 23, [3.0] * 23), GRID).median_gr[0] == 2.0
 
 
 def test_median_even_is_midpoint():
     rows = grs(*([float(v)] * 23 for v in (1, 2, 3, 4)))
-    assert median_curve("s", rows, OFFSETS).median_gr[0] == 2.5
+    assert median_curve("s", rows, GRID).median_gr[0] == 2.5
 
 
 def test_median_single_trade_identity():
     gr = np.linspace(0.0, 1.0, 23)
-    m = median_curve("s", grs(gr), OFFSETS)
+    m = median_curve("s", grs(gr), GRID)
     assert np.array_equal(m.median_gr, gr)
-    assert m.offsets_s == OFFSETS and m.n_trades == 1
+    assert m.grid is GRID and m.n_trades == 1
 
 
 def test_median_no_trades():
     with pytest.raises(NoTrades):
-        median_curve("s", grs(), OFFSETS)
+        median_curve("s", grs(), GRID)
 
 
 def test_optimal_horizon_unique_max():
@@ -127,5 +130,5 @@ def test_median_is_argmax_consistent():
     values = np.random.default_rng(3).uniform(0, 1, 23)
     curve = med(values)
     t_star = optimal_horizon(curve)
-    idx = curve.offsets_s.index(t_star)
+    idx = curve.grid.index_of(t_star)
     assert np.all(values[idx] >= values)

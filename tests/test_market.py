@@ -11,7 +11,6 @@ from cexdex.errors import (
 )
 from cexdex.market import (
     classify_exclusivity,
-    decline_vs_major_correlation,
     hhi,
     integration_matrix,
     lagged_correlation,
@@ -194,21 +193,21 @@ def test_lagged_too_short():
 def test_rolling_monotone():
     x = np.arange(40, dtype=float)
     y = 2 * x + 1
-    out = rolling_correlation(x, y, window_days=30)
-    assert len(out) == 11
+    dates = [f"d{i}" for i in range(40)]
+    out = rolling_correlation(x, y, dates=dates, window_days=30)
+    assert [end for end, _ in out] == dates[29:]
     assert all(r.rho == pytest.approx(1.0) for _, r in out)
 
 
 def test_rolling_below_window_empty():
-    assert rolling_correlation(np.arange(29.0), np.arange(29.0), window_days=30) == []
+    dates = [f"d{i}" for i in range(29)]
+    assert rolling_correlation(np.arange(29.0), np.arange(29.0), dates=dates, window_days=30) == []
 
 
 def test_decline_vs_major_antitone():
     declines = [0.9, 0.7, 0.5, 0.3]
     shares = [0.1, 0.2, 0.3, 0.4]
-    r_count, r_vol = decline_vs_major_correlation(declines, shares, shares)
-    assert r_count.rho == pytest.approx(-1.0)
-    assert r_vol.rho == pytest.approx(-1.0)
+    assert spearman(declines, shares).rho == pytest.approx(-1.0)
 
 
 def test_spearman_monotone_transform_invariance():

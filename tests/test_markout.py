@@ -8,11 +8,10 @@ from cexdex.markout import (
     EXCLUSION_INVENTORY,
     EXCLUSION_QUOTE_GAP,
     markout_curve,
-    markout_revenue,
     markout_table,
 )
 
-from conftest import TOKA, TOKB, TOKC, USDT, WBTC, WETH, make_store, make_trade
+from conftest import TOKA, TOKB, TOKC, USDT, WBTC, WETH, make_store, make_trade, mr_at_zero
 from markout_oracle import assert_same_row, oracle_curve
 
 
@@ -33,14 +32,14 @@ def two_leg_trade():
 
 def test_markout_revenue_hand_value(registry, config):
     # 110 - 100 - 0.0001725 * 210
-    mr = markout_revenue(two_leg_trade(), 0.0, flat_store(), registry, config)
+    mr = mr_at_zero(two_leg_trade(), flat_store(), registry, config)
     assert mr == pytest.approx(9.963775, abs=1e-12)
 
 
 def test_markout_revenue_zero_fee_symmetric(registry):
     cfg = PipelineConfig(taker_fee_rate=0.0)
     trade = make_trade(amount_bought="2", amount_sold="110", volume_usd=110.0)
-    mr = markout_revenue(trade, 0.0, flat_store(), registry, cfg)
+    mr = mr_at_zero(trade, flat_store(), registry, cfg)
     assert mr == pytest.approx(0.0, abs=1e-12)
 
 
@@ -48,7 +47,7 @@ def test_markout_revenue_fee_only(registry, config):
     # both legs at 100 USD: MR = -0.0345
     store = flat_store(price_a=50.0)
     trade = make_trade(amount_bought="2", amount_sold="100", volume_usd=100.0)
-    mr = markout_revenue(trade, 0.0, store, registry, config)
+    mr = mr_at_zero(trade, store, registry, config)
     assert mr == pytest.approx(-0.0345, abs=1e-12)
 
 
@@ -60,20 +59,6 @@ def test_markout_curve_full_grid(registry, config, grid):
     # constant prices -> constant curve
     assert np.allclose(mr, mr[0])
     assert np.allclose(gr, mr / 110.0)
-
-
-def test_markout_curve_matches_scalar_path(registry, config, grid):
-    store = make_store({
-        "TOKAUSDT": [(1_000_000 - 2000 + k * 500, 55.0 + 0.1 * k, 55.2 + 0.1 * k)
-                     for k in range(30)],
-        "ETHUSDT": [(999_000, 2000.0, 2000.0)],
-    })
-    trade = two_leg_trade()
-    (mr,) = markout_curve(trade, grid, store, registry, config).mr_usd
-    for off in grid.offsets_s:
-        assert mr[grid.index_of(off)] == pytest.approx(
-            markout_revenue(trade, off, store, registry, config), abs=1e-12
-        )
 
 
 def test_markout_curve_quote_gap_excludes(registry, config, grid):
@@ -214,6 +199,7 @@ def test_public_markout_curve_equals_reference(tmp_path, registry, config, grid)
 
 def test_grid_index_rounds_to_ms_and_refuses_off_grid(grid):
     assert grid.index_of(0.5) == grid.index_of(0.5004) == 3
-    assert MarkoutGrid(-0.1, 0.3, 0.1).index_of(0.1 + 0.2) == 4  # 0.3 to the ms
+    tenths = MarkoutGrid(PipelineConfig(grid_start_s=-0.1, grid_end_s=0.3, grid_step_s=0.1))
+    assert tenths.index_of(0.1 + 0.2) == 4  # 0.3 to the ms
     with pytest.raises(InvalidConfig):
         grid.index_of(0.25)

@@ -601,7 +601,7 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
     ws = pipeline.Workspace(src, out)
     table = ws.markouts
     spread_bps = {
-        label: float(np.ptp(horizon.median_curve(label, table.gr[rows], ws.grid.offsets_s)
+        label: float(np.ptp(horizon.median_curve(label, table.gr[rows], ws.grid)
                             .median_gr)) * 1e4
         for label, rows in table.included_rows().items()
     }
@@ -762,3 +762,52 @@ def test_each_pair_analysis_fails_on_its_own(varied_builders, tmp_path):
     analyses = [r["analysis"] for r in rows]
     assert "pair_contemporaneous" in analyses and "pair_rolling" in analyses
     assert "pair_lagged" not in analyses
+
+
+# ---------------------------------------------------------------------------
+# decline vs Major-Major share: one point per searcher with a decline
+
+@pytest.fixture(scope="module")
+def four_peaked(tmp_path_factory):
+    """Four peaked searchers whose Major-Major shares differ, so that both
+    decline_vs_major rows are written, with n = 4."""
+    root = tmp_path_factory.mktemp("four_peaked")
+    inputs = root / "in"
+    generate(SynthConfig(seed=7, n_days=2, searchers=tuple(
+        SearcherSpec(f"s{j}", decay, 20, true_hedge_delay_s=delay, major_share=share)
+        for j, (decay, delay, share) in enumerate((
+            ("abrupt", 0.5, 0.2), ("gentle", 1.0, 0.5),
+            ("abrupt", 1.5, 0.8), ("gentle", 2.0, 0.1))))), inputs)
+    out = root / "out"
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    return inputs, out
+
+
+def test_decline_vs_major_rows_are_spearman_over_the_profiles(four_peaked):
+    """Each row is the Spearman of profiles.csv's decline_3s_fraction against
+    the Major-Major count (or volume) share of the searcher's included trades."""
+    inputs, out = four_peaked
+    registry = pipeline.Workspace(inputs, out).registry
+    excluded = {r["tx_hash"] for r in read_rows(out / "markouts.csv") if r["excluded"] == "true"}
+    included: dict[str, list[dict]] = {}
+    for r in read_rows(out / "detections.csv"):
+        if r["tx_hash"] not in excluded:
+            included.setdefault(r["searcher_label"], []).append(r)
+    declines, count_shares, volume_shares = [], [], []
+    for p in read_rows(out / "profiles.csv"):
+        if not p["decline_3s_fraction"]:
+            continue
+        trades = included[p["searcher_label"]]
+        mm = [t for t in trades if market.pair_class(t["token_bought"], t["token_sold"], registry)
+              == market.PAIR_MAJOR_MAJOR]
+        declines.append(float(p["decline_3s_fraction"]))
+        count_shares.append(len(mm) / len(trades))
+        volume_shares.append(sum(float(t["volume_usd"]) for t in mm)
+                             / sum(float(t["volume_usd"]) for t in trades))
+    assert len(declines) == 4 and len(set(count_shares)) == 4
+    rows = [r for r in read_rows(out / "correlations.csv") if r["analysis"].startswith("decline")]
+    assert [r["analysis"] for r in rows] == ["decline_vs_major_count", "decline_vs_major_volume"]
+    for r, shares in zip(rows, (count_shares, volume_shares)):
+        want = market.spearman(declines, shares)
+        assert (r["pair"], r["lag_days"], r["window_end"]) == ("", "0", "")
+        assert (float(r["rho"]), int(r["n"]), float(r["p_value"])) == (want.rho, 4, want.p_value)

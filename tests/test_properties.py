@@ -10,10 +10,9 @@ from cexdex.config import PipelineConfig
 from cexdex.detect import aggregate_swaps
 from cexdex.errors import DegenerateRanks, SharesDontSumToOne
 from cexdex.market import hhi, spearman
-from cexdex.markout import markout_revenue
 from cexdex import _kernels as k
 
-from conftest import TOKC, make_registry, make_store, make_swap, make_trade, make_tx
+from conftest import TOKC, make_registry, make_store, make_swap, make_trade, make_tx, mr_at_zero
 
 REGISTRY = make_registry()
 
@@ -115,10 +114,10 @@ def test_splitmix_slice_composition(seed, start, count):
 
 
 def one_quote_mr(pa, pb, x, y):
-    """markout_revenue at offset 0 with TOKA at pa and TOKC at pb, one quote each."""
+    """MR at offset 0 with TOKA at pa and TOKC at pb, one quote each."""
     store = make_store({"TOKAUSDT": [(1_000_000, pa, pa)], "TOKCUSDT": [(1_000_000, pb, pb)]})
     trade = make_trade(amount_bought=repr(x), token_sold=TOKC, amount_sold=repr(y))
-    return markout_revenue(trade, 0.0, store, REGISTRY, PipelineConfig())
+    return mr_at_zero(trade, store, REGISTRY, PipelineConfig())
 
 
 @given(

@@ -49,19 +49,19 @@ def test_eth_usd(store):
 
 
 def test_usd_price_paths(store, registry):
-    assert store.usd_price(USDT, 100, registry, 5000) == 1.0
-    assert store.usd_price(WETH, 100, registry, 5000) == 2000.0  # WETH -> ETHUSDT
-    assert store.usd_price(TOKA, 100, registry, 5000) == 10.0
+    assert store.usd_series(USDT, registry) is None  # pegged at 1
+    assert store.usd_series(WETH, registry).mid_at(100, 5000) == 2000.0  # WETH -> ETHUSDT
+    assert store.usd_series(TOKA, registry).mid_at(100, 5000) == 10.0
 
 
 def test_usd_price_unlisted(store, registry):
     with pytest.raises(UnlistedToken):
-        store.usd_price(TOKB, 100, registry, 5000)
+        store.usd_series(TOKB, registry)
 
 
 def test_usd_price_unknown(store, registry):
     with pytest.raises(UnknownToken):
-        store.usd_price("0x" + "f" * 40, 100, registry, 5000)
+        store.usd_series("0x" + "f" * 40, registry)
 
 
 def test_mid_many_matches_mid_at(store):

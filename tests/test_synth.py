@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cexdex.cli import main
-from cexdex.config import MarkoutGrid
+from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.errors import InvalidConfig, MissingOutputs
 from cexdex.synth import SearcherSpec, SynthConfig, generate, score
 
@@ -67,19 +67,19 @@ def test_validation_rejects_off_grid_delay():
     with pytest.raises(InvalidConfig):
         small_config(searchers=(
             SearcherSpec("a", "gentle", 10, true_hedge_delay_s=0.7),
-        )).validate(MarkoutGrid())
+        )).validate(MarkoutGrid(PipelineConfig()))
 
 
 def test_validation_rejects_delay_on_flat():
     with pytest.raises(InvalidConfig):
         small_config(searchers=(
             SearcherSpec("a", "none", 10, true_hedge_delay_s=1.0),
-        )).validate(MarkoutGrid())
+        )).validate(MarkoutGrid(PipelineConfig()))
 
 
 def test_validation_rejects_unknown_integration():
     with pytest.raises(InvalidConfig):
-        small_config(integrated_with={"nobody": "builderA"}).validate(MarkoutGrid())
+        small_config(integrated_with={"nobody": "builderA"}).validate(MarkoutGrid(PipelineConfig()))
 
 
 def test_score_requires_outputs(tmp_path):
