@@ -52,6 +52,8 @@ class PipelineConfig:
             raise InvalidConfig("exclusivity_threshold must be in (0, 1)")
         if self.quote_staleness_ms <= 0:
             raise InvalidConfig("quote_staleness_ms must be > 0")
+        if self.rolling_window_days < 3:  # a Spearman correlation needs 3 points
+            raise InvalidConfig("rolling_window_days must be >= 3")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -1,10 +1,13 @@
 """Domain types and file ingestion.
 
 The four tabular inputs are CSV with a header row, read by ``read_csv``
-(``quotes.csv`` by numpy's C tokenizer, to the same cells); an error names
-the file and the 1-based data row, blank lines not counted. Searchers are JSON.
-Token amounts are parsed as Decimal so that ERC-20 integer amounts beyond
-2^64 survive the round trip; everything price-like stays float downstream.
+(``quotes.csv`` and ``transactions.csv`` by numpy's C tokenizer, to the same
+cells, and checked a column at a time); an error names the file and the
+1-based data row, blank lines not counted. A number that is not finite is
+a cell that does not parse. Searchers are JSON.
+Token amounts are kept as written and read as Decimal where they are
+netted or handed on, so that ERC-20 integer amounts beyond 2^64 survive the
+round trip; everything price-like stays float downstream.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import decimal
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -32,6 +36,10 @@ from .errors import (
 # Net-flow sums over many swaps need headroom past the 38 significant digits
 # an ERC-20 balance can carry.
 AMOUNT_CONTEXT = decimal.Context(prec=50)
+
+# Multi-hop routing can leave sub-dust residue on intermediate tokens;
+# anything at or below this is treated as zero.
+DUST_THRESHOLD = Decimal("1e-12")
 
 MAJOR_SYMBOLS = frozenset(
     {"WETH", "WBTC", "USDT", "USDC", "TUSD", "FDUSD", "BUSD", "DAI"}
@@ -67,38 +75,6 @@ class TokenRegistry:
     def is_listed(self, address: str) -> bool:
         info = self.get(address)
         return info is not None and info.cex_listed
-
-
-@dataclass(frozen=True)
-class SwapEvent:
-    pool_id: str
-    dex: str
-    token_in: str
-    amount_in: Decimal
-    token_out: str
-    amount_out: Decimal
-    log_index: int
-    first_in_direction: bool
-
-
-@dataclass(frozen=True)
-class RawTransaction:
-    tx_hash: str
-    block_number: int
-    slot_time_ms: int
-    searcher_contract: str
-    swaps: tuple[SwapEvent, ...]
-    seen_in_mempool: bool
-    atomic_mev_flag: bool
-    liquidation_flag: bool
-    ofa_backrun_flag: bool
-    router_or_bot_flag: bool
-    erc721_transfer_count: int
-    base_fee_eth: float
-    priority_fee_eth: float
-    coinbase_transfer_eth: float
-    builder_label: str
-    volume_usd: float
 
 
 @dataclass(frozen=True)
@@ -183,8 +159,28 @@ def _bool(raw: str) -> bool:
     return v in _TRUE
 
 
-def _amount(raw: str) -> Decimal:
-    return AMOUNT_CONTEXT.create_decimal(raw.strip())
+def parse_amount(raw: str) -> Decimal:
+    """A token amount, finite, to AMOUNT_CONTEXT's 50 digits."""
+    d = AMOUNT_CONTEXT.create_decimal(raw.strip())
+    if not d.is_finite():
+        raise ValueError(raw)
+    return d
+
+
+def _finite_float(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(raw)
+    return v
+
+
+def _raise_first(checks) -> None:
+    """Raise for the first row that fails one of ``checks``, (mask, error(row,
+    index)) pairs over the rows, with the first check it fails."""
+    failing = [(int(np.argmax(mask)), i) for i, (mask, _) in enumerate(checks) if mask.any()]
+    if failing:
+        k, i = min(failing)
+        raise checks[i][1](k + 1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -230,89 +226,240 @@ _TX_FLAGS = [
     "seen_in_mempool", "atomic_mev_flag", "liquidation_flag",
     "ofa_backrun_flag", "router_or_bot_flag",
 ]
+_TX_INTS = ["block_number", "slot_time_ms", "log_index", "erc721_transfer_count"]
+_TX_FLOATS = ["base_fee_eth", "priority_fee_eth", "coinbase_transfer_eth", "volume_usd"]
+_TX_AMOUNTS = ["amount_in", "amount_out"]
+# read as text: pool_id and dex are neither checked nor kept
+_TX_TEXT = ["tx_hash", "searcher_contract", "token_in", "token_out", "builder_label",
+            *_TX_AMOUNTS, "first_in_direction", *_TX_FLAGS]
+_TX_VALUES = np.dtype([(c, np.int64) for c in _TX_INTS]
+                      + [(c, np.float64) for c in _TX_FLOATS + _TX_AMOUNTS])
+# the fields every row of one transaction repeats
+_TX_LEVEL = ["block_number", "slot_time_ms", "searcher_contract", "erc721_transfer_count",
+             "builder_label", *_TX_FLOATS, *_TX_FLAGS]
 
 
-def load_transactions(path: str | Path) -> list[RawTransaction]:
-    """Load transactions.csv; one row per swap, grouped by tx_hash.
+@dataclass(frozen=True)
+class TransactionTable:
+    """transactions.csv as columns. Transactions are in (block_number,
+    tx_hash) order; swaps are one row each, a transaction's swaps contiguous
+    and in log_index order from ``starts[j]``. Text is StringDType, stripped,
+    and lowercase for addresses; amounts are the cells as written."""
+    starts: np.ndarray
+    # one entry per transaction
+    tx_hash: np.ndarray
+    block_number: np.ndarray
+    slot_time_ms: np.ndarray
+    searcher_contract: np.ndarray
+    builder_label: np.ndarray
+    erc721_transfer_count: np.ndarray
+    base_fee_eth: np.ndarray
+    priority_fee_eth: np.ndarray
+    coinbase_transfer_eth: np.ndarray
+    volume_usd: np.ndarray
+    seen_in_mempool: np.ndarray
+    atomic_mev_flag: np.ndarray
+    liquidation_flag: np.ndarray
+    ofa_backrun_flag: np.ndarray
+    router_or_bot_flag: np.ndarray
+    # one entry per swap
+    token_in: np.ndarray
+    token_out: np.ndarray
+    amount_in: np.ndarray
+    amount_out: np.ndarray
+    # amount <= DUST_THRESHOLD, decided in the pass that checks amount > 0
+    in_is_dust: np.ndarray
+    out_is_dust: np.ndarray
+    first_in_direction: np.ndarray
 
-    Rows violating per-type invariants are rejected with the 1-based index
-    of the first offending row.
+    def __len__(self) -> int:
+        return len(self.starts)
+
+
+def _column_index(header: list[str]) -> dict[str, int]:
+    """Each column's index; a name the header repeats is its last column, as
+    for the dict per row that tokens.csv and blocks.csv are read into."""
+    return {name: i for i, name in enumerate(header)}
+
+
+def _flag_column(text: np.ndarray) -> np.ndarray:
+    """_bool of every cell; raises ValueError for a cell that is neither true
+    nor false. Only cells other than "true" and "false" are read one by one."""
+    is_true = text == "true"
+    other = np.flatnonzero(~is_true & (text != "false"))
+    is_true[other] = [_bool(v) for v in text[other].tolist()]
+    return is_true
+
+
+def _tokenize_transactions(path: Path) -> tuple[dict, dict] | None:
+    """As _parse_transactions_by_cell, read by numpy's C tokenizer with no
+    Python object per cell; None for a file it might read otherwise than
+    csv, int(), float() and Decimal do, and for one with a short row or a
+    cell that does not parse."""
+    plain, quoted = _scan_bytes(path)
+    if not plain:
+        return None
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = _read_header(reader, path, TRANSACTION_COLUMNS)
+    column = _column_index(header)
+    text_cols = [column[c] for c in _TX_TEXT]
+    last = len(header) - 1  # read, so that a row shorter than the header fails
+    csv_format = dict(delimiter=",", quotechar='"', comments=None, skiprows=reader.line_num)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            text = np.loadtxt(path, dtype=np.dtypes.StringDType(), ndmin=2, **csv_format,
+                              usecols=text_cols + ([] if last in text_cols else [last]))
+            # numpy parses floats as float() does, less its "1_0", which
+            # Decimal refuses too: an amount it reads is a Decimal
+            values = np.loadtxt(path, dtype=_TX_VALUES, ndmin=1, **csv_format,
+                                usecols=[column[c] for c in _TX_VALUES.names])
+        # numpy reads with universal newlines, which turn a quoted "\r" into "\n"
+        if quoted and (np.strings.find(text, "\n") >= 0).any():
+            return None
+        text = dict(zip(_TX_TEXT, text.T))
+        cells = {c: _flag_column(text[c]) for c in ["first_in_direction", *_TX_FLAGS]}
+    except (ValueError, ArithmeticError):
+        return None
+    # a non-finite number is refused, by the cell pass, which names it
+    if not all(np.isfinite(values[c]).all() for c in _TX_FLOATS + _TX_AMOUNTS):
+        return None
+    cells |= {c: values[c] for c in _TX_INTS + _TX_FLOATS}
+    cells |= {c: np.strings.strip(text[c]) for c in ("tx_hash", "builder_label")}
+    cells |= {c: np.strings.lower(np.strings.strip(text[c]))
+              for c in ("searcher_contract", "token_in", "token_out")}
+    # copies, so that the file's other text is freed; a float above 1e-11 is
+    # that of a Decimal above DUST_THRESHOLD
+    cells |= {c: text[c].copy() for c in _TX_AMOUNTS}
+    return cells, _check_amounts(cells, {c: ~(values[c] > 1e-11) for c in _TX_AMOUNTS}, path.name)
+
+
+def _parse_transactions_by_cell(path: Path) -> tuple[dict, dict]:
+    """(columns by name, the checks that cells parse, by column name), by
+    csv, int(), float() and _bool: one Python object per cell, but every
+    short row and bad cell is masked, for ``load_transactions`` to name the
+    first. A rejected cell is left 0."""
+    header, rows = read_csv(path, TRANSACTION_COLUMNS)
+    name = path.name
+    short = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < len(header)
+    if short.any():
+        rows = [r + [""] * (len(header) - len(r)) for r in rows]
+    column = _column_index(header)
+    raw = {c: [r[column[c]] for r in rows] for c in _TX_TEXT + _TX_INTS + _TX_FLOATS}
+    cells = {}
+    parsed = {"short": (short, lambda i, k: MalformedRow(i, "fewer fields than the header", name))}
+    for parse, dtype, cols in ((int, np.int64, _TX_INTS), (_finite_float, np.float64, _TX_FLOATS),
+                               (_bool, bool, ["first_in_direction", *_TX_FLAGS])):
+        for c in cols:
+            cells[c], bad = _parse_column(raw[c], parse, dtype)
+            parsed[c] = (bad, lambda i, k, c=c: _bad_value(raw[c][k], i, c, name))
+    strings = {"tx_hash": str.strip, "builder_label": str.strip,
+               **dict.fromkeys(_TX_AMOUNTS, str),
+               **dict.fromkeys(["searcher_contract", "token_in", "token_out"],
+                               lambda v: v.strip().lower())}
+    for c, clean in strings.items():
+        cells[c] = np.array(list(map(clean, raw[c])), dtype=np.dtypes.StringDType())
+    return cells, parsed | _check_amounts(cells, {c: np.ones(len(rows), dtype=bool)
+                                                  for c in _TX_AMOUNTS}, name)
+
+
+def _check_amounts(cells: dict, near: dict, name: str) -> dict:
+    """Add to ``cells`` the masks of the amounts not > 0 and at most
+    DUST_THRESHOLD, as ``amount_in_not_positive``, ``amount_in_dust``, ...;
+    return the checks that they parse, by column. Only the cells in
+    ``near[column]`` are read as Decimal; the others are known to be above
+    DUST_THRESHOLD."""
+    parsed = {}
+    for col in _TX_AMOUNTS:
+        amounts = cells[col]
+        bad, not_positive, dust = (np.zeros(len(amounts), dtype=bool) for _ in range(3))
+        for k, raw in zip(np.flatnonzero(near[col]).tolist(), amounts[near[col]].tolist()):
+            try:
+                d = parse_amount(raw)
+            except (ValueError, ArithmeticError):
+                bad[k] = True
+            else:
+                not_positive[k], dust[k] = d <= 0, d <= DUST_THRESHOLD
+        cells[f"{col}_not_positive"], cells[f"{col}_dust"] = not_positive, dust
+        parsed[col] = (bad, lambda i, k, col=col: _bad_value(str(cells[col][k]), i, col, name))
+    return parsed
+
+
+def load_transactions(path: str | Path) -> TransactionTable:
+    """transactions.csv, one row per swap, as a TransactionTable.
+
+    numpy's C tokenizer reads the file; one it cannot read is read again
+    cell by cell. Raises for the first row that fails a check, with the
+    first check it fails in the order listed below; then for the slot times
+    of the blocks.
     """
-    # tx_hash -> (header fields, swaps, first row index)
-    grouped: dict[str, dict] = {}
-    name = Path(path).name
-    for i, row in _iter_rows(path, TRANSACTION_COLUMNS):
-        amount_in = parse_cell(_amount, row["amount_in"], i, "amount_in", name)
-        amount_out = parse_cell(_amount, row["amount_out"], i, "amount_out", name)
-        token_in = row["token_in"].strip().lower()
-        token_out = row["token_out"].strip().lower()
-        if amount_in <= 0:
-            raise MalformedRow(i, "amount_in must be > 0", name)
-        if amount_out <= 0:
-            raise MalformedRow(i, "amount_out must be > 0", name)
-        if token_in == token_out:
-            raise MalformedRow(i, "token_in == token_out", name)
-        swap = SwapEvent(
-            pool_id=row["pool_id"].strip(),
-            dex=row["dex"].strip(),
-            token_in=token_in,
-            amount_in=amount_in,
-            token_out=token_out,
-            amount_out=amount_out,
-            log_index=parse_cell(int, row["log_index"], i, "log_index", name),
-            first_in_direction=parse_cell(
-                _bool, row["first_in_direction"], i, "first_in_direction", name),
-        )
-        erc721 = parse_cell(int, row["erc721_transfer_count"], i, "erc721_transfer_count", name)
-        if erc721 < 0:
-            raise MalformedRow(i, "erc721_transfer_count must be >= 0", name)
-        fees = {}
-        for col in ("base_fee_eth", "priority_fee_eth", "coinbase_transfer_eth", "volume_usd"):
-            v = parse_cell(float, row[col], i, col, name)
-            if v < 0:
-                raise MalformedRow(i, f"{col} must be >= 0", name)
-            fees[col] = v
-        header = dict(
-            tx_hash=row["tx_hash"].strip(),
-            block_number=parse_cell(int, row["block_number"], i, "block_number", name),
-            slot_time_ms=parse_cell(int, row["slot_time_ms"], i, "slot_time_ms", name),
-            searcher_contract=row["searcher_contract"].strip().lower(),
-            erc721_transfer_count=erc721,
-            builder_label=row["builder_label"].strip(),
-            **fees,
-            **{c: parse_cell(_bool, row[c], i, c, name) for c in _TX_FLAGS},
-        )
-        if not header["tx_hash"]:
-            raise MalformedRow(i, "empty tx_hash", name)
-        entry = grouped.get(header["tx_hash"])
-        if entry is None:
-            grouped[header["tx_hash"]] = {"header": header, "swaps": [swap], "row": i}
-        else:
-            if entry["header"] != header:
-                raise MalformedRow(i, "transaction-level fields differ across rows of one tx", name)
-            if any(s.log_index == swap.log_index for s in entry["swaps"]):
-                raise MalformedRow(i, f"duplicate log_index {swap.log_index}", name)
-            entry["swaps"].append(swap)
+    path = Path(path)
+    name = path.name
+    c, parsed = _tokenize_transactions(path) or _parse_transactions_by_cell(path)
+    hashes, first, code = np.unique(c["tx_hash"], return_index=True, return_inverse=True)
+    head = first[code]  # the first row of each row's transaction
+    differs = np.zeros(len(code), dtype=bool)
+    for col in _TX_LEVEL:
+        differs |= c[col] != c[col][head]
+    log_index = c["log_index"]
+    # by transaction and log_index, rows in file order within a key (lexsort
+    # is stable): a row with the key of the one before it is a duplicate
+    order = np.lexsort((log_index, code))
+    dup = np.zeros(len(code), dtype=bool)
+    dup[order[1:]] = (np.diff(code[order]) == 0) & (np.diff(log_index[order]) == 0)
 
-    txs = []
-    for entry in grouped.values():
-        h = entry["header"]
-        swaps = tuple(sorted(entry["swaps"], key=lambda s: s.log_index))
-        txs.append(RawTransaction(swaps=swaps, **h))
-    txs.sort(key=lambda t: (t.block_number, t.tx_hash))
+    def fails(reason):
+        return lambda i, k: MalformedRow(i, reason, name)
 
-    # slot time must be strictly increasing with block number
-    by_block: dict[int, int] = {}
-    for t in txs:
-        prev = by_block.get(t.block_number)
-        if prev is not None and prev != t.slot_time_ms:
-            raise NonMonotonicSlotTime(f"block {t.block_number} has two slot times in {name}")
-        by_block[t.block_number] = t.slot_time_ms
-    ordered = sorted(by_block.items())
-    for (b1, s1), (b2, s2) in zip(ordered, ordered[1:]):
-        if s2 <= s1:
-            raise NonMonotonicSlotTime(f"slot time not increasing from block {b1} to {b2} in {name}")
-    return txs
+    # a rejected cell is left 0, which can only fail checks listed after its own
+    checks = [parsed.get("short"), parsed["amount_in"], parsed["amount_out"],
+              (c["amount_in_not_positive"], fails("amount_in must be > 0")),
+              (c["amount_out_not_positive"], fails("amount_out must be > 0")),
+              (c["token_in"] == c["token_out"], fails("token_in == token_out")),
+              parsed.get("log_index"), parsed.get("first_in_direction"),
+              parsed.get("erc721_transfer_count"),
+              (c["erc721_transfer_count"] < 0, fails("erc721_transfer_count must be >= 0"))]
+    for col in _TX_FLOATS:
+        checks += [parsed.get(col), (c[col] < 0, fails(f"{col} must be >= 0"))]
+    checks += [parsed.get(col) for col in ["block_number", "slot_time_ms", *_TX_FLAGS]]
+    checks += [
+        (c["tx_hash"] == "", fails("empty tx_hash")),
+        (differs, fails("transaction-level fields differ across rows of one tx")),
+        (dup, lambda i, k: MalformedRow(i, f"duplicate log_index {log_index[k]}", name)),
+    ]
+    _raise_first([check for check in checks if check is not None])
+
+    # transactions by block, then tx_hash (np.unique sorted them); swaps by log_index
+    tx_order = np.argsort(c["block_number"][first], kind="stable")
+    rank = np.empty(len(hashes), dtype=np.int64)
+    rank[tx_order] = np.arange(len(hashes))
+    swaps = np.lexsort((log_index, rank[code]))
+    heads = first[tx_order]
+    blocks, slots = c["block_number"][heads], c["slot_time_ms"][heads]
+    new_block = np.ones(len(blocks), dtype=bool)
+    new_block[1:] = blocks[1:] != blocks[:-1]
+    block_starts = np.flatnonzero(new_block)
+    two_times = slots != slots[block_starts][np.cumsum(new_block) - 1]
+    if two_times.any():
+        block = blocks[np.argmax(two_times)]
+        raise NonMonotonicSlotTime(f"block {block} has two slot times in {name}")
+    b, t = blocks[block_starts], slots[block_starts]
+    down = t[1:] <= t[:-1]
+    if down.any():
+        k = int(np.argmax(down))
+        raise NonMonotonicSlotTime(
+            f"slot time not increasing from block {b[k]} to {b[k + 1]} in {name}")
+
+    counts = np.bincount(code, minlength=len(hashes))[tx_order]
+    return TransactionTable(
+        starts=np.cumsum(counts) - counts,
+        **{col: c[col][heads] for col in ["tx_hash", *_TX_LEVEL]},
+        token_in=c["token_in"][swaps], token_out=c["token_out"][swaps],
+        amount_in=c["amount_in"][swaps], amount_out=c["amount_out"][swaps],
+        in_is_dust=c["amount_in_dust"][swaps], out_is_dust=c["amount_out_dust"][swaps],
+        first_in_direction=c["first_in_direction"][swaps],
+    )
 
 
 QUOTE_COLUMNS = ["symbol", "ts_ms", "bid", "ask"]
@@ -326,15 +473,16 @@ _QUOTE_VALUES = np.dtype([("ts_ms", np.int64), ("bid", np.float64), ("ask", np.f
 _NOT_PLAIN = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _plain_ascii(path: Path) -> bool:
-    """Whether ``path`` is ASCII without the bytes in _NOT_PLAIN. numpy's int
-    parser misreads some non-ASCII digits: the Devanagari two is 2360, where
-    int() says 2."""
+def _scan_bytes(path: Path) -> tuple[bool, bool]:
+    """(whether ``path`` is ASCII without the bytes in _NOT_PLAIN, whether it
+    holds a '"'). numpy's int parser misreads some non-ASCII digits: the
+    Devanagari two is 2360, where int() says 2."""
+    plain, quoted = True, False
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
-            if not chunk.isascii() or any(b in chunk for b in _NOT_PLAIN):
-                return False
-    return True
+            plain = plain and chunk.isascii() and not any(b in chunk for b in _NOT_PLAIN)
+            quoted = quoted or b'"' in chunk
+    return plain, quoted
 
 
 def _symbol_codes(symbols: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -354,7 +502,7 @@ def _tokenize_quotes(path: Path) -> tuple | None:
     ask), read by numpy's C tokenizer with no Python object per cell. None for
     a file it might read otherwise than csv, int() and float() do, and for
     one with a short row or a cell it does not parse."""
-    if not _plain_ascii(path):
+    if not _scan_bytes(path)[0]:
         return None
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -379,6 +527,9 @@ def _tokenize_quotes(path: Path) -> tuple | None:
             values = np.loadtxt(path, dtype=_QUOTE_VALUES, ndmin=1, usecols=cols[1:], **csv_format)
     except (ValueError, ArithmeticError):
         return None
+    # a non-finite price is refused, by the cell pass, which names it
+    if not (np.isfinite(values["bid"]).all() and np.isfinite(values["ask"]).all()):
+        return None
     return names, code, values["ts_ms"], values["bid"], values["ask"]
 
 
@@ -393,8 +544,8 @@ def _parse_quotes_by_cell(path: Path) -> tuple:
     symbols, ts_raw, bid_raw, ask_raw = (
         [r[j] for r in rows] for j in map(header.index, QUOTE_COLUMNS))
     ts, bad_ts = _parse_column(ts_raw, int, np.int64)
-    bid, bad_bid = _parse_column(bid_raw, float, np.float64)
-    ask, bad_ask = _parse_column(ask_raw, float, np.float64)
+    bid, bad_bid = _parse_column(bid_raw, _finite_float, np.float64)
+    ask, bad_ask = _parse_column(ask_raw, _finite_float, np.float64)
     name = path.name
     checks = [
         (short, lambda i, k: MalformedRow(i, "fewer fields than the header", name)),
@@ -446,11 +597,8 @@ def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
         (ask < bid, lambda i, k: CrossedQuote(i, name)),
         (dup, lambda i, k: DuplicateTimestamp(names[code[k]], int(ts[k]), name)),
     ]
-    failing = np.vstack([mask for mask, _ in checks])
-    if failing.any():
-        k = int(np.argmax(failing.any(axis=0)))
-        raise checks[int(np.argmax(failing[:, k]))][1](k + 1, k)
-    del failing, dup, checks  # their memory goes to the sorted columns
+    _raise_first(checks)
+    del dup, checks  # their memory goes to the sorted columns
     columns = (ts_sorted, bid[order], ask[order])
     bounds = np.searchsorted(code_sorted, np.arange(len(names) + 1))
     return {
@@ -473,8 +621,9 @@ def load_block_records(path: str | Path) -> dict[int, BlockRecord]:
         if block in records:
             raise DuplicateBlock(block, name)
         used = parse_cell(_bool, row["used_bid_adjustment"], i, "used_bid_adjustment", name)
-        delta = parse_cell(float, row["adjustment_delta_eth"], i, "adjustment_delta_eth", name)
-        bid = parse_cell(float, row["bid_eth"], i, "bid_eth", name)
+        delta = parse_cell(_finite_float, row["adjustment_delta_eth"], i,
+                           "adjustment_delta_eth", name)
+        bid = parse_cell(_finite_float, row["bid_eth"], i, "bid_eth", name)
         if bid < 0:
             raise MalformedRow(i, "bid_eth must be >= 0", name)
         if delta < 0:
@@ -485,7 +634,7 @@ def load_block_records(path: str | Path) -> dict[int, BlockRecord]:
             block_number=block,
             builder_label=row["builder_label"].strip(),
             coinbase_delta_eth=parse_cell(
-                float, row["coinbase_delta_eth"], i, "coinbase_delta_eth", name),
+                _finite_float, row["coinbase_delta_eth"], i, "coinbase_delta_eth", name),
             bid_eth=bid,
             used_bid_adjustment=used,
             adjustment_delta_eth=delta,

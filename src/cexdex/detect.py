@@ -5,8 +5,14 @@ OFA backruns, router/bot labels) arrive as precomputed boolean flags on the
 transaction; this module only combines them and reconstructs the effective
 traded pair from per-swap net flows.
 
-DetectionVerdict declares the rows of verdicts.csv, one per transaction, and
-ArbTrade those of detections.csv, one per transaction that passed.
+``detect_all`` judges a TransactionTable column by column: H1-H5 and H6's
+ERC-721 test are boolean columns, and a one-swap transaction's pair is its
+swap, less a dust leg. Only a transaction with two or more swaps is netted
+token by token in Decimal.
+
+DetectionVerdict declares the rows of verdicts.csv, one per transaction,
+which ``Verdicts`` holds as columns; ArbTrade declares those of
+detections.csv, one per transaction that passed.
 """
 
 from __future__ import annotations
@@ -14,14 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .data_model import AMOUNT_CONTEXT, RawTransaction, SearcherLabelFile, TokenRegistry
+import numpy as np
+
+from .data_model import (
+    AMOUNT_CONTEXT, DUST_THRESHOLD, SearcherLabelFile, TokenRegistry, TransactionTable,
+    parse_amount,
+)
 from .errors import NotTwoSided
 
 HEURISTICS = ("H1", "H2", "H3", "H4", "H5", "H6")
-
-# Multi-hop routing can leave sub-dust residue on intermediate tokens;
-# anything at or below this is treated as zero.
-DUST_THRESHOLD = Decimal("1e-12")
+# why a transaction fails each of H1-H5
+_FAILS = ("seen in public mempool", "no swap is first in its direction",
+          "atomic MEV or liquidation", "OFA backrun", "router or labeled bot")
+_ZERO = Decimal(0)
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,21 @@ class DetectionVerdict:
 
 
 @dataclass(frozen=True)
+class Verdicts:
+    """verdicts.csv as columns, one entry per transaction in table order;
+    ``h`` holds h1..h6."""
+    tx_hash: list[str]
+    passed: np.ndarray
+    h: tuple[np.ndarray, ...]
+    failure_reasons: list[str]
+
+    def rows(self):
+        """Each transaction's DetectionVerdict fields, in order."""
+        return zip(self.tx_hash, self.passed.tolist(), *(h.tolist() for h in self.h),
+                   self.failure_reasons)
+
+
+@dataclass(frozen=True)
 class ArbTrade:
     tx_hash: str
     block_number: int
@@ -55,12 +81,13 @@ class ArbTrade:
     builder_tip_eth: float  # priority fee + coinbase transfer
 
 
-def aggregate_swaps(tx: RawTransaction) -> dict[str, Decimal]:
-    """Net signed flow per token: received minus spent, dust dropped."""
+def aggregate_swaps(tokens_in, amounts_in, tokens_out, amounts_out) -> dict[str, Decimal]:
+    """Net signed flow per token of one transaction's swaps: received minus
+    spent, dust dropped."""
     net: dict[str, Decimal] = {}
-    for s in tx.swaps:
-        net[s.token_in] = AMOUNT_CONTEXT.subtract(net.get(s.token_in, Decimal(0)), s.amount_in)
-        net[s.token_out] = AMOUNT_CONTEXT.add(net.get(s.token_out, Decimal(0)), s.amount_out)
+    for t_in, a_in, t_out, a_out in zip(tokens_in, amounts_in, tokens_out, amounts_out):
+        net[t_in] = AMOUNT_CONTEXT.subtract(net.get(t_in, _ZERO), parse_amount(a_in))
+        net[t_out] = AMOUNT_CONTEXT.add(net.get(t_out, _ZERO), parse_amount(a_out))
     return {t: v for t, v in net.items() if abs(v) > DUST_THRESHOLD}
 
 
@@ -75,74 +102,94 @@ def effective_pair(net_flows: dict[str, Decimal]) -> tuple[str, Decimal, str, De
     if len(bought) != 1 or len(sold) != 1 or len(net_flows) != 2:
         raise NotTwoSided(f"net flows over {len(net_flows)} tokens")
     (token_bought, x), (token_sold, y) = bought[0], sold[0]
-    return token_bought, x, token_sold, -y
+    return token_bought, x, token_sold, AMOUNT_CONTEXT.minus(y)
 
 
-def apply_heuristics(tx: RawTransaction, registry: TokenRegistry) -> DetectionVerdict:
-    reasons: list[str] = []
-
-    h6 = tx.erc721_transfer_count == 0
-    if not h6:
-        reasons.append("H6: contains ERC-721 transfer")
-    else:
-        try:
-            token_bought, _, token_sold, _ = effective_pair(aggregate_swaps(tx))
-        except NotTwoSided as e:
-            h6 = False
-            reasons.append(f"H6: {e}")
-        else:
-            for t in (token_bought, token_sold):
-                if not registry.is_listed(t):
-                    h6 = False
-                    reasons.append(f"H6: token {t} not CEX-listed")
-
-    h1_to_h5 = (
-        (not tx.seen_in_mempool, "seen in public mempool"),
-        (any(s.first_in_direction for s in tx.swaps), "no swap is first in its direction"),
-        (not tx.atomic_mev_flag and not tx.liquidation_flag, "atomic MEV or liquidation"),
-        (not tx.ofa_backrun_flag, "OFA backrun"),
-        (not tx.router_or_bot_flag, "router or labeled bot"),
-    )
-    reasons += [f"{h}: {why}" for h, (ok, why) in zip(HEURISTICS, h1_to_h5) if not ok]
-    per_heuristic = [ok for ok, _ in h1_to_h5] + [h6]
-    return DetectionVerdict(tx.tx_hash, all(per_heuristic), *per_heuristic, "; ".join(reasons))
+def _one_swap_amounts(amounts: list[str]) -> list[Decimal]:
+    """Amounts of one-swap transactions as netting leaves them, 0 + amount,
+    so that 1E+2 is written 100; load_transactions has checked that they parse."""
+    create, add = AMOUNT_CONTEXT.create_decimal, AMOUNT_CONTEXT.add
+    return [add(_ZERO, create(a.strip())) for a in amounts]
 
 
 def detect_all(
-    txs: list[RawTransaction],
+    table: TransactionTable,
     registry: TokenRegistry,
     labels: SearcherLabelFile,
-) -> tuple[list[ArbTrade], list[DetectionVerdict]]:
+) -> tuple[list[ArbTrade], Verdicts]:
     """Run every transaction through the heuristics.
 
     Every input gets a verdict; passing transactions become ArbTrades.
     Contracts without a label are kept under "other:<address>" so landscape
     totals stay complete.
     """
+    starts = table.starts
+    n_swaps = np.diff(starts, append=len(table.token_in))
+    h1_to_h5 = (
+        ~table.seen_in_mempool,
+        np.logical_or.reduceat(table.first_in_direction, starts),
+        ~(table.atomic_mev_flag | table.liquidation_flag),
+        ~table.ofa_backrun_flag,
+        ~table.router_or_bot_flag,
+    )
+
+    # H6: no ERC-721 transfer, and net flows of one token bought and one sold,
+    # both CEX-listed. A one-swap transaction's tokens are its swap's two.
+    no_erc721 = table.erc721_transfer_count == 0
+    bought, sold = table.token_out[starts], table.token_in[starts]
+    n_tokens = 2 - (table.in_is_dust[starts].astype(np.int64) + table.out_is_dust[starts])
+    two_sided = n_tokens == 2
+    netted: dict[int, tuple[Decimal, Decimal]] = {}
+    for j in np.flatnonzero((n_swaps > 1) & no_erc721).tolist():
+        swaps = slice(starts[j], starts[j] + n_swaps[j])
+        net = aggregate_swaps(table.token_in[swaps].tolist(), table.amount_in[swaps].tolist(),
+                              table.token_out[swaps].tolist(), table.amount_out[swaps].tolist())
+        n_tokens[j] = len(net)
+        try:
+            bought[j], x, sold[j], y = effective_pair(net)
+            netted[j] = (x, y)
+        except NotTwoSided:
+            pass
+        two_sided[j] = j in netted
+    has_pair = no_erc721 & two_sided
+    pair_tokens, code = np.unique(np.concatenate([bought[has_pair], sold[has_pair]]),
+                                  return_inverse=True)
+    listed = np.array([registry.is_listed(t) for t in pair_tokens.tolist()], dtype=bool)[code]
+    bought_listed, sold_listed = np.ones(len(table), dtype=bool), np.ones(len(table), dtype=bool)
+    bought_listed[has_pair], sold_listed[has_pair] = np.split(listed, 2)
+    h6 = has_pair & bought_listed & sold_listed
+    passed = np.logical_and.reduce([*h1_to_h5, h6])
+
+    reasons = [""] * len(table)
+    failed = np.flatnonzero(~passed)
+    h_failed = [h[failed].tolist() for h in h1_to_h5]
+    for k, j in enumerate(failed.tolist()):
+        if not no_erc721[j]:
+            why = ["H6: contains ERC-721 transfer"]
+        elif not two_sided[j]:
+            why = [f"H6: net flows over {n_tokens[j]} tokens"]
+        else:
+            legs = ((bought[j], bought_listed[j]), (sold[j], sold_listed[j]))
+            why = [f"H6: token {t} not CEX-listed" for t, ok in legs if not ok]
+        why += [f"{h}: {w}" for h, w, ok in zip(HEURISTICS, _FAILS, (c[k] for c in h_failed))
+                if not ok]
+        reasons[j] = "; ".join(why)
+    verdicts = Verdicts(table.tx_hash.tolist(), passed, (*h1_to_h5, h6), reasons)
+
+    rows = np.flatnonzero(passed)
+    first = starts[rows]
+    amount_bought = _one_swap_amounts(table.amount_out[first].tolist())
+    amount_sold = _one_swap_amounts(table.amount_in[first].tolist())
+    for k, j in enumerate(rows.tolist()):
+        if j in netted:
+            amount_bought[k], amount_sold[k] = netted[j]
     addr_to_label = labels.address_to_label()
-    trades: list[ArbTrade] = []
-    verdicts: list[DetectionVerdict] = []
-    for tx in sorted(txs, key=lambda t: (t.block_number, t.tx_hash)):
-        verdict = apply_heuristics(tx, registry)
-        verdicts.append(verdict)
-        if not verdict.passed:
-            continue
-        token_bought, x, token_sold, y = effective_pair(aggregate_swaps(tx))
-        label = addr_to_label.get(tx.searcher_contract, f"other:{tx.searcher_contract}")
-        trades.append(
-            ArbTrade(
-                tx_hash=tx.tx_hash,
-                block_number=tx.block_number,
-                searcher_label=label,
-                builder_label=tx.builder_label,
-                slot_time_ms=tx.slot_time_ms,
-                token_bought=token_bought,
-                amount_bought=x,
-                token_sold=token_sold,
-                amount_sold=y,
-                volume_usd=tx.volume_usd,
-                base_fee_eth=tx.base_fee_eth,
-                builder_tip_eth=tx.priority_fee_eth + tx.coinbase_transfer_eth,
-            )
-        )
-    return trades, verdicts
+    columns = (  # in ArbTrade's field order
+        table.tx_hash[rows].tolist(), table.block_number[rows].tolist(),
+        [addr_to_label.get(a, f"other:{a}") for a in table.searcher_contract[rows].tolist()],
+        table.builder_label[rows].tolist(), table.slot_time_ms[rows].tolist(),
+        bought[rows].tolist(), amount_bought, sold[rows].tolist(), amount_sold,
+        table.volume_usd[rows].tolist(), table.base_fee_eth[rows].tolist(),
+        (table.priority_fee_eth[rows] + table.coinbase_transfer_eth[rows]).tolist(),
+    )
+    return [ArbTrade(*fields) for fields in zip(*columns)], verdicts

@@ -186,10 +186,10 @@ class Workspace:
 # detect
 
 def run_detect(ws: Workspace) -> None:
-    txs = load_transactions(_require_input(ws.input_dir, "transactions.csv"))
-    trades, verdicts = detect_all(txs, ws.registry, ws.labels)
+    table = load_transactions(_require_input(ws.input_dir, "transactions.csv"))
+    trades, verdicts = detect_all(table, ws.registry, ws.labels)
     _write_output(ws.out_dir / "detections.csv", ArbTrade, trades)
-    _write_output(ws.out_dir / "verdicts.csv", DetectionVerdict, verdicts)
+    _write_csv(ws.out_dir / "verdicts.csv", _columns(DetectionVerdict), verdicts.rows())
     ws.detections = trades
 
 

@@ -1,12 +1,16 @@
+import csv
 import dataclasses
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cexdex.config import MarkoutGrid, PipelineConfig
-from cexdex.data_model import RawTransaction, SwapEvent, TokenInfo, TokenRegistry
-from cexdex.detect import ArbTrade
+from cexdex.data_model import (
+    TRANSACTION_COLUMNS, SearcherLabelFile, TokenInfo, TokenRegistry, load_transactions,
+)
+from cexdex.detect import ArbTrade, DetectionVerdict, detect_all
 from cexdex.markout import markout_table
 from cexdex.quotes import QuoteStore
 
@@ -55,13 +59,11 @@ def make_store(series: dict[str, list[tuple[int, float, float]]]) -> QuoteStore:
 
 
 def make_swap(token_in, amount_in, token_out, amount_out, log_index=0,
-              first_in_direction=True, pool_id="p0", dex="d0") -> SwapEvent:
-    return SwapEvent(
-        pool_id=pool_id, dex=dex,
-        token_in=token_in, amount_in=Decimal(str(amount_in)),
-        token_out=token_out, amount_out=Decimal(str(amount_out)),
-        log_index=log_index, first_in_direction=first_in_direction,
-    )
+              first_in_direction=True, pool_id="p0", dex="d0") -> dict:
+    """One swap's cells of a transactions.csv row."""
+    return dict(pool_id=pool_id, dex=dex, token_in=token_in, amount_in=amount_in,
+                token_out=token_out, amount_out=amount_out, log_index=log_index,
+                first_in_direction=first_in_direction)
 
 
 def make_tx(tx_hash="0xabc", swaps=None, *, block_number=100, slot_time_ms=1_000_000,
@@ -69,19 +71,40 @@ def make_tx(tx_hash="0xabc", swaps=None, *, block_number=100, slot_time_ms=1_000
             atomic_mev_flag=False, liquidation_flag=False, ofa_backrun_flag=False,
             router_or_bot_flag=False, erc721_transfer_count=0, base_fee_eth=0.001,
             priority_fee_eth=0.01, coinbase_transfer_eth=0.0,
-            builder_label="builderX", volume_usd=1000.0) -> RawTransaction:
+            builder_label="builderX", volume_usd=1000.0) -> list[dict]:
+    """One transaction's rows of transactions.csv, one per swap."""
     if swaps is None:
         swaps = (make_swap(USDT, 1000, TOKA, 100),)
-    return RawTransaction(
+    fields = dict(
         tx_hash=tx_hash, block_number=block_number, slot_time_ms=slot_time_ms,
-        searcher_contract=searcher_contract, swaps=tuple(swaps),
-        seen_in_mempool=seen_in_mempool, atomic_mev_flag=atomic_mev_flag,
-        liquidation_flag=liquidation_flag, ofa_backrun_flag=ofa_backrun_flag,
-        router_or_bot_flag=router_or_bot_flag,
+        searcher_contract=searcher_contract, seen_in_mempool=seen_in_mempool,
+        atomic_mev_flag=atomic_mev_flag, liquidation_flag=liquidation_flag,
+        ofa_backrun_flag=ofa_backrun_flag, router_or_bot_flag=router_or_bot_flag,
         erc721_transfer_count=erc721_transfer_count, base_fee_eth=base_fee_eth,
         priority_fee_eth=priority_fee_eth, coinbase_transfer_eth=coinbase_transfer_eth,
         builder_label=builder_label, volume_usd=volume_usd,
     )
+    return [{**fields, **swap} for swap in swaps]
+
+
+def write_transactions(directory: Path, txs) -> Path:
+    """transactions.csv in ``directory`` holding the rows of ``txs``, in order."""
+    path = directory / "transactions.csv"
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(TRANSACTION_COLUMNS)
+        w.writerows([("true" if r[c] else "false") if isinstance(r[c], bool) else r[c]
+                     for c in TRANSACTION_COLUMNS] for tx in txs for r in tx)
+    return path
+
+
+def detect(directory: Path, txs, registry: TokenRegistry, labels: SearcherLabelFile | None = None
+           ) -> tuple[list[ArbTrade], dict[str, DetectionVerdict]]:
+    """detect_all of ``txs`` written to transactions.csv in ``directory`` and
+    loaded back: the trades, and the verdicts by tx_hash."""
+    table = load_transactions(write_transactions(directory, txs))
+    trades, verdicts = detect_all(table, registry, labels or SearcherLabelFile(labels={}))
+    return trades, {v.tx_hash: v for v in (DetectionVerdict(*row) for row in verdicts.rows())}
 
 
 def make_trade(tx_hash="0xt1", *, block_number=100, searcher_label="s1",

@@ -1,15 +1,17 @@
 """Hand-built detection corpus: 40 transactions with expected verdicts.
 
 Each entry pins the exact pass/fail outcome and the set of failing
-heuristics, so any behavioral drift in detect.apply_heuristics shows up as
-a manifest mismatch rather than a silent change in counts.
+heuristics, so any behavioral drift in load_transactions or detect_all shows
+up as a manifest mismatch rather than a silent change in counts. Each
+transaction is a list of transactions.csv rows (conftest.make_tx).
 """
 
 from conftest import TOKA, TOKB, TOKC, USDT, WBTC, WETH, make_swap, make_tx
 
 
 def build_corpus():
-    """Returns (txs, manifest) where manifest[tx_hash] = (passed, failed_set)."""
+    """Returns (txs, manifest) where manifest[tx_hash] = (passed, failed_set);
+    the transactions are in block order."""
     txs = []
     manifest = {}
     counter = [0]

@@ -16,7 +16,7 @@ from cexdex.builder import REFUND_CUTOFF_MS, builder_onchain_profit, subsidy_fla
 from cexdex.cli import main
 from cexdex.config import PipelineConfig
 from cexdex.data_model import BlockRecord
-from cexdex.detect import HEURISTICS, apply_heuristics
+from cexdex.detect import HEURISTICS
 from cexdex.estimate import trade_economics
 from cexdex.horizon import SearcherProfile
 from cexdex.market import (
@@ -29,7 +29,7 @@ from cexdex.market import (
 from cexdex.synth import SearcherSpec, SynthConfig, generate, score
 from cexdex import _kernels
 
-from conftest import make_store, make_trade, mr_at_zero
+from conftest import detect, make_store, make_trade, mr_at_zero
 
 
 def run_pipeline(inputs: Path, out: Path):
@@ -47,18 +47,19 @@ def run_scored(cfg: SynthConfig, tmp_path: Path, tag: str):
 
 # 1 ------------------------------------------------------------------------
 
-def test_criterion_1_heuristic_corpus(registry):
+def test_criterion_1_heuristic_corpus(registry, tmp_path):
     from heuristic_corpus import build_corpus
 
     txs, manifest = build_corpus()
     assert len(txs) == 40
     start = time.perf_counter()
-    for tx in txs:
-        verdict = apply_heuristics(tx, registry)
-        expected_pass, expected_failed = manifest[tx.tx_hash]
-        assert verdict.passed == expected_pass, tx.tx_hash
+    _, verdicts = detect(tmp_path, txs, registry)
+    assert set(verdicts) == set(manifest)
+    for tx_hash, verdict in verdicts.items():
+        expected_pass, expected_failed = manifest[tx_hash]
+        assert verdict.passed == expected_pass, tx_hash
         failed = {h for h in HEURISTICS if not getattr(verdict, h.lower())}
-        assert failed == set(expected_failed), tx.tx_hash
+        assert failed == set(expected_failed), tx_hash
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"\nPASS criterion 1: 40/40 verdicts, {elapsed * 1e3:.1f} ms")

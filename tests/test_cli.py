@@ -348,3 +348,16 @@ def test_startup_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("days", [2, 1, 0, -3])
+def test_config_rolling_window_shorter_than_three_days_exits_1(synth_inputs, tmp_path, capsys,
+                                                               days):
+    """A Spearman rank correlation needs three points, so a shorter rolling
+    window would drop every pair_rolling row; it is refused naming the key."""
+    config = json.loads((synth_inputs / "config.json").read_text())
+    rc, err, written = run_with_replaced_input(
+        synth_inputs, tmp_path, capsys, "config.json",
+        json.dumps({**config, "rolling_window_days": days}))
+    assert (rc, err["error"], written) == (1, "InvalidConfig", [])
+    assert "rolling_window_days" in err["message"]

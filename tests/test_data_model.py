@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -27,9 +28,10 @@ from cexdex.errors import (
     MalformedRow,
     MissingColumn,
     NonMonotonicSlotTime,
+    PipelineError,
 )
 
-from conftest import TOKA, USDT
+from conftest import TOKA, USDT, WETH
 
 TOKENS_CSV = """address,symbol,cex_listed,is_major,decimals
 {usdt},USDT,true,true,6
@@ -86,10 +88,10 @@ def test_load_transactions_groups_by_hash(tmp_path):
         tx_row("0xb", 2, 24000),
     ]
     p.write_text(TX_HEADER + "\n" + "\n".join(rows) + "\n")
-    txs = load_transactions(p)
-    assert [t.tx_hash for t in txs] == ["0xa", "0xb"]
-    assert len(txs[0].swaps) == 2
-    assert txs[0].swaps[0].log_index == 0  # sorted by log index
+    table = load_transactions(p)
+    assert table.tx_hash.tolist() == ["0xa", "0xb"]
+    assert table.starts.tolist() == [0, 2]  # 0xa has two swaps
+    assert table.token_in.tolist()[:2] == [USDT, TOKA]  # sorted by log index
 
 
 def test_load_transactions_rejects_zero_amount(tmp_path):
@@ -127,8 +129,7 @@ def test_load_transactions_sorted_by_block(tmp_path):
     p = tmp_path / "transactions.csv"
     rows = [tx_row("0xb", 5, 60000), tx_row("0xa", 1, 12000)]
     p.write_text(TX_HEADER + "\n" + "\n".join(rows) + "\n")
-    txs = load_transactions(p)
-    assert [t.block_number for t in txs] == [1, 5]
+    assert load_transactions(p).block_number.tolist() == [1, 5]
 
 
 def test_load_quotes_sorted_and_validated(tmp_path):
@@ -314,7 +315,8 @@ decimal_strings = st.from_regex(r"\A[0-9]{1,20}\Z").flatmap(
 
 
 @given(
-    st.lists(st.one_of(st.floats(min_value=0, exclude_min=True).map(repr), decimal_strings),
+    st.lists(st.one_of(st.floats(min_value=0, exclude_min=True, allow_infinity=False).map(repr),
+                       decimal_strings),
              min_size=1, max_size=40),
     st.lists(st.integers(-2**63, 2**63 - 1), min_size=40, max_size=40, unique=True),
 )
@@ -322,7 +324,9 @@ decimal_strings = st.from_regex(r"\A[0-9]{1,20}\Z").flatmap(
 def test_load_quotes_parses_numbers_bit_for_bit(tmp_path_factory, bids, stamps):
     bids = [b for b in bids if float(b) > 0]
     p = tmp_path_factory.mktemp("quotes") / "quotes.csv"
-    p.write_text(QUOTES_HEADER + "".join(f"X,{t},{b},inf\n" for t, b in zip(stamps, bids)))
+    # the largest float asks at least any finite bid
+    p.write_text(QUOTES_HEADER + "".join(f"X,{t},{b},{sys.float_info.max!r}\n"
+                                         for t, b in zip(stamps, bids)))
     assert data_model._tokenize_quotes(p) is not None
     assert_same_quotes(load_quotes(p), reference_quotes(p))
 
@@ -439,3 +443,263 @@ def test_loader_errors_name_their_file(tmp_path, name, text, load, error, messag
     with pytest.raises(error) as e:
         load(p)
     assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# transactions.csv: each check, its message and the row it names
+
+TX_COLUMNS = TX_HEADER.split(",")
+# 0xb's two swaps are rows 3 and 5, with 0xc's between them
+SECOND_SWAP = dict(log_index=1, token_in=TOKA, amount_in="100", token_out=WETH, amount_out="5")
+TX_ROWS = [
+    tx_row("0xa", 1, 12000),
+    tx_row("0xa", 1, 12000, **SECOND_SWAP),
+    tx_row("0xb", 2, 24000),
+    tx_row("0xc", 3, 36000),
+    tx_row("0xb", 2, 24000, **SECOND_SWAP),
+]
+SHORT = None  # an edit that keeps only the row's first five fields
+
+
+def edited_transactions(tmp_path, edits) -> str:
+    """transactions.csv with TX_ROWS, each (row, column, cell) in ``edits`` applied."""
+    rows = [r.split(",") for r in TX_ROWS]
+    for row, column, cell in edits:
+        if cell is SHORT:
+            rows[row - 1] = rows[row - 1][:5]
+        else:
+            rows[row - 1][TX_COLUMNS.index(column)] = cell
+    p = tmp_path / "transactions.csv"
+    p.write_text(TX_HEADER + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
+    return p
+
+
+def row_error(row: int, reason: str) -> str:
+    return f"malformed row {row} of transactions.csv: {reason}"
+
+
+TX_PARSED = ["amount_in", "amount_out", "log_index", "first_in_direction",
+             "erc721_transfer_count", "base_fee_eth", "priority_fee_eth",
+             "coinbase_transfer_eth", "volume_usd", "block_number", "slot_time_ms",
+             "seen_in_mempool", "atomic_mev_flag", "liquidation_flag",
+             "ofa_backrun_flag", "router_or_bot_flag"]
+TX_FEES = ["base_fee_eth", "priority_fee_eth", "coinbase_transfer_eth", "volume_usd"]
+TX_LEVEL = {"block_number": "7", "slot_time_ms": "24001", "searcher_contract": "0xother",
+            "erc721_transfer_count": "1", "base_fee_eth": "0.002", "priority_fee_eth": "0",
+            "coinbase_transfer_eth": "0.5", "builder_label": "builderY", "volume_usd": "999",
+            "seen_in_mempool": "true", "atomic_mev_flag": "1", "liquidation_flag": "t",
+            "ofa_backrun_flag": "yes", "router_or_bot_flag": " TRUE "}
+
+TX_CHECKS = [
+    ("short", [(3, None, SHORT)], MalformedRow, row_error(3, "fewer fields than the header")),
+    *[(f"bad-{c}", [(3, c, " x1 ")], MalformedRow, row_error(3, f"bad value ' x1 ' in {c}"))
+      for c in TX_PARSED],
+    ("bad-int-as-float", [(3, "log_index", "1.0")], MalformedRow,
+     row_error(3, "bad value '1.0' in log_index")),
+    ("zero-amount_in", [(3, "amount_in", "0")], MalformedRow,
+     row_error(3, "amount_in must be > 0")),
+    ("negative-zero-amount_in", [(3, "amount_in", "-0.0")], MalformedRow,
+     row_error(3, "amount_in must be > 0")),
+    ("negative-amount_out", [(3, "amount_out", "-1")], MalformedRow,
+     row_error(3, "amount_out must be > 0")),
+    ("same-token", [(3, "token_out", " " + USDT.upper().replace("0X", "0x"))], MalformedRow,
+     row_error(3, "token_in == token_out")),
+    ("negative-erc721", [(3, "erc721_transfer_count", "-1")], MalformedRow,
+     row_error(3, "erc721_transfer_count must be >= 0")),
+    *[(f"negative-{c}", [(3, c, "-0.5")], MalformedRow, row_error(3, f"{c} must be >= 0"))
+      for c in TX_FEES],
+    ("empty-tx_hash", [(4, "tx_hash", " ")], MalformedRow, row_error(4, "empty tx_hash")),
+    *[(f"differs-{c}", [(5, c, v)], MalformedRow,
+       row_error(5, "transaction-level fields differ across rows of one tx"))
+      for c, v in TX_LEVEL.items()],
+    ("duplicate-log_index", [(2, "log_index", "0")], MalformedRow,
+     row_error(2, "duplicate log_index 0")),
+    ("duplicate-log_index-not-adjacent", [(5, "log_index", " +0")], MalformedRow,
+     row_error(5, "duplicate log_index 0")),
+    ("two-slot-times", [(4, "block_number", "2")], NonMonotonicSlotTime,
+     "block 2 has two slot times in transactions.csv"),
+    ("slot-time-decreases", [(4, "slot_time_ms", "6000")], NonMonotonicSlotTime,
+     "slot time not increasing from block 2 to 3 in transactions.csv"),
+    ("slot-time-repeats", [(4, "slot_time_ms", "24000")], NonMonotonicSlotTime,
+     "slot time not increasing from block 2 to 3 in transactions.csv"),
+    # two bad rows: the earlier one wins, whatever its check
+    ("earlier-row-wins", [(4, "amount_in", "x"), (2, "priority_fee_eth", "-1")], MalformedRow,
+     row_error(2, "priority_fee_eth must be >= 0")),
+    ("earlier-short-row-wins", [(5, "log_index", "0"), (3, None, SHORT)], MalformedRow,
+     row_error(3, "fewer fields than the header")),
+    ("row-error-before-slot-times", [(4, "slot_time_ms", "6000"), (5, "builder_label", "b")],
+     MalformedRow, row_error(5, "transaction-level fields differ across rows of one tx")),
+    # within a row, the checks run in the loader's order
+    ("fees-before-block_number", [(3, "block_number", "x"), (3, "base_fee_eth", "-1")],
+     MalformedRow, row_error(3, "base_fee_eth must be >= 0")),
+    ("amounts-parsed-before-sign", [(3, "amount_in", "0"), (3, "amount_out", "y")], MalformedRow,
+     row_error(3, "bad value 'y' in amount_out")),
+    ("erc721-before-fees", [(3, "volume_usd", "-1"), (3, "erc721_transfer_count", "-2")],
+     MalformedRow, row_error(3, "erc721_transfer_count must be >= 0")),
+    ("flags-before-empty-hash", [(3, "tx_hash", ""), (3, "router_or_bot_flag", "?")],
+     MalformedRow, row_error(3, "bad value '?' in router_or_bot_flag")),
+]
+
+
+@pytest.mark.parametrize("edits, error, message", [c[1:] for c in TX_CHECKS],
+                         ids=[c[0] for c in TX_CHECKS])
+def test_load_transactions_names_the_first_failing_check(tmp_path, edits, error, message):
+    with pytest.raises(PipelineError) as e:
+        load_transactions(edited_transactions(tmp_path, edits))
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+def test_load_transactions_accepts_equal_spellings_of_one_tx(tmp_path):
+    # the tx-level fields of 0xb's second row are the first row's, spelt otherwise
+    load_transactions(edited_transactions(tmp_path, [
+        (5, "searcher_contract", " 0XSEA "), (5, "seen_in_mempool", " F"),
+        (5, "atomic_mev_flag", "0"), (5, "liquidation_flag", ""), (5, "ofa_backrun_flag", "No"),
+        (5, "base_fee_eth", "1e-3"), (5, "coinbase_transfer_eth", "-0.0"),
+        (5, "block_number", "+2"), (5, "builder_label", "builderX "),
+    ]))
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("volume_usd", "nan"), ("base_fee_eth", "NaN"), ("priority_fee_eth", "inf"),
+    ("coinbase_transfer_eth", "1e400"), ("amount_in", "Infinity"), ("amount_in", "NaN"),
+    ("amount_in", "sNaN"), ("amount_out", "-inf"),
+])
+def test_load_transactions_refuses_non_finite_numbers(tmp_path, column, cell):
+    with pytest.raises(MalformedRow) as e:
+        load_transactions(edited_transactions(tmp_path, [(3, column, cell)]))
+    assert str(e.value) == row_error(3, f"bad value {cell!r} in {column}")
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("bid_eth", "nan"), ("coinbase_delta_eth", "nan"), ("adjustment_delta_eth", "inf"),
+])
+def test_load_blocks_refuses_non_finite_numbers(tmp_path, column, cell):
+    rows = [dict(zip(BLOCK_HEADER.split(","), f"{k},b1,1.5,0.0,false,0.0,{12000 * k}".split(",")))
+            for k in (1, 2, 3)]
+    rows[1][column] = cell
+    p = tmp_path / "blocks.csv"
+    p.write_text(BLOCK_HEADER + "".join("\n" + ",".join(r.values()) for r in rows) + "\n")
+    with pytest.raises(MalformedRow) as e:
+        load_block_records(p)
+    assert str(e.value) == f"malformed row 2 of blocks.csv: bad value {cell!r} in {column}"
+
+
+@pytest.mark.parametrize("bad_row, column, cell", [
+    ("BTCUSDT,300,nan,101\n", "bid", "nan"), ("BTCUSDT,300,99,nan\n", "ask", "nan"),
+    ("BTCUSDT,300,99,inf\n", "ask", "inf"), ("BTCUSDT,300,-inf,101\n", "bid", "-inf"),
+])
+def test_load_quotes_refuses_non_finite_numbers(tmp_path, bad_row, column, cell):
+    with pytest.raises(MalformedRow) as e:
+        load_quotes(quotes_file(tmp_path, bad_row, at=3))
+    assert str(e.value) == f"malformed row 3 of quotes.csv: bad value {cell!r} in {column}"
+
+
+def test_load_transactions_peak_memory_per_row(tmp_path):
+    # the columnar loader peaks near 1,100 B/row; a dict per row and two
+    # Decimals per swap peak near 3,100
+    n = 100_000
+    rng = np.random.default_rng(0)
+    p = tmp_path / "transactions.csv"
+    tokens = [f"0x{k:040x}" for k in range(1, 9)]
+    fee = rng.lognormal(-7, 1, n // 2).tolist()
+    with open(p, "w") as f:
+        f.write(TX_HEADER + "\n")
+        for k, (a, b, x, y) in enumerate(zip(rng.integers(0, 8, n).tolist(),
+                                             rng.integers(1, 8, n).tolist(),
+                                             rng.lognormal(5, 2, n).tolist(),
+                                             rng.lognormal(5, 2, n).tolist())):
+            j = k // 2  # two swaps a transaction
+            f.write(f"0x{j:064x},{19_000_000 + j},{1_717_200_000_000 + 12_000 * j},"
+                    f"0x{j % 7:040x},pool-{a},univ3,{tokens[a]},{x!r},{tokens[(a + b) % 8]},{y!r},"
+                    f"{k % 2},true,false,false,false,false,false,0,{fee[j]!r},{fee[j] / 3!r},"
+                    f"0.0,builder{j % 3},{fee[j] * 1e6!r}\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = load_transactions(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n // 2
+    assert peak / n <= 1500
+
+
+TX_FIELDS = ["tx_hash", "block_number", "slot_time_ms", "searcher_contract", "builder_label",
+             "erc721_transfer_count", "base_fee_eth", "priority_fee_eth", "coinbase_transfer_eth",
+             "volume_usd", "seen_in_mempool", "atomic_mev_flag", "liquidation_flag",
+             "ofa_backrun_flag", "router_or_bot_flag"]
+SWAP_FIELDS = ["token_in", "amount_in", "token_out", "amount_out", "first_in_direction"]
+
+
+def reference_transactions(path):
+    """load_transactions of a valid file by csv.reader, int(), float() and
+    str methods, row by row: [(transaction fields, its swaps)] in
+    (block_number, tx_hash) order, the swaps in log_index order."""
+    with open(path, newline="") as f:
+        header, *rows = [r for r in csv.reader(f) if r]
+    flag = lambda v: v.strip().lower() in {"true", "1", "t", "yes"}
+    parse = {"tx_hash": str.strip, "searcher_contract": lambda v: v.strip().lower(),
+             "builder_label": str.strip, "token_in": lambda v: v.strip().lower(),
+             "token_out": lambda v: v.strip().lower(), "amount_in": str, "amount_out": str,
+             **dict.fromkeys(["block_number", "slot_time_ms", "erc721_transfer_count"], int),
+             **dict.fromkeys(["base_fee_eth", "priority_fee_eth", "coinbase_transfer_eth",
+                              "volume_usd"], float),
+             **dict.fromkeys(["first_in_direction", "seen_in_mempool", "atomic_mev_flag",
+                              "liquidation_flag", "ofa_backrun_flag", "router_or_bot_flag"], flag)}
+    txs: dict[str, tuple] = {}
+    for r in rows:
+        row = dict(zip(header, r))  # a repeated column name is its last column
+        cell = {c: parse[c](row[c]) for c in parse}
+        fields = tuple(cell[c] for c in TX_FIELDS)
+        swaps = txs.setdefault(fields[0], (fields, []))[1]
+        swaps.append((int(row["log_index"]), tuple(cell[c] for c in SWAP_FIELDS)))
+    return [(fields, [s for _, s in sorted(swaps)])
+            for fields, swaps in sorted(txs.values(), key=lambda t: (t[0][1], t[0][0]))]
+
+
+def table_transactions(table):
+    """A TransactionTable in reference_transactions' shape."""
+    fields = list(zip(*(getattr(table, c).tolist() for c in TX_FIELDS)))
+    swaps = list(zip(*(getattr(table, c).tolist() for c in SWAP_FIELDS)))
+    ends = [*table.starts.tolist()[1:], len(swaps)]
+    return [(f, swaps[a:b]) for f, a, b in zip(fields, table.starts.tolist(), ends)]
+
+
+def tx_text(*rows, header=TX_HEADER, end="\n") -> str:
+    return end.join([header, *rows]) + end
+
+
+@pytest.mark.parametrize("text, tokenized", [
+    (tx_text('"0xa",1,12000,"0xSEA",p0,d0,"' + USDT + '","1000.5",' + TOKA + ',100,0,true,'
+             'false,false,false,false,false,0,"0.001",0.01,0.0,"builder,""X""",1000.0'), True),
+    (tx_text(tx_row("0xa", 1, 12000).replace("builderX", "b#1").replace(",p0,", ",#p,")), True),
+    (tx_text(" 0xb , 2 ,24000, 0XSEA ,p0,d0," + USDT.upper().replace("0X", "0x") + ", 5 ,"
+             + TOKA + ",7e-3,1,TRUE,No,F,0,,yes, 0 ,0.001,0.01,-0.0, builderX ,1e3",
+             "", tx_row("0xa", 1, 12000), end="\r\n"), True),
+    (tx_text(tx_row("0xa", 1, 12000) + ",past,the,header",
+             tx_row("0xa", 1, 12000, log_index=1, token_in=TOKA, token_out=USDT)), True),
+    (tx_text(tx_row("0xb", 2, 24000, log_index=5), tx_row("0xa", 1, 12000),
+             tx_row("0xb", 2, 24000, log_index=2, token_in=TOKA, token_out=USDT)), True),
+    (tx_text(tx_row("0xa", 1, 12000).replace(",1000.0", ",1_000.0")), False),  # numpy refuses 1_000
+    (tx_text(tx_row("0xa", 1, 12000).replace("builderX", "bü")), False),  # not ASCII
+    (tx_text(tx_row("0xa", 1, 12000).replace("builderX", "\x1cb")), False),  # csv keeps \x1c
+    (tx_text(tx_row("0xa", 1, 12000).replace("builderX", '"b\r\nX"'), end="\r\n"), False),
+    (tx_text(tx_row("0xa", 1, 12000) + ",b2", header=TX_HEADER + ",builder_label"), True),
+    (tx_text(), True),
+], ids=["quoted", "hash", "padded-crlf-blank-spelt", "extra-cells", "out-of-order", "underscore",
+        "non-ascii", "file-separator", "crlf-in-cell", "repeated-column", "header-only"])
+def test_load_transactions_equals_a_csv_reference(tmp_path, text, tokenized):
+    p = tmp_path / "transactions.csv"
+    p.write_bytes(text.encode())
+    assert (data_model._tokenize_transactions(p) is not None) == tokenized
+    got, want = table_transactions(load_transactions(p)), reference_transactions(p)
+    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0 and 1 from True
+
+
+@pytest.mark.parametrize("column", ["block_number", "slot_time_ms", "log_index",
+                                    "erc721_transfer_count"])
+def test_load_transactions_refuses_integers_past_int64(tmp_path, column):
+    with pytest.raises(MalformedRow) as e:
+        load_transactions(edited_transactions(tmp_path, [(3, column, "9223372036854775808")]))
+    assert str(e.value) == row_error(3, f"bad value '9223372036854775808' in {column}")

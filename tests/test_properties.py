@@ -7,18 +7,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cexdex.config import PipelineConfig
-from cexdex.detect import aggregate_swaps
+from cexdex.data_model import TokenInfo, TokenRegistry
 from cexdex.errors import DegenerateRanks, SharesDontSumToOne
 from cexdex.market import hhi, spearman
 from cexdex import _kernels as k
 
-from conftest import TOKC, make_registry, make_store, make_swap, make_trade, make_tx, mr_at_zero
+from conftest import (
+    TOKC, detect, make_registry, make_store, make_swap, make_trade, make_tx, mr_at_zero,
+)
 
 REGISTRY = make_registry()
 
 amounts = st.decimals(min_value="0.000001", max_value="1000000",
                       allow_nan=False, allow_infinity=False, places=6)
-tokens = st.sampled_from(["0xA", "0xB", "0xC", "0xD"])
+tokens = st.sampled_from(["0xa", "0xb", "0xc", "0xd"])
+ABCD = TokenRegistry({t: TokenInfo(t, True, False, t) for t in ["0xa", "0xb", "0xc", "0xd"]})
 
 
 @st.composite
@@ -32,34 +35,50 @@ def swap_lists(draw):
     return swaps
 
 
+def detect_swaps(directory, *swap_lists):
+    """(trade or None, verdict) of each list of swaps as one transaction,
+    through transactions.csv, load_transactions and detect_all."""
+    txs = [make_tx(f"0x{k}", swaps, block_number=k, slot_time_ms=12_000 * k)
+           for k, swaps in enumerate(swap_lists, start=1)]
+    trades, verdicts = detect(directory, txs, ABCD)
+    by_hash = {t.tx_hash: t for t in trades}
+    return [(by_hash.get(h), v) for h, v in verdicts.items()]
+
+
 @given(swap_lists(), st.randoms())
 @settings(max_examples=200, deadline=None)
-def test_aggregate_swaps_permutation_invariant(swaps, rnd):
+def test_aggregate_swaps_permutation_invariant(tmp_path_factory, swaps, rnd):
     shuffled = list(swaps)
     rnd.shuffle(shuffled)
-    tx_a = make_tx(swaps=tuple(swaps))
-    tx_b = make_tx(swaps=tuple(
-        make_swap(s.token_in, s.amount_in, s.token_out, s.amount_out, log_index=i)
+    in_order, permuted = detect_swaps(tmp_path_factory.mktemp("txs"), swaps, [
+        make_swap(s["token_in"], s["amount_in"], s["token_out"], s["amount_out"], log_index=i)
         for i, s in enumerate(shuffled)
-    ))
-    assert aggregate_swaps(tx_a) == aggregate_swaps(tx_b)
+    ])
+    assert in_order[1].failure_reasons == permuted[1].failure_reasons
+    pair = lambda t: t and (t.token_bought, t.amount_bought, t.token_sold, t.amount_sold)
+    assert pair(in_order[0]) == pair(permuted[0])
 
 
 @given(swap_lists())
 @settings(max_examples=200, deadline=None)
-def test_aggregate_swaps_conserves_sign_sum(swaps):
-    # every token's net equals receipts minus spends computed independently
-    tx = make_tx(swaps=tuple(swaps))
-    net = aggregate_swaps(tx)
-    for token in {s.token_in for s in swaps} | {s.token_out for s in swaps}:
-        expected = sum((s.amount_out for s in swaps if s.token_out == token),
-                       Decimal(0))
-        expected -= sum((s.amount_in for s in swaps if s.token_in == token),
-                        Decimal(0))
-        if abs(expected) <= Decimal("1e-12"):
-            assert token not in net
-        else:
-            assert net[token] == expected
+def test_aggregate_swaps_conserves_sign_sum(tmp_path_factory, swaps):
+    # the netted pair, or the count of netted tokens, is that of each token's
+    # receipts minus spends computed independently
+    [(trade, verdict)] = detect_swaps(tmp_path_factory.mktemp("txs"), swaps)
+    net = {}
+    for token in {s["token_in"] for s in swaps} | {s["token_out"] for s in swaps}:
+        v = sum((s["amount_out"] for s in swaps if s["token_out"] == token), Decimal(0))
+        v -= sum((s["amount_in"] for s in swaps if s["token_in"] == token), Decimal(0))
+        if abs(v) > Decimal("1e-12"):
+            net[token] = v
+    bought = [(t, v) for t, v in net.items() if v > 0]
+    sold = [(t, -v) for t, v in net.items() if v < 0]
+    if len(bought) == len(sold) == 1:
+        assert verdict.passed
+        assert (trade.token_bought, trade.amount_bought) == bought[0]
+        assert (trade.token_sold, trade.amount_sold) == sold[0]
+    else:
+        assert trade is None and verdict.failure_reasons == f"H6: net flows over {len(net)} tokens"
 
 
 @given(
