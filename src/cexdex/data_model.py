@@ -1,10 +1,13 @@
 """Domain types and file ingestion.
 
-The four tabular inputs are CSV with a header row, read by ``read_csv``
-(``quotes.csv`` and ``transactions.csv`` by numpy's C tokenizer, to the same
-cells, and checked a column at a time); an error names the file and the
-1-based data row, blank lines not counted. A number that is not finite is
-a cell that does not parse. Searchers are JSON.
+The four tabular inputs are CSV with a header row, each read by one reader,
+``_read_columns``, to which a loader names its columns by kind (text, int64,
+finite float, flag, amount): numpy's C tokenizer reads a file, and one it
+cannot read as csv, int(), float() and Decimal do is read again cell by
+cell. A loader checks the columns it gets back; an error names the file,
+the first failing 1-based data row, blank lines not counted, and that row's
+first failing check. A number that is not finite, or an integer past int64,
+is a cell that does not parse. Searchers are JSON.
 Token amounts are kept as written and read as Decimal where they are
 netted or handed on, so that ERC-20 integer amounts beyond 2^64 survive the
 round trip; everything price-like stays float downstream.
@@ -130,15 +133,6 @@ def read_csv(path: str | Path, required: list[str]) -> tuple[list[str], list[lis
         return header, [r for r in reader if r]
 
 
-def _iter_rows(path: str | Path, required: list[str]):
-    """Yield (1-based data row index, row as a dict); cells past the header are ignored."""
-    header, rows = read_csv(path, required)
-    for i, r in enumerate(rows, start=1):
-        if len(r) < len(header):
-            raise MalformedRow(i, "fewer fields than the header", Path(path).name)
-        yield i, dict(zip(header, r))
-
-
 def _bad_value(raw: str, row_index: int, col: str, file: str = "") -> MalformedRow:
     return MalformedRow(row_index, f"bad value {raw!r} in {col}", file)
 
@@ -174,66 +168,233 @@ def _finite_float(raw: str) -> float:
     return v
 
 
+def _fails(reason: str, file: str):
+    """The error of a row that fails a value check, as _raise_first makes it."""
+    return lambda i, k: MalformedRow(i, reason, file)
+
+
 def _raise_first(checks) -> None:
     """Raise for the first row that fails one of ``checks``, (mask, error(row,
-    index)) pairs over the rows, with the first check it fails."""
-    failing = [(int(np.argmax(mask)), i) for i, (mask, _) in enumerate(checks) if mask.any()]
+    index)) pairs over the rows or None, with the first check it fails."""
+    failing = [(int(np.argmax(check[0])), i) for i, check in enumerate(checks)
+               if check is not None and check[0].any()]
     if failing:
         k, i = min(failing)
         raise checks[i][1](k + 1, k)
 
 
 # ---------------------------------------------------------------------------
+# the input reader: a loader names its columns by kind, {column: kind}
+
+TEXT = "text"  # stripped
+OPTIONAL = "optional text"  # stripped; left out of the columns when the header lacks it
+AMOUNT = "amount"  # as written, and read as a Decimal by _check_amounts
+INT = "int64"
+FLOAT = "finite float"
+FLAG = "flag"  # as _bool reads it
+# a column of kind None must be in the header, but is neither read nor checked
+
+# each kind's parse of a cell, and the dtype of its column, in the cell pass
+_CELL_PARSE = {
+    TEXT: (str.strip, np.dtypes.StringDType), OPTIONAL: (str.strip, np.dtypes.StringDType),
+    AMOUNT: (str, np.dtypes.StringDType), INT: (int, np.int64),
+    FLOAT: (_finite_float, np.float64), FLAG: (_bool, bool),
+}
+
+# ASCII bytes that numpy reads otherwise than csv, int(), float() and
+# str.strip: numpy skips the separators \x1c-\x1f as blanks around a number,
+# and np.strings.strip takes a trailing NUL for a blank.
+_NOT_PLAIN = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _scan_bytes(path: Path) -> tuple[bool, bool]:
+    """(whether ``path`` is ASCII without the bytes in _NOT_PLAIN, whether it
+    holds a '"'). numpy's int parser misreads some non-ASCII digits: the
+    Devanagari two is 2360, where int() says 2."""
+    plain, quoted = True, False
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            plain = plain and chunk.isascii() and not any(b in chunk for b in _NOT_PLAIN)
+            quoted = quoted or b'"' in chunk
+    return plain, quoted
+
+
+def _column_index(header: list[str]) -> dict[str, int]:
+    """Each column's index; a name the header repeats is its last column."""
+    return {name: i for i, name in enumerate(header)}
+
+
+def _flag_column(text: np.ndarray) -> np.ndarray:
+    """_bool of every cell; raises ValueError for a cell that is neither true
+    nor false. Only cells other than "true" and "false" are read one by one."""
+    is_true = text == "true"
+    other = np.flatnonzero(~is_true & (text != "false"))
+    is_true[other] = [_bool(v) for v in text[other].tolist()]
+    return is_true
+
+
+def _tokenize_columns(path: Path, kinds: dict) -> tuple[dict, dict] | None:
+    """As _parse_columns_by_cell, read by numpy's C tokenizer with no Python
+    object per cell; None for a file it might read otherwise than csv and
+    the kinds' parses do, and for one with a short row or a cell that does
+    not parse."""
+    plain, quoted = _scan_bytes(path)
+    if not plain:
+        return None
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = _read_header(reader, path, [c for c, kind in kinds.items() if kind != OPTIONAL])
+    column = _column_index(header)
+    kinds = {c: kind for c, kind in kinds.items() if kind and c in column}
+    texts = [c for c, kind in kinds.items() if kind not in (INT, FLOAT)]
+    numbers = [c for c, kind in kinds.items() if kind in (INT, FLOAT, AMOUNT)]
+    text_cols, number_cols = [column[c] for c in texts], [column[c] for c in numbers]
+    last = len(header) - 1  # read, so that a row shorter than the header fails
+    if last not in text_cols + number_cols:
+        text_cols.append(last)
+    csv_format = dict(delimiter=",", quotechar='"', comments=None, skiprows=reader.line_num)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # A fresh StringDType each call: numpy 2.4 can raise SystemError
+            # when one instance is reused after a failed loadtxt.
+            text = np.loadtxt(path, dtype=np.dtypes.StringDType(), ndmin=2, usecols=text_cols,
+                              **csv_format)
+            # numpy reads with universal newlines, which turn a quoted "\r" into "\n"
+            if quoted and (np.strings.find(text, "\n") >= 0).any():
+                return None
+            # new arrays all, so that the file's text is freed before its numbers are read
+            cells = {c: _flag_column(t) if kinds[c] == FLAG else t.copy() if kinds[c] == AMOUNT
+                     else np.strings.strip(t) for c, t in zip(texts, text.T)}
+            del text
+            # numpy parses floats as float() does, less its "1_0", which
+            # Decimal refuses too: an amount it reads is a Decimal
+            values = np.loadtxt(path, ndmin=1, usecols=number_cols, **csv_format, dtype=[
+                (c, np.int64 if kinds[c] == INT else np.float64) for c in numbers])
+    except (ValueError, ArithmeticError):
+        return None
+    # a non-finite number is refused, by the cell pass, which names it
+    if not all(np.isfinite(values[c]).all() for c in numbers if kinds[c] != INT):
+        return None
+    cells |= {c: values[c] for c in numbers if kinds[c] != AMOUNT}
+    # a float above 1e-11 is that of a Decimal above DUST_THRESHOLD
+    near = {c: ~(values[c] > 1e-11) for c in numbers if kinds[c] == AMOUNT}
+    return cells, _check_amounts(cells, near, path.name)
+
+
+def _parse_columns_by_cell(path: Path, kinds: dict) -> tuple[dict, dict]:
+    """(columns by name, the checks that cells parse by column name, with
+    "short" for the rows shorter than the header), by csv and each kind's
+    parse: one Python object per cell, but every short row and bad cell is
+    masked, for the loader to name the first. A rejected cell is left 0."""
+    header, rows = read_csv(path, [c for c, kind in kinds.items() if kind != OPTIONAL])
+    name = path.name
+    short = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < len(header)
+    if short.any():
+        rows = [r + [""] * (len(header) - len(r)) for r in rows]
+    column = _column_index(header)
+    cells, parsed = {}, {"short": (short, _fails("fewer fields than the header", name))}
+    for c, kind in kinds.items():
+        if kind and c in column:
+            raw = [r[column[c]] for r in rows]
+            cells[c], bad = _parse_column(raw, *_CELL_PARSE[kind])
+            if bad.any():
+                parsed[c] = (bad, lambda i, k, c=c, raw=raw: _bad_value(raw[k], i, c, name))
+    near = {c: np.ones(len(rows), dtype=bool) for c, kind in kinds.items() if kind == AMOUNT}
+    return cells, parsed | _check_amounts(cells, near, name)
+
+
+def _parse_column(raw: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``parse`` of every entry, and the mask of the entries it rejects (left 0)."""
+    try:
+        return np.array(list(map(parse, raw)), dtype=dtype), np.zeros(len(raw), dtype=bool)
+    except (ValueError, ArithmeticError):  # OverflowError: an int past int64
+        pass
+    values, bad = np.zeros(len(raw), dtype=dtype), np.zeros(len(raw), dtype=bool)
+    for k, v in enumerate(raw):
+        try:
+            values[k] = parse(v)
+        except (ValueError, ArithmeticError):
+            bad[k] = True
+    return values, bad
+
+
+def _check_amounts(cells: dict, near: dict, name: str) -> dict:
+    """Add to ``cells`` the masks of the amounts not > 0 and at most
+    DUST_THRESHOLD, as ``amount_in_not_positive``, ``amount_in_dust``, ...,
+    for each amount column in ``near``; return the checks that they parse,
+    by column. Only the cells in ``near[column]`` are read as Decimal; the
+    others are known to be above DUST_THRESHOLD."""
+    parsed = {}
+    for col, rows in near.items():
+        bad, not_positive, dust = (np.zeros(len(rows), dtype=bool) for _ in range(3))
+        amounts, bad[rows] = _parse_column(cells[col][rows].tolist(), parse_amount, object)
+        not_positive[rows], dust[rows] = amounts <= 0, amounts <= DUST_THRESHOLD
+        cells[f"{col}_not_positive"], cells[f"{col}_dust"] = not_positive, dust
+        parsed[col] = (bad, lambda i, k, col=col: _bad_value(str(cells[col][k]), i, col, name))
+    return parsed
+
+
+def _read_columns(path: str | Path, kinds: dict) -> tuple[dict, dict]:
+    """The columns of the CSV file at ``path`` that ``kinds`` names, by name,
+    and the checks that their cells parse, (mask over the rows, error) by
+    column name, with "short" for the rows with fewer fields than the header.
+
+    numpy's C tokenizer reads the file; one it cannot read is read again
+    cell by cell, which masks every short row and bad cell. A name the
+    header repeats is its last column; cells past the header are ignored.
+    Raises MissingColumn for a column not in the header, unless it is
+    OPTIONAL.
+    """
+    path = Path(path)
+    return _tokenize_columns(path, kinds) or _parse_columns_by_cell(path, kinds)
+
+
+# ---------------------------------------------------------------------------
 # loaders
 
-TOKEN_COLUMNS = ["address", "symbol", "cex_listed", "is_major", "decimals"]
+TOKEN_KINDS = {"address": TEXT, "symbol": TEXT, "cex_listed": FLAG, "is_major": FLAG,
+               "decimals": INT, "quote_symbol": OPTIONAL}
 
 
 def load_tokens(path: str | Path) -> TokenRegistry:
-    entries: dict[str, TokenInfo] = {}
+    """tokens.csv as a TokenRegistry. Raises for the first row that fails a
+    check, with the first check it fails in the order listed below; then,
+    in TokenRegistry, for a major token that is not listed."""
     name = Path(path).name
-    for i, row in _iter_rows(path, TOKEN_COLUMNS):
-        addr = row["address"].strip().lower()
-        if not addr:
-            raise MalformedRow(i, "empty address", name)
-        if addr in entries:
-            raise MalformedRow(i, f"duplicate token address {addr}", name)
-        symbol = row["symbol"].strip()
-        quote_symbol = (row.get("quote_symbol") or "").strip()
-        if not quote_symbol:
-            quote_symbol = QUOTE_SYMBOL_ALIASES.get(symbol, symbol)
-        parse_cell(int, row["decimals"], i, "decimals", name)  # checked, not kept
-        entries[addr] = TokenInfo(
-            symbol=symbol,
-            cex_listed=parse_cell(_bool, row["cex_listed"], i, "cex_listed", name),
-            is_major=parse_cell(_bool, row["is_major"], i, "is_major", name),
-            quote_symbol=quote_symbol,
-        )
-    return TokenRegistry(entries)
+    c, parsed = _read_columns(path, TOKEN_KINDS)
+    address = np.strings.lower(c["address"])
+    dup = np.ones(len(address), dtype=bool)
+    dup[np.unique(address, return_index=True)[1]] = False
+    _raise_first([
+        parsed.get("short"), (address == "", _fails("empty address", name)),
+        (dup, lambda i, k: MalformedRow(i, f"duplicate token address {address[k]}", name)),
+        parsed.get("decimals"),  # checked, not kept
+        parsed.get("cex_listed"), parsed.get("is_major"),
+    ])
+    symbol = c["symbol"].tolist()
+    quote = c.get("quote_symbol", "")  # if empty, the symbol's alias or the symbol
+    aliased = np.array(list(map(QUOTE_SYMBOL_ALIASES.get, symbol, symbol)),
+                       dtype=np.dtypes.StringDType())
+    quote = np.where(quote == "", aliased, quote)
+    return TokenRegistry(dict(zip(address.tolist(), map(
+        TokenInfo, symbol, c["cex_listed"].tolist(), c["is_major"].tolist(), quote.tolist()))))
 
-
-TRANSACTION_COLUMNS = [
-    "tx_hash", "block_number", "slot_time_ms", "searcher_contract",
-    "pool_id", "dex", "token_in", "amount_in", "token_out", "amount_out",
-    "log_index", "first_in_direction",
-    "seen_in_mempool", "atomic_mev_flag", "liquidation_flag",
-    "ofa_backrun_flag", "router_or_bot_flag", "erc721_transfer_count",
-    "base_fee_eth", "priority_fee_eth", "coinbase_transfer_eth",
-    "builder_label", "volume_usd",
-]
 
 _TX_FLAGS = [
     "seen_in_mempool", "atomic_mev_flag", "liquidation_flag",
     "ofa_backrun_flag", "router_or_bot_flag",
 ]
-_TX_INTS = ["block_number", "slot_time_ms", "log_index", "erc721_transfer_count"]
 _TX_FLOATS = ["base_fee_eth", "priority_fee_eth", "coinbase_transfer_eth", "volume_usd"]
-_TX_AMOUNTS = ["amount_in", "amount_out"]
-# read as text: pool_id and dex are neither checked nor kept
-_TX_TEXT = ["tx_hash", "searcher_contract", "token_in", "token_out", "builder_label",
-            *_TX_AMOUNTS, "first_in_direction", *_TX_FLAGS]
-_TX_VALUES = np.dtype([(c, np.int64) for c in _TX_INTS]
-                      + [(c, np.float64) for c in _TX_FLOATS + _TX_AMOUNTS])
+TRANSACTION_KINDS = {
+    "tx_hash": TEXT, "block_number": INT, "slot_time_ms": INT, "searcher_contract": TEXT,
+    "pool_id": None, "dex": None,  # neither checked nor kept
+    "token_in": TEXT, "amount_in": AMOUNT, "token_out": TEXT, "amount_out": AMOUNT,
+    "log_index": INT, "first_in_direction": FLAG, **dict.fromkeys(_TX_FLAGS, FLAG),
+    "erc721_transfer_count": INT, "base_fee_eth": FLOAT, "priority_fee_eth": FLOAT,
+    "coinbase_transfer_eth": FLOAT, "builder_label": TEXT, "volume_usd": FLOAT,
+}
+TRANSACTION_COLUMNS = list(TRANSACTION_KINDS)
 # the fields every row of one transaction repeats
 _TX_LEVEL = ["block_number", "slot_time_ms", "searcher_contract", "erc721_transfer_count",
              "builder_label", *_TX_FLOATS, *_TX_FLAGS]
@@ -276,127 +437,16 @@ class TransactionTable:
         return len(self.starts)
 
 
-def _column_index(header: list[str]) -> dict[str, int]:
-    """Each column's index; a name the header repeats is its last column, as
-    for the dict per row that tokens.csv and blocks.csv are read into."""
-    return {name: i for i, name in enumerate(header)}
-
-
-def _flag_column(text: np.ndarray) -> np.ndarray:
-    """_bool of every cell; raises ValueError for a cell that is neither true
-    nor false. Only cells other than "true" and "false" are read one by one."""
-    is_true = text == "true"
-    other = np.flatnonzero(~is_true & (text != "false"))
-    is_true[other] = [_bool(v) for v in text[other].tolist()]
-    return is_true
-
-
-def _tokenize_transactions(path: Path) -> tuple[dict, dict] | None:
-    """As _parse_transactions_by_cell, read by numpy's C tokenizer with no
-    Python object per cell; None for a file it might read otherwise than
-    csv, int(), float() and Decimal do, and for one with a short row or a
-    cell that does not parse."""
-    plain, quoted = _scan_bytes(path)
-    if not plain:
-        return None
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = _read_header(reader, path, TRANSACTION_COLUMNS)
-    column = _column_index(header)
-    text_cols = [column[c] for c in _TX_TEXT]
-    last = len(header) - 1  # read, so that a row shorter than the header fails
-    csv_format = dict(delimiter=",", quotechar='"', comments=None, skiprows=reader.line_num)
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            text = np.loadtxt(path, dtype=np.dtypes.StringDType(), ndmin=2, **csv_format,
-                              usecols=text_cols + ([] if last in text_cols else [last]))
-            # numpy parses floats as float() does, less its "1_0", which
-            # Decimal refuses too: an amount it reads is a Decimal
-            values = np.loadtxt(path, dtype=_TX_VALUES, ndmin=1, **csv_format,
-                                usecols=[column[c] for c in _TX_VALUES.names])
-        # numpy reads with universal newlines, which turn a quoted "\r" into "\n"
-        if quoted and (np.strings.find(text, "\n") >= 0).any():
-            return None
-        text = dict(zip(_TX_TEXT, text.T))
-        cells = {c: _flag_column(text[c]) for c in ["first_in_direction", *_TX_FLAGS]}
-    except (ValueError, ArithmeticError):
-        return None
-    # a non-finite number is refused, by the cell pass, which names it
-    if not all(np.isfinite(values[c]).all() for c in _TX_FLOATS + _TX_AMOUNTS):
-        return None
-    cells |= {c: values[c] for c in _TX_INTS + _TX_FLOATS}
-    cells |= {c: np.strings.strip(text[c]) for c in ("tx_hash", "builder_label")}
-    cells |= {c: np.strings.lower(np.strings.strip(text[c]))
-              for c in ("searcher_contract", "token_in", "token_out")}
-    # copies, so that the file's other text is freed; a float above 1e-11 is
-    # that of a Decimal above DUST_THRESHOLD
-    cells |= {c: text[c].copy() for c in _TX_AMOUNTS}
-    return cells, _check_amounts(cells, {c: ~(values[c] > 1e-11) for c in _TX_AMOUNTS}, path.name)
-
-
-def _parse_transactions_by_cell(path: Path) -> tuple[dict, dict]:
-    """(columns by name, the checks that cells parse, by column name), by
-    csv, int(), float() and _bool: one Python object per cell, but every
-    short row and bad cell is masked, for ``load_transactions`` to name the
-    first. A rejected cell is left 0."""
-    header, rows = read_csv(path, TRANSACTION_COLUMNS)
-    name = path.name
-    short = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < len(header)
-    if short.any():
-        rows = [r + [""] * (len(header) - len(r)) for r in rows]
-    column = _column_index(header)
-    raw = {c: [r[column[c]] for r in rows] for c in _TX_TEXT + _TX_INTS + _TX_FLOATS}
-    cells = {}
-    parsed = {"short": (short, lambda i, k: MalformedRow(i, "fewer fields than the header", name))}
-    for parse, dtype, cols in ((int, np.int64, _TX_INTS), (_finite_float, np.float64, _TX_FLOATS),
-                               (_bool, bool, ["first_in_direction", *_TX_FLAGS])):
-        for c in cols:
-            cells[c], bad = _parse_column(raw[c], parse, dtype)
-            parsed[c] = (bad, lambda i, k, c=c: _bad_value(raw[c][k], i, c, name))
-    strings = {"tx_hash": str.strip, "builder_label": str.strip,
-               **dict.fromkeys(_TX_AMOUNTS, str),
-               **dict.fromkeys(["searcher_contract", "token_in", "token_out"],
-                               lambda v: v.strip().lower())}
-    for c, clean in strings.items():
-        cells[c] = np.array(list(map(clean, raw[c])), dtype=np.dtypes.StringDType())
-    return cells, parsed | _check_amounts(cells, {c: np.ones(len(rows), dtype=bool)
-                                                  for c in _TX_AMOUNTS}, name)
-
-
-def _check_amounts(cells: dict, near: dict, name: str) -> dict:
-    """Add to ``cells`` the masks of the amounts not > 0 and at most
-    DUST_THRESHOLD, as ``amount_in_not_positive``, ``amount_in_dust``, ...;
-    return the checks that they parse, by column. Only the cells in
-    ``near[column]`` are read as Decimal; the others are known to be above
-    DUST_THRESHOLD."""
-    parsed = {}
-    for col in _TX_AMOUNTS:
-        amounts = cells[col]
-        bad, not_positive, dust = (np.zeros(len(amounts), dtype=bool) for _ in range(3))
-        for k, raw in zip(np.flatnonzero(near[col]).tolist(), amounts[near[col]].tolist()):
-            try:
-                d = parse_amount(raw)
-            except (ValueError, ArithmeticError):
-                bad[k] = True
-            else:
-                not_positive[k], dust[k] = d <= 0, d <= DUST_THRESHOLD
-        cells[f"{col}_not_positive"], cells[f"{col}_dust"] = not_positive, dust
-        parsed[col] = (bad, lambda i, k, col=col: _bad_value(str(cells[col][k]), i, col, name))
-    return parsed
-
-
 def load_transactions(path: str | Path) -> TransactionTable:
     """transactions.csv, one row per swap, as a TransactionTable.
 
-    numpy's C tokenizer reads the file; one it cannot read is read again
-    cell by cell. Raises for the first row that fails a check, with the
-    first check it fails in the order listed below; then for the slot times
-    of the blocks.
+    Raises for the first row that fails a check, with the first check it
+    fails in the order listed below; then for the slot times of the blocks.
     """
-    path = Path(path)
-    name = path.name
-    c, parsed = _tokenize_transactions(path) or _parse_transactions_by_cell(path)
+    name = Path(path).name
+    c, parsed = _read_columns(path, TRANSACTION_KINDS)
+    for col in ("searcher_contract", "token_in", "token_out"):
+        c[col] = np.strings.lower(c[col])
     hashes, first, code = np.unique(c["tx_hash"], return_index=True, return_inverse=True)
     head = first[code]  # the first row of each row's transaction
     differs = np.zeros(len(code), dtype=bool)
@@ -409,26 +459,23 @@ def load_transactions(path: str | Path) -> TransactionTable:
     dup = np.zeros(len(code), dtype=bool)
     dup[order[1:]] = (np.diff(code[order]) == 0) & (np.diff(log_index[order]) == 0)
 
-    def fails(reason):
-        return lambda i, k: MalformedRow(i, reason, name)
-
     # a rejected cell is left 0, which can only fail checks listed after its own
     checks = [parsed.get("short"), parsed["amount_in"], parsed["amount_out"],
-              (c["amount_in_not_positive"], fails("amount_in must be > 0")),
-              (c["amount_out_not_positive"], fails("amount_out must be > 0")),
-              (c["token_in"] == c["token_out"], fails("token_in == token_out")),
+              (c["amount_in_not_positive"], _fails("amount_in must be > 0", name)),
+              (c["amount_out_not_positive"], _fails("amount_out must be > 0", name)),
+              (c["token_in"] == c["token_out"], _fails("token_in == token_out", name)),
               parsed.get("log_index"), parsed.get("first_in_direction"),
               parsed.get("erc721_transfer_count"),
-              (c["erc721_transfer_count"] < 0, fails("erc721_transfer_count must be >= 0"))]
+              (c["erc721_transfer_count"] < 0, _fails("erc721_transfer_count must be >= 0", name))]
     for col in _TX_FLOATS:
-        checks += [parsed.get(col), (c[col] < 0, fails(f"{col} must be >= 0"))]
+        checks += [parsed.get(col), (c[col] < 0, _fails(f"{col} must be >= 0", name))]
     checks += [parsed.get(col) for col in ["block_number", "slot_time_ms", *_TX_FLAGS]]
     checks += [
-        (c["tx_hash"] == "", fails("empty tx_hash")),
-        (differs, fails("transaction-level fields differ across rows of one tx")),
+        (c["tx_hash"] == "", _fails("empty tx_hash", name)),
+        (differs, _fails("transaction-level fields differ across rows of one tx", name)),
         (dup, lambda i, k: MalformedRow(i, f"duplicate log_index {log_index[k]}", name)),
     ]
-    _raise_first([check for check in checks if check is not None])
+    _raise_first(checks)
 
     # transactions by block, then tx_hash (np.unique sorted them); swaps by log_index
     tx_order = np.argsort(c["block_number"][first], kind="stable")
@@ -462,138 +509,42 @@ def load_transactions(path: str | Path) -> TransactionTable:
     )
 
 
-QUOTE_COLUMNS = ["symbol", "ts_ms", "bid", "ask"]
+QUOTE_KINDS = {"symbol": TEXT, "ts_ms": INT, "bid": FLOAT, "ask": FLOAT}
 
 QuoteArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # ts_ms, bid, ask
 
-_QUOTE_VALUES = np.dtype([("ts_ms", np.int64), ("bid", np.float64), ("ask", np.float64)])
-# ASCII bytes that numpy's tokenizer reads otherwise than csv, int() and
-# float(): numpy skips the separators \x1c-\x1f as blanks around a number,
-# and csv refuses NUL.
-_NOT_PLAIN = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _scan_bytes(path: Path) -> tuple[bool, bool]:
-    """(whether ``path`` is ASCII without the bytes in _NOT_PLAIN, whether it
-    holds a '"'). numpy's int parser misreads some non-ASCII digits: the
-    Devanagari two is 2360, where int() says 2."""
-    plain, quoted = True, False
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            plain = plain and chunk.isascii() and not any(b in chunk for b in _NOT_PLAIN)
-            quoted = quoted or b'"' in chunk
-    return plain, quoted
-
 
 def _symbol_codes(symbols: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """(the stripped symbols in first-seen order, each row's index into that
-    list), with one dict lookup per run of equal symbols."""
+    """(the symbols in first-seen order, each row's index into that list),
+    with one dict lookup per run of equal symbols."""
     new_run = np.ones(len(symbols), dtype=bool)
     new_run[1:] = symbols[1:] != symbols[:-1]
     starts = np.flatnonzero(new_run)
     codes: dict[str, int] = {}
-    run_codes = [codes.setdefault(s.strip(), len(codes)) for s in symbols[starts].tolist()]
+    run_codes = [codes.setdefault(s, len(codes)) for s in symbols[starts].tolist()]
     run_lengths = np.diff(starts, append=len(symbols))
     return list(codes), np.repeat(np.array(run_codes, dtype=np.int64), run_lengths)
-
-
-def _tokenize_quotes(path: Path) -> tuple | None:
-    """(symbols in first-seen order, each row's index into them, ts_ms, bid,
-    ask), read by numpy's C tokenizer with no Python object per cell. None for
-    a file it might read otherwise than csv, int() and float() do, and for
-    one with a short row or a cell it does not parse."""
-    if not _scan_bytes(path)[0]:
-        return None
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = _read_header(reader, path, QUOTE_COLUMNS)
-    cols = [header.index(c) for c in QUOTE_COLUMNS]
-    last = len(header) - 1
-    csv_format = dict(delimiter=",", quotechar='"', comments=None, skiprows=reader.line_num)
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # The header's last column is read with the symbols unless it is a
-            # quote column, so that a row shorter than the header fails. A
-            # fresh StringDType each call: numpy 2.4 can raise SystemError
-            # when one instance is reused after a failed loadtxt.
-            names, code = _symbol_codes(np.loadtxt(
-                path, dtype=np.dtypes.StringDType(), ndmin=2, **csv_format,
-                usecols=cols[:1] if last in cols else [cols[0], last])[:, 0])
-            # numpy reads with universal newlines, which turn a "\r" inside a
-            # quoted symbol into "\n"
-            if any("\n" in s for s in names):
-                return None
-            values = np.loadtxt(path, dtype=_QUOTE_VALUES, ndmin=1, usecols=cols[1:], **csv_format)
-    except (ValueError, ArithmeticError):
-        return None
-    # a non-finite price is refused, by the cell pass, which names it
-    if not (np.isfinite(values["bid"]).all() and np.isfinite(values["ask"]).all()):
-        return None
-    return names, code, values["ts_ms"], values["bid"], values["ask"]
-
-
-def _parse_quotes_by_cell(path: Path) -> tuple:
-    """As _tokenize_quotes, plus the parse checks, by csv, int() and float():
-    one Python object per cell, but every short row and bad cell is masked,
-    for ``load_quotes`` to name the first. A rejected cell is left 0."""
-    header, rows = read_csv(path, QUOTE_COLUMNS)
-    short = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < len(header)
-    if short.any():
-        rows = [r + [""] * (len(header) - len(r)) for r in rows]
-    symbols, ts_raw, bid_raw, ask_raw = (
-        [r[j] for r in rows] for j in map(header.index, QUOTE_COLUMNS))
-    ts, bad_ts = _parse_column(ts_raw, int, np.int64)
-    bid, bad_bid = _parse_column(bid_raw, _finite_float, np.float64)
-    ask, bad_ask = _parse_column(ask_raw, _finite_float, np.float64)
-    name = path.name
-    checks = [
-        (short, lambda i, k: MalformedRow(i, "fewer fields than the header", name)),
-        (bad_ts, lambda i, k: _bad_value(ts_raw[k], i, "ts_ms", name)),
-        (bad_bid, lambda i, k: _bad_value(bid_raw[k], i, "bid", name)),
-        (bad_ask, lambda i, k: _bad_value(ask_raw[k], i, "ask", name)),
-    ]
-    return *_symbol_codes(np.array(symbols, dtype=np.dtypes.StringDType())), ts, bid, ask, checks
-
-
-def _parse_column(raw: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``parse`` of every entry, and the mask of the entries it rejects (left 0)."""
-    try:
-        return np.array(list(map(parse, raw)), dtype=dtype), np.zeros(len(raw), dtype=bool)
-    except (ValueError, ArithmeticError):  # OverflowError: an int past int64
-        pass
-    values, bad = np.zeros(len(raw), dtype=dtype), np.zeros(len(raw), dtype=bool)
-    for k, v in enumerate(raw):
-        try:
-            values[k] = parse(v)
-        except (ValueError, ArithmeticError):
-            bad[k] = True
-    return values, bad
 
 
 def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
     """Per-symbol (ts_ms, bid, ask) arrays sorted by timestamp ascending.
 
-    numpy's C tokenizer reads the file; one it cannot read is read again
-    cell by cell. Raises for the first row that fails a check, with the
-    first check it fails in the order listed below.
+    Raises for the first row that fails a check, with the first check it
+    fails in the order listed below.
     """
-    path = Path(path)
-    checks = []
-    quotes = _tokenize_quotes(path)
-    if quotes is None:
-        *quotes, checks = _parse_quotes_by_cell(path)
-    names, code, ts, bid, ask = quotes
+    name = Path(path).name
+    c, parsed = _read_columns(path, QUOTE_KINDS)
+    names, code = _symbol_codes(c.pop("symbol"))
+    ts, bid, ask = c["ts_ms"], c["bid"], c["ask"]
     # by symbol and time, rows in file order within a key (lexsort is stable):
     # a row with the key of the one before it is a duplicate
     order = np.lexsort((ts, code))
     code_sorted, ts_sorted = code[order], ts[order]
     dup = np.zeros(len(ts), dtype=bool)
     dup[order[1:]] = (np.diff(code_sorted) == 0) & (np.diff(ts_sorted) == 0)
-    name = path.name
     # a rejected entry is left 0, which can only fail checks listed after its own
-    checks += [
-        (bid <= 0, lambda i, k: MalformedRow(i, "bid must be > 0", name)),
+    checks = [parsed.get(col) for col in ("short", "ts_ms", "bid", "ask")] + [
+        (bid <= 0, _fails("bid must be > 0", name)),
         (ask < bid, lambda i, k: CrossedQuote(i, name)),
         (dup, lambda i, k: DuplicateTimestamp(names[code[k]], int(ts[k]), name)),
     ]
@@ -607,48 +558,42 @@ def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
     }
 
 
-BLOCK_COLUMNS = [
-    "block_number", "builder_label", "coinbase_delta_eth", "bid_eth",
-    "used_bid_adjustment", "adjustment_delta_eth", "slot_time_ms",
-]
+BLOCK_KINDS = {"block_number": INT, "builder_label": TEXT, "coinbase_delta_eth": FLOAT,
+               "bid_eth": FLOAT, "used_bid_adjustment": FLAG, "adjustment_delta_eth": FLOAT,
+               "slot_time_ms": INT}  # BlockRecord's fields, in order
 
 
 def load_block_records(path: str | Path) -> dict[int, BlockRecord]:
-    records: dict[int, BlockRecord] = {}
+    """blocks.csv by block number. Raises for the first row that fails a
+    check, with the first check it fails in the order listed below."""
     name = Path(path).name
-    for i, row in _iter_rows(path, BLOCK_COLUMNS):
-        block = parse_cell(int, row["block_number"], i, "block_number", name)
-        if block in records:
-            raise DuplicateBlock(block, name)
-        used = parse_cell(_bool, row["used_bid_adjustment"], i, "used_bid_adjustment", name)
-        delta = parse_cell(_finite_float, row["adjustment_delta_eth"], i,
-                           "adjustment_delta_eth", name)
-        bid = parse_cell(_finite_float, row["bid_eth"], i, "bid_eth", name)
-        if bid < 0:
-            raise MalformedRow(i, "bid_eth must be >= 0", name)
-        if delta < 0:
-            raise MalformedRow(i, "adjustment_delta_eth must be >= 0", name)
-        if not used and delta != 0:
-            raise MalformedRow(i, "adjustment_delta_eth > 0 without used_bid_adjustment", name)
-        records[block] = BlockRecord(
-            block_number=block,
-            builder_label=row["builder_label"].strip(),
-            coinbase_delta_eth=parse_cell(
-                _finite_float, row["coinbase_delta_eth"], i, "coinbase_delta_eth", name),
-            bid_eth=bid,
-            used_bid_adjustment=used,
-            adjustment_delta_eth=delta,
-            slot_time_ms=parse_cell(int, row["slot_time_ms"], i, "slot_time_ms", name),
-        )
-    return records
+    c, parsed = _read_columns(path, BLOCK_KINDS)
+    block, bid, delta = c["block_number"], c["bid_eth"], c["adjustment_delta_eth"]
+    dup = np.ones(len(block), dtype=bool)
+    dup[np.unique(block, return_index=True)[1]] = False
+    _raise_first([
+        parsed.get("short"), parsed.get("block_number"),
+        (dup, lambda i, k: DuplicateBlock(int(block[k]), name)),
+        parsed.get("used_bid_adjustment"), parsed.get("adjustment_delta_eth"),
+        parsed.get("bid_eth"), (bid < 0, _fails("bid_eth must be >= 0", name)),
+        (delta < 0, _fails("adjustment_delta_eth must be >= 0", name)),
+        (~c["used_bid_adjustment"] & (delta != 0),
+         _fails("adjustment_delta_eth > 0 without used_bid_adjustment", name)),
+        parsed.get("coinbase_delta_eth"), parsed.get("slot_time_ms"),
+    ])
+    fields = [c[col].tolist() for col in BLOCK_KINDS]
+    return dict(zip(fields[0], map(BlockRecord, *fields)))
 
 
 def load_searchers(path: str | Path) -> SearcherLabelFile:
     """searchers.json: {"labels": {label: [address, ...]}, "integrated_with":
     {label: builder}}, either key optional; any other shape is refused."""
-    with open(path) as f:
-        raw = json.load(f)
     name = Path(path).name
+    with open(path) as f:
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as e:
+            raise InvalidConfig(f"{name} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{name} must be a JSON object")
     labels, integrated = raw.get("labels") or {}, raw.get("integrated_with") or {}

@@ -124,6 +124,12 @@ def test_searchers_of_another_shape_exit_1(synth_inputs, tmp_path, capsys, searc
     assert message in err["message"]
 
 
+def test_searchers_that_is_not_json_exits_1(synth_inputs, tmp_path, capsys):
+    rc, err, _ = run_with_replaced_input(synth_inputs, tmp_path, capsys, "searchers.json", "")
+    assert (rc, err["error"]) == (1, "InvalidConfig")
+    assert err["message"].startswith("searchers.json is not valid JSON: Expecting value")
+
+
 def test_manifest_digests_match(synth_inputs, tmp_path):
     out = tmp_path / "out"
     main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out)])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cexdex import data_model
 from cexdex.data_model import (
+    BlockRecord,
     TokenInfo,
     TokenRegistry,
     load_block_records,
@@ -234,10 +235,10 @@ def reference_quotes(path):
     """load_quotes of a valid file by csv.reader, int() and float(), row by row."""
     with open(path, newline="") as f:
         header, *rows = [r for r in csv.reader(f) if r]
-    cols = [header.index(c) for c in ("symbol", "ts_ms", "bid", "ask")]
     series: dict[str, list] = {}
     for r in rows:
-        symbol, ts, bid, ask = (r[j] for j in cols)
+        row = dict(zip(header, r))  # a repeated column name is its last column
+        symbol, ts, bid, ask = (row[c] for c in ("symbol", "ts_ms", "bid", "ask"))
         series.setdefault(symbol.strip(), []).append((int(ts), float(bid), float(ask)))
     dtypes = (np.int64, np.float64, np.float64)
     return {
@@ -265,12 +266,14 @@ def assert_same_quotes(got, want):
     ("symbol,ts_ms,bid,ask\nBTC,1,1,2\nETH,1,1,2\nBTC,2,1,2\nETH,0,1,2\nBTC,0,1,2\n", True),
     ("symbol,ts_ms,bid,ask\nÉTHUSDT,1,1,2\n", False),  # not ASCII: read cell by cell
     ("symbol,ts_ms,bid,ask\nBTC,1_000,1,2\nBTC,999,1.5,2\n", False),  # numpy refuses 1_000
+    ("bid,symbol,ts_ms,bid,ask\nx,BTC,1,1,2\ny,BTC,2,1.5,2\n", True),
 ], ids=["quoted", "hash", "padded-crlf-blank", "crlf-in-symbol", "reordered-extra-long",
-        "two-line-header", "long-symbol", "interleaved", "non-ascii", "underscore"])
+        "two-line-header", "long-symbol", "interleaved", "non-ascii", "underscore",
+        "repeated-column"])
 def test_load_quotes_equals_a_csv_reference(tmp_path, text, tokenized):
     p = tmp_path / "quotes.csv"
     p.write_bytes(text.encode())
-    assert (data_model._tokenize_quotes(p) is not None) == tokenized
+    assert (data_model._tokenize_columns(p, data_model.QUOTE_KINDS) is not None) == tokenized
     assert_same_quotes(load_quotes(p), reference_quotes(p))
 
 
@@ -327,7 +330,7 @@ def test_load_quotes_parses_numbers_bit_for_bit(tmp_path_factory, bids, stamps):
     # the largest float asks at least any finite bid
     p.write_text(QUOTES_HEADER + "".join(f"X,{t},{b},{sys.float_info.max!r}\n"
                                          for t, b in zip(stamps, bids)))
-    assert data_model._tokenize_quotes(p) is not None
+    assert data_model._tokenize_columns(p, data_model.QUOTE_KINDS) is not None
     assert_same_quotes(load_quotes(p), reference_quotes(p))
 
 
@@ -448,7 +451,6 @@ def test_loader_errors_name_their_file(tmp_path, name, text, load, error, messag
 # ---------------------------------------------------------------------------
 # transactions.csv: each check, its message and the row it names
 
-TX_COLUMNS = TX_HEADER.split(",")
 # 0xb's two swaps are rows 3 and 5, with 0xc's between them
 SECOND_SWAP = dict(log_index=1, token_in=TOKA, amount_in="100", token_out=WETH, amount_out="5")
 TX_ROWS = [
@@ -458,20 +460,25 @@ TX_ROWS = [
     tx_row("0xc", 3, 36000),
     tx_row("0xb", 2, 24000, **SECOND_SWAP),
 ]
-SHORT = None  # an edit that keeps only the row's first five fields
+SHORT = None  # an edit that keeps only the row's first two fields
 
 
-def edited_transactions(tmp_path, edits) -> str:
-    """transactions.csv with TX_ROWS, each (row, column, cell) in ``edits`` applied."""
-    rows = [r.split(",") for r in TX_ROWS]
+def edited_csv(path, header: str, rows: list[str], edits):
+    """Write ``header`` and ``rows`` to ``path``, each (row, column, cell) in
+    ``edits`` applied; return ``path``."""
+    columns, rows = header.split(","), [r.split(",") for r in rows]
     for row, column, cell in edits:
         if cell is SHORT:
-            rows[row - 1] = rows[row - 1][:5]
+            rows[row - 1] = rows[row - 1][:2]
         else:
-            rows[row - 1][TX_COLUMNS.index(column)] = cell
-    p = tmp_path / "transactions.csv"
-    p.write_text(TX_HEADER + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
-    return p
+            rows[row - 1][columns.index(column)] = cell
+    path.write_text(header + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
+    return path
+
+
+def edited_transactions(tmp_path, edits):
+    """transactions.csv with TX_ROWS, each (row, column, cell) in ``edits`` applied."""
+    return edited_csv(tmp_path / "transactions.csv", TX_HEADER, TX_ROWS, edits)
 
 
 def row_error(row: int, reason: str) -> str:
@@ -560,6 +567,202 @@ def test_load_transactions_accepts_equal_spellings_of_one_tx(tmp_path):
     ]))
 
 
+# ---------------------------------------------------------------------------
+# tokens.csv and blocks.csv: each check, its message and the row it names
+
+TOKEN_HEADER, *TOKEN_ROWS = TOKENS_CSV.splitlines()
+
+
+def token_error(row: int, reason: str) -> str:
+    return f"malformed row {row} of tokens.csv: {reason}"
+
+
+TOKEN_CHECKS = [
+    ("short", [(2, None, SHORT)], MalformedRow, token_error(2, "fewer fields than the header")),
+    *[(f"bad-{c}", [(2, c, " x1 ")], MalformedRow, token_error(2, f"bad value ' x1 ' in {c}"))
+      for c in ("decimals", "cex_listed", "is_major")],
+    ("bad-decimals-as-float", [(2, "decimals", "18.0")], MalformedRow,
+     token_error(2, "bad value '18.0' in decimals")),
+    ("empty-address", [(2, "address", " ")], MalformedRow, token_error(2, "empty address")),
+    ("duplicate-address", [(3, "address", " " + TOKA.upper().replace("0X", "0x"))], MalformedRow,
+     token_error(3, f"duplicate token address {TOKA}")),
+    ("major-not-listed", [(3, "cex_listed", "false")], InvalidConfig,
+     f"{WETH}: is_major requires cex_listed"),
+    # two bad rows: the earlier one wins, whatever its check
+    ("earlier-row-wins", [(3, "decimals", "x"), (2, "is_major", "?")], MalformedRow,
+     token_error(2, "bad value '?' in is_major")),
+    ("earlier-short-row-wins", [(3, "address", USDT), (2, None, SHORT)], MalformedRow,
+     token_error(2, "fewer fields than the header")),
+    ("row-error-before-registry", [(1, "cex_listed", "false"), (3, "decimals", "x")], MalformedRow,
+     token_error(3, "bad value 'x' in decimals")),
+    # within a row, the checks run in the loader's order
+    ("empty-before-decimals", [(2, "address", ""), (2, "decimals", "x")], MalformedRow,
+     token_error(2, "empty address")),
+    ("duplicate-before-decimals", [(3, "address", USDT), (3, "decimals", "x")], MalformedRow,
+     token_error(3, f"duplicate token address {USDT}")),
+    ("decimals-before-cex_listed", [(2, "cex_listed", "x"), (2, "decimals", "y")], MalformedRow,
+     token_error(2, "bad value 'y' in decimals")),
+    ("cex_listed-before-is_major", [(2, "is_major", "x"), (2, "cex_listed", "y")], MalformedRow,
+     token_error(2, "bad value 'y' in cex_listed")),
+]
+
+
+@pytest.mark.parametrize("edits, error, message", [c[1:] for c in TOKEN_CHECKS],
+                         ids=[c[0] for c in TOKEN_CHECKS])
+def test_load_tokens_names_the_first_failing_check(tmp_path, edits, error, message):
+    with pytest.raises(PipelineError) as e:
+        load_tokens(edited_csv(tmp_path / "tokens.csv", TOKEN_HEADER, TOKEN_ROWS, edits))
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+BLOCK_ROWS = ["1,b1,1.5,2.0,true,0.1,12000", "2,b2,0.5,0.0,false,0.0,24000",
+              "3,b1,-0.5,1.0,true,0.0,36000"]
+
+
+def block_error(row: int, reason: str) -> str:
+    return f"malformed row {row} of blocks.csv: {reason}"
+
+
+BLOCK_PARSED = ["block_number", "coinbase_delta_eth", "bid_eth", "used_bid_adjustment",
+                "adjustment_delta_eth", "slot_time_ms"]
+BLOCK_CHECKS = [
+    ("short", [(2, None, SHORT)], MalformedRow, block_error(2, "fewer fields than the header")),
+    *[(f"bad-{c}", [(2, c, " x1 ")], MalformedRow, block_error(2, f"bad value ' x1 ' in {c}"))
+      for c in BLOCK_PARSED],
+    ("bad-int-as-float", [(2, "block_number", "2.0")], MalformedRow,
+     block_error(2, "bad value '2.0' in block_number")),
+    ("negative-bid_eth", [(2, "bid_eth", "-1")], MalformedRow, block_error(2, "bid_eth must be >= 0")),
+    ("negative-adjustment_delta_eth", [(1, "adjustment_delta_eth", "-0.1")], MalformedRow,
+     block_error(1, "adjustment_delta_eth must be >= 0")),
+    ("delta-without-adjustment", [(2, "adjustment_delta_eth", "0.3")], MalformedRow,
+     block_error(2, "adjustment_delta_eth > 0 without used_bid_adjustment")),
+    ("duplicate-block", [(3, "block_number", " +2 ")], DuplicateBlock, "duplicate block 2 in blocks.csv"),
+    # two bad rows: the earlier one wins, whatever its check
+    ("earlier-row-wins", [(3, "bid_eth", "-1"), (2, "slot_time_ms", "x")], MalformedRow,
+     block_error(2, "bad value 'x' in slot_time_ms")),
+    ("row-error-before-duplicate", [(3, "block_number", "1"), (2, "bid_eth", "-1")], MalformedRow,
+     block_error(2, "bid_eth must be >= 0")),
+    ("earlier-short-row-wins", [(3, "used_bid_adjustment", "?"), (2, None, SHORT)], MalformedRow,
+     block_error(2, "fewer fields than the header")),
+    # within a row, the checks run in the loader's order
+    ("duplicate-before-flag", [(3, "block_number", "1"), (3, "used_bid_adjustment", "x")],
+     DuplicateBlock, "duplicate block 1 in blocks.csv"),
+    ("flag-before-delta", [(2, "adjustment_delta_eth", "x"), (2, "used_bid_adjustment", "y")],
+     MalformedRow, block_error(2, "bad value 'y' in used_bid_adjustment")),
+    ("delta-before-bid", [(2, "bid_eth", "x"), (2, "adjustment_delta_eth", "y")], MalformedRow,
+     block_error(2, "bad value 'y' in adjustment_delta_eth")),
+    ("bid-before-negative-delta", [(1, "adjustment_delta_eth", "-1"), (1, "bid_eth", "-1")],
+     MalformedRow, block_error(1, "bid_eth must be >= 0")),
+    ("negative-delta-before-flag-rule", [(2, "adjustment_delta_eth", "-1")], MalformedRow,
+     block_error(2, "adjustment_delta_eth must be >= 0")),
+    ("flag-rule-before-coinbase", [(2, "adjustment_delta_eth", "0.3"), (2, "coinbase_delta_eth", "x")],
+     MalformedRow, block_error(2, "adjustment_delta_eth > 0 without used_bid_adjustment")),
+    ("coinbase-before-slot", [(2, "slot_time_ms", "x"), (2, "coinbase_delta_eth", "y")], MalformedRow,
+     block_error(2, "bad value 'y' in coinbase_delta_eth")),
+]
+
+
+@pytest.mark.parametrize("edits, error, message", [c[1:] for c in BLOCK_CHECKS],
+                         ids=[c[0] for c in BLOCK_CHECKS])
+def test_load_block_records_names_the_first_failing_check(tmp_path, edits, error, message):
+    with pytest.raises(PipelineError) as e:
+        load_block_records(edited_csv(tmp_path / "blocks.csv", BLOCK_HEADER, BLOCK_ROWS, edits))
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("column", ["block_number", "slot_time_ms"])
+def test_load_blocks_refuses_integers_past_int64(tmp_path, column):
+    p = edited_csv(tmp_path / "blocks.csv", BLOCK_HEADER, BLOCK_ROWS, [(2, column, str(2**63))])
+    with pytest.raises(MalformedRow) as e:
+        load_block_records(p)
+    assert str(e.value) == block_error(2, f"bad value '{2**63}' in {column}")
+
+
+def test_load_tokens_refuses_decimals_past_int64(tmp_path):
+    p = edited_csv(tmp_path / "tokens.csv", TOKEN_HEADER, TOKEN_ROWS, [(2, "decimals", str(2**63))])
+    with pytest.raises(MalformedRow) as e:
+        load_tokens(p)
+    assert str(e.value) == token_error(2, f"bad value '{2**63}' in decimals")
+
+
+def reference_rows(path) -> list[dict]:
+    """The data rows of a CSV file by csv.reader, each a dict keyed by the
+    header: a repeated column name is its last column."""
+    with open(path, newline="") as f:
+        header, *rows = [r for r in csv.reader(f) if r]
+    return [dict(zip(header, r)) for r in rows]
+
+
+def flag(cell: str) -> bool:
+    return cell.strip().lower() in {"true", "1", "t", "yes"}
+
+
+def reference_tokens(path) -> dict:
+    """load_tokens(path).entries of a valid file by csv.reader, int() and str methods."""
+    entries = {}
+    for row in reference_rows(path):
+        int(row["decimals"])
+        symbol = row["symbol"].strip()
+        quote = row.get("quote_symbol", "").strip() or {"WETH": "ETH", "WBTC": "BTC"}.get(symbol, symbol)
+        entries[row["address"].strip().lower()] = TokenInfo(
+            symbol, flag(row["cex_listed"]), flag(row["is_major"]), quote)
+    return entries
+
+
+TOKENS_WITH_QUOTE = "address,symbol,cex_listed,is_major,decimals,quote_symbol\n"
+
+
+@pytest.mark.parametrize("text, tokenized", [
+    (TOKENS_WITH_QUOTE + '"0xAB","WETH",true,"false",18,"E""TH"\n"0xcd","W,BTC",1,0,"8",\n', True),
+    (TOKENS_WITH_QUOTE.replace("\n", "\r\n") + " 0xAB , WETH ,TRUE, no , 18 , \r\n\r\n\r\n"
+     "0XCD,WBTC,T,F,+8, BTCB \r\n", True),
+    (TOKENS_WITH_QUOTE + "0xab,WETH,true,true,18,,past,the,header\n0xcd,X,false,false,0,Y\n", True),
+    (TOKENS_WITH_QUOTE + "0xab,ÉTH,true,true,18,\n", False),  # not ASCII
+    (TOKENS_WITH_QUOTE + "0xab,WETH,true,true,1_8,\n", False),  # numpy refuses 1_8
+    (TOKENS_WITH_QUOTE, True),
+    (TOKENS_CSV, True),
+    ("symbol,address,cex_listed,is_major,decimals,symbol\nX,0xab,true,true,18,WBTC\n", True),
+    (TOKENS_WITH_QUOTE + "0xab,W\0,true,true,18, \n", False),  # str.strip keeps a NUL
+], ids=["quoted", "padded-crlf-blank", "extra-cells", "non-ascii", "underscore", "header-only",
+        "no-quote_symbol", "repeated-column", "nul"])
+def test_load_tokens_equals_a_csv_reference(tmp_path, text, tokenized):
+    p = tmp_path / "tokens.csv"
+    p.write_bytes(text.encode())
+    assert (data_model._tokenize_columns(p, data_model.TOKEN_KINDS) is not None) == tokenized
+    # repr tells 1 from True
+    assert repr(load_tokens(p).entries) == repr(reference_tokens(p))
+
+
+def reference_blocks(path) -> dict:
+    """load_block_records of a valid file by csv.reader, int(), float() and str methods."""
+    return {int(row["block_number"]): BlockRecord(
+        int(row["block_number"]), row["builder_label"].strip(), float(row["coinbase_delta_eth"]),
+        float(row["bid_eth"]), flag(row["used_bid_adjustment"]),
+        float(row["adjustment_delta_eth"]), int(row["slot_time_ms"]),
+    ) for row in reference_rows(path)}
+
+
+@pytest.mark.parametrize("text, tokenized", [
+    (BLOCK_HEADER + '\n"1","b,""1""",1.5,"2.0",true,0.1,12000\n', True),
+    (BLOCK_HEADER + "\r\n 1 , b1 , -0.0 ,2e0, TRUE ,1e-1, 12000 \r\n\r\n\r\n+2,b2,0,0,no,-0.0,24000\r\n",
+     True),
+    (BLOCK_HEADER + "\n1,b1,1.5,2.0,true,0.1,12000,past,the,header\n2,b2,0,0,false,0,24000\n", True),
+    (BLOCK_HEADER + "\n1,bü,1.5,2.0,true,0.1,12000\n", False),  # not ASCII
+    (BLOCK_HEADER + "\n1,b1,1.5,2.0,true,0.1,12_000\n", False),  # numpy refuses 12_000
+    (BLOCK_HEADER + "\n", True),
+    (BLOCK_HEADER + ",bid_eth\n1,b1,1.5,-2.0,true,0.1,12000,3.5\n", True),
+], ids=["quoted", "padded-crlf-blank", "extra-cells", "non-ascii", "underscore", "header-only",
+        "repeated-column"])
+def test_load_block_records_equals_a_csv_reference(tmp_path, text, tokenized):
+    p = tmp_path / "blocks.csv"
+    p.write_bytes(text.encode())
+    assert (data_model._tokenize_columns(p, data_model.BLOCK_KINDS) is not None) == tokenized
+    # repr tells -0.0 from 0.0 and 1 from True
+    assert repr(load_block_records(p)) == repr(reference_blocks(p))
+
+
 @pytest.mark.parametrize("column, cell", [
     ("volume_usd", "nan"), ("base_fee_eth", "NaN"), ("priority_fee_eth", "inf"),
     ("coinbase_transfer_eth", "1e400"), ("amount_in", "Infinity"), ("amount_in", "NaN"),
@@ -638,7 +841,6 @@ def reference_transactions(path):
     (block_number, tx_hash) order, the swaps in log_index order."""
     with open(path, newline="") as f:
         header, *rows = [r for r in csv.reader(f) if r]
-    flag = lambda v: v.strip().lower() in {"true", "1", "t", "yes"}
     parse = {"tx_hash": str.strip, "searcher_contract": lambda v: v.strip().lower(),
              "builder_label": str.strip, "token_in": lambda v: v.strip().lower(),
              "token_out": lambda v: v.strip().lower(), "amount_in": str, "amount_out": str,
@@ -692,7 +894,7 @@ def tx_text(*rows, header=TX_HEADER, end="\n") -> str:
 def test_load_transactions_equals_a_csv_reference(tmp_path, text, tokenized):
     p = tmp_path / "transactions.csv"
     p.write_bytes(text.encode())
-    assert (data_model._tokenize_transactions(p) is not None) == tokenized
+    assert (data_model._tokenize_columns(p, data_model.TRANSACTION_KINDS) is not None) == tokenized
     got, want = table_transactions(load_transactions(p)), reference_transactions(p)
     assert repr(got) == repr(want)  # repr tells -0.0 from 0.0 and 1 from True
 
