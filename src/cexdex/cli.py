@@ -149,10 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.charts:
             _write_charts(ws)
         return EXIT_OK
-    except FileNotFoundError as exc:
-        _error("io", str(exc))
-        return EXIT_IO
-    except OSError as exc:
+    except OSError as exc:  # FileNotFoundError included
         _error("io", str(exc))
         return EXIT_IO
     except PipelineError as exc:

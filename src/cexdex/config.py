@@ -2,14 +2,17 @@
 
 A PipelineConfig is checked whole when it is made, so a bad config.json is
 refused before any stage runs; MarkoutGrid is built from one and holds no
-settings of its own.
+settings of its own. read_json and checked_fields read the JSON inputs
+(config.json, searchers.json and a synth scenario) and check a JSON
+object's keys and value types against a dataclass's fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import MISSING, asdict, dataclass, fields
+from pathlib import Path
 
 from .errors import InvalidConfig
 
@@ -59,27 +62,57 @@ class PipelineConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def load_config(path: str) -> PipelineConfig:
-    """Read config.json: an object of PipelineConfig fields, each of its
-    field's JSON type; unknown keys are rejected rather than ignored."""
-    with open(path) as f:
+def read_json(path: str | Path):
+    """The JSON document in the file at ``path``, refused naming the file if not UTF-8 JSON."""
+    with open(path, encoding="utf-8") as f:
         try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InvalidConfig(f"config is not valid JSON: {e}") from e
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise InvalidConfig(f"{Path(path).name} is not valid JSON: {e}") from e
+
+
+def _is_number(v) -> bool:  # a JSON true/false is a Python bool, which Python counts as an int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The JSON value a field of each annotation takes, and its name in an error.
+_JSON_TYPES = {
+    "int": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    "float": (_is_number, "a number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[str, ...]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                        "a list of strings"),
+    "dict[str, str]": (lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
+                       "an object of strings"),
+    "tuple[SearcherSpec, ...]": (lambda v: isinstance(v, list), "a list"),  # each item checked too
+}
+
+
+def checked_fields(raw, cls: type, what: str) -> dict:
+    """``raw``, a decoded JSON value named ``what`` in errors, as keyword
+    arguments of the dataclass ``cls``: an object of its fields, those without
+    a default included, each of its field's JSON type, and no other key."""
     if not isinstance(raw, dict):
-        raise InvalidConfig("config must be a JSON object")
-    annotation = {f.name: f.type for f in fields(PipelineConfig)}
+        raise InvalidConfig(f"{what} must be a JSON object")
+    annotation = {f.name: f.type for f in fields(cls)}
     unknown = set(raw) - set(annotation)
     if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    json_types = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
+        raise InvalidConfig(f"unknown keys in {what}: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls)
+               if f.name not in raw and f.default is f.default_factory is MISSING]
+    if missing:
+        raise InvalidConfig(f"{what} lacks the required keys {missing}")
     for key, value in raw.items():
-        types, what = json_types[annotation[key]]
-        # a JSON true/false is a Python bool, which Python counts as an int
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise InvalidConfig(f"config key {key!r} must be {what}, not {json.dumps(value)}")
-    return PipelineConfig(**raw)
+        accepts, kind = _JSON_TYPES[annotation[key]]
+        if not accepts(value):
+            raise InvalidConfig(f"{what} key {key!r} must be {kind}, not {json.dumps(value)}")
+    return dict(raw)
+
+
+def load_config(path: str | Path) -> PipelineConfig:
+    """config.json: an object of PipelineConfig fields, each of its field's JSON type."""
+    return PipelineConfig(**checked_fields(read_json(path), PipelineConfig, Path(path).name))
 
 
 class MarkoutGrid:

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_json
 from .errors import (
     DuplicateBlock,
     DuplicateTimestamp,
@@ -67,9 +68,6 @@ class TokenRegistry:
     """Token metadata keyed by lowercase contract address."""
 
     def __init__(self, entries: dict[str, TokenInfo]):
-        for addr, info in entries.items():
-            if info.is_major and not info.cex_listed:
-                raise InvalidConfig(f"{addr}: is_major requires cex_listed")
         self.entries = dict(entries)
 
     def get(self, address: str) -> TokenInfo | None:
@@ -359,8 +357,7 @@ TOKEN_KINDS = {"address": TEXT, "symbol": TEXT, "cex_listed": FLAG, "is_major": 
 
 def load_tokens(path: str | Path) -> TokenRegistry:
     """tokens.csv as a TokenRegistry. Raises for the first row that fails a
-    check, with the first check it fails in the order listed below; then,
-    in TokenRegistry, for a major token that is not listed."""
+    check, with the first check it fails in the order listed below."""
     name = Path(path).name
     c, parsed = _read_columns(path, TOKEN_KINDS)
     address = np.strings.lower(c["address"])
@@ -371,6 +368,7 @@ def load_tokens(path: str | Path) -> TokenRegistry:
         (dup, lambda i, k: MalformedRow(i, f"duplicate token address {address[k]}", name)),
         parsed.get("decimals"),  # checked, not kept
         parsed.get("cex_listed"), parsed.get("is_major"),
+        (c["is_major"] & ~c["cex_listed"], _fails("is_major requires cex_listed", name)),
     ])
     symbol = c["symbol"].tolist()
     quote = c.get("quote_symbol", "")  # if empty, the symbol's alias or the symbol
@@ -589,11 +587,7 @@ def load_searchers(path: str | Path) -> SearcherLabelFile:
     """searchers.json: {"labels": {label: [address, ...]}, "integrated_with":
     {label: builder}}, either key optional; any other shape is refused."""
     name = Path(path).name
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InvalidConfig(f"{name} is not valid JSON: {e}") from e
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{name} must be a JSON object")
     labels, integrated = raw.get("labels") or {}, raw.get("integrated_with") or {}

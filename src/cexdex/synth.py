@@ -1,25 +1,32 @@
 """Deterministic synthetic-scenario generator and recovery scorer.
 
-Generates the five input files plus a ground-truth ledger. Each synthetic
+Generates the six input files plus a ground-truth ledger. Each synthetic
 trade occupies its own 12 s slot; the traded token's quote series inside
 the trade's markout window carries a spread shape that rises linearly to
 its peak at the configured hedge delay and then decays per the impact
 model, so the estimation pipeline should recover the configured delay as
-the searcher's horizon. Randomness comes from a counter-based splitmix64
-stream so identical seeds reproduce byte-identical files.
+the searcher's horizon.
+
+Trades are in day order, then searcher order. Trade i owns values i*(G+5)
+to i*(G+5)+G+4 of a counter-based splitmix64 stream, G the markout offsets:
+u_major, u_size, G price-noise draws, u_extra, u_bid, u_delta. So identical
+seeds give byte-identical files.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from ._kernels import uniform01
 from .builder import BuilderBlockEconomics, refund_rate
-from .config import MarkoutGrid, PipelineConfig
+from .config import MarkoutGrid, PipelineConfig, checked_fields, read_json
+from .data_model import BLOCK_KINDS, QUOTE_KINDS, TRANSACTION_COLUMNS
 from .errors import InvalidConfig, MissingOutputs
 from .estimate import TradeEconomics
 from .horizon import SearcherProfile
@@ -28,6 +35,7 @@ from .pipeline import _read_output, _write_csv
 DECAY_GENTLE = "gentle"
 DECAY_ABRUPT = "abrupt"
 DECAY_NONE = "none"
+_PATTERN = {DECAY_GENTLE: "P1", DECAY_ABRUPT: "P2", DECAY_NONE: "P3"}
 
 # 2024-06-01T00:00:00Z; synthetic slots advance 12 s from here
 _T0_MS = 1717200000000
@@ -39,6 +47,10 @@ GENTLE_DECAY_PER_S = 0.10  # fraction of peak spread lost per second
 # post-drop spread retained after an abrupt hedge; low enough that the
 # gross-return decline over 3 s clears one half even after fees
 ABRUPT_KEEP_FRACTION = 0.3
+
+_WBTC = "0x2260fac5e5542a773aa44fbcfedf7c193bc2c599"
+_USDT = "0xdac17f958d2ee523a2206206994597c13d831ec7"
+_CHUNK_ROWS = 1 << 16  # rows made Python values at a time when a file is written
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,7 @@ class SynthConfig:
     n_days: int
     searchers: tuple[SearcherSpec, ...]
     builders: tuple[str, ...] = ("builderA", "builderB")
-    integrated_with: dict = field(default_factory=dict)  # label -> builder
+    integrated_with: dict[str, str] = field(default_factory=dict)  # label -> builder
     base_volatility: float = 0.0  # per-tick relative price noise amplitude
     taker_fee_rate: float = 0.0001725
     base_fee_eth: float = 1e-6
@@ -69,57 +81,57 @@ class SynthConfig:
     base_notional_usd: float = 5000.0
 
     def validate(self, grid: MarkoutGrid) -> None:
-        grid_ms = set(grid.offsets_ms)
+        labels = [s.label for s in self.searchers]
+        for bad, message in [
+            (not 0 <= self.seed < 2**64, "seed must be in [0, 2**64)"),
+            (self.n_days <= 0, "n_days must be > 0"),
+            (not (self.searchers and self.builders), "searchers and builders must not be empty"),
+            (len(set(labels)) < len(labels), "searcher labels must be distinct"),
+            *((not math.isfinite(getattr(self, f.name)), f"{f.name} must be finite")
+              for f in fields(self) if f.type == "float"),
+            *((getattr(self, k) <= 0, f"{k} must be > 0")
+              for k in ("alt_price", "btc_price", "eth_price", "base_notional_usd")),
+        ]:
+            if bad:
+                raise InvalidConfig(message)
         for s in self.searchers:
-            if s.impact_decay not in (DECAY_GENTLE, DECAY_ABRUPT, DECAY_NONE):
-                raise InvalidConfig(f"{s.label}: unknown impact_decay {s.impact_decay!r}")
-            if s.impact_decay == DECAY_NONE:
-                if s.true_hedge_delay_s is not None:
-                    raise InvalidConfig(f"{s.label}: delay given with decay 'none'")
-            else:
-                if s.true_hedge_delay_s is None:
-                    raise InvalidConfig(f"{s.label}: missing true_hedge_delay_s")
-                if round(s.true_hedge_delay_s * 1000) not in grid_ms:
-                    raise InvalidConfig(f"{s.label}: delay not grid-aligned")
-            if not (0.0 <= s.major_share <= 1.0):
-                raise InvalidConfig(f"{s.label}: major_share outside [0, 1]")
-            if not (0.0 <= s.tip_fraction <= 1.0):
-                raise InvalidConfig(f"{s.label}: tip_fraction outside [0, 1]")
-            if s.trades_per_day <= 0:
-                raise InvalidConfig(f"{s.label}: trades_per_day must be > 0")
+            flat, delay = s.impact_decay == DECAY_NONE, s.true_hedge_delay_s
+            for bad, message in [
+                (s.impact_decay not in _PATTERN, f"unknown impact_decay {s.impact_decay!r}"),
+                (flat and delay is not None, "delay given with decay 'none'"),
+                (not flat and delay is None, "missing true_hedge_delay_s"),
+                # the spread rises from the grid's first offset to the delay
+                (delay is not None and not (math.isfinite(delay)
+                                            and round(delay * 1000) in grid.offsets_ms[1:]),
+                 "delay not a grid offset after the first"),
+                (not 0.0 <= s.major_share <= 1.0, "major_share outside [0, 1]"),
+                (not 0.0 <= s.tip_fraction <= 1.0, "tip_fraction outside [0, 1]"),
+                (s.trades_per_day <= 0, "trades_per_day must be > 0"),
+            ]:
+                if bad:
+                    raise InvalidConfig(f"{s.label}: {message}")
         per_day = sum(s.trades_per_day for s in self.searchers)
         if per_day > _SLOTS_PER_DAY:
             raise InvalidConfig(f"{per_day} trades/day exceeds {_SLOTS_PER_DAY} slots")
         for label, builder in self.integrated_with.items():
-            if label not in {s.label for s in self.searchers}:
+            if label not in labels:
                 raise InvalidConfig(f"integrated_with references unknown searcher {label}")
             if builder not in self.builders:
                 raise InvalidConfig(f"integrated_with references unknown builder {builder}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthConfig":
-        with open(path) as f:
-            raw = json.load(f)
-        raw["searchers"] = tuple(SearcherSpec(**s) for s in raw["searchers"])
+        """A scenario file: an object of SynthConfig fields, each of its field's
+        JSON type, "searchers" a list of SearcherSpec objects; validate checks values."""
+        name = Path(path).name
+        raw = checked_fields(read_json(path), cls, name)
+        raw["searchers"] = tuple(
+            SearcherSpec(**checked_fields(s, SearcherSpec, f"searcher {i} of {name}"))
+            for i, s in enumerate(raw["searchers"])
+        )
         if "builders" in raw:
             raw["builders"] = tuple(raw["builders"])
         return cls(**raw)
-
-
-class _Stream:
-    """Sequential view over the counter-based splitmix64 uniform stream."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.pos = 0
-
-    def take(self, n: int) -> np.ndarray:
-        out = uniform01(self.seed, self.pos, n)
-        self.pos += n
-        return out
-
-    def one(self) -> float:
-        return float(self.take(1)[0])
 
 
 def _spread_at(offset_s: float, delay_s: float | None, decay: str,
@@ -136,154 +148,124 @@ def _spread_at(offset_s: float, delay_s: float | None, decay: str,
     return full * (1.0 - GENTLE_DECAY_PER_S * (offset_s - delay_s))
 
 
+def _write_columns(path: Path, header: list[str], columns: dict) -> None:
+    """Write ``columns`` in ``header``'s order, each an array or one value for every row."""
+    cols = [columns[name] for name in header]
+    n = len(next(c for c in cols if isinstance(c, np.ndarray)))
+    chunks = ([c[lo:lo + _CHUNK_ROWS].tolist() if isinstance(c, np.ndarray) else itertools.repeat(c)
+               for c in cols] for lo in range(0, n, _CHUNK_ROWS))
+    _write_csv(path, header, itertools.chain.from_iterable(zip(*c) for c in chunks))
+
+
 def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
-    """Write the five input files plus ground_truth.json; returns the ledger."""
+    """Write the six input files plus ground_truth.json; returns the ledger.
+    Each per-trade column repeats one trade's operations in their order, so
+    every float has the bits a trade-by-trade loop gives it."""
     grid = MarkoutGrid(PipelineConfig())
     cfg.validate(grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = _Stream(cfg.seed)
+    specs, n_grid = cfg.searchers, len(grid)
 
-    alt_addr = {s.label: f"0xa17{j:037x}" for j, s in enumerate(cfg.searchers)}
-    contract = {s.label: f"0x5ea{j:037x}" for j, s in enumerate(cfg.searchers)}
-    wbtc = "0x2260fac5e5542a773aa44fbcfedf7c193bc2c599"
-    usdt = "0xdac17f958d2ee523a2206206994597c13d831ec7"
+    # per searcher, in config order
+    contract = np.array([f"0x5ea{j:037x}" for j in range(len(specs))], dtype=object)
+    alt_addr = [f"0xa17{j:037x}" for j in range(len(specs))]
+    alt_symbol = [f"TOK{j:02d}USDT" for j in range(len(specs))]
+    major_share, tip_fraction, per_day = (np.array([getattr(s, name) for s in specs]) for name in (
+        "major_share", "tip_fraction", "trades_per_day"))
+    priced = np.array([s.impact_decay != DECAY_NONE for s in specs])
+    k_star = np.array([grid.index_of(s.true_hedge_delay_s or 0.0) for s in specs])
+    # 1 + the spread at each offset
+    lift = np.array([[1.0 + _spread_at(off_s, s.true_hedge_delay_s, s.impact_decay, cfg.dex_edge,
+                                       cfg.peak_amplitude, grid.offsets_s[0])
+                      for off_s in grid.offsets_s] for s in specs])
+    # quote symbols by code, the codes in the symbols' sort order
+    symbols = sorted({"BTCUSDT", "ETHUSDT", *alt_symbol})
+    code = {sym: c for c, sym in enumerate(symbols)}
+    token = {"BTCUSDT": _WBTC, **dict(zip(alt_symbol, alt_addr))}
+    symbol_token = np.array([token.get(sym) for sym in symbols], dtype=object)
+    pools = np.array([f"pool-{sym}" for sym in symbols], dtype=object)
 
-    token_rows = [
-        (wbtc, "WBTC", "true", "true", 8),
-        (usdt, "USDT", "true", "true", 6),
-    ]
-    for j, s in enumerate(cfg.searchers):
-        token_rows.append((alt_addr[s.label], f"TOK{j:02d}", "true", "false", 18))
+    # per trade: days, then searchers in config order, then their trades
+    searcher = np.tile(np.repeat(np.arange(len(specs)), per_day), cfg.n_days)
+    n = len(searcher)
+    day, intraday = np.divmod(np.arange(n), per_day.sum())
+    slot = day * _SLOTS_PER_DAY + intraday  # since _BLOCK0's; one trade each
+    block, slot_ms = _BLOCK0 + slot, _T0_MS + slot * _SLOT_MS
+    tx_hash = np.array(list(map("0xtx{:010d}".format, block.tolist())), dtype=object)
 
-    tx_rows = []
-    quote_rows = []  # (symbol, ts_ms, px)
-    block_rows = []
-    truth = {"searchers": {}, "trades": {}, "blocks": {}}
-    for s in cfg.searchers:
-        truth["searchers"][s.label] = {
-            "true_hedge_delay_s": s.true_hedge_delay_s,
-            "true_pattern": {DECAY_GENTLE: "P1", DECAY_ABRUPT: "P2", DECAY_NONE: "P3"}[s.impact_decay],
-        }
+    u = uniform01(cfg.seed, 0, n * (n_grid + 5)).reshape(n, n_grid + 5)
+    is_major = u[:, 0] < major_share[searcher]
+    sym = np.where(is_major, code["BTCUSDT"], np.array([code[a] for a in alt_symbol])[searcher])
+    p0 = np.where(is_major, cfg.btc_price, cfg.alt_price)
+    notional = cfg.base_notional_usd * (0.75 + 0.5 * u[:, 1])
+    x = notional / p0
+    y = notional * (1.0 - cfg.dex_edge)
+    # bid == ask, so the midpoint is exactly the injected price
+    ticks = p0[:, None] * lift[searcher] * (1.0 + cfg.base_volatility * (2.0 * u[:, 2:-3] - 1.0))
 
-    for day in range(cfg.n_days):
-        intraday = 0
-        for s in cfg.searchers:
-            for _ in range(s.trades_per_day):
-                # one trade per slot; slots never collide because the daily
-                # budget was validated against _SLOTS_PER_DAY
-                block = _BLOCK0 + day * _SLOTS_PER_DAY + intraday
-                intraday += 1
-                slot_ms = _T0_MS + (block - _BLOCK0) * _SLOT_MS
-                tx_hash = f"0xtx{block:010d}"
+    # ground-truth economics at the configured delay, from the ticks emitted
+    leg_a = x * ticks[np.arange(n), k_star[searcher]]
+    mr = leg_a - y - cfg.taker_fee_rate * (leg_a + y)
+    ev = mr - cfg.base_fee_eth * cfg.eth_price
+    tip_usd = np.where(priced[searcher] & (ev > 0), tip_fraction[searcher] * ev, 0.0)
+    tip_eth = tip_usd / cfg.eth_price
+    integrated = np.array([cfg.integrated_with.get(s.label) for s in specs], dtype=object)[searcher]
+    builder = np.where(np.equal(integrated, None),
+                       np.array(cfg.builders, dtype=object)[slot % len(cfg.builders)], integrated)
+    delta_c = tip_eth + (u[:, -3] - 0.3) * 0.01
+    used_adj = block % 3 == 0
+    bid = np.where(used_adj, 0.05 + 0.1 * u[:, -2], 0.0)
+    delta = np.where(used_adj, 0.01 * u[:, -1], 0.0)
+    refund = np.vectorize(refund_rate, otypes=[float])(slot_ms)
+    bp_eth = np.where(used_adj, delta_c - bid + refund * delta, delta_c)
 
-                u_major, u_size = rng.take(2)
-                is_major = u_major < s.major_share
-                token_a = wbtc if is_major else alt_addr[s.label]
-                symbol_a = "BTCUSDT" if is_major else f"TOK{list(alt_addr).index(s.label):02d}USDT"
-                p0 = cfg.btc_price if is_major else cfg.alt_price
-                notional = cfg.base_notional_usd * (0.75 + 0.5 * u_size)
-                x = notional / p0
-                y = notional * (1.0 - cfg.dex_edge)
-
-                # quote ticks at every grid offset; bid == ask keeps the
-                # midpoint exactly the injected price
-                noise = 2.0 * rng.take(len(grid)) - 1.0
-                ticks = []
-                for k, off_s in enumerate(grid.offsets_s):
-                    spread = _spread_at(
-                        off_s, s.true_hedge_delay_s, s.impact_decay,
-                        cfg.dex_edge, cfg.peak_amplitude, grid.offsets_s[0],
-                    )
-                    px = p0 * (1.0 + spread) * (1.0 + cfg.base_volatility * noise[k])
-                    ticks.append(px)
-                    quote_rows.append((symbol_a, slot_ms + grid.offsets_ms[k], px))
-                quote_rows.append(("ETHUSDT", slot_ms - 1000, cfg.eth_price))
-
-                # ground-truth economics at the configured delay, from the
-                # ticks actually emitted
-                if s.impact_decay != DECAY_NONE:
-                    k_star = grid.index_of(s.true_hedge_delay_s)
-                    leg_a = x * ticks[k_star]
-                    mr = leg_a - y - cfg.taker_fee_rate * (leg_a + y)
-                    base_fee_usd = cfg.base_fee_eth * cfg.eth_price
-                    ev = mr - base_fee_usd
-                    tip_usd = s.tip_fraction * ev if ev > 0 else 0.0
-                    truth["trades"][tx_hash] = {
-                        "searcher_label": s.label,
-                        "true_ev_usd": ev,
-                        "true_pnl_usd": ev - tip_usd,
-                    }
-                else:
-                    tip_usd = 0.0
-                tip_eth = tip_usd / cfg.eth_price
-
-                builder = cfg.integrated_with.get(
-                    s.label, cfg.builders[(block - _BLOCK0) % len(cfg.builders)]
-                )
-                tx_rows.append(dict(
-                    tx_hash=tx_hash,
-                    block_number=block,
-                    slot_time_ms=slot_ms,
-                    searcher_contract=contract[s.label],
-                    pool_id=f"pool-{symbol_a}",
-                    dex="synthswap",
-                    token_in=usdt,
-                    amount_in=repr(float(y)),
-                    token_out=token_a,
-                    amount_out=repr(float(x)),
-                    log_index=0,
-                    first_in_direction="true",
-                    seen_in_mempool="false",
-                    atomic_mev_flag="false",
-                    liquidation_flag="false",
-                    ofa_backrun_flag="false",
-                    router_or_bot_flag="false",
-                    erc721_transfer_count=0,
-                    base_fee_eth=repr(cfg.base_fee_eth),
-                    priority_fee_eth=repr(float(tip_eth)),
-                    coinbase_transfer_eth="0.0",
-                    builder_label=builder,
-                    volume_usd=repr(float(notional)),
-                ))
-
-                u_extra, u_bid, u_delta = rng.take(3)
-                delta_c = tip_eth + (u_extra - 0.3) * 0.01
-                used_adj = (block % 3) == 0
-                bid = 0.05 + 0.1 * u_bid if used_adj else 0.0
-                delta = 0.01 * u_delta if used_adj else 0.0
-                block_rows.append(dict(
-                    block_number=block,
-                    builder_label=builder,
-                    coinbase_delta_eth=repr(float(delta_c)),
-                    bid_eth=repr(float(bid)),
-                    used_bid_adjustment="true" if used_adj else "false",
-                    adjustment_delta_eth=repr(float(delta)),
-                    slot_time_ms=slot_ms,
-                ))
-                if used_adj:
-                    bp_eth = delta_c - bid + refund_rate(slot_ms) * delta
-                else:
-                    bp_eth = delta_c
-                truth["blocks"][str(block)] = {"true_bp_usd": bp_eth * cfg.eth_price}
-
-    _write_csv(out / "tokens.csv",
-               ["address", "symbol", "cex_listed", "is_major", "decimals"],
-               [list(r) for r in token_rows])
-    _write_csv(out / "transactions.csv", list(tx_rows[0].keys()),
-               [list(r.values()) for r in tx_rows])
-    quote_rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(out / "quotes.csv", ["symbol", "ts_ms", "bid", "ask"],
-               [[sym, ts, repr(float(px)), repr(float(px))] for sym, ts, px in quote_rows])
-    _write_csv(out / "blocks.csv", list(block_rows[0].keys()),
-               [list(r.values()) for r in block_rows])
+    _write_csv(out / "tokens.csv", ["address", "symbol", "cex_listed", "is_major", "decimals"], [
+        (_WBTC, "WBTC", "true", "true", 8), (_USDT, "USDT", "true", "true", 6),
+        *((addr, f"TOK{j:02d}", "true", "false", 18) for j, addr in enumerate(alt_addr)),
+    ])
+    _write_columns(out / "transactions.csv", TRANSACTION_COLUMNS, {
+        "tx_hash": tx_hash, "block_number": block, "slot_time_ms": slot_ms,
+        "searcher_contract": contract[searcher], "pool_id": pools[sym], "dex": "synthswap",
+        "token_in": _USDT, "amount_in": y, "token_out": symbol_token[sym], "amount_out": x,
+        "log_index": 0, "first_in_direction": "true", "seen_in_mempool": "false",
+        "atomic_mev_flag": "false", "liquidation_flag": "false", "ofa_backrun_flag": "false",
+        "router_or_bot_flag": "false", "erc721_transfer_count": 0,
+        "base_fee_eth": cfg.base_fee_eth, "priority_fee_eth": tip_eth,
+        "coinbase_transfer_eth": "0.0", "builder_label": builder, "volume_usd": notional,
+    })
+    # per trade, a tick at each offset, then ETHUSDT a second before the
+    # slot; sorted by symbol and time (lexsort is stable)
+    q_symbol = np.column_stack([np.tile(sym, (n_grid, 1)).T, np.full(n, code["ETHUSDT"])]).ravel()
+    q_ts = np.column_stack([slot_ms[:, None] + np.array(grid.offsets_ms), slot_ms - 1000]).ravel()
+    order = np.lexsort((q_ts, q_symbol))
+    q_px = np.column_stack([ticks, np.full(n, float(cfg.eth_price))]).ravel()[order]
+    _write_columns(out / "quotes.csv", list(QUOTE_KINDS), {
+        "symbol": np.array(symbols, dtype=object)[q_symbol[order]], "ts_ms": q_ts[order],
+        "bid": q_px, "ask": q_px,
+    })
+    _write_columns(out / "blocks.csv", list(BLOCK_KINDS), {
+        "block_number": block, "builder_label": builder, "coinbase_delta_eth": delta_c,
+        "bid_eth": bid, "used_bid_adjustment": used_adj, "adjustment_delta_eth": delta,
+        "slot_time_ms": slot_ms,
+    })
     with open(out / "searchers.json", "w") as f:
-        json.dump({
-            "labels": {s.label: [contract[s.label]] for s in cfg.searchers},
-            "integrated_with": cfg.integrated_with,
-        }, f, indent=2, sort_keys=True)
+        json.dump({"labels": {s.label: [c] for s, c in zip(specs, contract)},
+                   "integrated_with": cfg.integrated_with}, f, indent=2, sort_keys=True)
     with open(out / "config.json", "w") as f:
         json.dump({"taker_fee_rate": cfg.taker_fee_rate}, f, indent=2, sort_keys=True)
+
+    rows = np.flatnonzero(priced[searcher])
+    truth = {
+        "searchers": {s.label: {"true_hedge_delay_s": s.true_hedge_delay_s,
+                                "true_pattern": _PATTERN[s.impact_decay]} for s in specs},
+        "trades": dict(zip(tx_hash[rows].tolist(), map(
+            lambda label, ev, pnl: {"searcher_label": label, "true_ev_usd": ev, "true_pnl_usd": pnl},
+            np.array([s.label for s in specs])[searcher[rows]].tolist(), ev[rows].tolist(),
+            (ev - tip_usd)[rows].tolist()))),
+        "blocks": dict(zip(map(str, block.tolist()), map(
+            lambda bp: {"true_bp_usd": bp}, (bp_eth * cfg.eth_price).tolist()))),
+    }
     with open(out / "ground_truth.json", "w") as f:
         json.dump(truth, f, indent=2, sort_keys=True)
     return truth
@@ -297,8 +279,8 @@ def score(ground_truth: dict, out_dir: str | Path) -> dict:
         if not (out / name).exists():
             raise MissingOutputs(name)
 
-    profiles = _read_output(out / "profiles.csv", SearcherProfile, "horizon")
-    est_profiles = {p.searcher_label: p for p in profiles}
+    est_profiles = {p.searcher_label: p
+                    for p in _read_output(out / "profiles.csv", SearcherProfile, "horizon")}
     confusion: dict[str, int] = {}
     horizon_errors = {}
     for label, truth in ground_truth["searchers"].items():
@@ -316,15 +298,10 @@ def score(ground_truth: dict, out_dir: str | Path) -> dict:
     report["pattern_confusion"] = confusion
     report["max_t_star_error_s"] = max(horizon_errors.values()) if horizon_errors else None
 
-    economics = _read_output(out / "economics.csv", TradeEconomics, "estimate")
-    est_by_tx = {e.tx_hash: e for e in economics}
-    ev_errs, pnl_errs = [], []
-    for tx, truth in ground_truth["trades"].items():
-        est = est_by_tx.get(tx)
-        if est is None:
-            continue
-        ev_errs.append(_rel_err(est.ev_usd, truth["true_ev_usd"]))
-        pnl_errs.append(_rel_err(est.pnl_usd, truth["true_pnl_usd"]))
+    est_by_tx = {e.tx_hash: e for e in _read_output(out / "economics.csv", TradeEconomics, "estimate")}
+    pairs = [(est_by_tx[tx], truth) for tx, truth in ground_truth["trades"].items() if tx in est_by_tx]
+    ev_errs = [_rel_err(est.ev_usd, truth["true_ev_usd"]) for est, truth in pairs]
+    pnl_errs = [_rel_err(est.pnl_usd, truth["true_pnl_usd"]) for est, truth in pairs]
     report["trades"] = {
         "n_compared": len(ev_errs),
         "n_truth": len(ground_truth["trades"]),
@@ -332,13 +309,10 @@ def score(ground_truth: dict, out_dir: str | Path) -> dict:
         "max_pnl_rel_error": max(pnl_errs) if pnl_errs else None,
     }
 
-    blocks = _read_output(out / "builder_blocks.csv", BuilderBlockEconomics, "builder")
-    est_bp = {str(b.block_number): b.bp_usd for b in blocks}
-    matches = sum(
-        1
-        for b, truth in ground_truth["blocks"].items()
-        if b in est_bp and _rel_err(est_bp[b], truth["true_bp_usd"]) < 1e-12
-    )
+    est_bp = {str(b.block_number): b.bp_usd
+              for b in _read_output(out / "builder_blocks.csv", BuilderBlockEconomics, "builder")}
+    matches = sum(b in est_bp and _rel_err(est_bp[b], truth["true_bp_usd"]) < 1e-12
+                  for b, truth in ground_truth["blocks"].items())
     report["blocks"] = {"n_truth": len(ground_truth["blocks"]), "bp_exact_matches": matches}
     return report
 

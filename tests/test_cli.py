@@ -130,6 +130,47 @@ def test_searchers_that_is_not_json_exits_1(synth_inputs, tmp_path, capsys):
     assert err["message"].startswith("searchers.json is not valid JSON: Expecting value")
 
 
+@pytest.mark.parametrize("name", ["config.json", "searchers.json"])
+def test_json_input_that_is_not_utf8_exits_1_naming_it(synth_inputs, tmp_path, capsys, name):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(synth_inputs, inputs)
+    (inputs / name).write_bytes(b"\xff")
+    capsys.readouterr()
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "InvalidConfig", "message": f"{name} is not valid JSON: 'utf-8' "
+                   "codec can't decode byte 0xff in position 0: invalid start byte"}
+
+
+DROP = object()  # a scenario key to leave out
+
+
+@pytest.mark.parametrize("update, message", [
+    ({"horizon_days": 3}, "unknown keys in scenario.json: ['horizon_days']"),
+    ({"searchers": [{**SCENARIO["searchers"][0], "volume": 1.0}]},
+     "unknown keys in searcher 0 of scenario.json: ['volume']"),
+    ({"searchers": DROP}, "scenario.json lacks the required keys ['searchers']"),
+    ({"n_days": "2"}, "scenario.json key 'n_days' must be an integer, not \"2\""),
+    ({"n_days": 0}, "n_days must be > 0"),
+    ({"builders": []}, "searchers and builders must not be empty"),
+    ({"seed": -1}, "seed must be in [0, 2**64)"),
+    (b"\xff", "scenario.json is not valid JSON: 'utf-8' codec can't decode byte 0xff in "
+     "position 0: invalid start byte"),  # the whole file
+], ids=["unknown_key", "unknown_searcher_key", "no_searchers", "str_for_int", "zero_days",
+        "no_builders", "negative_seed", "not_utf8"])
+def test_synth_refuses_a_bad_scenario_before_writing(tmp_path, capsys, update, message):
+    if not isinstance(update, bytes):
+        scenario = {k: v for k, v in {**SCENARIO, **update}.items() if v is not DROP}
+        update = json.dumps(scenario).encode()
+    (tmp_path / "scenario.json").write_bytes(update)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["synth", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "InvalidConfig", "message": message}
+    assert not out.exists()
+
+
 def test_manifest_digests_match(synth_inputs, tmp_path):
     out = tmp_path / "out"
     main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out)])

@@ -14,7 +14,6 @@ from cexdex import data_model
 from cexdex.data_model import (
     BlockRecord,
     TokenInfo,
-    TokenRegistry,
     load_block_records,
     load_quotes,
     load_searchers,
@@ -73,11 +72,6 @@ def test_load_tokens_aliases(token_registry):
 
 def test_load_tokens_address_case_insensitive(token_registry):
     assert token_registry.get(USDT.upper().replace("0X", "0x")) is not None
-
-
-def test_registry_rejects_major_unlisted():
-    with pytest.raises(InvalidConfig):
-        TokenRegistry({"0xbad": TokenInfo("X", False, True, "X")})
 
 
 def test_load_transactions_groups_by_hash(tmp_path):
@@ -586,15 +580,15 @@ TOKEN_CHECKS = [
     ("empty-address", [(2, "address", " ")], MalformedRow, token_error(2, "empty address")),
     ("duplicate-address", [(3, "address", " " + TOKA.upper().replace("0X", "0x"))], MalformedRow,
      token_error(3, f"duplicate token address {TOKA}")),
-    ("major-not-listed", [(3, "cex_listed", "false")], InvalidConfig,
-     f"{WETH}: is_major requires cex_listed"),
+    ("major-not-listed", [(3, "cex_listed", "false")], MalformedRow,
+     token_error(3, "is_major requires cex_listed")),
     # two bad rows: the earlier one wins, whatever its check
     ("earlier-row-wins", [(3, "decimals", "x"), (2, "is_major", "?")], MalformedRow,
      token_error(2, "bad value '?' in is_major")),
     ("earlier-short-row-wins", [(3, "address", USDT), (2, None, SHORT)], MalformedRow,
      token_error(2, "fewer fields than the header")),
     ("row-error-before-registry", [(1, "cex_listed", "false"), (3, "decimals", "x")], MalformedRow,
-     token_error(3, "bad value 'x' in decimals")),
+     token_error(1, "is_major requires cex_listed")),
     # within a row, the checks run in the loader's order
     ("empty-before-decimals", [(2, "address", ""), (2, "decimals", "x")], MalformedRow,
      token_error(2, "empty address")),
