@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Exit codes: 0 success, 1 validation/data errors, 2 I/O errors. Errors are
-printed to stderr as a single JSON object so drivers can parse them.
+printed to stderr as a single JSON object so callers can parse them; any
+other exception is a program fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline, synth
+from .config import read_json
 from .errors import PipelineError
 
 EXIT_OK = 0
@@ -136,9 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             synth.generate(cfg, args.out_dir)
             return EXIT_OK
         if args.command == "score":
-            with open(args.truth) as f:
-                truth = json.load(f)
-            report = synth.score(truth, args.out_dir)
+            report = synth.score(read_json(args.truth), args.out_dir)
             print(json.dumps(report, indent=2, sort_keys=True))
             return EXIT_OK
         ws = pipeline.Workspace(args.input_dir, args.out_dir)
@@ -153,9 +153,6 @@ def main(argv: list[str] | None = None) -> int:
         _error("io", str(exc))
         return EXIT_IO
     except PipelineError as exc:
-        _error(type(exc).__name__, str(exc))
-        return EXIT_VALIDATION
-    except (ValueError, KeyError) as exc:
         _error(type(exc).__name__, str(exc))
         return EXIT_VALIDATION
 

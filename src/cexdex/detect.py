@@ -59,10 +59,9 @@ class Verdicts:
     h: tuple[np.ndarray, ...]
     failure_reasons: list[str]
 
-    def rows(self):
-        """Each transaction's DetectionVerdict fields, in order."""
-        return zip(self.tx_hash, self.passed.tolist(), *(h.tolist() for h in self.h),
-                   self.failure_reasons)
+    def columns(self) -> list:
+        """verdicts.csv's columns, in DetectionVerdict's field order."""
+        return [self.tx_hash, self.passed, *self.h, self.failure_reasons]
 
 
 @dataclass(frozen=True)

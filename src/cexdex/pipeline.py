@@ -52,16 +52,55 @@ class OutdatedOutput(PipelineError):
     """A stage output is not in the layout this version writes."""
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """csv.writer writes None as "" and other values with str(), which for a
-    float is repr(); bools are written as true/false."""
+# Rows formatted and written at a time: only one chunk's cell strings exist at once.
+_CHUNK_ROWS = 1024
+_BOOL_TEXT = ("false", "true")
+
+
+def _cell(v) -> str:
+    """One cell as csv.writer writes it, a bool written as true/false."""
+    if v is None:
+        return ""
+    if v.__class__ is bool:
+        return _BOOL_TEXT[v]
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def _format(values) -> list[str]:
+    """A column's cells, formatted by one rule when all are of one kind."""
+    kinds = set(map(type, values))
+    if kinds <= {int, float}:
+        return list(map(repr, values))
+    if kinds == {bool}:
+        return list(map(_BOOL_TEXT.__getitem__, values))
+    return values if kinds == {str} else list(map(_cell, values))
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``columns`` under ``header``, each a list, tuple or numpy array of
+    one cell per row, or else one value for every row; another shape is refused.
+
+    The bytes are csv.writer's for the same rows, bools written as true/false:
+    each chunk of rows is formatted a column at a time and joined directly, or
+    by csv.writer when a cell needs quotes or the file has one column."""
+    columns = list(columns)
+    lengths = {len(c) for c in columns if isinstance(c, (list, tuple, np.ndarray))}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(f"{path.name}: {len(columns)} columns of {sorted(lengths)} rows "
+                         f"for {len(header)} header names; pass one column per name")
+    n = lengths.pop() if lengths else 0
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        w.writerows(
-            [("true" if v else "false") if v.__class__ is bool else v for v in row]
-            for row in rows
-        )
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(n, lo + _CHUNK_ROWS)
+            cells = [_format(c[lo:hi].tolist()) if isinstance(c, np.ndarray)
+                     else _format(c[lo:hi]) if isinstance(c, (list, tuple))
+                     else _format([c]) * (hi - lo) for c in columns]
+            if len(cells) == 1 or any(ch in text for text in map("".join, cells) for ch in ',"\r\n'):
+                w.writerows(zip(*cells))
+            else:
+                f.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -77,10 +116,10 @@ def _columns(cls: type) -> list[str]:
     return [f.name.removesuffix("_") for f in dataclasses.fields(cls)]
 
 
-def _write_output(path: Path, cls: type, rows) -> None:
+def _write_output(path: Path, cls: type, rows: list) -> None:
     """Write dataclass instances of ``cls``, one column per field."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    _write_csv(path, _columns(cls), map(operator.attrgetter(*names), rows))
+    _write_csv(path, _columns(cls), [list(map(operator.attrgetter(f.name), rows))
+                                     for f in dataclasses.fields(cls)])
 
 
 # Decoders by field annotation: each reads back what _write_csv wrote.
@@ -189,7 +228,7 @@ def run_detect(ws: Workspace) -> None:
     table = load_transactions(_require_input(ws.input_dir, "transactions.csv"))
     trades, verdicts = detect_all(table, ws.registry, ws.labels)
     _write_output(ws.out_dir / "detections.csv", ArbTrade, trades)
-    _write_csv(ws.out_dir / "verdicts.csv", _columns(DetectionVerdict), verdicts.rows())
+    _write_csv(ws.out_dir / "verdicts.csv", _columns(DetectionVerdict), verdicts.columns())
     ws.detections = trades
 
 
@@ -216,16 +255,10 @@ def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable
 
 def run_markout(ws: Workspace) -> None:
     table = markout_mod.markout_table(ws.detections, ws.grid, ws.quotes, ws.registry, ws.config)
-    _write_csv(
-        ws.out_dir / "markouts.csv",
-        _markouts_header(ws.grid.offsets_s),
-        (
-            [tx, label, reason is not None, reason or "", volume, *mr]
-            for tx, label, reason, volume, mr in zip(
-                table.tx_hash, table.searcher_label, table.exclusion_reason,
-                table.volume_usd.tolist(), table.mr_usd.tolist())
-        ),
-    )
+    reasons = table.exclusion_reason
+    _write_csv(ws.out_dir / "markouts.csv", _markouts_header(ws.grid.offsets_s), [
+        table.tx_hash, table.searcher_label, [r is not None for r in reasons], reasons,
+        table.volume_usd, *table.mr_usd.T])
     ws.markouts = table
 
 

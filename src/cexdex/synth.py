@@ -15,7 +15,6 @@ seeds give byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -50,7 +49,6 @@ ABRUPT_KEEP_FRACTION = 0.3
 
 _WBTC = "0x2260fac5e5542a773aa44fbcfedf7c193bc2c599"
 _USDT = "0xdac17f958d2ee523a2206206994597c13d831ec7"
-_CHUNK_ROWS = 1 << 16  # rows made Python values at a time when a file is written
 
 
 @dataclass(frozen=True)
@@ -148,19 +146,12 @@ def _spread_at(offset_s: float, delay_s: float | None, decay: str,
     return full * (1.0 - GENTLE_DECAY_PER_S * (offset_s - delay_s))
 
 
-def _write_columns(path: Path, header: list[str], columns: dict) -> None:
-    """Write ``columns`` in ``header``'s order, each an array or one value for every row."""
-    cols = [columns[name] for name in header]
-    n = len(next(c for c in cols if isinstance(c, np.ndarray)))
-    chunks = ([c[lo:lo + _CHUNK_ROWS].tolist() if isinstance(c, np.ndarray) else itertools.repeat(c)
-               for c in cols] for lo in range(0, n, _CHUNK_ROWS))
-    _write_csv(path, header, itertools.chain.from_iterable(zip(*c) for c in chunks))
-
-
 def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     """Write the six input files plus ground_truth.json; returns the ledger.
     Each per-trade column repeats one trade's operations in their order, so
-    every float has the bits a trade-by-trade loop gives it."""
+    every float has the bits a trade-by-trade loop gives it. The CSVs are
+    written as columns by pipeline._write_csv, a scalar standing for one
+    value in every row."""
     grid = MarkoutGrid(PipelineConfig())
     cfg.validate(grid)
     out = Path(out_dir)
@@ -220,11 +211,12 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     refund = np.vectorize(refund_rate, otypes=[float])(slot_ms)
     bp_eth = np.where(used_adj, delta_c - bid + refund * delta, delta_c)
 
+    k = len(specs)
     _write_csv(out / "tokens.csv", ["address", "symbol", "cex_listed", "is_major", "decimals"], [
-        (_WBTC, "WBTC", "true", "true", 8), (_USDT, "USDT", "true", "true", 6),
-        *((addr, f"TOK{j:02d}", "true", "false", 18) for j, addr in enumerate(alt_addr)),
+        [_WBTC, _USDT, *alt_addr], ["WBTC", "USDT", *(f"TOK{j:02d}" for j in range(k))], "true",
+        ["true"] * 2 + ["false"] * k, [8, 6] + [18] * k,
     ])
-    _write_columns(out / "transactions.csv", TRANSACTION_COLUMNS, {
+    txs = {
         "tx_hash": tx_hash, "block_number": block, "slot_time_ms": slot_ms,
         "searcher_contract": contract[searcher], "pool_id": pools[sym], "dex": "synthswap",
         "token_in": _USDT, "amount_in": y, "token_out": symbol_token[sym], "amount_out": x,
@@ -233,22 +225,18 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
         "router_or_bot_flag": "false", "erc721_transfer_count": 0,
         "base_fee_eth": cfg.base_fee_eth, "priority_fee_eth": tip_eth,
         "coinbase_transfer_eth": "0.0", "builder_label": builder, "volume_usd": notional,
-    })
+    }
+    _write_csv(out / "transactions.csv", TRANSACTION_COLUMNS, [txs[c] for c in TRANSACTION_COLUMNS])
     # per trade, a tick at each offset, then ETHUSDT a second before the
     # slot; sorted by symbol and time (lexsort is stable)
     q_symbol = np.column_stack([np.tile(sym, (n_grid, 1)).T, np.full(n, code["ETHUSDT"])]).ravel()
     q_ts = np.column_stack([slot_ms[:, None] + np.array(grid.offsets_ms), slot_ms - 1000]).ravel()
     order = np.lexsort((q_ts, q_symbol))
     q_px = np.column_stack([ticks, np.full(n, float(cfg.eth_price))]).ravel()[order]
-    _write_columns(out / "quotes.csv", list(QUOTE_KINDS), {
-        "symbol": np.array(symbols, dtype=object)[q_symbol[order]], "ts_ms": q_ts[order],
-        "bid": q_px, "ask": q_px,
-    })
-    _write_columns(out / "blocks.csv", list(BLOCK_KINDS), {
-        "block_number": block, "builder_label": builder, "coinbase_delta_eth": delta_c,
-        "bid_eth": bid, "used_bid_adjustment": used_adj, "adjustment_delta_eth": delta,
-        "slot_time_ms": slot_ms,
-    })
+    _write_csv(out / "quotes.csv", list(QUOTE_KINDS), [
+        np.array(symbols, dtype=object)[q_symbol[order]], q_ts[order], q_px, q_px])
+    _write_csv(out / "blocks.csv", list(BLOCK_KINDS), [
+        block, builder, delta_c, bid, used_adj, delta, slot_ms])
     with open(out / "searchers.json", "w") as f:
         json.dump({"labels": {s.label: [c] for s, c in zip(specs, contract)},
                    "integrated_with": cfg.integrated_with}, f, indent=2, sort_keys=True)

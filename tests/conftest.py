@@ -10,7 +10,7 @@ from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.data_model import (
     TRANSACTION_COLUMNS, SearcherLabelFile, TokenInfo, TokenRegistry, load_transactions,
 )
-from cexdex.detect import ArbTrade, DetectionVerdict, detect_all
+from cexdex.detect import ArbTrade, DetectionVerdict, Verdicts, detect_all
 from cexdex.markout import markout_table
 from cexdex.quotes import QuoteStore
 
@@ -104,7 +104,13 @@ def detect(directory: Path, txs, registry: TokenRegistry, labels: SearcherLabelF
     loaded back: the trades, and the verdicts by tx_hash."""
     table = load_transactions(write_transactions(directory, txs))
     trades, verdicts = detect_all(table, registry, labels or SearcherLabelFile(labels={}))
-    return trades, {v.tx_hash: v for v in (DetectionVerdict(*row) for row in verdicts.rows())}
+    return trades, {v.tx_hash: v for v in verdict_list(verdicts)}
+
+
+def verdict_list(verdicts: Verdicts) -> list[DetectionVerdict]:
+    """Each transaction's DetectionVerdict, in table order."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in verdicts.columns()]
+    return [DetectionVerdict(*row) for row in zip(*columns)]
 
 
 def make_trade(tx_hash="0xt1", *, block_number=100, searcher_label="s1",

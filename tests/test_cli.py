@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cexdex import pipeline
 from cexdex.cli import main
 
 SCENARIO = {
@@ -249,6 +250,26 @@ def test_score_subcommand(synth_inputs, tmp_path, capsys):
     assert report["max_t_star_error_s"] == 0.0
     assert report["searchers"]["s_gentle"]["est_pattern"] == "P1"
     assert report["searchers"]["s_flat"]["est_pattern"] == "P3"
+
+
+def test_score_truth_that_is_not_json_exits_1(tmp_path, capsys):
+    truth = tmp_path / "ground_truth.json"
+    truth.write_text("{not json")
+    assert main(["score", "--truth", str(truth), "--out-dir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InvalidConfig" and "ground_truth.json" in err["message"]
+
+
+def test_program_fault_is_not_a_validation_error(synth_inputs, tmp_path, monkeypatch, capsys):
+    """A ValueError out of a stage is a fault of the program: main raises it
+    rather than reporting it as bad input with exit 1."""
+    def fault(ws):
+        raise ValueError("stage fault")
+
+    monkeypatch.setitem(pipeline.STAGES, "detect", fault)
+    with pytest.raises(ValueError, match="stage fault"):
+        main(["detect", "--input-dir", str(synth_inputs), "--out-dir", str(tmp_path / "out")])
+    assert '"error"' not in capsys.readouterr().err
 
 
 def test_bad_scenario_exits_1(tmp_path, capsys):

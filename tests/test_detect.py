@@ -1,10 +1,12 @@
 from decimal import Decimal
 
 from cexdex import pipeline
-from cexdex.data_model import SearcherLabelFile
-from cexdex.detect import HEURISTICS, DetectionVerdict, effective_pair
+from cexdex.data_model import SearcherLabelFile, load_transactions
+from cexdex.detect import HEURISTICS, DetectionVerdict, detect_all, effective_pair
 
-from conftest import TOKA, TOKB, TOKC, USDT, detect, make_swap, make_tx
+from conftest import (
+    TOKA, TOKB, TOKC, USDT, detect, make_swap, make_tx, verdict_list, write_transactions,
+)
 from heuristic_corpus import build_corpus
 
 
@@ -120,16 +122,16 @@ VERDICT_LINES = {
 def test_corpus_verdicts_csv_lines(registry, tmp_path):
     """The corpus's verdicts, written as run_detect writes verdicts.csv."""
     txs, _ = build_corpus()
-    _, verdicts = detect(tmp_path, txs, registry)
+    table = load_transactions(write_transactions(tmp_path, txs))
+    _, verdicts = detect_all(table, registry, SearcherLabelFile(labels={}))
     path = tmp_path / "verdicts.csv"
-    pipeline._write_csv(path, pipeline._columns(DetectionVerdict),
-                        [list(vars(v).values()) for v in verdicts.values()])
+    pipeline._write_csv(path, pipeline._columns(DetectionVerdict), verdicts.columns())
     header, *lines = path.read_text().splitlines()
     assert header == "tx_hash,passed,h1,h2,h3,h4,h5,h6,failure_reasons"
     by_hash = {line.split(",")[0]: line for line in lines}
     assert len(lines) == len(by_hash) == 40
     assert {h: by_hash[h] for h in VERDICT_LINES} == VERDICT_LINES
-    assert pipeline._read_output(path, DetectionVerdict, "detect") == list(verdicts.values())
+    assert pipeline._read_output(path, DetectionVerdict, "detect") == verdict_list(verdicts)
 
 
 def test_detect_all_counts_and_labels(tmp_path, registry):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cexdex import _kernels, estimate, horizon, market, pipeline
 from cexdex.cli import main
@@ -112,6 +114,83 @@ def test_reader_refuses_a_field_it_cannot_decode(tmp_path):
     pipeline._write_output(path, Row, [Row("a", [1])])
     with pytest.raises(TypeError, match=r"list\[int\]"):
         pipeline._read_output(path, Row, "test")
+
+
+# ---------------------------------------------------------------------------
+# the writer: csv.writer's bytes, from columns
+
+def reference_csv(path: Path, header: list[str], rows) -> None:
+    """The rows written one at a time by csv.writer, a bool as true/false."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([("true" if v else "false") if v.__class__ is bool else v for v in row]
+                    for row in rows)
+
+
+WRITER_CHUNK = pipeline._CHUNK_ROWS
+texts = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "é", "\x00"])
+                | st.characters(blacklist_categories=("Cs",)), max_size=5)
+floats = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e16, 0.1, float("nan")])
+ints = st.integers(-2**70, 2**70)
+decimals = st.integers(-10**50, 10**50).map(lambda i: Decimal(i).scaleb(-20)) | st.decimals()
+# (values of one kind, as the column is passed: a list, a numpy array, or a scalar)
+KINDS = {
+    "str": (texts, list), "float": (floats, list), "int": (ints, list), "bool": (st.booleans(), list),
+    "float|None": (floats | st.none(), list), "Decimal": (decimals, list),
+    "any": (texts | floats | ints | st.booleans() | st.none() | decimals, list),
+    "float64": (floats, lambda v: np.array(v, dtype=np.float64)),
+    "int64": (st.integers(-2**63, 2**63 - 1), lambda v: np.array(v, dtype=np.int64)),
+    "bool_": (st.booleans(), lambda v: np.array(v, dtype=bool)),
+    "scalar": (texts | floats | ints | st.booleans() | st.none(), None),
+}
+
+
+@st.composite
+def tables(draw):
+    """(columns, rows): each column filled with its kind's first value and a
+    few others at random rows, so that quotes fall in some chunks only. The
+    first column is not a scalar: scalars alone give no row count."""
+    n = draw(st.sampled_from([0, 1, 2, WRITER_CHUNK - 1, WRITER_CHUNK, WRITER_CHUNK + 1,
+                              2 * WRITER_CHUNK + 3]))
+    rnd = draw(st.randoms(use_true_random=False))
+    columns, plain = [], []
+    first = draw(st.sampled_from(sorted(set(KINDS) - {"scalar"})))
+    for kind in [first, *draw(st.lists(st.sampled_from(sorted(KINDS)), max_size=5))]:
+        values, wrap = KINDS[kind]
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        if wrap is None:
+            columns.append(pool[0])
+            plain.append([pool[0]] * n)
+            continue
+        column = [pool[0]] * n
+        for i in rnd.sample(range(n), min(n, 3)):
+            column[i] = rnd.choice(pool)
+        columns.append(wrap(column))
+        plain.append(column if wrap is list else columns[-1].tolist())
+    return columns, list(zip(*plain))
+
+
+@given(tables())
+@settings(max_examples=150, deadline=None)
+def test_writer_bytes_equal_csv_writer(tmp_path_factory, table):
+    columns, rows = table
+    header = [f"c{i}" for i in range(len(columns))]
+    d = tmp_path_factory.mktemp("csv")
+    pipeline._write_csv(d / "columns.csv", header, columns)
+    reference_csv(d / "rows.csv", header, rows)
+    assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns", [
+    [["0xa", True, 1.5], ["0xb", False, 2.5]],  # two rows where three columns are due
+    [["0xa", "0xb"], [True], [1.5, 2.5]],  # a short column
+])
+def test_writer_refuses_a_wrong_shape(tmp_path, columns):
+    path = tmp_path / "verdicts.csv"
+    with pytest.raises(ValueError, match="verdicts.csv"):
+        pipeline._write_csv(path, ["tx_hash", "passed", "volume"], columns)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
