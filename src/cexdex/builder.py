@@ -70,7 +70,7 @@ def integrated_searcher_pnl(
     searcher = searcher_of_builder.get(block.builder_label)
     if searcher is None:
         return 0.0, False
-    return sum(pnl_by_block.get((block.block_number, searcher), [])), True
+    return sum(pnl_by_block.get((block.block_number, searcher), []), 0.0), True
 
 
 def aggregated_margin(block: BlockRecord, p_usd: float, eth_usd: float) -> float:
@@ -178,9 +178,9 @@ def builder_summary(
                 sp_applicable=any(e.sp_applicable for _, e in rows),
                 subsidized_blocks_before=len(before),
                 subsidized_blocks_after=len(after),
-                subsidy_bp_before_usd=sum(e.bp_usd for e in before),
-                subsidy_bp_after_usd=sum(e.bp_usd for e in after),
-                subsidy_p_after_usd=sum(e.p_usd for e in after),
+                subsidy_bp_before_usd=sum((e.bp_usd for e in before), 0.0),
+                subsidy_bp_after_usd=sum((e.bp_usd for e in after), 0.0),
+                subsidy_p_after_usd=sum((e.p_usd for e in after), 0.0),
                 margin_skipped_blocks=skipped,
             )
         )

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cexdex import _kernels, estimate, horizon, market, pipeline
+from cexdex import _kernels, builder, estimate, horizon, market, pipeline
 from cexdex.cli import main
+from cexdex.detect import ArbTrade, DetectionVerdict
 from cexdex.synth import SearcherSpec, SynthConfig, generate
 
 from markout_oracle import assert_same_row, oracle_curve, same_bits
+from test_synth import small_config, varied_config
 
 SLOT_MS = 12_000
 T0_MS = 1717200000000
@@ -674,9 +676,14 @@ def test_manifest_counts_no_rows_outside_csv(tmp_path):
 @pytest.fixture(scope="module")
 def handoff_corpus(markout_corpus, tmp_path_factory):
     """markout_corpus with a flat (P3) searcher and a trade whose EV is not
-    positive, so every optional field of the stage outputs is None somewhere."""
+    positive, so every optional field of the stage outputs is None somewhere,
+    and s_gentle integrated with builderA, whose blocks hold its trades in
+    some cases and none in others."""
     src, out = markout_corpus
     inputs = copy_tree(src, tmp_path_factory.mktemp("handoff") / "in")
+    searchers = json.loads((inputs / "searchers.json").read_text())
+    searchers["integrated_with"] = {"s_gentle": "builderA"}
+    (inputs / "searchers.json").write_text(json.dumps(searchers))
     ws = pipeline.Workspace(src, out)
     table = ws.markouts
     spread_bps = {
@@ -748,6 +755,107 @@ def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path):
     assert any(p.t_star_s is None for p in kept.profiles.values())
     assert any(p.decline_3s_fraction is None for p in kept.profiles.values())
     assert any(e.margin is None for e in kept.economics)
+
+
+# the row type of every output but markouts.csv, which declares its own floats
+OUTPUT_ROWS = {
+    "detections.csv": ArbTrade, "verdicts.csv": DetectionVerdict,
+    "profiles.csv": horizon.SearcherProfile, "economics.csv": estimate.TradeEconomics,
+    "summary.csv": estimate.SearcherSummary, "cumulative_ev.csv": estimate.CumulativeEv,
+    "market.csv": market.DailyShare, "integration.csv": market.IntegrationCell,
+    "correlations.csv": market.Correlation, "builder_blocks.csv": builder.BuilderBlockEconomics,
+    "builder_summary.csv": builder.BuilderSummary,
+}
+
+
+@pytest.fixture(scope="module")
+def handoff_out(handoff_corpus, tmp_path_factory):
+    """The outputs of cexdex all on handoff_corpus."""
+    out = tmp_path_factory.mktemp("handoff_out")
+    assert main(["all", "--input-dir", str(handoff_corpus), "--out-dir", str(out)]) == 0
+    return out
+
+
+def test_float_cells_are_written_as_floats(handoff_out):
+    """A cell of a float column is empty or a float's repr, never an int's."""
+    floats = {name: [f.name.removesuffix("_") for f in dataclasses.fields(cls)
+                     if f.type in ("float", "float | None")]
+              for name, cls in OUTPUT_ROWS.items()}
+    with open(handoff_out / "markouts.csv", newline="") as f:
+        floats["markouts.csv"] = next(csv.reader(f))[4:]  # volume_usd, then MR per offset
+    assert sorted(p.name for p in handoff_out.glob("*.csv")) == sorted(floats)
+    for name, columns in floats.items():
+        for k, row in enumerate(read_rows(handoff_out / name), start=1):
+            for c in columns:
+                cell = row[c]
+                assert cell == "" or any(s in cell for s in (".", "e", "inf", "nan")), (name, k, c, cell)
+
+
+def all_digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.glob("*.csv")) + [out / "manifest.json"]}
+
+
+# sha256 of the 12 CSVs and manifest.json of cexdex all on test_synth's
+# pinned corpora and on handoff_corpus; a change that moves one byte of an
+# output for these inputs fails here
+PINNED_RUN_DIGESTS = {
+    "small": {
+        "builder_blocks.csv": "2cb56b400292aadb9883b74e9c307a180d47859402464467c970c0b9502bc395",
+        "builder_summary.csv": "ee0af7c07896b416396713137554fb7b924ae1377c35b062c34c27fb3403f1a7",
+        "correlations.csv": "fcd6862de0dfc8d225d0b78bb70a1819e805b1b66af97ce9792db9e3dad380fa",
+        "cumulative_ev.csv": "2d501ff02239f6f721b45b31d7874081cb19ceaaa0de893dd7c3d5c6efcafaca",
+        "detections.csv": "bb649d84f9a8183f6a69700e65fffe76d97616807739e8a3ba0c835f9a8e9860",
+        "economics.csv": "837a978a7413297a6d3f4d2b5ae070a73d2fd899d8fd7e6a75d46390a6d66b16",
+        "integration.csv": "6bcb60665a99956227691990deb71271b925807cef8117b31ac8531a5950aff8",
+        "market.csv": "544f43dc46aff3bae8abaddb6620d8a6374a399f58dc312cfd9c6854bea0007c",
+        "markouts.csv": "8369de1ff2f194c14d52f690554beffbba93aa784b806794f2c49843ad28a7dd",
+        "profiles.csv": "8ac9ab6ec6ce488d9ad9d68c473db3d67455bbc831c3fe239cbd80f38ce8535c",
+        "summary.csv": "18b37f3d43340e14d5acbc7fe8ad1c5db2b04782dc680d37e75a445c4d7fdad9",
+        "verdicts.csv": "7c8f2ddff5b7b882742e32fb9b3e9bfa47ba3de198afc569be32bc4d1c12c437",
+        "manifest.json": "93fc7b23c7da35509b0c6fb55399f0d5b8aa45d6a3f15af585ead6ca780a9670",
+    },
+    "varied": {
+        "builder_blocks.csv": "0627c26f91768cc5c268b3c130a73a5a0e15819a125043813657ea5103e7293f",
+        "builder_summary.csv": "2cd667057f60edf176c8a3e39116ef852c738940020e08fd4f555702ff55679b",
+        "correlations.csv": "e44f37119e2b91b8d15c26555a7cae9bb2f4f8a2590c2d214ea98055e326654b",
+        "cumulative_ev.csv": "4217272807b2585388ccfe94fbfe8cfc979d4feea3f050311556139dfcf3ef20",
+        "detections.csv": "801cfff2024f2ff2685f3294809e9225ef0c0213f36ef562dc8e7643c3e683d8",
+        "economics.csv": "2fef6aca836ad9d5477b09e7b1d0011dbaa4b08bdd8b3d5af40099a922c1a193",
+        "integration.csv": "9c4e1e47dfd3805eab5e3260b5f5698e4c6960c7b6663f4ce67cdf8d1da61837",
+        "market.csv": "5ee6da35b244a145f9baca1dcd13db6741830614a2d530df4f7c67b1619b79af",
+        "markouts.csv": "3dcc46cf8bad9de9c8fd07f0b49c43801f9cad239e9de65954f65c856e25653c",
+        "profiles.csv": "651c355895c9c39cc48088a7bd238a31aeffe5d0df2f3efad8a718b8dd28bdcb",
+        "summary.csv": "10ab5ecaad6c9de930c9f848e1ead08630e4c79d9dc0d5122c9ea6c5cef89b14",
+        "verdicts.csv": "328052a1f1aae92bfbf23d9abdbf7244c2c20413853ad7fb7c6e55a9c5c764cd",
+        "manifest.json": "32836bed86abf548cb2e0f4d71fc2fb3bc5fa6bc9c53b3d93315d2f8bd26c547",
+    },
+    "handoff": {
+        "builder_blocks.csv": "165497edfd70a94eb6a64e7d3ec0c1050c8bbb6f1ca8976f65866ebec3b9f0ed",
+        "builder_summary.csv": "f1c4bae37c77be1d0da3a398a0a5498e45a59b9f8f3b7212ae8f60063ca79543",
+        "correlations.csv": "fcd6862de0dfc8d225d0b78bb70a1819e805b1b66af97ce9792db9e3dad380fa",
+        "cumulative_ev.csv": "ec6fab2b689a57a43c8555285ea722657dc692edad08cece57e486f1db455f34",
+        "detections.csv": "a1fe48451bf1e32c6e7285375ef122380ad561fc2c5d8817377c8ace5ffbbf9b",
+        "economics.csv": "d7a86370c35096a9d3d343b8c2f8c1975786a587e5645380a883b0fc9aa98563",
+        "integration.csv": "e1b1bbdfcc9cf19c47e16a220bb7571a0727a24a1b05019a407d75469a4c533e",
+        "market.csv": "f7a93160a2c1eef7e1748d7360537dfe8da39d632237139fd4c8dbca8925ab33",
+        "markouts.csv": "3b580fa9e774d6c9d20354a5bc94c5f0d7c3a10b338f643e3b7a260ebcf924fc",
+        "profiles.csv": "2191b2e32df9a301db42760b3b7e7fff0521e7af3d8640489b76ebe626780758",
+        "summary.csv": "f7549b9fa08546f0f368287a625d7ec1a8d9daa87cf04d1c9534e9eb4043ce1b",
+        "verdicts.csv": "e769f325bdc9e2ac05b67f9868412da2c149ea60dc29948225d2fe9d20c4ed9a",
+        "manifest.json": "4ab6d5783bc5fd9115afe72aa9f63d6ad05ab1c12c7c9d8960448e5194ab2424",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_RUN_DIGESTS))
+def test_all_writes_pinned_bytes(scenario, request, tmp_path):
+    if scenario == "handoff":
+        assert all_digests(request.getfixturevalue("handoff_out")) == PINNED_RUN_DIGESTS[scenario]
+        return
+    generate({"small": small_config, "varied": varied_config}[scenario](), tmp_path / "in")
+    assert main(["all", "--input-dir", str(tmp_path / "in"), "--out-dir", str(tmp_path / "out")]) == 0
+    assert all_digests(tmp_path / "out") == PINNED_RUN_DIGESTS[scenario]
 
 
 def test_ev_uses_t_star_offset(markout_corpus):
