@@ -1,4 +1,5 @@
-"""Numeric kernels: the step-function quote lookup and the splitmix64 stream."""
+"""Numeric kernels: the step-function quote lookup, group sums in row order,
+and the splitmix64 stream."""
 
 from __future__ import annotations
 
@@ -33,6 +34,48 @@ def step_mid_lookup(ts, bid, ask, queries, staleness_ms):
     ok = status == LOOKUP_OK
     mids[ok] = (bid[safe[ok]] + ask[safe[ok]]) / 2.0
     return mids, status
+
+
+def group_sum(codes: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per group 0..n-1, the sum of the ``weights`` whose ``codes`` name it,
+    added in index order from 0.0: builtin sum() of each group, bit for bit.
+    np.bincount adds in index order; numpy's own sum adds pairwise."""
+    return np.bincount(codes, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
+def keyed_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct ``keys`` in the order they first appear, the sum of each
+    one's ``values`` in index order): a dict filled by ``d[key] += value``
+    from 0.0, in order. Summing its values by group_sum keeps the dict's order."""
+    distinct, first, code = np.unique(keys, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    return distinct[seen], group_sum(rank[code], values, len(distinct))
+
+
+# at most this many distinct values are coded by one comparison each
+_FEW_DISTINCT = 16
+
+
+def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct ``values``, sorted; each value's index among them), as
+    np.unique(values, return_inverse=True) gives them. Few distinct values
+    are coded by one comparison each, which for a StringDType column numpy
+    does several times faster than its sort or binary search."""
+    distinct = np.unique(values)
+    if len(distinct) > _FEW_DISTINCT:
+        return distinct, np.searchsorted(distinct, values)
+    codes = np.zeros(len(values), dtype=np.int64)
+    for k, v in enumerate(distinct.tolist()[1:], start=1):
+        codes[values == v] = k
+    return distinct, codes
+
+
+def group_rows(codes: np.ndarray, n: int) -> list[np.ndarray]:
+    """Per group 0..n-1, the indices whose ``codes`` name it, in index order."""
+    order = np.argsort(codes, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(codes, minlength=n))[:-1]) if n else []
 
 
 def splitmix64(seed, start, count):

@@ -6,23 +6,28 @@ the adjustment delta is refunded, so BP = dC - b + r*delta with the refund
 rate r set by the slot time: 1 until Ultra Sound relay halved it at
 REFUND_CUTOFF_MS, 0.5 from then on. Aggregated profit adds the integrated
 searcher's PnL earned inside the same block.
+
+Blocks are a Table of BlockRecord in block number order, and every function
+here works on all of them at once, elementwise; a builder's totals are
+group sums that add its blocks in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data_model import BlockRecord
-from .errors import ZeroDenominator
-from .estimate import TradeEconomics
+import numpy as np
+
+from ._kernels import factorize, group_sum
+from .data_model import Table, optional
 
 # Ultra Sound relay halved the refund rate at 2024-03-05 05:00 UTC.
 REFUND_CUTOFF_MS = 1709614800000
 
 
-def refund_rate(slot_time_ms: int) -> float:
-    """Share of the adjustment delta refunded to a block at this slot time."""
-    return 1.0 if slot_time_ms < REFUND_CUTOFF_MS else 0.5
+def refund_rate(slot_time_ms: np.ndarray) -> np.ndarray:
+    """Share of the adjustment delta refunded to a block at each slot time."""
+    return np.where(slot_time_ms < REFUND_CUTOFF_MS, 1.0, 0.5)
 
 
 @dataclass
@@ -38,83 +43,70 @@ class BuilderBlockEconomics:
     subsidized_after: bool
 
 
-def builder_onchain_profit(block: BlockRecord, eth_usd: float) -> float:
-    """BP in USD at the slot-time ETH price."""
-    if not block.used_bid_adjustment:
-        bp_eth = block.coinbase_delta_eth
-    else:
-        r = refund_rate(block.slot_time_ms)
-        bp_eth = block.coinbase_delta_eth - block.bid_eth + r * block.adjustment_delta_eth
-    return bp_eth * eth_usd
-
-
-def index_pnl(economics: list[TradeEconomics]) -> dict[tuple[int, str], list[float]]:
-    """Trade PnLs by (block_number, searcher_label), in economics-row order."""
-    out: dict[tuple[int, str], list[float]] = {}
-    for e in economics:
-        out.setdefault((e.block_number, e.searcher_label), []).append(e.pnl_usd)
-    return out
+def builder_onchain_profit(blocks: Table, eth_usd: np.ndarray) -> np.ndarray:
+    """BP of each block in USD at its slot-time ETH price."""
+    corrected = (blocks.coinbase_delta_eth - blocks.bid_eth
+                 + refund_rate(blocks.slot_time_ms) * blocks.adjustment_delta_eth)
+    return np.where(blocks.used_bid_adjustment, corrected, blocks.coinbase_delta_eth) * eth_usd
 
 
 def integrated_searcher_pnl(
-    block: BlockRecord,
-    pnl_by_block: dict[tuple[int, str], list[float]],
+    blocks: Table,
+    economics: Table,
     searcher_of_builder: dict[str, str],
-) -> tuple[float, bool]:
-    """(SP, applicable) for this block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(SP, applicable) of each block.
 
-    Only the integrated searcher's trades landing in this exact block
-    count, summed in economics-row order; builders without an integrated
-    searcher get SP = 0 marked N/A.
+    Only the integrated searcher's trades (rows of ``economics``, a Table of
+    TradeEconomics) landing in this exact block count, summed in
+    economics-row order; builders without an integrated searcher get SP = 0
+    marked N/A.
     """
-    searcher = searcher_of_builder.get(block.builder_label)
-    if searcher is None:
-        return 0.0, False
-    return sum(pnl_by_block.get((block.block_number, searcher), []), 0.0), True
+    builders, code = factorize(blocks.builder_label)
+    # each economics row's builder code by its searcher's integration, -1 for none
+    integrated = np.full(len(economics), -1)
+    for j, builder in enumerate(builders.tolist()):
+        if builder in searcher_of_builder:
+            integrated[economics.searcher_label == searcher_of_builder[builder]] = j
+    rows = np.flatnonzero(np.isin(economics.block_number, blocks.block_number))
+    k = np.searchsorted(blocks.block_number, economics.block_number[rows])  # each row's block
+    mine = integrated[rows] == code[k]
+    applicable = np.isin(builders, list(searcher_of_builder))[code]
+    return group_sum(k[mine], economics.pnl_usd[rows[mine]], len(blocks)), applicable
 
 
-def aggregated_margin(block: BlockRecord, p_usd: float, eth_usd: float) -> float:
-    """PM = P / (P + b - r*delta), all USD."""
-    r = refund_rate(block.slot_time_ms) if block.used_bid_adjustment else 0.0
-    denom = p_usd + (block.bid_eth - r * block.adjustment_delta_eth) * eth_usd
-    if denom == 0:
-        raise ZeroDenominator(f"block {block.block_number}")
-    return p_usd / denom
+def aggregated_margin(blocks: Table, p_usd: np.ndarray, eth_usd: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(PM = P / (P + b - r*delta), all USD, of each block; the mask of the
+    blocks whose denominator is not 0, the only ones where PM is defined)."""
+    r = np.where(blocks.used_bid_adjustment, refund_rate(blocks.slot_time_ms), 0.0)
+    denom = p_usd + (blocks.bid_eth - r * blocks.adjustment_delta_eth) * eth_usd
+    defined = denom != 0
+    return np.divide(p_usd, denom, out=np.zeros_like(p_usd), where=defined), defined
 
 
-def subsidy_flags(bp_usd: float, p_usd: float) -> tuple[bool, bool]:
+def subsidy_flags(bp_usd, p_usd):
     """(before, after). A block is never subsidized when BP is positive."""
     before = bp_usd < 0
-    return before, before and p_usd < 0
+    return before, before & (p_usd < 0)
 
 
 def block_economics(
-    block: BlockRecord,
-    pnl_by_block: dict[tuple[int, str], list[float]],
+    blocks: Table,
+    economics: Table,
     searcher_of_builder: dict[str, str],
-    eth_usd: float,
-) -> BuilderBlockEconomics:
-    """``pnl_by_block`` from ``index_pnl``; ``searcher_of_builder`` from
-    ``SearcherLabelFile.builder_to_searcher``."""
-    bp = builder_onchain_profit(block, eth_usd)
-    sp, applicable = integrated_searcher_pnl(block, pnl_by_block, searcher_of_builder)
+    eth_usd: np.ndarray,
+) -> Table:
+    """A Table of BuilderBlockEconomics, a row per block of ``blocks`` priced
+    at ``eth_usd``. ``economics`` is a Table of TradeEconomics;
+    ``searcher_of_builder`` is ``SearcherLabelFile.builder_to_searcher``."""
+    bp = builder_onchain_profit(blocks, eth_usd)
+    sp, applicable = integrated_searcher_pnl(blocks, economics, searcher_of_builder)
     p = bp + sp
-    try:
-        margin = aggregated_margin(block, p, eth_usd)
-    except ZeroDenominator:
-        margin = None
+    margin, defined = aggregated_margin(blocks, p, eth_usd)
     before, after = subsidy_flags(bp, p)
-    return BuilderBlockEconomics(
-        block_number=block.block_number,
-        builder_label=block.builder_label,
-        bp_usd=bp,
-        sp_usd=sp,
-        p_usd=p,
-        margin=margin,
-        sp_applicable=applicable,
-        subsidized_before=before,
-        subsidized_after=after,
-    )
+    return Table(BuilderBlockEconomics, [blocks.block_number, blocks.builder_label, bp, sp, p,
+                                         optional(margin, defined), applicable, before, after])
 
 
 @dataclass
@@ -136,52 +128,31 @@ class BuilderSummary:
     margin_skipped_blocks: int
 
 
-def builder_summary(
-    blocks: list[BlockRecord],
-    per_block: list[BuilderBlockEconomics],
-    eth_usd_by_block: dict[int, float],
-) -> list[BuilderSummary]:
-    """One Table-2/3 style row per builder, deterministic label order."""
-    by_builder: dict[str, list[tuple[BlockRecord, BuilderBlockEconomics]]] = {}
-    econ_by_block = {e.block_number: e for e in per_block}
-    for b in blocks:
-        by_builder.setdefault(b.builder_label, []).append((b, econ_by_block[b.block_number]))
+def builder_summary(blocks: Table, per_block: Table, eth_usd: np.ndarray) -> Table:
+    """One Table-2/3 style row per builder, by label, as a Table of
+    BuilderSummary; ``per_block`` is ``block_economics`` of ``blocks`` at
+    ``eth_usd``."""
+    labels, code = factorize(blocks.builder_label)
+    n = len(labels)
 
-    out = []
-    for label in sorted(by_builder):
-        rows = by_builder[label]
-        builder_margins = []
-        agg_margins = []
-        skipped = 0
-        for block, econ in rows:
-            eth = eth_usd_by_block[block.block_number]
-            try:
-                builder_margins.append(aggregated_margin(block, econ.bp_usd, eth))
-            except ZeroDenominator:
-                skipped += 1
-            if econ.margin is not None:
-                agg_margins.append(econ.margin)
-        before = [e for _, e in rows if e.subsidized_before]
-        after = [e for _, e in rows if e.subsidized_after]
-        out.append(
-            BuilderSummary(
-                builder_label=label,
-                n_blocks=len(rows),
-                total_bid_eth=sum(b.bid_eth for b, _ in rows),
-                total_bp_usd=sum(e.bp_usd for _, e in rows),
-                total_sp_usd=sum(e.sp_usd for _, e in rows),
-                total_p_usd=sum(e.p_usd for _, e in rows),
-                builder_margin=(sum(builder_margins) / len(builder_margins))
-                if builder_margins else None,
-                aggregated_profit_margin=(sum(agg_margins) / len(agg_margins))
-                if agg_margins else None,
-                sp_applicable=any(e.sp_applicable for _, e in rows),
-                subsidized_blocks_before=len(before),
-                subsidized_blocks_after=len(after),
-                subsidy_bp_before_usd=sum((e.bp_usd for e in before), 0.0),
-                subsidy_bp_after_usd=sum((e.bp_usd for e in after), 0.0),
-                subsidy_p_after_usd=sum((e.p_usd for e in after), 0.0),
-                margin_skipped_blocks=skipped,
-            )
-        )
-    return out
+    def total(values, rows=slice(None)):
+        return group_sum(code[rows], values[rows], n)
+
+    def mean(values, defined):
+        count = np.bincount(code[defined], minlength=n).tolist()
+        return [s / c if c else None for s, c in zip(total(values, defined).tolist(), count)]
+
+    bp, p = per_block.bp_usd, per_block.p_usd
+    before, after = per_block.subsidized_before, per_block.subsidized_after
+    bp_margin, bp_defined = aggregated_margin(blocks, bp, eth_usd)
+    p_defined = np.array([m is not None for m in per_block.margin], dtype=bool)
+    p_margin = np.array([m if m is not None else 0.0 for m in per_block.margin], dtype=np.float64)
+    n_blocks = np.bincount(code, minlength=n)
+    return Table(BuilderSummary, [
+        labels, n_blocks, total(blocks.bid_eth), total(bp), total(per_block.sp_usd), total(p),
+        mean(bp_margin, bp_defined), mean(p_margin, p_defined),
+        np.bincount(code[per_block.sp_applicable], minlength=n) > 0,
+        np.bincount(code[before], minlength=n), np.bincount(code[after], minlength=n),
+        total(bp, before), total(bp, after), total(p, after),
+        n_blocks - np.bincount(code[bp_defined], minlength=n),
+    ])

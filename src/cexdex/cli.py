@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import pipeline, synth
+from . import pipeline
 from .config import read_json
 from .errors import PipelineError
 
@@ -69,9 +69,11 @@ def _write_charts(ws: pipeline.Workspace) -> None:
     if rows:
         fig, ax = plt.subplots(figsize=(8, 5))
         for label in sorted(rows):
-            med = horizon_mod.median_curve(label, table.gr[rows[label]], ws.grid)
+            grs = table.gr[rows[label]]
+            med = horizon_mod.median_curve(label, grs, ws.grid)
+            q25, q75 = np.quantile(grs, [0.25, 0.75], axis=0)
             ax.plot(med.grid.offsets_s, med.median_gr * 1e4, label=label)
-            ax.fill_between(med.grid.offsets_s, med.q25_gr * 1e4, med.q75_gr * 1e4, alpha=0.15)
+            ax.fill_between(med.grid.offsets_s, q25 * 1e4, q75 * 1e4, alpha=0.15)
             peak = int(np.argmax(med.median_gr))
             ax.plot(med.grid.offsets_s[peak], med.median_gr[peak] * 1e4, "v")
         ax.set_xlabel("markout offset (s)")
@@ -83,7 +85,7 @@ def _write_charts(ws: pipeline.Workspace) -> None:
     cum_path = ws.out_dir / "cumulative_ev.csv"
     if cum_path.exists():
         series: dict[str, list[float]] = {}
-        for r in pipeline._read_output(cum_path, estimate.CumulativeEv, "estimate"):
+        for r in pipeline._read_output(cum_path, estimate.CumulativeEv, "estimate").rows():
             series.setdefault(r.searcher_label, []).append(r.cumulative_ev_usd)
         fig, ax = plt.subplots(figsize=(8, 5))
         for label in sorted(series):
@@ -97,7 +99,7 @@ def _write_charts(ws: pipeline.Workspace) -> None:
     market_path = ws.out_dir / "market.csv"
     if market_path.exists():
         hhis: dict[str, float] = {}  # the first HHI of each date, in file order
-        for r in pipeline._read_output(market_path, market.DailyShare, "market"):
+        for r in pipeline._read_output(market_path, market.DailyShare, "market").rows():
             if r.hhi_volume is not None:
                 hhis.setdefault(r.date, r.hhi_volume)
         if hhis:
@@ -112,7 +114,7 @@ def _write_charts(ws: pipeline.Workspace) -> None:
     integ_path = ws.out_dir / "integration.csv"
     if integ_path.exists():
         cells = {(r.searcher_label, r.builder_label): r.volume_fraction
-                 for r in pipeline._read_output(integ_path, market.IntegrationCell, "market")}
+                 for r in pipeline._read_output(integ_path, market.IntegrationCell, "market").rows()}
         if cells:
             searchers = sorted({s for s, _ in cells})
             builders = sorted({b for _, b in cells})
@@ -133,11 +135,16 @@ def _write_charts(ws: pipeline.Workspace) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # synth is imported only by the commands that use it, not by every stage
         if args.command == "synth":
+            from . import synth
+
             cfg = synth.SynthConfig.from_json(args.config)
             synth.generate(cfg, args.out_dir)
             return EXIT_OK
         if args.command == "score":
+            from . import synth
+
             report = synth.score(read_json(args.truth), args.out_dir)
             print(json.dumps(report, indent=2, sort_keys=True))
             return EXIT_OK

@@ -16,6 +16,7 @@ round trip; everything price-like stays float downstream.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import decimal
 import json
 import math
@@ -87,6 +88,78 @@ class BlockRecord:
     used_bid_adjustment: bool
     adjustment_delta_eth: float
     slot_time_ms: int
+
+
+# ---------------------------------------------------------------------------
+# tables: a file's rows held as one array per column
+
+def strings(values) -> np.ndarray:
+    """``values`` as a StringDType array, each as str() gives it."""
+    return np.asarray(values, dtype=np.dtypes.StringDType())
+
+
+def optional(values: np.ndarray, defined: np.ndarray) -> list:
+    """A float | None column: each of ``values`` where ``defined``, else None."""
+    return [v if d else None for v, d in zip(values.tolist(), defined.tolist())]
+
+
+# the column of each field annotation
+_COLUMN = {
+    "str": strings, "Decimal": strings,  # an amount is held as the text str() gives it
+    "int": lambda v: np.asarray(v, dtype=np.int64),
+    "float": lambda v: np.asarray(v, dtype=np.float64),
+    "bool": lambda v: np.asarray(v, dtype=bool),
+    "float | None": list,
+}
+
+
+class Table:
+    """Rows of the dataclass ``row`` held as columns, each the attribute named
+    after its field: a numpy array for a field annotated str or Decimal
+    (StringDType; a Decimal as the text str() gives it), int (int64), float
+    (float64) or bool, and a list of floats and None for float | None. The
+    row dataclass still declares its file's header and each cell's kind."""
+
+    def __init__(self, row: type, columns):
+        """``columns``: one sequence of cells per field of ``row``, in field order."""
+        fields, columns = dataclasses.fields(row), list(columns)
+        if len(columns) != len(fields) or len({len(c) for c in columns}) > 1:
+            raise ValueError(f"{row.__name__}: {len(columns)} columns of "
+                             f"{sorted({len(c) for c in columns})} rows for {len(fields)} fields")
+        self.row = row
+        for f, column in zip(fields, columns):
+            if f.type not in _COLUMN or hasattr(Table, f.name):
+                raise TypeError(f"{row.__name__}: no column for the field {f.name}: {f.type}")
+            setattr(self, f.name, _COLUMN[f.type](column))
+
+    @classmethod
+    def of_rows(cls, row: type, rows: list) -> Table:
+        """The table of ``rows``, instances of ``row``."""
+        return cls(row, [[getattr(r, f.name) for r in rows] for f in dataclasses.fields(row)])
+
+    @property
+    def columns(self) -> list:
+        """The columns in field order."""
+        return [getattr(self, f.name) for f in dataclasses.fields(self.row)]
+
+    def __len__(self) -> int:
+        return len(getattr(self, dataclasses.fields(self.row)[0].name))
+
+    def select(self, mask: np.ndarray) -> Table:
+        """The rows where ``mask`` is true, in order. (A mask, not indices:
+        numpy copies StringDType cells by a mask several times faster.)"""
+        out = object.__new__(Table)
+        out.row = self.row
+        for f in dataclasses.fields(self.row):
+            c = getattr(self, f.name)
+            setattr(out, f.name, c[mask] if isinstance(c, np.ndarray) else
+                    [v for v, keep in zip(c, mask.tolist()) if keep])
+        return out
+
+    def rows(self) -> list:
+        """The rows as instances of ``row``, of Python values (a Decimal field's text)."""
+        return [self.row(*r) for r in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                            for c in self.columns))]
 
 
 @dataclass(frozen=True)
@@ -561,9 +634,10 @@ BLOCK_KINDS = {"block_number": INT, "builder_label": TEXT, "coinbase_delta_eth":
                "slot_time_ms": INT}  # BlockRecord's fields, in order
 
 
-def load_block_records(path: str | Path) -> dict[int, BlockRecord]:
-    """blocks.csv by block number. Raises for the first row that fails a
-    check, with the first check it fails in the order listed below."""
+def load_block_records(path: str | Path) -> Table:
+    """blocks.csv as a Table of BlockRecord, in block number order. Raises for
+    the first row that fails a check, with the first check it fails in the
+    order listed below."""
     name = Path(path).name
     c, parsed = _read_columns(path, BLOCK_KINDS)
     block, bid, delta = c["block_number"], c["bid_eth"], c["adjustment_delta_eth"]
@@ -579,8 +653,8 @@ def load_block_records(path: str | Path) -> dict[int, BlockRecord]:
          _fails("adjustment_delta_eth > 0 without used_bid_adjustment", name)),
         parsed.get("coinbase_delta_eth"), parsed.get("slot_time_ms"),
     ])
-    fields = [c[col].tolist() for col in BLOCK_KINDS]
-    return dict(zip(fields[0], map(BlockRecord, *fields)))
+    order = np.argsort(block, kind="stable")
+    return Table(BlockRecord, [c[col][order] for col in BLOCK_KINDS])
 
 
 def load_searchers(path: str | Path) -> SearcherLabelFile:

@@ -12,7 +12,7 @@ token by token in Decimal.
 
 DetectionVerdict declares the rows of verdicts.csv, one per transaction,
 which ``Verdicts`` holds as columns; ArbTrade declares those of
-detections.csv, one per transaction that passed.
+detections.csv, one per transaction that passed, which a Table holds.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from decimal import Decimal
 import numpy as np
 
 from .data_model import (
-    AMOUNT_CONTEXT, DUST_THRESHOLD, SearcherLabelFile, TokenRegistry, TransactionTable,
-    parse_amount,
+    AMOUNT_CONTEXT, DUST_THRESHOLD, SearcherLabelFile, Table, TokenRegistry, TransactionTable,
+    parse_amount, strings,
 )
+from ._kernels import factorize
 from .errors import NotTwoSided
 
 HEURISTICS = ("H1", "H2", "H3", "H4", "H5", "H6")
@@ -104,23 +105,23 @@ def effective_pair(net_flows: dict[str, Decimal]) -> tuple[str, Decimal, str, De
     return token_bought, x, token_sold, AMOUNT_CONTEXT.minus(y)
 
 
-def _one_swap_amounts(amounts: list[str]) -> list[Decimal]:
-    """Amounts of one-swap transactions as netting leaves them, 0 + amount,
-    so that 1E+2 is written 100; load_transactions has checked that they parse."""
+def _one_swap_amounts(amounts: list[str]) -> list[str]:
+    """Amounts of one-swap transactions as netting leaves them, 0 + amount, as
+    text, so that 1E+2 is 100; load_transactions has checked that they parse."""
     create, add = AMOUNT_CONTEXT.create_decimal, AMOUNT_CONTEXT.add
-    return [add(_ZERO, create(a.strip())) for a in amounts]
+    return [str(add(_ZERO, create(a.strip()))) for a in amounts]
 
 
 def detect_all(
     table: TransactionTable,
     registry: TokenRegistry,
     labels: SearcherLabelFile,
-) -> tuple[list[ArbTrade], Verdicts]:
+) -> tuple[Table, Verdicts]:
     """Run every transaction through the heuristics.
 
-    Every input gets a verdict; passing transactions become ArbTrades.
-    Contracts without a label are kept under "other:<address>" so landscape
-    totals stay complete.
+    Every input gets a verdict; passing transactions become the rows of a
+    Table of ArbTrade, in table order. Contracts without a label are kept
+    under "other:<address>" so landscape totals stay complete.
     """
     starts = table.starts
     n_swaps = np.diff(starts, append=len(table.token_in))
@@ -151,8 +152,7 @@ def detect_all(
             pass
         two_sided[j] = j in netted
     has_pair = no_erc721 & two_sided
-    pair_tokens, code = np.unique(np.concatenate([bought[has_pair], sold[has_pair]]),
-                                  return_inverse=True)
+    pair_tokens, code = factorize(np.concatenate([bought[has_pair], sold[has_pair]]))
     listed = np.array([registry.is_listed(t) for t in pair_tokens.tolist()], dtype=bool)[code]
     bought_listed, sold_listed = np.ones(len(table), dtype=bool), np.ones(len(table), dtype=bool)
     bought_listed[has_pair], sold_listed[has_pair] = np.split(listed, 2)
@@ -181,14 +181,13 @@ def detect_all(
     amount_sold = _one_swap_amounts(table.amount_in[first].tolist())
     for k, j in enumerate(rows.tolist()):
         if j in netted:
-            amount_bought[k], amount_sold[k] = netted[j]
+            amount_bought[k], amount_sold[k] = map(str, netted[j])
     addr_to_label = labels.address_to_label()
-    columns = (  # in ArbTrade's field order
-        table.tx_hash[rows].tolist(), table.block_number[rows].tolist(),
-        [addr_to_label.get(a, f"other:{a}") for a in table.searcher_contract[rows].tolist()],
-        table.builder_label[rows].tolist(), table.slot_time_ms[rows].tolist(),
-        bought[rows].tolist(), amount_bought, sold[rows].tolist(), amount_sold,
-        table.volume_usd[rows].tolist(), table.base_fee_eth[rows].tolist(),
-        (table.priority_fee_eth[rows] + table.coinbase_transfer_eth[rows]).tolist(),
-    )
-    return [ArbTrade(*fields) for fields in zip(*columns)], verdicts
+    contracts, code = factorize(table.searcher_contract[passed])
+    searcher = [addr_to_label.get(a, f"other:{a}") for a in contracts.tolist()]
+    return Table(ArbTrade, [  # in ArbTrade's field order; StringDType is copied fastest by a mask
+        table.tx_hash[passed], table.block_number[passed], strings(searcher)[code],
+        table.builder_label[passed], table.slot_time_ms[passed], bought[passed], amount_bought,
+        sold[passed], amount_sold, table.volume_usd[passed], table.base_fee_eth[passed],
+        table.priority_fee_eth[passed] + table.coinbase_transfer_eth[passed],
+    ]), verdicts

@@ -130,10 +130,6 @@ class SharesDontSumToOne(PipelineError):
     pass
 
 
-class ZeroDenominator(PipelineError):
-    pass
-
-
 # --- synth / scoring ---
 
 class MissingOutputs(PipelineError):

@@ -6,7 +6,9 @@ the markout table read at t*'s grid column. Fee conversions use the
 ETH-USDT mid at slot time.
 
 TradeEconomics, SearcherSummary and CumulativeEv declare the rows of
-economics.csv, summary.csv and cumulative_ev.csv.
+economics.csv, summary.csv and cumulative_ev.csv; the economics are held as
+a Table and computed elementwise, and every total is a group sum that adds
+in row order, as builtin sum() does, unless it says otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .detect import ArbTrade
+from ._kernels import factorize, group_rows, group_sum
+from .config import MarkoutGrid
+from .data_model import Table, optional
 from .errors import PatternThreeExcluded
 from .horizon import PATTERN_FLAT, SearcherProfile
 
@@ -38,33 +42,28 @@ class TradeEconomics:
     base_fee_usd: float
 
 
-def trade_economics(
-    trade: ArbTrade,
-    mr_usd: float,
-    profile: SearcherProfile,
-    eth_usd_at_slot: float,
-) -> TradeEconomics:
-    """Economics of an included trade whose MR at its searcher's t* is ``mr_usd``."""
+def t_star_column(profile: SearcherProfile, grid: MarkoutGrid) -> int:
+    """The grid column of the searcher's t*; a Pattern 3 profile, or one
+    without a t*, prices no trade."""
     if profile.pattern == PATTERN_FLAT or profile.t_star_s is None:
         raise PatternThreeExcluded(profile.searcher_label)
-    base_fee_usd = trade.base_fee_eth * eth_usd_at_slot
-    tip_usd = trade.builder_tip_eth * eth_usd_at_slot
+    return grid.index_of(profile.t_star_s)
+
+
+def trade_economics(trades: Table, mr_usd: np.ndarray, eth_usd_at_slot: np.ndarray) -> Table:
+    """Economics of included trades, a Table of ArbTrade, whose MR at their
+    searchers' t* is ``mr_usd``: a Table of TradeEconomics, row for row."""
+    base_fee_usd = trades.base_fee_eth * eth_usd_at_slot
+    tip_usd = trades.builder_tip_eth * eth_usd_at_slot
     ev = mr_usd - base_fee_usd
     pnl = ev - tip_usd
-    margin = pnl / ev if ev > 0 else None
-    return TradeEconomics(
-        tx_hash=trade.tx_hash,
-        searcher_label=trade.searcher_label,
-        builder_label=trade.builder_label,
-        block_number=trade.block_number,
-        slot_time_ms=trade.slot_time_ms,
-        volume_usd=trade.volume_usd,
-        ev_usd=ev,
-        pnl_usd=pnl,
-        margin=margin,
-        builder_tip_usd=tip_usd,
-        base_fee_usd=base_fee_usd,
-    )
+    defined = ev > 0
+    margin = np.divide(pnl, ev, out=np.zeros_like(ev), where=defined)
+    return Table(TradeEconomics, [
+        trades.tx_hash, trades.searcher_label, trades.builder_label, trades.block_number,
+        trades.slot_time_ms, trades.volume_usd, ev, pnl, optional(margin, defined), tip_usd,
+        base_fee_usd,
+    ])
 
 
 @dataclass
@@ -85,38 +84,37 @@ class SearcherSummary:
     count_unprofitable: int
 
 
-def searcher_summary(
-    label: str,
-    economics: list[TradeEconomics],
-    n_inventory_adj: int = 0,
-    n_quote_gap: int = 0,
-) -> SearcherSummary:
-    """Totals and per-trade medians for one searcher.
+def searcher_summaries(labels: np.ndarray, economics: Table, n_inventory_adj: np.ndarray,
+                       n_quote_gap: np.ndarray) -> Table:
+    """Totals and per-trade medians of each searcher of ``labels``, sorted
+    and holding every economics row's label, as a Table of SearcherSummary.
 
     Margin medians cover only margin-defined trades; EV/PnL medians cover
-    every arbitrage trade. Excluded trades contribute to counts only.
+    every arbitrage trade. Excluded trades, ``n_inventory_adj`` and
+    ``n_quote_gap`` per label, contribute to counts only. Total EV and PnL
+    are numpy's pairwise sums of the searcher's rows.
     """
-    evs = np.array([e.ev_usd for e in economics]) if economics else np.array([])
-    pnls = np.array([e.pnl_usd for e in economics]) if economics else np.array([])
-    margins = [e.margin for e in economics if e.margin is not None]
-    n_arb = len(economics)
-    profitable = int(sum(1 for e in economics if e.pnl_usd >= 0))
-    return SearcherSummary(
-        searcher_label=label,
-        total_volume_usd=float(sum(e.volume_usd for e in economics)),
-        total_ev_usd=float(evs.sum()) if n_arb else 0.0,
-        total_tips_usd=float(sum(e.builder_tip_usd for e in economics)),
-        total_pnl_usd=float(pnls.sum()) if n_arb else 0.0,
-        median_trade_ev=float(np.median(evs)) if n_arb else None,
-        median_trade_pnl=float(np.median(pnls)) if n_arb else None,
-        median_margin=float(np.median(margins)) if margins else None,
-        count_total=n_arb + n_inventory_adj + n_quote_gap,
-        count_inventory_adj=n_inventory_adj,
-        count_quote_gap=n_quote_gap,
-        count_arbitrage=n_arb,
-        count_profitable=profitable,
-        count_unprofitable=n_arb - profitable,
-    )
+    n = len(labels)
+    distinct, code = factorize(economics.searcher_label)
+    code = np.searchsorted(labels, distinct)[code]
+    defined = np.array([m is not None for m in economics.margin], dtype=bool)
+    margin = np.array([m if m is not None else 0.0 for m in economics.margin], dtype=np.float64)
+    n_arb = np.bincount(code, minlength=n)
+    profitable = np.bincount(code[economics.pnl_usd >= 0], minlength=n)
+    total_ev, total_pnl, median_ev, median_pnl, median_margin = [], [], [], [], []
+    for rows in group_rows(code, n):
+        evs, pnls, margins = economics.ev_usd[rows], economics.pnl_usd[rows], margin[rows][defined[rows]]
+        total_ev.append(float(evs.sum()))
+        total_pnl.append(float(pnls.sum()))
+        median_ev.append(float(np.median(evs)) if len(rows) else None)
+        median_pnl.append(float(np.median(pnls)) if len(rows) else None)
+        median_margin.append(float(np.median(margins)) if len(margins) else None)
+    return Table(SearcherSummary, [
+        labels, group_sum(code, economics.volume_usd, n), total_ev,
+        group_sum(code, economics.builder_tip_usd, n), total_pnl, median_ev, median_pnl,
+        median_margin, n_arb + n_inventory_adj + n_quote_gap, n_inventory_adj, n_quote_gap,
+        n_arb, profitable, n_arb - profitable,
+    ])
 
 
 def _utc_day(ts_ms: int) -> str:
@@ -131,24 +129,25 @@ class CumulativeEv:
     cumulative_ev_usd: float
 
 
-def cumulative_ev_series(economics: list[TradeEconomics]) -> list[CumulativeEv]:
-    """Per-searcher daily EV sums and their running total, by label then day.
+def cumulative_ev_series(economics: Table) -> Table:
+    """Per-searcher daily EV sums and their running total, by label then
+    day, as a Table of CumulativeEv.
 
     Trades are bucketed by UTC day number; empty days between a searcher's
-    first and last trade are emitted with 0, and each day is formatted once.
+    first and last trade are emitted with 0, and each row's day is
+    formatted once.
     """
-    by_searcher: dict[str, dict[int, float]] = {}
-    for e in economics:
-        day = e.slot_time_ms // DAY_MS
-        buckets = by_searcher.setdefault(e.searcher_label, {})
-        buckets[day] = buckets.get(day, 0.0) + e.ev_usd
-
-    out: list[CumulativeEv] = []
-    for label in sorted(by_searcher):
-        buckets = by_searcher[label]
-        cum = 0.0
-        for day in range(min(buckets), max(buckets) + 1):
-            v = buckets.get(day, 0.0)
-            cum += v
-            out.append(CumulativeEv(label, _utc_day(day * DAY_MS), v, cum))
-    return out
+    labels, code = factorize(economics.searcher_label)
+    day = economics.slot_time_ms // DAY_MS
+    first, last = np.zeros(len(labels), dtype=np.int64), np.zeros(len(labels), dtype=np.int64)
+    for k, rows in enumerate(group_rows(code, len(labels))):
+        first[k], last[k] = day[rows].min(), day[rows].max()
+    span = last - first + 1
+    starts = np.cumsum(span) - span
+    # a row per searcher and day of its span; each trade's EV added to its row
+    ev = group_sum(starts[code] + day - first[code], economics.ev_usd, int(span.sum()))
+    cumulative = np.concatenate([np.cumsum(np.concatenate([[0.0], ev[a:a + k]]))[1:]
+                                 for a, k in zip(starts.tolist(), span.tolist())] or [[]])
+    days = np.repeat(first - starts, span) + np.arange(len(ev))
+    return Table(CumulativeEv, [np.repeat(labels, span), [_utc_day(d * DAY_MS) for d in days.tolist()],
+                                ev, cumulative])

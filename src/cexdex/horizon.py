@@ -28,8 +28,6 @@ class MedianCurve:
     searcher_label: str
     grid: MarkoutGrid
     median_gr: np.ndarray
-    q25_gr: np.ndarray
-    q75_gr: np.ndarray
     n_trades: int
 
 
@@ -44,21 +42,14 @@ class SearcherProfile:
 
 
 def median_curve(searcher_label: str, grs: np.ndarray, grid: MarkoutGrid) -> MedianCurve:
-    """Per-offset median and quartiles over the GR rows of one searcher's trades.
+    """Per-offset median over the GR rows of one searcher's trades.
 
     Even-cardinality medians are the mean of the two central order
     statistics (numpy's default).
     """
     if len(grs) == 0:
         raise NoTrades(searcher_label)
-    return MedianCurve(
-        searcher_label=searcher_label,
-        grid=grid,
-        median_gr=np.median(grs, axis=0),
-        q25_gr=np.quantile(grs, 0.25, axis=0),
-        q75_gr=np.quantile(grs, 0.75, axis=0),
-        n_trades=len(grs),
-    )
+    return MedianCurve(searcher_label, grid, np.median(grs, axis=0), len(grs))
 
 
 def optimal_horizon(curve: MedianCurve) -> float:

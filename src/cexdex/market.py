@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import SearcherLabelFile, TokenRegistry
-from .detect import ArbTrade
+from ._kernels import factorize, group_sum, keyed_sums
+from .data_model import SearcherLabelFile, Table, TokenRegistry
 from .errors import (
     DegenerateRanks,
     LengthMismatch,
@@ -64,24 +64,25 @@ class IntegrationMatrix:
     cells: np.ndarray  # row-normalized volume fractions
 
 
-def integration_matrix(trades: list[ArbTrade]) -> IntegrationMatrix:
-    """Volume-weighted, row-normalized searcher x builder matrix.
+def integration_matrix(trades: Table) -> IntegrationMatrix:
+    """Volume-weighted, row-normalized searcher x builder matrix of
+    ``trades``, a Table of ArbTrade.
 
     Zero-volume searchers are omitted; builder columns are sorted by label
-    for determinism.
+    for determinism. A searcher's total adds its builders' volumes in the
+    order it first trades with each, and each volume adds its trades in
+    row order.
     """
-    volume: dict[str, dict[str, float]] = {}
-    for t in trades:
-        row = volume.setdefault(t.searcher_label, {})
-        row[t.builder_label] = row.get(t.builder_label, 0.0) + t.volume_usd
-    searchers = sorted(s for s, row in volume.items() if sum(row.values()) > 0)
-    builders = sorted({b for row in volume.values() for b in row})
-    cells = np.zeros((len(searchers), len(builders)))
-    for i, s in enumerate(searchers):
-        total = sum(volume[s].values())
-        for j, b in enumerate(builders):
-            cells[i, j] = volume[s].get(b, 0.0) / total
-    return IntegrationMatrix(searchers, builders, cells)
+    searchers, s_code = factorize(trades.searcher_label)
+    builders, b_code = factorize(trades.builder_label)
+    nb = len(builders)
+    pairs, volume = keyed_sums(s_code * nb + b_code, trades.volume_usd)
+    total = group_sum(pairs // nb, volume, len(searchers))
+    cells = np.zeros((len(searchers), nb))
+    keep = total > 0
+    cells.flat[pairs] = np.divide(volume, total[pairs // nb], out=np.zeros_like(volume),
+                                  where=keep[pairs // nb])
+    return IntegrationMatrix(searchers[keep].tolist(), builders.tolist(), cells[keep])
 
 
 @dataclass(frozen=True)
@@ -125,16 +126,25 @@ def pair_class(token_a: str, token_b: str, registry: TokenRegistry) -> str:
     return (PAIR_ALT_ALT, PAIR_MAJOR_ALT, PAIR_MAJOR_MAJOR)[majors]
 
 
-def major_major_share(
-    trades: list[ArbTrade], registry: TokenRegistry
-) -> tuple[float, float, bool]:
-    """(count fraction, volume fraction, empty flag) of Major-Major trades."""
-    if not trades:
+def major_major_share(trades: Table, registry: TokenRegistry) -> tuple[float, float, bool]:
+    """(count fraction, volume fraction, empty flag) of the Major-Major trades
+    of ``trades``, a Table of ArbTrade. Raises UnknownToken for the first
+    token the registry does not hold, a trade's bought token before its sold."""
+    n = len(trades)
+    if not n:
         return 0.0, 0.0, True
-    mm = [t for t in trades if pair_class(t.token_bought, t.token_sold, registry) == PAIR_MAJOR_MAJOR]
-    total_vol = sum(t.volume_usd for t in trades)
-    vol_frac = (sum(t.volume_usd for t in mm) / total_vol) if total_vol > 0 else 0.0
-    return len(mm) / len(trades), vol_frac, False
+    legs = np.stack([trades.token_bought, trades.token_sold], axis=1).ravel()
+    tokens, code = factorize(legs)
+    infos = [registry.get(t) for t in tokens.tolist()]
+    unknown = np.array([info is None for info in infos], dtype=bool)[code]
+    if unknown.any():
+        raise UnknownToken(legs[np.argmax(unknown)])
+    mm = np.array([info.is_major for info in infos], dtype=bool)[code].reshape(n, 2).all(axis=1)
+    one_group = np.zeros(n, dtype=np.int64)
+    total_vol = group_sum(one_group, trades.volume_usd, 1)[0]
+    mm_vol = group_sum(one_group[mm], trades.volume_usd[mm], 1)[0]
+    vol_frac = float(mm_vol / total_vol) if total_vol > 0 else 0.0
+    return int(mm.sum()) / n, vol_frac, False
 
 
 # ---------------------------------------------------------------------------

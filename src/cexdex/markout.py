@@ -2,10 +2,11 @@
 
 MR(t) = x * P_A(t) - y * P_B(t) - taker fees, with the fee charged on both
 hedge legs' notionals (the hedge closes both directions on the CEX). All
-trades are marked out together into one MarkoutTable, a row per trade and a
-column per grid offset, with one quote lookup per quote series over the
-(trades, offsets) matrix of query times. ``markout_table`` is the only place
-that decides which trades are excluded, and why.
+trades, a Table of ArbTrade, are marked out together into one MarkoutTable,
+a row per trade and a column per grid offset, with one quote lookup per
+quote series over the (trades, offsets) matrix of query times.
+``markout_table`` is the only place that decides which trades are excluded,
+and why.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .config import MarkoutGrid, PipelineConfig
-from .data_model import TokenRegistry
+from ._kernels import factorize, group_rows
+from .data_model import Table, TokenRegistry
 from .detect import ArbTrade
 from .errors import NoQuoteBefore, UnknownToken, UnlistedToken
 from .quotes import QuoteStore
@@ -31,8 +33,8 @@ class MarkoutTable:
     offset (columns, in grid order). ``exclusion_reason[i]`` is None for a
     trade that is included."""
 
-    tx_hash: list[str]
-    searcher_label: list[str]
+    tx_hash: np.ndarray  # StringDType, as searcher_label
+    searcher_label: np.ndarray
     volume_usd: np.ndarray
     mr_usd: np.ndarray  # (trades, offsets)
     exclusion_reason: list[str | None]
@@ -41,13 +43,16 @@ class MarkoutTable:
     def gr(self) -> np.ndarray:
         return gross_return(self.mr_usd, self.volume_usd)
 
-    def included_rows(self) -> dict[str, list[int]]:
-        """Searcher label -> rows of its included trades; searchers with none are absent."""
-        rows: dict[str, list[int]] = {}
-        for i, (label, reason) in enumerate(zip(self.searcher_label, self.exclusion_reason)):
-            if reason is None:
-                rows.setdefault(label, []).append(i)
-        return rows
+    def included(self) -> np.ndarray:
+        """The mask of the included trades."""
+        return np.array([r is None for r in self.exclusion_reason], dtype=bool)
+
+    def included_rows(self) -> dict[str, np.ndarray]:
+        """Searcher label -> rows of its included trades, by label; searchers
+        with none are absent."""
+        rows = np.flatnonzero(self.included())
+        labels, code = factorize(self.searcher_label[rows])
+        return {label: rows[k] for label, k in zip(labels.tolist(), group_rows(code, len(labels)))}
 
 
 def gross_return(mr: np.ndarray, volume_usd: np.ndarray) -> np.ndarray:
@@ -56,62 +61,60 @@ def gross_return(mr: np.ndarray, volume_usd: np.ndarray) -> np.ndarray:
     return np.divide(mr, volume, out=np.zeros_like(mr), where=volume > 0)
 
 
-def _usd_prices(tokens: list[str], queries: np.ndarray, store: QuoteStore,
+def _usd_prices(tokens: np.ndarray, queries: np.ndarray, store: QuoteStore,
                 registry: TokenRegistry, staleness_ms: int):
     """USD prices of ``tokens[i]`` at the times in row i of ``queries``, and a
     mask of the rows priced at every time. One lookup per quote series."""
     prices = np.ones(queries.shape)
     ok = np.ones(len(tokens), dtype=bool)
-    rows_by_token: dict[str, list[int]] = {}
-    for i, token in enumerate(tokens):
-        rows_by_token.setdefault(token, []).append(i)
+    names, code = factorize(tokens)
     rows_by_series: dict[str, tuple] = {}
-    for token, rows in rows_by_token.items():
+    for token, rows in zip(names.tolist(), group_rows(code, len(names))):
         try:
             series = store.usd_series(token, registry)
         except (NoQuoteBefore, UnlistedToken, UnknownToken):
             ok[rows] = False
             continue
         if series is not None:
-            rows_by_series.setdefault(series.symbol, (series, []))[1].extend(rows)
+            rows_by_series.setdefault(series.symbol, (series, []))[1].append(rows)
     for series, rows in rows_by_series.values():
+        rows = np.concatenate(rows)
         prices[rows], status = series.mid_many(queries[rows], staleness_ms)
         ok[rows] &= ~status.any(axis=1)
     return prices, ok
 
 
-def markout_table(trades: list[ArbTrade], grid: MarkoutGrid, store: QuoteStore,
+def markout_table(trades: Table, grid: MarkoutGrid, store: QuoteStore,
                   registry: TokenRegistry, cfg: PipelineConfig) -> MarkoutTable:
     """Every trade's MR at every grid offset, and why a trade is excluded.
 
     A trade is a QuoteGap when either leg lacks a fresh USD quote at any
     offset (its MR is then zeros) or ETH has no fresh quote at its slot, and
-    an InventoryAdjustment when its MR never covers its base fee.
+    an InventoryAdjustment when its MR never covers its base fee. An amount
+    is read as float() reads its text, which is float() of its Decimal.
     """
     n = len(trades)
-    slot_ms = np.array([t.slot_time_ms for t in trades], dtype=np.int64)
-    queries = slot_ms[:, None] + np.array(grid.offsets_ms, dtype=np.int64)
+    queries = trades.slot_time_ms[:, None] + np.array(grid.offsets_ms, dtype=np.int64)
     prices, ok = _usd_prices(
-        [t.token_bought for t in trades] + [t.token_sold for t in trades],
+        np.concatenate([trades.token_bought, trades.token_sold]),
         np.concatenate([queries, queries]), store, registry, cfg.quote_staleness_ms,
     )
-    leg_a = np.array([float(t.amount_bought) for t in trades])[:, None] * prices[:n]
-    leg_b = np.array([float(t.amount_sold) for t in trades])[:, None] * prices[n:]
+    leg_a = trades.amount_bought.astype(np.float64)[:, None] * prices[:n]
+    leg_b = trades.amount_sold.astype(np.float64)[:, None] * prices[n:]
     mr = leg_a - leg_b - cfg.taker_fee_rate * (leg_a + leg_b)
     priced = ok[:n] & ok[n:]
     mr[~priced] = 0.0
-    eth, eth_priced = store.eth_usd_many(slot_ms, cfg.quote_staleness_ms)
-    base_fee_usd = np.array([t.base_fee_eth for t in trades]) * eth
+    eth, eth_priced = store.eth_usd_many(trades.slot_time_ms, cfg.quote_staleness_ms)
+    base_fee_usd = trades.base_fee_eth * eth
     inventory = np.all(mr < base_fee_usd[:, None], axis=1)  # MR never covers the base fee
     reasons = [
         EXCLUSION_QUOTE_GAP if not (p and e) else EXCLUSION_INVENTORY if inv else None
         for p, e, inv in zip(priced.tolist(), eth_priced.tolist(), inventory.tolist())
     ]
-    return MarkoutTable([t.tx_hash for t in trades], [t.searcher_label for t in trades],
-                        np.array([t.volume_usd for t in trades], dtype=np.float64), mr, reasons)
+    return MarkoutTable(trades.tx_hash, trades.searcher_label, trades.volume_usd, mr, reasons)
 
 
 def markout_curve(trade: ArbTrade, grid: MarkoutGrid, store: QuoteStore,
                   registry: TokenRegistry, cfg: PipelineConfig) -> MarkoutTable:
     """One trade's one-row table; kept for perfbench/spans.py until ROADMAP item 1."""
-    return markout_table([trade], grid, store, registry, cfg)
+    return markout_table(Table.of_rows(ArbTrade, [trade]), grid, store, registry, cfg)

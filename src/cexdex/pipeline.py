@@ -24,18 +24,21 @@ from . import estimate as estimate_mod
 from . import horizon as horizon_mod
 from . import market as market_mod
 from . import markout as markout_mod
+from ._kernels import factorize, group_rows, group_sum, keyed_sums
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .data_model import (
-    BlockRecord,
     SearcherLabelFile,
+    Table,
     TokenRegistry,
     load_block_records,
     load_quotes,
     load_searchers,
     load_tokens,
     load_transactions,
+    optional,
     parse_cell,
     read_csv,
+    strings,
 )
 from .detect import ArbTrade, DetectionVerdict, detect_all
 from .errors import PipelineError
@@ -116,10 +119,17 @@ def _columns(cls: type) -> list[str]:
     return [f.name.removesuffix("_") for f in dataclasses.fields(cls)]
 
 
-def _write_output(path: Path, cls: type, rows: list) -> None:
-    """Write dataclass instances of ``cls``, one column per field."""
-    _write_csv(path, _columns(cls), [list(map(operator.attrgetter(f.name), rows))
-                                     for f in dataclasses.fields(cls)])
+def _write_output(path: Path, cls: type, rows) -> None:
+    """Write ``rows``, a Table of ``cls`` or a list of its instances, one
+    column per field."""
+    _write_csv(path, _columns(cls), rows.columns if isinstance(rows, Table) else
+               [list(map(operator.attrgetter(f.name), rows)) for f in dataclasses.fields(cls)])
+
+
+def _amount(v: str) -> str:
+    """An amount cell as written, once Decimal has read it."""
+    Decimal(v)
+    return v
 
 
 # Decoders by field annotation: each reads back what _write_csv wrote.
@@ -127,14 +137,14 @@ _DECODERS = {
     "str": str,
     "int": int,
     "float": float,
-    "Decimal": Decimal,
+    "Decimal": _amount,
     "bool": "true".__eq__,
     "float | None": lambda v: float(v) if v else None,
 }
 
 
-def _read_output(path: Path, cls: type, stage: str) -> list:
-    """Instances of ``cls`` from a file _write_output wrote.
+def _read_output(path: Path, cls: type, stage: str) -> Table:
+    """The Table of ``cls`` that _write_output wrote to ``path``.
 
     The header and every row's width are checked once against the fields of
     ``cls``, so a file in another layout is refused, not read with its
@@ -151,13 +161,15 @@ def _read_output(path: Path, cls: type, stage: str) -> list:
             f"{path} does not have the columns this version writes (an older "
             f"version's layout?); rerun the {stage} stage"
         )
-    columns = [map(decode, column) for decode, column in zip(decoders, zip(*rows))]
+    columns = list(zip(*rows)) or [()] * len(fields)
     try:
-        return [cls(*values) for values in zip(*columns)]
+        return Table(cls, [list(map(decode, column)) for decode, column in zip(decoders, columns)])
     except (ValueError, ArithmeticError):  # again cell by cell, to name the first bad one
         names = [f"{f.name} of {path.name}" for f in fields]
-        return [cls(*(parse_cell(d, v, i, n) for d, v, n in zip(decoders, r, names)))
-                for i, r in enumerate(rows, start=1)]
+        for i, r in enumerate(rows, start=1):
+            for d, v, n in zip(decoders, r, names):
+                parse_cell(d, v, i, n)
+        raise
 
 
 def _require_input(input_dir: Path, name: str) -> Path:
@@ -170,10 +182,11 @@ def _require_input(input_dir: Path, name: str) -> Path:
 class Workspace:
     """One run's config, and its inputs and stage outputs, each loaded on first use.
 
-    A stage that writes an output also keeps the objects it wrote here, so a
-    later stage in the same Workspace (as in ``cexdex all``) reads them from
-    memory; a fresh Workspace parses them from the stage's CSV. Later stages
-    treat them as read-only.
+    A stage that writes an output also keeps what it wrote here, so a later
+    stage in the same Workspace (as in ``cexdex all``) reads it from memory;
+    a fresh Workspace parses it from the stage's CSV. The detections, the
+    economics and the blocks are Tables of their row dataclasses. Later
+    stages treat them as read-only.
     """
 
     def __init__(self, input_dir: str | Path, out_dir: str | Path):
@@ -201,11 +214,11 @@ class Workspace:
         return load_searchers(_require_input(self.input_dir, "searchers.json"))
 
     @cached_property
-    def blocks(self) -> dict[int, BlockRecord]:
+    def blocks(self) -> Table:
         return load_block_records(_require_input(self.input_dir, "blocks.csv"))
 
     @cached_property
-    def detections(self) -> list[ArbTrade]:
+    def detections(self) -> Table:
         return _load_detections(self)
 
     @cached_property
@@ -217,7 +230,7 @@ class Workspace:
         return _load_profiles(self)
 
     @cached_property
-    def economics(self) -> list[TradeEconomics]:
+    def economics(self) -> Table:
         return _load_economics(self)
 
 
@@ -232,7 +245,7 @@ def run_detect(ws: Workspace) -> None:
     ws.detections = trades
 
 
-def _load_detections(ws: Workspace) -> list[ArbTrade]:
+def _load_detections(ws: Workspace) -> Table:
     return _read_output(ws.out_dir / "detections.csv", ArbTrade, "detect")
 
 
@@ -250,7 +263,7 @@ def _markouts_header(offsets_s: list[float]) -> list[str]:
 
 def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable:
     """One trade's one-row table; kept for perfbench/spans.py until ROADMAP item 1."""
-    return markout_mod.markout_table([trade], ws.grid, ws.quotes, ws.registry, ws.config)
+    return markout_mod.markout_curve(trade, ws.grid, ws.quotes, ws.registry, ws.config)
 
 
 def run_markout(ws: Workspace) -> None:
@@ -280,14 +293,14 @@ def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
         values = np.array([parse_cell(float, v, i, n) for i, r in enumerate(rows, start=1)
                            for n, v in zip(names, r[width - 1:])])
     values = values.reshape(len(rows), len(header) - width + 1)
-    return markout_mod.MarkoutTable([r[0] for r in rows], [r[1] for r in rows],
+    return markout_mod.MarkoutTable(strings([r[0] for r in rows]), strings([r[1] for r in rows]),
                                     values[:, 0], values[:, 1:], [r[3] or None for r in rows])
 
 
 def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:
     """ws.markouts, refused unless its rows are ws.detections' trades in order."""
     table = ws.markouts
-    if table.tx_hash != [t.tx_hash for t in ws.detections]:
+    if not np.array_equal(table.tx_hash, ws.detections.tx_hash):
         raise OutdatedOutput(
             f"markouts.csv in {ws.out_dir} does not hold the trades of detections.csv "
             "in order; rerun the markout stage"
@@ -309,7 +322,7 @@ def run_horizon(ws: Workspace) -> None:
 
 def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
     profiles = _read_output(ws.out_dir / "profiles.csv", horizon_mod.SearcherProfile, "horizon")
-    return {p.searcher_label: p for p in profiles}
+    return {p.searcher_label: p for p in profiles.rows()}
 
 
 # ---------------------------------------------------------------------------
@@ -317,127 +330,116 @@ def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
 
 def run_estimate(ws: Workspace) -> None:
     trades, table, profiles = ws.detections, _markouts_of_detections(ws), ws.profiles
-
-    priced, rows = [], []
-    excl_counts: dict[str, dict[str, int]] = {}
-    for i, (trade, reason) in enumerate(zip(trades, table.exclusion_reason)):
-        counts = excl_counts.setdefault(trade.searcher_label, {"inv": 0, "gap": 0})
-        if reason is not None:
-            counts["inv" if reason == EXCLUSION_INVENTORY else "gap"] += 1
-            continue
-        profile = profiles.get(trade.searcher_label)
-        if profile is None or profile.pattern == horizon_mod.PATTERN_FLAT:
-            continue
-        priced.append((trade, profile))
-        rows.append(i)
-    eth: list[float] = []
-    if priced:  # one lookup; raises for the first trade without an ETH quote
-        slot_ms = np.array([t.slot_time_ms for t, _ in priced], dtype=np.int64)
-        eth = ws.quotes.eth_usd(slot_ms, ws.config.quote_staleness_ms).tolist()
-    # MR at each trade's t* column; a profile without t* is refused by trade_economics
-    cols = [ws.grid.index_of(p.t_star_s or 0.0) for _, p in priced]
-    mr = table.mr_usd[rows, cols].tolist()
-    economics = [
-        estimate_mod.trade_economics(trade, mr_usd, profile, eth_usd)
-        for (trade, profile), mr_usd, eth_usd in zip(priced, mr, eth)
-    ]
+    labels, code = factorize(trades.searcher_label)
+    included = table.included()
+    inventory = np.array([r == EXCLUSION_INVENTORY for r in table.exclusion_reason], dtype=bool)
+    # a searcher's trades are priced if included and its profile has a pattern other than P3
+    label_profiles = [profiles.get(label) for label in labels.tolist()]
+    peaked = np.array([p is not None and p.pattern != horizon_mod.PATTERN_FLAT
+                       for p in label_profiles], dtype=bool)
+    rows = np.flatnonzero(included & peaked[code])
+    priced = trades.select(included & peaked[code])
+    # one lookup; raises for the first trade without an ETH quote
+    eth = ws.quotes.eth_usd(priced.slot_time_ms, ws.config.quote_staleness_ms) if len(rows) else np.zeros(0)
+    cols = np.zeros(len(labels), dtype=np.int64)  # MR at each searcher's t* column
+    for k in np.unique(code[rows]).tolist():
+        cols[k] = estimate_mod.t_star_column(label_profiles[k], ws.grid)
+    economics = estimate_mod.trade_economics(priced, table.mr_usd[rows, cols[code[rows]]], eth)
 
     _write_output(ws.out_dir / "economics.csv", TradeEconomics, economics)
     ws.economics = economics
 
-    by_searcher: dict[str, list[TradeEconomics]] = {}
-    for e in economics:
-        by_searcher.setdefault(e.searcher_label, []).append(e)
-    all_labels = sorted(set(by_searcher) | set(excl_counts))
-    summaries = [
-        estimate_mod.searcher_summary(
-            label,
-            by_searcher.get(label, []),
-            n_inventory_adj=excl_counts.get(label, {}).get("inv", 0),
-            n_quote_gap=excl_counts.get(label, {}).get("gap", 0),
-        )
-        for label in all_labels
-    ]
+    n = len(labels)
+    excluded = ~included
+    summaries = estimate_mod.searcher_summaries(
+        labels, economics, np.bincount(code[excluded & inventory], minlength=n),
+        np.bincount(code[excluded & ~inventory], minlength=n))
     _write_output(ws.out_dir / "summary.csv", estimate_mod.SearcherSummary, summaries)
 
     _write_output(ws.out_dir / "cumulative_ev.csv", estimate_mod.CumulativeEv,
                   estimate_mod.cumulative_ev_series(economics))
 
 
-def _load_economics(ws: Workspace) -> list[TradeEconomics]:
+def _load_economics(ws: Workspace) -> Table:
     return _read_output(ws.out_dir / "economics.csv", TradeEconomics, "estimate")
 
 
 # ---------------------------------------------------------------------------
 # market
 
+def _daily_shares(included: Table, economics: Table):
+    """(market.csv as a Table of DailyShare, the UTC day numbers with
+    included trades, their dates, each day's total volume).
+
+    Volume shares cover all patterns and EV shares exclude P3. Day totals
+    add each day's searchers in the order they first trade that day, and a
+    searcher's day adds its trades in row order."""
+    labels, code = factorize(np.concatenate([included.searcher_label, economics.searcher_label]))
+    n = max(len(labels), 1)
+    vol_keys, vol = keyed_sums(included.slot_time_ms // DAY_MS * n + code[:len(included)],
+                               included.volume_usd)
+    ev_keys, ev = keyed_sums(economics.slot_time_ms // DAY_MS * n + code[len(included):],
+                             economics.ev_usd)
+    days = np.unique(vol_keys // n)
+    dates = [estimate_mod._utc_day(d * DAY_MS) for d in days.tolist()]
+    vol_day = np.searchsorted(days, vol_keys // n)
+    total_v = group_sum(vol_day, vol, len(days))
+    # EV shares over the positive EVs of the days with included trades
+    positive = np.isin(ev_keys // n, days) & (ev > 0)
+    ev_day = np.searchsorted(days, ev_keys[positive] // n)
+    total_ev = group_sum(ev_day, ev[positive], len(days))
+    hhi_v = [market_mod.hhi(vol[rows] / t) if t > 0 else None
+             for rows, t in zip(group_rows(vol_day, len(days)), total_v.tolist())]
+    hhi_e = [market_mod.hhi(ev[positive][rows] / t) if t > 0 else None
+             for rows, t in zip(group_rows(ev_day, len(days)), total_ev.tolist())]
+
+    # a row per day and searcher with included trades, by day then label
+    keys = np.sort(vol_keys)
+    day = np.searchsorted(days, keys // n)
+    volume = vol[np.argsort(vol_keys)]
+    ev_order = np.argsort(ev_keys)
+    found = np.searchsorted(ev_keys, keys, sorter=ev_order)
+    has_ev = found < len(ev_keys)
+    has_ev[has_ev] = ev_keys[ev_order[found[has_ev]]] == keys[has_ev]
+    row_ev = np.zeros(len(keys))
+    row_ev[has_ev] = ev[ev_order[found[has_ev]]]
+    v_ok, e_ok = total_v[day] > 0, total_ev[day] > 0
+    table = Table(market_mod.DailyShare, [
+        [dates[d] for d in day.tolist()], labels[keys % n], volume,
+        optional(np.divide(volume, total_v[day], out=np.zeros(len(keys)), where=v_ok), v_ok),
+        row_ev, optional(np.divide(row_ev, total_ev[day], out=np.zeros(len(keys)), where=e_ok), e_ok),
+        [hhi_v[d] for d in day.tolist()], [hhi_e[d] for d in day.tolist()],
+    ])
+    return table, days, dates, total_v
+
+
 def run_market(ws: Workspace) -> None:
     trades, table, profiles, economics = (
         ws.detections, _markouts_of_detections(ws), ws.profiles, ws.economics)
-
-    included = [t for t, reason in zip(trades, table.exclusion_reason) if reason is None]
-
-    # daily volume shares (all patterns) and EV shares (P3 excluded), keyed
-    # by UTC day number; pair_volume keeps each (searcher, day, builder)'s
-    # volumes in trade order
-    day_volume: dict[int, dict[str, float]] = {}
-    pair_volume: dict[tuple[str, int, str], list[float]] = {}
-    for t in included:
-        d = t.slot_time_ms // DAY_MS
-        day_volume.setdefault(d, {}).setdefault(t.searcher_label, 0.0)
-        day_volume[d][t.searcher_label] += t.volume_usd
-        pair_volume.setdefault((t.searcher_label, d, t.builder_label), []).append(t.volume_usd)
-    day_ev: dict[int, dict[str, float]] = {}
-    for e in economics:
-        d = e.slot_time_ms // DAY_MS
-        day_ev.setdefault(d, {}).setdefault(e.searcher_label, 0.0)
-        day_ev[d][e.searcher_label] += e.ev_usd
-    days = sorted(day_volume)
-    dates = [estimate_mod._utc_day(d * DAY_MS) for d in days]
-
-    market_rows = []
-    for d, date in zip(days, dates):
-        vols = day_volume[d]
-        total_v = sum(vols.values())
-        evs = day_ev.get(d, {})
-        pos_ev = {k: v for k, v in evs.items() if v > 0}
-        total_ev = sum(pos_ev.values())
-        hhi_v = market_mod.hhi([v / total_v for v in vols.values()]) if total_v > 0 else None
-        hhi_e = (
-            market_mod.hhi([v / total_ev for v in pos_ev.values()])
-            if total_ev > 0 else None
-        )
-        for label in sorted(vols):
-            market_rows.append(market_mod.DailyShare(
-                date, label, vols[label],
-                vols[label] / total_v if total_v > 0 else None,
-                evs.get(label, 0.0),
-                (evs.get(label, 0.0) / total_ev) if total_ev > 0 else None,
-                hhi_v, hhi_e,
-            ))
-    _write_output(ws.out_dir / "market.csv", market_mod.DailyShare, market_rows)
+    included = trades.select(table.included())
+    shares, days, dates, total_v = _daily_shares(included, economics)
+    _write_output(ws.out_dir / "market.csv", market_mod.DailyShare, shares)
 
     matrix = market_mod.integration_matrix(included)
     classes = market_mod.classify_exclusivity(matrix, ws.labels, ws.config.exclusivity_threshold)
-    integration_rows = []
-    for i, s in enumerate(matrix.searchers):
-        cls, cls_builder = classes[s]
-        for j, b in enumerate(matrix.builders):
-            integration_rows.append(market_mod.IntegrationCell(
-                s, b, float(matrix.cells[i, j]), cls, cls_builder or ""))
-    _write_output(ws.out_dir / "integration.csv", market_mod.IntegrationCell, integration_rows)
+    nb, ns = len(matrix.builders), len(matrix.searchers)
+    searcher_classes = [classes[s] for s in matrix.searchers]
+    _write_output(ws.out_dir / "integration.csv", market_mod.IntegrationCell, Table(
+        market_mod.IntegrationCell, [
+            np.repeat(strings(matrix.searchers), nb), np.tile(strings(matrix.builders), ns),
+            matrix.cells.ravel(), np.repeat(strings([c for c, _ in searcher_classes]), nb),
+            np.repeat(strings([b or "" for _, b in searcher_classes]), nb),
+        ]))
 
     corr_rows = []
     # decline fraction vs Major-Major share across searchers
     decline_points = []
-    by_searcher: dict[str, list[ArbTrade]] = {}
-    for t in included:
-        by_searcher.setdefault(t.searcher_label, []).append(t)
     for label in sorted(profiles):
         p = profiles[label]
-        if p.decline_3s_fraction is None or label not in by_searcher:
+        mine = included.searcher_label == label
+        if p.decline_3s_fraction is None or not mine.any():
             continue
-        cs, vs, _ = market_mod.major_major_share(by_searcher[label], ws.registry)
+        cs, vs, _ = market_mod.major_major_share(included.select(mine), ws.registry)
         decline_points.append((p.decline_3s_fraction, cs, vs))
     declines = [d for d, _, _ in decline_points]
     try:
@@ -452,28 +454,25 @@ def run_market(ws: Workspace) -> None:
     try:
         blocks = ws.blocks
     except FileNotFoundError:
-        blocks = {}
-    if blocks:
-        day_blocks: dict[int, dict[str, int]] = {}
-        for b in blocks.values():
-            d = b.slot_time_ms // DAY_MS
-            day_blocks.setdefault(d, {}).setdefault(b.builder_label, 0)
-            day_blocks[d][b.builder_label] += 1
+        blocks = None
+    if blocks is not None and len(blocks):
+        block_day = blocks.slot_time_ms // DAY_MS
+        known = np.isin(block_day, days)
+        block_day, block_builder = np.searchsorted(days, block_day[known]), blocks.builder_label[known]
+        total_b = np.bincount(block_day, minlength=len(days))
+        trade_day = np.searchsorted(days, included.slot_time_ms // DAY_MS)
+        # a day counts where both totals are above 0
+        kept = ~((total_v <= 0) | (total_b <= 0))
+        x_dates = [date for date, k in zip(dates, kept.tolist()) if k]
         for label in sorted(matrix.searchers):
             cls, cls_builder = classes[label]
             if cls == market_mod.EXCL_NEUTRAL or cls_builder is None:
                 continue
-            x, y, x_dates = [], [], []
-            for d, date in zip(days, dates):
-                total_v = sum(day_volume[d].values())
-                in_builder = sum(pair_volume.get((label, d, cls_builder), []))
-                blk = day_blocks.get(d, {})
-                total_b = sum(blk.values())
-                if total_v <= 0 or total_b <= 0:
-                    continue
-                x.append(in_builder / total_v)
-                y.append(blk.get(cls_builder, 0) / total_b)
-                x_dates.append(date)
+            mine = (included.searcher_label == label) & (included.builder_label == cls_builder)
+            in_builder = group_sum(trade_day[mine], included.volume_usd[mine], len(days))
+            in_blocks = np.bincount(block_day[block_builder == cls_builder], minlength=len(days))
+            x = (in_builder[kept] / total_v[kept]).tolist()
+            y = (in_blocks[kept] / total_b[kept]).tolist()
             # each analysis fails on its own: lag 7 needs 10 days, a window does not
             analyses = {
                 "pair_contemporaneous": lambda: [(0, "", market_mod.spearman(x, y))],
@@ -496,24 +495,16 @@ def run_market(ws: Workspace) -> None:
 # builder
 
 def run_builder(ws: Workspace) -> None:
-    pnl_by_block = builder_mod.index_pnl(ws.economics)
-    searcher_of_builder = ws.labels.builder_to_searcher()
-    blocks = [ws.blocks[bn] for bn in sorted(ws.blocks)]
-    slot_ms = np.array([b.slot_time_ms for b in blocks], dtype=np.int64)
-    mids, ok = ws.quotes.eth_usd_many(slot_ms, ws.config.quote_staleness_ms)
-    used_blocks = [b for b, priced in zip(blocks, ok.tolist()) if priced]
-    eth_by_block = dict(zip([b.block_number for b in used_blocks], mids[ok].tolist()))
-    per_block = [
-        builder_mod.block_economics(
-            b, pnl_by_block, searcher_of_builder, eth_by_block[b.block_number])
-        for b in used_blocks
-    ]
-    skipped_quotes = len(blocks) - len(used_blocks)
+    blocks = ws.blocks
+    mids, ok = ws.quotes.eth_usd_many(blocks.slot_time_ms, ws.config.quote_staleness_ms)
+    used, eth = blocks.select(ok), mids[ok]
+    per_block = builder_mod.block_economics(used, ws.economics, ws.labels.builder_to_searcher(), eth)
+    skipped_quotes = len(blocks) - len(used)
     if skipped_quotes:
         print(f"builder: skipped {skipped_quotes} blocks with no ETH quote", file=sys.stderr)
 
     _write_output(ws.out_dir / "builder_blocks.csv", builder_mod.BuilderBlockEconomics, per_block)
-    summaries = builder_mod.builder_summary(used_blocks, per_block, eth_by_block)
+    summaries = builder_mod.builder_summary(used, per_block, eth)
     _write_output(ws.out_dir / "builder_summary.csv", builder_mod.BuilderSummary, summaries)
 
 

@@ -208,7 +208,7 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     used_adj = block % 3 == 0
     bid = np.where(used_adj, 0.05 + 0.1 * u[:, -2], 0.0)
     delta = np.where(used_adj, 0.01 * u[:, -1], 0.0)
-    refund = np.vectorize(refund_rate, otypes=[float])(slot_ms)
+    refund = refund_rate(slot_ms)
     bp_eth = np.where(used_adj, delta_c - bid + refund * delta, delta_c)
 
     k = len(specs)
@@ -268,7 +268,7 @@ def score(ground_truth: dict, out_dir: str | Path) -> dict:
             raise MissingOutputs(name)
 
     est_profiles = {p.searcher_label: p
-                    for p in _read_output(out / "profiles.csv", SearcherProfile, "horizon")}
+                    for p in _read_output(out / "profiles.csv", SearcherProfile, "horizon").rows()}
     confusion: dict[str, int] = {}
     horizon_errors = {}
     for label, truth in ground_truth["searchers"].items():
@@ -286,7 +286,8 @@ def score(ground_truth: dict, out_dir: str | Path) -> dict:
     report["pattern_confusion"] = confusion
     report["max_t_star_error_s"] = max(horizon_errors.values()) if horizon_errors else None
 
-    est_by_tx = {e.tx_hash: e for e in _read_output(out / "economics.csv", TradeEconomics, "estimate")}
+    est_by_tx = {e.tx_hash: e
+                 for e in _read_output(out / "economics.csv", TradeEconomics, "estimate").rows()}
     pairs = [(est_by_tx[tx], truth) for tx, truth in ground_truth["trades"].items() if tx in est_by_tx]
     ev_errs = [_rel_err(est.ev_usd, truth["true_ev_usd"]) for est, truth in pairs]
     pnl_errs = [_rel_err(est.pnl_usd, truth["true_pnl_usd"]) for est, truth in pairs]
@@ -297,8 +298,8 @@ def score(ground_truth: dict, out_dir: str | Path) -> dict:
         "max_pnl_rel_error": max(pnl_errs) if pnl_errs else None,
     }
 
-    est_bp = {str(b.block_number): b.bp_usd
-              for b in _read_output(out / "builder_blocks.csv", BuilderBlockEconomics, "builder")}
+    blocks = _read_output(out / "builder_blocks.csv", BuilderBlockEconomics, "builder")
+    est_bp = dict(zip(map(str, blocks.block_number.tolist()), blocks.bp_usd.tolist()))
     matches = sum(b in est_bp and _rel_err(est_bp[b], truth["true_bp_usd"]) < 1e-12
                   for b, truth in ground_truth["blocks"].items())
     report["blocks"] = {"n_truth": len(ground_truth["blocks"]), "bp_exact_matches": matches}

@@ -8,7 +8,7 @@ import pytest
 
 from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.data_model import (
-    TRANSACTION_COLUMNS, SearcherLabelFile, TokenInfo, TokenRegistry, load_transactions,
+    TRANSACTION_COLUMNS, SearcherLabelFile, Table, TokenInfo, TokenRegistry, load_transactions,
 )
 from cexdex.detect import ArbTrade, DetectionVerdict, Verdicts, detect_all
 from cexdex.markout import markout_table
@@ -104,7 +104,17 @@ def detect(directory: Path, txs, registry: TokenRegistry, labels: SearcherLabelF
     loaded back: the trades, and the verdicts by tx_hash."""
     table = load_transactions(write_transactions(directory, txs))
     trades, verdicts = detect_all(table, registry, labels or SearcherLabelFile(labels={}))
-    return trades, {v.tx_hash: v for v in verdict_list(verdicts)}
+    return trade_rows(trades), {v.tx_hash: v for v in verdict_list(verdicts)}
+
+
+def trade_rows(trades: Table) -> list[ArbTrade]:
+    """The rows of a Table of ArbTrade, each amount read as a Decimal from its text."""
+    return [dataclasses.replace(t, amount_bought=Decimal(t.amount_bought),
+                                amount_sold=Decimal(t.amount_sold)) for t in trades.rows()]
+
+
+def trade_table(*trades: ArbTrade) -> Table:
+    return Table.of_rows(ArbTrade, list(trades))
 
 
 def verdict_list(verdicts: Verdicts) -> list[DetectionVerdict]:
@@ -137,4 +147,5 @@ def mr_at_zero(trade: ArbTrade, store: QuoteStore, registry: TokenRegistry,
     """
     cfg = dataclasses.replace(cfg, grid_start_s=0.0, grid_end_s=0.5, grid_step_s=0.5)
     grid = MarkoutGrid(cfg)
-    return float(markout_table([trade], grid, store, registry, cfg).mr_usd[0, grid.index_of(0.0)])
+    table = markout_table(trade_table(trade), grid, store, registry, cfg)
+    return float(table.mr_usd[0, grid.index_of(0.0)])

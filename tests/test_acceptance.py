@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cexdex.builder import REFUND_CUTOFF_MS, builder_onchain_profit, subsidy_flags
+from cexdex.builder import REFUND_CUTOFF_MS, subsidy_flags
 from cexdex.cli import main
-from cexdex.config import PipelineConfig
+from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.data_model import BlockRecord
 from cexdex.detect import HEURISTICS
-from cexdex.estimate import trade_economics
+from cexdex.estimate import t_star_column
 from cexdex.horizon import SearcherProfile
 from cexdex.market import (
     classify_exclusivity,
@@ -29,7 +29,9 @@ from cexdex.market import (
 from cexdex.synth import SearcherSpec, SynthConfig, generate, score
 from cexdex import _kernels
 
-from conftest import detect, make_store, make_trade, mr_at_zero
+from conftest import detect, make_store, make_trade, mr_at_zero, trade_table
+from test_builder import bp_of
+from test_estimate import economics_of
 
 
 def run_pipeline(inputs: Path, out: Path):
@@ -79,7 +81,8 @@ def test_criterion_2_markout_anchor(registry, config):
     profile = SearcherProfile(searcher_label="s1", t_star_s=0.0, pattern="P1",
                               decline_3s_fraction=0.1, n_arb_trades=500,
                               low_confidence=False)
-    e = trade_economics(trade, mr0, profile, eth_usd_at_slot=2000.0)
+    assert t_star_column(profile, MarkoutGrid(config)) == MarkoutGrid(config).index_of(0.0)
+    e = economics_of(trade, mr0, eth_usd_at_slot=2000.0)
     assert e.ev_usd == pytest.approx(-1.0, abs=1e-9)
     assert e.pnl_usd == pytest.approx(-11.0, abs=1e-9)
     assert e.margin is None
@@ -199,9 +202,9 @@ def test_criterion_6_builder_correction():
                            slot_time_ms=slot)
 
     # three branch fixtures, hand values
-    assert builder_onchain_profit(mk(1.0, 9.0, False, 0.0, cutoff), 1.0) == 1.0
-    assert builder_onchain_profit(mk(5.0, 10.0, True, 4.0, cutoff - 1), 1.0) == pytest.approx(-1.0)
-    assert builder_onchain_profit(mk(5.0, 10.0, True, 4.0, cutoff), 1.0) == pytest.approx(-3.0)
+    assert bp_of(mk(1.0, 9.0, False, 0.0, cutoff), 1.0) == 1.0
+    assert bp_of(mk(5.0, 10.0, True, 4.0, cutoff - 1), 1.0) == pytest.approx(-1.0)
+    assert bp_of(mk(5.0, 10.0, True, 4.0, cutoff), 1.0) == pytest.approx(-3.0)
 
     # subsidy monotonicity over 1000 randomized fixtures
     u = _kernels.uniform01(777, 0, 3000)
@@ -301,7 +304,7 @@ def test_criterion_9_exclusivity():
         make_trade("0x8", searcher_label="ezreal", builder_label="flashbots", volume_usd=33.0),
     ]
     labels = SearcherLabelFile(labels={})
-    classes = classify_exclusivity(integration_matrix(trades), labels, 0.5)
+    classes = classify_exclusivity(integration_matrix(trade_table(*trades)), labels, 0.5)
     assert classes["graves"] == ("Exclusive", "titan")  # 100%
     assert classes["kayle"] == ("Exclusive", "titan")  # 52%
     assert classes["draven"] == ("Neutral", None)  # 50% exactly

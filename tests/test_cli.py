@@ -418,6 +418,16 @@ def test_startup_imports_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_startup_imports_no_synth():
+    """A pipeline process does not import the corpus generator; only
+    `cexdex synth` and `cexdex score` do."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, cexdex.cli, cexdex.pipeline; print('cexdex.synth' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 @pytest.mark.parametrize("days", [2, 1, 0, -3])
 def test_config_rolling_window_shorter_than_three_days_exits_1(synth_inputs, tmp_path, capsys,
                                                                days):

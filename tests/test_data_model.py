@@ -358,9 +358,9 @@ BLOCK_HEADER = ("block_number,builder_label,coinbase_delta_eth,bid_eth,"
 def test_load_blocks(tmp_path):
     p = tmp_path / "blocks.csv"
     p.write_text(BLOCK_HEADER + "\n1,b1,1.5,2.0,true,0.1,12000\n2,b2,0.5,0.0,false,0.0,24000\n")
-    records = load_block_records(p)
-    assert records[1].adjustment_delta_eth == 0.1
-    assert records[2].used_bid_adjustment is False
+    records = load_block_records(p).rows()
+    assert records[0].adjustment_delta_eth == 0.1
+    assert records[1].used_bid_adjustment is False
 
 
 def test_load_blocks_duplicate(tmp_path):
@@ -729,13 +729,14 @@ def test_load_tokens_equals_a_csv_reference(tmp_path, text, tokenized):
     assert repr(load_tokens(p).entries) == repr(reference_tokens(p))
 
 
-def reference_blocks(path) -> dict:
-    """load_block_records of a valid file by csv.reader, int(), float() and str methods."""
-    return {int(row["block_number"]): BlockRecord(
+def reference_blocks(path) -> list[BlockRecord]:
+    """load_block_records of a valid file by csv.reader, int(), float() and str
+    methods, in block number order."""
+    return sorted((BlockRecord(
         int(row["block_number"]), row["builder_label"].strip(), float(row["coinbase_delta_eth"]),
         float(row["bid_eth"]), flag(row["used_bid_adjustment"]),
         float(row["adjustment_delta_eth"]), int(row["slot_time_ms"]),
-    ) for row in reference_rows(path)}
+    ) for row in reference_rows(path)), key=lambda b: b.block_number)
 
 
 @pytest.mark.parametrize("text, tokenized", [
@@ -754,7 +755,7 @@ def test_load_block_records_equals_a_csv_reference(tmp_path, text, tokenized):
     p.write_bytes(text.encode())
     assert (data_model._tokenize_columns(p, data_model.BLOCK_KINDS) is not None) == tokenized
     # repr tells -0.0 from 0.0 and 1 from True
-    assert repr(load_block_records(p)) == repr(reference_blocks(p))
+    assert repr(load_block_records(p).rows()) == repr(reference_blocks(p))
 
 
 @pytest.mark.parametrize("column, cell", [

@@ -131,7 +131,7 @@ def test_corpus_verdicts_csv_lines(registry, tmp_path):
     by_hash = {line.split(",")[0]: line for line in lines}
     assert len(lines) == len(by_hash) == 40
     assert {h: by_hash[h] for h in VERDICT_LINES} == VERDICT_LINES
-    assert pipeline._read_output(path, DetectionVerdict, "detect") == verdict_list(verdicts)
+    assert pipeline._read_output(path, DetectionVerdict, "detect").rows() == verdict_list(verdicts)
 
 
 def test_detect_all_counts_and_labels(tmp_path, registry):

@@ -1,16 +1,20 @@
+import numpy as np
 import pytest
 
+from cexdex.config import MarkoutGrid, PipelineConfig
+from cexdex.data_model import Table, strings
 from cexdex.errors import PatternThreeExcluded
 from cexdex.estimate import (
     CumulativeEv,
     TradeEconomics,
     cumulative_ev_series,
-    searcher_summary,
+    searcher_summaries,
+    t_star_column,
     trade_economics,
 )
 from cexdex.horizon import SearcherProfile
 
-from conftest import make_trade
+from conftest import make_trade, trade_table
 
 DAY_MS = 86_400_000
 T0 = 1_717_200_000_000  # 2024-06-01T00:00:00Z
@@ -20,6 +24,19 @@ def profile(t_star=0.0, pattern="P1"):
     return SearcherProfile(searcher_label="s1", t_star_s=t_star, pattern=pattern,
                            decline_3s_fraction=0.2, n_arb_trades=500,
                            low_confidence=False)
+
+
+def economics_of(trade, mr_usd, eth_usd_at_slot):
+    """trade_economics of one trade, as its row."""
+    (e,) = trade_economics(trade_table(trade), np.array([mr_usd]), np.array([eth_usd_at_slot])).rows()
+    return e
+
+
+def searcher_summary(label, rows, n_inventory_adj=0, n_quote_gap=0):
+    """searcher_summaries of one searcher, as its row."""
+    (s,) = searcher_summaries(strings([label]), Table.of_rows(TradeEconomics, rows),
+                              np.array([n_inventory_adj]), np.array([n_quote_gap])).rows()
+    return s
 
 
 def econ(ev, pnl, *, label="s1", slot=T0, volume=100.0):
@@ -33,7 +50,7 @@ def econ(ev, pnl, *, label="s1", slot=T0, volume=100.0):
 def test_anchor_negative_ev_with_tips():
     # EV = -1, tips = 10 -> PnL = -11, margin undefined
     trade = make_trade(base_fee_eth=0.001, builder_tip_eth=0.005)
-    e = trade_economics(trade, 1.0, profile(), eth_usd_at_slot=2000.0)
+    e = economics_of(trade, 1.0, eth_usd_at_slot=2000.0)
     assert e.ev_usd == pytest.approx(-1.0, abs=1e-12)
     assert e.builder_tip_usd == pytest.approx(10.0, abs=1e-12)
     assert e.pnl_usd == pytest.approx(-11.0, abs=1e-12)
@@ -43,7 +60,7 @@ def test_anchor_negative_ev_with_tips():
 def test_hand_eq_values():
     # MR(t*) = 12, base fee 2, tips 3 -> EV 10, PnL 7, margin 0.7
     trade = make_trade(base_fee_eth=0.001, builder_tip_eth=0.0015)
-    e = trade_economics(trade, 12.0, profile(), eth_usd_at_slot=2000.0)
+    e = economics_of(trade, 12.0, eth_usd_at_slot=2000.0)
     assert e.ev_usd == pytest.approx(10.0)
     assert e.pnl_usd == pytest.approx(7.0)
     assert e.margin == pytest.approx(0.7)
@@ -51,16 +68,17 @@ def test_hand_eq_values():
 
 def test_zero_ev_margin_undefined():
     trade = make_trade(base_fee_eth=0.001, builder_tip_eth=0.002)
-    e = trade_economics(trade, 2.0, profile(), eth_usd_at_slot=2000.0)
+    e = economics_of(trade, 2.0, eth_usd_at_slot=2000.0)
     assert e.ev_usd == 0.0
     assert e.margin is None
     assert e.pnl_usd == pytest.approx(-4.0)
 
 
 def test_p3_excluded():
-    trade = make_trade()
+    grid = MarkoutGrid(PipelineConfig())
+    assert t_star_column(profile(t_star=1.0), grid) == grid.index_of(1.0)
     with pytest.raises(PatternThreeExcluded):
-        trade_economics(trade, 5.0, profile(t_star=None, pattern="P3"), 2000.0)
+        t_star_column(profile(t_star=None, pattern="P3"), grid)
 
 
 def test_summary_singleton():
@@ -92,7 +110,7 @@ def test_summary_counts_include_exclusions():
 def test_cumulative_series_daily():
     rows = [econ(3.0, 3.0, slot=T0), econ(4.0, 4.0, slot=T0 + 1000),
             econ(5.0, 5.0, slot=T0 + 2 * DAY_MS)]
-    series = cumulative_ev_series(rows)
+    series = cumulative_ev_series(Table.of_rows(TradeEconomics, rows)).rows()
     assert series == [
         CumulativeEv("s1", "2024-06-01", 7.0, 7.0),
         CumulativeEv("s1", "2024-06-02", 0.0, 7.0),  # empty day emitted
@@ -102,6 +120,6 @@ def test_cumulative_series_daily():
 
 def test_utc_day_boundary():
     rows = [econ(1.0, 1.0, slot=T0 + DAY_MS - 1), econ(2.0, 2.0, slot=T0 + DAY_MS)]
-    series = cumulative_ev_series(rows)
+    series = cumulative_ev_series(Table.of_rows(TradeEconomics, rows)).rows()
     assert [(r.searcher_label, r.date, r.ev_usd) for r in series] == [
         ("s1", "2024-06-01", 1.0), ("s1", "2024-06-02", 2.0)]

@@ -27,7 +27,7 @@ def med(values, offsets=None):
                                       grid_step_s=offsets[1] - offsets[0]))
     assert grid.offsets_s == list(offsets)
     return MedianCurve(searcher_label="s", grid=grid,
-                       median_gr=values, q25_gr=values, q75_gr=values, n_trades=1)
+                       median_gr=values, n_trades=1)
 
 
 def test_median_odd():

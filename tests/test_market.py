@@ -20,7 +20,7 @@ from cexdex.market import (
     spearman,
 )
 
-from conftest import TOKA, TOKC, USDT, WBTC, WETH, make_trade
+from conftest import TOKA, TOKC, USDT, WBTC, WETH, make_trade, trade_table
 
 
 def brute_spearman(x, y):
@@ -56,7 +56,7 @@ def test_integration_matrix_normalization():
         make_trade("0x2", searcher_label="s1", builder_label="bB", volume_usd=40.0),
         make_trade("0x3", searcher_label="s2", builder_label="bA", volume_usd=10.0),
     ]
-    m = integration_matrix(trades)
+    m = integration_matrix(trade_table(*trades))
     assert m.searchers == ["s1", "s2"]
     assert m.builders == ["bA", "bB"]
     assert m.cells == pytest.approx(np.array([[0.6, 0.4], [1.0, 0.0]]))
@@ -74,7 +74,7 @@ def test_exclusivity_classes():
         make_trade("0x7", searcher_label="scp", builder_label="rsync", volume_usd=10.0),
     ]
     labels = SearcherLabelFile(labels={}, integrated_with={"scp": "beaver"})
-    classes = classify_exclusivity(integration_matrix(trades), labels, 0.5)
+    classes = classify_exclusivity(integration_matrix(trade_table(*trades)), labels, 0.5)
     assert classes["graves"] == ("Exclusive", "titan")  # 100%
     assert classes["kayle"] == ("Exclusive", "titan")  # 52%
     assert classes["draven"] == ("Neutral", None)  # exactly 50% is not enough
@@ -96,12 +96,12 @@ def test_major_major_share(registry):
         make_trade("0x3", token_bought=TOKA, token_sold=USDT, volume_usd=5.0),
         make_trade("0x4", token_bought=TOKA, token_sold=TOKC, volume_usd=5.0),
     ]
-    count_frac, vol_frac, empty = major_major_share(trades, registry)
+    count_frac, vol_frac, empty = major_major_share(trade_table(*trades), registry)
     assert count_frac == 0.5 and vol_frac == 0.9 and not empty
 
 
 def test_major_major_share_empty(registry):
-    assert major_major_share([], registry) == (0.0, 0.0, True)
+    assert major_major_share(trade_table(), registry) == (0.0, 0.0, True)
 
 
 def test_spearman_monotone():

@@ -11,7 +11,9 @@ from cexdex.markout import (
     markout_table,
 )
 
-from conftest import TOKA, TOKB, TOKC, USDT, WBTC, WETH, make_store, make_trade, mr_at_zero
+from conftest import (
+    TOKA, TOKB, TOKC, USDT, WBTC, WETH, make_store, make_trade, mr_at_zero, trade_table,
+)
 from markout_oracle import assert_same_row, oracle_curve
 
 
@@ -165,7 +167,7 @@ def branch_trades():
 def test_batched_markout_equals_per_trade_reference(registry, config, grid, with_eth):
     store = branch_store(with_eth)
     trades = branch_trades()
-    table = markout_table(trades, grid, store, registry, config)
+    table = markout_table(trade_table(*trades), grid, store, registry, config)
     assert len(table.tx_hash) == len(trades) and table.mr_usd.shape == (len(trades), len(grid))
     for i, trade in enumerate(trades):
         assert_same_row(table, i, trade, oracle_curve(trade, grid, store, registry, config))

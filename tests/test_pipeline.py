@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cexdex import _kernels, builder, estimate, horizon, market, pipeline
 from cexdex.cli import main
+from cexdex.data_model import Table
 from cexdex.detect import ArbTrade, DetectionVerdict
 from cexdex.synth import SearcherSpec, SynthConfig, generate
 
@@ -400,10 +401,10 @@ def test_markouts_round_trip_bit_identical(markout_corpus):
     frozen per-trade reference's bit for bit."""
     inputs, out = markout_corpus
     ws = pipeline.Workspace(inputs, out)
-    trades = pipeline._load_detections(ws)
+    trades = pipeline._load_detections(ws).rows()
     computed = [oracle_curve(t, ws.grid, ws.quotes, ws.registry, ws.config) for t in trades]
     loaded = pipeline._load_markout_curves(ws)
-    assert loaded.tx_hash == [t.tx_hash for t in trades]
+    assert loaded.tx_hash.tolist() == [t.tx_hash for t in trades]
     reasons = {reason for _, _, reason in computed}
     assert reasons == {None, "QuoteGap", "InventoryAdjustment"}
     assert ws.grid.offsets_s[:3] == [-1.5, -1.25, -1.0]
@@ -415,7 +416,7 @@ def test_markout_looks_up_each_symbol_once(markout_corpus, tmp_path, monkeypatch
     """One quote lookup per leg symbol and one for ETH, whatever the trade count."""
     inputs, out = markout_corpus
     ws = pipeline.Workspace(inputs, copy_tree(out, tmp_path / "out"))
-    symbols = {ws.registry.get(token).quote_symbol for t in ws.detections
+    symbols = {ws.registry.get(token).quote_symbol for t in ws.detections.rows()
                for token in (t.token_bought, t.token_sold)} - {"USDT"}
     assert len(ws.detections) > len(symbols) + 1
     calls = []
@@ -697,7 +698,7 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
     (inputs / "config.json").write_text(json.dumps(config))
     # a trade whose MR at its searcher's t* is below its own best MR: a base
     # fee between the two keeps it included and makes its EV negative
-    for i, trade in enumerate(ws.detections):
+    for i, trade in enumerate(ws.detections.rows()):
         if table.exclusion_reason[i] is not None or trade.searcher_label == "s_flat":
             continue
         t_star = ws.profiles[trade.searcher_label].t_star_s
@@ -717,17 +718,23 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
 
 
 def same_fields(kept, parsed) -> None:
-    """Dataclass fields equal and of the same Python type; arrays and floats
-    bit for bit, Decimals with the same exponent."""
-    for f in dataclasses.fields(kept):
+    """Fields of a dataclass, or columns of a Table, equal and of the same
+    Python type: arrays of the same dtype, their numbers and floats bit for
+    bit, and Decimals with the same exponent."""
+    for f in dataclasses.fields(kept.row if isinstance(kept, Table) else kept):
         a, b = getattr(kept, f.name), getattr(parsed, f.name)
         assert type(a) is type(b), (f.name, a, b)
-        if isinstance(a, (float, np.ndarray)):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype, (f.name, a.dtype, b.dtype)
+            assert a.tolist() == b.tolist() if a.dtype.kind == "T" else same_bits(a, b), f.name
+        elif isinstance(a, float):
             assert same_bits(a, b), (f.name, a, b)
         elif isinstance(a, Decimal):
             assert a.as_tuple() == b.as_tuple(), (f.name, a, b)
-        elif isinstance(a, list):  # the markout table's columns of strings and None
-            assert [type(x) for x in a] == [type(x) for x in b] and a == b, f.name
+        elif isinstance(a, list):  # a column of strings or floats, and None
+            assert [type(x) for x in a] == [type(x) for x in b], f.name
+            assert all(same_bits(x, y) if isinstance(x, float) else x == y
+                       for x, y in zip(a, b)), f.name
         else:
             assert a == b, (f.name, a, b)
 
@@ -739,22 +746,20 @@ def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path):
     pipeline.run_all(kept)
     parsed = pipeline.Workspace(handoff_corpus, tmp_path)
     assert len(kept.detections) == len(parsed.detections)
-    for a, b in zip(kept.detections, parsed.detections):
-        same_fields(a, b)
+    same_fields(kept.detections, parsed.detections)
     same_fields(kept.markouts, parsed.markouts)
     assert same_bits(kept.markouts.gr, parsed.markouts.gr)
-    assert None not in kept.markouts.searcher_label
+    assert "" not in kept.markouts.searcher_label.tolist()
     assert list(kept.profiles) == list(parsed.profiles)
     for a, b in zip(kept.profiles.values(), parsed.profiles.values()):
         same_fields(a, b)
     assert len(kept.economics) == len(parsed.economics)
-    for a, b in zip(kept.economics, parsed.economics):
-        same_fields(a, b)
+    same_fields(kept.economics, parsed.economics)
     # every optional field is None somewhere
     assert set(kept.markouts.exclusion_reason) == {None, "QuoteGap", "InventoryAdjustment"}
     assert any(p.t_star_s is None for p in kept.profiles.values())
     assert any(p.decline_3s_fraction is None for p in kept.profiles.values())
-    assert any(e.margin is None for e in kept.economics)
+    assert None in kept.economics.margin
 
 
 # the row type of every output but markouts.csv, which declares its own floats
@@ -866,7 +871,7 @@ def test_ev_uses_t_star_offset(markout_corpus):
     table = ws.markouts
     row = {tx: i for i, tx in enumerate(table.tx_hash)}
     off_zero = 0
-    for e in ws.economics:
+    for e in ws.economics.rows():
         mr = table.mr_usd[row[e.tx_hash]]
         col = ws.grid.index_of(ws.profiles[e.searcher_label].t_star_s)
         assert same_bits(e.ev_usd, float(mr[col]) - e.base_fee_usd), e.tx_hash

@@ -155,3 +155,55 @@ def test_markout_matrix_scale_homogeneous(pa, pb, x, y, c):
 @settings(max_examples=200, deadline=None)
 def test_markout_matrix_monotone_in_pa(pa, bump):
     assert one_quote_mr(pa + bump, 1.0, 2.0, 100.0) > one_quote_mr(pa, 1.0, 2.0, 100.0)
+
+
+# ---------------------------------------------------------------------------
+# group sums: the bits of builtin sum(), which every stage total keeps
+
+def float_bits(x: float):
+    """The bits of ``x``; a NaN only as NaN. Where two NaNs of opposite sign
+    meet, np.bincount keeps the first one's sign and CPython's float add the
+    second's; both are written "nan"."""
+    return "nan" if x != x else int(np.float64(x).view(np.int64))
+
+
+sum_values = st.floats() | st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16, -1e16, 1.0, 0.1,
+    float("inf"), float("-inf"), float("nan"), -float("nan"),
+])
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=4), sum_values), max_size=40),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=400, deadline=None)
+def test_group_sum_is_builtin_sum(rows, empty):
+    """Interleaved groups, and ``empty`` groups past the last code, each the
+    bits of sum() over its values left to right (0.0 for none); infinities
+    by their bits too."""
+    n = max((c for c, _ in rows), default=-1) + 1 + empty
+    codes = np.array([c for c, _ in rows], dtype=np.int64)
+    got = k.group_sum(codes, np.array([v for _, v in rows], dtype=np.float64), n)
+    want = [float(sum(v for c, v in rows if c == g)) for g in range(n)]
+    assert got.dtype == np.float64
+    assert [float_bits(x) for x in got.tolist()] == [float_bits(x) for x in want]
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+                          sum_values), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_keyed_sums_are_a_dict_filled_in_order(rows):
+    """keyed_sums gives a dict of dicts filled row by row, and group_sum of its
+    values per outer key gives sum() of each inner dict's values in their order."""
+    nested: dict[int, dict[int, float]] = {}
+    for outer, inner, v in rows:
+        nested.setdefault(outer, {}).setdefault(inner, 0.0)
+        nested[outer][inner] += v
+    keys, sums = k.keyed_sums(np.array([o * 4 + i for o, i, _ in rows], dtype=np.int64),
+                              np.array([v for _, _, v in rows], dtype=np.float64))
+    flat = [(o * 4 + i, v) for o, inner in nested.items() for i, v in inner.items()]
+    assert sorted(keys.tolist()) == sorted(key for key, _ in flat)
+    assert {key: float_bits(v) for key, v in zip(keys.tolist(), sums.tolist())} == {
+        key: float_bits(v) for key, v in flat}
+    totals = k.group_sum(keys // 4, sums, 4)
+    assert [float_bits(x) for x in totals.tolist()] == [
+        float_bits(float(sum(nested.get(o, {}).values()))) for o in range(4)]
