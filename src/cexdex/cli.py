@@ -113,8 +113,8 @@ def _write_charts(ws: pipeline.Workspace) -> None:
 
     integ_path = ws.out_dir / "integration.csv"
     if integ_path.exists():
-        cells = {(r.searcher_label, r.builder_label): r.volume_fraction
-                 for r in pipeline._read_output(integ_path, market.IntegrationCell, "market").rows()}
+        integration = pipeline._read_output(integ_path, market.IntegrationCell, "market")
+        cells = {(r.searcher_label, r.builder_label): r.volume_fraction for r in integration.rows()}
         if cells:
             searchers = sorted({s for s, _ in cells})
             builders = sorted({b for _, b in cells})

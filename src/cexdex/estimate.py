@@ -103,7 +103,8 @@ def searcher_summaries(labels: np.ndarray, economics: Table, n_inventory_adj: np
     profitable = np.bincount(code[economics.pnl_usd >= 0], minlength=n)
     total_ev, total_pnl, median_ev, median_pnl, median_margin = [], [], [], [], []
     for rows in group_rows(code, n):
-        evs, pnls, margins = economics.ev_usd[rows], economics.pnl_usd[rows], margin[rows][defined[rows]]
+        evs, pnls = economics.ev_usd[rows], economics.pnl_usd[rows]
+        margins = margin[rows][defined[rows]]
         total_ev.append(float(evs.sum()))
         total_pnl.append(float(pnls.sum()))
         median_ev.append(float(np.median(evs)) if len(rows) else None)
@@ -149,5 +150,5 @@ def cumulative_ev_series(economics: Table) -> Table:
     cumulative = np.concatenate([np.cumsum(np.concatenate([[0.0], ev[a:a + k]]))[1:]
                                  for a, k in zip(starts.tolist(), span.tolist())] or [[]])
     days = np.repeat(first - starts, span) + np.arange(len(ev))
-    return Table(CumulativeEv, [np.repeat(labels, span), [_utc_day(d * DAY_MS) for d in days.tolist()],
-                                ev, cumulative])
+    dates = [_utc_day(d * DAY_MS) for d in days.tolist()]
+    return Table(CumulativeEv, [np.repeat(labels, span), dates, ev, cumulative])

@@ -129,17 +129,22 @@ def pair_class(token_a: str, token_b: str, registry: TokenRegistry) -> str:
 def major_major_share(trades: Table, registry: TokenRegistry) -> tuple[float, float, bool]:
     """(count fraction, volume fraction, empty flag) of the Major-Major trades
     of ``trades``, a Table of ArbTrade. Raises UnknownToken for the first
-    token the registry does not hold, a trade's bought token before its sold."""
+    token the registry does not hold, a trade's bought token before its sold.
+    """
     n = len(trades)
     if not n:
         return 0.0, 0.0, True
-    legs = np.stack([trades.token_bought, trades.token_sold], axis=1).ravel()
-    tokens, code = factorize(legs)
-    infos = [registry.get(t) for t in tokens.tolist()]
-    unknown = np.array([info is None for info in infos], dtype=bool)[code]
-    if unknown.any():
-        raise UnknownToken(legs[np.argmax(unknown)])
-    mm = np.array([info.is_major for info in infos], dtype=bool)[code].reshape(n, 2).all(axis=1)
+    bought, b_code = factorize(trades.token_bought)
+    sold, s_code = factorize(trades.token_sold)
+    pairs, first, code = np.unique(b_code * len(sold) + s_code, return_index=True,
+                                   return_inverse=True)
+    # each distinct pair classed in the order pairs first appear, so that the
+    # first unknown token raises as it would trade by trade
+    is_mm = np.zeros(len(pairs), dtype=bool)
+    for k in np.argsort(first).tolist():
+        b, s = divmod(int(pairs[k]), len(sold))
+        is_mm[k] = pair_class(bought[b], sold[s], registry) == PAIR_MAJOR_MAJOR
+    mm = is_mm[code]
     one_group = np.zeros(n, dtype=np.int64)
     total_vol = group_sum(one_group, trades.volume_usd, 1)[0]
     mm_vol = group_sum(one_group[mm], trades.volume_usd[mm], 1)[0]

@@ -332,15 +332,15 @@ def run_estimate(ws: Workspace) -> None:
     trades, table, profiles = ws.detections, _markouts_of_detections(ws), ws.profiles
     labels, code = factorize(trades.searcher_label)
     included = table.included()
-    inventory = np.array([r == EXCLUSION_INVENTORY for r in table.exclusion_reason], dtype=bool)
-    # a searcher's trades are priced if included and its profile has a pattern other than P3
+    # a searcher's included trades are priced unless its profile is missing or P3
     label_profiles = [profiles.get(label) for label in labels.tolist()]
     peaked = np.array([p is not None and p.pattern != horizon_mod.PATTERN_FLAT
                        for p in label_profiles], dtype=bool)
-    rows = np.flatnonzero(included & peaked[code])
-    priced = trades.select(included & peaked[code])
-    # one lookup; raises for the first trade without an ETH quote
-    eth = ws.quotes.eth_usd(priced.slot_time_ms, ws.config.quote_staleness_ms) if len(rows) else np.zeros(0)
+    is_priced = included & peaked[code]
+    rows, priced = np.flatnonzero(is_priced), trades.select(is_priced)
+    eth = np.zeros(0)
+    if len(rows):  # one lookup; raises for the first trade without an ETH quote
+        eth = ws.quotes.eth_usd(priced.slot_time_ms, ws.config.quote_staleness_ms)
     cols = np.zeros(len(labels), dtype=np.int64)  # MR at each searcher's t* column
     for k in np.unique(code[rows]).tolist():
         cols[k] = estimate_mod.t_star_column(label_profiles[k], ws.grid)
@@ -349,11 +349,10 @@ def run_estimate(ws: Workspace) -> None:
     _write_output(ws.out_dir / "economics.csv", TradeEconomics, economics)
     ws.economics = economics
 
-    n = len(labels)
-    excluded = ~included
+    inventory = np.array([r == EXCLUSION_INVENTORY for r in table.exclusion_reason], dtype=bool)
     summaries = estimate_mod.searcher_summaries(
-        labels, economics, np.bincount(code[excluded & inventory], minlength=n),
-        np.bincount(code[excluded & ~inventory], minlength=n))
+        labels, economics, np.bincount(code[inventory], minlength=len(labels)),
+        np.bincount(code[~included & ~inventory], minlength=len(labels)))
     _write_output(ws.out_dir / "summary.csv", estimate_mod.SearcherSummary, summaries)
 
     _write_output(ws.out_dir / "cumulative_ev.csv", estimate_mod.CumulativeEv,
@@ -397,18 +396,15 @@ def _daily_shares(included: Table, economics: Table):
     keys = np.sort(vol_keys)
     day = np.searchsorted(days, keys // n)
     volume = vol[np.argsort(vol_keys)]
-    ev_order = np.argsort(ev_keys)
-    found = np.searchsorted(ev_keys, keys, sorter=ev_order)
-    has_ev = found < len(ev_keys)
-    has_ev[has_ev] = ev_keys[ev_order[found[has_ev]]] == keys[has_ev]
-    row_ev = np.zeros(len(keys))
-    row_ev[has_ev] = ev[ev_order[found[has_ev]]]
+    ev_of = dict(zip(ev_keys.tolist(), ev.tolist()))
+    row_ev = np.array([ev_of.get(k, 0.0) for k in keys.tolist()], dtype=np.float64)
     v_ok, e_ok = total_v[day] > 0, total_ev[day] > 0
+    v_share = np.divide(volume, total_v[day], out=np.zeros(len(keys)), where=v_ok)
+    e_share = np.divide(row_ev, total_ev[day], out=np.zeros(len(keys)), where=e_ok)
     table = Table(market_mod.DailyShare, [
-        [dates[d] for d in day.tolist()], labels[keys % n], volume,
-        optional(np.divide(volume, total_v[day], out=np.zeros(len(keys)), where=v_ok), v_ok),
-        row_ev, optional(np.divide(row_ev, total_ev[day], out=np.zeros(len(keys)), where=e_ok), e_ok),
-        [hhi_v[d] for d in day.tolist()], [hhi_e[d] for d in day.tolist()],
+        [dates[d] for d in day.tolist()], labels[keys % n], volume, optional(v_share, v_ok),
+        row_ev, optional(e_share, e_ok), [hhi_v[d] for d in day.tolist()],
+        [hhi_e[d] for d in day.tolist()],
     ])
     return table, days, dates, total_v
 
@@ -458,7 +454,8 @@ def run_market(ws: Workspace) -> None:
     if blocks is not None and len(blocks):
         block_day = blocks.slot_time_ms // DAY_MS
         known = np.isin(block_day, days)
-        block_day, block_builder = np.searchsorted(days, block_day[known]), blocks.builder_label[known]
+        block_builder = blocks.builder_label[known]
+        block_day = np.searchsorted(days, block_day[known])
         total_b = np.bincount(block_day, minlength=len(days))
         trade_day = np.searchsorted(days, included.slot_time_ms // DAY_MS)
         # a day counts where both totals are above 0
@@ -498,7 +495,8 @@ def run_builder(ws: Workspace) -> None:
     blocks = ws.blocks
     mids, ok = ws.quotes.eth_usd_many(blocks.slot_time_ms, ws.config.quote_staleness_ms)
     used, eth = blocks.select(ok), mids[ok]
-    per_block = builder_mod.block_economics(used, ws.economics, ws.labels.builder_to_searcher(), eth)
+    per_block = builder_mod.block_economics(used, ws.economics, ws.labels.builder_to_searcher(),
+                                            eth)
     skipped_quotes = len(blocks) - len(used)
     if skipped_quotes:
         print(f"builder: skipped {skipped_quotes} blocks with no ETH quote", file=sys.stderr)

@@ -28,7 +28,8 @@ def profile(t_star=0.0, pattern="P1"):
 
 def economics_of(trade, mr_usd, eth_usd_at_slot):
     """trade_economics of one trade, as its row."""
-    (e,) = trade_economics(trade_table(trade), np.array([mr_usd]), np.array([eth_usd_at_slot])).rows()
+    table = trade_economics(trade_table(trade), np.array([mr_usd]), np.array([eth_usd_at_slot]))
+    (e,) = table.rows()
     return e
 
 

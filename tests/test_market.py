@@ -217,3 +217,15 @@ def test_spearman_monotone_transform_invariance():
     base = spearman(x, y).rho
     assert spearman(np.exp(x), y).rho == pytest.approx(base, abs=1e-12)
     assert spearman(x, y ** 3 + 5).rho == pytest.approx(base, abs=1e-12)
+
+
+def test_major_major_share_names_the_first_unknown_token(registry):
+    """The first unknown token in trade order, a trade's bought token first."""
+    unknown_a, unknown_b = "0x" + "e" * 40, "0x" + "f" * 40
+    trades = [make_trade("0x1", token_bought=WETH, token_sold=USDT),
+              make_trade("0x2", token_bought=TOKA, token_sold=unknown_b),
+              make_trade("0x3", token_bought=unknown_a, token_sold=unknown_b)]
+    with pytest.raises(UnknownToken, match=unknown_b):
+        major_major_share(trade_table(*trades), registry)
+    with pytest.raises(UnknownToken, match=unknown_a):
+        major_major_share(trade_table(*trades[2:]), registry)

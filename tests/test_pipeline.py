@@ -793,7 +793,8 @@ def test_float_cells_are_written_as_floats(handoff_out):
         for k, row in enumerate(read_rows(handoff_out / name), start=1):
             for c in columns:
                 cell = row[c]
-                assert cell == "" or any(s in cell for s in (".", "e", "inf", "nan")), (name, k, c, cell)
+                assert cell == "" or any(s in cell for s in (".", "e", "inf", "nan")), \
+                    (name, k, c, cell)
 
 
 def all_digests(out: Path) -> dict[str, str]:

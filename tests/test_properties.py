@@ -188,8 +188,10 @@ def test_group_sum_is_builtin_sum(rows, empty):
     assert [float_bits(x) for x in got.tolist()] == [float_bits(x) for x in want]
 
 
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
-                          sum_values), max_size=40))
+small_codes = st.integers(min_value=0, max_value=3)
+
+
+@given(st.lists(st.tuples(small_codes, small_codes, sum_values), max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_keyed_sums_are_a_dict_filled_in_order(rows):
     """keyed_sums gives a dict of dicts filled row by row, and group_sum of its
@@ -207,3 +209,15 @@ def test_keyed_sums_are_a_dict_filled_in_order(rows):
     totals = k.group_sum(keys // 4, sums, 4)
     assert [float_bits(x) for x in totals.tolist()] == [
         float_bits(float(sum(nested.get(o, {}).values()))) for o in range(4)]
+
+
+@given(st.lists(st.text(max_size=3), max_size=60), st.integers(min_value=0, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_factorize_is_unique_with_inverse(values, extra):
+    """Few distinct values (coded by comparison) and many (by binary search)."""
+    values = values + [f"v{i}" for i in range(extra)]
+    array = np.array(values, dtype=np.dtypes.StringDType())
+    distinct, codes = k.factorize(array)
+    want_distinct, want_codes = np.unique(array, return_inverse=True)
+    assert distinct.tolist() == want_distinct.tolist()
+    assert codes.tolist() == want_codes.tolist()
