@@ -132,10 +132,18 @@ def _amount(v: str) -> str:
     return v
 
 
+def _int64(v: str) -> int:
+    """An int cell, which a Table holds as int64."""
+    i = int(v)
+    if not -2**63 <= i < 2**63:
+        raise OverflowError(v)
+    return i
+
+
 # Decoders by field annotation: each reads back what _write_csv wrote.
 _DECODERS = {
     "str": str,
-    "int": int,
+    "int": _int64,
     "float": float,
     "Decimal": _amount,
     "bool": "true".__eq__,

@@ -748,8 +748,10 @@ def reference_blocks(path) -> list[BlockRecord]:
     (BLOCK_HEADER + "\n1,b1,1.5,2.0,true,0.1,12_000\n", False),  # numpy refuses 12_000
     (BLOCK_HEADER + "\n", True),
     (BLOCK_HEADER + ",bid_eth\n1,b1,1.5,-2.0,true,0.1,12000,3.5\n", True),
+    (BLOCK_HEADER + "\n3,b3,0.5,0,false,0,36000\n1,b1,1.5,2.0,true,0.1,12000\n2,b2,0,0,false,0,24000\n",
+     True),
 ], ids=["quoted", "padded-crlf-blank", "extra-cells", "non-ascii", "underscore", "header-only",
-        "repeated-column"])
+        "repeated-column", "out-of-order"])
 def test_load_block_records_equals_a_csv_reference(tmp_path, text, tokenized):
     p = tmp_path / "blocks.csv"
     p.write_bytes(text.encode())

@@ -571,6 +571,21 @@ def test_undecodable_output_cell_exits_1(markout_corpus, tmp_path, capsys, name,
                    "message": f"malformed row 2: bad value '12x' in {column} of {name}"}
 
 
+def test_output_int_past_int64_exits_1(markout_corpus, tmp_path, capsys):
+    """An int column is held as int64, so a cell past it is refused, named."""
+    inputs, out = markout_corpus
+    stale = copy_tree(out, tmp_path / "out")
+    with open(stale / "economics.csv", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    rows[1][header.index("block_number")] = str(2**63)
+    write_rows(stale / "economics.csv", header, rows)
+    capsys.readouterr()
+    assert main(["builder", "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "MalformedRow", "message": "malformed row 2: bad value "
+                   f"'{2**63}' in block_number of economics.csv"}
+
+
 # ---------------------------------------------------------------------------
 # one ETH lookup per stage: the same blocks skipped and the same first error
 
