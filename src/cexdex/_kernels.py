@@ -38,38 +38,22 @@ def step_mid_lookup(ts, bid, ask, queries, staleness_ms):
 
 def group_sum(codes: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """Per group 0..n-1, the sum of the ``weights`` whose ``codes`` name it,
-    added in index order from 0.0: builtin sum() of each group, bit for bit.
-    np.bincount adds in index order; numpy's own sum adds pairwise."""
+    added left to right in index order from 0.0 (what builtin sum() does up
+    to Python 3.11; from 3.12 sum() compensates). np.bincount adds in index
+    order; numpy's own sum adds pairwise."""
     return np.bincount(codes, weights=weights, minlength=n).astype(np.float64, copy=False)
 
 
 def keyed_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(the distinct ``keys`` in the order they first appear, the sum of each
-    one's ``values`` in index order): a dict filled by ``d[key] += value``
-    from 0.0, in order. Summing its values by group_sum keeps the dict's order."""
+    one's ``values`` added left to right in index order): a dict filled by
+    ``d[key] += value`` from 0.0, in order. Summing its values by group_sum
+    keeps the dict's order."""
     distinct, first, code = np.unique(keys, return_index=True, return_inverse=True)
     seen = np.argsort(first)
     rank = np.empty_like(seen)
     rank[seen] = np.arange(len(seen))
     return distinct[seen], group_sum(rank[code], values, len(distinct))
-
-
-# at most this many distinct values are coded by one comparison each
-_FEW_DISTINCT = 16
-
-
-def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct ``values``, sorted; each value's index among them), as
-    np.unique(values, return_inverse=True) gives them. Few distinct values
-    are coded by one comparison each, which for a StringDType column numpy
-    does several times faster than its sort or binary search."""
-    distinct = np.unique(values)
-    if len(distinct) > _FEW_DISTINCT:
-        return distinct, np.searchsorted(distinct, values)
-    codes = np.zeros(len(values), dtype=np.int64)
-    for k, v in enumerate(distinct.tolist()[1:], start=1):
-        codes[values == v] = k
-    return distinct, codes
 
 
 def group_rows(codes: np.ndarray, n: int) -> list[np.ndarray]:

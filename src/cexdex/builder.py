@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import factorize, group_sum
+from ._kernels import group_sum
 from .data_model import Table, optional
 
 # Ultra Sound relay halved the refund rate at 2024-03-05 05:00 UTC.
@@ -62,7 +62,7 @@ def integrated_searcher_pnl(
     economics-row order; builders without an integrated searcher get SP = 0
     marked N/A.
     """
-    builders, code = factorize(blocks.builder_label)
+    builders, code = np.unique(blocks.builder_label, return_inverse=True)
     # each economics row's builder code by its searcher's integration, -1 for none
     integrated = np.full(len(economics), -1)
     for j, builder in enumerate(builders.tolist()):
@@ -132,7 +132,7 @@ def builder_summary(blocks: Table, per_block: Table, eth_usd: np.ndarray) -> Tab
     """One Table-2/3 style row per builder, by label, as a Table of
     BuilderSummary; ``per_block`` is ``block_economics`` of ``blocks`` at
     ``eth_usd``."""
-    labels, code = factorize(blocks.builder_label)
+    labels, code = np.unique(blocks.builder_label, return_inverse=True)
     n = len(labels)
 
     def total(values, rows=slice(None)):

@@ -11,8 +11,8 @@ swap, less a dust leg. Only a transaction with two or more swaps is netted
 token by token in Decimal.
 
 DetectionVerdict declares the rows of verdicts.csv, one per transaction,
-which ``Verdicts`` holds as columns; ArbTrade declares those of
-detections.csv, one per transaction that passed, which a Table holds.
+and ArbTrade those of detections.csv, one per transaction that passed;
+``detect_all`` returns each as a Table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .data_model import (
     AMOUNT_CONTEXT, DUST_THRESHOLD, SearcherLabelFile, Table, TokenRegistry, TransactionTable,
     parse_amount, strings,
 )
-from ._kernels import factorize
 from .errors import NotTwoSided
 
 HEURISTICS = ("H1", "H2", "H3", "H4", "H5", "H6")
@@ -49,20 +48,6 @@ class DetectionVerdict:
     h5: bool
     h6: bool
     failure_reasons: str
-
-
-@dataclass(frozen=True)
-class Verdicts:
-    """verdicts.csv as columns, one entry per transaction in table order;
-    ``h`` holds h1..h6."""
-    tx_hash: list[str]
-    passed: np.ndarray
-    h: tuple[np.ndarray, ...]
-    failure_reasons: list[str]
-
-    def columns(self) -> list:
-        """verdicts.csv's columns, in DetectionVerdict's field order."""
-        return [self.tx_hash, self.passed, *self.h, self.failure_reasons]
 
 
 @dataclass(frozen=True)
@@ -116,12 +101,13 @@ def detect_all(
     table: TransactionTable,
     registry: TokenRegistry,
     labels: SearcherLabelFile,
-) -> tuple[Table, Verdicts]:
+) -> tuple[Table, Table]:
     """Run every transaction through the heuristics.
 
-    Every input gets a verdict; passing transactions become the rows of a
-    Table of ArbTrade, in table order. Contracts without a label are kept
-    under "other:<address>" so landscape totals stay complete.
+    (a Table of ArbTrade, a Table of DetectionVerdict): every input gets a
+    verdict, and passing transactions become ArbTrade rows, both in table
+    order. Contracts without a label are kept under "other:<address>" so
+    landscape totals stay complete.
     """
     starts = table.starts
     n_swaps = np.diff(starts, append=len(table.token_in))
@@ -152,7 +138,8 @@ def detect_all(
             pass
         two_sided[j] = j in netted
     has_pair = no_erc721 & two_sided
-    pair_tokens, code = factorize(np.concatenate([bought[has_pair], sold[has_pair]]))
+    pair_tokens, code = np.unique(np.concatenate([bought[has_pair], sold[has_pair]]),
+                                  return_inverse=True)
     listed = np.array([registry.is_listed(t) for t in pair_tokens.tolist()], dtype=bool)[code]
     bought_listed, sold_listed = np.ones(len(table), dtype=bool), np.ones(len(table), dtype=bool)
     bought_listed[has_pair], sold_listed[has_pair] = np.split(listed, 2)
@@ -173,7 +160,7 @@ def detect_all(
         why += [f"{h}: {w}" for h, w, ok in zip(HEURISTICS, _FAILS, (c[k] for c in h_failed))
                 if not ok]
         reasons[j] = "; ".join(why)
-    verdicts = Verdicts(table.tx_hash.tolist(), passed, (*h1_to_h5, h6), reasons)
+    verdicts = Table(DetectionVerdict, [table.tx_hash, passed, *h1_to_h5, h6, reasons])
 
     rows = np.flatnonzero(passed)
     first = starts[rows]
@@ -183,7 +170,7 @@ def detect_all(
         if j in netted:
             amount_bought[k], amount_sold[k] = map(str, netted[j])
     addr_to_label = labels.address_to_label()
-    contracts, code = factorize(table.searcher_contract[passed])
+    contracts, code = np.unique(table.searcher_contract[passed], return_inverse=True)
     searcher = [addr_to_label.get(a, f"other:{a}") for a in contracts.tolist()]
     return Table(ArbTrade, [  # in ArbTrade's field order; StringDType is copied fastest by a mask
         table.tx_hash[passed], table.block_number[passed], strings(searcher)[code],

@@ -8,7 +8,8 @@ ETH-USDT mid at slot time.
 TradeEconomics, SearcherSummary and CumulativeEv declare the rows of
 economics.csv, summary.csv and cumulative_ev.csv; the economics are held as
 a Table and computed elementwise, and every total is a group sum that adds
-in row order, as builtin sum() does, unless it says otherwise.
+left to right in row order (as builtin sum() does up to Python 3.11), unless
+it says otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ._kernels import factorize, group_rows, group_sum
+from ._kernels import group_rows, group_sum
 from .config import MarkoutGrid
 from .data_model import Table, optional
 from .errors import PatternThreeExcluded
@@ -95,7 +96,7 @@ def searcher_summaries(labels: np.ndarray, economics: Table, n_inventory_adj: np
     are numpy's pairwise sums of the searcher's rows.
     """
     n = len(labels)
-    distinct, code = factorize(economics.searcher_label)
+    distinct, code = np.unique(economics.searcher_label, return_inverse=True)
     code = np.searchsorted(labels, distinct)[code]
     defined = np.array([m is not None for m in economics.margin], dtype=bool)
     margin = np.array([m if m is not None else 0.0 for m in economics.margin], dtype=np.float64)
@@ -138,7 +139,7 @@ def cumulative_ev_series(economics: Table) -> Table:
     first and last trade are emitted with 0, and each row's day is
     formatted once.
     """
-    labels, code = factorize(economics.searcher_label)
+    labels, code = np.unique(economics.searcher_label, return_inverse=True)
     day = economics.slot_time_ms // DAY_MS
     first, last = np.zeros(len(labels), dtype=np.int64), np.zeros(len(labels), dtype=np.int64)
     for k, rows in enumerate(group_rows(code, len(labels))):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import factorize, group_sum, keyed_sums
+from ._kernels import group_sum, keyed_sums
 from .data_model import SearcherLabelFile, Table, TokenRegistry
 from .errors import (
     DegenerateRanks,
@@ -73,8 +73,8 @@ def integration_matrix(trades: Table) -> IntegrationMatrix:
     order it first trades with each, and each volume adds its trades in
     row order.
     """
-    searchers, s_code = factorize(trades.searcher_label)
-    builders, b_code = factorize(trades.builder_label)
+    searchers, s_code = np.unique(trades.searcher_label, return_inverse=True)
+    builders, b_code = np.unique(trades.builder_label, return_inverse=True)
     nb = len(builders)
     pairs, volume = keyed_sums(s_code * nb + b_code, trades.volume_usd)
     total = group_sum(pairs // nb, volume, len(searchers))
@@ -134,8 +134,8 @@ def major_major_share(trades: Table, registry: TokenRegistry) -> tuple[float, fl
     n = len(trades)
     if not n:
         return 0.0, 0.0, True
-    bought, b_code = factorize(trades.token_bought)
-    sold, s_code = factorize(trades.token_sold)
+    bought, b_code = np.unique(trades.token_bought, return_inverse=True)
+    sold, s_code = np.unique(trades.token_sold, return_inverse=True)
     pairs, first, code = np.unique(b_code * len(sold) + s_code, return_index=True,
                                    return_inverse=True)
     # each distinct pair classed in the order pairs first appear, so that the

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import MarkoutGrid, PipelineConfig
-from ._kernels import factorize, group_rows
+from ._kernels import group_rows
 from .data_model import Table, TokenRegistry
 from .detect import ArbTrade
 from .errors import NoQuoteBefore, UnknownToken, UnlistedToken
@@ -51,7 +51,7 @@ class MarkoutTable:
         """Searcher label -> rows of its included trades, by label; searchers
         with none are absent."""
         rows = np.flatnonzero(self.included())
-        labels, code = factorize(self.searcher_label[rows])
+        labels, code = np.unique(self.searcher_label[rows], return_inverse=True)
         return {label: rows[k] for label, k in zip(labels.tolist(), group_rows(code, len(labels)))}
 
 
@@ -67,7 +67,7 @@ def _usd_prices(tokens: np.ndarray, queries: np.ndarray, store: QuoteStore,
     mask of the rows priced at every time. One lookup per quote series."""
     prices = np.ones(queries.shape)
     ok = np.ones(len(tokens), dtype=bool)
-    names, code = factorize(tokens)
+    names, code = np.unique(tokens, return_inverse=True)
     rows_by_series: dict[str, tuple] = {}
     for token, rows in zip(names.tolist(), group_rows(code, len(names))):
         try:

@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import operator
 import sys
 from decimal import Decimal
 from functools import cached_property
@@ -24,7 +23,7 @@ from . import estimate as estimate_mod
 from . import horizon as horizon_mod
 from . import market as market_mod
 from . import markout as markout_mod
-from ._kernels import factorize, group_rows, group_sum, keyed_sums
+from ._kernels import group_rows, group_sum, keyed_sums
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .data_model import (
     SearcherLabelFile,
@@ -40,7 +39,7 @@ from .data_model import (
     read_csv,
     strings,
 )
-from .detect import ArbTrade, DetectionVerdict, detect_all
+from .detect import ArbTrade, detect_all
 from .errors import PipelineError
 from .estimate import DAY_MS, TradeEconomics
 from .markout import EXCLUSION_INVENTORY
@@ -119,11 +118,9 @@ def _columns(cls: type) -> list[str]:
     return [f.name.removesuffix("_") for f in dataclasses.fields(cls)]
 
 
-def _write_output(path: Path, cls: type, rows) -> None:
-    """Write ``rows``, a Table of ``cls`` or a list of its instances, one
-    column per field."""
-    _write_csv(path, _columns(cls), rows.columns if isinstance(rows, Table) else
-               [list(map(operator.attrgetter(f.name), rows)) for f in dataclasses.fields(cls)])
+def _write_output(path: Path, table: Table) -> None:
+    """Write ``table`` under its row type's header, one column per field."""
+    _write_csv(path, _columns(table.row), table.columns)
 
 
 def _amount(v: str) -> str:
@@ -248,8 +245,8 @@ class Workspace:
 def run_detect(ws: Workspace) -> None:
     table = load_transactions(_require_input(ws.input_dir, "transactions.csv"))
     trades, verdicts = detect_all(table, ws.registry, ws.labels)
-    _write_output(ws.out_dir / "detections.csv", ArbTrade, trades)
-    _write_csv(ws.out_dir / "verdicts.csv", _columns(DetectionVerdict), verdicts.columns())
+    _write_output(ws.out_dir / "detections.csv", trades)
+    _write_output(ws.out_dir / "verdicts.csv", verdicts)
     ws.detections = trades
 
 
@@ -324,7 +321,7 @@ def run_horizon(ws: Workspace) -> None:
     rows = table.included_rows()
     profiles = [horizon_mod.build_profile(label, table.gr[rows[label]], ws.config, ws.grid)
                 for label in sorted(rows)]
-    _write_output(ws.out_dir / "profiles.csv", horizon_mod.SearcherProfile, profiles)
+    _write_output(ws.out_dir / "profiles.csv", Table.of_rows(horizon_mod.SearcherProfile, profiles))
     ws.profiles = {p.searcher_label: p for p in profiles}
 
 
@@ -338,7 +335,7 @@ def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
 
 def run_estimate(ws: Workspace) -> None:
     trades, table, profiles = ws.detections, _markouts_of_detections(ws), ws.profiles
-    labels, code = factorize(trades.searcher_label)
+    labels, code = np.unique(trades.searcher_label, return_inverse=True)
     included = table.included()
     # a searcher's included trades are priced unless its profile is missing or P3
     label_profiles = [profiles.get(label) for label in labels.tolist()]
@@ -354,17 +351,16 @@ def run_estimate(ws: Workspace) -> None:
         cols[k] = estimate_mod.t_star_column(label_profiles[k], ws.grid)
     economics = estimate_mod.trade_economics(priced, table.mr_usd[rows, cols[code[rows]]], eth)
 
-    _write_output(ws.out_dir / "economics.csv", TradeEconomics, economics)
+    _write_output(ws.out_dir / "economics.csv", economics)
     ws.economics = economics
 
     inventory = np.array([r == EXCLUSION_INVENTORY for r in table.exclusion_reason], dtype=bool)
     summaries = estimate_mod.searcher_summaries(
         labels, economics, np.bincount(code[inventory], minlength=len(labels)),
         np.bincount(code[~included & ~inventory], minlength=len(labels)))
-    _write_output(ws.out_dir / "summary.csv", estimate_mod.SearcherSummary, summaries)
+    _write_output(ws.out_dir / "summary.csv", summaries)
 
-    _write_output(ws.out_dir / "cumulative_ev.csv", estimate_mod.CumulativeEv,
-                  estimate_mod.cumulative_ev_series(economics))
+    _write_output(ws.out_dir / "cumulative_ev.csv", estimate_mod.cumulative_ev_series(economics))
 
 
 def _load_economics(ws: Workspace) -> Table:
@@ -381,7 +377,8 @@ def _daily_shares(included: Table, economics: Table):
     Volume shares cover all patterns and EV shares exclude P3. Day totals
     add each day's searchers in the order they first trade that day, and a
     searcher's day adds its trades in row order."""
-    labels, code = factorize(np.concatenate([included.searcher_label, economics.searcher_label]))
+    labels, code = np.unique(np.concatenate([included.searcher_label, economics.searcher_label]),
+                             return_inverse=True)
     n = max(len(labels), 1)
     vol_keys, vol = keyed_sums(included.slot_time_ms // DAY_MS * n + code[:len(included)],
                                included.volume_usd)
@@ -422,18 +419,17 @@ def run_market(ws: Workspace) -> None:
         ws.detections, _markouts_of_detections(ws), ws.profiles, ws.economics)
     included = trades.select(table.included())
     shares, days, dates, total_v = _daily_shares(included, economics)
-    _write_output(ws.out_dir / "market.csv", market_mod.DailyShare, shares)
+    _write_output(ws.out_dir / "market.csv", shares)
 
     matrix = market_mod.integration_matrix(included)
     classes = market_mod.classify_exclusivity(matrix, ws.labels, ws.config.exclusivity_threshold)
     nb, ns = len(matrix.builders), len(matrix.searchers)
     searcher_classes = [classes[s] for s in matrix.searchers]
-    _write_output(ws.out_dir / "integration.csv", market_mod.IntegrationCell, Table(
-        market_mod.IntegrationCell, [
-            np.repeat(strings(matrix.searchers), nb), np.tile(strings(matrix.builders), ns),
-            matrix.cells.ravel(), np.repeat(strings([c for c, _ in searcher_classes]), nb),
-            np.repeat(strings([b or "" for _, b in searcher_classes]), nb),
-        ]))
+    _write_output(ws.out_dir / "integration.csv", Table(market_mod.IntegrationCell, [
+        np.repeat(strings(matrix.searchers), nb), np.tile(strings(matrix.builders), ns),
+        matrix.cells.ravel(), np.repeat(strings([c for c, _ in searcher_classes]), nb),
+        np.repeat(strings([b or "" for _, b in searcher_classes]), nb),
+    ]))
 
     corr_rows = []
     # decline fraction vs Major-Major share across searchers
@@ -493,7 +489,8 @@ def run_market(ws: Workspace) -> None:
                 except (market_mod.TooShort, market_mod.DegenerateRanks, market_mod.LengthMismatch):
                     pass
 
-    _write_output(ws.out_dir / "correlations.csv", market_mod.Correlation, corr_rows)
+    _write_output(ws.out_dir / "correlations.csv",
+                  Table.of_rows(market_mod.Correlation, corr_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +506,9 @@ def run_builder(ws: Workspace) -> None:
     if skipped_quotes:
         print(f"builder: skipped {skipped_quotes} blocks with no ETH quote", file=sys.stderr)
 
-    _write_output(ws.out_dir / "builder_blocks.csv", builder_mod.BuilderBlockEconomics, per_block)
+    _write_output(ws.out_dir / "builder_blocks.csv", per_block)
     summaries = builder_mod.builder_summary(used, per_block, eth)
-    _write_output(ws.out_dir / "builder_summary.csv", builder_mod.BuilderSummary, summaries)
+    _write_output(ws.out_dir / "builder_summary.csv", summaries)
 
 
 # ---------------------------------------------------------------------------

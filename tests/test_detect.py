@@ -5,7 +5,7 @@ from cexdex.data_model import SearcherLabelFile, load_transactions
 from cexdex.detect import HEURISTICS, DetectionVerdict, detect_all, effective_pair
 
 from conftest import (
-    TOKA, TOKB, TOKC, USDT, detect, make_swap, make_tx, verdict_list, write_transactions,
+    TOKA, TOKB, TOKC, USDT, detect, make_swap, make_tx, write_transactions,
 )
 from heuristic_corpus import build_corpus
 
@@ -125,13 +125,13 @@ def test_corpus_verdicts_csv_lines(registry, tmp_path):
     table = load_transactions(write_transactions(tmp_path, txs))
     _, verdicts = detect_all(table, registry, SearcherLabelFile(labels={}))
     path = tmp_path / "verdicts.csv"
-    pipeline._write_csv(path, pipeline._columns(DetectionVerdict), verdicts.columns())
+    pipeline._write_output(path, verdicts)
     header, *lines = path.read_text().splitlines()
     assert header == "tx_hash,passed,h1,h2,h3,h4,h5,h6,failure_reasons"
     by_hash = {line.split(",")[0]: line for line in lines}
     assert len(lines) == len(by_hash) == 40
     assert {h: by_hash[h] for h in VERDICT_LINES} == VERDICT_LINES
-    assert pipeline._read_output(path, DetectionVerdict, "detect").rows() == verdict_list(verdicts)
+    assert pipeline._read_output(path, DetectionVerdict, "detect").rows() == verdicts.rows()
 
 
 def test_detect_all_counts_and_labels(tmp_path, registry):

@@ -114,7 +114,7 @@ def test_reader_refuses_a_field_it_cannot_decode(tmp_path):
         values: "list[int]"
 
     path = tmp_path / "rows.csv"
-    pipeline._write_output(path, Row, [Row("a", [1])])
+    pipeline._write_csv(path, pipeline._columns(Row), [["a"], ["[1]"]])
     with pytest.raises(TypeError, match=r"list\[int\]"):
         pipeline._read_output(path, Row, "test")
 
