@@ -1,13 +1,14 @@
 """Domain types and file ingestion.
 
-The four tabular inputs are CSV with a header row, each read by one reader,
-``_read_columns``, to which a loader names its columns by kind (text, int64,
-finite float, flag, amount): numpy's C tokenizer reads a file, and one it
-cannot read as csv, int(), float() and Decimal do is read again cell by
-cell. A loader checks the columns it gets back; an error names the file,
-the first failing 1-based data row, blank lines not counted, and that row's
-first failing check. A number that is not finite, or an integer past int64,
-is a cell that does not parse. Searchers are JSON.
+Every CSV, the four tabular inputs and the stage outputs alike, is read by
+one reader, ``_read_columns``, to which a caller names its columns by kind
+(text, int64, float, flag, amount, ...): numpy's C tokenizer reads a file,
+and one it cannot read as csv, int(), float() and Decimal do is read again
+cell by cell. An input's loader checks the columns it gets back; an error
+names the file, the first failing 1-based data row, blank lines not
+counted, and that row's first failing check. In an input, a number that is
+not finite, or an integer past int64, is a cell that does not parse.
+Searchers are JSON.
 Token amounts are kept as written and read as Decimal where they are
 netted or handed on, so that ERC-20 integer amounts beyond 2^64 survive the
 round trip; everything price-like stays float downstream.
@@ -195,26 +196,8 @@ def _read_header(reader, path: str | Path, required: list[str]) -> list[str]:
     return header
 
 
-def read_csv(path: str | Path, required: list[str]) -> tuple[list[str], list[list[str]]]:
-    """(header, data rows) of a CSV file, blank lines skipped: list index k is
-    data row k + 1. Raises MissingColumn for a ``required`` column not in the header."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = _read_header(reader, path, required)
-        return header, [r for r in reader if r]
-
-
 def _bad_value(raw: str, row_index: int, col: str, file: str = "") -> MalformedRow:
     return MalformedRow(row_index, f"bad value {raw!r} in {col}", file)
-
-
-def parse_cell(parse, raw: str, row_index: int, col: str, file: str = ""):
-    """``parse(raw)``; a cell it rejects raises MalformedRow naming the row,
-    ``col`` and ``file``."""
-    try:
-        return parse(raw)
-    except (ValueError, ArithmeticError):  # decimal.InvalidOperation is an ArithmeticError
-        raise _bad_value(raw, row_index, col, file) from None
 
 
 def _bool(raw: str) -> bool:
@@ -255,21 +238,25 @@ def _raise_first(checks) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the input reader: a loader names its columns by kind, {column: kind}
+# the reader: a caller names its columns by kind, {column: kind}
 
 TEXT = "text"  # stripped
 OPTIONAL = "optional text"  # stripped; left out of the columns when the header lacks it
+STR = "str"  # as written
 AMOUNT = "amount"  # as written, and read as a Decimal by _check_amounts
 INT = "int64"
 FLOAT = "finite float"
+ANY_FLOAT = "float"  # nan and ±inf too
+FLOAT_OR_NONE = "float or None"  # any float; an empty cell is None
 FLAG = "flag"  # as _bool reads it
 # a column of kind None must be in the header, but is neither read nor checked
 
 # each kind's parse of a cell, and the dtype of its column, in the cell pass
 _CELL_PARSE = {
     TEXT: (str.strip, np.dtypes.StringDType), OPTIONAL: (str.strip, np.dtypes.StringDType),
-    AMOUNT: (str, np.dtypes.StringDType), INT: (int, np.int64),
-    FLOAT: (_finite_float, np.float64), FLAG: (_bool, bool),
+    STR: (str, np.dtypes.StringDType), AMOUNT: (str, np.dtypes.StringDType),
+    INT: (int, np.int64), FLOAT: (_finite_float, np.float64), ANY_FLOAT: (float, np.float64),
+    FLOAT_OR_NONE: (lambda raw: float(raw) if raw else None, object), FLAG: (_bool, bool),
 }
 
 # ASCII bytes that numpy reads otherwise than csv, int(), float() and
@@ -304,6 +291,22 @@ def _flag_column(text: np.ndarray) -> np.ndarray:
     return is_true
 
 
+def _float_or_none_column(text: np.ndarray) -> list:
+    """float() of every cell, and None for an empty one; raises ValueError
+    for a cell float() refuses. numpy's cast from text reads as float() does."""
+    defined = text != ""
+    values = np.zeros(len(text))
+    values[defined] = text[defined].astype(np.float64)
+    return optional(values, defined)
+
+
+# each text kind's column from the tokenizer's text, a new array (or list)
+# all, so that the file's text can be freed before its numbers are read
+_FROM_TEXT = {TEXT: np.strings.strip, OPTIONAL: np.strings.strip, STR: np.copy, AMOUNT: np.copy,
+              FLAG: _flag_column, FLOAT_OR_NONE: _float_or_none_column}
+_NUMBERS = {INT: np.int64, FLOAT: np.float64, ANY_FLOAT: np.float64, AMOUNT: np.float64}
+
+
 def _tokenize_columns(path: Path, kinds: dict) -> tuple[dict, dict] | None:
     """As _parse_columns_by_cell, read by numpy's C tokenizer with no Python
     object per cell; None for a file it might read otherwise than csv and
@@ -317,8 +320,8 @@ def _tokenize_columns(path: Path, kinds: dict) -> tuple[dict, dict] | None:
         header = _read_header(reader, path, [c for c, kind in kinds.items() if kind != OPTIONAL])
     column = _column_index(header)
     kinds = {c: kind for c, kind in kinds.items() if kind and c in column}
-    texts = [c for c, kind in kinds.items() if kind not in (INT, FLOAT)]
-    numbers = [c for c, kind in kinds.items() if kind in (INT, FLOAT, AMOUNT)]
+    texts = [c for c, kind in kinds.items() if kind in _FROM_TEXT]
+    numbers = [c for c, kind in kinds.items() if kind in _NUMBERS]
     text_cols, number_cols = [column[c] for c in texts], [column[c] for c in numbers]
     last = len(header) - 1  # read, so that a row shorter than the header fails
     if last not in text_cols + number_cols:
@@ -334,18 +337,16 @@ def _tokenize_columns(path: Path, kinds: dict) -> tuple[dict, dict] | None:
             # numpy reads with universal newlines, which turn a quoted "\r" into "\n"
             if quoted and (np.strings.find(text, "\n") >= 0).any():
                 return None
-            # new arrays all, so that the file's text is freed before its numbers are read
-            cells = {c: _flag_column(t) if kinds[c] == FLAG else t.copy() if kinds[c] == AMOUNT
-                     else np.strings.strip(t) for c, t in zip(texts, text.T)}
+            cells = {c: _FROM_TEXT[kinds[c]](t) for c, t in zip(texts, text.T)}
             del text
             # numpy parses floats as float() does, less its "1_0", which
             # Decimal refuses too: an amount it reads is a Decimal
-            values = np.loadtxt(path, ndmin=1, usecols=number_cols, **csv_format, dtype=[
-                (c, np.int64 if kinds[c] == INT else np.float64) for c in numbers])
+            values = np.loadtxt(path, ndmin=1, usecols=number_cols, **csv_format,
+                                dtype=[(c, _NUMBERS[kinds[c]]) for c in numbers]) if numbers else {}
     except (ValueError, ArithmeticError):
         return None
-    # a non-finite number is refused, by the cell pass, which names it
-    if not all(np.isfinite(values[c]).all() for c in numbers if kinds[c] != INT):
+    # a non-finite number where one is refused is refused by the cell pass, which names it
+    if not all(np.isfinite(values[c]).all() for c in numbers if kinds[c] in (FLOAT, AMOUNT)):
         return None
     cells |= {c: values[c] for c in numbers if kinds[c] != AMOUNT}
     # a float above 1e-11 is that of a Decimal above DUST_THRESHOLD
@@ -358,7 +359,10 @@ def _parse_columns_by_cell(path: Path, kinds: dict) -> tuple[dict, dict]:
     "short" for the rows shorter than the header), by csv and each kind's
     parse: one Python object per cell, but every short row and bad cell is
     masked, for the loader to name the first. A rejected cell is left 0."""
-    header, rows = read_csv(path, [c for c, kind in kinds.items() if kind != OPTIONAL])
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = _read_header(reader, path, [c for c, kind in kinds.items() if kind != OPTIONAL])
+        rows = [r for r in reader if r]  # list index k is data row k + 1
     name = path.name
     short = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < len(header)
     if short.any():
@@ -413,9 +417,9 @@ def _read_columns(path: str | Path, kinds: dict) -> tuple[dict, dict]:
 
     numpy's C tokenizer reads the file; one it cannot read is read again
     cell by cell, which masks every short row and bad cell. A name the
-    header repeats is its last column; cells past the header are ignored.
-    Raises MissingColumn for a column not in the header, unless it is
-    OPTIONAL.
+    header repeats is its last column; cells past the header are ignored,
+    and so are blank lines. Raises MissingColumn for a column not in the
+    header, unless it is OPTIONAL.
     """
     path = Path(path)
     return _tokenize_columns(path, kinds) or _parse_columns_by_cell(path, kinds)
@@ -676,6 +680,13 @@ def load_searchers(path: str | Path) -> SearcherLabelFile:
         if not isinstance(builder, str):
             raise InvalidConfig(f"'integrated_with' of {label!r} in {name} must be one "
                                 f"builder label, not {json.dumps(builder)}")
+    # the outputs hold these as UTF-8 text, which a lone surrogate ("\ud800") cannot be
+    for text in [*labels, *(a for addrs in labels.values() for a in addrs),
+                 *integrated, *integrated.values()]:
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            raise InvalidConfig(f"{name} holds {text!r}, which is not UTF-8 text") from None
     labels = {label: [a.lower() for a in addrs] for label, addrs in labels.items()}
     for label in integrated:
         if label not in labels:

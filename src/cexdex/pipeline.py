@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
 
@@ -26,21 +25,27 @@ from . import markout as markout_mod
 from ._kernels import group_rows, group_sum, keyed_sums
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .data_model import (
+    AMOUNT,
+    ANY_FLOAT,
+    FLAG,
+    FLOAT_OR_NONE,
+    INT,
+    STR,
     SearcherLabelFile,
     Table,
     TokenRegistry,
+    _raise_first,
+    _read_columns,
     load_block_records,
     load_quotes,
     load_searchers,
     load_tokens,
     load_transactions,
     optional,
-    parse_cell,
-    read_csv,
     strings,
 )
 from .detect import ArbTrade, detect_all
-from .errors import PipelineError
+from .errors import MalformedRow, PipelineError
 from .estimate import DAY_MS, TradeEconomics
 from .markout import EXCLUSION_INVENTORY
 from .quotes import QuoteStore
@@ -105,13 +110,6 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
                 f.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    """(header, data rows) of a stage output."""
-    if not path.exists():
-        raise DependencyMissing(f"{path.name} not found in {path.parent}; run the producing stage first")
-    return read_csv(path, [])
-
-
 def _columns(cls: type) -> list[str]:
     """The header of ``cls``'s file: its field names in declaration order,
     less PEP 8's trailing underscore, so the field ``class_`` is the column ``class``."""
@@ -123,58 +121,46 @@ def _write_output(path: Path, table: Table) -> None:
     _write_csv(path, _columns(table.row), table.columns)
 
 
-def _amount(v: str) -> str:
-    """An amount cell as written, once Decimal has read it."""
-    Decimal(v)
-    return v
+# the reader's kind of each field annotation: each reads back what _write_csv wrote
+_KINDS = {"str": STR, "int": INT, "float": ANY_FLOAT, "Decimal": AMOUNT, "bool": FLAG,
+          "float | None": FLOAT_OR_NONE}
 
 
-def _int64(v: str) -> int:
-    """An int cell, which a Table holds as int64."""
-    i = int(v)
-    if not -2**63 <= i < 2**63:
-        raise OverflowError(v)
-    return i
+def _read_csv(path: Path, kinds: dict, stage: str) -> dict:
+    """The columns of the stage output at ``path`` by name, each read as its
+    kind in ``kinds`` by data_model._read_columns. ``kinds`` names every
+    column this version writes, in order.
 
-
-# Decoders by field annotation: each reads back what _write_csv wrote.
-_DECODERS = {
-    "str": str,
-    "int": _int64,
-    "float": float,
-    "Decimal": _amount,
-    "bool": "true".__eq__,
-    "float | None": lambda v: float(v) if v else None,
-}
+    A file with another header, or with a row shorter than it, is refused
+    as OutdatedOutput naming ``stage`` to rerun, so it is not read with its
+    columns crossed; the first cell that does not decode, as MalformedRow
+    naming its row, column and file.
+    """
+    if not path.exists():
+        raise DependencyMissing(f"{path.name} not found in {path.parent}; run the producing stage first")
+    outdated = OutdatedOutput(f"{path} does not have the columns this version writes under "
+                              f"this config (an older version's layout?); rerun the {stage} stage")
+    with open(path, newline="") as f:
+        if next(csv.reader(f), []) != list(kinds):
+            raise outdated
+    cells, parsed = _read_columns(path, kinds)
+    if "short" in parsed and parsed["short"][0].any():
+        raise outdated
+    try:
+        _raise_first([parsed.get(c) for c in kinds])
+    except MalformedRow as e:  # named as a cell of an output: "... in amount_bought of detections.csv"
+        raise MalformedRow(e.row_index, f"{e.reason} of {e.file}") from None
+    return cells
 
 
 def _read_output(path: Path, cls: type, stage: str) -> Table:
-    """The Table of ``cls`` that _write_output wrote to ``path``.
-
-    The header and every row's width are checked once against the fields of
-    ``cls``, so a file in another layout is refused, not read with its
-    columns crossed.
-    """
-    fields = dataclasses.fields(cls)
+    """The Table of ``cls`` that _write_output wrote to ``path``."""
     try:
-        decoders = [_DECODERS[f.type] for f in fields]
+        kinds = {c: _KINDS[f.type] for c, f in zip(_columns(cls), dataclasses.fields(cls))}
     except KeyError as e:
         raise TypeError(f"{cls.__name__}: no CSV decoder for a field annotated {e}") from None
-    found, rows = _read_csv(path)
-    if found != _columns(cls) or any(len(r) != len(fields) for r in rows):
-        raise OutdatedOutput(
-            f"{path} does not have the columns this version writes (an older "
-            f"version's layout?); rerun the {stage} stage"
-        )
-    columns = list(zip(*rows)) or [()] * len(fields)
-    try:
-        return Table(cls, [list(map(decode, column)) for decode, column in zip(decoders, columns)])
-    except (ValueError, ArithmeticError):  # again cell by cell, to name the first bad one
-        names = [f"{f.name} of {path.name}" for f in fields]
-        for i, r in enumerate(rows, start=1):
-            for d, v, n in zip(decoders, r, names):
-                parse_cell(d, v, i, n)
-        raise
+    cells = _read_csv(path, kinds, stage)
+    return Table(cls, [cells[c] for c in kinds])
 
 
 def _require_input(input_dir: Path, name: str) -> Path:
@@ -281,25 +267,15 @@ def run_markout(ws: Workspace) -> None:
 
 
 def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
-    """The table markouts.csv holds, MR parsed in one pass; named for
-    perfbench/spans.py, which times it as the parse, until ROADMAP item 1."""
-    path = ws.out_dir / "markouts.csv"
-    header, rows = _read_csv(path)
-    if header != _markouts_header(ws.grid.offsets_s) or any(len(r) != len(header) for r in rows):
-        raise OutdatedOutput(
-            f"{path} is not one row per trade with an MR column per offset of this "
-            "config's grid (an older version's layout, or another grid?); rerun the markout stage"
-        )
-    width = len(MARKOUTS_KEYS)
-    try:
-        values = np.array([float(v) for r in rows for v in r[width - 1:]])
-    except ValueError:  # again cell by cell, to name the first bad one
-        names = [f"{h} of {path.name}" for h in header[width - 1:]]
-        values = np.array([parse_cell(float, v, i, n) for i, r in enumerate(rows, start=1)
-                           for n, v in zip(names, r[width - 1:])])
-    values = values.reshape(len(rows), len(header) - width + 1)
-    return markout_mod.MarkoutTable(strings([r[0] for r in rows]), strings([r[1] for r in rows]),
-                                    values[:, 0], values[:, 1:], [r[3] or None for r in rows])
+    """The table markouts.csv holds; named for perfbench/spans.py, which
+    times it as the parse, until ROADMAP item 1."""
+    header = _markouts_header(ws.grid.offsets_s)
+    kinds = dict.fromkeys(header, ANY_FLOAT) | {
+        "tx_hash": STR, "searcher_label": STR, "excluded": None, "exclusion_reason": STR}
+    c = _read_csv(ws.out_dir / "markouts.csv", kinds, "markout")
+    mr = np.column_stack([c[h] for h in header[len(MARKOUTS_KEYS):]])
+    return markout_mod.MarkoutTable(c["tx_hash"], c["searcher_label"], c["volume_usd"], mr,
+                                    [r or None for r in c["exclusion_reason"].tolist()])
 
 
 def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:

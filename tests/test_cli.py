@@ -131,6 +131,25 @@ def test_searchers_that_is_not_json_exits_1(synth_inputs, tmp_path, capsys):
     assert err["message"].startswith("searchers.json is not valid JSON: Expecting value")
 
 
+@pytest.mark.parametrize("where", ["label", "address", "builder"])
+def test_searchers_with_a_lone_surrogate_exit_1(synth_inputs, tmp_path, capsys, where):
+    """JSON can spell a lone surrogate ("\\ud800"), which is no UTF-8 text, so
+    no output could hold it: refused before any stage writes a file."""
+    searchers = json.loads((synth_inputs / "searchers.json").read_text())
+    bad = "s_\ud800"
+    if where == "label":
+        searchers["labels"][bad] = searchers["labels"].pop("s_flat")
+    elif where == "address":
+        searchers["labels"]["s_flat"].append(bad)
+    else:
+        searchers["integrated_with"]["s_gentle"] = bad
+    rc, err, written = run_with_replaced_input(
+        synth_inputs, tmp_path, capsys, "searchers.json", json.dumps(searchers))
+    assert (rc, written) == (1, [])
+    assert err == {"error": "InvalidConfig",
+                   "message": "searchers.json holds 's_\\ud800', which is not UTF-8 text"}
+
+
 @pytest.mark.parametrize("name", ["config.json", "searchers.json"])
 def test_json_input_that_is_not_utf8_exits_1_naming_it(synth_inputs, tmp_path, capsys, name):
     inputs = tmp_path / "inputs"
@@ -182,14 +201,38 @@ def test_manifest_digests_match(synth_inputs, tmp_path):
     assert manifest["inputs"]["transactions.csv"]["rows"] == 35
 
 
-def test_stagewise_equals_all(synth_inputs, tmp_path):
-    staged = tmp_path / "staged"
-    combined = tmp_path / "combined"
-    for stage in ("detect", "markout", "horizon", "estimate", "market", "builder"):
-        assert main([stage, "--input-dir", str(synth_inputs), "--out-dir", str(staged)]) == 0
-    main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(combined)])
-    for p in combined.glob("*.csv"):
-        assert p.read_bytes() == (staged / p.name).read_bytes(), p.name
+@pytest.fixture(scope="module")
+def awkward_labels(tmp_path_factory):
+    """SCENARIO with a third searcher, the three labelled " s_pad ", 's,"q"'
+    and "s_é": every output that names a searcher holds an unstripped, a
+    quoted and a non-ASCII cell, which the reader takes cell by cell."""
+    root = tmp_path_factory.mktemp("awkward")
+    scenario = dict(SCENARIO, searchers=[*SCENARIO["searchers"], {
+        "label": "s_abrupt", "impact_decay": "abrupt", "trades_per_day": 15,
+        "true_hedge_delay_s": 0.5}])
+    (root / "scenario.json").write_text(json.dumps(scenario))
+    inputs = root / "inputs"
+    assert main(["synth", "--config", str(root / "scenario.json"), "--out-dir", str(inputs)]) == 0
+    names = {"s_gentle": " s_pad ", "s_flat": 's,"q"', "s_abrupt": "s_é"}
+    searchers = json.loads((inputs / "searchers.json").read_text())
+    (inputs / "searchers.json").write_text(json.dumps({
+        "labels": {names[k]: v for k, v in searchers["labels"].items()},
+        "integrated_with": {names[k]: v for k, v in searchers["integrated_with"].items()}}))
+    return inputs
+
+
+def test_stagewise_equals_all(synth_inputs, awkward_labels, tmp_path):
+    for k, inputs in enumerate((synth_inputs, awkward_labels)):
+        staged = tmp_path / f"staged{k}"
+        combined = tmp_path / f"combined{k}"
+        for stage in ("detect", "markout", "horizon", "estimate", "market", "builder"):
+            assert main([stage, "--input-dir", str(inputs), "--out-dir", str(staged)]) == 0
+        main(["all", "--input-dir", str(inputs), "--out-dir", str(combined)])
+        for p in combined.glob("*.csv"):
+            assert p.read_bytes() == (staged / p.name).read_bytes(), (inputs, p.name)
+    with open(combined / "detections.csv", newline="") as f:
+        labels = {r["searcher_label"] for r in csv.DictReader(f)}
+    assert labels == {" s_pad ", 's,"q"', "s_é"}
 
 
 def test_stagewise_manifest_equals_all(synth_inputs, tmp_path):

@@ -3,8 +3,10 @@ the market and builder stages make over them."""
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 from decimal import Decimal
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cexdex import _kernels, builder, estimate, horizon, market, pipeline
+from cexdex import _kernels, builder, data_model, estimate, horizon, market, pipeline
 from cexdex.cli import main
 from cexdex.data_model import Table
 from cexdex.detect import ArbTrade, DetectionVerdict
@@ -117,6 +119,46 @@ def test_reader_refuses_a_field_it_cannot_decode(tmp_path):
     pipeline._write_csv(path, pipeline._columns(Row), [["a"], ["[1]"]])
     with pytest.raises(TypeError, match=r"list\[int\]"):
         pipeline._read_output(path, Row, "test")
+
+
+@dataclasses.dataclass(frozen=True)
+class FloatRow:
+    label: "str"
+    value: "float"
+    maybe: "float | None"
+
+
+# random bit patterns, and the edges: signed zeros, subnormals, infinities, NaN
+any_bits = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                               2.2250738585072014e-308, 1.7976931348623157e308,
+                               float("inf"), float("-inf"), float("nan")])
+
+
+def written_bits(values) -> np.ndarray:
+    """Each float's bits as a CSV can hold them: repr writes every NaN as nan."""
+    floats = np.array([float("nan") if v != v else v for v in values], dtype=np.float64)
+    return floats.view(np.int64)
+
+
+@pytest.mark.parametrize("label, tokenized", [("s", True), ("s_é", False)])
+@given(rows=st.lists(st.tuples(any_bits | edge_floats, any_bits | edge_floats | st.none()),
+                     min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_floats_round_trip_bit_for_bit(tmp_path_factory, label, tokenized, rows):
+    """What _write_output writes, _read_output reads back with every float's
+    bits, on the tokenizer path and on the cell pass (a non-ASCII cell)."""
+    path = tmp_path_factory.mktemp("floats") / "floats.csv"
+    values, maybe = [v for v, _ in rows], [m for _, m in rows]
+    pipeline._write_output(path, Table(FloatRow, [[label] * len(rows), values, maybe]))
+    kinds = {f.name: pipeline._KINDS[f.type] for f in dataclasses.fields(FloatRow)}
+    assert (data_model._tokenize_columns(path, kinds) is not None) == tokenized
+    read = pipeline._read_output(path, FloatRow, "test")
+    assert read.label.tolist() == [label] * len(rows)
+    assert np.array_equal(written_bits(read.value.tolist()), written_bits(values))
+    assert [m is None for m in read.maybe] == [m is None for m in maybe]
+    assert np.array_equal(written_bits([m for m in read.maybe if m is not None]),
+                          written_bits([m for m in maybe if m is not None]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +276,11 @@ def test_builder_sp_sums_in_economics_row_order(tmp_path):
     sp = {int(r["block_number"]): float(r["sp_usd"]) for r in read_rows(out / "builder_blocks.csv")}
     assert sorted(sp) == [1, 2, 3, 4]
     for bn, builder in builders.items():
-        expected = sum(
+        # a left-to-right fold, as _kernels.group_sum adds (from Python 3.12 sum() compensates)
+        expected = functools.reduce(operator.add, (
             float(r["pnl_usd"]) for r in econ
             if int(r["block_number"]) == bn and r["searcher_label"] == "s_int"
-        ) if builder == "builderA" else 0.0
+        ), 0.0) if builder == "builderA" else 0.0
         assert sp[bn] == expected, bn
     # the order matters for these values, so the check above pins it
     assert sp[1] == 0.0 and sum([1e16, -1e16, 1.0]) == 1.0
@@ -559,6 +602,7 @@ def damage_cell(path: Path, column: str) -> None:
     ("detections.csv", "amount_bought", "markout"),  # Decimal
     ("detections.csv", "block_number", "markout"),  # int
     ("markouts.csv", "mr_usd@0.0", "horizon"),
+    ("profiles.csv", "low_confidence", "estimate"),  # bool
 ])
 def test_undecodable_output_cell_exits_1(markout_corpus, tmp_path, capsys, name, column, stage):
     inputs, out = markout_corpus
@@ -871,12 +915,19 @@ PINNED_RUN_DIGESTS = {
 
 @pytest.mark.parametrize("scenario", sorted(PINNED_RUN_DIGESTS))
 def test_all_writes_pinned_bytes(scenario, request, tmp_path):
+    """cexdex all, and the six stage commands run one by one, each a fresh
+    process's worth of reading the outputs before it, write the pinned bytes."""
     if scenario == "handoff":
+        inputs = request.getfixturevalue("handoff_corpus")
         assert all_digests(request.getfixturevalue("handoff_out")) == PINNED_RUN_DIGESTS[scenario]
-        return
-    generate({"small": small_config, "varied": varied_config}[scenario](), tmp_path / "in")
-    assert main(["all", "--input-dir", str(tmp_path / "in"), "--out-dir", str(tmp_path / "out")]) == 0
-    assert all_digests(tmp_path / "out") == PINNED_RUN_DIGESTS[scenario]
+    else:
+        inputs = tmp_path / "in"
+        generate({"small": small_config, "varied": varied_config}[scenario](), inputs)
+        assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "out")]) == 0
+        assert all_digests(tmp_path / "out") == PINNED_RUN_DIGESTS[scenario]
+    for stage in pipeline.STAGE_ORDER:
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(tmp_path / "stages")]) == 0
+    assert all_digests(tmp_path / "stages") == PINNED_RUN_DIGESTS[scenario]
 
 
 def test_ev_uses_t_star_offset(markout_corpus):
@@ -900,7 +951,8 @@ def test_all_parses_no_stage_output(markout_corpus, tmp_path, monkeypatch):
     out = tmp_path / "out"
     read: list[str] = []
     parse = pipeline._read_csv
-    monkeypatch.setattr(pipeline, "_read_csv", lambda path: read.append(path.name) or parse(path))
+    monkeypatch.setattr(pipeline, "_read_csv",
+                        lambda path, *args: read.append(path.name) or parse(path, *args))
     assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
     assert read == []
     assert main(["estimate", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
