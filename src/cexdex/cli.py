@@ -60,7 +60,7 @@ def _write_charts(ws: pipeline.Workspace) -> None:
         return
     import numpy as np
 
-    from . import estimate, horizon as horizon_mod, market
+    from . import estimate, market
 
     rows = {}
     if (ws.out_dir / "markouts.csv").exists():
@@ -68,14 +68,15 @@ def _write_charts(ws: pipeline.Workspace) -> None:
         rows = table.included_rows()
     if rows:
         fig, ax = plt.subplots(figsize=(8, 5))
+        offsets = ws.grid.offsets_s
         for label in sorted(rows):
             grs = table.gr[rows[label]]
-            med = horizon_mod.median_curve(label, grs, ws.grid)
+            med = np.median(grs, axis=0)
             q25, q75 = np.quantile(grs, [0.25, 0.75], axis=0)
-            ax.plot(med.grid.offsets_s, med.median_gr * 1e4, label=label)
-            ax.fill_between(med.grid.offsets_s, q25 * 1e4, q75 * 1e4, alpha=0.15)
-            peak = int(np.argmax(med.median_gr))
-            ax.plot(med.grid.offsets_s[peak], med.median_gr[peak] * 1e4, "v")
+            ax.plot(offsets, med * 1e4, label=label)
+            ax.fill_between(offsets, q25 * 1e4, q75 * 1e4, alpha=0.15)
+            peak = int(np.argmax(med))
+            ax.plot(offsets[peak], med[peak] * 1e4, "v")
         ax.set_xlabel("markout offset (s)")
         ax.set_ylabel("median gross return (bps)")
         ax.legend(fontsize=7)

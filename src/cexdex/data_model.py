@@ -208,9 +208,10 @@ def _bool(raw: str) -> bool:
 
 
 def parse_amount(raw: str) -> Decimal:
-    """A token amount, finite, to AMOUNT_CONTEXT's 50 digits."""
+    """A token amount to AMOUNT_CONTEXT's 50 digits, whose float() is finite:
+    the markout prices an amount as a float."""
     d = AMOUNT_CONTEXT.create_decimal(raw.strip())
-    if not d.is_finite():
+    if not (d.is_finite() and math.isfinite(float(d))):
         raise ValueError(raw)
     return d
 
@@ -668,10 +669,12 @@ def load_searchers(path: str | Path) -> SearcherLabelFile:
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{name} must be a JSON object")
-    labels, integrated = raw.get("labels") or {}, raw.get("integrated_with") or {}
-    for key, section in (("labels", labels), ("integrated_with", integrated)):
+    sections = {key: {} if raw.get(key) is None else raw[key]  # null is absent
+                for key in ("labels", "integrated_with")}
+    for key, section in sections.items():
         if not isinstance(section, dict):
             raise InvalidConfig(f"{key!r} in {name} must be an object keyed by searcher label")
+    labels, integrated = sections.values()
     for label, addrs in labels.items():
         if not isinstance(addrs, list) or not all(isinstance(a, str) for a in addrs):
             raise InvalidConfig(f"'labels' of {label!r} in {name} must be a list of "

@@ -26,7 +26,6 @@ from .data_model import (
     AMOUNT_CONTEXT, DUST_THRESHOLD, SearcherLabelFile, Table, TokenRegistry, TransactionTable,
     parse_amount, strings,
 )
-from .errors import NotTwoSided
 
 HEURISTICS = ("H1", "H2", "H3", "H4", "H5", "H6")
 # why a transaction fails each of H1-H5
@@ -76,16 +75,15 @@ def aggregate_swaps(tokens_in, amounts_in, tokens_out, amounts_out) -> dict[str,
     return {t: v for t, v in net.items() if abs(v) > DUST_THRESHOLD}
 
 
-def effective_pair(net_flows: dict[str, Decimal]) -> tuple[str, Decimal, str, Decimal]:
-    """Reduce net flows to (token_bought, x, token_sold, y).
-
-    Raises NotTwoSided unless exactly one token was netted in and exactly
-    one netted out (atomic loops and 3+-legged residuals are rejected).
+def effective_pair(net_flows: dict[str, Decimal]) -> tuple[str, Decimal, str, Decimal] | None:
+    """Reduce net flows to (token_bought, x, token_sold, y), or None unless
+    exactly one token was netted in and exactly one netted out (atomic loops
+    and 3+-legged residuals are rejected).
     """
     bought = [(t, v) for t, v in net_flows.items() if v > 0]
     sold = [(t, v) for t, v in net_flows.items() if v < 0]
     if len(bought) != 1 or len(sold) != 1 or len(net_flows) != 2:
-        raise NotTwoSided(f"net flows over {len(net_flows)} tokens")
+        return None
     (token_bought, x), (token_sold, y) = bought[0], sold[0]
     return token_bought, x, token_sold, AMOUNT_CONTEXT.minus(y)
 
@@ -131,12 +129,11 @@ def detect_all(
         net = aggregate_swaps(table.token_in[swaps].tolist(), table.amount_in[swaps].tolist(),
                               table.token_out[swaps].tolist(), table.amount_out[swaps].tolist())
         n_tokens[j] = len(net)
-        try:
-            bought[j], x, sold[j], y = effective_pair(net)
+        pair = effective_pair(net)
+        if pair is not None:
+            bought[j], x, sold[j], y = pair
             netted[j] = (x, y)
-        except NotTwoSided:
-            pass
-        two_sided[j] = j in netted
+        two_sided[j] = pair is not None
     has_pair = no_erc721 & two_sided
     pair_tokens, code = np.unique(np.concatenate([bought[has_pair], sold[has_pair]]),
                                   return_inverse=True)

@@ -1,8 +1,9 @@
 """Exception types shared across the pipeline.
 
 Loader errors carry enough context (row index, file, field) to point at the
-offending input line; computation errors signal exclusion or misuse and are
-caught by the stage drivers rather than aborting a whole run.
+offending input line. A stage's own outcomes, such as a time without a fresh
+quote or a decline window that leaves the grid, are return values, not
+errors; the statistics errors mark an analysis the market stage skips.
 """
 
 
@@ -74,41 +75,15 @@ class StaleQuote(PipelineError):
         super().__init__(f"latest quote is {gap_ms} ms old")
 
 
-class UnlistedToken(PipelineError):
-    def __init__(self, token: str):
-        self.token = token
-        super().__init__(f"token {token} is not CEX-listed")
-
-
 class UnknownToken(PipelineError):
     def __init__(self, token: str):
         self.token = token
         super().__init__(f"token {token} not in registry")
 
 
-# --- detection ---
-
-class NotTwoSided(PipelineError):
-    """Net flows do not reduce to exactly one bought and one sold token."""
-
-
 # --- markout / economics ---
 
 class PatternThreeExcluded(PipelineError):
-    pass
-
-
-# --- horizon ---
-
-class NoTrades(PipelineError):
-    pass
-
-
-class PeakNonPositive(PipelineError):
-    pass
-
-
-class OutOfGrid(PipelineError):
     pass
 
 

@@ -20,7 +20,6 @@ from .config import MarkoutGrid, PipelineConfig
 from ._kernels import group_rows
 from .data_model import Table, TokenRegistry
 from .detect import ArbTrade
-from .errors import NoQuoteBefore, UnknownToken, UnlistedToken
 from .quotes import QuoteStore
 
 EXCLUSION_QUOTE_GAP = "QuoteGap"
@@ -64,22 +63,22 @@ def gross_return(mr: np.ndarray, volume_usd: np.ndarray) -> np.ndarray:
 def _usd_prices(tokens: np.ndarray, queries: np.ndarray, store: QuoteStore,
                 registry: TokenRegistry, staleness_ms: int):
     """USD prices of ``tokens[i]`` at the times in row i of ``queries``, and a
-    mask of the rows priced at every time. One lookup per quote series."""
+    mask of the rows priced at every time. An unknown or unlisted token has
+    no price; USDT is 1; any other token is its ``<quote_symbol>USDT`` mid.
+    One lookup per quote series."""
     prices = np.ones(queries.shape)
     ok = np.ones(len(tokens), dtype=bool)
     names, code = np.unique(tokens, return_inverse=True)
-    rows_by_series: dict[str, tuple] = {}
+    rows_by_symbol: dict[str, list] = {}
     for token, rows in zip(names.tolist(), group_rows(code, len(names))):
-        try:
-            series = store.usd_series(token, registry)
-        except (NoQuoteBefore, UnlistedToken, UnknownToken):
+        info = registry.get(token)
+        if info is None or not info.cex_listed:
             ok[rows] = False
-            continue
-        if series is not None:
-            rows_by_series.setdefault(series.symbol, (series, []))[1].append(rows)
-    for series, rows in rows_by_series.values():
+        elif info.quote_symbol != "USDT":
+            rows_by_symbol.setdefault(f"{info.quote_symbol}USDT", []).append(rows)
+    for symbol, rows in rows_by_symbol.items():
         rows = np.concatenate(rows)
-        prices[rows], status = series.mid_many(queries[rows], staleness_ms)
+        prices[rows], status = store.mids(symbol, queries[rows], staleness_ms)
         ok[rows] &= ~status.any(axis=1)
     return prices, ok
 
@@ -104,7 +103,7 @@ def markout_table(trades: Table, grid: MarkoutGrid, store: QuoteStore,
     mr = leg_a - leg_b - cfg.taker_fee_rate * (leg_a + leg_b)
     priced = ok[:n] & ok[n:]
     mr[~priced] = 0.0
-    eth, eth_priced = store.eth_usd_many(trades.slot_time_ms, cfg.quote_staleness_ms)
+    eth, eth_priced = store.eth_usd(trades.slot_time_ms, cfg.quote_staleness_ms)
     base_fee_usd = trades.base_fee_eth * eth
     inventory = np.all(mr < base_fee_usd[:, None], axis=1)  # MR never covers the base fee
     reasons = [

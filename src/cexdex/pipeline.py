@@ -319,9 +319,9 @@ def run_estimate(ws: Workspace) -> None:
                        for p in label_profiles], dtype=bool)
     is_priced = included & peaked[code]
     rows, priced = np.flatnonzero(is_priced), trades.select(is_priced)
-    eth = np.zeros(0)
-    if len(rows):  # one lookup; raises for the first trade without an ETH quote
-        eth = ws.quotes.eth_usd(priced.slot_time_ms, ws.config.quote_staleness_ms)
+    eth, eth_ok = ws.quotes.eth_usd(priced.slot_time_ms, ws.config.quote_staleness_ms)
+    if not eth_ok.all():  # refused at the first trade without an ETH quote
+        raise ws.quotes.unpriced("ETHUSDT", int(priced.slot_time_ms[np.argmin(eth_ok)]))
     cols = np.zeros(len(labels), dtype=np.int64)  # MR at each searcher's t* column
     for k in np.unique(code[rows]).tolist():
         cols[k] = estimate_mod.t_star_column(label_profiles[k], ws.grid)
@@ -474,7 +474,7 @@ def run_market(ws: Workspace) -> None:
 
 def run_builder(ws: Workspace) -> None:
     blocks = ws.blocks
-    mids, ok = ws.quotes.eth_usd_many(blocks.slot_time_ms, ws.config.quote_staleness_ms)
+    mids, ok = ws.quotes.eth_usd(blocks.slot_time_ms, ws.config.quote_staleness_ms)
     used, eth = blocks.select(ok), mids[ok]
     per_block = builder_mod.block_economics(used, ws.economics, ws.labels.builder_to_searcher(),
                                             eth)

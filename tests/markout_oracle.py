@@ -2,45 +2,59 @@
 batched, frozen here as the reference the batched path must equal bit for bit.
 
 One trade per call, returning its (MR, GR, exclusion reason): the registry
-rule and a raising quote lookup for each leg at every grid offset, then one
-ETHUSDT lookup at the slot for the inventory rule. It deliberately shares no
-code with ``cexdex.markout`` beyond the quote store's single-series lookup.
+rule and a quote lookup for each leg at every grid offset, then one ETHUSDT
+lookup at the slot for the inventory rule. It shares no code with
+``cexdex.markout`` or the quote store's lookup: it reads the store's
+(ts, bid, ask) arrays with its own step lookup.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 
-from cexdex.errors import NoQuoteBefore, StaleQuote, UnknownToken, UnlistedToken
+
+def _mids(store, symbol, t_ms, staleness_ms):
+    """The mid of the last quote of ``symbol`` at or before each time in
+    ``t_ms``, or None when one of them has none within ``staleness_ms``."""
+    if symbol not in store.series:
+        return None
+    ts, bid, ask = store.series[symbol]
+    mids = []
+    for t in t_ms:
+        i = bisect_right(ts, t) - 1
+        if i < 0 or t - ts[i] > staleness_ms:
+            return None
+        mids.append((bid[i] + ask[i]) / 2.0)
+    return np.array(mids)
 
 
 def _usd_price(token, t_ms, store, registry, staleness_ms):
+    """USD prices of ``token`` at ``t_ms``, or None: an unknown or unlisted
+    token has none, USDT is 1, any other token is its <quote_symbol>USDT mid."""
     info = registry.get(token)
-    if info is None:
-        raise UnknownToken(token)
-    if not info.cex_listed:
-        raise UnlistedToken(token)
+    if info is None or not info.cex_listed:
+        return None
     if info.quote_symbol == "USDT":
         return np.ones(len(t_ms))
-    return store.mid(f"{info.quote_symbol}USDT", t_ms, staleness_ms)
+    return _mids(store, f"{info.quote_symbol}USDT", t_ms, staleness_ms)
 
 
 def oracle_curve(trade, grid, store, registry, cfg):
     """(MR, GR, exclusion reason or None) of one trade over ``grid``."""
     n = len(grid.offsets_ms)
-    query_ts = np.asarray([trade.slot_time_ms + off for off in grid.offsets_ms], dtype=np.int64)
-    try:
-        pa = _usd_price(trade.token_bought, query_ts, store, registry, cfg.quote_staleness_ms)
-        pb = _usd_price(trade.token_sold, query_ts, store, registry, cfg.quote_staleness_ms)
-    except (NoQuoteBefore, StaleQuote, UnlistedToken, UnknownToken):
+    query_ts = [trade.slot_time_ms + off for off in grid.offsets_ms]
+    pa = _usd_price(trade.token_bought, query_ts, store, registry, cfg.quote_staleness_ms)
+    pb = _usd_price(trade.token_sold, query_ts, store, registry, cfg.quote_staleness_ms)
+    if pa is None or pb is None:
         return np.zeros(n), np.zeros(n), "QuoteGap"
     leg_a = float(trade.amount_bought) * pa
     leg_b = float(trade.amount_sold) * pb
     mr = leg_a - leg_b - cfg.taker_fee_rate * (leg_a + leg_b)
     gr = mr / trade.volume_usd if trade.volume_usd > 0 else np.zeros(n)
-    try:
-        eth = store.mid("ETHUSDT", trade.slot_time_ms, cfg.quote_staleness_ms)
-    except (NoQuoteBefore, StaleQuote):
+    eth = _mids(store, "ETHUSDT", [trade.slot_time_ms], cfg.quote_staleness_ms)
+    if eth is None:
         return mr, gr, "QuoteGap"
-    if np.all(mr < trade.base_fee_eth * eth):
+    if np.all(mr < trade.base_fee_eth * eth[0]):
         return mr, gr, "InventoryAdjustment"
     return mr, gr, None
 

@@ -111,13 +111,21 @@ def test_config_that_is_not_an_object_exits_1(synth_inputs, tmp_path, capsys):
     assert "JSON object" in err["message"]
 
 
+SEARCHERS_KEYS = ("labels", "integrated_with")
+# section values that are not an object; null is read as absent, not refused
+NOT_OBJECTS = {"list": [], "zero": 0, "empty_string": "", "false": False}
+
+
 @pytest.mark.parametrize("searchers, message", [
     ([{"labels": {}}], "searchers.json must be a JSON object"),
     ({"labels": {"s_gentle": "0x5ea"}},
      "'labels' of 's_gentle' in searchers.json must be a list of address strings"),
     ({"labels": {"s_gentle": ["0x5ea"]}, "integrated_with": {"s_gentle": ["builderA"]}},
      "'integrated_with' of 's_gentle' in searchers.json must be one builder label"),
-], ids=["top_level_list", "labels_a_string", "integrated_with_a_list"])
+    *(({key: section}, f"{key!r} in searchers.json must be an object keyed by searcher label")
+      for key in SEARCHERS_KEYS for section in NOT_OBJECTS.values()),
+], ids=["top_level_list", "labels_a_string", "integrated_with_a_list",
+        *(f"{key}_is_{name}" for key in SEARCHERS_KEYS for name in NOT_OBJECTS)])
 def test_searchers_of_another_shape_exit_1(synth_inputs, tmp_path, capsys, searchers, message):
     rc, err, _ = run_with_replaced_input(
         synth_inputs, tmp_path, capsys, "searchers.json", json.dumps(searchers))

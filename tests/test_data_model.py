@@ -388,6 +388,13 @@ def test_load_searchers(tmp_path):
     assert labels.integrated_with == {"s1": "builderA"}
 
 
+def test_searchers_section_that_is_null_is_absent(tmp_path):
+    p = tmp_path / "searchers.json"
+    p.write_text(json.dumps({"labels": None, "integrated_with": None}))
+    labels = load_searchers(p)
+    assert (labels.labels, labels.integrated_with) == ({}, {})
+
+
 def third_row_short(text: str) -> str:
     """``text`` with a blank line before data row 3, which keeps only its
     first two fields."""
@@ -763,12 +770,21 @@ def test_load_block_records_equals_a_csv_reference(tmp_path, text, tokenized):
 @pytest.mark.parametrize("column, cell", [
     ("volume_usd", "nan"), ("base_fee_eth", "NaN"), ("priority_fee_eth", "inf"),
     ("coinbase_transfer_eth", "1e400"), ("amount_in", "Infinity"), ("amount_in", "NaN"),
-    ("amount_in", "sNaN"), ("amount_out", "-inf"),
+    ("amount_in", "sNaN"), ("amount_out", "-inf"), ("amount_out", "1e400"),
 ])
 def test_load_transactions_refuses_non_finite_numbers(tmp_path, column, cell):
     with pytest.raises(MalformedRow) as e:
         load_transactions(edited_transactions(tmp_path, [(3, column, cell)]))
     assert str(e.value) == row_error(3, f"bad value {cell!r} in {column}")
+
+
+def test_cell_pass_refuses_an_amount_past_the_largest_double(tmp_path):
+    """Decimal holds 1e400, but the float the markout prices it at is inf;
+    the non-ASCII dex sends the file to the cell pass from the start."""
+    with pytest.raises(MalformedRow) as e:
+        load_transactions(edited_transactions(
+            tmp_path, [(1, "dex", "dé"), (3, "amount_out", "1e400")]))
+    assert str(e.value) == row_error(3, "bad value '1e400' in amount_out")
 
 
 @pytest.mark.parametrize("column, cell", [

@@ -47,6 +47,9 @@ def test_aggregate_exact_decimal_no_drift(tmp_path, registry):
 def test_effective_pair():
     bought, x, sold, y = effective_pair({"0xA": Decimal(-1), "0xC": Decimal(5)})
     assert (bought, x, sold, y) == ("0xC", Decimal(5), "0xA", Decimal(1))
+    assert effective_pair({"0xA": Decimal(-1), "0xB": Decimal(-2), "0xC": Decimal(5)}) is None
+    assert effective_pair({"0xA": Decimal(1), "0xC": Decimal(5)}) is None
+    assert effective_pair({}) is None
 
 
 def h6_reason(tmp_path, registry, *swaps) -> str:

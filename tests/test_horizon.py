@@ -1,134 +1,138 @@
+import math
+
 import numpy as np
 import pytest
 
 from cexdex.config import MarkoutGrid, PipelineConfig
-from cexdex.errors import NoTrades, OutOfGrid, PeakNonPositive
-from cexdex.horizon import (
-    MedianCurve,
-    classify_pattern,
-    decline_after_peak,
-    median_curve,
-    optimal_horizon,
-)
+from cexdex.horizon import build_profile
 
-GRID = MarkoutGrid(PipelineConfig())  # the 23 offsets -1.0 .. 10.0 s
+CFG = PipelineConfig()  # flat within 1 bps, abrupt from a 50% decline
+GRID = MarkoutGrid(CFG)  # the 23 offsets -1.0 .. 10.0 s; offset 0 is column 2, +3 s column 8
 
 
-def grs(*rows):
-    """A searcher's GR rows, one per trade, over the 23 default offsets."""
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 23)
+def profile(*rows, offsets=None, cfg=CFG):
+    """build_profile of GR rows, one per trade, over ``offsets`` (the 23
+    default offsets when None)."""
+    grid = GRID
+    if offsets is not None:
+        grid = MarkoutGrid(PipelineConfig(grid_start_s=offsets[0], grid_end_s=offsets[-1],
+                                          grid_step_s=offsets[1] - offsets[0]))
+        assert grid.offsets_s == list(offsets)
+    return build_profile("s", np.array(rows, dtype=np.float64), cfg, grid)
 
 
-def med(values, offsets=None):
-    values = np.asarray(values, dtype=np.float64)
-    if offsets is None:
-        offsets = [-1.0 + 0.5 * k for k in range(len(values))]
-    grid = MarkoutGrid(PipelineConfig(grid_start_s=offsets[0], grid_end_s=offsets[-1],
-                                      grid_step_s=offsets[1] - offsets[0]))
-    assert grid.offsets_s == list(offsets)
-    return MedianCurve(searcher_label="s", grid=grid,
-                       median_gr=values, n_trades=1)
+def peak_at_zero(at_peak, at_3s, rest=0.0):
+    """A 23-offset row: ``at_peak`` at offset 0, ``at_3s`` at +3 s, ``rest`` elsewhere."""
+    row = np.full(23, rest)
+    row[2], row[8] = at_peak, at_3s
+    return row
 
 
 def test_median_odd():
-    assert median_curve("s", grs([1.0] * 23, [2.0] * 23, [3.0] * 23), GRID).median_gr[0] == 2.0
+    # medians 2 at t* and 1 at +3 s; the mean at t* would be 3
+    p = profile(peak_at_zero(1.0, 1.0), peak_at_zero(2.0, 1.0), peak_at_zero(6.0, 1.0))
+    assert p.t_star_s == 0.0 and p.decline_3s_fraction == 0.5 and p.n_arb_trades == 3
 
 
 def test_median_even_is_midpoint():
-    rows = grs(*([float(v)] * 23 for v in (1, 2, 3, 4)))
-    assert median_curve("s", rows, GRID).median_gr[0] == 2.5
+    # the median at t* is 2.5, the mean of the two central values, so the decline is 0.6
+    p = profile(*(peak_at_zero(v, 1.0) for v in (1.0, 2.0, 3.0, 4.0)))
+    assert p.decline_3s_fraction == pytest.approx(0.6) and p.n_arb_trades == 4
 
 
 def test_median_single_trade_identity():
     gr = np.linspace(0.0, 1.0, 23)
-    m = median_curve("s", grs(gr), GRID)
-    assert np.array_equal(m.median_gr, gr)
-    assert m.grid is GRID and m.n_trades == 1
-
-
-def test_median_no_trades():
-    with pytest.raises(NoTrades):
-        median_curve("s", grs(), GRID)
+    p = profile(gr)
+    assert p.t_star_s == 10.0 and p.n_arb_trades == 1 and p.low_confidence
 
 
 def test_optimal_horizon_unique_max():
-    assert optimal_horizon(med([1, 2, 3, 2, 1], [-1, -0.5, 0, 0.5, 1])) == 0
+    assert profile([1, 2, 3, 2, 1], offsets=[-1, -0.5, 0, 0.5, 1]).t_star_s == 0
 
 
 def test_optimal_horizon_leading_plateau():
-    assert optimal_horizon(med([1, 3, 3, 2], [0, 0.5, 1.0, 1.5])) == 1.0
+    assert profile([1, 3, 3, 2], offsets=[0, 0.5, 1.0, 1.5]).t_star_s == 1.0
 
 
 def test_optimal_horizon_ignores_later_equal_peak():
     # second peak after a strict decrease is not part of the leading plateau
-    assert optimal_horizon(med([1, 3, 2, 3], [0, 0.5, 1.0, 1.5])) == 0.5
+    assert profile([1, 3, 2, 3], offsets=[0, 0.5, 1.0, 1.5]).t_star_s == 0.5
 
 
 def test_optimal_horizon_scale_invariant():
-    values = [1, 5, 4, 2, 1]
-    offs = [0, 0.5, 1.0, 1.5, 2.0]
-    assert optimal_horizon(med(values, offs)) == optimal_horizon(
-        med([7.3 * v for v in values], offs)
-    )
+    values = np.array([1, 5, 4, 2, 1, 3, 2, 1], dtype=np.float64) * 1e-3
+    offs = [0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+    p, scaled = profile(values, offsets=offs), profile(7.3 * values, offsets=offs)
+    assert (p.t_star_s, p.pattern) == (scaled.t_star_s, scaled.pattern) == (0.5, "P2")
+    assert p.decline_3s_fraction == pytest.approx(scaled.decline_3s_fraction)
 
 
 def test_decline_after_peak():
-    # 23-point grid, peak 10 bps at t*=0, 4 bps at +3s
-    values = np.full(23, 4e-4)
-    values[2] = 1e-3  # offset 0
-    curve = med(values)
-    assert decline_after_peak(curve, 0.0) == pytest.approx(0.6)
+    # peak 10 bps at t*=0, 4 bps at +3s
+    p = profile(np.where(np.arange(23) == 2, 1e-3, 4e-4))
+    assert (p.t_star_s, p.pattern) == (0.0, "P2")
+    assert p.decline_3s_fraction == pytest.approx(0.6)
 
 
-def test_decline_flat_is_zero():
-    assert decline_after_peak(med(np.ones(23)), 0.0) == 0.0
+def test_classify_abrupt():
+    p = profile(peak_at_zero(1e-3, 4e-4, rest=4e-4))  # 60% drop over 3 s
+    assert p.pattern == "P2"
 
 
 def test_decline_out_of_grid():
-    with pytest.raises(OutOfGrid):
-        decline_after_peak(med(np.ones(23)), 8.0)
+    # t* = 8.0 s: the window ends at 11.0 s, past the grid; no decline is written
+    p = profile(np.where(np.arange(23) == 18, 1e-3, 1e-4))
+    assert (p.t_star_s, p.decline_3s_fraction) == (8.0, None)
+
+
+def test_decline_flat_is_zero():
+    # the median dips after t* and is back at the peak's level 3 s later
+    p = profile(peak_at_zero(1e-3, 1e-3, rest=5e-4))
+    assert (p.t_star_s, p.pattern, p.decline_3s_fraction) == (0.0, "P1", 0.0)
+
+
+def test_classify_peak_near_grid_end():
+    # peak at +9.5s: the 3 s window leaves the grid, the drop to the end is 90%
+    values = np.full(23, 2e-4)
+    values[21], values[22] = 1e-3, 1e-4
+    p = profile(values)
+    assert (p.t_star_s, p.pattern, p.decline_3s_fraction) == (9.5, "P2", None)
 
 
 def test_decline_peak_nonpositive():
-    with pytest.raises(PeakNonPositive):
-        decline_after_peak(med(np.zeros(23)), 0.0)
+    p = profile(peak_at_zero(-1e-4, -5e-4, rest=-5e-4))
+    assert (p.t_star_s, p.pattern, p.decline_3s_fraction) == (0.0, "P1", None)
 
 
-def test_classify_flat(config):
-    values = np.linspace(0, 0.5e-4, 23)  # 0.5 bps range, epsilon 1 bps
-    assert classify_pattern(med(values), config) == "P3"
+def test_nan_peak_keeps_nan_decline():
+    p = profile(peak_at_zero(np.nan, 4e-4, rest=4e-4))
+    assert (p.t_star_s, p.pattern) == (0.0, "P1")
+    assert type(p.decline_3s_fraction) is float and math.isnan(p.decline_3s_fraction)
 
 
-def test_classify_abrupt(config):
-    values = np.full(23, 4e-4)
-    values[2] = 1e-3  # 60% drop over 3 s
-    assert classify_pattern(med(values), config) == "P2"
+def test_classify_flat():
+    p = profile(np.linspace(0, 0.5e-4, 23))  # 0.5 bps range, epsilon 1 bps
+    assert (p.t_star_s, p.pattern, p.decline_3s_fraction) == (None, "P3", None)
 
 
-def test_classify_gentle(config):
-    values = np.full(23, 8e-4)
-    values[2] = 1e-3  # 20% drop
-    assert classify_pattern(med(values), config) == "P1"
+def test_classify_gentle():
+    p = profile(peak_at_zero(1e-3, 8e-4, rest=8e-4))  # 20% drop
+    assert p.pattern == "P1" and p.decline_3s_fraction == pytest.approx(0.2)
 
 
 def test_classify_threshold_boundary():
-    cfg = PipelineConfig(pattern_abrupt_drop_fraction=0.5)
-    values = np.full(23, 5e-4)
-    values[2] = 1e-3  # exactly 50% decline -> P2 (>= threshold)
-    assert classify_pattern(med(values), cfg) == "P2"
+    # exactly 50% decline -> P2 (>= threshold)
+    p = profile(peak_at_zero(1e-3, 5e-4, rest=5e-4),
+                cfg=PipelineConfig(pattern_abrupt_drop_fraction=0.5))
+    assert (p.pattern, p.decline_3s_fraction) == ("P2", 0.5)
 
 
-def test_classify_peak_near_grid_end(config):
-    # peak at +8.5s: the 3 s window leaves the grid, decline measured to end
-    values = np.full(23, 2e-4)
-    values[21] = 1e-3
-    values[22] = 1e-4
-    assert classify_pattern(med(values), config) == "P2"
+def test_profile_values_are_python_floats():
+    p = profile(np.where(np.arange(23) == 2, 1e-3, 4e-4))
+    assert type(p.t_star_s) is float and type(p.decline_3s_fraction) is float
 
 
 def test_median_is_argmax_consistent():
     values = np.random.default_rng(3).uniform(0, 1, 23)
-    curve = med(values)
-    t_star = optimal_horizon(curve)
-    idx = curve.grid.index_of(t_star)
+    idx = GRID.index_of(profile(values).t_star_s)
     assert np.all(values[idx] >= values)

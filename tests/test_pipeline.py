@@ -685,6 +685,19 @@ def test_estimate_fails_on_first_trade_without_eth_quote(markout_corpus, tmp_pat
     assert err == {"error": "StaleQuote", "message": f"latest quote is {gap} ms old"}
 
 
+def test_estimate_names_first_priced_trade_without_eth_series(markout_corpus, tmp_path, capsys):
+    # with no ETHUSDT row at all, the error names the slot time of the first priced trade
+    inputs, out = markout_corpus
+    inputs = copy_tree(inputs, tmp_path / "in")
+    out = copy_tree(out, tmp_path / "out")
+    first = int(read_rows(out / "economics.csv")[0]["slot_time_ms"])
+    assert drop_eth_quotes(inputs, lambda ts: False) == []
+    capsys.readouterr()
+    assert main(["estimate", "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "NoQuoteBefore", "message": f"no quote at or before t={first}"}
+
+
 # ---------------------------------------------------------------------------
 # manifest: digest and row count from one binary pass
 
@@ -747,8 +760,7 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
     ws = pipeline.Workspace(src, out)
     table = ws.markouts
     spread_bps = {
-        label: float(np.ptp(horizon.median_curve(label, table.gr[rows], ws.grid)
-                            .median_gr)) * 1e4
+        label: float(np.ptp(np.median(table.gr[rows], axis=0))) * 1e4
         for label, rows in table.included_rows().items()
     }
     assert spread_bps["s_flat"] < min(v for k, v in spread_bps.items() if k != "s_flat")
@@ -767,7 +779,8 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
             break
     else:
         raise AssertionError("every included trade peaks at its searcher's t*")
-    eth = ws.quotes.eth_usd(trade.slot_time_ms, ws.config.quote_staleness_ms)
+    mids, _ = ws.quotes.eth_usd([trade.slot_time_ms], ws.config.quote_staleness_ms)
+    eth = float(mids[0])
     txs = read_rows(inputs / "transactions.csv")
     for r in txs:
         if r["tx_hash"] == trade.tx_hash:

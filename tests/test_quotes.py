@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cexdex.errors import NoQuoteBefore, StaleQuote, UnknownToken, UnlistedToken
+from cexdex._kernels import LOOKUP_NO_QUOTE, LOOKUP_OK, LOOKUP_STALE
+from cexdex.errors import NoQuoteBefore, StaleQuote
+from cexdex.markout import _usd_prices
 
-from conftest import TOKA, TOKB, USDT, WETH, make_store
+from conftest import TOKA, TOKB, TOKC, USDT, WETH, make_store
 
 
 @pytest.fixture
@@ -15,65 +17,83 @@ def store():
     })
 
 
+def mids(store, symbol, *t_ms, staleness_ms=5000):
+    values, status = store.mids(symbol, np.array(t_ms, dtype=np.int64), staleness_ms)
+    return values.tolist(), status.tolist()
+
+
 def test_mid_is_last_at_or_before(store):
-    assert store.mid("BTCUSDT", 200, 5000) == 100.0
-    assert store.mid("BTCUSDT", 999, 5000) == 100.0
-    assert store.mid("BTCUSDT", 1000, 5000) == 101.0  # exact-timestamp hit
+    # 1000 is an exact-timestamp hit
+    assert mids(store, "BTCUSDT", 200, 999, 1000) == ([100.0, 100.0, 101.0], [LOOKUP_OK] * 3)
 
 
 def test_no_quote_before(store):
-    with pytest.raises(NoQuoteBefore):
-        store.mid("BTCUSDT", -1, 5000)
-    with pytest.raises(NoQuoteBefore) as e:
-        store.mid("BTCUSDT", np.array([200, -1], dtype=np.int64), 5000)
-    assert e.value.t_ms == -1
+    assert mids(store, "BTCUSDT", 200, -1) == ([100.0, 0.0], [LOOKUP_OK, LOOKUP_NO_QUOTE])
+    e = store.unpriced("BTCUSDT", -1)
+    assert isinstance(e, NoQuoteBefore) and e.t_ms == -1
+
+
+def test_symbol_without_quotes(store):
+    assert mids(store, "XYZUSDT", 0, 5) == ([0.0, 0.0], [LOOKUP_NO_QUOTE] * 2)
+    assert str(store.unpriced("XYZUSDT", 7)) == "no quote at or before t=7"
 
 
 def test_stale_quote(store):
-    with pytest.raises(StaleQuote) as e:
-        store.mid("BTCUSDT", 11001, 5000)
-    assert e.value.gap_ms == 6001
-    # the array form measures the gap from the last quote at or before, too
-    with pytest.raises(StaleQuote) as e:
-        store.mid("BTCUSDT", np.array([200, 11001], dtype=np.int64), 5000)
-    assert e.value.gap_ms == 6001
+    assert mids(store, "BTCUSDT", 200, 11001) == ([100.0, 0.0], [LOOKUP_OK, LOOKUP_STALE])
+    # the gap is measured from the last quote at or before the time
+    e = store.unpriced("BTCUSDT", 11001)
+    assert isinstance(e, StaleQuote) and e.gap_ms == 6001
 
 
 def test_staleness_boundary_inclusive(store):
     # a gap of exactly staleness_ms is still acceptable
-    assert store.mid("BTCUSDT", 10000, 5000) == 104.0
+    assert mids(store, "BTCUSDT", 10000) == ([104.0], [LOOKUP_OK])
+    assert mids(store, "BTCUSDT", 10001) == ([0.0], [LOOKUP_STALE])
 
 
 def test_eth_usd(store):
-    assert store.eth_usd(100, 5000) == 2000.0
+    values, ok = store.eth_usd(np.array([100, -1, 6000], dtype=np.int64), 5000)
+    assert values.tolist() == [2000.0, 0.0, 0.0] and ok.tolist() == [True, False, False]
+    values, ok = make_store({}).eth_usd(np.array([100], dtype=np.int64), 5000)
+    assert ok.tolist() == [False]
+
+
+def test_timestamps_must_increase():
+    with pytest.raises(ValueError, match="BTCUSDT: timestamps not strictly increasing"):
+        make_store({"BTCUSDT": [(0, 1.0, 1.0), (0, 2.0, 2.0)]})
+
+
+def usd_prices(store, registry, *tokens, t_ms=100):
+    queries = np.full((len(tokens), 1), t_ms, dtype=np.int64)
+    prices, ok = _usd_prices(np.array(tokens), queries, store, registry, 5000)
+    return prices[:, 0].tolist(), ok.tolist()
 
 
 def test_usd_price_paths(store, registry):
-    assert store.usd_series(USDT, registry) is None  # pegged at 1
-    assert store.usd_series(WETH, registry).mid_at(100, 5000) == 2000.0  # WETH -> ETHUSDT
-    assert store.usd_series(TOKA, registry).mid_at(100, 5000) == 10.0
+    # USDT is pegged at 1; WETH is priced from ETHUSDT
+    assert usd_prices(store, registry, USDT, WETH, TOKA) == ([1.0, 2000.0, 10.0], [True] * 3)
 
 
 def test_usd_price_unlisted(store, registry):
-    with pytest.raises(UnlistedToken):
-        store.usd_series(TOKB, registry)
+    assert usd_prices(store, registry, TOKB)[1] == [False]
 
 
 def test_usd_price_unknown(store, registry):
-    with pytest.raises(UnknownToken):
-        store.usd_series("0x" + "f" * 40, registry)
+    assert usd_prices(store, registry, "0x" + "f" * 40)[1] == [False]
+
+
+def test_usd_price_without_fresh_quote(store, registry):
+    # TOKC is listed but has no series; TOKA's only quote is stale at 6000
+    assert usd_prices(store, registry, TOKC)[1] == [False]
+    assert usd_prices(store, registry, TOKA, t_ms=6000) == ([0.0], [False])
 
 
 def test_mid_many_matches_mid_at(store):
-    series = store.get("BTCUSDT")
-    ts = np.array([0, 200, 999, 1000, 4999, 5000, 10000], dtype=np.int64)
-    mids, status = series.mid_many(ts, 5000)
-    assert (status == 0).all()
-    for t, m in zip(ts, mids):
-        assert series.mid_at(int(t), 5000) == m
+    # a lookup of many times gives each time's lookup alone
+    ts = [0, 200, 999, 1000, 4999, 5000, 10000, 10001, -1]
+    alone = [mids(store, "BTCUSDT", t) for t in ts]
+    assert mids(store, "BTCUSDT", *ts) == ([v for (v,), _ in alone], [st for _, (st,) in alone])
 
 
 def test_mid_many_flags_failures(store):
-    series = store.get("BTCUSDT")
-    mids, status = series.mid_many(np.array([-5, 100, 50000], dtype=np.int64), 5000)
-    assert list(status) == [1, 0, 2]  # no-quote, ok, stale
+    assert mids(store, "BTCUSDT", -5, 100, 50000)[1] == [1, 0, 2]  # no-quote, ok, stale
