@@ -57,6 +57,11 @@ class PipelineConfig:
             raise InvalidConfig("quote_staleness_ms must be > 0")
         if self.rolling_window_days < 3:  # a Spearman correlation needs 3 points
             raise InvalidConfig("rolling_window_days must be >= 3")
+        if self.pattern_abrupt_drop_fraction <= 0:
+            raise InvalidConfig("pattern_abrupt_drop_fraction must be > 0")
+        for key in ("pattern_flat_epsilon_bps", "min_trades_low_confidence"):
+            if getattr(self, key) < 0:
+                raise InvalidConfig(f"{key} must be >= 0")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -124,12 +124,16 @@ def detect_all(
     n_tokens = 2 - (table.in_is_dust[starts].astype(np.int64) + table.out_is_dust[starts])
     two_sided = n_tokens == 2
     netted: dict[int, tuple[Decimal, Decimal]] = {}
+    past_max: set[int] = set()  # netted to an amount no double holds
     for j in np.flatnonzero((n_swaps > 1) & no_erc721).tolist():
         swaps = slice(starts[j], starts[j] + n_swaps[j])
         net = aggregate_swaps(table.token_in[swaps].tolist(), table.amount_in[swaps].tolist(),
                               table.token_out[swaps].tolist(), table.amount_out[swaps].tolist())
         n_tokens[j] = len(net)
         pair = effective_pair(net)
+        if pair is not None and not np.isfinite([float(pair[1]), float(pair[3])]).all():
+            pair = None
+            past_max.add(j)
         if pair is not None:
             bought[j], x, sold[j], y = pair
             netted[j] = (x, y)
@@ -149,6 +153,8 @@ def detect_all(
     for k, j in enumerate(failed.tolist()):
         if not no_erc721[j]:
             why = ["H6: contains ERC-721 transfer"]
+        elif j in past_max:
+            why = ["H6: net flow past the largest double"]
         elif not two_sided[j]:
             why = [f"H6: net flows over {n_tokens[j]} tokens"]
         else:

@@ -2,8 +2,8 @@
 
 Loader errors carry enough context (row index, file, field) to point at the
 offending input line. A stage's own outcomes, such as a time without a fresh
-quote or a decline window that leaves the grid, are return values, not
-errors; the statistics errors mark an analysis the market stage skips.
+quote, a decline window that leaves the grid or a correlation that is
+undefined, are return values, not errors.
 """
 
 
@@ -79,30 +79,6 @@ class UnknownToken(PipelineError):
     def __init__(self, token: str):
         self.token = token
         super().__init__(f"token {token} not in registry")
-
-
-# --- markout / economics ---
-
-class PatternThreeExcluded(PipelineError):
-    pass
-
-
-# --- statistics ---
-
-class LengthMismatch(PipelineError):
-    pass
-
-
-class TooShort(PipelineError):
-    pass
-
-
-class DegenerateRanks(PipelineError):
-    """All ranks tied in one series; Spearman's rho is undefined."""
-
-
-class SharesDontSumToOne(PipelineError):
-    pass
 
 
 # --- synth / scoring ---

@@ -22,8 +22,7 @@ import numpy as np
 from ._kernels import group_rows, group_sum
 from .config import MarkoutGrid
 from .data_model import Table, optional
-from .errors import PatternThreeExcluded
-from .horizon import PATTERN_FLAT, SearcherProfile
+from .horizon import SearcherProfile
 
 DAY_MS = 86_400_000
 
@@ -44,10 +43,8 @@ class TradeEconomics:
 
 
 def t_star_column(profile: SearcherProfile, grid: MarkoutGrid) -> int:
-    """The grid column of the searcher's t*; a Pattern 3 profile, or one
-    without a t*, prices no trade."""
-    if profile.pattern == PATTERN_FLAT or profile.t_star_s is None:
-        raise PatternThreeExcluded(profile.searcher_label)
+    """The grid column of a peaked searcher's t*; a Pattern 3 profile has no
+    t* and prices no trade."""
     return grid.index_of(profile.t_star_s)
 
 

@@ -17,13 +17,7 @@ import numpy as np
 
 from ._kernels import group_sum, keyed_sums
 from .data_model import SearcherLabelFile, Table, TokenRegistry
-from .errors import (
-    DegenerateRanks,
-    LengthMismatch,
-    SharesDontSumToOne,
-    TooShort,
-    UnknownToken,
-)
+from .errors import UnknownToken
 
 PAIR_MAJOR_MAJOR = "MajorMajor"
 PAIR_MAJOR_ALT = "MajorAlt"
@@ -33,14 +27,10 @@ EXCL_NEUTRAL = "Neutral"
 EXCL_EXCLUSIVE = "Exclusive"
 EXCL_INTEGRATED = "Integrated"
 
-_SUM_TOLERANCE = 1e-9
-
 
 def hhi(shares: list[float]) -> float:
     """Herfindahl-Hirschman index: sum of squared shares."""
     arr = np.asarray(shares, dtype=np.float64)
-    if np.any(arr < 0) or abs(arr.sum() - 1.0) > _SUM_TOLERANCE:
-        raise SharesDontSumToOne(f"shares sum to {arr.sum()}")
     return float(np.sum(arr * arr))
 
 
@@ -191,30 +181,25 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _rank_corr(rx: np.ndarray, ry: np.ndarray) -> float:
-    sx = rx - rx.mean()
-    sy = ry - ry.mean()
-    denom = np.sqrt(np.sum(sx * sx) * np.sum(sy * sy))
-    if denom == 0:
-        raise DegenerateRanks("constant series")
-    return float(np.sum(sx * sy) / denom)
-
-
 _EXACT_P_MAX_N = 9
 
 
-def spearman(x, y, lag_days: int = 0) -> CorrelationResult:
+def spearman(x, y, lag_days: int = 0) -> CorrelationResult | None:
+    """Spearman's rho of x and y, or None where it is undefined: fewer than
+    3 points, or a constant series."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise LengthMismatch(f"{x.shape} vs {y.shape}")
     n = len(x)
     if n < 3:
-        raise TooShort(f"n={n}")
+        return None
     rx, ry = _midranks(x), _midranks(y)
-    rho = _rank_corr(rx, ry)
+    sx, sy = rx - rx.mean(), ry - ry.mean()
+    denom = np.sqrt(np.sum(sx * sx) * np.sum(sy * sy))
+    if denom == 0:
+        return None
+    rho = float(np.sum(sx * sy) / denom)
     if n <= _EXACT_P_MAX_N:
-        p = _exact_permutation_p(rx, ry, rho)
+        p = _exact_permutation_p(sx, sy, denom, rho)
     else:
         p = _t_approx_p(rho, n)
     return CorrelationResult(rho=rho, n=n, p_value=p, lag_days=lag_days)
@@ -225,12 +210,10 @@ def _perm_table(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
-def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
-    n = len(rx)
-    perms = _perm_table(n)
-    sx = rx - rx.mean()
-    sy = ry - ry.mean()
-    denom = np.sqrt(np.sum(sx * sx) * np.sum(sy * sy))
+def _exact_permutation_p(sx: np.ndarray, sy: np.ndarray, denom: float, rho_obs: float) -> float:
+    """Share of the orderings of ``sy``, centred ranks like ``sx``, whose rho
+    is at least as far from 0 as ``rho_obs``."""
+    perms = _perm_table(len(sx))
     rhos = sy[perms] @ sx / denom
     tol = 1e-12  # absorb FP noise so ties count as at-least-as-extreme
     hits = int(np.count_nonzero(np.abs(rhos) >= abs(rho_obs) - tol))
@@ -251,46 +234,32 @@ def _t_approx_p(rho: float, n: int) -> float:
 
 def lagged_correlation(
     x, y, lags: tuple[int, ...] = (1, 3, 7)
-) -> list[CorrelationResult]:
-    """Spearman between x(t) and y(t+lag), both directions per lag.
+) -> list[CorrelationResult | None]:
+    """Spearman between x(t) and y(t+lag), both directions per lag, in lag
+    order; an entry is None where its lag leaves fewer than 3 pairs or a
+    constant series.
 
     Positive lag means x leads y; the negative entry is the reverse. Lag 0
     is the plain contemporaneous correlation.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise LengthMismatch(f"{x.shape} vs {y.shape}")
-    results = []
-    all_lags: list[int] = []
-    for lag in lags:
-        all_lags.extend([lag] if lag == 0 else [-lag, lag])
-    for lag in sorted(set(all_lags)):
+    n = len(x)
+    results: list[CorrelationResult | None] = []
+    for lag in sorted({sign * lag for lag in lags for sign in (-1, 1)}):
         k = abs(lag)
-        if len(x) - k < 3:
-            raise TooShort(f"lag {lag} leaves n={len(x) - k}")
-        if lag >= 0:
-            xs, ys = x[: len(x) - k or None], y[k:]
-        else:
-            xs, ys = x[k:], y[: len(y) - k]
-        results.append(spearman(xs, ys, lag_days=lag))
+        xs, ys = (x[: n - k], y[k:]) if lag >= 0 else (x[k:], y[: n - k])
+        results.append(spearman(xs, ys, lag_days=lag) if n - k >= 3 else None)
     return results
 
 
 def rolling_correlation(
     x, y, dates: list[str], window_days: int
 ) -> list[tuple[str, CorrelationResult]]:
-    """One Spearman per trailing window end-date; empty below the window."""
+    """One Spearman per trailing window end-date, where it is defined; empty
+    below the window."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise LengthMismatch(f"{x.shape} vs {y.shape}")
-    out = []
-    for end in range(window_days, len(x) + 1):
-        sl = slice(end - window_days, end)
-        try:
-            res = spearman(x[sl], y[sl])
-        except DegenerateRanks:
-            continue
-        out.append((dates[end - 1], res))
-    return out
+    results = ((dates[end - 1], spearman(x[end - window_days : end], y[end - window_days : end]))
+               for end in range(window_days, len(x) + 1))
+    return [(end, r) for end, r in results if r is not None]

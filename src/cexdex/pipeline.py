@@ -418,19 +418,15 @@ def run_market(ws: Workspace) -> None:
         cs, vs, _ = market_mod.major_major_share(included.select(mine), ws.registry)
         decline_points.append((p.decline_3s_fraction, cs, vs))
     declines = [d for d, _, _ in decline_points]
-    try:
-        r_count = market_mod.spearman(declines, [c for _, c, _ in decline_points])
-        r_vol = market_mod.spearman(declines, [v for _, _, v in decline_points])
+    r_count = market_mod.spearman(declines, [c for _, c, _ in decline_points])
+    r_vol = market_mod.spearman(declines, [v for _, _, v in decline_points])
+    if r_count is not None and r_vol is not None:
         corr_rows += [market_mod.Correlation(name, "", 0, "", r.rho, r.n, r.p_value) for name, r in
                       (("decline_vs_major_count", r_count), ("decline_vs_major_volume", r_vol))]
-    except (market_mod.DegenerateRanks, market_mod.TooShort):
-        pass
 
-    # exclusive searcher daily volume share vs builder daily block share
-    try:
-        blocks = ws.blocks
-    except FileNotFoundError:
-        blocks = None
+    # exclusive searcher daily volume share vs builder daily block share;
+    # blocks.csv is needed by builder only
+    blocks = ws.blocks if (ws.input_dir / "blocks.csv").exists() else None
     if blocks is not None and len(blocks):
         block_day = blocks.slot_time_ms // DAY_MS
         known = np.isin(block_day, days)
@@ -450,20 +446,17 @@ def run_market(ws: Workspace) -> None:
             in_blocks = np.bincount(block_day[block_builder == cls_builder], minlength=len(days))
             x = (in_builder[kept] / total_v[kept]).tolist()
             y = (in_blocks[kept] / total_b[kept]).tolist()
-            # each analysis fails on its own: lag 7 needs 10 days, a window does not
-            analyses = {
-                "pair_contemporaneous": lambda: [(0, "", market_mod.spearman(x, y))],
-                "pair_lagged": lambda: [(r.lag_days, "", r) for r in market_mod.lagged_correlation(x, y)],
-                "pair_rolling": lambda: [(0, end, r) for end, r in market_mod.rolling_correlation(
-                    x, y, dates=x_dates, window_days=ws.config.rolling_window_days)],
-            }
-            for analysis, results in analyses.items():
-                try:
-                    corr_rows += [market_mod.Correlation(analysis, f"{label}->{cls_builder}",
-                                                         lag, end, r.rho, r.n, r.p_value)
-                                  for lag, end, r in results()]
-                except (market_mod.TooShort, market_mod.DegenerateRanks, market_mod.LengthMismatch):
-                    pass
+            # each analysis is written or skipped on its own: lag 7 needs 10
+            # days, a window does not; the lagged rows are all or none
+            now, lagged = market_mod.spearman(x, y), market_mod.lagged_correlation(x, y)
+            results = [("pair_contemporaneous", "", now)] if now is not None else []
+            if None not in lagged:
+                results += [("pair_lagged", "", r) for r in lagged]
+            results += [("pair_rolling", end, r) for end, r in market_mod.rolling_correlation(
+                x, y, dates=x_dates, window_days=ws.config.rolling_window_days)]
+            corr_rows += [market_mod.Correlation(analysis, f"{label}->{cls_builder}", r.lag_days,
+                                                 end, r.rho, r.n, r.p_value)
+                          for analysis, end, r in results]
 
     _write_output(ws.out_dir / "correlations.csv",
                   Table.of_rows(market_mod.Correlation, corr_rows))

@@ -93,11 +93,18 @@ def test_config_value_of_another_type_exits_1(synth_inputs, tmp_path, capsys, up
     ({"grid_end_s": float("inf")}, "grid_end_s"),
     ({"grid_step_s": float("nan")}, "grid_step_s"),
     ({"grid_start_s": -0.7}, "grid_start_s"),
-], ids=["nan_fee", "infinite_grid_end", "nan_grid_step", "grid_without_zero"])
+    ({"pattern_abrupt_drop_fraction": -1.0}, "pattern_abrupt_drop_fraction"),
+    ({"pattern_abrupt_drop_fraction": 0.0}, "pattern_abrupt_drop_fraction"),
+    ({"pattern_flat_epsilon_bps": -0.5}, "pattern_flat_epsilon_bps"),
+    ({"min_trades_low_confidence": -1}, "min_trades_low_confidence"),
+], ids=["nan_fee", "infinite_grid_end", "nan_grid_step", "grid_without_zero",
+        "negative_drop_fraction", "zero_drop_fraction", "negative_flat_epsilon",
+        "negative_min_trades"])
 def test_config_non_finite_or_grid_without_zero_exits_1(synth_inputs, tmp_path, capsys,
                                                          update, key):
-    """JSON's NaN and Infinity, and a grid that misses offset 0, are refused
-    naming the key, before any stage writes a file."""
+    """JSON's NaN and Infinity, a grid that misses offset 0, and a pattern
+    setting out of range are refused naming the key, before any stage writes
+    a file."""
     config = json.loads((synth_inputs / "config.json").read_text())
     rc, err, written = run_with_replaced_input(
         synth_inputs, tmp_path, capsys, "config.json", json.dumps({**config, **update}))

@@ -77,6 +77,18 @@ def test_effective_pair_one_sided(tmp_path, registry):
                      make_swap(TOKA, 1, USDT, 3, log_index=1)) == "H6: net flows over 2 tokens"
 
 
+def test_netted_amount_past_the_largest_double_fails_h6(tmp_path, registry):
+    """Two swaps of 1e308 each net to 2E+308, which no double holds; the
+    transaction fails H6 under its own reason and no other is affected."""
+    txs = [make_tx("0xbig", swaps=(make_swap(USDT, 1000, TOKA, "1e308", log_index=0),
+                                    make_swap(USDT, 1000, TOKA, "1e308", log_index=1))),
+           make_tx("0xok")]
+    trades, verdicts = detect(tmp_path, txs, registry)
+    assert verdicts["0xbig"].failure_reasons == "H6: net flow past the largest double"
+    assert not verdicts["0xbig"].h6 and verdicts["0xok"].passed
+    assert [t.tx_hash for t in trades] == ["0xok"]
+
+
 def test_one_swap_leg_just_above_dust_is_kept(tmp_path, registry):
     # the float of either amount is 1e-12 or 0: the Decimal decides
     trade, verdict = one_tx(tmp_path, registry,

@@ -3,7 +3,6 @@ import pytest
 
 from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.data_model import Table, strings
-from cexdex.errors import PatternThreeExcluded
 from cexdex.estimate import (
     CumulativeEv,
     TradeEconomics,
@@ -78,8 +77,6 @@ def test_zero_ev_margin_undefined():
 def test_p3_excluded():
     grid = MarkoutGrid(PipelineConfig())
     assert t_star_column(profile(t_star=1.0), grid) == grid.index_of(1.0)
-    with pytest.raises(PatternThreeExcluded):
-        t_star_column(profile(t_star=None, pattern="P3"), grid)
 
 
 def test_summary_singleton():

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from cexdex.data_model import SearcherLabelFile
-from cexdex.errors import (
-    DegenerateRanks,
-    LengthMismatch,
-    SharesDontSumToOne,
-    TooShort,
-    UnknownToken,
-)
+from cexdex.errors import UnknownToken
 from cexdex.market import (
     classify_exclusivity,
     hhi,
@@ -43,11 +37,6 @@ def test_hhi_values():
     assert hhi([1.0]) == 1.0
     assert hhi([0.25] * 4) == 0.25
     assert hhi([0.5, 0.3, 0.2]) == pytest.approx(0.38, abs=1e-15)
-
-
-def test_hhi_rejects_bad_sum():
-    with pytest.raises(SharesDontSumToOne):
-        hhi([0.5, 0.4])
 
 
 def test_integration_matrix_normalization():
@@ -121,9 +110,8 @@ def test_spearman_matches_brute_force_with_ties():
         n = int(rng.integers(3, 12))
         x = rng.integers(0, 5, n).astype(float)  # heavy ties
         y = rng.integers(0, 5, n).astype(float)
-        try:
-            res = spearman(x, y)
-        except DegenerateRanks:
+        res = spearman(x, y)
+        if res is None:
             assert len(set(x)) == 1 or len(set(y)) == 1
             continue
         assert res.rho == pytest.approx(brute_spearman(x, y), abs=1e-12)
@@ -159,12 +147,8 @@ def test_t_approx_p_bit_identical_to_scipy_stats(rho, n):
 
 
 def test_spearman_errors():
-    with pytest.raises(TooShort):
-        spearman([1, 2], [1, 2])
-    with pytest.raises(LengthMismatch):
-        spearman([1, 2, 3], [1, 2])
-    with pytest.raises(DegenerateRanks):
-        spearman([1, 1, 1], [1, 2, 3])
+    assert spearman([1, 2], [1, 2]) is None
+    assert spearman([1, 1, 1], [1, 2, 3]) is None
 
 
 def test_lag_zero_equals_spearman():
@@ -186,8 +170,17 @@ def test_lagged_shift_recovery():
 
 
 def test_lagged_too_short():
-    with pytest.raises(TooShort):
-        lagged_correlation([1, 2, 3, 4], [1, 2, 3, 4], lags=(3,))
+    assert lagged_correlation([1, 2, 3, 4], [1, 2, 3, 4], lags=(3,)) == [None, None]
+
+
+def test_lagged_entry_per_lag_none_where_too_short():
+    """On 8 points lag 7 leaves 1 pair; lags 1 and 3 leave 7 and 5."""
+    x = np.arange(8, dtype=float)
+    y = np.array([3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0, 6.0])
+    out = lagged_correlation(x, y)
+    assert [None if r is None else r.lag_days for r in out] == [None, -3, -1, 1, 3, None]
+    assert out[3] == spearman(x[:7], y[1:], lag_days=1)
+    assert out[1] == spearman(x[3:], y[:5], lag_days=-3)
 
 
 def test_rolling_monotone():
@@ -229,3 +222,12 @@ def test_major_major_share_names_the_first_unknown_token(registry):
         major_major_share(trade_table(*trades), registry)
     with pytest.raises(UnknownToken, match=unknown_a):
         major_major_share(trade_table(*trades[2:]), registry)
+
+
+def test_rolling_drops_only_windows_with_a_constant_series():
+    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    y = np.array([5.0, 1.0, 2.0, 2.0, 2.0, 8.0, 3.0])  # days 2-4 are flat
+    dates = [f"d{i}" for i in range(7)]
+    out = rolling_correlation(x, y, dates=dates, window_days=3)
+    assert [end for end, _ in out] == ["d2", "d3", "d5", "d6"]
+    assert [r for _, r in out] == [spearman(x[e - 2 : e + 1], y[e - 2 : e + 1]) for e in (2, 3, 5, 6)]

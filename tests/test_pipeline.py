@@ -1029,12 +1029,31 @@ def test_each_pair_analysis_fails_on_its_own(varied_builders, tmp_path):
     out = tmp_path / "out"
     assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
     assert len({r["date"] for r in read_rows(out / "market.csv")}) == 8
-    with pytest.raises(market.TooShort):
-        market.lagged_correlation(list(range(8)), list(range(8)))
+    assert None in market.lagged_correlation(list(range(8)), list(range(8)))
     rows = [r for r in read_rows(out / "correlations.csv") if r["pair"] == "s_int->builderA"]
     analyses = [r["analysis"] for r in rows]
     assert "pair_contemporaneous" in analyses and "pair_rolling" in analyses
     assert "pair_lagged" not in analyses
+
+
+def test_market_runs_without_blocks(varied_builders, tmp_path, capsys):
+    """blocks.csv is builder's input only: without it market writes no pair
+    rows and its other outputs unchanged, and builder exits 2 naming it."""
+    src, full = varied_builders
+    inputs, out = copy_tree(src, tmp_path / "in"), tmp_path / "out"
+    for stage in ("detect", "markout", "horizon", "estimate"):
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    (inputs / "blocks.csv").unlink()
+    assert main(["market", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    analyses = {r["analysis"] for r in read_rows(out / "correlations.csv")}
+    assert not any(a.startswith("pair_") for a in analyses)
+    assert any(r["analysis"].startswith("pair_") for r in read_rows(full / "correlations.csv"))
+    for name in ("market.csv", "integration.csv"):
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+    capsys.readouterr()
+    assert main(["builder", "--input-dir", str(inputs), "--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "io" and "blocks.csv" in err["message"]
 
 
 # ---------------------------------------------------------------------------

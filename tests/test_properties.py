@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cexdex.config import PipelineConfig
 from cexdex.data_model import TokenInfo, TokenRegistry
-from cexdex.errors import DegenerateRanks, SharesDontSumToOne
 from cexdex.market import hhi, spearman
 from cexdex import _kernels as k
 
@@ -91,10 +90,7 @@ def test_aggregate_swaps_conserves_sign_sum(tmp_path_factory, swaps):
 def test_hhi_bounds(weights):
     total = sum(weights)
     shares = [w / total for w in weights]
-    try:
-        value = hhi(shares)
-    except SharesDontSumToOne:  # extreme cancellation can push the sum out
-        return
+    value = hhi(shares)
     n = len(shares)
     assert 1.0 / n - 1e-9 <= value <= 1.0 + 1e-12
 
@@ -114,15 +110,14 @@ def test_hhi_equal_shares_attain_lower_bound(n):
 def test_spearman_monotone_transform_invariance(xs, transform):
     x = np.asarray(xs)
     y = np.linspace(0, 1, len(x)) ** 2
-    try:
-        base = spearman(x, y).rho
-    except DegenerateRanks:
+    base = spearman(x, y)
+    if base is None:  # a constant x
         return
     fx = {"exp": lambda v: np.exp(v / 1e6), "cube": lambda v: v ** 3,
           "affine": lambda v: 3.5 * v + 2.0}[transform](x)
     # exp can round distinct inputs to the same float; ranks must survive
     assume(len(np.unique(fx)) == len(np.unique(x)))
-    assert abs(spearman(fx, y).rho - base) < 1e-9
+    assert abs(spearman(fx, y).rho - base.rho) < 1e-9
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=0, max_value=1000),
