@@ -12,28 +12,18 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-LOOKUP_OK = 0
-LOOKUP_NO_QUOTE = 1
-LOOKUP_STALE = 2
-
-
 def step_mid_lookup(ts, bid, ask, queries, staleness_ms):
     """Last-quote-at-or-before midpoint lookup (step function).
 
-    Returns (mids, status); status 0 = ok, 1 = no quote before, 2 = stale.
+    Returns (mids, ok); ok is false where no quote is at or before the time,
+    or the last one is more than ``staleness_ms`` older, and the mid there is 0.
     """
     idx = np.searchsorted(ts, queries, side="right") - 1
-    status = np.zeros(queries.shape, dtype=np.int8)
+    safe = np.maximum(idx, 0)
+    ok = (idx >= 0) & (queries - ts[safe] <= staleness_ms)
     mids = np.zeros(queries.shape, dtype=np.float64)
-    missing = idx < 0
-    status[missing] = LOOKUP_NO_QUOTE
-    safe = np.where(missing, 0, idx)
-    gap = queries - ts[safe]
-    stale = (~missing) & (gap > staleness_ms)
-    status[stale] = LOOKUP_STALE
-    ok = status == LOOKUP_OK
     mids[ok] = (bid[safe[ok]] + ask[safe[ok]]) / 2.0
-    return mids, status
+    return mids, ok
 
 
 def group_sum(codes: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:

@@ -4,8 +4,8 @@ Without bid adjustment, the builder's on-chain profit is the coinbase
 balance delta. With it, the original bid is paid from an EOA and part of
 the adjustment delta is refunded, so BP = dC - b + r*delta with the refund
 rate r set by the slot time: 1 until Ultra Sound relay halved it at
-REFUND_CUTOFF_MS, 0.5 from then on. Aggregated profit adds the integrated
-searcher's PnL earned inside the same block.
+REFUND_CUTOFF_MS, 0.5 from then on. Aggregated profit adds the PnL that the
+builder's integrated searchers earned inside the same block.
 
 Blocks are a Table of BlockRecord in block number order, and every function
 here works on all of them at once, elementwise; a builder's totals are
@@ -53,25 +53,23 @@ def builder_onchain_profit(blocks: Table, eth_usd: np.ndarray) -> np.ndarray:
 def integrated_searcher_pnl(
     blocks: Table,
     economics: Table,
-    searcher_of_builder: dict[str, str],
+    integrated_with: dict[str, str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(SP, applicable) of each block.
 
-    Only the integrated searcher's trades (rows of ``economics``, a Table of
-    TradeEconomics) landing in this exact block count, summed in
+    Only the trades (rows of ``economics``, a Table of TradeEconomics) that
+    land in this exact block, by a searcher that ``integrated_with``
+    (searcher -> builder) maps to the block's builder, count, summed in
     economics-row order; builders without an integrated searcher get SP = 0
     marked N/A.
     """
-    builders, code = np.unique(blocks.builder_label, return_inverse=True)
-    # each economics row's builder code by its searcher's integration, -1 for none
-    integrated = np.full(len(economics), -1)
-    for j, builder in enumerate(builders.tolist()):
-        if builder in searcher_of_builder:
-            integrated[economics.searcher_label == searcher_of_builder[builder]] = j
     rows = np.flatnonzero(np.isin(economics.block_number, blocks.block_number))
     k = np.searchsorted(blocks.block_number, economics.block_number[rows])  # each row's block
-    mine = integrated[rows] == code[k]
-    applicable = np.isin(builders, list(searcher_of_builder))[code]
+    searcher, builder = economics.searcher_label[rows], blocks.builder_label[k]
+    mine = np.zeros(len(rows), dtype=bool)
+    for s, b in integrated_with.items():
+        mine |= (searcher == s) & (builder == b)
+    applicable = np.isin(blocks.builder_label, list(integrated_with.values()))
     return group_sum(k[mine], economics.pnl_usd[rows[mine]], len(blocks)), applicable
 
 
@@ -94,14 +92,14 @@ def subsidy_flags(bp_usd, p_usd):
 def block_economics(
     blocks: Table,
     economics: Table,
-    searcher_of_builder: dict[str, str],
+    integrated_with: dict[str, str],
     eth_usd: np.ndarray,
 ) -> Table:
     """A Table of BuilderBlockEconomics, a row per block of ``blocks`` priced
     at ``eth_usd``. ``economics`` is a Table of TradeEconomics;
-    ``searcher_of_builder`` is ``SearcherLabelFile.builder_to_searcher``."""
+    ``integrated_with`` is ``SearcherLabelFile.integrated_with``."""
     bp = builder_onchain_profit(blocks, eth_usd)
-    sp, applicable = integrated_searcher_pnl(blocks, economics, searcher_of_builder)
+    sp, applicable = integrated_searcher_pnl(blocks, economics, integrated_with)
     p = bp + sp
     margin, defined = aggregated_margin(blocks, p, eth_usd)
     before, after = subsidy_flags(bp, p)

@@ -178,9 +178,6 @@ class SearcherLabelFile:
                 out[a] = label
         return out
 
-    def builder_to_searcher(self) -> dict[str, str]:
-        return {b: s for s, b in self.integrated_with.items()}
-
 
 # ---------------------------------------------------------------------------
 # reading CSV rows and cells

@@ -19,10 +19,6 @@ from ._kernels import group_sum, keyed_sums
 from .data_model import SearcherLabelFile, Table, TokenRegistry
 from .errors import UnknownToken
 
-PAIR_MAJOR_MAJOR = "MajorMajor"
-PAIR_MAJOR_ALT = "MajorAlt"
-PAIR_ALT_ALT = "AltAlt"
-
 EXCL_NEUTRAL = "Neutral"
 EXCL_EXCLUSIVE = "Exclusive"
 EXCL_INTEGRATED = "Integrated"
@@ -105,41 +101,34 @@ def classify_exclusivity(
     return out
 
 
-def pair_class(token_a: str, token_b: str, registry: TokenRegistry) -> str:
-    infos = []
-    for t in (token_a, token_b):
-        info = registry.get(t)
-        if info is None:
-            raise UnknownToken(t)
-        infos.append(info)
-    majors = sum(1 for i in infos if i.is_major)
-    return (PAIR_ALT_ALT, PAIR_MAJOR_ALT, PAIR_MAJOR_MAJOR)[majors]
+def major_major_shares(trades: Table, code: np.ndarray, n: int, registry: TokenRegistry
+                       ) -> tuple[list[float], list[float]]:
+    """Per searcher 0..n-1, coded by ``code`` over the rows of ``trades``, a
+    Table of ArbTrade: the count and the volume fractions of its Major-Major
+    trades, 0.0 where it has no trades or no volume above 0. A volume adds
+    its trades in row order.
 
-
-def major_major_share(trades: Table, registry: TokenRegistry) -> tuple[float, float, bool]:
-    """(count fraction, volume fraction, empty flag) of the Major-Major trades
-    of ``trades``, a Table of ArbTrade. Raises UnknownToken for the first
-    token the registry does not hold, a trade's bought token before its sold.
+    Raises UnknownToken for the first token the registry does not hold: in
+    the lowest-coded searcher holding one, its first such trade by row, the
+    bought token before the sold.
     """
-    n = len(trades)
-    if not n:
-        return 0.0, 0.0, True
-    bought, b_code = np.unique(trades.token_bought, return_inverse=True)
-    sold, s_code = np.unique(trades.token_sold, return_inverse=True)
-    pairs, first, code = np.unique(b_code * len(sold) + s_code, return_index=True,
-                                   return_inverse=True)
-    # each distinct pair classed in the order pairs first appear, so that the
-    # first unknown token raises as it would trade by trade
-    is_mm = np.zeros(len(pairs), dtype=bool)
-    for k in np.argsort(first).tolist():
-        b, s = divmod(int(pairs[k]), len(sold))
-        is_mm[k] = pair_class(bought[b], sold[s], registry) == PAIR_MAJOR_MAJOR
-    mm = is_mm[code]
-    one_group = np.zeros(n, dtype=np.int64)
-    total_vol = group_sum(one_group, trades.volume_usd, 1)[0]
-    mm_vol = group_sum(one_group[mm], trades.volume_usd[mm], 1)[0]
-    vol_frac = float(mm_vol / total_vol) if total_vol > 0 else 0.0
-    return int(mm.sum()) / n, vol_frac, False
+    m = len(trades)
+    tokens, t_code = np.unique(np.concatenate([trades.token_bought, trades.token_sold]),
+                               return_inverse=True)
+    infos = [registry.get(t) for t in tokens.tolist()]
+    legs = t_code.reshape(2, m)  # bought, then sold
+    unknown = np.array([i is None for i in infos], dtype=bool)[legs]
+    if unknown.any():
+        rows = np.flatnonzero(unknown.any(axis=0))
+        first = rows[np.argmin(code[rows])]  # argmin takes the first row of that searcher
+        raise UnknownToken(tokens[legs[np.argmax(unknown[:, first]), first]])
+    major = np.array([i.is_major for i in infos], dtype=bool)[legs]
+    mm = major[0] & major[1]
+    count, mm_count = (np.bincount(c, minlength=n).tolist() for c in (code, code[mm]))
+    volume, mm_volume = (group_sum(code[keep], trades.volume_usd[keep], n).tolist()
+                         for keep in (slice(None), mm))
+    return ([c / t if t else 0.0 for c, t in zip(mm_count, count)],
+            [v / t if t > 0 else 0.0 for v, t in zip(mm_volume, volume)])
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ def _usd_prices(tokens: np.ndarray, queries: np.ndarray, store: QuoteStore,
             rows_by_symbol.setdefault(f"{info.quote_symbol}USDT", []).append(rows)
     for symbol, rows in rows_by_symbol.items():
         rows = np.concatenate(rows)
-        prices[rows], status = store.mids(symbol, queries[rows], staleness_ms)
-        ok[rows] &= ~status.any(axis=1)
+        prices[rows], fresh = store.mids(symbol, queries[rows], staleness_ms)
+        ok[rows] &= fresh.all(axis=1)
     return prices, ok
 
 

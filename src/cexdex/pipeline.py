@@ -346,15 +346,14 @@ def _load_economics(ws: Workspace) -> Table:
 # ---------------------------------------------------------------------------
 # market
 
-def _daily_shares(included: Table, economics: Table):
+def _daily_shares(included: Table, economics: Table, labels: np.ndarray, code: np.ndarray):
     """(market.csv as a Table of DailyShare, the UTC day numbers with
-    included trades, their dates, each day's total volume).
+    included trades, their dates, each day's total volume). ``code`` codes
+    the searchers of ``included``, then of ``economics``, as ``labels``.
 
     Volume shares cover all patterns and EV shares exclude P3. Day totals
     add each day's searchers in the order they first trade that day, and a
     searcher's day adds its trades in row order."""
-    labels, code = np.unique(np.concatenate([included.searcher_label, economics.searcher_label]),
-                             return_inverse=True)
     n = max(len(labels), 1)
     vol_keys, vol = keyed_sums(included.slot_time_ms // DAY_MS * n + code[:len(included)],
                                included.volume_usd)
@@ -394,7 +393,11 @@ def run_market(ws: Workspace) -> None:
     trades, table, profiles, economics = (
         ws.detections, _markouts_of_detections(ws), ws.profiles, ws.economics)
     included = trades.select(table.included())
-    shares, days, dates, total_v = _daily_shares(included, economics)
+    # the searchers coded once; every per-searcher analysis below groups by trade_code
+    labels, code = np.unique(np.concatenate([included.searcher_label, economics.searcher_label]),
+                             return_inverse=True)
+    n, trade_code = len(labels), code[:len(included)]
+    shares, days, dates, total_v = _daily_shares(included, economics, labels, code)
     _write_output(ws.out_dir / "market.csv", shares)
 
     matrix = market_mod.integration_matrix(included)
@@ -408,18 +411,17 @@ def run_market(ws: Workspace) -> None:
     ]))
 
     corr_rows = []
-    # decline fraction vs Major-Major share across searchers
-    decline_points = []
-    for label in sorted(profiles):
-        p = profiles[label]
-        mine = included.searcher_label == label
-        if p.decline_3s_fraction is None or not mine.any():
-            continue
-        cs, vs, _ = market_mod.major_major_share(included.select(mine), ws.registry)
-        decline_points.append((p.decline_3s_fraction, cs, vs))
-    declines = [d for d, _, _ in decline_points]
-    r_count = market_mod.spearman(declines, [c for _, c, _ in decline_points])
-    r_vol = market_mod.spearman(declines, [v for _, _, v in decline_points])
+    # decline fraction vs Major-Major share across the searchers with a decline
+    # and an included trade, in label order
+    names, n_trades = labels.tolist(), np.bincount(trade_code, minlength=n).tolist()
+    declining = [k for k, label in enumerate(names) if n_trades[k] and label in profiles
+                 and profiles[label].decline_3s_fraction is not None]
+    declines = [profiles[names[k]].decline_3s_fraction for k in declining]
+    mine = np.isin(trade_code, declining)
+    count_shares, volume_shares = market_mod.major_major_shares(
+        included.select(mine), trade_code[mine], n, ws.registry)
+    r_count = market_mod.spearman(declines, [count_shares[k] for k in declining])
+    r_vol = market_mod.spearman(declines, [volume_shares[k] for k in declining])
     if r_count is not None and r_vol is not None:
         corr_rows += [market_mod.Correlation(name, "", 0, "", r.rho, r.n, r.p_value) for name, r in
                       (("decline_vs_major_count", r_count), ("decline_vs_major_volume", r_vol))]
@@ -437,15 +439,18 @@ def run_market(ws: Workspace) -> None:
         # a day counts where both totals are above 0
         kept = ~((total_v <= 0) | (total_b <= 0))
         x_dates = [date for date, k in zip(dates, kept.tolist()) if k]
-        for label in sorted(matrix.searchers):
-            cls, cls_builder = classes[label]
-            if cls == market_mod.EXCL_NEUTRAL or cls_builder is None:
-                continue
-            mine = (included.searcher_label == label) & (included.builder_label == cls_builder)
-            in_builder = group_sum(trade_day[mine], included.volume_usd[mine], len(days))
-            in_blocks = np.bincount(block_day[block_builder == cls_builder], minlength=len(days))
+        # a searcher has a class builder unless it is Neutral
+        pairs = [(label, b) for label, (_, b) in zip(matrix.searchers, searcher_classes)
+                 if b is not None]
+        in_blocks = {b: np.bincount(block_day[block_builder == b], minlength=len(days))
+                     for b in dict.fromkeys(b for _, b in pairs)}
+        rows_of = group_rows(trade_code, n)  # each searcher's rows in row order
+        for label, cls_builder in pairs:
+            rows = rows_of[np.searchsorted(labels, label)]
+            rows = rows[included.builder_label[rows] == cls_builder]
+            in_builder = group_sum(trade_day[rows], included.volume_usd[rows], len(days))
             x = (in_builder[kept] / total_v[kept]).tolist()
-            y = (in_blocks[kept] / total_b[kept]).tolist()
+            y = (in_blocks[cls_builder][kept] / total_b[kept]).tolist()
             # each analysis is written or skipped on its own: lag 7 needs 10
             # days, a window does not; the lagged rows are all or none
             now, lagged = market_mod.spearman(x, y), market_mod.lagged_correlation(x, y)
@@ -469,8 +474,7 @@ def run_builder(ws: Workspace) -> None:
     blocks = ws.blocks
     mids, ok = ws.quotes.eth_usd(blocks.slot_time_ms, ws.config.quote_staleness_ms)
     used, eth = blocks.select(ok), mids[ok]
-    per_block = builder_mod.block_economics(used, ws.economics, ws.labels.builder_to_searcher(),
-                                            eth)
+    per_block = builder_mod.block_economics(used, ws.economics, ws.labels.integrated_with, eth)
     skipped_quotes = len(blocks) - len(used)
     if skipped_quotes:
         print(f"builder: skipped {skipped_quotes} blocks with no ETH quote", file=sys.stderr)

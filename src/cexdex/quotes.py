@@ -2,10 +2,11 @@
 
 Lookups are last-quote-at-or-before (step function, right-continuous); no
 interpolation, since markouts need executable prices rather than smoothed
-ones. A lookup returns every time's mid with a ``_kernels.LOOKUP_*``
-status instead of raising: the markout stage turns a time without a fresh
-quote into trade exclusion, and the builder stage skips the block. Only the
-estimate stage refuses such a time, with the error ``unpriced`` builds.
+ones. A lookup returns every time's mid and a mask of the times with a
+fresh quote instead of raising: the markout stage turns a time without a
+fresh quote into trade exclusion, and the builder stage skips the block.
+Only the estimate stage refuses such a time, with the error ``unpriced``
+builds, which tells a missing quote from a stale one.
 """
 
 from __future__ import annotations
@@ -31,19 +32,18 @@ class QuoteStore:
 
     def mids(self, symbol: str, t_ms: np.ndarray, staleness_ms: int
              ) -> tuple[np.ndarray, np.ndarray]:
-        """(the mids of ``symbol`` at the times ``t_ms``, their LOOKUP_* status
-        codes); a mid that is not LOOKUP_OK is 0, and a symbol without quotes
-        is LOOKUP_NO_QUOTE throughout."""
+        """(the mids of ``symbol`` at the times ``t_ms``, the mask of the
+        times with a fresh quote); a mid outside the mask is 0, and a symbol
+        without quotes has none."""
         t_ms = np.asarray(t_ms, dtype=np.int64)
         series = self.series.get(symbol)
         if series is None:
-            return np.zeros(t_ms.shape), np.full(t_ms.shape, _kernels.LOOKUP_NO_QUOTE, np.int8)
+            return np.zeros(t_ms.shape), np.zeros(t_ms.shape, dtype=bool)
         return _kernels.step_mid_lookup(*series, t_ms, staleness_ms)
 
     def eth_usd(self, t_ms: np.ndarray, staleness_ms: int) -> tuple[np.ndarray, np.ndarray]:
         """(ETHUSDT mids at ``t_ms``, the mask of those priced)."""
-        mids, status = self.mids("ETHUSDT", t_ms, staleness_ms)
-        return mids, status == _kernels.LOOKUP_OK
+        return self.mids("ETHUSDT", t_ms, staleness_ms)
 
     def unpriced(self, symbol: str, t_ms: int) -> NoQuoteBefore | StaleQuote:
         """Why a lookup of ``symbol`` at ``t_ms`` found no fresh quote:

@@ -49,8 +49,7 @@ def bp_of(b: BlockRecord, eth_usd: float) -> float:
 
 
 def sp_of(b: BlockRecord, rows, labels: SearcherLabelFile) -> tuple[float, bool]:
-    sp, applicable = integrated_searcher_pnl(blocks(b), economics(*rows),
-                                             labels.builder_to_searcher())
+    sp, applicable = integrated_searcher_pnl(blocks(b), economics(*rows), labels.integrated_with)
     return float(sp[0]), bool(applicable[0])
 
 
@@ -102,6 +101,18 @@ def test_sp_sums_integrated_only():
     assert applicable
 
 
+def test_sp_sums_every_searcher_integrated_with_the_builder():
+    """Two searchers integrated with one builder both count, in row order;
+    a third integrated elsewhere does not."""
+    labels = SearcherLabelFile(labels={}, integrated_with={"s1": "b1", "s2": "b1", "s3": "b2"})
+    rows = [econ(1e16), econ(2.0, label="s2"), econ(50.0, label="s3"), econ(-1e16), econ(3.0)]
+    sp, applicable = sp_of(block(1), rows, labels)
+    assert sp == 5.0 and applicable
+    b2, b3 = block(2, builder="b2"), block(3, builder="b3")
+    assert sp_of(b2, [econ(4.0, block_number=2, label="s3")], labels) == (4.0, True)
+    assert sp_of(b3, [econ(4.0, block_number=3, label="s1")], labels) == (0.0, False)
+
+
 def test_sp_not_applicable():
     labels = SearcherLabelFile(labels={}, integrated_with={})
     sp, applicable = sp_of(block(1), [econ(3.0)], labels)
@@ -140,7 +151,7 @@ def test_subsidy_flags():
 def test_block_economics_composition():
     labels = SearcherLabelFile(labels={}, integrated_with={"s1": "b1"})
     b = block(delta_c=5.0, bid=10.0, used=True, delta=4.0, slot=AFTER)
-    (e,) = block_economics(blocks(b), economics(econ(2.0)), labels.builder_to_searcher(),
+    (e,) = block_economics(blocks(b), economics(econ(2.0)), labels.integrated_with,
                            eth(1.0)).rows()
     assert e.bp_usd == pytest.approx(-3.0)
     assert e.sp_usd == pytest.approx(2.0)
@@ -151,7 +162,7 @@ def test_block_economics_composition():
 def summary_of(block_rows, econ_rows, labels: SearcherLabelFile):
     """builder_summary of the blocks, each priced at 1 USD per ETH."""
     table = blocks(*block_rows)
-    per = block_economics(table, economics(*econ_rows), labels.builder_to_searcher(),
+    per = block_economics(table, economics(*econ_rows), labels.integrated_with,
                           eth(1.0, len(block_rows)))
     return builder_summary(table, per, eth(1.0, len(block_rows))).rows()
 

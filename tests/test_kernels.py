@@ -13,18 +13,16 @@ def random_series(rng, n):
 
 
 def linear_scan_lookup(ts, bid, ask, t, staleness_ms):
-    """Reference implementation: walk the series, no binary search."""
+    """Reference implementation: walk the series, no binary search; (ok, mid)."""
     best = -1
     for i in range(len(ts)):
         if ts[i] <= t:
             best = i
         else:
             break
-    if best < 0:
-        return k.LOOKUP_NO_QUOTE, 0.0
-    if t - ts[best] > staleness_ms:
-        return k.LOOKUP_STALE, 0.0
-    return k.LOOKUP_OK, (bid[best] + ask[best]) / 2.0
+    if best < 0 or t - ts[best] > staleness_ms:
+        return False, 0.0
+    return True, (bid[best] + ask[best]) / 2.0
 
 
 def test_lookup_matches_linear_scan():
@@ -33,12 +31,10 @@ def test_lookup_matches_linear_scan():
         n = int(rng.integers(1, 200))
         ts, bid, ask = random_series(rng, n)
         queries = rng.integers(ts[0] - 2000, ts[-1] + 10000, 100).astype(np.int64)
-        mids, codes = k.step_mid_lookup(ts, bid, ask, queries, 5000)
-        for q, code, mid in zip(queries, codes, mids):
-            ref_code, ref_mid = linear_scan_lookup(ts, bid, ask, int(q), 5000)
-            assert code == ref_code
-            if code == k.LOOKUP_OK:
-                assert mid == ref_mid
+        mids, ok = k.step_mid_lookup(ts, bid, ask, queries, 5000)
+        assert ok.dtype == bool
+        for q, fresh, mid in zip(queries, ok.tolist(), mids.tolist()):
+            assert (fresh, mid) == linear_scan_lookup(ts, bid, ask, int(q), 5000)
 
 
 def test_splitmix_counter_based_slicing():
@@ -72,8 +68,5 @@ def test_lookup_property_vs_linear_scan(raw_ts, query):
     ts = np.array(sorted(set(raw_ts)), dtype=np.int64)
     bid = np.linspace(10, 20, len(ts))
     ask = bid + 0.5
-    mids, codes = k.step_mid_lookup(ts, bid, ask, np.array([query], dtype=np.int64), 5000)
-    ref_code, ref_mid = linear_scan_lookup(ts, bid, ask, query, 5000)
-    assert codes[0] == ref_code
-    if ref_code == k.LOOKUP_OK:
-        assert mids[0] == ref_mid
+    mids, ok = k.step_mid_lookup(ts, bid, ask, np.array([query], dtype=np.int64), 5000)
+    assert (bool(ok[0]), float(mids[0])) == linear_scan_lookup(ts, bid, ask, query, 5000)

@@ -8,8 +8,7 @@ from cexdex.market import (
     hhi,
     integration_matrix,
     lagged_correlation,
-    major_major_share,
-    pair_class,
+    major_major_shares,
     rolling_correlation,
     spearman,
 )
@@ -70,27 +69,21 @@ def test_exclusivity_classes():
     assert classes["scp"] == ("Integrated", "beaver")  # config wins over volume
 
 
-def test_pair_class(registry):
-    assert pair_class(WETH, USDT, registry) == "MajorMajor"
-    assert pair_class(WETH, TOKA, registry) == "MajorAlt"
-    assert pair_class(TOKA, TOKC, registry) == "AltAlt"
-    with pytest.raises(UnknownToken):
-        pair_class("0x" + "f" * 40, USDT, registry)
-
-
 def test_major_major_share(registry):
+    """Per searcher code; searcher 1 has no trades, searcher 0's trades are
+    interleaved with searcher 2's."""
     trades = [
         make_trade("0x1", token_bought=WETH, token_sold=USDT, volume_usd=50.0),
         make_trade("0x2", token_bought=WBTC, token_sold=USDT, volume_usd=40.0),
+        make_trade("0x5", token_bought=TOKA, token_sold=TOKC, volume_usd=0.0),
         make_trade("0x3", token_bought=TOKA, token_sold=USDT, volume_usd=5.0),
         make_trade("0x4", token_bought=TOKA, token_sold=TOKC, volume_usd=5.0),
     ]
-    count_frac, vol_frac, empty = major_major_share(trade_table(*trades), registry)
-    assert count_frac == 0.5 and vol_frac == 0.9 and not empty
-
-
-def test_major_major_share_empty(registry):
-    assert major_major_share(trade_table(), registry) == (0.0, 0.0, True)
+    code = np.array([0, 0, 2, 0, 0])
+    counts, volumes = major_major_shares(trade_table(*trades), code, 3, registry)
+    assert counts == [0.5, 0.0, 0.0] and volumes == [0.9, 0.0, 0.0]
+    assert major_major_shares(trade_table(), np.zeros(0, dtype=np.int64), 2, registry) == (
+        [0.0, 0.0], [0.0, 0.0])
 
 
 def test_spearman_monotone():
@@ -213,15 +206,19 @@ def test_spearman_monotone_transform_invariance():
 
 
 def test_major_major_share_names_the_first_unknown_token(registry):
-    """The first unknown token in trade order, a trade's bought token first."""
+    """The first unknown token of the lowest-coded searcher holding one, in
+    row order, a trade's bought token first."""
     unknown_a, unknown_b = "0x" + "e" * 40, "0x" + "f" * 40
     trades = [make_trade("0x1", token_bought=WETH, token_sold=USDT),
               make_trade("0x2", token_bought=TOKA, token_sold=unknown_b),
               make_trade("0x3", token_bought=unknown_a, token_sold=unknown_b)]
     with pytest.raises(UnknownToken, match=unknown_b):
-        major_major_share(trade_table(*trades), registry)
+        major_major_shares(trade_table(*trades), np.zeros(3, dtype=np.int64), 1, registry)
     with pytest.raises(UnknownToken, match=unknown_a):
-        major_major_share(trade_table(*trades[2:]), registry)
+        major_major_shares(trade_table(*trades[2:]), np.zeros(1, dtype=np.int64), 1, registry)
+    # searcher 0's only trade comes last in row order, and it comes first
+    with pytest.raises(UnknownToken, match=unknown_a):
+        major_major_shares(trade_table(*trades), np.array([1, 1, 0]), 2, registry)
 
 
 def test_rolling_drops_only_windows_with_a_constant_series():

@@ -340,6 +340,60 @@ def varied_builders(tmp_path_factory):
     return inputs, out
 
 
+N_MANY = 24
+MANY_BUILDERS = ("b0", "b1", "b2", "b3")
+
+
+def many_searchers_corpus(inputs: Path) -> None:
+    """24 searchers over N_DAYS days, Major-Major shares (j % 7) / 7, every
+    sixth flat, and each block's builder drawn by a seeded generator whose
+    weights vary by day, consistently in transactions.csv and blocks.csv.
+    Every fourth searcher sends most of its trades to a home builder, so that
+    several are Exclusive; s00 and s03 are integrated with b0 and b1."""
+    generate(SynthConfig(
+        seed=13, n_days=N_DAYS,
+        searchers=tuple(
+            SearcherSpec(f"s{j:02d}", "none", 3 + j % 4, major_share=(j % 7) / 7) if j % 6 == 5
+            else SearcherSpec(f"s{j:02d}", ("abrupt", "gentle")[j % 2], 3 + j % 4,
+                              true_hedge_delay_s=(0.5, 1.0, 1.5, 2.0)[j % 4],
+                              major_share=(j % 7) / 7)
+            for j in range(N_MANY)),
+        builders=MANY_BUILDERS,
+        integrated_with={"s00": "b0", "s03": "b1"},
+        base_volatility=5e-4,
+    ), inputs)
+    labels = json.loads((inputs / "searchers.json").read_text())["labels"]
+    searcher_of = {contracts[0]: int(label[1:]) for label, contracts in labels.items()}
+    rng = np.random.default_rng(13)
+    builder_of: dict[str, str] = {}
+    for r in read_rows(inputs / "transactions.csv"):
+        day = (int(r["slot_time_ms"]) - T0_MS) // DAY_MS
+        j = searcher_of[r["searcher_contract"]]
+        weights = np.array([1.0 + (day * (b + 1)) % 5 for b in range(len(MANY_BUILDERS))])
+        if j % 4 == 0 and rng.uniform() < 0.9 - 0.05 * (day % 4):
+            b = j // 4 % len(MANY_BUILDERS)
+        else:
+            b = int(rng.choice(len(MANY_BUILDERS), p=weights / weights.sum()))
+        builder_of[r["block_number"]] = MANY_BUILDERS[b]
+    for name in ("transactions.csv", "blocks.csv"):
+        rows = read_rows(inputs / name)
+        for r in rows:
+            r["builder_label"] = builder_of[r["block_number"]]
+        write_rows(inputs / name, list(rows[0]), [list(r.values()) for r in rows])
+    config = json.loads((inputs / "config.json").read_text())
+    config["rolling_window_days"] = 5
+    (inputs / "config.json").write_text(json.dumps(config))
+
+
+@pytest.fixture(scope="module")
+def many_searchers(tmp_path_factory):
+    """many_searchers_corpus and the outputs of cexdex all on it."""
+    root = tmp_path_factory.mktemp("many")
+    many_searchers_corpus(root / "in")
+    assert main(["all", "--input-dir", str(root / "in"), "--out-dir", str(root / "out")]) == 0
+    return root / "in", root / "out"
+
+
 def t_approx_reference(rho: float, n: int) -> float:
     from scipy import stats
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
@@ -378,11 +432,19 @@ def brute_pair_series(inputs: Path, out: Path, label: str, builder: str):
 
 
 def test_market_pair_series_match_brute_force(varied_builders):
-    inputs, out = varied_builders
+    assert_pair_rows_match_brute_force(*varied_builders, {"s_gentle->builderA", "s_int->builderA"})
+
+
+def test_market_pair_series_match_brute_force_for_many_searchers(many_searchers):
+    assert_pair_rows_match_brute_force(*many_searchers, {
+        "s00->b0", "s03->b1", "s04->b1", "s08->b2", "s12->b3", "s16->b0", "s20->b1"})
+
+
+def assert_pair_rows_match_brute_force(inputs: Path, out: Path, all_pairs: set[str]) -> None:
     rows = [r for r in read_rows(out / "correlations.csv") if r["analysis"].startswith("pair_")]
     assert {r["analysis"] for r in rows} == {"pair_contemporaneous", "pair_lagged", "pair_rolling"}
     pairs = sorted({r["pair"] for r in rows})
-    assert "s_int->builderA" in pairs
+    assert set(pairs) == all_pairs
     for pair in pairs:
         label, builder = pair.split("->")
         x, y, dates = brute_pair_series(inputs, out, label, builder)
@@ -875,9 +937,24 @@ def all_digests(out: Path) -> dict[str, str]:
 
 
 # sha256 of the 12 CSVs and manifest.json of cexdex all on test_synth's
-# pinned corpora and on handoff_corpus; a change that moves one byte of an
-# output for these inputs fails here
+# pinned corpora, on handoff_corpus and on many_searchers_corpus; a change
+# that moves one byte of an output for these inputs fails here
 PINNED_RUN_DIGESTS = {
+    "many": {
+        "builder_blocks.csv": "80ce64835a075330027009ab52223664f3191d07847a909127c6f4b32bc4750a",
+        "builder_summary.csv": "e9724d0b41cc569eb4ebc4e00c8c24e133f3126878c41b4021851b9b0982e191",
+        "correlations.csv": "e80ca95622bc3020ded7b49c7d7459eb70eb63aa90b0262cf65d1f84fb936335",
+        "cumulative_ev.csv": "e88fe21b35eb2f3d9bcc3b1cc4009d05e9ed04dc4f3b1c50ea603b24cef49396",
+        "detections.csv": "b0154788ef314cf15131d1792d3e824c80048f90349b6fb9f6cd99c97cf91ba8",
+        "economics.csv": "b52954840288e2d35f77a95d6115adc3a61c7abe2e3c7b5705b2675e53c7a0eb",
+        "integration.csv": "773e0716ef4e9a33c1fb683f0d630684c77b4c49cff12af4060f9e1434efbef2",
+        "market.csv": "574f4bb15ed261c2411535d407782ac5b4cc3d465033116c38216de6b4f186b2",
+        "markouts.csv": "f60ff41dc07f98001a650b65fcde2d188b636a49e37a904c24e1ea35184c805a",
+        "profiles.csv": "4cc4f6cd4d3f5851d864f3c0aefcc9dd0e619cedb71876d65af4a328b999fcef",
+        "summary.csv": "7cf0c26d860bef0ba1810aaad3768408cd8a7637160c347c818f26b8b0f2afd1",
+        "verdicts.csv": "b2e085c1225a267f200c6e1e413289dcb4ceeef296219e0f32a9afcf71a3d9b9",
+        "manifest.json": "fe544b8279a96b6d66ac9e76d391e272ae5adc43fb07d567d46cfcd38b6dc7a8",
+    },
     "small": {
         "builder_blocks.csv": "2cb56b400292aadb9883b74e9c307a180d47859402464467c970c0b9502bc395",
         "builder_summary.csv": "ee0af7c07896b416396713137554fb7b924ae1377c35b062c34c27fb3403f1a7",
@@ -933,6 +1010,9 @@ def test_all_writes_pinned_bytes(scenario, request, tmp_path):
     if scenario == "handoff":
         inputs = request.getfixturevalue("handoff_corpus")
         assert all_digests(request.getfixturevalue("handoff_out")) == PINNED_RUN_DIGESTS[scenario]
+    elif scenario == "many":
+        inputs, out = request.getfixturevalue("many_searchers")
+        assert all_digests(out) == PINNED_RUN_DIGESTS[scenario]
     else:
         inputs = tmp_path / "in"
         generate({"small": small_config, "varied": varied_config}[scenario](), inputs)
@@ -981,6 +1061,25 @@ def test_market_formats_each_day_once(varied_builders, tmp_path, monkeypatch):
     assert main(["market", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
     dates = list(dict.fromkeys(r["date"] for r in read_rows(out / "market.csv")))
     assert len(dates) == N_DAYS and [utc_day(ms) for ms in formatted] == dates
+
+
+def test_market_selects_as_often_for_any_searcher_count(four_peaked, many_searchers, tmp_path,
+                                                        monkeypatch):
+    """cexdex market copies rows with Table.select as often for 24 searchers
+    as for 4, and writes the same bytes: no pass per searcher."""
+    calls: list[int] = []
+    select = Table.select
+    monkeypatch.setattr(Table, "select", lambda self, mask: calls.append(1) or select(self, mask))
+    counts = []
+    for k, (inputs, full) in enumerate((four_peaked, many_searchers)):
+        out = copy_tree(full, tmp_path / f"out{k}")
+        calls.clear()
+        assert main(["market", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+        counts.append(len(calls))
+        for name in ("market.csv", "integration.csv", "correlations.csv"):
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
+    assert len(read_rows(many_searchers[1] / "profiles.csv")) == N_MANY
+    assert counts[0] == counts[1] > 0
 
 
 def test_estimate_formats_each_cumulative_ev_row_once(varied_builders, tmp_path, monkeypatch):
@@ -1076,9 +1175,16 @@ def four_peaked(tmp_path_factory):
 
 
 def test_decline_vs_major_rows_are_spearman_over_the_profiles(four_peaked):
+    assert_decline_rows_are_spearman(*four_peaked, n_points=4)
+
+
+def test_decline_vs_major_rows_for_many_searchers(many_searchers):
+    assert_decline_rows_are_spearman(*many_searchers, n_points=21)
+
+
+def assert_decline_rows_are_spearman(inputs: Path, out: Path, n_points: int) -> None:
     """Each row is the Spearman of profiles.csv's decline_3s_fraction against
     the Major-Major count (or volume) share of the searcher's included trades."""
-    inputs, out = four_peaked
     registry = pipeline.Workspace(inputs, out).registry
     excluded = {r["tx_hash"] for r in read_rows(out / "markouts.csv") if r["excluded"] == "true"}
     included: dict[str, list[dict]] = {}
@@ -1090,16 +1196,17 @@ def test_decline_vs_major_rows_are_spearman_over_the_profiles(four_peaked):
         if not p["decline_3s_fraction"]:
             continue
         trades = included[p["searcher_label"]]
-        mm = [t for t in trades if market.pair_class(t["token_bought"], t["token_sold"], registry)
-              == market.PAIR_MAJOR_MAJOR]
+        mm = [t for t in trades
+              if registry.get(t["token_bought"]).is_major and registry.get(t["token_sold"]).is_major]
         declines.append(float(p["decline_3s_fraction"]))
         count_shares.append(len(mm) / len(trades))
         volume_shares.append(sum(float(t["volume_usd"]) for t in mm)
                              / sum(float(t["volume_usd"]) for t in trades))
-    assert len(declines) == 4 and len(set(count_shares)) == 4
+    assert len(declines) == n_points and len(set(count_shares)) >= 4
     rows = [r for r in read_rows(out / "correlations.csv") if r["analysis"].startswith("decline")]
     assert [r["analysis"] for r in rows] == ["decline_vs_major_count", "decline_vs_major_volume"]
     for r, shares in zip(rows, (count_shares, volume_shares)):
         want = market.spearman(declines, shares)
         assert (r["pair"], r["lag_days"], r["window_end"]) == ("", "0", "")
-        assert (float(r["rho"]), int(r["n"]), float(r["p_value"])) == (want.rho, 4, want.p_value)
+        assert (float(r["rho"]), int(r["n"]), float(r["p_value"])) == (
+            want.rho, n_points, want.p_value)

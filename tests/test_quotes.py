@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cexdex._kernels import LOOKUP_NO_QUOTE, LOOKUP_OK, LOOKUP_STALE
 from cexdex.errors import NoQuoteBefore, StaleQuote
 from cexdex.markout import _usd_prices
 
@@ -18,28 +17,29 @@ def store():
 
 
 def mids(store, symbol, *t_ms, staleness_ms=5000):
-    values, status = store.mids(symbol, np.array(t_ms, dtype=np.int64), staleness_ms)
-    return values.tolist(), status.tolist()
+    values, ok = store.mids(symbol, np.array(t_ms, dtype=np.int64), staleness_ms)
+    assert ok.dtype == bool
+    return values.tolist(), ok.tolist()
 
 
 def test_mid_is_last_at_or_before(store):
     # 1000 is an exact-timestamp hit
-    assert mids(store, "BTCUSDT", 200, 999, 1000) == ([100.0, 100.0, 101.0], [LOOKUP_OK] * 3)
+    assert mids(store, "BTCUSDT", 200, 999, 1000) == ([100.0, 100.0, 101.0], [True] * 3)
 
 
 def test_no_quote_before(store):
-    assert mids(store, "BTCUSDT", 200, -1) == ([100.0, 0.0], [LOOKUP_OK, LOOKUP_NO_QUOTE])
+    assert mids(store, "BTCUSDT", 200, -1) == ([100.0, 0.0], [True, False])
     e = store.unpriced("BTCUSDT", -1)
     assert isinstance(e, NoQuoteBefore) and e.t_ms == -1
 
 
 def test_symbol_without_quotes(store):
-    assert mids(store, "XYZUSDT", 0, 5) == ([0.0, 0.0], [LOOKUP_NO_QUOTE] * 2)
+    assert mids(store, "XYZUSDT", 0, 5) == ([0.0, 0.0], [False] * 2)
     assert str(store.unpriced("XYZUSDT", 7)) == "no quote at or before t=7"
 
 
 def test_stale_quote(store):
-    assert mids(store, "BTCUSDT", 200, 11001) == ([100.0, 0.0], [LOOKUP_OK, LOOKUP_STALE])
+    assert mids(store, "BTCUSDT", 200, 11001) == ([100.0, 0.0], [True, False])
     # the gap is measured from the last quote at or before the time
     e = store.unpriced("BTCUSDT", 11001)
     assert isinstance(e, StaleQuote) and e.gap_ms == 6001
@@ -47,8 +47,8 @@ def test_stale_quote(store):
 
 def test_staleness_boundary_inclusive(store):
     # a gap of exactly staleness_ms is still acceptable
-    assert mids(store, "BTCUSDT", 10000) == ([104.0], [LOOKUP_OK])
-    assert mids(store, "BTCUSDT", 10001) == ([0.0], [LOOKUP_STALE])
+    assert mids(store, "BTCUSDT", 10000) == ([104.0], [True])
+    assert mids(store, "BTCUSDT", 10001) == ([0.0], [False])
 
 
 def test_eth_usd(store):
@@ -96,4 +96,6 @@ def test_mid_many_matches_mid_at(store):
 
 
 def test_mid_many_flags_failures(store):
-    assert mids(store, "BTCUSDT", -5, 100, 50000)[1] == [1, 0, 2]  # no-quote, ok, stale
+    # no quote before, fresh, stale: unpriced tells the two failures apart
+    assert mids(store, "BTCUSDT", -5, 100, 50000)[1] == [False, True, False]
+    assert [type(store.unpriced("BTCUSDT", t)) for t in (-5, 50000)] == [NoQuoteBefore, StaleQuote]
