@@ -143,8 +143,8 @@ def builder_summary(blocks: Table, per_block: Table, eth_usd: np.ndarray) -> Tab
     bp, p = per_block.bp_usd, per_block.p_usd
     before, after = per_block.subsidized_before, per_block.subsidized_after
     bp_margin, bp_defined = aggregated_margin(blocks, bp, eth_usd)
-    p_defined = np.array([m is not None for m in per_block.margin], dtype=bool)
-    p_margin = np.array([m if m is not None else 0.0 for m in per_block.margin], dtype=np.float64)
+    p_defined = np.not_equal(per_block.margin, None)
+    p_margin = np.where(p_defined, per_block.margin, 0.0).astype(np.float64)
     n_blocks = np.bincount(code, minlength=n)
     return Table(BuilderSummary, [
         labels, n_blocks, total(blocks.bid_eth), total(bp), total(per_block.sp_usd), total(p),

@@ -99,13 +99,13 @@ def _write_charts(ws: pipeline.Workspace) -> None:
 
     market_path = ws.out_dir / "market.csv"
     if market_path.exists():
-        hhis: dict[str, float] = {}  # the first HHI of each date, in file order
-        for r in pipeline._read_output(market_path, market.DailyShare, "market").rows():
-            if r.hhi_volume is not None:
-                hhis.setdefault(r.date, r.hhi_volume)
+        shares = pipeline._read_output(market_path, market.DailyShare, "market")
+        defined = np.not_equal(shares.hhi_volume, None)
+        _, first = np.unique(shares.date[defined], return_index=True)  # each date's first HHI
+        hhis = shares.hhi_volume[defined][np.sort(first)].tolist()  # in file order
         if hhis:
             fig, ax = plt.subplots(figsize=(8, 4))
-            ax.plot(range(len(hhis)), list(hhis.values()))
+            ax.plot(range(len(hhis)), hhis)
             ax.set_xlabel("day index")
             ax.set_ylabel("volume HHI")
             ax.set_ylim(0, 1)

@@ -99,9 +99,9 @@ def strings(values) -> np.ndarray:
     return np.asarray(values, dtype=np.dtypes.StringDType())
 
 
-def optional(values: np.ndarray, defined: np.ndarray) -> list:
+def optional(values: np.ndarray, defined: np.ndarray) -> np.ndarray:
     """A float | None column: each of ``values`` where ``defined``, else None."""
-    return [v if d else None for v, d in zip(values.tolist(), defined.tolist())]
+    return np.where(defined, values, None)
 
 
 # the column of each field annotation
@@ -110,7 +110,7 @@ _COLUMN = {
     "int": lambda v: np.asarray(v, dtype=np.int64),
     "float": lambda v: np.asarray(v, dtype=np.float64),
     "bool": lambda v: np.asarray(v, dtype=bool),
-    "float | None": list,
+    "float | None": lambda v: np.asarray(v, dtype=object),  # Python floats and None
 }
 
 
@@ -118,7 +118,7 @@ class Table:
     """Rows of the dataclass ``row`` held as columns, each the attribute named
     after its field: a numpy array for a field annotated str or Decimal
     (StringDType; a Decimal as the text str() gives it), int (int64), float
-    (float64) or bool, and a list of floats and None for float | None. The
+    (float64), bool, or float | None (object: Python floats and None). The
     row dataclass still declares its file's header and each cell's kind."""
 
     def __init__(self, row: type, columns):
@@ -152,15 +152,12 @@ class Table:
         out = object.__new__(Table)
         out.row = self.row
         for f in dataclasses.fields(self.row):
-            c = getattr(self, f.name)
-            setattr(out, f.name, c[mask] if isinstance(c, np.ndarray) else
-                    [v for v, keep in zip(c, mask.tolist()) if keep])
+            setattr(out, f.name, getattr(self, f.name)[mask])
         return out
 
     def rows(self) -> list:
         """The rows as instances of ``row``, of Python values (a Decimal field's text)."""
-        return [self.row(*r) for r in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                                            for c in self.columns))]
+        return [self.row(*r) for r in zip(*(c.tolist() for c in self.columns))]
 
 
 @dataclass(frozen=True)
@@ -289,7 +286,7 @@ def _flag_column(text: np.ndarray) -> np.ndarray:
     return is_true
 
 
-def _float_or_none_column(text: np.ndarray) -> list:
+def _float_or_none_column(text: np.ndarray) -> np.ndarray:
     """float() of every cell, and None for an empty one; raises ValueError
     for a cell float() refuses. numpy's cast from text reads as float() does."""
     defined = text != ""
@@ -298,8 +295,8 @@ def _float_or_none_column(text: np.ndarray) -> list:
     return optional(values, defined)
 
 
-# each text kind's column from the tokenizer's text, a new array (or list)
-# all, so that the file's text can be freed before its numbers are read
+# each text kind's column from the tokenizer's text, each a new array, so
+# that the file's text can be freed before its numbers are read
 _FROM_TEXT = {TEXT: np.strings.strip, OPTIONAL: np.strings.strip, STR: np.copy, AMOUNT: np.copy,
               FLAG: _flag_column, FLOAT_OR_NONE: _float_or_none_column}
 _NUMBERS = {INT: np.int64, FLOAT: np.float64, ANY_FLOAT: np.float64, AMOUNT: np.float64}

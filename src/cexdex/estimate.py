@@ -82,10 +82,11 @@ class SearcherSummary:
     count_unprofitable: int
 
 
-def searcher_summaries(labels: np.ndarray, economics: Table, n_inventory_adj: np.ndarray,
-                       n_quote_gap: np.ndarray) -> Table:
-    """Totals and per-trade medians of each searcher of ``labels``, sorted
-    and holding every economics row's label, as a Table of SearcherSummary.
+def searcher_summaries(labels: np.ndarray, code: np.ndarray, economics: Table,
+                       n_inventory_adj: np.ndarray, n_quote_gap: np.ndarray) -> Table:
+    """Totals and per-trade medians of each searcher of ``labels``, sorted,
+    as a Table of SearcherSummary; ``code`` is each economics row's index
+    into ``labels``.
 
     Margin medians cover only margin-defined trades; EV/PnL medians cover
     every arbitrage trade. Excluded trades, ``n_inventory_adj`` and
@@ -93,10 +94,8 @@ def searcher_summaries(labels: np.ndarray, economics: Table, n_inventory_adj: np
     are numpy's pairwise sums of the searcher's rows.
     """
     n = len(labels)
-    distinct, code = np.unique(economics.searcher_label, return_inverse=True)
-    code = np.searchsorted(labels, distinct)[code]
-    defined = np.array([m is not None for m in economics.margin], dtype=bool)
-    margin = np.array([m if m is not None else 0.0 for m in economics.margin], dtype=np.float64)
+    defined = np.not_equal(economics.margin, None)
+    margin = np.where(defined, economics.margin, 0.0).astype(np.float64)
     n_arb = np.bincount(code, minlength=n)
     profitable = np.bincount(code[economics.pnl_usd >= 0], minlength=n)
     total_ev, total_pnl, median_ev, median_pnl, median_margin = [], [], [], [], []
@@ -128,15 +127,17 @@ class CumulativeEv:
     cumulative_ev_usd: float
 
 
-def cumulative_ev_series(economics: Table) -> Table:
+def cumulative_ev_series(labels: np.ndarray, code: np.ndarray, economics: Table) -> Table:
     """Per-searcher daily EV sums and their running total, by label then
-    day, as a Table of CumulativeEv.
+    day, as a Table of CumulativeEv; ``code`` is each economics row's index
+    into ``labels``, sorted.
 
     Trades are bucketed by UTC day number; empty days between a searcher's
     first and last trade are emitted with 0, and each row's day is
     formatted once.
     """
-    labels, code = np.unique(economics.searcher_label, return_inverse=True)
+    present, code = np.unique(code, return_inverse=True)  # the searchers with a row
+    labels = labels[present]
     day = economics.slot_time_ms // DAY_MS
     first, last = np.zeros(len(labels), dtype=np.int64), np.zeros(len(labels), dtype=np.int64)
     for k, rows in enumerate(group_rows(code, len(labels))):

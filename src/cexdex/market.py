@@ -50,16 +50,17 @@ class IntegrationMatrix:
     cells: np.ndarray  # row-normalized volume fractions
 
 
-def integration_matrix(trades: Table) -> IntegrationMatrix:
+def integration_matrix(trades: Table, searchers: np.ndarray, s_code: np.ndarray
+                       ) -> IntegrationMatrix:
     """Volume-weighted, row-normalized searcher x builder matrix of
-    ``trades``, a Table of ArbTrade.
+    ``trades``, a Table of ArbTrade, whose searchers ``s_code`` codes as
+    ``searchers``, sorted.
 
     Zero-volume searchers are omitted; builder columns are sorted by label
     for determinism. A searcher's total adds its builders' volumes in the
     order it first trades with each, and each volume adds its trades in
     row order.
     """
-    searchers, s_code = np.unique(trades.searcher_label, return_inverse=True)
     builders, b_code = np.unique(trades.builder_label, return_inverse=True)
     nb = len(builders)
     pairs, volume = keyed_sums(s_code * nb + b_code, trades.volume_usd)
@@ -156,17 +157,14 @@ class Correlation:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based); ties share the mean of their positions."""
+    """Average ranks (1-based); ties share the mean of their positions, and
+    each NaN, equal to nothing, is ranked alone."""
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    last = np.append(first[1:], len(values)) - 1  # each run of ties, first to last
     ranks = np.empty(len(values))
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2 + 1.0, last - first + 1)
     return ranks
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import MarkoutGrid, PipelineConfig
 from ._kernels import group_rows
-from .data_model import Table, TokenRegistry
+from .data_model import Table, TokenRegistry, strings
 from .detect import ArbTrade
 from .quotes import QuoteStore
 
@@ -29,14 +29,14 @@ EXCLUSION_INVENTORY = "InventoryAdjustment"
 @dataclass
 class MarkoutTable:
     """MR of trades (rows, in the order they were marked out) at every grid
-    offset (columns, in grid order). ``exclusion_reason[i]`` is None for a
-    trade that is included."""
+    offset (columns, in grid order). ``exclusion_reason[i]`` is "" for a
+    trade that is included, as markouts.csv writes it."""
 
-    tx_hash: np.ndarray  # StringDType, as searcher_label
+    tx_hash: np.ndarray  # StringDType, as searcher_label and exclusion_reason
     searcher_label: np.ndarray
     volume_usd: np.ndarray
     mr_usd: np.ndarray  # (trades, offsets)
-    exclusion_reason: list[str | None]
+    exclusion_reason: np.ndarray
 
     @cached_property
     def gr(self) -> np.ndarray:
@@ -44,7 +44,7 @@ class MarkoutTable:
 
     def included(self) -> np.ndarray:
         """The mask of the included trades."""
-        return np.array([r is None for r in self.exclusion_reason], dtype=bool)
+        return self.exclusion_reason == ""
 
     def included_rows(self) -> dict[str, np.ndarray]:
         """Searcher label -> rows of its included trades, by label; searchers
@@ -106,10 +106,8 @@ def markout_table(trades: Table, grid: MarkoutGrid, store: QuoteStore,
     eth, eth_priced = store.eth_usd(trades.slot_time_ms, cfg.quote_staleness_ms)
     base_fee_usd = trades.base_fee_eth * eth
     inventory = np.all(mr < base_fee_usd[:, None], axis=1)  # MR never covers the base fee
-    reasons = [
-        EXCLUSION_QUOTE_GAP if not (p and e) else EXCLUSION_INVENTORY if inv else None
-        for p, e, inv in zip(priced.tolist(), eth_priced.tolist(), inventory.tolist())
-    ]
+    reasons = strings(np.where(priced & eth_priced, np.where(inventory, EXCLUSION_INVENTORY, ""),
+                               EXCLUSION_QUOTE_GAP))
     return MarkoutTable(trades.tx_hash, trades.searcher_label, trades.volume_usd, mr, reasons)
 
 

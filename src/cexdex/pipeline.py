@@ -259,9 +259,8 @@ def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable
 
 def run_markout(ws: Workspace) -> None:
     table = markout_mod.markout_table(ws.detections, ws.grid, ws.quotes, ws.registry, ws.config)
-    reasons = table.exclusion_reason
     _write_csv(ws.out_dir / "markouts.csv", _markouts_header(ws.grid.offsets_s), [
-        table.tx_hash, table.searcher_label, [r is not None for r in reasons], reasons,
+        table.tx_hash, table.searcher_label, ~table.included(), table.exclusion_reason,
         table.volume_usd, *table.mr_usd.T])
     ws.markouts = table
 
@@ -275,7 +274,7 @@ def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
     c = _read_csv(ws.out_dir / "markouts.csv", kinds, "markout")
     mr = np.column_stack([c[h] for h in header[len(MARKOUTS_KEYS):]])
     return markout_mod.MarkoutTable(c["tx_hash"], c["searcher_label"], c["volume_usd"], mr,
-                                    [r or None for r in c["exclusion_reason"].tolist()])
+                                    c["exclusion_reason"])
 
 
 def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:
@@ -330,13 +329,14 @@ def run_estimate(ws: Workspace) -> None:
     _write_output(ws.out_dir / "economics.csv", economics)
     ws.economics = economics
 
-    inventory = np.array([r == EXCLUSION_INVENTORY for r in table.exclusion_reason], dtype=bool)
+    inventory = table.exclusion_reason == EXCLUSION_INVENTORY
     summaries = estimate_mod.searcher_summaries(
-        labels, economics, np.bincount(code[inventory], minlength=len(labels)),
+        labels, code[rows], economics, np.bincount(code[inventory], minlength=len(labels)),
         np.bincount(code[~included & ~inventory], minlength=len(labels)))
     _write_output(ws.out_dir / "summary.csv", summaries)
 
-    _write_output(ws.out_dir / "cumulative_ev.csv", estimate_mod.cumulative_ev_series(economics))
+    _write_output(ws.out_dir / "cumulative_ev.csv",
+                  estimate_mod.cumulative_ev_series(labels, code[rows], economics))
 
 
 def _load_economics(ws: Workspace) -> Table:
@@ -367,10 +367,10 @@ def _daily_shares(included: Table, economics: Table, labels: np.ndarray, code: n
     positive = np.isin(ev_keys // n, days) & (ev > 0)
     ev_day = np.searchsorted(days, ev_keys[positive] // n)
     total_ev = group_sum(ev_day, ev[positive], len(days))
-    hhi_v = [market_mod.hhi(vol[rows] / t) if t > 0 else None
-             for rows, t in zip(group_rows(vol_day, len(days)), total_v.tolist())]
-    hhi_e = [market_mod.hhi(ev[positive][rows] / t) if t > 0 else None
-             for rows, t in zip(group_rows(ev_day, len(days)), total_ev.tolist())]
+    hhi_v = np.array([market_mod.hhi(vol[rows] / t) if t > 0 else None
+                      for rows, t in zip(group_rows(vol_day, len(days)), total_v.tolist())], object)
+    hhi_e = np.array([market_mod.hhi(ev[positive][rows] / t) if t > 0 else None
+                      for rows, t in zip(group_rows(ev_day, len(days)), total_ev.tolist())], object)
 
     # a row per day and searcher with included trades, by day then label
     keys = np.sort(vol_keys)
@@ -382,9 +382,8 @@ def _daily_shares(included: Table, economics: Table, labels: np.ndarray, code: n
     v_share = np.divide(volume, total_v[day], out=np.zeros(len(keys)), where=v_ok)
     e_share = np.divide(row_ev, total_ev[day], out=np.zeros(len(keys)), where=e_ok)
     table = Table(market_mod.DailyShare, [
-        [dates[d] for d in day.tolist()], labels[keys % n], volume, optional(v_share, v_ok),
-        row_ev, optional(e_share, e_ok), [hhi_v[d] for d in day.tolist()],
-        [hhi_e[d] for d in day.tolist()],
+        strings(dates)[day], labels[keys % n], volume, optional(v_share, v_ok), row_ev,
+        optional(e_share, e_ok), hhi_v[day], hhi_e[day],
     ])
     return table, days, dates, total_v
 
@@ -400,7 +399,7 @@ def run_market(ws: Workspace) -> None:
     shares, days, dates, total_v = _daily_shares(included, economics, labels, code)
     _write_output(ws.out_dir / "market.csv", shares)
 
-    matrix = market_mod.integration_matrix(included)
+    matrix = market_mod.integration_matrix(included, labels, trade_code)
     classes = market_mod.classify_exclusivity(matrix, ws.labels, ws.config.exclusivity_threshold)
     nb, ns = len(matrix.builders), len(matrix.searchers)
     searcher_classes = [classes[s] for s in matrix.searchers]

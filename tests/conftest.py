@@ -11,6 +11,7 @@ from cexdex.data_model import (
     TRANSACTION_COLUMNS, SearcherLabelFile, Table, TokenInfo, TokenRegistry, load_transactions,
 )
 from cexdex.detect import ArbTrade, DetectionVerdict, detect_all
+from cexdex.market import integration_matrix
 from cexdex.markout import markout_table
 from cexdex.quotes import QuoteStore
 
@@ -115,6 +116,18 @@ def trade_rows(trades: Table) -> list[ArbTrade]:
 
 def trade_table(*trades: ArbTrade) -> Table:
     return Table.of_rows(ArbTrade, list(trades))
+
+
+def searcher_coding(table: Table) -> tuple[np.ndarray, np.ndarray]:
+    """(the sorted searcher labels of ``table``, each row's index into them),
+    the coding the estimate and market stages hand on."""
+    return np.unique(table.searcher_label, return_inverse=True)
+
+
+def integration_of(*trades: ArbTrade):
+    """market.integration_matrix of ``trades``, their searchers coded by label."""
+    table = trade_table(*trades)
+    return integration_matrix(table, *searcher_coding(table))
 
 
 def make_trade(tx_hash="0xt1", *, block_number=100, searcher_label="s1",

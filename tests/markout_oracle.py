@@ -40,7 +40,7 @@ def _usd_price(token, t_ms, store, registry, staleness_ms):
 
 
 def oracle_curve(trade, grid, store, registry, cfg):
-    """(MR, GR, exclusion reason or None) of one trade over ``grid``."""
+    """(MR, GR, exclusion reason, "" for an included trade) of one trade over ``grid``."""
     n = len(grid.offsets_ms)
     query_ts = [trade.slot_time_ms + off for off in grid.offsets_ms]
     pa = _usd_price(trade.token_bought, query_ts, store, registry, cfg.quote_staleness_ms)
@@ -56,7 +56,7 @@ def oracle_curve(trade, grid, store, registry, cfg):
         return mr, gr, "QuoteGap"
     if np.all(mr < trade.base_fee_eth * eth[0]):
         return mr, gr, "InventoryAdjustment"
-    return mr, gr, None
+    return mr, gr, ""
 
 
 def same_bits(a, b) -> bool:

@@ -22,14 +22,13 @@ from cexdex.horizon import SearcherProfile
 from cexdex.market import (
     classify_exclusivity,
     hhi,
-    integration_matrix,
     lagged_correlation,
     spearman,
 )
 from cexdex.synth import SearcherSpec, SynthConfig, generate, score
 from cexdex import _kernels
 
-from conftest import detect, make_store, make_trade, mr_at_zero, trade_table
+from conftest import detect, integration_of, make_store, make_trade, mr_at_zero
 from test_builder import bp_of
 from test_estimate import economics_of
 
@@ -304,7 +303,7 @@ def test_criterion_9_exclusivity():
         make_trade("0x8", searcher_label="ezreal", builder_label="flashbots", volume_usd=33.0),
     ]
     labels = SearcherLabelFile(labels={})
-    classes = classify_exclusivity(integration_matrix(trade_table(*trades)), labels, 0.5)
+    classes = classify_exclusivity(integration_of(*trades), labels, 0.5)
     assert classes["graves"] == ("Exclusive", "titan")  # 100%
     assert classes["kayle"] == ("Exclusive", "titan")  # 52%
     assert classes["draven"] == ("Neutral", None)  # 50% exactly

@@ -13,7 +13,7 @@ from cexdex.estimate import (
 )
 from cexdex.horizon import SearcherProfile
 
-from conftest import make_trade, trade_table
+from conftest import make_trade, searcher_coding, trade_table
 
 DAY_MS = 86_400_000
 T0 = 1_717_200_000_000  # 2024-06-01T00:00:00Z
@@ -34,9 +34,16 @@ def economics_of(trade, mr_usd, eth_usd_at_slot):
 
 def searcher_summary(label, rows, n_inventory_adj=0, n_quote_gap=0):
     """searcher_summaries of one searcher, as its row."""
-    (s,) = searcher_summaries(strings([label]), Table.of_rows(TradeEconomics, rows),
-                              np.array([n_inventory_adj]), np.array([n_quote_gap])).rows()
+    (s,) = searcher_summaries(strings([label]), np.zeros(len(rows), dtype=np.intp),
+                              Table.of_rows(TradeEconomics, rows), np.array([n_inventory_adj]),
+                              np.array([n_quote_gap])).rows()
     return s
+
+
+def cumulative_ev_of(rows):
+    """cumulative_ev_series of economics rows, their searchers coded by label."""
+    table = Table.of_rows(TradeEconomics, rows)
+    return cumulative_ev_series(*searcher_coding(table), table).rows()
 
 
 def econ(ev, pnl, *, label="s1", slot=T0, volume=100.0):
@@ -108,7 +115,7 @@ def test_summary_counts_include_exclusions():
 def test_cumulative_series_daily():
     rows = [econ(3.0, 3.0, slot=T0), econ(4.0, 4.0, slot=T0 + 1000),
             econ(5.0, 5.0, slot=T0 + 2 * DAY_MS)]
-    series = cumulative_ev_series(Table.of_rows(TradeEconomics, rows)).rows()
+    series = cumulative_ev_of(rows)
     assert series == [
         CumulativeEv("s1", "2024-06-01", 7.0, 7.0),
         CumulativeEv("s1", "2024-06-02", 0.0, 7.0),  # empty day emitted
@@ -116,8 +123,18 @@ def test_cumulative_series_daily():
     ]
 
 
+def test_cumulative_series_of_the_searchers_with_rows():
+    """A searcher of ``labels`` without an economics row has no series; the
+    others' follow label order, whatever the row order."""
+    rows = [econ(2.0, 2.0, label="s3", slot=T0), econ(1.0, 1.0, label="s1", slot=T0 + DAY_MS)]
+    series = cumulative_ev_series(strings(["s1", "s2", "s3"]), np.array([2, 0]),
+                                  Table.of_rows(TradeEconomics, rows)).rows()
+    assert series == [CumulativeEv("s1", "2024-06-02", 1.0, 1.0),
+                      CumulativeEv("s3", "2024-06-01", 2.0, 2.0)]
+
+
 def test_utc_day_boundary():
     rows = [econ(1.0, 1.0, slot=T0 + DAY_MS - 1), econ(2.0, 2.0, slot=T0 + DAY_MS)]
-    series = cumulative_ev_series(Table.of_rows(TradeEconomics, rows)).rows()
+    series = cumulative_ev_of(rows)
     assert [(r.searcher_label, r.date, r.ev_usd) for r in series] == [
         ("s1", "2024-06-01", 1.0), ("s1", "2024-06-02", 2.0)]

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cexdex.data_model import SearcherLabelFile
 from cexdex.errors import UnknownToken
 from cexdex.market import (
+    _midranks,
     classify_exclusivity,
     hhi,
-    integration_matrix,
     lagged_correlation,
     major_major_shares,
     rolling_correlation,
     spearman,
 )
 
-from conftest import TOKA, TOKC, USDT, WBTC, WETH, make_trade, trade_table
+from conftest import TOKA, TOKC, USDT, WBTC, WETH, integration_of, make_trade, trade_table
 
 
 def brute_spearman(x, y):
@@ -44,7 +46,7 @@ def test_integration_matrix_normalization():
         make_trade("0x2", searcher_label="s1", builder_label="bB", volume_usd=40.0),
         make_trade("0x3", searcher_label="s2", builder_label="bA", volume_usd=10.0),
     ]
-    m = integration_matrix(trade_table(*trades))
+    m = integration_of(*trades)
     assert m.searchers == ["s1", "s2"]
     assert m.builders == ["bA", "bB"]
     assert m.cells == pytest.approx(np.array([[0.6, 0.4], [1.0, 0.0]]))
@@ -62,7 +64,7 @@ def test_exclusivity_classes():
         make_trade("0x7", searcher_label="scp", builder_label="rsync", volume_usd=10.0),
     ]
     labels = SearcherLabelFile(labels={}, integrated_with={"scp": "beaver"})
-    classes = classify_exclusivity(integration_matrix(trade_table(*trades)), labels, 0.5)
+    classes = classify_exclusivity(integration_of(*trades), labels, 0.5)
     assert classes["graves"] == ("Exclusive", "titan")  # 100%
     assert classes["kayle"] == ("Exclusive", "titan")  # 52%
     assert classes["draven"] == ("Neutral", None)  # exactly 50% is not enough
@@ -108,6 +110,34 @@ def test_spearman_matches_brute_force_with_ties():
             assert len(set(x)) == 1 or len(set(y)) == 1
             continue
         assert res.rho == pytest.approx(brute_spearman(x, y), abs=1e-12)
+
+
+def loop_midranks(values: np.ndarray) -> np.ndarray:
+    """Midranks by walking the sorted values: each run of values equal (==)
+    to its first shares the mean of its 0-based positions, plus 1."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    sorted_vals = values[order]
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2 + 1.0
+        i = j + 1
+    return ranks
+
+
+# few distinct values, so that most series hold ties; signed zeros, infinities and NaN
+tied_floats = st.sampled_from([0.0, -0.0, 1.0, 2.5, -7.0, float("inf"), float("-inf"),
+                               float("nan")]) | st.floats()
+
+
+@given(st.lists(tied_floats, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_midranks_equal_the_loop(values):
+    values = np.array(values, dtype=np.float64)
+    assert _midranks(values).tobytes() == loop_midranks(values).tobytes()
 
 
 def test_spearman_exact_p_small_n():

@@ -55,7 +55,7 @@ def test_markout_revenue_fee_only(registry, config):
 
 def test_markout_curve_full_grid(registry, config, grid):
     table = markout_curve(two_leg_trade(), grid, flat_store(), registry, config)
-    assert table.exclusion_reason == [None]
+    assert table.exclusion_reason == [""]
     (mr,), (gr,) = table.mr_usd, table.gr
     assert len(mr) == 23
     # constant prices -> constant curve
@@ -90,7 +90,7 @@ def test_inventory_flag_single_crossing(registry, config, grid):
     ticks[6] = (ticks[6][0], 53.0, 53.0)
     store = make_store({"TOKAUSDT": ticks, "ETHUSDT": [(999_000, 2000.0, 2000.0)]})
     table = markout_curve(trade, grid, store, registry, config)
-    assert table.exclusion_reason == [None]
+    assert table.exclusion_reason == [""]
 
 
 def test_inventory_flag_zero_boundary(registry, grid):
@@ -100,7 +100,7 @@ def test_inventory_flag_zero_boundary(registry, grid):
                        base_fee_eth=0.0)
     table = markout_curve(trade, grid, flat_store(), registry, cfg)
     assert not table.mr_usd.any()
-    assert table.exclusion_reason == [None]
+    assert table.exclusion_reason == [""]
 
 
 def test_mr_scale_invariance_of_gr(registry, config, grid):
@@ -179,7 +179,7 @@ def test_batched_markout_equals_per_trade_reference(registry, config, grid, with
     if with_eth:
         assert reason["0xstaleeth"] == EXCLUSION_QUOTE_GAP and mr["0xstaleeth"].all()
         assert reason["0xinventory"] == EXCLUSION_INVENTORY
-        assert reason["0xusdt"] is None and reason["0xmix0"] is None
+        assert reason["0xusdt"] == "" and reason["0xmix0"] == ""
     else:  # no ETHUSDT series: every trade is a QuoteGap, priced ones keep their MR
         assert set(reason.values()) == {EXCLUSION_QUOTE_GAP}
         assert mr["0xusdt"].all() and mr["0xmix0"].all()

@@ -7,6 +7,9 @@ import functools
 import hashlib
 import json
 import operator
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -511,7 +514,7 @@ def test_markouts_round_trip_bit_identical(markout_corpus):
     loaded = pipeline._load_markout_curves(ws)
     assert loaded.tx_hash.tolist() == [t.tx_hash for t in trades]
     reasons = {reason for _, _, reason in computed}
-    assert reasons == {None, "QuoteGap", "InventoryAdjustment"}
+    assert reasons == {"", "QuoteGap", "InventoryAdjustment"}
     assert ws.grid.offsets_s[:3] == [-1.5, -1.25, -1.0]
     for i, (trade, c) in enumerate(zip(trades, computed)):
         assert_same_row(loaded, i, trade, c)
@@ -832,7 +835,7 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
     # a trade whose MR at its searcher's t* is below its own best MR: a base
     # fee between the two keeps it included and makes its EV negative
     for i, trade in enumerate(ws.detections.rows()):
-        if table.exclusion_reason[i] is not None or trade.searcher_label == "s_flat":
+        if table.exclusion_reason[i] != "" or trade.searcher_label == "s_flat":
             continue
         t_star = ws.profiles[trade.searcher_label].t_star_s
         low = float(table.mr_usd[i, ws.grid.index_of(t_star)])
@@ -854,21 +857,23 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
 def same_fields(kept, parsed) -> None:
     """Fields of a dataclass, or columns of a Table, equal and of the same
     Python type: arrays of the same dtype, their numbers and floats bit for
-    bit, and Decimals with the same exponent."""
+    bit (None where the other has None), and Decimals with the same exponent."""
     for f in dataclasses.fields(kept.row if isinstance(kept, Table) else kept):
         a, b = getattr(kept, f.name), getattr(parsed, f.name)
         assert type(a) is type(b), (f.name, a, b)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype, (f.name, a.dtype, b.dtype)
-            assert a.tolist() == b.tolist() if a.dtype.kind == "T" else same_bits(a, b), f.name
+            if a.dtype == object:  # a column of floats and None
+                a, b = a.tolist(), b.tolist()
+                assert [type(x) for x in a] == [type(x) for x in b], f.name
+                assert all(same_bits(x, y) if isinstance(x, float) else x == y
+                           for x, y in zip(a, b)), f.name
+            else:
+                assert a.tolist() == b.tolist() if a.dtype.kind == "T" else same_bits(a, b), f.name
         elif isinstance(a, float):
             assert same_bits(a, b), (f.name, a, b)
         elif isinstance(a, Decimal):
             assert a.as_tuple() == b.as_tuple(), (f.name, a, b)
-        elif isinstance(a, list):  # a column of strings or floats, and None
-            assert [type(x) for x in a] == [type(x) for x in b], f.name
-            assert all(same_bits(x, y) if isinstance(x, float) else x == y
-                       for x, y in zip(a, b)), f.name
         else:
             assert a == b, (f.name, a, b)
 
@@ -889,8 +894,14 @@ def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path):
         same_fields(a, b)
     assert len(kept.economics) == len(parsed.economics)
     same_fields(kept.economics, parsed.economics)
+    # every column is an array, kept and parsed alike, and an included
+    # trade's exclusion reason is "", as markouts.csv writes it
+    for ws in (kept, parsed):
+        for table in (ws.detections, ws.economics, ws.blocks, ws.markouts):
+            for f in dataclasses.fields(table.row if isinstance(table, Table) else table):
+                assert isinstance(getattr(table, f.name), np.ndarray), (table, f.name)
+        assert set(ws.markouts.exclusion_reason.tolist()) == {"", "QuoteGap", "InventoryAdjustment"}
     # every optional field is None somewhere
-    assert set(kept.markouts.exclusion_reason) == {None, "QuoteGap", "InventoryAdjustment"}
     assert any(p.t_star_s is None for p in kept.profiles.values())
     assert any(p.decline_3s_fraction is None for p in kept.profiles.values())
     assert None in kept.economics.margin
@@ -1021,6 +1032,26 @@ def test_all_writes_pinned_bytes(scenario, request, tmp_path):
     for stage in pipeline.STAGE_ORDER:
         assert main([stage, "--input-dir", str(inputs), "--out-dir", str(tmp_path / "stages")]) == 0
     assert all_digests(tmp_path / "stages") == PINNED_RUN_DIGESTS[scenario]
+
+
+def cexdex_process(args: list[str], hash_seed: int) -> None:
+    """``cexdex <args>`` in a fresh interpreter with PYTHONHASHSEED=``hash_seed``."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-m", "cexdex.cli", *args], env=env, check=True,
+                   capture_output=True)
+
+
+def test_outputs_do_not_depend_on_the_process(many_searchers, tmp_path):
+    """cexdex all under two string-hash seeds, and the six stage commands
+    under a third, each its own process, write the same bytes."""
+    dirs = ["--input-dir", str(many_searchers[0]), "--out-dir"]
+    for seed in (0, 1):
+        cexdex_process(["all", *dirs, str(tmp_path / f"all{seed}")], seed)
+    for stage in pipeline.STAGE_ORDER:
+        cexdex_process([stage, *dirs, str(tmp_path / "stages")], 2)
+    for out in ("all0", "all1", "stages"):
+        assert all_digests(tmp_path / out) == PINNED_RUN_DIGESTS["many"], out
 
 
 def test_ev_uses_t_star_offset(markout_corpus):
