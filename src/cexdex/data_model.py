@@ -21,7 +21,9 @@ import dataclasses
 import decimal
 import json
 import math
+import os
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -596,12 +598,26 @@ def _symbol_codes(symbols: np.ndarray) -> tuple[list[str], np.ndarray]:
     return list(codes), np.repeat(np.array(run_codes, dtype=np.int64), run_lengths)
 
 
-def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
+def load_quotes(path: str | Path, spill: Path | None = None, sha256: str = ""
+                ) -> dict[str, QuoteArrays]:
     """Per-symbol (ts_ms, bid, ask) arrays sorted by timestamp ascending.
 
     Raises for the first row that fails a check, with the first check it
     fails in the order listed below.
+
+    With ``spill``, an .npz file, the series are kept there under ``sha256``,
+    the digest of the file's bytes, once every check has passed: a later
+    call with that digest loads them instead of parsing. A spill that is
+    missing, unreadable, incomplete or of another digest is ignored.
     """
+    if spill is not None:
+        try:
+            with np.load(spill, allow_pickle=False) as z:
+                if z["sha256"].item() == sha256:
+                    return {s: (z[f"ts_ms{i}"], z[f"bid{i}"], z[f"ask{i}"])
+                            for i, s in enumerate(z["symbols"].tolist())}
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+            pass  # parsed below
     name = Path(path).name
     c, parsed = _read_columns(path, QUOTE_KINDS)
     names, code = _symbol_codes(c.pop("symbol"))
@@ -622,10 +638,16 @@ def load_quotes(path: str | Path) -> dict[str, QuoteArrays]:
     del dup, checks  # their memory goes to the sorted columns
     columns = (ts_sorted, bid[order], ask[order])
     bounds = np.searchsorted(code_sorted, np.arange(len(names) + 1))
-    return {
-        symbol: tuple(a[bounds[c]:bounds[c + 1]] for a in columns)
-        for c, symbol in enumerate(names)
-    }
+    series = {symbol: tuple(a[bounds[c]:bounds[c + 1]] for a in columns)
+              for c, symbol in enumerate(names)}
+    if spill is not None:  # a member per array, written whole before it replaces the spill
+        tmp = spill.with_suffix(".tmp")
+        with open(tmp, "wb") as f:
+            np.savez(f, sha256=np.array(sha256), symbols=np.array(list(series), dtype=str),
+                     **{f"{col}{i}": a for i, arrays in enumerate(series.values())
+                        for col, a in zip(("ts_ms", "bid", "ask"), arrays)})
+        os.replace(tmp, spill)
+    return series
 
 
 BLOCK_KINDS = {"block_number": INT, "builder_label": TEXT, "coinbase_delta_eth": FLOAT,

@@ -2,7 +2,9 @@
 and writes its own CSVs, so every intermediate is auditable.
 
 Stage outputs land in --out-dir; a manifest.json with input digests and
-row counts is refreshed after every stage for reproducibility checks.
+row counts is refreshed after every stage for reproducibility checks. The
+checked quote series are kept there too, in quotes.npz, so that the stages
+after markout load them instead of parsing quotes.csv again.
 """
 
 from __future__ import annotations
@@ -65,12 +67,13 @@ _BOOL_TEXT = ("false", "true")
 
 
 def _cell(v) -> str:
-    """One cell as csv.writer writes it, a bool written as true/false."""
+    """One cell as csv.writer writes it, a bool (numpy's too) written as
+    true/false and a float (numpy's float64 too) as float's repr."""
     if v is None:
         return ""
-    if v.__class__ is bool:
-        return _BOOL_TEXT[v]
-    return repr(v) if isinstance(v, float) else str(v)
+    if isinstance(v, (bool, np.bool_)):
+        return _BOOL_TEXT[bool(v)]
+    return float.__repr__(v) if isinstance(v, float) else str(v)
 
 
 def _format(values) -> list[str]:
@@ -197,8 +200,16 @@ class Workspace:
         return load_tokens(_require_input(self.input_dir, "tokens.csv"))
 
     @cached_property
+    def manifest_inputs(self) -> dict[str, dict]:
+        """The manifest entry of each input file present, one pass over each."""
+        return {name: _manifest_entry(p) for name in INPUT_FILES
+                if (p := self.input_dir / name).exists()}
+
+    @cached_property
     def quotes(self) -> QuoteStore:
-        return QuoteStore(load_quotes(_require_input(self.input_dir, "quotes.csv")))
+        path = _require_input(self.input_dir, "quotes.csv")
+        return QuoteStore(load_quotes(path, self.out_dir / "quotes.npz",
+                                      self.manifest_inputs["quotes.csv"]["sha256"]))
 
     @cached_property
     def labels(self) -> SearcherLabelFile:
@@ -516,13 +527,9 @@ def write_manifest(ws: Workspace) -> None:
     manifest = {
         "config": json.loads(ws.config.to_json()),
         "config_hash": hashlib.sha256(ws.config.to_json().encode()).hexdigest(),
-        "inputs": {},
+        "inputs": ws.manifest_inputs,
         "outputs": {},
     }
-    for name in INPUT_FILES:
-        p = ws.input_dir / name
-        if p.exists():
-            manifest["inputs"][name] = _manifest_entry(p)
     for p in sorted(ws.out_dir.glob("*.csv")):
         manifest["outputs"][p.name] = _manifest_entry(p)
     with open(ws.out_dir / "manifest.json", "w") as f:

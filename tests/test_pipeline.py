@@ -241,6 +241,22 @@ def test_writer_refuses_a_wrong_shape(tmp_path, columns):
     assert not path.exists()
 
 
+def test_writer_writes_numpy_scalars_as_their_values(tmp_path):
+    """An object column of numpy scalars is written as the Python values are,
+    so a float | None column of them reads back."""
+    nan = float("nan")
+    floats = np.array([np.float64(1.5), np.float64(-0.0), None, np.float64(nan)], dtype=object)
+    flags = np.array([np.True_, np.False_, True, None], dtype=object)
+    pipeline._write_csv(tmp_path / "numpy.csv", ["x", "flag"], [floats, flags])
+    reference_csv(tmp_path / "python.csv", ["x", "flag"],
+                  zip([1.5, -0.0, None, nan], [True, False, True, None]))
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+    path = tmp_path / "floats.csv"
+    pipeline._write_output(path, Table(FloatRow, [["s", "s"], np.array([1.5, 2.5]),
+                                                  np.array([np.float64(1.5), None], dtype=object)]))
+    assert pipeline._read_output(path, FloatRow, "test").maybe.tolist() == [1.5, None]
+
+
 # ---------------------------------------------------------------------------
 # builder: SP is the integrated searcher's PnL in the block, in row order
 
@@ -764,6 +780,98 @@ def test_estimate_names_first_priced_trade_without_eth_series(markout_corpus, tm
 
 
 # ---------------------------------------------------------------------------
+# quotes.npz: the checked quote series, kept for the stages after markout
+
+def output_bytes(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv")) + [out / "manifest.json"]}
+
+
+def cross_first_quote_not_of_eth(inputs: Path) -> int:
+    """Give the first quote of a symbol other than ETHUSDT an ask below its
+    bid; return its 1-based data row."""
+    rows = read_rows(inputs / "quotes.csv")
+    k = next(i for i, r in enumerate(rows) if r["symbol"] != "ETHUSDT")
+    rows[k]["ask"] = repr(float(rows[k]["bid"]) / 2)
+    write_rows(inputs / "quotes.csv", list(rows[0]), [list(r.values()) for r in rows])
+    return k + 1
+
+
+def test_stages_after_markout_load_the_spill(markout_corpus, tmp_path, monkeypatch):
+    """After markout, each later stage command, a fresh Workspace, loads the
+    quotes from quotes.npz without tokenizing quotes.csv, and writes the
+    bytes of cexdex all."""
+    inputs, out = markout_corpus
+    stages = ["--input-dir", str(inputs), "--out-dir", str(tmp_path / "stages")]
+    for stage in ("detect", "markout"):
+        assert main([stage, *stages]) == 0
+    assert (tmp_path / "stages" / "quotes.npz").exists()
+
+    read_columns = data_model._read_columns
+
+    def read_but_quotes(path, kinds):
+        assert Path(path).name != "quotes.csv", "quotes.csv tokenized again"
+        return read_columns(path, kinds)
+
+    monkeypatch.setattr(data_model, "_read_columns", read_but_quotes)
+    for stage in ("horizon", "estimate", "market", "builder"):
+        assert main([stage, *stages]) == 0
+    assert output_bytes(tmp_path / "stages") == output_bytes(out)
+
+
+def test_estimate_refuses_quotes_changed_after_markout(markout_corpus, tmp_path, capsys):
+    inputs, out = markout_corpus
+    inputs = copy_tree(inputs, tmp_path / "in")
+    out = copy_tree(out, tmp_path / "out")
+    row = cross_first_quote_not_of_eth(inputs)
+    capsys.readouterr()
+    assert main(["estimate", "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "CrossedQuote",
+                   "message": f"crossed quote (ask < bid) at row {row} of quotes.csv"}
+
+
+def keep_members(spill: Path, change) -> None:
+    """Rewrite quotes.npz with the members ``change`` makes of its members."""
+    with np.load(spill) as z:
+        members = change({name: z[name] for name in z.files})
+    np.savez(spill, **members)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda spill: spill.write_bytes(spill.read_bytes()[:spill.stat().st_size // 2]),
+    lambda spill: spill.write_bytes(b"symbol,ts_ms,bid,ask\n" * 50),
+    lambda spill: keep_members(spill, lambda m: {k: v for k, v in m.items() if k != "ask0"}),
+    # another file's series: prices doubled, under another sha256
+    lambda spill: keep_members(spill, lambda m: {k: v * 2 if k[:3] in ("bid", "ask") else v
+                                                 for k, v in m.items()} | {"sha256": "0" * 64}),
+], ids=["truncated", "garbage", "member missing", "other sha256"])
+def test_damaged_spill_is_replaced(markout_corpus, tmp_path, damage):
+    inputs, out = markout_corpus
+    out = copy_tree(out, tmp_path / "out")
+    spill = out / "quotes.npz"
+    with np.load(spill) as z:
+        members = {name: z[name] for name in z.files}
+    damage(spill)
+    for stage in ("estimate", "builder"):
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    assert output_bytes(out) == output_bytes(markout_corpus[1])
+    with np.load(spill, allow_pickle=False) as z:
+        assert z["sha256"].item() == hashlib.sha256((inputs / "quotes.csv").read_bytes()).hexdigest()
+        assert sorted(z.files) == sorted(members)
+        for name in members:
+            assert np.array_equal(z[name], members[name]), name
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in markout_corpus[1].iterdir())
+
+
+def test_failed_parse_writes_no_spill(markout_corpus, tmp_path):
+    inputs = copy_tree(markout_corpus[0], tmp_path / "in")
+    cross_first_quote_not_of_eth(inputs)
+    out = tmp_path / "out"
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
+    assert not (out / "quotes.npz").exists() and not list(out.glob("quotes.*"))
+
+
+# ---------------------------------------------------------------------------
 # manifest: digest and row count from one binary pass
 
 CHUNK = 1 << 20
@@ -1044,7 +1152,8 @@ def cexdex_process(args: list[str], hash_seed: int) -> None:
 
 def test_outputs_do_not_depend_on_the_process(many_searchers, tmp_path):
     """cexdex all under two string-hash seeds, and the six stage commands
-    under a third, each its own process, write the same bytes."""
+    under a third, each its own process, write the same bytes; so do the six
+    again under a fourth, where the later stages load quotes.npz."""
     dirs = ["--input-dir", str(many_searchers[0]), "--out-dir"]
     for seed in (0, 1):
         cexdex_process(["all", *dirs, str(tmp_path / f"all{seed}")], seed)
@@ -1052,6 +1161,10 @@ def test_outputs_do_not_depend_on_the_process(many_searchers, tmp_path):
         cexdex_process([stage, *dirs, str(tmp_path / "stages")], 2)
     for out in ("all0", "all1", "stages"):
         assert all_digests(tmp_path / out) == PINNED_RUN_DIGESTS["many"], out
+    assert (tmp_path / "stages" / "quotes.npz").exists()
+    for stage in pipeline.STAGE_ORDER:
+        cexdex_process([stage, *dirs, str(tmp_path / "stages")], 3)
+    assert all_digests(tmp_path / "stages") == PINNED_RUN_DIGESTS["many"]
 
 
 def test_ev_uses_t_star_offset(markout_corpus):
