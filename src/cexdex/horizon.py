@@ -1,9 +1,9 @@
 """Per-searcher optimal execution horizon and curve-shape classification.
 
 A searcher's input is the GR rows of its included trades, one column per
-offset of the run's MarkoutGrid (``MarkoutTable.gr`` at
-``MarkoutTable.included_rows()``). ``build_profile`` takes their median
-once and reads everything off it. The horizon t* is the grid offset
+offset of the run's MarkoutGrid (``MarkoutTable.gr``, grouped by the
+run's one searcher coding, ``pipeline.Workspace.searchers``).
+``build_profile`` takes their median once and reads everything off it. The horizon t* is the grid offset
 maximizing the cross-trade median gross return; tied maxima on the leading
 plateau (before the first strict decrease) resolve to the largest offset.
 Searchers with no discernible peak (flat curve) are classified Pattern 3

@@ -46,13 +46,6 @@ class MarkoutTable:
         """The mask of the included trades."""
         return self.exclusion_reason == ""
 
-    def included_rows(self) -> dict[str, np.ndarray]:
-        """Searcher label -> rows of its included trades, by label; searchers
-        with none are absent."""
-        rows = np.flatnonzero(self.included())
-        labels, code = np.unique(self.searcher_label[rows], return_inverse=True)
-        return {label: rows[k] for label, k in zip(labels.tolist(), group_rows(code, len(labels)))}
-
 
 def gross_return(mr: np.ndarray, volume_usd: np.ndarray) -> np.ndarray:
     """GR = MR / volume_usd per row of ``mr``; zeros on rows whose volume is not above 0."""

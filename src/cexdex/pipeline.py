@@ -232,6 +232,23 @@ class Workspace:
         return _load_profiles(self)
 
     @cached_property
+    def searchers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the sorted searcher labels of markouts.csv, each trade's index into
+        them): the run's one searcher coding. A label is found by its code or
+        by ``==``, never by np.searchsorted, which on numpy 2.4.6 gives wrong
+        indices on StringDType text over 15 bytes."""
+        return np.unique(self.markouts.searcher_label, return_inverse=True)
+
+    @cached_property
+    def priced(self) -> np.ndarray:
+        """The mask of the trades estimate prices: included, of a searcher
+        whose profile exists and is not P3."""
+        labels, code = self.searchers
+        peaked = np.array([p is not None and p.pattern != horizon_mod.PATTERN_FLAT
+                           for p in map(self.profiles.get, labels.tolist())], dtype=bool)
+        return self.markouts.included() & peaked[code]
+
+    @cached_property
     def economics(self) -> Table:
         return _load_economics(self)
 
@@ -289,12 +306,14 @@ def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
 
 
 def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:
-    """ws.markouts, refused unless its rows are ws.detections' trades in order."""
-    table = ws.markouts
-    if not np.array_equal(table.tx_hash, ws.detections.tx_hash):
+    """ws.markouts, refused unless its rows are ws.detections' trades in
+    order, each of the same searcher."""
+    table, trades = ws.markouts, ws.detections
+    if not (np.array_equal(table.tx_hash, trades.tx_hash)
+            and np.array_equal(table.searcher_label, trades.searcher_label)):
         raise OutdatedOutput(
             f"markouts.csv in {ws.out_dir} does not hold the trades of detections.csv "
-            "in order; rerun the markout stage"
+            "in order, with their searchers; rerun the markout stage"
         )
     return table
 
@@ -303,10 +322,10 @@ def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:
 # horizon
 
 def run_horizon(ws: Workspace) -> None:
-    table = ws.markouts
-    rows = table.included_rows()
-    profiles = [horizon_mod.build_profile(label, table.gr[rows[label]], ws.config, ws.grid)
-                for label in sorted(rows)]
+    table, (labels, code) = ws.markouts, ws.searchers
+    rows = np.flatnonzero(table.included())  # a profile per searcher with included trades
+    profiles = [horizon_mod.build_profile(label, table.gr[rows[k]], ws.config, ws.grid)
+                for label, k in zip(labels.tolist(), group_rows(code[rows], len(labels))) if len(k)]
     _write_output(ws.out_dir / "profiles.csv", Table.of_rows(horizon_mod.SearcherProfile, profiles))
     ws.profiles = {p.searcher_label: p for p in profiles}
 
@@ -320,21 +339,14 @@ def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
 # estimate
 
 def run_estimate(ws: Workspace) -> None:
-    trades, table, profiles = ws.detections, _markouts_of_detections(ws), ws.profiles
-    labels, code = np.unique(trades.searcher_label, return_inverse=True)
-    included = table.included()
-    # a searcher's included trades are priced unless its profile is missing or P3
-    label_profiles = [profiles.get(label) for label in labels.tolist()]
-    peaked = np.array([p is not None and p.pattern != horizon_mod.PATTERN_FLAT
-                       for p in label_profiles], dtype=bool)
-    is_priced = included & peaked[code]
-    rows, priced = np.flatnonzero(is_priced), trades.select(is_priced)
+    trades, table, (labels, code) = ws.detections, _markouts_of_detections(ws), ws.searchers
+    rows, priced = np.flatnonzero(ws.priced), trades.select(ws.priced)
     eth, eth_ok = ws.quotes.eth_usd(priced.slot_time_ms, ws.config.quote_staleness_ms)
     if not eth_ok.all():  # refused at the first trade without an ETH quote
         raise ws.quotes.unpriced("ETHUSDT", int(priced.slot_time_ms[np.argmin(eth_ok)]))
     cols = np.zeros(len(labels), dtype=np.int64)  # MR at each searcher's t* column
     for k in np.unique(code[rows]).tolist():
-        cols[k] = estimate_mod.t_star_column(label_profiles[k], ws.grid)
+        cols[k] = estimate_mod.t_star_column(ws.profiles[labels[k]], ws.grid)
     economics = estimate_mod.trade_economics(priced, table.mr_usd[rows, cols[code[rows]]], eth)
 
     _write_output(ws.out_dir / "economics.csv", economics)
@@ -343,7 +355,7 @@ def run_estimate(ws: Workspace) -> None:
     inventory = table.exclusion_reason == EXCLUSION_INVENTORY
     summaries = estimate_mod.searcher_summaries(
         labels, code[rows], economics, np.bincount(code[inventory], minlength=len(labels)),
-        np.bincount(code[~included & ~inventory], minlength=len(labels)))
+        np.bincount(code[~table.included() & ~inventory], minlength=len(labels)))
     _write_output(ws.out_dir / "summary.csv", summaries)
 
     _write_output(ws.out_dir / "cumulative_ev.csv",
@@ -402,12 +414,14 @@ def _daily_shares(included: Table, economics: Table, labels: np.ndarray, code: n
 def run_market(ws: Workspace) -> None:
     trades, table, profiles, economics = (
         ws.detections, _markouts_of_detections(ws), ws.profiles, ws.economics)
-    included = trades.select(table.included())
-    # the searchers coded once; every per-searcher analysis below groups by trade_code
-    labels, code = np.unique(np.concatenate([included.searcher_label, economics.searcher_label]),
-                             return_inverse=True)
-    n, trade_code = len(labels), code[:len(included)]
-    shares, days, dates, total_v = _daily_shares(included, economics, labels, code)
+    if not np.array_equal(economics.tx_hash, trades.tx_hash[ws.priced]):
+        raise OutdatedOutput(f"economics.csv in {ws.out_dir} does not hold the priced trades "
+                             "of markouts.csv in order; rerun the estimate stage")
+    # every per-searcher analysis below groups by the run's one coding
+    (labels, code), is_included = ws.searchers, table.included()
+    included, trade_code, n = trades.select(is_included), code[is_included], len(labels)
+    shares, days, dates, total_v = _daily_shares(
+        included, economics, labels, np.concatenate([trade_code, code[ws.priced]]))
     _write_output(ws.out_dir / "market.csv", shares)
 
     matrix = market_mod.integration_matrix(included, labels, trade_code)
@@ -454,9 +468,9 @@ def run_market(ws: Workspace) -> None:
                  if b is not None]
         in_blocks = {b: np.bincount(block_day[block_builder == b], minlength=len(days))
                      for b in dict.fromkeys(b for _, b in pairs)}
-        rows_of = group_rows(trade_code, n)  # each searcher's rows in row order
+        rows_of = dict(zip(labels.tolist(), group_rows(trade_code, n)))  # in row order
         for label, cls_builder in pairs:
-            rows = rows_of[np.searchsorted(labels, label)]
+            rows = rows_of[label]
             rows = rows[included.builder_label[rows] == cls_builder]
             in_builder = group_sum(trade_day[rows], included.volume_usd[rows], len(days))
             x = (in_builder[kept] / total_v[kept]).tolist()

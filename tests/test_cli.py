@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -340,129 +339,6 @@ def test_bad_scenario_exits_1(tmp_path, capsys):
     rc = main(["synth", "--config", str(scenario), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
-
-
-def test_charts_flag(synth_inputs, tmp_path):
-    pytest.importorskip("matplotlib")
-    out = tmp_path / "out"
-    rc = main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out), "--charts"])
-    assert rc == 0
-    assert (out / "median_gr.svg").exists()
-    assert (out / "integration.svg").exists()
-
-
-class Recorder:
-    """Stands for a matplotlib figure or axes: each method call is appended
-    to the list its figure shares with its axes."""
-
-    def __init__(self, calls: list):
-        self.calls = calls
-
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: self.calls.append((name, args, kwargs))
-
-
-@pytest.fixture
-def charts(monkeypatch):
-    """A recording stand-in for matplotlib: {saved file name: its figure's
-    calls}, filled as --charts saves each figure."""
-    figures: list[list] = []
-
-    def subplots(**kwargs):
-        figures.append([])
-        return Recorder(figures[-1]), Recorder(figures[-1])
-
-    mpl = types.ModuleType("matplotlib")
-    mpl.use = lambda backend: None
-    mpl.pyplot = plt = types.ModuleType("matplotlib.pyplot")
-    plt.subplots, plt.close = subplots, lambda fig: None
-    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
-    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
-
-    def saved() -> dict[str, list]:
-        return {Path(args[0]).name: calls for calls in figures
-                for name, args, _ in calls if name == "savefig"}
-    return saved
-
-
-def read_rows(path: Path) -> list[dict]:
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
-
-
-def calls_named(calls: list, name: str) -> list:
-    return [(args, kwargs) for n, args, kwargs in calls if n == name]
-
-
-def test_charts_draw_the_stage_outputs(tmp_path, charts):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(dict(SCENARIO, n_days=3)))
-    inputs, out = tmp_path / "in", tmp_path / "out"
-    assert main(["synth", "--config", str(scenario), "--out-dir", str(inputs)]) == 0
-    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out), "--charts"]) == 0
-    figures = charts()
-    assert set(figures) == {"median_gr.svg", "cumulative_ev.svg", "hhi.svg", "integration.svg"}
-
-    cumulative: dict[str, list[float]] = {}
-    for r in read_rows(out / "cumulative_ev.csv"):
-        cumulative.setdefault(r["searcher_label"], []).append(float(r["cumulative_ev_usd"]))
-    lines = calls_named(figures["cumulative_ev.svg"], "plot")
-    assert {kw["label"]: list(args[1]) for args, kw in lines} == cumulative
-    assert all(list(args[0]) == list(range(len(args[1]))) for args, _ in lines)
-
-    hhis: dict[str, float] = {}
-    for r in read_rows(out / "market.csv"):
-        if r["hhi_volume"]:
-            hhis.setdefault(r["date"], float(r["hhi_volume"]))
-    assert len(hhis) == 3
-    [(args, _)] = calls_named(figures["hhi.svg"], "plot")
-    assert list(args[1]) == list(hhis.values())
-
-    cells = {(r["searcher_label"], r["builder_label"]): float(r["volume_fraction"])
-             for r in read_rows(out / "integration.csv")}
-    searchers, builders = sorted({s for s, _ in cells}), sorted({b for _, b in cells})
-    [(args, _)] = calls_named(figures["integration.svg"], "imshow")
-    assert args[0].tolist() == [[cells[(s, b)] for b in builders] for s in searchers]
-
-
-def test_charts_hhi_takes_each_dates_first_value(synth_inputs, tmp_path, charts):
-    """An empty hhi_volume is skipped; "0.0" is a value."""
-    out = tmp_path / "out"
-    assert main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out)]) == 0
-    with open(out / "market.csv", newline="") as f:
-        header = next(csv.reader(f))
-    rows = [("2024-06-01", "a", ""), ("2024-06-01", "b", "0.5"), ("2024-06-01", "c", "0.25"),
-            ("2024-06-02", "a", "0.0"), ("2024-06-02", "b", "0.75"), ("2024-06-03", "a", "")]
-    with open(out / "market.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows([date, label, 1.0, "", 0.0, "", hhi, ""] for date, label, hhi in rows)
-    assert main(["builder", "--input-dir", str(synth_inputs), "--out-dir", str(out),
-                 "--charts"]) == 0
-    [(args, _)] = calls_named(charts()["hhi.svg"], "plot")
-    assert list(args[1]) == [0.5, 0.0]
-
-
-def test_charts_refuse_an_older_layout(synth_inputs, tmp_path, charts, capsys):
-    out = tmp_path / "out"
-    assert main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out)]) == 0
-    path = out / "cumulative_ev.csv"
-    text = path.read_text()
-    path.write_text(text.replace("cumulative_ev_usd", "cum_ev_usd", 1))
-    capsys.readouterr()
-    assert main(["market", "--input-dir", str(synth_inputs), "--out-dir", str(out),
-                 "--charts"]) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "OutdatedOutput"
-    assert "cumulative_ev.csv" in err["message"] and "estimate stage" in err["message"]
-
-
-def test_charts_after_a_stage_before_markout(synth_inputs, tmp_path, charts):
-    """--charts draws only what the outputs so far hold: after detect, nothing."""
-    out = tmp_path / "out"
-    assert main(["detect", "--input-dir", str(synth_inputs), "--out-dir", str(out),
-                 "--charts"]) == 0
-    assert charts() == {} and not list(out.glob("*.svg"))
 
 
 def test_startup_imports_no_scipy():

@@ -454,9 +454,34 @@ def test_market_pair_series_match_brute_force(varied_builders):
     assert_pair_rows_match_brute_force(*varied_builders, {"s_gentle->builderA", "s_int->builderA"})
 
 
-def test_market_pair_series_match_brute_force_for_many_searchers(many_searchers):
-    assert_pair_rows_match_brute_force(*many_searchers, {
-        "s00->b0", "s03->b1", "s04->b1", "s08->b2", "s12->b3", "s16->b0", "s20->b1"})
+LONG_PREFIX = "searcher_number_"
+
+
+@pytest.fixture(scope="module")
+def many_long_labels(many_searchers, tmp_path_factory):
+    """many_searchers_corpus with every label renamed to LONG_PREFIX + label,
+    19 bytes, and the outputs of cexdex all on it."""
+    root = tmp_path_factory.mktemp("many_long")
+    inputs = copy_tree(many_searchers[0], root / "in")
+    searchers = json.loads((inputs / "searchers.json").read_text())
+    for key in ("labels", "integrated_with"):
+        searchers[key] = {LONG_PREFIX + label: v for label, v in searchers[key].items()}
+    (inputs / "searchers.json").write_text(json.dumps(searchers))
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(root / "out")]) == 0
+    return inputs, root / "out"
+
+
+def test_market_pair_series_match_brute_force_for_many_searchers(many_searchers, many_long_labels):
+    """Also with every label over 15 bytes, where numpy's StringDType
+    searchsorted finds wrong rows: the same series, and the same 12 CSVs but
+    for the labels."""
+    pairs = {"s00->b0", "s03->b1", "s04->b1", "s08->b2", "s12->b3", "s16->b0", "s20->b1"}
+    assert_pair_rows_match_brute_force(*many_searchers, pairs)
+    assert_pair_rows_match_brute_force(*many_long_labels, {LONG_PREFIX + p for p in pairs})
+    short, long = many_searchers[1], many_long_labels[1]
+    assert sorted(p.name for p in long.glob("*.csv")) == sorted(p.name for p in short.glob("*.csv"))
+    for p in sorted(short.glob("*.csv")):
+        assert (long / p.name).read_text().replace(LONG_PREFIX, "") == p.read_text(), p.name
 
 
 def assert_pair_rows_match_brute_force(inputs: Path, out: Path, all_pairs: set[str]) -> None:
@@ -631,11 +656,21 @@ def swap_first_rows(path: Path) -> None:
     write_rows(path, rows[0], [rows[2], rows[1]] + rows[3:])
 
 
-@pytest.mark.parametrize("damage", [drop_second_row, swap_first_rows])
+def relabel_first_row(path: Path) -> None:
+    """Give the first trade another trade's searcher label."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    col = rows[0].index("searcher_label")
+    rows[1][col] = next(r[col] for r in rows[2:] if r[col] != rows[1][col])
+    write_rows(path, rows[0], rows[1:])
+
+
+@pytest.mark.parametrize("damage", [drop_second_row, swap_first_rows, relabel_first_row])
 @pytest.mark.parametrize("stage", ["estimate", "market"])
 def test_markouts_of_other_trades_exit_1(markout_corpus, tmp_path, capsys, damage, stage):
-    """estimate and market join markouts.csv to detections.csv row by row, so
-    a markouts.csv whose trades are not detections.csv's, in order, is refused."""
+    """estimate and market join markouts.csv to detections.csv row by row, and
+    group by the searchers of markouts.csv, so a markouts.csv whose trades
+    are not detections.csv's, in order and of the same searchers, is refused."""
     inputs, out = markout_corpus
     stale = copy_tree(out, tmp_path / "out")
     damage(stale / "markouts.csv")
@@ -644,6 +679,20 @@ def test_markouts_of_other_trades_exit_1(markout_corpus, tmp_path, capsys, damag
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "OutdatedOutput"
     assert "markouts.csv" in err["message"] and "rerun the markout stage" in err["message"]
+
+
+@pytest.mark.parametrize("damage", [drop_second_row, swap_first_rows])
+def test_economics_of_other_trades_exit_1(markout_corpus, tmp_path, capsys, damage):
+    """market reads economics.csv as the priced trades of detections.csv, in
+    order, so a stale or truncated economics.csv is refused, not mixed in."""
+    inputs, out = markout_corpus
+    stale = copy_tree(out, tmp_path / "out")
+    damage(stale / "economics.csv")
+    capsys.readouterr()
+    assert main(["market", "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OutdatedOutput"
+    assert "economics.csv" in err["message"] and "rerun the estimate stage" in err["message"]
 
 
 def swap_first_columns(path: Path) -> None:
@@ -931,10 +980,11 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
     searchers["integrated_with"] = {"s_gentle": "builderA"}
     (inputs / "searchers.json").write_text(json.dumps(searchers))
     ws = pipeline.Workspace(src, out)
-    table = ws.markouts
+    table, (labels, code) = ws.markouts, ws.searchers
     spread_bps = {
         label: float(np.ptp(np.median(table.gr[rows], axis=0))) * 1e4
-        for label, rows in table.included_rows().items()
+        for k, label in enumerate(labels.tolist())
+        if (rows := table.included() & (code == k)).any()
     }
     assert spread_bps["s_flat"] < min(v for k, v in spread_bps.items() if k != "s_flat")
     config = json.loads((inputs / "config.json").read_text())
