@@ -49,10 +49,6 @@ AMOUNT_CONTEXT = decimal.Context(prec=50)
 # anything at or below this is treated as zero.
 DUST_THRESHOLD = Decimal("1e-12")
 
-MAJOR_SYMBOLS = frozenset(
-    {"WETH", "WBTC", "USDT", "USDC", "TUSD", "FDUSD", "BUSD", "DAI"}
-)
-
 # Wrapped tokens quote on Binance under the unwrapped symbol.
 QUOTE_SYMBOL_ALIASES = {"WETH": "ETH", "WBTC": "BTC"}
 
@@ -312,7 +308,7 @@ def _tokenize_columns(path: Path, kinds: dict) -> tuple[dict, dict] | None:
     plain, quoted = _scan_bytes(path)
     if not plain:
         return None
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = _read_header(reader, path, [c for c, kind in kinds.items() if kind != OPTIONAL])
     column = _column_index(header)
@@ -356,7 +352,7 @@ def _parse_columns_by_cell(path: Path, kinds: dict) -> tuple[dict, dict]:
     "short" for the rows shorter than the header), by csv and each kind's
     parse: one Python object per cell, but every short row and bad cell is
     masked, for the loader to name the first. A rejected cell is left 0."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = _read_header(reader, path, [c for c, kind in kinds.items() if kind != OPTIONAL])
         rows = [r for r in reader if r]  # list index k is data row k + 1
@@ -420,6 +416,52 @@ def _read_columns(path: str | Path, kinds: dict) -> tuple[dict, dict]:
     """
     path = Path(path)
     return _tokenize_columns(path, kinds) or _parse_columns_by_cell(path, kinds)
+
+
+# ---------------------------------------------------------------------------
+# copies: a file's arrays in an .npz keyed by its sha256 and layout (``kinds``)
+
+def keep_arrays(path: Path, sha256: str, kinds: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Keep ``arrays`` in the .npz at ``path``, written whole before it
+    replaces the file. np.save takes no StringDType or object array without
+    pickle, and numpy's fixed-width text drops trailing NULs: so text is kept
+    as UTF-8 and each cell's length, a float | None column as floats and a mask."""
+    members = {"key": np.array(json.dumps([sha256, list(kinds.items())]))}
+    for name, a in arrays.items():
+        if a.dtype.kind == "T":
+            cells = a.tolist()
+            members[f"{name}.utf8"] = np.frombuffer("".join(cells).encode(), np.uint8)
+            members[f"{name}.len"] = np.fromiter(map(len, cells), np.int64, len(cells))
+        elif a.dtype == object:
+            members[f"{name}.defined"] = defined = np.not_equal(a, None)
+            members[f"{name}.float"] = np.where(defined, a, 0.0).astype(np.float64)
+        else:
+            members[name] = a
+    with open(path.with_suffix(".tmp"), "wb") as f:
+        np.savez(f, **members)
+    os.replace(path.with_suffix(".tmp"), path)
+
+
+def kept_arrays(path: Path, sha256: str, kinds: dict, names: list[str]) -> dict | None:
+    """The arrays ``names`` kept in the .npz at ``path`` under this key; None
+    for a file that is missing, unreadable, incomplete or of another key."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            if z["key"].item() != json.dumps([sha256, list(kinds.items())]):
+                return None
+            arrays = {}
+            for name in names:
+                if f"{name}.utf8" in z.files:
+                    text = z[f"{name}.utf8"].tobytes().decode()
+                    ends = np.cumsum(z[f"{name}.len"]).tolist()
+                    arrays[name] = strings([text[i:j] for i, j in zip([0, *ends], ends)])
+                elif f"{name}.float" in z.files:
+                    arrays[name] = optional(z[f"{name}.float"], z[f"{name}.defined"])
+                else:
+                    arrays[name] = z[name]
+            return arrays
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +626,7 @@ def load_transactions(path: str | Path) -> TransactionTable:
 QUOTE_KINDS = {"symbol": TEXT, "ts_ms": INT, "bid": FLOAT, "ask": FLOAT}
 
 QuoteArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # ts_ms, bid, ask
+_SERIES = ("ts_ms", "bid", "ask")
 
 
 def _symbol_codes(symbols: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -598,26 +641,25 @@ def _symbol_codes(symbols: np.ndarray) -> tuple[list[str], np.ndarray]:
     return list(codes), np.repeat(np.array(run_codes, dtype=np.int64), run_lengths)
 
 
-def load_quotes(path: str | Path, spill: Path | None = None, sha256: str = ""
-                ) -> dict[str, QuoteArrays]:
-    """Per-symbol (ts_ms, bid, ask) arrays sorted by timestamp ascending.
+def load_quotes(path: str | Path, spill: Path | None = None, sha256: str = "",
+                symbols=None) -> dict[str, QuoteArrays]:
+    """Per-symbol (ts_ms, bid, ask) arrays sorted by timestamp ascending, of
+    every symbol, or only of those in ``symbols``.
 
     Raises for the first row that fails a check, with the first check it
     fails in the order listed below.
 
-    With ``spill``, an .npz file, the series are kept there under ``sha256``,
-    the digest of the file's bytes, once every check has passed: a later
-    call with that digest loads them instead of parsing. A spill that is
-    missing, unreadable, incomplete or of another digest is ignored.
+    With ``spill``, an .npz file, the series are kept there by keep_arrays
+    under ``sha256``, the digest of the file's bytes, once every check has
+    passed: a later call with that digest loads those it returns instead.
     """
-    if spill is not None:
-        try:
-            with np.load(spill, allow_pickle=False) as z:
-                if z["sha256"].item() == sha256:
-                    return {s: (z[f"ts_ms{i}"], z[f"bid{i}"], z[f"ask{i}"])
-                            for i, s in enumerate(z["symbols"].tolist())}
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-            pass  # parsed below
+    kept = kept_arrays(spill, sha256, QUOTE_KINDS, ["symbols"]) if spill is not None else None
+    if kept is not None:
+        names = kept["symbols"].tolist()
+        wanted = [i for i, s in enumerate(names) if symbols is None or s in symbols]
+        kept = kept_arrays(spill, sha256, QUOTE_KINDS, [f"{c}{i}" for i in wanted for c in _SERIES])
+        if kept is not None:
+            return {names[i]: tuple(kept[f"{c}{i}"] for c in _SERIES) for i in wanted}
     name = Path(path).name
     c, parsed = _read_columns(path, QUOTE_KINDS)
     names, code = _symbol_codes(c.pop("symbol"))
@@ -640,14 +682,11 @@ def load_quotes(path: str | Path, spill: Path | None = None, sha256: str = ""
     bounds = np.searchsorted(code_sorted, np.arange(len(names) + 1))
     series = {symbol: tuple(a[bounds[c]:bounds[c + 1]] for a in columns)
               for c, symbol in enumerate(names)}
-    if spill is not None:  # a member per array, written whole before it replaces the spill
-        tmp = spill.with_suffix(".tmp")
-        with open(tmp, "wb") as f:
-            np.savez(f, sha256=np.array(sha256), symbols=np.array(list(series), dtype=str),
-                     **{f"{col}{i}": a for i, arrays in enumerate(series.values())
-                        for col, a in zip(("ts_ms", "bid", "ask"), arrays)})
-        os.replace(tmp, spill)
-    return series
+    if spill is not None:  # a member per array, so that a later call loads only its symbols
+        keep_arrays(spill, sha256, QUOTE_KINDS, {"symbols": strings(names)} | {
+            f"{col}{i}": a for i, arrays in enumerate(series.values())
+            for col, a in zip(_SERIES, arrays)})
+    return {s: v for s, v in series.items() if symbols is None or s in symbols}
 
 
 BLOCK_KINDS = {"block_number": INT, "builder_label": TEXT, "coinbase_delta_eth": FLOAT,

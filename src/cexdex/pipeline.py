@@ -3,8 +3,9 @@ and writes its own CSVs, so every intermediate is auditable.
 
 Stage outputs land in --out-dir; a manifest.json with input digests and
 row counts is refreshed after every stage for reproducibility checks. The
-checked quote series are kept there too, in quotes.npz, so that the stages
-after markout load them instead of parsing quotes.csv again.
+checked quote series are kept there too, in quotes.npz, and a stage command
+keeps each output a later stage reads as <name>.npz, so that the next
+process loads these copies instead of parsing the CSVs again.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 from functools import cached_property
@@ -38,6 +40,8 @@ from .data_model import (
     TokenRegistry,
     _raise_first,
     _read_columns,
+    keep_arrays,
+    kept_arrays,
     load_block_records,
     load_quotes,
     load_searchers,
@@ -86,42 +90,44 @@ def _format(values) -> list[str]:
     return values if kinds == {str} else list(map(_cell, values))
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> dict:
     """Write ``columns`` under ``header``, each a list, tuple or numpy array of
     one cell per row, or else one value for every row; another shape is refused.
+    Returns the file's manifest entry, made as its bytes are written.
 
-    The bytes are csv.writer's for the same rows, bools written as true/false:
-    each chunk of rows is formatted a column at a time and joined directly, or
-    by csv.writer when a cell needs quotes or the file has one column."""
+    The bytes are csv.writer's for the same rows in UTF-8, bools written as
+    true/false: each chunk of rows is formatted a column at a time and joined
+    directly, or by csv.writer when a cell needs quotes or the file has one column."""
     columns = list(columns)
     lengths = {len(c) for c in columns if isinstance(c, (list, tuple, np.ndarray))}
     if len(columns) != len(header) or len(lengths) > 1:
         raise ValueError(f"{path.name}: {len(columns)} columns of {sorted(lengths)} rows "
                          f"for {len(header)} header names; pass one column per name")
     n = lengths.pop() if lengths else 0
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
+
+    def chunks():  # the header, then _CHUNK_ROWS rows at a time, each as a list per column
+        yield [[name] for name in header]
         for lo in range(0, n, _CHUNK_ROWS):
             hi = min(n, lo + _CHUNK_ROWS)
-            cells = [_format(c[lo:hi].tolist()) if isinstance(c, np.ndarray)
-                     else _format(c[lo:hi]) if isinstance(c, (list, tuple))
-                     else _format([c]) * (hi - lo) for c in columns]
-            if len(cells) == 1 or any(ch in text for text in map("".join, cells) for ch in ',"\r\n'):
-                w.writerows(zip(*cells))
-            else:
-                f.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            yield [_format(c[lo:hi].tolist()) if isinstance(c, np.ndarray)
+                   else _format(c[lo:hi]) if isinstance(c, (list, tuple))
+                   else _format([c]) * (hi - lo) for c in columns]
+
+    def utf8(cells: list) -> bytes:
+        if len(cells) == 1 or any(ch in text for text in map("".join, cells) for ch in ',"\r\n'):
+            buffer = io.StringIO(newline="")
+            csv.writer(buffer).writerows(zip(*cells))
+            return buffer.getvalue().encode()
+        return ("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode()
+
+    with open(path, "wb") as f:  # each chunk written as it is hashed; none is empty
+        return _manifest_entry(path, (f.write(data) and data for data in map(utf8, chunks())))
 
 
 def _columns(cls: type) -> list[str]:
     """The header of ``cls``'s file: its field names in declaration order,
     less PEP 8's trailing underscore, so the field ``class_`` is the column ``class``."""
     return [f.name.removesuffix("_") for f in dataclasses.fields(cls)]
-
-
-def _write_output(path: Path, table: Table) -> None:
-    """Write ``table`` under its row type's header, one column per field."""
-    _write_csv(path, _columns(table.row), table.columns)
 
 
 # the reader's kind of each field annotation: each reads back what _write_csv wrote
@@ -143,7 +149,7 @@ def _read_csv(path: Path, kinds: dict, stage: str) -> dict:
         raise DependencyMissing(f"{path.name} not found in {path.parent}; run the producing stage first")
     outdated = OutdatedOutput(f"{path} does not have the columns this version writes under "
                               f"this config (an older version's layout?); rerun the {stage} stage")
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         if next(csv.reader(f), []) != list(kinds):
             raise outdated
     cells, parsed = _read_columns(path, kinds)
@@ -156,12 +162,17 @@ def _read_csv(path: Path, kinds: dict, stage: str) -> dict:
     return cells
 
 
-def _read_output(path: Path, cls: type, stage: str) -> Table:
-    """The Table of ``cls`` that _write_output wrote to ``path``."""
+def _kinds(cls: type) -> dict:
+    """The reader's kind of each column of ``cls``'s file, in order."""
     try:
-        kinds = {c: _KINDS[f.type] for c, f in zip(_columns(cls), dataclasses.fields(cls))}
+        return {c: _KINDS[f.type] for c, f in zip(_columns(cls), dataclasses.fields(cls))}
     except KeyError as e:
         raise TypeError(f"{cls.__name__}: no CSV decoder for a field annotated {e}") from None
+
+
+def _read_output(path: Path, cls: type, stage: str) -> Table:
+    """The Table of ``cls`` that _write_output wrote to ``path``, parsed."""
+    kinds = _kinds(cls)
     cells = _read_csv(path, kinds, stage)
     return Table(cls, [cells[c] for c in kinds])
 
@@ -178,9 +189,9 @@ class Workspace:
 
     A stage that writes an output also keeps what it wrote here, so a later
     stage in the same Workspace (as in ``cexdex all``) reads it from memory;
-    a fresh Workspace parses it from the stage's CSV. The detections, the
-    economics and the blocks are Tables of their row dataclasses. Later
-    stages treat them as read-only.
+    a fresh Workspace loads it from its copy or parses its CSV (_read_kept).
+    The detections, the economics and the blocks are Tables of their row
+    dataclasses. Later stages treat them as read-only.
     """
 
     def __init__(self, input_dir: str | Path, out_dir: str | Path):
@@ -190,6 +201,15 @@ class Workspace:
         # read now, so that a bad config.json is refused before any stage runs
         p = self.input_dir / "config.json"
         self.config: PipelineConfig = load_config(p) if p.exists() else PipelineConfig()
+        self.entries: dict[str, dict] = {}  # each output's manifest entry, by entry()
+        self.copies = False  # set by run_stage: _write_output keeps copies
+
+    def entry(self, name: str) -> dict:
+        """The manifest entry of the output ``name``: made as this Workspace
+        wrote it, or else from one pass over the file."""
+        if name not in self.entries:
+            self.entries[name] = _manifest_entry(self.out_dir / name)
+        return self.entries[name]
 
     @cached_property
     def grid(self) -> MarkoutGrid:
@@ -205,11 +225,17 @@ class Workspace:
         return {name: _manifest_entry(p) for name in INPUT_FILES
                 if (p := self.input_dir / name).exists()}
 
-    @cached_property
-    def quotes(self) -> QuoteStore:
+    def _quotes(self, symbols=None) -> QuoteStore:
         path = _require_input(self.input_dir, "quotes.csv")
         return QuoteStore(load_quotes(path, self.out_dir / "quotes.npz",
-                                      self.manifest_inputs["quotes.csv"]["sha256"]))
+                                      self.manifest_inputs["quotes.csv"]["sha256"], symbols))
+
+    quotes = cached_property(_quotes)
+
+    @cached_property
+    def eth_quotes(self) -> QuoteStore:
+        """ETHUSDT's quotes, for estimate and builder: in ws.quotes once loaded."""
+        return self.quotes if "quotes" in self.__dict__ else self._quotes({"ETHUSDT"})
 
     @cached_property
     def labels(self) -> SearcherLabelFile:
@@ -256,28 +282,54 @@ class Workspace:
 # ---------------------------------------------------------------------------
 # detect
 
+def _write_output(ws: Workspace, name: str, table, kinds: dict | None = None) -> None:
+    """Write the output ``name``: ``table``, a Table, or else its columns
+    under the header of ``kinds``. In a stage command, an output with
+    ``kinds``, the layout a later stage reads, is also kept as <name>.npz."""
+    header, columns = ((_columns(table.row), table.columns) if isinstance(table, Table)
+                       else (list(kinds), table))
+    ws.entries[name] = _write_csv(ws.out_dir / name, header, columns)
+    if kinds is not None and ws.copies:
+        keep_arrays((ws.out_dir / name).with_suffix(".npz"), ws.entries[name]["sha256"], kinds,
+                    {c: a for (c, kind), a in zip(kinds.items(), columns) if kind})
+
+
+def _read_kept(ws: Workspace, name: str, kinds: dict, stage: str) -> dict:
+    """The columns of the output ``name`` that _read_csv reads by ``kinds``,
+    from its copy <name>.npz while that is kept under the key of the CSV's
+    bytes and ``kinds``; else parsed, or refused, by _read_csv, and the copy
+    replaced. So a CSV edited after its stage wrote it is read as edited."""
+    path, names = ws.out_dir / name, [c for c, kind in kinds.items() if kind]
+    sha256 = ws.entry(name)["sha256"] if path.exists() else ""
+    cells = kept_arrays(path.with_suffix(".npz"), sha256, kinds, names)
+    if cells is None:
+        parsed = _read_csv(path, kinds, stage)
+        cells = {c: parsed[c] for c in names}
+        keep_arrays(path.with_suffix(".npz"), sha256, kinds, cells)
+    return cells
+
+
 def run_detect(ws: Workspace) -> None:
     table = load_transactions(_require_input(ws.input_dir, "transactions.csv"))
     trades, verdicts = detect_all(table, ws.registry, ws.labels)
-    _write_output(ws.out_dir / "detections.csv", trades)
-    _write_output(ws.out_dir / "verdicts.csv", verdicts)
+    _write_output(ws, "detections.csv", trades, _kinds(ArbTrade))
+    _write_output(ws, "verdicts.csv", verdicts)
     ws.detections = trades
 
 
 def _load_detections(ws: Workspace) -> Table:
-    return _read_output(ws.out_dir / "detections.csv", ArbTrade, "detect")
+    return Table(ArbTrade, _read_kept(ws, "detections.csv", _kinds(ArbTrade), "detect").values())
 
 
 # ---------------------------------------------------------------------------
 # markout
 
-MARKOUTS_KEYS = ["tx_hash", "searcher_label", "excluded", "exclusion_reason", "volume_usd"]
-
-
-def _markouts_header(offsets_s: list[float]) -> list[str]:
-    """One row per trade: keys, then MR at every offset. GR is not written:
-    it is MR / volume_usd, recomputed on load."""
-    return MARKOUTS_KEYS + [f"mr_usd@{o!r}" for o in offsets_s]
+def _markouts_kinds(offsets_s: list[float]) -> dict:
+    """The header, each column with its reader's kind. One row per trade:
+    keys, then MR at every offset. GR is not written: it is MR / volume_usd,
+    recomputed on load."""
+    return {"tx_hash": STR, "searcher_label": STR, "excluded": None, "exclusion_reason": STR,
+            "volume_usd": ANY_FLOAT} | {f"mr_usd@{o!r}": ANY_FLOAT for o in offsets_s}
 
 
 def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable:
@@ -287,20 +339,18 @@ def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable
 
 def run_markout(ws: Workspace) -> None:
     table = markout_mod.markout_table(ws.detections, ws.grid, ws.quotes, ws.registry, ws.config)
-    _write_csv(ws.out_dir / "markouts.csv", _markouts_header(ws.grid.offsets_s), [
+    _write_output(ws, "markouts.csv", [
         table.tx_hash, table.searcher_label, ~table.included(), table.exclusion_reason,
-        table.volume_usd, *table.mr_usd.T])
+        table.volume_usd, *table.mr_usd.T], _markouts_kinds(ws.grid.offsets_s))
     ws.markouts = table
 
 
 def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
     """The table markouts.csv holds; named for perfbench/spans.py, which
     times it as the parse, until ROADMAP item 1."""
-    header = _markouts_header(ws.grid.offsets_s)
-    kinds = dict.fromkeys(header, ANY_FLOAT) | {
-        "tx_hash": STR, "searcher_label": STR, "excluded": None, "exclusion_reason": STR}
-    c = _read_csv(ws.out_dir / "markouts.csv", kinds, "markout")
-    mr = np.column_stack([c[h] for h in header[len(MARKOUTS_KEYS):]])
+    kinds = _markouts_kinds(ws.grid.offsets_s)
+    c = _read_kept(ws, "markouts.csv", kinds, "markout")
+    mr = np.column_stack([c[h] for h in kinds if h.startswith("mr_usd@")])
     return markout_mod.MarkoutTable(c["tx_hash"], c["searcher_label"], c["volume_usd"], mr,
                                     c["exclusion_reason"])
 
@@ -326,12 +376,14 @@ def run_horizon(ws: Workspace) -> None:
     rows = np.flatnonzero(table.included())  # a profile per searcher with included trades
     profiles = [horizon_mod.build_profile(label, table.gr[rows[k]], ws.config, ws.grid)
                 for label, k in zip(labels.tolist(), group_rows(code[rows], len(labels))) if len(k)]
-    _write_output(ws.out_dir / "profiles.csv", Table.of_rows(horizon_mod.SearcherProfile, profiles))
+    cls = horizon_mod.SearcherProfile
+    _write_output(ws, "profiles.csv", Table.of_rows(cls, profiles), _kinds(cls))
     ws.profiles = {p.searcher_label: p for p in profiles}
 
 
 def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
-    profiles = _read_output(ws.out_dir / "profiles.csv", horizon_mod.SearcherProfile, "horizon")
+    cls = horizon_mod.SearcherProfile
+    profiles = Table(cls, _read_kept(ws, "profiles.csv", _kinds(cls), "horizon").values())
     return {p.searcher_label: p for p in profiles.rows()}
 
 
@@ -341,29 +393,29 @@ def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
 def run_estimate(ws: Workspace) -> None:
     trades, table, (labels, code) = ws.detections, _markouts_of_detections(ws), ws.searchers
     rows, priced = np.flatnonzero(ws.priced), trades.select(ws.priced)
-    eth, eth_ok = ws.quotes.eth_usd(priced.slot_time_ms, ws.config.quote_staleness_ms)
+    eth, eth_ok = ws.eth_quotes.eth_usd(priced.slot_time_ms, ws.config.quote_staleness_ms)
     if not eth_ok.all():  # refused at the first trade without an ETH quote
-        raise ws.quotes.unpriced("ETHUSDT", int(priced.slot_time_ms[np.argmin(eth_ok)]))
+        raise ws.eth_quotes.unpriced("ETHUSDT", int(priced.slot_time_ms[np.argmin(eth_ok)]))
     cols = np.zeros(len(labels), dtype=np.int64)  # MR at each searcher's t* column
     for k in np.unique(code[rows]).tolist():
         cols[k] = estimate_mod.t_star_column(ws.profiles[labels[k]], ws.grid)
     economics = estimate_mod.trade_economics(priced, table.mr_usd[rows, cols[code[rows]]], eth)
 
-    _write_output(ws.out_dir / "economics.csv", economics)
+    _write_output(ws, "economics.csv", economics, _kinds(TradeEconomics))
     ws.economics = economics
 
     inventory = table.exclusion_reason == EXCLUSION_INVENTORY
     summaries = estimate_mod.searcher_summaries(
         labels, code[rows], economics, np.bincount(code[inventory], minlength=len(labels)),
         np.bincount(code[~table.included() & ~inventory], minlength=len(labels)))
-    _write_output(ws.out_dir / "summary.csv", summaries)
-
-    _write_output(ws.out_dir / "cumulative_ev.csv",
+    _write_output(ws, "summary.csv", summaries)
+    _write_output(ws, "cumulative_ev.csv",
                   estimate_mod.cumulative_ev_series(labels, code[rows], economics))
 
 
 def _load_economics(ws: Workspace) -> Table:
-    return _read_output(ws.out_dir / "economics.csv", TradeEconomics, "estimate")
+    c = _read_kept(ws, "economics.csv", _kinds(TradeEconomics), "estimate")
+    return Table(TradeEconomics, c.values())
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +474,13 @@ def run_market(ws: Workspace) -> None:
     included, trade_code, n = trades.select(is_included), code[is_included], len(labels)
     shares, days, dates, total_v = _daily_shares(
         included, economics, labels, np.concatenate([trade_code, code[ws.priced]]))
-    _write_output(ws.out_dir / "market.csv", shares)
+    _write_output(ws, "market.csv", shares)
 
     matrix = market_mod.integration_matrix(included, labels, trade_code)
     classes = market_mod.classify_exclusivity(matrix, ws.labels, ws.config.exclusivity_threshold)
     nb, ns = len(matrix.builders), len(matrix.searchers)
     searcher_classes = [classes[s] for s in matrix.searchers]
-    _write_output(ws.out_dir / "integration.csv", Table(market_mod.IntegrationCell, [
+    _write_output(ws, "integration.csv", Table(market_mod.IntegrationCell, [
         np.repeat(strings(matrix.searchers), nb), np.tile(strings(matrix.builders), ns),
         matrix.cells.ravel(), np.repeat(strings([c for c, _ in searcher_classes]), nb),
         np.repeat(strings([b or "" for _, b in searcher_classes]), nb),
@@ -487,8 +539,7 @@ def run_market(ws: Workspace) -> None:
                                                  end, r.rho, r.n, r.p_value)
                           for analysis, end, r in results]
 
-    _write_output(ws.out_dir / "correlations.csv",
-                  Table.of_rows(market_mod.Correlation, corr_rows))
+    _write_output(ws, "correlations.csv", Table.of_rows(market_mod.Correlation, corr_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +547,15 @@ def run_market(ws: Workspace) -> None:
 
 def run_builder(ws: Workspace) -> None:
     blocks = ws.blocks
-    mids, ok = ws.quotes.eth_usd(blocks.slot_time_ms, ws.config.quote_staleness_ms)
+    mids, ok = ws.eth_quotes.eth_usd(blocks.slot_time_ms, ws.config.quote_staleness_ms)
     used, eth = blocks.select(ok), mids[ok]
     per_block = builder_mod.block_economics(used, ws.economics, ws.labels.integrated_with, eth)
     skipped_quotes = len(blocks) - len(used)
     if skipped_quotes:
         print(f"builder: skipped {skipped_quotes} blocks with no ETH quote", file=sys.stderr)
 
-    _write_output(ws.out_dir / "builder_blocks.csv", per_block)
-    summaries = builder_mod.builder_summary(used, per_block, eth)
-    _write_output(ws.out_dir / "builder_summary.csv", summaries)
+    _write_output(ws, "builder_blocks.csv", per_block)
+    _write_output(ws, "builder_summary.csv", builder_mod.builder_summary(used, per_block, eth))
 
 
 # ---------------------------------------------------------------------------
@@ -515,22 +565,28 @@ INPUT_FILES = ["transactions.csv", "quotes.csv", "tokens.csv", "blocks.csv",
                "searchers.json", "config.json"]
 
 
-def _manifest_entry(path: Path) -> dict:
-    """sha256 of the file and, for a CSV, its data rows, from one binary pass.
+_BLOCK = 1 << 16  # bytes read at a time to hash a file: larger ones make larger temporaries
+
+
+def _manifest_entry(path: Path, chunks=None) -> dict:
+    """sha256 of the file and, for a CSV, its data rows, from one pass over
+    ``chunks``, its bytes in order, or else over the file.
 
     Rows are lines less the header, counted as text mode counts them: "\r\n",
     "\n" and a bare "\r" each end a line, as does the end of the file.
     """
+    if chunks is None:
+        with open(path, "rb") as f:
+            return _manifest_entry(path, iter(lambda: f.read(_BLOCK), b""))
     h = hashlib.sha256()
     ends = 0  # "\n", and "\r" followed by a byte other than "\n"
     tail = b""  # the last byte read: the next chunk decides whether it ends a line
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-            b = np.frombuffer(tail + chunk, dtype=np.uint8)
-            ends += np.count_nonzero(b[len(tail):] == 10)
-            ends += np.count_nonzero((b[:-1] == 13) & (b[1:] != 10))
-            tail = chunk[-1:]
+    for chunk in chunks:
+        h.update(chunk)
+        b = np.frombuffer(tail + chunk, dtype=np.uint8)
+        ends += np.count_nonzero(b[len(tail):] == 10)
+        ends += np.count_nonzero((b[:-1] == 13) & (b[1:] != 10))
+        tail = chunk[-1:]
     rows = None
     if path.suffix == ".csv":  # a last "\r", or a last line without a line end, ends one more
         rows = max(int(ends) + (tail not in (b"", b"\n")) - 1, 0)
@@ -545,7 +601,7 @@ def write_manifest(ws: Workspace) -> None:
         "outputs": {},
     }
     for p in sorted(ws.out_dir.glob("*.csv")):
-        manifest["outputs"][p.name] = _manifest_entry(p)
+        manifest["outputs"][p.name] = ws.entry(p.name)
     with open(ws.out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
 
@@ -563,6 +619,9 @@ STAGE_ORDER = ["detect", "markout", "horizon", "estimate", "market", "builder"]
 
 
 def run_stage(name: str, ws: Workspace) -> None:
+    """Run one stage as its own command: the outputs a later stage reads are
+    kept as copies too (cexdex all hands them over in memory)."""
+    ws.copies = True
     STAGES[name](ws)
     write_manifest(ws)
 

@@ -217,17 +217,21 @@ def test_manifest_digests_match(synth_inputs, tmp_path):
 
 @pytest.fixture(scope="module")
 def awkward_labels(tmp_path_factory):
-    """SCENARIO with a third searcher, the three labelled " s_pad ", 's,"q"'
-    and "s_é": every output that names a searcher holds an unstripped, a
-    quoted and a non-ASCII cell, which the reader takes cell by cell."""
+    """SCENARIO with a third and a fourth searcher, the four labelled
+    " s_pad ", 's,"q"', "s_é" and "s_nul\\x00": every output that names a
+    searcher holds an unstripped, a quoted, a non-ASCII cell and one that
+    ends in NUL, which the reader takes cell by cell and numpy's fixed-width
+    text would cut."""
     root = tmp_path_factory.mktemp("awkward")
     scenario = dict(SCENARIO, searchers=[*SCENARIO["searchers"], {
         "label": "s_abrupt", "impact_decay": "abrupt", "trades_per_day": 15,
-        "true_hedge_delay_s": 0.5}])
+        "true_hedge_delay_s": 0.5}, {
+        "label": "s_nul", "impact_decay": "gentle", "trades_per_day": 12,
+        "true_hedge_delay_s": 1.5}])
     (root / "scenario.json").write_text(json.dumps(scenario))
     inputs = root / "inputs"
     assert main(["synth", "--config", str(root / "scenario.json"), "--out-dir", str(inputs)]) == 0
-    names = {"s_gentle": " s_pad ", "s_flat": 's,"q"', "s_abrupt": "s_é"}
+    names = {"s_gentle": " s_pad ", "s_flat": 's,"q"', "s_abrupt": "s_é", "s_nul": "s_nul\x00"}
     searchers = json.loads((inputs / "searchers.json").read_text())
     (inputs / "searchers.json").write_text(json.dumps({
         "labels": {names[k]: v for k, v in searchers["labels"].items()},
@@ -244,9 +248,25 @@ def test_stagewise_equals_all(synth_inputs, awkward_labels, tmp_path):
         main(["all", "--input-dir", str(inputs), "--out-dir", str(combined)])
         for p in combined.glob("*.csv"):
             assert p.read_bytes() == (staged / p.name).read_bytes(), (inputs, p.name)
-    with open(combined / "detections.csv", newline="") as f:
+    with open(combined / "detections.csv", newline="", encoding="utf-8") as f:
         labels = {r["searcher_label"] for r in csv.DictReader(f)}
-    assert labels == {" s_pad ", 's,"q"', "s_é"}
+    assert labels == {" s_pad ", 's,"q"', "s_é", "s_nul\x00"}
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(awkward_labels, tmp_path):
+    """Under the C locale, whose encoding is ASCII, cexdex all writes and
+    reads its CSVs as UTF-8: the bytes of a run under any other locale."""
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = tmp_path / "c_locale"
+    proc = subprocess.run([sys.executable, "-m", "cexdex.cli", "all", "--input-dir",
+                           str(awkward_labels), "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["all", "--input-dir", str(awkward_labels), "--out-dir", str(tmp_path / "here")]) == 0
+    for p in (tmp_path / "here").glob("*.csv"):
+        assert p.read_bytes() == (out / p.name).read_bytes(), p.name
+    assert "s_é".encode() in (out / "detections.csv").read_bytes()
 
 
 def test_stagewise_manifest_equals_all(synth_inputs, tmp_path):

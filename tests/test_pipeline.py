@@ -22,6 +22,7 @@ from cexdex import _kernels, builder, data_model, estimate, horizon, market, pip
 from cexdex.cli import main
 from cexdex.data_model import Table
 from cexdex.detect import ArbTrade, DetectionVerdict
+from cexdex.errors import MalformedRow
 from cexdex.synth import SearcherSpec, SynthConfig, generate
 
 from markout_oracle import assert_same_row, oracle_curve, same_bits
@@ -35,6 +36,11 @@ DAY_MS = 86_400_000
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def write_table(path: Path, table: Table) -> None:
+    """Write ``table`` as a stage writes its output."""
+    pipeline._write_csv(path, pipeline._columns(table.row), table.columns)
 
 
 def write_rows(path: Path, header: list[str], rows: list[list]) -> None:
@@ -149,11 +155,11 @@ def written_bits(values) -> np.ndarray:
                      min_size=1, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_floats_round_trip_bit_for_bit(tmp_path_factory, label, tokenized, rows):
-    """What _write_output writes, _read_output reads back with every float's
+    """What a stage writes, _read_output reads back with every float's
     bits, on the tokenizer path and on the cell pass (a non-ASCII cell)."""
     path = tmp_path_factory.mktemp("floats") / "floats.csv"
     values, maybe = [v for v, _ in rows], [m for _, m in rows]
-    pipeline._write_output(path, Table(FloatRow, [[label] * len(rows), values, maybe]))
+    write_table(path, Table(FloatRow, [[label] * len(rows), values, maybe]))
     kinds = {f.name: pipeline._KINDS[f.type] for f in dataclasses.fields(FloatRow)}
     assert (data_model._tokenize_columns(path, kinds) is not None) == tokenized
     read = pipeline._read_output(path, FloatRow, "test")
@@ -252,8 +258,8 @@ def test_writer_writes_numpy_scalars_as_their_values(tmp_path):
                   zip([1.5, -0.0, None, nan], [True, False, True, None]))
     assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
     path = tmp_path / "floats.csv"
-    pipeline._write_output(path, Table(FloatRow, [["s", "s"], np.array([1.5, 2.5]),
-                                                  np.array([np.float64(1.5), None], dtype=object)]))
+    write_table(path, Table(FloatRow, [["s", "s"], np.array([1.5, 2.5]),
+                                       np.array([np.float64(1.5), None], dtype=object)]))
     assert pipeline._read_output(path, FloatRow, "test").maybe.tolist() == [1.5, None]
 
 
@@ -829,7 +835,10 @@ def test_estimate_names_first_priced_trade_without_eth_series(markout_corpus, tm
 
 
 # ---------------------------------------------------------------------------
-# quotes.npz: the checked quote series, kept for the stages after markout
+# copies: quotes.npz and the stage outputs a later stage command loads
+
+COPIES = ["detections.npz", "economics.npz", "markouts.npz", "profiles.npz", "quotes.npz"]
+
 
 def output_bytes(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv")) + [out / "manifest.json"]}
@@ -845,10 +854,29 @@ def cross_first_quote_not_of_eth(inputs: Path) -> int:
     return k + 1
 
 
+@pytest.fixture(scope="module")
+def staged_corpus(markout_corpus, tmp_path_factory):
+    """The out-dir of markout_corpus's six stage commands, copies included."""
+    inputs, _ = markout_corpus
+    out = tmp_path_factory.mktemp("staged") / "out"
+    for stage in pipeline.STAGE_ORDER:
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    return out
+
+
+def test_stage_commands_keep_copies_and_all_keeps_none(markout_corpus, staged_corpus, tmp_path):
+    inputs, out = markout_corpus
+    assert output_bytes(staged_corpus) == output_bytes(out)
+    assert sorted(p.name for p in staged_corpus.glob("*.npz")) == COPIES
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "all")]) == 0
+    assert [p.name for p in (tmp_path / "all").glob("*.npz")] == ["quotes.npz"]
+
+
 def test_stages_after_markout_load_the_spill(markout_corpus, tmp_path, monkeypatch):
     """After markout, each later stage command, a fresh Workspace, loads the
-    quotes from quotes.npz without tokenizing quotes.csv, and writes the
-    bytes of cexdex all."""
+    quotes from quotes.npz and the outputs of earlier stages from their
+    copies, tokenizing no CSV but its inputs, and writes the bytes of
+    cexdex all."""
     inputs, out = markout_corpus
     stages = ["--input-dir", str(inputs), "--out-dir", str(tmp_path / "stages")]
     for stage in ("detect", "markout"):
@@ -856,15 +884,101 @@ def test_stages_after_markout_load_the_spill(markout_corpus, tmp_path, monkeypat
     assert (tmp_path / "stages" / "quotes.npz").exists()
 
     read_columns = data_model._read_columns
+    tokenized = []
 
     def read_but_quotes(path, kinds):
         assert Path(path).name != "quotes.csv", "quotes.csv tokenized again"
+        tokenized.append(Path(path).name)
         return read_columns(path, kinds)
 
     monkeypatch.setattr(data_model, "_read_columns", read_but_quotes)
     for stage in ("horizon", "estimate", "market", "builder"):
         assert main([stage, *stages]) == 0
     assert output_bytes(tmp_path / "stages") == output_bytes(out)
+    assert tokenized and set(tokenized) <= set(pipeline.INPUT_FILES)
+
+
+def keep_members(copy: Path, change) -> None:
+    """Rewrite the copy with the members ``change`` makes of its members."""
+    with np.load(copy) as z:
+        members = change({name: z[name] for name in z.files})
+    np.savez(copy, **members)
+
+
+def other_file(members: dict) -> dict:
+    """The members of another file's copy: its floats doubled, under the key
+    of another sha256."""
+    _, kinds = json.loads(members["key"].item())
+    return {k: v * 2 if v.dtype == np.float64 else v for k, v in members.items()} | {
+        "key": np.array(json.dumps(["0" * 64, kinds]))}
+
+
+@pytest.mark.parametrize("damage", [
+    lambda copy: copy.write_bytes(copy.read_bytes()[:copy.stat().st_size // 2]),
+    lambda copy: copy.write_bytes(b"symbol,ts_ms,bid,ask\n" * 50),
+    # the first after the key, which every reader of the copy reads
+    lambda copy: keep_members(copy, lambda m: dict(list(m.items())[:1] + list(m.items())[2:])),
+    lambda copy: keep_members(copy, other_file),
+], ids=["truncated", "garbage", "member missing", "other sha256"])
+def test_damaged_spill_is_replaced(markout_corpus, staged_corpus, tmp_path, damage):
+    """Every copy damaged, the stage commands after markout parse the CSVs,
+    write the bytes of cexdex all and replace each copy with what it held."""
+    inputs, out = markout_corpus
+    staged = copy_tree(staged_corpus, tmp_path / "out")
+    kept = {}
+    for name in COPIES:
+        with np.load(staged / name) as z:
+            kept[name] = {member: z[member] for member in z.files}
+        damage(staged / name)
+    for stage in ("horizon", "estimate", "market", "builder"):
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(staged)]) == 0
+    assert output_bytes(staged) == output_bytes(out)
+    for name, members in kept.items():
+        with np.load(staged / name, allow_pickle=False) as z:
+            assert sorted(z.files) == sorted(members), name
+            for member in members:
+                assert np.array_equal(z[member], members[member]), (name, member)
+    assert sorted(p.name for p in staged.iterdir()) == sorted(p.name for p in staged_corpus.iterdir())
+
+
+def test_edited_output_is_parsed(staged_corpus, markout_corpus, tmp_path):
+    """A CSV edited after its stage wrote it is read as edited: the next
+    stage writes what it writes without the copies, and a cell that does
+    not parse is refused as before."""
+    inputs, _ = markout_corpus
+    outs = [copy_tree(staged_corpus, tmp_path / name) for name in ("copies", "none")]
+    for out in outs:
+        rows = read_rows(out / "economics.csv")
+        rows[0]["ev_usd"] = repr(float(rows[0]["ev_usd"]) * 1.5)
+        write_rows(out / "economics.csv", list(rows[0]), [list(r.values()) for r in rows])
+    for copy in outs[1].glob("*.npz"):
+        copy.unlink()
+    for out in outs:
+        assert main(["market", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    assert output_bytes(outs[0]) == output_bytes(outs[1])
+    assert output_bytes(outs[0])["market.csv"] != output_bytes(staged_corpus)["market.csv"]
+
+    path = outs[0] / "markouts.csv"
+    path.write_text(path.read_text().replace("InventoryAdjustment,", "InventoryAdjustment,x", 1))
+    with pytest.raises(MalformedRow, match="in volume_usd of markouts.csv"):
+        pipeline.Workspace(inputs, outs[0]).markouts
+
+
+def test_copy_of_another_grid_is_refused(markout_corpus, tmp_path, capsys):
+    """markouts.csv and its copy of a grid that holds this config's grid:
+    the copy has a member for every column this config reads, but its key
+    names the other header, so the CSV is read and refused as outdated."""
+    inputs = copy_tree(markout_corpus[0], tmp_path / "in")
+    out = tmp_path / "out"
+    for stage in ("detect", "markout"):
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    config = json.loads((inputs / "config.json").read_text())
+    config.update(grid_start_s=-1.0)
+    (inputs / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["horizon", "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OutdatedOutput" and "rerun the markout stage" in err["message"]
 
 
 def test_estimate_refuses_quotes_changed_after_markout(markout_corpus, tmp_path, capsys):
@@ -879,39 +993,6 @@ def test_estimate_refuses_quotes_changed_after_markout(markout_corpus, tmp_path,
                    "message": f"crossed quote (ask < bid) at row {row} of quotes.csv"}
 
 
-def keep_members(spill: Path, change) -> None:
-    """Rewrite quotes.npz with the members ``change`` makes of its members."""
-    with np.load(spill) as z:
-        members = change({name: z[name] for name in z.files})
-    np.savez(spill, **members)
-
-
-@pytest.mark.parametrize("damage", [
-    lambda spill: spill.write_bytes(spill.read_bytes()[:spill.stat().st_size // 2]),
-    lambda spill: spill.write_bytes(b"symbol,ts_ms,bid,ask\n" * 50),
-    lambda spill: keep_members(spill, lambda m: {k: v for k, v in m.items() if k != "ask0"}),
-    # another file's series: prices doubled, under another sha256
-    lambda spill: keep_members(spill, lambda m: {k: v * 2 if k[:3] in ("bid", "ask") else v
-                                                 for k, v in m.items()} | {"sha256": "0" * 64}),
-], ids=["truncated", "garbage", "member missing", "other sha256"])
-def test_damaged_spill_is_replaced(markout_corpus, tmp_path, damage):
-    inputs, out = markout_corpus
-    out = copy_tree(out, tmp_path / "out")
-    spill = out / "quotes.npz"
-    with np.load(spill) as z:
-        members = {name: z[name] for name in z.files}
-    damage(spill)
-    for stage in ("estimate", "builder"):
-        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
-    assert output_bytes(out) == output_bytes(markout_corpus[1])
-    with np.load(spill, allow_pickle=False) as z:
-        assert z["sha256"].item() == hashlib.sha256((inputs / "quotes.csv").read_bytes()).hexdigest()
-        assert sorted(z.files) == sorted(members)
-        for name in members:
-            assert np.array_equal(z[name], members[name]), name
-    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in markout_corpus[1].iterdir())
-
-
 def test_failed_parse_writes_no_spill(markout_corpus, tmp_path):
     inputs = copy_tree(markout_corpus[0], tmp_path / "in")
     cross_first_quote_not_of_eth(inputs)
@@ -923,7 +1004,7 @@ def test_failed_parse_writes_no_spill(markout_corpus, tmp_path):
 # ---------------------------------------------------------------------------
 # manifest: digest and row count from one binary pass
 
-CHUNK = 1 << 20
+CHUNK = pipeline._BLOCK
 
 
 def text_mode_rows(path: Path) -> int:
@@ -1036,25 +1117,33 @@ def same_fields(kept, parsed) -> None:
             assert a == b, (f.name, a, b)
 
 
-def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path):
+def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path, monkeypatch):
     """After a whole run, the objects a Workspace kept equal what a fresh
-    Workspace parses from the CSVs, so no later stage changed one."""
-    kept = pipeline.Workspace(handoff_corpus, tmp_path)
+    Workspace parses from the CSVs, so no later stage changed one; and what
+    one loads from the copies that the stage commands keep equals both."""
+    kept = pipeline.Workspace(handoff_corpus, tmp_path / "all")
     pipeline.run_all(kept)
-    parsed = pipeline.Workspace(handoff_corpus, tmp_path)
-    assert len(kept.detections) == len(parsed.detections)
-    same_fields(kept.detections, parsed.detections)
-    same_fields(kept.markouts, parsed.markouts)
-    assert same_bits(kept.markouts.gr, parsed.markouts.gr)
+    parsed = pipeline.Workspace(handoff_corpus, tmp_path / "all")
+    for name in ("detections", "markouts", "profiles", "economics"):
+        getattr(parsed, name)  # parsed now, before the parser is taken away below
+    for stage in pipeline.STAGE_ORDER:
+        pipeline.run_stage(stage, pipeline.Workspace(handoff_corpus, tmp_path / "stages"))
+    monkeypatch.setattr(pipeline, "_read_csv", None)  # loaded, not parsed
+    copied = pipeline.Workspace(handoff_corpus, tmp_path / "stages")
+    for other in (parsed, copied):
+        assert len(kept.detections) == len(other.detections)
+        same_fields(kept.detections, other.detections)
+        same_fields(kept.markouts, other.markouts)
+        assert same_bits(kept.markouts.gr, other.markouts.gr)
+        assert list(kept.profiles) == list(other.profiles)
+        for a, b in zip(kept.profiles.values(), other.profiles.values()):
+            same_fields(a, b)
+        assert len(kept.economics) == len(other.economics)
+        same_fields(kept.economics, other.economics)
     assert "" not in kept.markouts.searcher_label.tolist()
-    assert list(kept.profiles) == list(parsed.profiles)
-    for a, b in zip(kept.profiles.values(), parsed.profiles.values()):
-        same_fields(a, b)
-    assert len(kept.economics) == len(parsed.economics)
-    same_fields(kept.economics, parsed.economics)
-    # every column is an array, kept and parsed alike, and an included
+    # every column is an array, kept, parsed and copied alike, and an included
     # trade's exclusion reason is "", as markouts.csv writes it
-    for ws in (kept, parsed):
+    for ws in (kept, parsed, copied):
         for table in (ws.detections, ws.economics, ws.blocks, ws.markouts):
             for f in dataclasses.fields(table.row if isinstance(table, Table) else table):
                 assert isinstance(getattr(table, f.name), np.ndarray), (table, f.name)
@@ -1242,6 +1331,9 @@ def test_all_parses_no_stage_output(markout_corpus, tmp_path, monkeypatch):
                         lambda path, *args: read.append(path.name) or parse(path, *args))
     assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
     assert read == []
+    assert main(["estimate", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    assert read == ["detections.csv", "markouts.csv", "profiles.csv"]
+    # which it kept as copies, and a second estimate loads
     assert main(["estimate", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
     assert read == ["detections.csv", "markouts.csv", "profiles.csv"]
 
