@@ -22,6 +22,7 @@ import decimal
 import json
 import math
 import os
+import re
 import warnings
 import zipfile
 from dataclasses import dataclass, field
@@ -56,26 +57,30 @@ _TRUE = {"true", "1", "t", "yes"}
 _FALSE = {"false", "0", "f", "no", ""}
 
 
-@dataclass(frozen=True)
-class TokenInfo:
-    symbol: str
-    cex_listed: bool
-    is_major: bool
-    quote_symbol: str  # symbol used for the Binance USDT pair
-
-
 class TokenRegistry:
-    """Token metadata keyed by lowercase contract address."""
+    """tokens.csv as columns, a row per token: its lowercase ``address``,
+    whether it is CEX-``listed`` and ``major``, and the ``quote_symbol`` of
+    its Binance USDT pair. The run's one token vocabulary."""
 
-    def __init__(self, entries: dict[str, TokenInfo]):
-        self.entries = dict(entries)
+    _CHUNK = 1 << 16  # cells rows() holds as Python str at once, which bounds its memory
 
-    def get(self, address: str) -> TokenInfo | None:
-        return self.entries.get(address.lower())
+    def __init__(self, address, listed, major, quote_symbol):
+        self.address = np.strings.lower(strings(address))
+        self.listed, self.major = np.asarray(listed, dtype=bool), np.asarray(major, dtype=bool)
+        self.quote_symbol = strings(quote_symbol)
+        # a repeated address is its first row, which reversed order sets last
+        self._row = {a: k for k, a in reversed(list(enumerate(self.address.tolist())))}
 
-    def is_listed(self, address: str) -> bool:
-        info = self.get(address)
-        return info is not None and info.cex_listed
+    def rows(self, tokens: np.ndarray) -> np.ndarray:
+        """The row of each of ``tokens``, found by its lowercase address, or
+        -1 for a token tokens.csv lacks: a dict lookup per cell, a bounded
+        chunk of cells at a time. Never np.searchsorted, which on numpy
+        2.4.6 misorders StringDType text over 15 bytes."""
+        out = np.empty(len(tokens), dtype=np.int64)
+        for start in range(0, len(tokens), self._CHUNK):
+            chunk = tokens[start:start + self._CHUNK].tolist()
+            out[start:start + len(chunk)] = [self._row.get(t.lower(), -1) for t in chunk]
+        return out
 
 
 @dataclass(frozen=True)
@@ -412,10 +417,17 @@ def _read_columns(path: str | Path, kinds: dict) -> tuple[dict, dict]:
     cell by cell, which masks every short row and bad cell. A name the
     header repeats is its last column; cells past the header are ignored,
     and so are blank lines. Raises MissingColumn for a column not in the
-    header, unless it is OPTIONAL.
+    header, unless it is OPTIONAL; MalformedRow at the data row (0: the
+    header) of a file's first byte that is not UTF-8.
     """
     path = Path(path)
-    return _tokenize_columns(path, kinds) or _parse_columns_by_cell(path, kinds)
+    try:  # the tokenizer reads only ASCII files
+        return _tokenize_columns(path, kinds) or _parse_columns_by_cell(path, kinds)
+    except UnicodeDecodeError:  # then surrogateescape reads each such byte as U+DC00 + byte
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
+            k, bad = next((k, m[0]) for k, row in enumerate(r for r in csv.reader(f) if r)
+                          if (m := re.search("[\udc80-\udcff]", "".join(row))))
+        raise MalformedRow(k, f"byte {ord(bad) - 0xdc00:#04x} is not UTF-8", path.name) from None
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +488,19 @@ def load_tokens(path: str | Path) -> TokenRegistry:
     check, with the first check it fails in the order listed below."""
     name = Path(path).name
     c, parsed = _read_columns(path, TOKEN_KINDS)
-    address = np.strings.lower(c["address"])
-    dup = np.ones(len(address), dtype=bool)
-    dup[np.unique(address, return_index=True)[1]] = False
+    quote = c.get("quote_symbol", "")  # if empty, the symbol's alias or the symbol
+    aliased = strings([QUOTE_SYMBOL_ALIASES.get(s, s) for s in c["symbol"].tolist()])
+    registry = TokenRegistry(c["address"], c["cex_listed"], c["is_major"],
+                             np.where(quote == "", aliased, quote))
     _raise_first([
-        parsed.get("short"), (address == "", _fails("empty address", name)),
-        (dup, lambda i, k: MalformedRow(i, f"duplicate token address {address[k]}", name)),
+        parsed.get("short"), (registry.address == "", _fails("empty address", name)),
+        (registry.rows(registry.address) != np.arange(len(registry.address)),
+         lambda i, k: MalformedRow(i, f"duplicate token address {registry.address[k]}", name)),
         parsed.get("decimals"),  # checked, not kept
         parsed.get("cex_listed"), parsed.get("is_major"),
-        (c["is_major"] & ~c["cex_listed"], _fails("is_major requires cex_listed", name)),
+        (registry.major & ~registry.listed, _fails("is_major requires cex_listed", name)),
     ])
-    symbol = c["symbol"].tolist()
-    quote = c.get("quote_symbol", "")  # if empty, the symbol's alias or the symbol
-    aliased = np.array(list(map(QUOTE_SYMBOL_ALIASES.get, symbol, symbol)),
-                       dtype=np.dtypes.StringDType())
-    quote = np.where(quote == "", aliased, quote)
-    return TokenRegistry(dict(zip(address.tolist(), map(
-        TokenInfo, symbol, c["cex_listed"].tolist(), c["is_major"].tolist(), quote.tolist()))))
+    return registry
 
 
 _TX_FLAGS = [

@@ -139,11 +139,8 @@ def detect_all(
             netted[j] = (x, y)
         two_sided[j] = pair is not None
     has_pair = no_erc721 & two_sided
-    pair_tokens, code = np.unique(np.concatenate([bought[has_pair], sold[has_pair]]),
-                                  return_inverse=True)
-    listed = np.array([registry.is_listed(t) for t in pair_tokens.tolist()], dtype=bool)[code]
-    bought_listed, sold_listed = np.ones(len(table), dtype=bool), np.ones(len(table), dtype=bool)
-    bought_listed[has_pair], sold_listed[has_pair] = np.split(listed, 2)
+    listed = np.append(registry.listed, False)  # row -1: a token tokens.csv lacks is not listed
+    bought_listed, sold_listed = listed[registry.rows(bought)], listed[registry.rows(sold)]
     h6 = has_pair & bought_listed & sold_listed
     passed = np.logical_and.reduce([*h1_to_h5, h6])
 

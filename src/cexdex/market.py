@@ -113,18 +113,14 @@ def major_major_shares(trades: Table, code: np.ndarray, n: int, registry: TokenR
     the lowest-coded searcher holding one, its first such trade by row, the
     bought token before the sold.
     """
-    m = len(trades)
-    tokens, t_code = np.unique(np.concatenate([trades.token_bought, trades.token_sold]),
-                               return_inverse=True)
-    infos = [registry.get(t) for t in tokens.tolist()]
-    legs = t_code.reshape(2, m)  # bought, then sold
-    unknown = np.array([i is None for i in infos], dtype=bool)[legs]
+    tokens = (trades.token_bought, trades.token_sold)
+    legs = np.stack([registry.rows(t) for t in tokens])  # not concatenated: that copies the text
+    unknown = legs < 0
     if unknown.any():
         rows = np.flatnonzero(unknown.any(axis=0))
         first = rows[np.argmin(code[rows])]  # argmin takes the first row of that searcher
-        raise UnknownToken(tokens[legs[np.argmax(unknown[:, first]), first]])
-    major = np.array([i.is_major for i in infos], dtype=bool)[legs]
-    mm = major[0] & major[1]
+        raise UnknownToken(tokens[np.argmax(unknown[:, first])][first])
+    mm = registry.major[legs].all(axis=0)
     count, mm_count = (np.bincount(c, minlength=n).tolist() for c in (code, code[mm]))
     volume, mm_volume = (group_sum(code[keep], trades.volume_usd[keep], n).tolist()
                          for keep in (slice(None), mm))

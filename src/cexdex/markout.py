@@ -53,26 +53,23 @@ def gross_return(mr: np.ndarray, volume_usd: np.ndarray) -> np.ndarray:
     return np.divide(mr, volume, out=np.zeros_like(mr), where=volume > 0)
 
 
-def _usd_prices(tokens: np.ndarray, queries: np.ndarray, store: QuoteStore,
+def _usd_prices(rows: np.ndarray, queries: np.ndarray, store: QuoteStore,
                 registry: TokenRegistry, staleness_ms: int):
-    """USD prices of ``tokens[i]`` at the times in row i of ``queries``, and a
-    mask of the rows priced at every time. An unknown or unlisted token has
-    no price; USDT is 1; any other token is its ``<quote_symbol>USDT`` mid.
-    One lookup per quote series."""
+    """USD prices of the token at ``registry`` row ``rows[i]`` at the times in
+    row i of ``queries``, and a mask of the rows priced at every time. An
+    unknown (row -1) or unlisted token has no price; USDT is 1; any other
+    token is its ``<quote_symbol>USDT`` mid. One lookup per quote series."""
     prices = np.ones(queries.shape)
-    ok = np.ones(len(tokens), dtype=bool)
-    names, code = np.unique(tokens, return_inverse=True)
-    rows_by_symbol: dict[str, list] = {}
-    for token, rows in zip(names.tolist(), group_rows(code, len(names))):
-        info = registry.get(token)
-        if info is None or not info.cex_listed:
-            ok[rows] = False
-        elif info.quote_symbol != "USDT":
-            rows_by_symbol.setdefault(f"{info.quote_symbol}USDT", []).append(rows)
-    for symbol, rows in rows_by_symbol.items():
-        rows = np.concatenate(rows)
-        prices[rows], fresh = store.mids(symbol, queries[rows], staleness_ms)
-        ok[rows] &= fresh.all(axis=1)
+    ok = np.append(registry.listed, False)[rows]  # row -1 reads the appended False
+    listed = np.flatnonzero(ok)
+    series: dict[str, int] = {}  # the registry's quote symbols, coded in row order
+    code = np.array([series.setdefault(s, len(series)) for s in registry.quote_symbol.tolist()],
+                    dtype=np.int64)
+    for symbol, at in zip(series, group_rows(code[rows[listed]], len(series))):
+        if symbol != "USDT" and len(at):
+            at = listed[at]
+            prices[at], fresh = store.mids(f"{symbol}USDT", queries[at], staleness_ms)
+            ok[at] &= fresh.all(axis=1)
     return prices, ok
 
 
@@ -87,8 +84,8 @@ def markout_table(trades: Table, grid: MarkoutGrid, store: QuoteStore,
     """
     n = len(trades)
     queries = trades.slot_time_ms[:, None] + np.array(grid.offsets_ms, dtype=np.int64)
-    prices, ok = _usd_prices(
-        np.concatenate([trades.token_bought, trades.token_sold]),
+    prices, ok = _usd_prices(  # rows of each column: concatenating them would copy the text
+        np.concatenate([registry.rows(trades.token_bought), registry.rows(trades.token_sold)]),
         np.concatenate([queries, queries]), store, registry, cfg.quote_staleness_ms,
     )
     leg_a = trades.amount_bought.astype(np.float64)[:, None] * prices[:n]

@@ -140,16 +140,17 @@ def _read_csv(path: Path, kinds: dict, stage: str) -> dict:
     kind in ``kinds`` by data_model._read_columns. ``kinds`` names every
     column this version writes, in order.
 
-    A file with another header, or with a row shorter than it, is refused
-    as OutdatedOutput naming ``stage`` to rerun, so it is not read with its
-    columns crossed; the first cell that does not decode, as MalformedRow
-    naming its row, column and file.
+    A file with another header (one not UTF-8 too), or with a row shorter
+    than it, is refused as OutdatedOutput naming ``stage`` to rerun, so it is
+    not read with its columns crossed; a byte not UTF-8 or the first cell
+    that does not decode, as MalformedRow naming its row and file.
     """
     if not path.exists():
         raise DependencyMissing(f"{path.name} not found in {path.parent}; run the producing stage first")
     outdated = OutdatedOutput(f"{path} does not have the columns this version writes under "
                               f"this config (an older version's layout?); rerun the {stage} stage")
-    with open(path, newline="", encoding="utf-8") as f:
+    # a header byte that is not UTF-8 reads as U+FFFD; _read_columns refuses one in a row
+    with open(path, newline="", encoding="utf-8", errors="replace") as f:
         if next(csv.reader(f), []) != list(kinds):
             raise outdated
     cells, parsed = _read_columns(path, kinds)

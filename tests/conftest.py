@@ -8,7 +8,7 @@ import pytest
 
 from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.data_model import (
-    TRANSACTION_COLUMNS, SearcherLabelFile, Table, TokenInfo, TokenRegistry, load_transactions,
+    TRANSACTION_COLUMNS, SearcherLabelFile, Table, TokenRegistry, load_transactions,
 )
 from cexdex.detect import ArbTrade, DetectionVerdict, detect_all
 from cexdex.market import integration_matrix
@@ -25,14 +25,15 @@ TOKC = "0x" + "6" * 40  # second listed alt
 
 
 def make_registry() -> TokenRegistry:
-    return TokenRegistry({
-        WETH: TokenInfo("WETH", True, True, "ETH"),
-        WBTC: TokenInfo("WBTC", True, True, "BTC"),
-        USDT: TokenInfo("USDT", True, True, "USDT"),
-        TOKA: TokenInfo("TOKA", True, False, "TOKA"),
-        TOKB: TokenInfo("TOKB", False, False, "TOKB"),
-        TOKC: TokenInfo("TOKC", True, False, "TOKC"),
-    })
+    """Columns: address, listed, major, quote symbol."""
+    return TokenRegistry(*zip(
+        (WETH, True, True, "ETH"),
+        (WBTC, True, True, "BTC"),
+        (USDT, True, True, "USDT"),
+        (TOKA, True, False, "TOKA"),
+        (TOKB, False, False, "TOKB"),
+        (TOKC, True, False, "TOKC"),
+    ))
 
 
 @pytest.fixture

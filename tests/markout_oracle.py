@@ -31,12 +31,12 @@ def _mids(store, symbol, t_ms, staleness_ms):
 def _usd_price(token, t_ms, store, registry, staleness_ms):
     """USD prices of ``token`` at ``t_ms``, or None: an unknown or unlisted
     token has none, USDT is 1, any other token is its <quote_symbol>USDT mid."""
-    info = registry.get(token)
-    if info is None or not info.cex_listed:
+    row = registry.rows(np.array([token], dtype=np.dtypes.StringDType()))[0]
+    if row < 0 or not registry.listed[row]:
         return None
-    if info.quote_symbol == "USDT":
+    if registry.quote_symbol[row] == "USDT":
         return np.ones(len(t_ms))
-    return _mids(store, f"{info.quote_symbol}USDT", t_ms, staleness_ms)
+    return _mids(store, f"{registry.quote_symbol[row]}USDT", t_ms, staleness_ms)
 
 
 def oracle_curve(trade, grid, store, registry, cfg):

@@ -308,6 +308,40 @@ def test_short_input_row_exits_1(synth_inputs, tmp_path, capsys):
                    "message": "malformed row 3 of tokens.csv: fewer fields than the header"}
 
 
+@pytest.mark.parametrize("row, old, new", [
+    (2, b"USDT", b"US\xffDT"),  # a symbol
+    (0, b"symbol", b"s\xffmbol"),  # the header
+], ids=["symbol", "header"])
+def test_input_that_is_not_utf8_exits_1_naming_its_row(synth_inputs, tmp_path, capsys, row, old, new):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(synth_inputs, inputs)
+    lines = (inputs / "tokens.csv").read_bytes().split(b"\n")
+    assert old in lines[row]
+    lines[row] = lines[row].replace(old, new)
+    (inputs / "tokens.csv").write_bytes(b"\n".join(lines))
+    rc = main(["detect", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "MalformedRow",
+                   "message": f"malformed row {row} of tokens.csv: byte 0xff is not UTF-8"}
+
+
+@pytest.mark.parametrize("row, error, message", [
+    (3, "MalformedRow", "malformed row 3 of detections.csv: byte 0xe9 is not UTF-8"),
+    (0, "OutdatedOutput", "rerun the detect stage"),  # a header this version does not write
+], ids=["row", "header"])
+def test_stage_output_that_is_not_utf8_exits_1(synth_inputs, tmp_path, capsys, row, error, message):
+    out = tmp_path / "out"
+    assert main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out)]) == 0
+    lines = (out / "detections.csv").read_bytes().split(b"\n")
+    lines[row] = lines[row].replace(b"builder", b"build\xe9r", 1)
+    (out / "detections.csv").write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["estimate", "--input-dir", str(synth_inputs), "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == error and err["message"].endswith(message)
+
+
 def test_stage_dependency_exits_1(synth_inputs, tmp_path, capsys):
     rc = main(["horizon", "--input-dir", str(synth_inputs),
                "--out-dir", str(tmp_path / "fresh")])

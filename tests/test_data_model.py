@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from cexdex import data_model
 from cexdex.data_model import (
     BlockRecord,
-    TokenInfo,
+    TokenRegistry,
     load_block_records,
     load_quotes,
     load_searchers,
     load_tokens,
     load_transactions,
+    strings,
 )
 from cexdex.errors import (
     CrossedQuote,
@@ -65,13 +66,45 @@ def token_registry(tmp_path):
 
 
 def test_load_tokens_aliases(token_registry):
-    assert token_registry.get("0x" + "1" * 40).quote_symbol == "ETH"
-    assert token_registry.get(USDT).quote_symbol == "USDT"
-    assert token_registry.get(TOKA).quote_symbol == "TOKA"
+    rows = token_registry.rows(strings(["0x" + "1" * 40, USDT, TOKA]))
+    assert token_registry.quote_symbol[rows].tolist() == ["ETH", "USDT", "TOKA"]
 
 
-def test_load_tokens_address_case_insensitive(token_registry):
-    assert token_registry.get(USDT.upper().replace("0X", "0x")) is not None
+def test_load_tokens_address_case_insensitive(tmp_path):
+    p = tmp_path / "tokens.csv"
+    p.write_text(TOKENS_CSV + "0xABcd" + "0" * 36 + ",TOKC,true,false,18\n")
+    registry = load_tokens(p)
+    assert registry.address[3] == "0xabcd" + "0" * 36
+    assert registry.rows(strings(["0xabcd" + "0" * 36, "0XABCD" + "0" * 36])).tolist() == [3, 3]
+
+
+def test_rows_of_an_unknown_token_is_minus_1(token_registry):
+    assert token_registry.rows(strings([TOKA, "0x" + "9" * 40, "", USDT])).tolist() == [1, -1, -1, 0]
+    assert TokenRegistry([], [], [], []).rows(strings([USDT])).tolist() == [-1]
+    assert token_registry.rows(strings([])).dtype == np.int64
+
+
+def test_rows_finds_an_upper_case_address():
+    registry = TokenRegistry(["0x" + "ab" * 20, "0xEF"], [True, True], [False, False], ["A", "B"])
+    assert registry.address.tolist() == ["0x" + "ab" * 20, "0xef"]
+    assert registry.rows(strings(["0X" + "AB" * 20, "0xEf", "0xef"])).tolist() == [0, 1, 1]
+
+
+def test_rows_finds_long_addresses_in_any_order():
+    """42-byte addresses, registry and cells both unsorted: np.searchsorted
+    on StringDType text over 15 bytes misorders them on numpy 2.4.6."""
+    addresses = ["0x" + "5" * 30 + f"{k:010x}" for k in (9, 3, 14, 1, 7, 12, 5, 10)]
+    registry = TokenRegistry(addresses, [True] * 8, [False] * 8, ["X"] * 8)
+    order = [7, 0, 6, 1, 5, 2, 4, 3]
+    assert registry.rows(strings([addresses[k] for k in order])).tolist() == order
+    assert registry.rows(strings(sorted(addresses))).tolist() == sorted(
+        range(8), key=lambda k: addresses[k])
+
+
+def test_rows_of_a_column_longer_than_one_chunk(token_registry):
+    n = TokenRegistry._CHUNK + 5
+    tokens = strings([(USDT, TOKA.upper(), "0x" + "9" * 40)[k % 3] for k in range(n)])
+    assert token_registry.rows(tokens).tolist() == [(0, 1, -1)[k % 3] for k in range(n)]
 
 
 def test_load_transactions_groups_by_hash(tmp_path):
@@ -419,6 +452,20 @@ def test_short_row_reports_its_data_row(tmp_path, text, load):
     assert str(e.value) == "malformed row 3 of input.csv: fewer fields than the header"
 
 
+@pytest.mark.parametrize("text, row", [
+    (QUOTES_HEADER + "\n\nBTCUSDT,1,99,101\n" * 1000 + "BTC\xe9USDT,2,99,101\n", 1001),
+    (QUOTES_HEADER + 'BTCUSDT,1,99,101\n"BTC\nUSDT",2,99,101\n\n"a\nb\xe9",3,99,101\n', 3),
+    (QUOTES_HEADER + "BTCUSDT,1,99,101\nBTCUSDT,2,99,101\xe9", 2),  # the last byte
+    (QUOTES_HEADER.replace("bid", "b\xe9d") + "BTCUSDT,1,99,101\n", 0),  # the header
+], ids=["blank-lines-past-8-KiB", "quoted-newlines", "last-byte", "header"])
+def test_not_utf8_names_the_data_row_of_its_first_bad_byte(tmp_path, text, row):
+    p = tmp_path / "quotes.csv"
+    p.write_bytes(text.encode("latin-1"))
+    with pytest.raises(MalformedRow) as e:
+        data_model._read_columns(p, data_model.QUOTE_KINDS)
+    assert str(e.value) == f"malformed row {row} of quotes.csv: byte 0xe9 is not UTF-8"
+
+
 @pytest.mark.parametrize("name, text, load, error, message", [
     ("tokens.csv", TOKENS_CSV.replace(",6\n", ",six\n"), load_tokens, MalformedRow,
      "malformed row 1 of tokens.csv: bad value 'six' in decimals"),
@@ -700,16 +747,24 @@ def flag(cell: str) -> bool:
     return cell.strip().lower() in {"true", "1", "t", "yes"}
 
 
-def reference_tokens(path) -> dict:
-    """load_tokens(path).entries of a valid file by csv.reader, int() and str methods."""
-    entries = {}
+def reference_tokens(path) -> list[tuple]:
+    """load_tokens(path)'s rows of a valid file, (address, listed, major,
+    quote symbol), by csv.reader, int() and str methods."""
+    rows = []
     for row in reference_rows(path):
         int(row["decimals"])
         symbol = row["symbol"].strip()
         quote = row.get("quote_symbol", "").strip() or {"WETH": "ETH", "WBTC": "BTC"}.get(symbol, symbol)
-        entries[row["address"].strip().lower()] = TokenInfo(
-            symbol, flag(row["cex_listed"]), flag(row["is_major"]), quote)
-    return entries
+        rows.append((row["address"].strip().lower(), flag(row["cex_listed"]),
+                     flag(row["is_major"]), quote))
+    return rows
+
+
+def token_rows(registry: TokenRegistry) -> list[tuple]:
+    assert [registry.address.dtype.kind, registry.listed.dtype, registry.major.dtype,
+            registry.quote_symbol.dtype.kind] == ["T", bool, bool, "T"]
+    columns = (registry.address, registry.listed, registry.major, registry.quote_symbol)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 TOKENS_WITH_QUOTE = "address,symbol,cex_listed,is_major,decimals,quote_symbol\n"
@@ -733,7 +788,7 @@ def test_load_tokens_equals_a_csv_reference(tmp_path, text, tokenized):
     p.write_bytes(text.encode())
     assert (data_model._tokenize_columns(p, data_model.TOKEN_KINDS) is not None) == tokenized
     # repr tells 1 from True
-    assert repr(load_tokens(p).entries) == repr(reference_tokens(p))
+    assert repr(token_rows(load_tokens(p))) == repr(reference_tokens(p))
 
 
 def reference_blocks(path) -> list[BlockRecord]:

@@ -571,8 +571,8 @@ def test_markout_looks_up_each_symbol_once(markout_corpus, tmp_path, monkeypatch
     """One quote lookup per leg symbol and one for ETH, whatever the trade count."""
     inputs, out = markout_corpus
     ws = pipeline.Workspace(inputs, copy_tree(out, tmp_path / "out"))
-    symbols = {ws.registry.get(token).quote_symbol for t in ws.detections.rows()
-               for token in (t.token_bought, t.token_sold)} - {"USDT"}
+    tokens = np.concatenate([ws.detections.token_bought, ws.detections.token_sold])
+    symbols = set(ws.registry.quote_symbol[ws.registry.rows(tokens)].tolist()) - {"USDT"}
     assert len(ws.detections) > len(symbols) + 1
     calls = []
     lookup = _kernels.step_mid_lookup
@@ -1338,6 +1338,40 @@ def test_all_parses_no_stage_output(markout_corpus, tmp_path, monkeypatch):
     assert read == ["detections.csv", "markouts.csv", "profiles.csv"]
 
 
+def test_all_codes_no_token_column(tmp_path, monkeypatch):
+    """Tokens are looked up in tokens.csv's vocabulary, never coded by
+    np.unique over the trades; the text codings left are one per column."""
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    generate(SynthConfig(seed=1, n_days=4, searchers=(  # perfbench's dense corpus, seed 1
+        SearcherSpec("s_gentle_1s", "gentle", 400, true_hedge_delay_s=1.0),
+        SearcherSpec("s_abrupt_05s", "abrupt", 400, true_hedge_delay_s=0.5),
+        SearcherSpec("s_gentle_2s", "gentle", 400, true_hedge_delay_s=2.0),
+        SearcherSpec("s_flat", "none", 400)),
+        integrated_with={"s_abrupt_05s": "builderA"}, base_volatility=5e-4), inputs)
+    calls: list[tuple[set, bool]] = []
+    unique = np.unique
+
+    def counted(values, *args, **kwargs):
+        if values.dtype.kind in "TU":
+            calls.append((set(values.tolist()), kwargs.get("return_inverse", False)))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    monkeypatch.setattr(np, "unique", unique)
+    txs = read_rows(inputs / "transactions.csv")
+    tokens = {r["address"].lower() for r in read_rows(inputs / "tokens.csv")} | {
+        r[c].lower() for r in txs for c in ("token_in", "token_out")}
+    assert len(tokens) > 3 and not any(values & tokens for values, _ in calls)
+    columns = {"tx_hash": {r["tx_hash"] for r in txs},
+               "contract": {r["searcher_contract"] for r in txs},
+               "searcher": {r["searcher_label"] for r in read_rows(out / "detections.csv")},
+               "builder": {r["builder_label"] for r in txs}}
+    coded = [next(c for c, cells in columns.items() if values <= cells)
+             for values, inverse in calls if inverse]
+    assert sorted(coded) == ["builder", "builder", "contract", "searcher", "tx_hash"]
+
+
 def test_market_formats_each_day_once(varied_builders, tmp_path, monkeypatch):
     inputs, out = varied_builders
     out = copy_tree(out, tmp_path / "out")
@@ -1464,6 +1498,30 @@ def test_decline_vs_major_rows_are_spearman_over_the_profiles(four_peaked):
     assert_decline_rows_are_spearman(*four_peaked, n_points=4)
 
 
+def test_upper_case_tokens_in_detections_are_found(four_peaked, tmp_path):
+    """A hand-edited detections.csv whose token addresses are upper case is
+    marked out and grouped as the lower-case file is."""
+    inputs, out = four_peaked
+    edited = copy_tree(out, tmp_path / "out")
+    with open(edited / "detections.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    tokens = [rows[0].index("token_bought"), rows[0].index("token_sold")]
+    for r in rows[1:]:
+        for c in tokens:
+            assert r[c] == r[c].lower()
+            r[c] = r[c].upper()
+    with open(edited / "detections.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    for stage in ("markout", "market"):
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(edited)]) == 0
+    for name in ("markouts.csv", "market.csv", "integration.csv", "correlations.csv"):
+        assert (edited / name).read_bytes() == (out / name).read_bytes(), name
+    assert [r["analysis"] for r in read_rows(edited / "correlations.csv")][:2] == [
+        "decline_vs_major_count", "decline_vs_major_volume"]
+    with open(out / "markouts.csv", newline="") as f:
+        assert "QuoteGap" not in f.read()
+
+
 def test_decline_vs_major_rows_for_many_searchers(many_searchers):
     assert_decline_rows_are_spearman(*many_searchers, n_points=21)
 
@@ -1472,6 +1530,7 @@ def assert_decline_rows_are_spearman(inputs: Path, out: Path, n_points: int) -> 
     """Each row is the Spearman of profiles.csv's decline_3s_fraction against
     the Major-Major count (or volume) share of the searcher's included trades."""
     registry = pipeline.Workspace(inputs, out).registry
+    major = dict(zip(registry.address.tolist(), registry.major.tolist()))
     excluded = {r["tx_hash"] for r in read_rows(out / "markouts.csv") if r["excluded"] == "true"}
     included: dict[str, list[dict]] = {}
     for r in read_rows(out / "detections.csv"):
@@ -1482,8 +1541,7 @@ def assert_decline_rows_are_spearman(inputs: Path, out: Path, n_points: int) -> 
         if not p["decline_3s_fraction"]:
             continue
         trades = included[p["searcher_label"]]
-        mm = [t for t in trades
-              if registry.get(t["token_bought"]).is_major and registry.get(t["token_sold"]).is_major]
+        mm = [t for t in trades if major[t["token_bought"]] and major[t["token_sold"]]]
         declines.append(float(p["decline_3s_fraction"]))
         count_shares.append(len(mm) / len(trades))
         volume_shares.append(sum(float(t["volume_usd"]) for t in mm)

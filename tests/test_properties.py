@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cexdex.config import PipelineConfig
-from cexdex.data_model import TokenInfo, TokenRegistry
+from cexdex.data_model import TokenRegistry
 from cexdex.market import hhi, spearman
 from cexdex import _kernels as k
 
@@ -22,7 +22,8 @@ REGISTRY = make_registry()
 amounts = st.decimals(min_value="0.000001", max_value="1000000",
                       allow_nan=False, allow_infinity=False, places=6)
 tokens = st.sampled_from(["0xa", "0xb", "0xc", "0xd"])
-ABCD = TokenRegistry({t: TokenInfo(t, True, False, t) for t in ["0xa", "0xb", "0xc", "0xd"]})
+ABCD = TokenRegistry(["0xa", "0xb", "0xc", "0xd"], [True] * 4, [False] * 4,
+                     ["0xa", "0xb", "0xc", "0xd"])
 
 
 @st.composite

@@ -65,7 +65,7 @@ def test_timestamps_must_increase():
 
 def usd_prices(store, registry, *tokens, t_ms=100):
     queries = np.full((len(tokens), 1), t_ms, dtype=np.int64)
-    prices, ok = _usd_prices(np.array(tokens), queries, store, registry, 5000)
+    prices, ok = _usd_prices(registry.rows(np.array(tokens)), queries, store, registry, 5000)
     return prices[:, 0].tolist(), ok.tolist()
 
 
