@@ -63,13 +63,14 @@ def integrated_searcher_pnl(
     economics-row order; builders without an integrated searcher get SP = 0
     marked N/A.
     """
-    rows = np.flatnonzero(np.isin(economics.block_number, blocks.block_number))
+    # kind="table": numpy's sort path calls np.unique, which imports numpy.ma
+    rows = np.flatnonzero(np.isin(economics.block_number, blocks.block_number, kind="table"))
     k = np.searchsorted(blocks.block_number, economics.block_number[rows])  # each row's block
     searcher, builder = economics.searcher_label[rows], blocks.builder_label[k]
-    mine = np.zeros(len(rows), dtype=bool)
+    mine, applicable = np.zeros(len(rows), dtype=bool), np.zeros(len(blocks), dtype=bool)
     for s, b in integrated_with.items():
         mine |= (searcher == s) & (builder == b)
-    applicable = np.isin(blocks.builder_label, list(integrated_with.values()))
+        applicable |= blocks.builder_label == b
     return group_sum(k[mine], economics.pnl_usd[rows[mine]], len(blocks)), applicable
 
 

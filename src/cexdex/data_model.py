@@ -1,13 +1,13 @@
 """Domain types and file ingestion.
 
-Every CSV, the four tabular inputs and the stage outputs alike, is read by
-one reader, ``_read_columns``, to which a caller names its columns by kind
-(text, int64, float, flag, amount, ...): numpy's C tokenizer reads a file,
-and one it cannot read as csv, int(), float() and Decimal do is read again
-cell by cell. An input's loader checks the columns it gets back; an error
-names the file, the first failing 1-based data row, blank lines not
-counted, and that row's first failing check. In an input, a number that is
-not finite, or an integer past int64, is a cell that does not parse.
+A CSV is read by ``_read_columns``, to which a caller names its columns by
+kind (text, int64, float, flag, amount, ...): numpy's C tokenizer reads a
+file, and one it cannot read as csv, int(), float() and Decimal do is read
+again cell by cell. quotes.csv is first tried in one tokenizer pass, each
+symbol a 16-byte field (``_tokenize_quotes``). A loader checks the columns
+it gets back; an error names the file, the first failing 1-based data row,
+blank lines not counted, and that row's first failing check. In an input,
+a number that is not finite, or an integer past int64, does not parse.
 Searchers are JSON.
 Token amounts are kept as written and read as Decimal where they are
 netted or handed on, so that ERC-20 integer amounts beyond 2^64 survive the
@@ -305,17 +305,26 @@ _FROM_TEXT = {TEXT: np.strings.strip, OPTIONAL: np.strings.strip, STR: np.copy, 
 _NUMBERS = {INT: np.int64, FLOAT: np.float64, ANY_FLOAT: np.float64, AMOUNT: np.float64}
 
 
-def _tokenize_columns(path: Path, kinds: dict) -> tuple[dict, dict] | None:
-    """As _parse_columns_by_cell, read by numpy's C tokenizer with no Python
-    object per cell; None for a file it might read otherwise than csv and
-    the kinds' parses do, and for one with a short row or a cell that does
-    not parse."""
+def _plain_header(path: Path, kinds: dict) -> tuple[list[str], int, bool] | None:
+    """(the header, the lines it takes, whether the file holds a '"'), or None
+    for a file numpy might read otherwise than csv (see _scan_bytes)."""
     plain, quoted = _scan_bytes(path)
     if not plain:
         return None
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = _read_header(reader, path, [c for c, kind in kinds.items() if kind != OPTIONAL])
+    return header, reader.line_num, quoted
+
+
+def _tokenize_columns(path: Path, kinds: dict) -> tuple[dict, dict] | None:
+    """As _parse_columns_by_cell, read by numpy's C tokenizer with no Python
+    object per cell; None for a file it might read otherwise than csv and
+    the kinds' parses do, and for one with a short row or a cell that does
+    not parse."""
+    if not (found := _plain_header(path, kinds)):
+        return None
+    header, skiprows, quoted = found
     column = _column_index(header)
     kinds = {c: kind for c, kind in kinds.items() if kind and c in column}
     texts = [c for c, kind in kinds.items() if kind in _FROM_TEXT]
@@ -324,7 +333,7 @@ def _tokenize_columns(path: Path, kinds: dict) -> tuple[dict, dict] | None:
     last = len(header) - 1  # read, so that a row shorter than the header fails
     if last not in text_cols + number_cols:
         text_cols.append(last)
-    csv_format = dict(delimiter=",", quotechar='"', comments=None, skiprows=reader.line_num)
+    csv_format = dict(delimiter=",", quotechar='"', comments=None, skiprows=skiprows)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -635,16 +644,45 @@ QUOTE_KINDS = {"symbol": TEXT, "ts_ms": INT, "bid": FLOAT, "ask": FLOAT}
 
 QuoteArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # ts_ms, bid, ask
 _SERIES = ("ts_ms", "bid", "ask")
+# a 16-byte cell as two integers, which numpy compares several times faster than its bytes
+_HALVES = np.dtype([("lo", "<u8"), ("hi", "<u8")])
+
+
+def _tokenize_quotes(path: Path) -> tuple[dict, dict] | None:
+    """As _read_columns(path, QUOTE_KINDS), in one tokenizer pass with each symbol's bytes
+    in 16; None for a file _tokenize_columns refuses or with a 16-byte symbol, maybe cut."""
+    if not (found := _plain_header(path, QUOTE_KINDS)):
+        return None
+    header, skiprows, quoted = found
+    cols = [_column_index(header)[c] for c in QUOTE_KINDS]
+    fields = [(c, _NUMBERS.get(kind, "S16")) for c, kind in QUOTE_KINDS.items()]
+    if len(header) - 1 not in cols:  # read, so that a row shorter than the header fails
+        fields, cols = [*fields, ("last", "S1")], [*cols, len(header) - 1]
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, dtype=fields, delimiter=",", quotechar='"', comments=None,
+                              skiprows=skiprows, usecols=cols, ndmin=1)
+    except (ValueError, ArithmeticError):
+        return None
+    symbol = rows["symbol"]
+    if ((symbol.view(_HALVES)["hi"] >= 1 << 56).any()  # its 16th byte, hi's top one, is not NUL
+            or quoted and (np.strings.find(symbol, b"\n") >= 0).any()  # as in _tokenize_columns
+            or not (np.isfinite(rows["bid"]).all() and np.isfinite(rows["ask"]).all())):
+        return None
+    return {c: rows[c] for c in QUOTE_KINDS}, {}
 
 
 def _symbol_codes(symbols: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """(the symbols in first-seen order, each row's index into that list),
-    with one dict lookup per run of equal symbols."""
+    """(the stripped symbols in first-seen order, each row's index into that
+    list), with one dict lookup per run of equal cells (text, or bytes in 16)."""
+    keys = symbols.view(_HALVES) if symbols.dtype.kind == "S" else symbols
     new_run = np.ones(len(symbols), dtype=bool)
-    new_run[1:] = symbols[1:] != symbols[:-1]
+    new_run[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(new_run)
     codes: dict[str, int] = {}
-    run_codes = [codes.setdefault(s, len(codes)) for s in symbols[starts].tolist()]
+    run_codes = [codes.setdefault(s, len(codes))
+                 for s in np.strings.strip(strings(symbols[starts])).tolist()]
     run_lengths = np.diff(starts, append=len(symbols))
     return list(codes), np.repeat(np.array(run_codes, dtype=np.int64), run_lengths)
 
@@ -669,7 +707,7 @@ def load_quotes(path: str | Path, spill: Path | None = None, sha256: str = "",
         if kept is not None:
             return {names[i]: tuple(kept[f"{c}{i}"] for c in _SERIES) for i in wanted}
     name = Path(path).name
-    c, parsed = _read_columns(path, QUOTE_KINDS)
+    c, parsed = _tokenize_quotes(Path(path)) or _read_columns(path, QUOTE_KINDS)
     names, code = _symbol_codes(c.pop("symbol"))
     ts, bid, ask = c["ts_ms"], c["bid"], c["ask"]
     # by symbol and time, rows in file order within a key (lexsort is stable):

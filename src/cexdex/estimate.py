@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ._kernels import group_rows, group_sum
+from ._kernels import group_rows, group_sum, median
 from .config import MarkoutGrid
 from .data_model import Table, optional
 from .horizon import SearcherProfile
@@ -104,9 +104,9 @@ def searcher_summaries(labels: np.ndarray, code: np.ndarray, economics: Table,
         margins = margin[rows][defined[rows]]
         total_ev.append(float(evs.sum()))
         total_pnl.append(float(pnls.sum()))
-        median_ev.append(float(np.median(evs)) if len(rows) else None)
-        median_pnl.append(float(np.median(pnls)) if len(rows) else None)
-        median_margin.append(float(np.median(margins)) if len(margins) else None)
+        median_ev.append(float(median(evs)) if len(rows) else None)
+        median_pnl.append(float(median(pnls)) if len(rows) else None)
+        median_margin.append(float(median(margins)) if len(margins) else None)
     return Table(SearcherSummary, [
         labels, group_sum(code, economics.volume_usd, n), total_ev,
         group_sum(code, economics.builder_tip_usd, n), total_pnl, median_ev, median_pnl,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import median
 from .config import DECLINE_HORIZON_S, MarkoutGrid, PipelineConfig
 
 PATTERN_GENTLE = "P1"
@@ -59,7 +60,7 @@ def build_profile(
     end classifies (0.0 for a peak at or below 0) and no decline is written;
     inside the grid, a peak at or below 0 is P1 with no decline.
     """
-    med = np.median(grs, axis=0)
+    med = median(grs)
     t_star = decline = None
     if (np.max(med) - np.min(med)) * 1e4 <= cfg.pattern_flat_epsilon_bps:
         pattern = PATTERN_FLAT

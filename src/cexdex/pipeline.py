@@ -398,7 +398,7 @@ def run_estimate(ws: Workspace) -> None:
     if not eth_ok.all():  # refused at the first trade without an ETH quote
         raise ws.eth_quotes.unpriced("ETHUSDT", int(priced.slot_time_ms[np.argmin(eth_ok)]))
     cols = np.zeros(len(labels), dtype=np.int64)  # MR at each searcher's t* column
-    for k in np.unique(code[rows]).tolist():
+    for k in np.flatnonzero(np.bincount(code[rows], minlength=len(labels))).tolist():
         cols[k] = estimate_mod.t_star_column(ws.profiles[labels[k]], ws.grid)
     economics = estimate_mod.trade_economics(priced, table.mr_usd[rows, cols[code[rows]]], eth)
 
@@ -435,12 +435,12 @@ def _daily_shares(included: Table, economics: Table, labels: np.ndarray, code: n
                                included.volume_usd)
     ev_keys, ev = keyed_sums(economics.slot_time_ms // DAY_MS * n + code[len(included):],
                              economics.ev_usd)
-    days = np.unique(vol_keys // n)
+    days, vol_day = np.unique(vol_keys // n, return_inverse=True)
     dates = [estimate_mod._utc_day(d * DAY_MS) for d in days.tolist()]
-    vol_day = np.searchsorted(days, vol_keys // n)
     total_v = group_sum(vol_day, vol, len(days))
     # EV shares over the positive EVs of the days with included trades
-    positive = np.isin(ev_keys // n, days) & (ev > 0)
+    # kind="table": numpy's sort path calls np.unique, which imports numpy.ma
+    positive = np.isin(ev_keys // n, days, kind="table") & (ev > 0)
     ev_day = np.searchsorted(days, ev_keys[positive] // n)
     total_ev = group_sum(ev_day, ev[positive], len(days))
     hhi_v = np.array([market_mod.hhi(vol[rows] / t) if t > 0 else None
@@ -494,7 +494,7 @@ def run_market(ws: Workspace) -> None:
     declining = [k for k, label in enumerate(names) if n_trades[k] and label in profiles
                  and profiles[label].decline_3s_fraction is not None]
     declines = [profiles[names[k]].decline_3s_fraction for k in declining]
-    mine = np.isin(trade_code, declining)
+    mine = np.isin(trade_code, np.array(declining, dtype=np.int64), kind="table")
     count_shares, volume_shares = market_mod.major_major_shares(
         included.select(mine), trade_code[mine], n, ws.registry)
     r_count = market_mod.spearman(declines, [count_shares[k] for k in declining])
@@ -508,7 +508,7 @@ def run_market(ws: Workspace) -> None:
     blocks = ws.blocks if (ws.input_dir / "blocks.csv").exists() else None
     if blocks is not None and len(blocks):
         block_day = blocks.slot_time_ms // DAY_MS
-        known = np.isin(block_day, days)
+        known = np.isin(block_day, days, kind="table")
         block_builder = blocks.builder_label[known]
         block_day = np.searchsorted(days, block_day[known])
         total_b = np.bincount(block_day, minlength=len(days))

@@ -406,6 +406,20 @@ def test_startup_imports_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_a_run_imports_no_numpy_ma(synth_inputs, tmp_path):
+    """numpy imports numpy.ma, about 10 ms, on the first np.median, plain
+    np.unique or np.isin that sorts; cexdex all calls none of them. scipy,
+    which a p-value of more than 9 points imports, loads numpy.ma too; this
+    corpus's one day has no such p-value."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["all", "--input-dir", str(synth_inputs), "--out-dir", str(tmp_path / "out")]
+    code = (f"import sys; from cexdex.cli import main; rc = main({argv!r}); "
+            "print(rc, 'numpy.ma' in sys.modules, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False", "False"]
+
+
 def test_startup_imports_no_synth():
     """A pipeline process does not import the corpus generator; only
     `cexdex synth` and `cexdex score` do."""

@@ -281,27 +281,65 @@ def assert_same_quotes(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), symbol
 
 
-@pytest.mark.parametrize("text, tokenized", [
-    ('symbol,ts_ms,bid,ask\n"BTC,USDT",100,"99.5",101\n"ETH""X",100,1,2\n"BTC,USDT",50,1,2\n', True),
-    ("symbol,ts_ms,bid,ask\nA#x,100,1,2\n#B,100,1,2\n", True),
-    ("symbol,ts_ms,bid,ask\r\n BTCUSDT , 200 ,\t99.5 , 101 \r\n\r\n\nBTCUSDT,100,1,2\r\n", True),
-    ('symbol,ts_ms,bid,ask\r\n"BTC\r\nUSDT",1,1,2\r\n', False),  # a line break in a symbol
-    ("ask,extra,bid,symbol,ts_ms\n2,x,1,BTC,100,past,the,header\n3,,2,BTC,50\n", True),
-    ('"ex\r\ntra",symbol,ts_ms,bid,ask\r\nx,BTC,1,1,2\r\n', True),  # a header on two lines
+# which reader load_quotes reads a file with: its one tokenizer pass, the two
+# passes of _tokenize_columns, or the cell pass
+ONE_PASS, TWO_PASSES, CELLS = "one pass", "two passes", "cells"
+
+
+@pytest.mark.parametrize("text, reader", [
+    ('symbol,ts_ms,bid,ask\n"BTC,USDT",100,"99.5",101\n"ETH""X",100,1,2\n"BTC,USDT",50,1,2\n', ONE_PASS),
+    ("symbol,ts_ms,bid,ask\nA#x,100,1,2\n#B,100,1,2\n", ONE_PASS),
+    ("symbol,ts_ms,bid,ask\r\n BTCUSDT , 200 ,\t99.5 , 101 \r\n\r\n\nBTCUSDT,100,1,2\r\n", ONE_PASS),
+    ('symbol,ts_ms,bid,ask\r\n"BTC\r\nUSDT",1,1,2\r\n', CELLS),  # a line break in a symbol
+    ("ask,extra,bid,symbol,ts_ms\n2,x,1,BTC,100,past,the,header\n3,,2,BTC,50\n", ONE_PASS),
+    ('"ex\r\ntra",symbol,ts_ms,bid,ask\r\nx,BTC,1,1,2\r\n', ONE_PASS),  # a header on two lines
     ("symbol,ts_ms,bid,ask\nA_SYMBOL_LONGER_THAN_16_CHARACTERS,1,1,2\nA_SYMBOL_LONGER_THAN_16,1,1,2\n",
-     True),
-    ("symbol,ts_ms,bid,ask\nBTC,1,1,2\nETH,1,1,2\nBTC,2,1,2\nETH,0,1,2\nBTC,0,1,2\n", True),
-    ("symbol,ts_ms,bid,ask\nÉTHUSDT,1,1,2\n", False),  # not ASCII: read cell by cell
-    ("symbol,ts_ms,bid,ask\nBTC,1_000,1,2\nBTC,999,1.5,2\n", False),  # numpy refuses 1_000
-    ("bid,symbol,ts_ms,bid,ask\nx,BTC,1,1,2\ny,BTC,2,1.5,2\n", True),
+     TWO_PASSES),
+    ("symbol,ts_ms,bid,ask\nBTC,1,1,2\nETH,1,1,2\nBTC,2,1,2\nETH,0,1,2\nBTC,0,1,2\n", ONE_PASS),
+    ("symbol,ts_ms,bid,ask\nÉTHUSDT,1,1,2\n", CELLS),  # not ASCII: read cell by cell
+    ("symbol,ts_ms,bid,ask\nBTC,1_000,1,2\nBTC,999,1.5,2\n", CELLS),  # numpy refuses 1_000
+    ("bid,symbol,ts_ms,bid,ask\nx,BTC,1,1,2\ny,BTC,2,1.5,2\n", ONE_PASS),
+    ("symbol,ts_ms,bid,ask,extra\n" + "A" * 15 + ",1,1,2,x\n" + "A" * 14 + " ,2,1,2,\n", ONE_PASS),
+    ("symbol,ts_ms,bid,ask\n" + "A" * 15 + ",1,1,2\n" + "A" * 16 + ",1,1,2\n", TWO_PASSES),
+    ("symbol,ts_ms,bid,ask\n" + " " + "A" * 15 + ",1,1,2\n", TWO_PASSES),  # 16 bytes, padded
+    ("symbol,ts_ms,bid,ask\n BTC,3,1,2\nBTC,1,1,2\nBTC ,2,1,2\nETH,1,1,2\n\t BTC,0,1,2\n", ONE_PASS),
+    ('symbol,ts_ms,bid,ask\n"B,TC",1,1,2\nB,2,1,2\n"B,TC",0,1,2\n', ONE_PASS),
 ], ids=["quoted", "hash", "padded-crlf-blank", "crlf-in-symbol", "reordered-extra-long",
         "two-line-header", "long-symbol", "interleaved", "non-ascii", "underscore",
-        "repeated-column"])
-def test_load_quotes_equals_a_csv_reference(tmp_path, text, tokenized):
+        "repeated-column", "15-bytes", "16-bytes", "16-bytes-padded", "padded-run-mates",
+        "quoted-comma"])
+def test_load_quotes_equals_a_csv_reference(tmp_path, text, reader):
     p = tmp_path / "quotes.csv"
     p.write_bytes(text.encode())
-    assert (data_model._tokenize_columns(p, data_model.QUOTE_KINDS) is not None) == tokenized
+    assert (data_model._tokenize_quotes(p) is not None) == (reader == ONE_PASS)
+    assert (data_model._tokenize_columns(p, data_model.QUOTE_KINDS) is not None) == (reader != CELLS)
     assert_same_quotes(load_quotes(p), reference_quotes(p))
+
+
+@pytest.mark.parametrize("n, bad_row, at, message", [
+    (5, "BTCUSDT,300,nan,101\n", 3, "bad value 'nan' in bid"),
+    (70_000, "BTCUSDT,7e6,99,101\n", 70_000, "bad value '7e6' in ts_ms"),
+], ids=["nan-bid", "bad-ts-on-the-last-of-70000-rows"])
+def test_load_quotes_names_the_row_the_one_pass_refuses(tmp_path, n, bad_row, at, message):
+    p = quotes_file(tmp_path, bad_row, at, n)
+    assert data_model._tokenize_quotes(p) is None
+    with pytest.raises(MalformedRow) as e:
+        load_quotes(p)
+    assert str(e.value) == f"malformed row {at} of quotes.csv: {message}"
+
+
+def test_load_quotes_tokenizes_a_plain_file_once(tmp_path, monkeypatch):
+    p = tmp_path / "quotes.csv"
+    p.write_text(QUOTES_HEADER + "".join(f"{s},{ts},99,101\n" for s in ("ETHUSDT", " BTCUSDT")
+                                         for ts in range(1, 1000)))
+    calls = []
+    loadtxt, read_columns = np.loadtxt, data_model._read_columns
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append("loadtxt") or loadtxt(*a, **k))
+    monkeypatch.setattr(data_model, "_read_columns",
+                        lambda *a: calls.append("_read_columns") or read_columns(*a))
+    series = load_quotes(p)
+    assert calls == ["loadtxt"]
+    assert list(series) == ["ETHUSDT", "BTCUSDT"] and len(series["BTCUSDT"][0]) == 999
 
 
 def test_load_quotes_header_only_is_empty(tmp_path):

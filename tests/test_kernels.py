@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cexdex import _kernels as k
 
@@ -70,3 +71,16 @@ def test_lookup_property_vs_linear_scan(raw_ts, query):
     ask = bid + 0.5
     mids, ok = k.step_mid_lookup(ts, bid, ask, np.array([query], dtype=np.int64), 5000)
     assert (bool(ok[0]), float(mids[0])) == linear_scan_lookup(ts, bid, ask, query, 5000)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+                  elements=st.floats() | st.sampled_from([0.0, -0.0, np.nan])))
+@settings(max_examples=500, deadline=None)
+def test_median_has_the_bits_of_np_median(values):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and a sum past the largest
+        got, want = k.median(values), np.asarray(np.median(values, axis=0))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()  # -0.0 and 0.0 told apart
+
