@@ -1,5 +1,5 @@
-"""Numeric kernels: the step-function quote lookup, group sums in row order,
-and the splitmix64 stream."""
+"""Numeric kernels: the step-function quote lookup, group sums and rows in
+row order, and the median."""
 
 from __future__ import annotations
 
@@ -8,9 +8,6 @@ import numpy as np
 # There is no compiled path; the benchmark harness stamps this flag on every run.
 USING_NUMBA = False
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 
 def step_mid_lookup(ts, bid, ask, queries, staleness_ms):
     """Last-quote-at-or-before midpoint lookup (step function).
@@ -61,16 +58,3 @@ def median(values: np.ndarray) -> np.ndarray:
     middle = part[half] if odd else (part[half - 1] + part[half]) / 2
     return np.where(np.isnan(values).any(axis=0), np.nan, middle + 0.0)
 
-
-def splitmix64(seed, start, count):
-    """Counter-based splitmix64 stream: value i = mix(seed + (start+i+1)*golden)."""
-    i = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed) + i * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
-def uniform01(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform [0, 1) doubles from the splitmix64 stream."""
-    return (splitmix64(np.uint64(seed), start, count) >> np.uint64(11)) * 2.0**-53

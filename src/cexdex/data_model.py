@@ -1,10 +1,11 @@
 """Domain types and file ingestion.
 
 A CSV is read by ``_read_columns``, to which a caller names its columns by
-kind (text, int64, float, flag, amount, ...): numpy's C tokenizer reads a
-file, and one it cannot read as csv, int(), float() and Decimal do is read
-again cell by cell. quotes.csv is first tried in one tokenizer pass, each
-symbol a 16-byte field (``_tokenize_quotes``). A loader checks the columns
+kind (text, short text, int64, float, flag, amount, ...): numpy's C
+tokenizer reads a file, and one it cannot read as csv, int(), float() and
+Decimal do is read again cell by cell. A short text column, such as
+quotes.csv's symbols, is read beside the numbers as 16-byte fields, so that
+quotes.csv takes one tokenizer pass. A loader checks the columns
 it gets back; an error names the file, the first failing 1-based data row,
 blank lines not counted, and that row's first failing check. In an input,
 a number that is not finite, or an integer past int64, does not parse.
@@ -239,6 +240,7 @@ def _raise_first(checks) -> None:
 # the reader: a caller names its columns by kind, {column: kind}
 
 TEXT = "text"  # stripped
+SHORT = "short text"  # stripped, at most 15 bytes: the tokenizer gives its bytes in 16, unstripped
 OPTIONAL = "optional text"  # stripped; left out of the columns when the header lacks it
 STR = "str"  # as written
 AMOUNT = "amount"  # as written, and read as a Decimal by _check_amounts
@@ -251,7 +253,8 @@ FLAG = "flag"  # as _bool reads it
 
 # each kind's parse of a cell, and the dtype of its column, in the cell pass
 _CELL_PARSE = {
-    TEXT: (str.strip, np.dtypes.StringDType), OPTIONAL: (str.strip, np.dtypes.StringDType),
+    TEXT: (str.strip, np.dtypes.StringDType), SHORT: (str.strip, np.dtypes.StringDType),
+    OPTIONAL: (str.strip, np.dtypes.StringDType),
     STR: (str, np.dtypes.StringDType), AMOUNT: (str, np.dtypes.StringDType),
     INT: (int, np.int64), FLOAT: (_finite_float, np.float64), ANY_FLOAT: (float, np.float64),
     FLOAT_OR_NONE: (lambda raw: float(raw) if raw else None, object), FLAG: (_bool, bool),
@@ -302,62 +305,70 @@ def _float_or_none_column(text: np.ndarray) -> np.ndarray:
 # that the file's text can be freed before its numbers are read
 _FROM_TEXT = {TEXT: np.strings.strip, OPTIONAL: np.strings.strip, STR: np.copy, AMOUNT: np.copy,
               FLAG: _flag_column, FLOAT_OR_NONE: _float_or_none_column}
-_NUMBERS = {INT: np.int64, FLOAT: np.float64, ANY_FLOAT: np.float64, AMOUNT: np.float64}
-
-
-def _plain_header(path: Path, kinds: dict) -> tuple[list[str], int, bool] | None:
-    """(the header, the lines it takes, whether the file holds a '"'), or None
-    for a file numpy might read otherwise than csv (see _scan_bytes)."""
-    plain, quoted = _scan_bytes(path)
-    if not plain:
-        return None
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = _read_header(reader, path, [c for c, kind in kinds.items() if kind != OPTIONAL])
-    return header, reader.line_num, quoted
+# each other kind's field in the tokenizer's pass over numbers
+_FIELDS = {INT: np.int64, FLOAT: np.float64, ANY_FLOAT: np.float64, AMOUNT: np.float64,
+           SHORT: "S16"}
+# a 16-byte cell as two integers, which numpy compares several times faster than its bytes
+_HALVES = np.dtype([("lo", "<u8"), ("hi", "<u8")])
 
 
 def _tokenize_columns(path: Path, kinds: dict) -> tuple[dict, dict] | None:
     """As _parse_columns_by_cell, read by numpy's C tokenizer with no Python
     object per cell; None for a file it might read otherwise than csv and
     the kinds' parses do, and for one with a short row or a cell that does
-    not parse."""
-    if not (found := _plain_header(path, kinds)):
+    not parse. Text is read in one pass, numbers and SHORT text in another;
+    a SHORT cell that fills its 16 bytes, maybe cut, reads that column again
+    as TEXT."""
+    plain, quoted = _scan_bytes(path)
+    if not plain:
         return None
-    header, skiprows, quoted = found
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = _read_header(reader, path, [c for c, kind in kinds.items() if kind != OPTIONAL])
     column = _column_index(header)
     kinds = {c: kind for c, kind in kinds.items() if kind and c in column}
     texts = [c for c, kind in kinds.items() if kind in _FROM_TEXT]
-    numbers = [c for c, kind in kinds.items() if kind in _NUMBERS]
-    text_cols, number_cols = [column[c] for c in texts], [column[c] for c in numbers]
+    fields = [(c, _FIELDS[kind]) for c, kind in kinds.items() if kind in _FIELDS]
+    text_cols, field_cols = [column[c] for c in texts], [column[c] for c, _ in fields]
     last = len(header) - 1  # read, so that a row shorter than the header fails
-    if last not in text_cols + number_cols:
-        text_cols.append(last)
-    csv_format = dict(delimiter=",", quotechar='"', comments=None, skiprows=skiprows)
+    if last not in text_cols + field_cols:
+        if fields:  # under its own name, which no read column has
+            fields, field_cols = [*fields, (header[last], "S1")], [*field_cols, last]
+        else:
+            text_cols.append(last)
+    csv_format = dict(delimiter=",", quotechar='"', comments=None, skiprows=reader.line_num)
+    cells, values = {}, {}
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # A fresh StringDType each call: numpy 2.4 can raise SystemError
-            # when one instance is reused after a failed loadtxt.
-            text = np.loadtxt(path, dtype=np.dtypes.StringDType(), ndmin=2, usecols=text_cols,
-                              **csv_format)
-            # numpy reads with universal newlines, which turn a quoted "\r" into "\n"
-            if quoted and (np.strings.find(text, "\n") >= 0).any():
-                return None
-            cells = {c: _FROM_TEXT[kinds[c]](t) for c, t in zip(texts, text.T)}
-            del text
+            if text_cols:
+                # A fresh StringDType each call: numpy 2.4 can raise SystemError
+                # when one instance is reused after a failed loadtxt.
+                text = np.loadtxt(path, dtype=np.dtypes.StringDType(), ndmin=2,
+                                  usecols=text_cols, **csv_format)
+                # numpy reads with universal newlines, which turn a quoted "\r" into "\n"
+                if quoted and (np.strings.find(text, "\n") >= 0).any():
+                    return None
+                cells = {c: _FROM_TEXT[kinds[c]](t) for c, t in zip(texts, text.T)}
+                del text
             # numpy parses floats as float() does, less its "1_0", which
             # Decimal refuses too: an amount it reads is a Decimal
-            values = np.loadtxt(path, ndmin=1, usecols=number_cols, **csv_format,
-                                dtype=[(c, _NUMBERS[kinds[c]]) for c in numbers]) if numbers else {}
+            if field_cols:
+                values = np.loadtxt(path, dtype=fields, ndmin=1, usecols=field_cols, **csv_format)
     except (ValueError, ArithmeticError):
         return None
-    # a non-finite number where one is refused is refused by the cell pass, which names it
-    if not all(np.isfinite(values[c]).all() for c in numbers if kinds[c] in (FLOAT, AMOUNT)):
+    shorts = [c for c, kind in kinds.items() if kind == SHORT]
+    # a short text's line break as a text's; a non-finite number where one is
+    # refused is refused by the cell pass, which names it
+    if (quoted and any((np.strings.find(values[c], b"\n") >= 0).any() for c in shorts)
+            or not all(np.isfinite(values[c]).all() for c in kinds if kinds[c] in (FLOAT, AMOUNT))):
         return None
-    cells |= {c: values[c] for c in numbers if kinds[c] != AMOUNT}
+    # a cell whose 16th byte, the top one of its "hi" half, is not NUL
+    if cut := [c for c in shorts if (values[c].view(_HALVES)["hi"] >= 1 << 56).any()]:
+        return _tokenize_columns(path, kinds | dict.fromkeys(cut, TEXT))
+    cells |= {c: values[c] for c, kind in kinds.items() if kind in _FIELDS and kind != AMOUNT}
     # a float above 1e-11 is that of a Decimal above DUST_THRESHOLD
-    near = {c: ~(values[c] > 1e-11) for c in numbers if kinds[c] == AMOUNT}
+    near = {c: ~(values[c] > 1e-11) for c, kind in kinds.items() if kind == AMOUNT}
     return cells, _check_amounts(cells, near, path.name)
 
 
@@ -640,37 +651,10 @@ def load_transactions(path: str | Path) -> TransactionTable:
     )
 
 
-QUOTE_KINDS = {"symbol": TEXT, "ts_ms": INT, "bid": FLOAT, "ask": FLOAT}
+QUOTE_KINDS = {"symbol": SHORT, "ts_ms": INT, "bid": FLOAT, "ask": FLOAT}
 
 QuoteArrays = tuple[np.ndarray, np.ndarray, np.ndarray]  # ts_ms, bid, ask
 _SERIES = ("ts_ms", "bid", "ask")
-# a 16-byte cell as two integers, which numpy compares several times faster than its bytes
-_HALVES = np.dtype([("lo", "<u8"), ("hi", "<u8")])
-
-
-def _tokenize_quotes(path: Path) -> tuple[dict, dict] | None:
-    """As _read_columns(path, QUOTE_KINDS), in one tokenizer pass with each symbol's bytes
-    in 16; None for a file _tokenize_columns refuses or with a 16-byte symbol, maybe cut."""
-    if not (found := _plain_header(path, QUOTE_KINDS)):
-        return None
-    header, skiprows, quoted = found
-    cols = [_column_index(header)[c] for c in QUOTE_KINDS]
-    fields = [(c, _NUMBERS.get(kind, "S16")) for c, kind in QUOTE_KINDS.items()]
-    if len(header) - 1 not in cols:  # read, so that a row shorter than the header fails
-        fields, cols = [*fields, ("last", "S1")], [*cols, len(header) - 1]
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(path, dtype=fields, delimiter=",", quotechar='"', comments=None,
-                              skiprows=skiprows, usecols=cols, ndmin=1)
-    except (ValueError, ArithmeticError):
-        return None
-    symbol = rows["symbol"]
-    if ((symbol.view(_HALVES)["hi"] >= 1 << 56).any()  # its 16th byte, hi's top one, is not NUL
-            or quoted and (np.strings.find(symbol, b"\n") >= 0).any()  # as in _tokenize_columns
-            or not (np.isfinite(rows["bid"]).all() and np.isfinite(rows["ask"]).all())):
-        return None
-    return {c: rows[c] for c in QUOTE_KINDS}, {}
 
 
 def _symbol_codes(symbols: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -707,7 +691,7 @@ def load_quotes(path: str | Path, spill: Path | None = None, sha256: str = "",
         if kept is not None:
             return {names[i]: tuple(kept[f"{c}{i}"] for c in _SERIES) for i in wanted}
     name = Path(path).name
-    c, parsed = _tokenize_quotes(Path(path)) or _read_columns(path, QUOTE_KINDS)
+    c, parsed = _read_columns(path, QUOTE_KINDS)
     names, code = _symbol_codes(c.pop("symbol"))
     ts, bid, ask = c["ts_ms"], c["bid"], c["ask"]
     # by symbol and time, rows in file order within a key (lexsort is stable):

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import uniform01
 from .builder import BuilderBlockEconomics, refund_rate
 from .config import MarkoutGrid, PipelineConfig, checked_fields, read_json
 from .data_model import BLOCK_KINDS, QUOTE_KINDS, TRANSACTION_COLUMNS
@@ -49,6 +48,24 @@ ABRUPT_KEEP_FRACTION = 0.3
 
 _WBTC = "0x2260fac5e5542a773aa44fbcfedf7c193bc2c599"
 _USDT = "0xdac17f958d2ee523a2206206994597c13d831ec7"
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def splitmix64(seed, start, count):
+    """Counter-based splitmix64 stream: value i = mix(seed + (start+i+1)*golden)."""
+    i = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed) + i * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def uniform01(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniform [0, 1) doubles from the splitmix64 stream."""
+    return (splitmix64(np.uint64(seed), start, count) >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)

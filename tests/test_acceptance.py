@@ -25,8 +25,7 @@ from cexdex.market import (
     lagged_correlation,
     spearman,
 )
-from cexdex.synth import SearcherSpec, SynthConfig, generate, score
-from cexdex import _kernels
+from cexdex.synth import SearcherSpec, SynthConfig, generate, score, uniform01
 
 from conftest import detect, integration_of, make_store, make_trade, mr_at_zero
 from test_builder import bp_of
@@ -206,7 +205,7 @@ def test_criterion_6_builder_correction():
     assert bp_of(mk(5.0, 10.0, True, 4.0, cutoff), 1.0) == pytest.approx(-3.0)
 
     # subsidy monotonicity over 1000 randomized fixtures
-    u = _kernels.uniform01(777, 0, 3000)
+    u = uniform01(777, 0, 3000)
     before_count = after_count = 0
     for i in range(1000):
         bp = (u[3 * i] - 0.5) * 10.0

@@ -281,9 +281,24 @@ def assert_same_quotes(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), symbol
 
 
-# which reader load_quotes reads a file with: its one tokenizer pass, the two
-# passes of _tokenize_columns, or the cell pass
+# which reader load_quotes reads a file with: its one tokenizer pass, that pass
+# and the two of _tokenize_columns with the symbol as text, or the cell pass
 ONE_PASS, TWO_PASSES, CELLS = "one pass", "two passes", "cells"
+# the reads each reader makes: np.loadtxt calls, and the cell pass, which
+# comes after at most one tokenizer pass
+READS = {ONE_PASS: [["loadtxt"]], TWO_PASSES: [["loadtxt"] * 3],
+         CELLS: [["cells"], ["loadtxt", "cells"]]}
+
+
+def count_reads(monkeypatch) -> list:
+    """The np.loadtxt calls ("loadtxt") and cell passes ("cells") made from
+    now on, in order."""
+    calls = []
+    loadtxt, by_cell = np.loadtxt, data_model._parse_columns_by_cell
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append("loadtxt") or loadtxt(*a, **k))
+    monkeypatch.setattr(data_model, "_parse_columns_by_cell",
+                        lambda *a: calls.append("cells") or by_cell(*a))
+    return calls
 
 
 @pytest.mark.parametrize("text, reader", [
@@ -308,24 +323,47 @@ ONE_PASS, TWO_PASSES, CELLS = "one pass", "two passes", "cells"
         "two-line-header", "long-symbol", "interleaved", "non-ascii", "underscore",
         "repeated-column", "15-bytes", "16-bytes", "16-bytes-padded", "padded-run-mates",
         "quoted-comma"])
-def test_load_quotes_equals_a_csv_reference(tmp_path, text, reader):
+def test_load_quotes_equals_a_csv_reference(tmp_path, monkeypatch, text, reader):
     p = tmp_path / "quotes.csv"
     p.write_bytes(text.encode())
-    assert (data_model._tokenize_quotes(p) is not None) == (reader == ONE_PASS)
-    assert (data_model._tokenize_columns(p, data_model.QUOTE_KINDS) is not None) == (reader != CELLS)
-    assert_same_quotes(load_quotes(p), reference_quotes(p))
+    calls = count_reads(monkeypatch)
+    series = load_quotes(p)
+    assert calls in READS[reader]
+    assert_same_quotes(series, reference_quotes(p))
 
 
 @pytest.mark.parametrize("n, bad_row, at, message", [
     (5, "BTCUSDT,300,nan,101\n", 3, "bad value 'nan' in bid"),
     (70_000, "BTCUSDT,7e6,99,101\n", 70_000, "bad value '7e6' in ts_ms"),
 ], ids=["nan-bid", "bad-ts-on-the-last-of-70000-rows"])
-def test_load_quotes_names_the_row_the_one_pass_refuses(tmp_path, n, bad_row, at, message):
+def test_load_quotes_names_the_row_the_one_pass_refuses(tmp_path, monkeypatch, n, bad_row, at,
+                                                        message):
     p = quotes_file(tmp_path, bad_row, at, n)
-    assert data_model._tokenize_quotes(p) is None
+    calls = count_reads(monkeypatch)
     with pytest.raises(MalformedRow) as e:
         load_quotes(p)
+    assert calls == ["loadtxt", "cells"]
     assert str(e.value) == f"malformed row {at} of quotes.csv: {message}"
+
+
+# (a non-finite bid takes this route too: see the test above)
+@pytest.mark.parametrize("text, message", [
+    (QUOTES_HEADER + 'BTC,1,1,2\n"B\nTC",2,1,2\nBTC,3,1,2\n', None),
+    ("symbol,ts_ms,bid,ask,extra\nBTC,1,1,2,x\nBTC,2,1,2\nBTC,3,1,2,\n",
+     "malformed row 2 of quotes.csv: fewer fields than the header"),
+], ids=["line-break-in-symbol", "short-row-past-the-read-columns"])
+def test_load_quotes_reaches_the_cell_pass_after_one_tokenizer_pass(tmp_path, monkeypatch, text,
+                                                                   message):
+    p = tmp_path / "quotes.csv"
+    p.write_text(text)
+    calls = count_reads(monkeypatch)
+    if message is None:
+        assert_same_quotes(load_quotes(p), reference_quotes(p))
+    else:
+        with pytest.raises(MalformedRow) as e:
+            load_quotes(p)
+        assert str(e.value) == message
+    assert calls == ["loadtxt", "cells"]
 
 
 def test_load_quotes_tokenizes_a_plain_file_once(tmp_path, monkeypatch):
@@ -333,12 +371,13 @@ def test_load_quotes_tokenizes_a_plain_file_once(tmp_path, monkeypatch):
     p.write_text(QUOTES_HEADER + "".join(f"{s},{ts},99,101\n" for s in ("ETHUSDT", " BTCUSDT")
                                          for ts in range(1, 1000)))
     calls = []
-    loadtxt, read_columns = np.loadtxt, data_model._read_columns
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append("loadtxt") or loadtxt(*a, **k))
-    monkeypatch.setattr(data_model, "_read_columns",
-                        lambda *a: calls.append("_read_columns") or read_columns(*a))
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k) or loadtxt(*a, **k))
     series = load_quotes(p)
-    assert calls == ["loadtxt"]
+    symbol_and_numbers = [("symbol", "S16"), ("ts_ms", np.int64), ("bid", np.float64),
+                          ("ask", np.float64)]
+    assert [(np.dtype(k["dtype"]), k["usecols"]) for k in calls] == [
+        (np.dtype(symbol_and_numbers), [0, 1, 2, 3])]
     assert list(series) == ["ETHUSDT", "BTCUSDT"] and len(series["BTCUSDT"][0]) == 999
 
 
@@ -400,8 +439,9 @@ def test_load_quotes_parses_numbers_bit_for_bit(tmp_path_factory, bids, stamps):
 
 
 def test_load_quotes_peak_memory_per_row(tmp_path):
-    # numpy's tokenizer peaks near 72 B/row; a parse that makes a Python
-    # object per cell peaks near 380
+    # the one tokenizer pass peaks near 88 B/row, as it keeps its 40-byte rows
+    # until the sorted series are built; a parse that makes a Python object
+    # per cell peaks near 380
     n = 200_000
     rng = np.random.default_rng(0)
     p = tmp_path / "quotes.csv"

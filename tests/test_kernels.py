@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cexdex import _kernels as k
+from cexdex import synth
 
 
 def random_series(rng, n):
@@ -40,22 +41,22 @@ def test_lookup_matches_linear_scan():
 
 def test_splitmix_counter_based_slicing():
     # stream position i is a pure function of (seed, i): slices concatenate
-    whole = k.splitmix64(np.uint64(9), np.uint64(0), 100)
-    part1 = k.splitmix64(np.uint64(9), np.uint64(0), 40)
-    part2 = k.splitmix64(np.uint64(9), np.uint64(40), 60)
+    whole = synth.splitmix64(np.uint64(9), np.uint64(0), 100)
+    part1 = synth.splitmix64(np.uint64(9), np.uint64(0), 40)
+    part2 = synth.splitmix64(np.uint64(9), np.uint64(40), 60)
     assert np.array_equal(whole, np.concatenate([part1, part2]))
 
 
 def test_splitmix_seed_sensitivity():
-    a = k.splitmix64(np.uint64(1), np.uint64(0), 100)
-    b = k.splitmix64(np.uint64(2), np.uint64(0), 100)
+    a = synth.splitmix64(np.uint64(1), np.uint64(0), 100)
+    b = synth.splitmix64(np.uint64(2), np.uint64(0), 100)
     assert not np.array_equal(a, b)
 
 
 def test_uniform01_range_and_determinism():
-    u = k.uniform01(123, 0, 100000)
+    u = synth.uniform01(123, 0, 100000)
     assert u.min() >= 0.0 and u.max() < 1.0
-    assert np.array_equal(u, k.uniform01(123, 0, 100000))
+    assert np.array_equal(u, synth.uniform01(123, 0, 100000))
     # roughly uniform
     assert abs(u.mean() - 0.5) < 0.01
 
