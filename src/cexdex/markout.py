@@ -29,8 +29,9 @@ EXCLUSION_INVENTORY = "InventoryAdjustment"
 @dataclass
 class MarkoutTable:
     """MR of trades (rows, in the order they were marked out) at every grid
-    offset (columns, in grid order). ``exclusion_reason[i]`` is "" for a
-    trade that is included, as markouts.csv writes it."""
+    offset (columns, in grid order). markouts.csv holds the keys, a row per
+    trade, and markouts_mr.npy the MR matrix. ``exclusion_reason[i]`` is ""
+    for a trade that is included, as markouts.csv writes it."""
 
     tx_hash: np.ndarray  # StringDType, as searcher_label and exclusion_reason
     searcher_label: np.ndarray

@@ -1,11 +1,13 @@
 """Stage drivers: each stage reads input files and/or earlier stages' outputs
 and writes its own CSVs, so every intermediate is auditable.
 
-Stage outputs land in --out-dir; a manifest.json with input digests and
-row counts is refreshed after every stage for reproducibility checks. The
-checked quote series are kept there too, in quotes.npz, and a stage command
-keeps each output a later stage reads as <name>.npz, so that the next
-process loads these copies instead of parsing the CSVs again.
+Stage outputs land in --out-dir: CSVs, and markout's MR matrix as
+markouts_mr.npy beside the key columns of markouts.csv. A manifest.json with
+the digests of inputs and outputs and the CSVs' row counts is refreshed after
+every stage for reproducibility checks. The checked quote series are kept
+there too, in quotes.npz, and a stage command keeps each output a later stage
+reads as <name>.npz, so that the next process loads these copies instead of
+parsing the CSVs again.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -325,12 +328,15 @@ def _load_detections(ws: Workspace) -> Table:
 # ---------------------------------------------------------------------------
 # markout
 
-def _markouts_kinds(offsets_s: list[float]) -> dict:
-    """The header, each column with its reader's kind. One row per trade:
-    keys, then MR at every offset. GR is not written: it is MR / volume_usd,
-    recomputed on load."""
-    return {"tx_hash": STR, "searcher_label": STR, "excluded": None, "exclusion_reason": STR,
-            "volume_usd": ANY_FLOAT} | {f"mr_usd@{o!r}": ANY_FLOAT for o in offsets_s}
+# markouts.csv: a trade's keys. markouts_mr.npy, in the same row order: its MR at
+# every grid offset, a float64 field mr_usd@<offset> each, so the file names its grid.
+_MARKOUTS_KINDS = {"tx_hash": STR, "searcher_label": STR, "excluded": None,
+                   "exclusion_reason": STR, "volume_usd": ANY_FLOAT}
+MR_FILE = "markouts_mr.npy"
+
+
+def _mr_dtype(grid: MarkoutGrid) -> np.dtype:
+    return np.dtype([(f"mr_usd@{o!r}", "<f8") for o in grid.offsets_s])
 
 
 def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable:
@@ -342,18 +348,31 @@ def run_markout(ws: Workspace) -> None:
     table = markout_mod.markout_table(ws.detections, ws.grid, ws.quotes, ws.registry, ws.config)
     _write_output(ws, "markouts.csv", [
         table.tx_hash, table.searcher_label, ~table.included(), table.exclusion_reason,
-        table.volume_usd, *table.mr_usd.T], _markouts_kinds(ws.grid.offsets_s))
+        table.volume_usd], _MARKOUTS_KINDS)
+    mr = np.ascontiguousarray(table.mr_usd).view(_mr_dtype(ws.grid)).reshape(-1)
+    with open(ws.out_dir / MR_FILE, "wb") as f:  # hashed as it is written, as a CSV is
+        h = hashlib.sha256()
+        np.save(SimpleNamespace(write=lambda b: h.update(b) or f.write(b)), mr, allow_pickle=False)
+    ws.entries[MR_FILE] = {"sha256": h.hexdigest(), "rows": None}
     ws.markouts = table
 
 
 def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
-    """The table markouts.csv holds; named for perfbench/spans.py, which
-    times it as the parse, until ROADMAP item 1."""
-    kinds = _markouts_kinds(ws.grid.offsets_s)
-    c = _read_kept(ws, "markouts.csv", kinds, "markout")
-    mr = np.column_stack([c[h] for h in kinds if h.startswith("mr_usd@")])
-    return markout_mod.MarkoutTable(c["tx_hash"], c["searcher_label"], c["volume_usd"], mr,
-                                    c["exclusion_reason"])
+    """The table of markouts.csv and markouts_mr.npy, a .npy of another grid or row
+    count refused; perfbench/spans.py times it by this name, until ROADMAP item 1."""
+    c = _read_kept(ws, "markouts.csv", _MARKOUTS_KINDS, "markout")
+    path, dtype, n = ws.out_dir / MR_FILE, _mr_dtype(ws.grid), len(c["tx_hash"])
+    if not path.exists():
+        raise DependencyMissing(f"{MR_FILE} not found in {ws.out_dir}; run the producing stage first")
+    try:
+        mr = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError):  # not a .npy, or cut short
+        mr = None
+    if not isinstance(mr, np.ndarray) or mr.dtype != dtype or mr.shape != (n,):
+        raise OutdatedOutput(f"{path} does not hold the MR of markouts.csv's rows on this "
+                             "config's grid (an older version's layout?); rerun the markout stage")
+    return markout_mod.MarkoutTable(c["tx_hash"], c["searcher_label"], c["volume_usd"],
+                                    mr.view("<f8").reshape(n, len(dtype)), c["exclusion_reason"])
 
 
 def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:
@@ -601,7 +620,7 @@ def write_manifest(ws: Workspace) -> None:
         "inputs": ws.manifest_inputs,
         "outputs": {},
     }
-    for p in sorted(ws.out_dir.glob("*.csv")):
+    for p in sorted([*ws.out_dir.glob("*.csv"), *ws.out_dir.glob("*.npy")]):
         manifest["outputs"][p.name] = ws.entry(p.name)
     with open(ws.out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

@@ -37,8 +37,8 @@ def synth_inputs(tmp_path_factory):
 def test_all_produces_bundle(synth_inputs, tmp_path):
     out = tmp_path / "out"
     assert main(["all", "--input-dir", str(synth_inputs), "--out-dir", str(out)]) == 0
-    for name in ("detections.csv", "verdicts.csv", "markouts.csv", "profiles.csv",
-                 "economics.csv", "summary.csv", "cumulative_ev.csv", "market.csv",
+    for name in ("detections.csv", "verdicts.csv", "markouts.csv", "markouts_mr.npy",
+                 "profiles.csv", "economics.csv", "summary.csv", "cumulative_ev.csv", "market.csv",
                  "integration.csv", "correlations.csv", "builder_blocks.csv",
                  "builder_summary.csv", "manifest.json"):
         assert (out / name).exists(), name

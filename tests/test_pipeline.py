@@ -68,10 +68,7 @@ LAYOUTS = {
     "verdicts.csv": [
         "tx_hash", "passed", "h1", "h2", "h3", "h4", "h5", "h6", "failure_reasons",
     ],
-    "markouts.csv": (
-        ["tx_hash", "searcher_label", "excluded", "exclusion_reason", "volume_usd"]
-        + [f"mr_usd@{o}" for o in DEFAULT_OFFSETS]
-    ),
+    "markouts.csv": ["tx_hash", "searcher_label", "excluded", "exclusion_reason", "volume_usd"],
     "profiles.csv": [
         "searcher_label", "t_star_s", "pattern", "decline_3s_fraction",
         "n_arb_trades", "low_confidence",
@@ -116,6 +113,8 @@ def test_every_output_has_its_pinned_header(varied_builders):
         with open(p, newline="") as f:
             headers[p.name] = next(csv.reader(f))
     assert headers == LAYOUTS
+    mr = np.load(out / "markouts_mr.npy", allow_pickle=False)
+    assert mr.dtype == np.dtype([(f"mr_usd@{o}", "<f8") for o in DEFAULT_OFFSETS])
 
 
 def test_reader_refuses_a_field_it_cannot_decode(tmp_path):
@@ -579,47 +578,91 @@ def test_markout_looks_up_each_symbol_once(markout_corpus, tmp_path, monkeypatch
     monkeypatch.setattr(_kernels, "step_mid_lookup", lambda *a: calls.append(a) or lookup(*a))
     pipeline.run_markout(ws)
     assert 0 < len(calls) <= len(symbols) + 1
-    assert (tmp_path / "out" / "markouts.csv").read_bytes() == (out / "markouts.csv").read_bytes()
+    for name in ("markouts.csv", "markouts_mr.npy"):
+        assert (tmp_path / "out" / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_markouts_header_carries_the_offsets(markout_corpus):
+    """markouts.csv holds the keys; markouts_mr.npy a row per trade, whose
+    field names carry the grid's offsets in grid order."""
     _, out = markout_corpus
     with open(out / "markouts.csv", newline="") as f:
         header = next(csv.reader(f))
-    assert header[:7] == ["tx_hash", "searcher_label", "excluded", "exclusion_reason",
-                          "volume_usd", "mr_usd@-1.5", "mr_usd@-1.25"]
-    assert header[-1] == "mr_usd@10.0"
+    assert header == ["tx_hash", "searcher_label", "excluded", "exclusion_reason", "volume_usd"]
+    mr = np.load(out / "markouts_mr.npy", allow_pickle=False)
+    assert mr.dtype.names[:2] == ("mr_usd@-1.5", "mr_usd@-1.25")
+    assert mr.dtype.names[-1] == "mr_usd@10.0" and len(mr.dtype.names) == 47
+    assert all(mr.dtype[name] == np.dtype("<f8") for name in mr.dtype.names)
     detections = read_rows(out / "detections.csv")
-    assert len(read_rows(out / "markouts.csv")) == len(detections)
+    assert len(read_rows(out / "markouts.csv")) == len(mr) == len(detections)
 
 
-def gr_columns(header: list[str], rows: list[list[str]]) -> tuple[list[str], list[list[str]]]:
-    """The offsets of a markouts.csv and, per row, GR at each as written before
-    GR was dropped from the file: repr(MR / volume_usd), or 0.0."""
+def mr_matrix(mr: np.ndarray) -> np.ndarray:
+    """A markouts_mr.npy array as its (trades, offsets) float64 matrix."""
+    return mr.view("<f8").reshape(len(mr), len(mr.dtype.names))
+
+
+def wide_markouts(out: Path) -> tuple[list[str], list[list]]:
+    """markouts.csv and markouts_mr.npy as the one wide markouts.csv earlier
+    versions wrote: its header, and each row's key cells as text, then its
+    MR at each offset as a float, under mr_usd@<offset>."""
+    with open(out / "markouts.csv", newline="", encoding="utf-8") as f:
+        header, *rows = list(csv.reader(f))
+    mr = np.load(out / "markouts_mr.npy", allow_pickle=False)
+    return header + list(mr.dtype.names), [r + m for r, m in zip(rows, mr_matrix(mr).tolist())]
+
+
+def test_no_detection_runs_every_stage(markout_corpus, tmp_path):
+    """With no token CEX-listed, no transaction passes detect (H6): cexdex all
+    and the six stage commands exit 0, with an empty (0,) markouts_mr.npy,
+    and write the same bytes."""
+    inputs = copy_tree(markout_corpus[0], tmp_path / "in")
+    tokens = read_rows(inputs / "tokens.csv")
+    write_rows(inputs / "tokens.csv", list(tokens[0]),
+               [list((r | {"cex_listed": "false", "is_major": "false"}).values()) for r in tokens])
+    args = ["--input-dir", str(inputs), "--out-dir"]
+    assert main(["all", *args, str(tmp_path / "all")]) == 0
+    for stage in pipeline.STAGE_ORDER:
+        assert main([stage, *args, str(tmp_path / "stages")]) == 0
+    assert read_rows(tmp_path / "all" / "detections.csv") == []
+    assert np.load(tmp_path / "all" / "markouts_mr.npy").shape == (0,)
+    assert output_bytes(tmp_path / "stages") == output_bytes(tmp_path / "all")
+
+
+def gr_columns(header: list[str], rows: list[list]) -> tuple[list[str], list[list[str]]]:
+    """The offsets of a wide markouts.csv and, per row, GR at each as written
+    before GR was dropped from the file: repr(MR / volume_usd), or 0.0."""
     offsets = [h.split("@")[1] for h in header[5:]]
     return offsets, [[repr(float(mr) / float(r[4]) if float(r[4]) > 0 else 0.0)
                       for mr in r[5:]] for r in rows]
 
 
-def long_format(path: Path) -> None:
-    """Rewrite a markouts.csv in the earliest one-row-per-offset layout."""
-    with open(path, newline="") as f:
-        header, *rows = list(csv.reader(f))
+def wide_layout(out: Path) -> None:
+    """Rewrite the markouts as earlier versions wrote them: one wide
+    markouts.csv, an MR column per offset, and no markouts_mr.npy."""
+    write_rows(out / "markouts.csv", *wide_markouts(out))
+    (out / "markouts_mr.npy").unlink()
+
+
+def long_format(out: Path) -> None:
+    """Rewrite the markouts in the earliest one-row-per-offset layout."""
+    header, rows = wide_markouts(out)
     offsets, grs = gr_columns(header, rows)
-    write_rows(path, ["tx_hash", "searcher_label", "offset_s", "mr_usd", "gr",
-                      "excluded", "exclusion_reason"],
+    write_rows(out / "markouts.csv", ["tx_hash", "searcher_label", "offset_s", "mr_usd", "gr",
+                                      "excluded", "exclusion_reason"],
                [[r[0], r[1], off, r[5 + k], gr[k], r[2], r[3]]
                 for r, gr in zip(rows, grs) for k, off in enumerate(offsets)])
+    (out / "markouts_mr.npy").unlink()
 
 
-def wide_with_gr(path: Path) -> None:
-    """Rewrite a markouts.csv in the earlier wide layout: no volume_usd, and
+def wide_with_gr(out: Path) -> None:
+    """Rewrite the markouts in the earlier wide layout: no volume_usd, and
     an MR column then a GR column per offset."""
-    with open(path, newline="") as f:
-        header, *rows = list(csv.reader(f))
+    header, rows = wide_markouts(out)
     offsets, grs = gr_columns(header, rows)
-    write_rows(path, header[:4] + header[5:] + [f"gr@{o}" for o in offsets],
+    write_rows(out / "markouts.csv", header[:4] + header[5:] + [f"gr@{o}" for o in offsets],
                [r[:4] + r[5:] + gr for r, gr in zip(rows, grs)])
+    (out / "markouts_mr.npy").unlink()
 
 
 def truncate_last_row(path: Path) -> None:
@@ -627,24 +670,81 @@ def truncate_last_row(path: Path) -> None:
     path.write_text(text[:text.rindex(",")] + "\n")
 
 
-def drop_first_offset(path: Path) -> None:
-    """Rewrite a markouts.csv as if written for a grid starting one step later."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    write_rows(path, rows[0][:5] + rows[0][6:], [r[:5] + r[6:] for r in rows[1:]])
+def drop_first_offset(out: Path) -> None:
+    """Rewrite markouts_mr.npy as if written for a grid starting one step later."""
+    mr = np.load(out / "markouts_mr.npy")
+    dtype = np.dtype([(name, "<f8") for name in mr.dtype.names[1:]])
+    np.save(out / "markouts_mr.npy", np.ascontiguousarray(mr_matrix(mr)[:, 1:]).view(dtype).reshape(-1))
 
 
-@pytest.mark.parametrize("damage", [long_format, wide_with_gr, truncate_last_row, drop_first_offset])
+def add_mr_row(out: Path) -> None:
+    mr = np.load(out / "markouts_mr.npy")
+    np.save(out / "markouts_mr.npy", np.concatenate([mr, mr[:1]]))
+
+
+def drop_mr_row(out: Path) -> None:
+    np.save(out / "markouts_mr.npy", np.load(out / "markouts_mr.npy")[:-1])
+
+
+def truncate_mr(out: Path) -> None:
+    path = out / "markouts_mr.npy"
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def mr_not_npy(out: Path) -> None:
+    (out / "markouts_mr.npy").write_bytes((out / "markouts.csv").read_bytes())
+
+
+def mr_unstructured(out: Path) -> None:
+    """markouts_mr.npy as a bare (trades, offsets) float64 matrix, which cannot name its grid."""
+    np.save(out / "markouts_mr.npy", mr_matrix(np.load(out / "markouts_mr.npy")))
+
+
+@pytest.mark.parametrize("damage", [
+    long_format, wide_with_gr, wide_layout,
+    pytest.param(lambda out: truncate_last_row(out / "markouts.csv"), id="truncate_last_row"),
+    drop_first_offset, add_mr_row, drop_mr_row, truncate_mr, mr_not_npy,
+    mr_unstructured])
 @pytest.mark.parametrize("stage", ["horizon", "estimate", "market"])
 def test_outdated_markouts_exit_1(markout_corpus, tmp_path, capsys, damage, stage):
+    """markouts.csv in another layout, or a markouts_mr.npy not of this
+    config's grid or not of a row per row of markouts.csv, is refused."""
     inputs, out = markout_corpus
-    stale = tmp_path / "out"
-    stale.mkdir()
-    for p in out.glob("*.csv"):
-        (stale / p.name).write_bytes(p.read_bytes())
-    damage(stale / "markouts.csv")
+    stale = copy_tree(out, tmp_path / "out")
+    damage(stale)
     capsys.readouterr()
     assert main([stage, "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OutdatedOutput"
+    assert "markouts.csv" in err["message"] and "rerun the markout stage" in err["message"]
+
+
+@pytest.mark.parametrize("stage", ["horizon", "estimate", "market"])
+def test_missing_mr_exits_1(markout_corpus, tmp_path, capsys, stage):
+    inputs, out = markout_corpus
+    stale = copy_tree(out, tmp_path / "out")
+    (stale / "markouts_mr.npy").unlink()
+    capsys.readouterr()
+    assert main([stage, "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DependencyMissing" and "markouts_mr.npy" in err["message"]
+
+
+@pytest.mark.parametrize("stage", ["horizon", "estimate", "market"])
+def test_mr_of_a_shifted_grid_exits_1(markout_corpus, tmp_path, capsys, stage):
+    """A markouts_mr.npy that markout wrote under a grid of as many offsets,
+    shifted (-2.0 s to 9.0 s), is refused under the default grid (-1.0 s to
+    10.0 s) by its field names, though its shape fits."""
+    inputs = copy_tree(markout_corpus[0], tmp_path / "in")
+    out = tmp_path / "out"
+    config = json.loads((inputs / "config.json").read_text())
+    for start, end, stages in ((-2.0, 9.0, ["detect", "markout"]), (-1.0, 10.0, [])):
+        config.update(grid_start_s=start, grid_end_s=end, grid_step_s=0.5)
+        (inputs / "config.json").write_text(json.dumps(config))
+        for name in stages:
+            assert main([name, "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main([stage, "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "OutdatedOutput"
     assert "markouts.csv" in err["message"] and "rerun the markout stage" in err["message"]
@@ -679,7 +779,13 @@ def test_markouts_of_other_trades_exit_1(markout_corpus, tmp_path, capsys, damag
     are not detections.csv's, in order and of the same searchers, is refused."""
     inputs, out = markout_corpus
     stale = copy_tree(out, tmp_path / "out")
+    hashes = [r["tx_hash"] for r in read_rows(stale / "markouts.csv")]
     damage(stale / "markouts.csv")
+    # markouts_mr.npy's rows follow the damaged keys, so the pair agrees
+    row = {h: i for i, h in enumerate(hashes)}
+    mr = np.load(stale / "markouts_mr.npy")
+    kept = [row[r["tx_hash"]] for r in read_rows(stale / "markouts.csv")]
+    np.save(stale / "markouts_mr.npy", mr[kept])
     capsys.readouterr()
     assert main([stage, "--input-dir", str(inputs), "--out-dir", str(stale)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -737,7 +843,7 @@ def damage_cell(path: Path, column: str) -> None:
 @pytest.mark.parametrize("name, column, stage", [
     ("detections.csv", "amount_bought", "markout"),  # Decimal
     ("detections.csv", "block_number", "markout"),  # int
-    ("markouts.csv", "mr_usd@0.0", "horizon"),
+    ("markouts.csv", "volume_usd", "horizon"),  # float
     ("profiles.csv", "low_confidence", "estimate"),  # bool
 ])
 def test_undecodable_output_cell_exits_1(markout_corpus, tmp_path, capsys, name, column, stage):
@@ -965,9 +1071,9 @@ def test_edited_output_is_parsed(staged_corpus, markout_corpus, tmp_path):
 
 
 def test_copy_of_another_grid_is_refused(markout_corpus, tmp_path, capsys):
-    """markouts.csv and its copy of a grid that holds this config's grid:
-    the copy has a member for every column this config reads, but its key
-    names the other header, so the CSV is read and refused as outdated."""
+    """markouts_mr.npy of a grid that holds this config's grid: markouts.csv
+    and its copy are loaded, but the .npy's fields name the other grid, so
+    it is refused as outdated."""
     inputs = copy_tree(markout_corpus[0], tmp_path / "in")
     out = tmp_path / "out"
     for stage in ("detect", "markout"):
@@ -1154,7 +1260,7 @@ def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path, monkeypatch):
     assert None in kept.economics.margin
 
 
-# the row type of every output but markouts.csv, which declares its own floats
+# the row type of every output but markouts.csv, whose one float column is volume_usd
 OUTPUT_ROWS = {
     "detections.csv": ArbTrade, "verdicts.csv": DetectionVerdict,
     "profiles.csv": horizon.SearcherProfile, "economics.csv": estimate.TradeEconomics,
@@ -1178,8 +1284,7 @@ def test_float_cells_are_written_as_floats(handoff_out):
     floats = {name: [f.name.removesuffix("_") for f in dataclasses.fields(cls)
                      if f.type in ("float", "float | None")]
               for name, cls in OUTPUT_ROWS.items()}
-    with open(handoff_out / "markouts.csv", newline="") as f:
-        floats["markouts.csv"] = next(csv.reader(f))[4:]  # volume_usd, then MR per offset
+    floats["markouts.csv"] = ["volume_usd"]
     assert sorted(p.name for p in handoff_out.glob("*.csv")) == sorted(floats)
     for name, columns in floats.items():
         for k, row in enumerate(read_rows(handoff_out / name), start=1):
@@ -1191,10 +1296,10 @@ def test_float_cells_are_written_as_floats(handoff_out):
 
 def all_digests(out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.glob("*.csv")) + [out / "manifest.json"]}
+            for p in sorted(out.glob("*.csv")) + [out / "markouts_mr.npy", out / "manifest.json"]}
 
 
-# sha256 of the 12 CSVs and manifest.json of cexdex all on test_synth's
+# sha256 of the 12 CSVs, markouts_mr.npy and manifest.json of cexdex all on test_synth's
 # pinned corpora, on handoff_corpus and on many_searchers_corpus; a change
 # that moves one byte of an output for these inputs fails here
 PINNED_RUN_DIGESTS = {
@@ -1207,11 +1312,12 @@ PINNED_RUN_DIGESTS = {
         "economics.csv": "b52954840288e2d35f77a95d6115adc3a61c7abe2e3c7b5705b2675e53c7a0eb",
         "integration.csv": "773e0716ef4e9a33c1fb683f0d630684c77b4c49cff12af4060f9e1434efbef2",
         "market.csv": "574f4bb15ed261c2411535d407782ac5b4cc3d465033116c38216de6b4f186b2",
-        "markouts.csv": "f60ff41dc07f98001a650b65fcde2d188b636a49e37a904c24e1ea35184c805a",
+        "markouts.csv": "1ed096df6e5761322eb3c2a7d4c3d2306c6e28a4e92b2690f8d553cda9f7d966",
+        "markouts_mr.npy": "af7a2841f8def4028f6a1f4233f21ef07164e23650eaac3fb58f3409fd04bf87",
         "profiles.csv": "4cc4f6cd4d3f5851d864f3c0aefcc9dd0e619cedb71876d65af4a328b999fcef",
         "summary.csv": "7cf0c26d860bef0ba1810aaad3768408cd8a7637160c347c818f26b8b0f2afd1",
         "verdicts.csv": "b2e085c1225a267f200c6e1e413289dcb4ceeef296219e0f32a9afcf71a3d9b9",
-        "manifest.json": "fe544b8279a96b6d66ac9e76d391e272ae5adc43fb07d567d46cfcd38b6dc7a8",
+        "manifest.json": "d68c830112af4ef463656bb9ccc6965d63b2af461300c2c52247314f6a3f877f",
     },
     "small": {
         "builder_blocks.csv": "2cb56b400292aadb9883b74e9c307a180d47859402464467c970c0b9502bc395",
@@ -1222,11 +1328,12 @@ PINNED_RUN_DIGESTS = {
         "economics.csv": "837a978a7413297a6d3f4d2b5ae070a73d2fd899d8fd7e6a75d46390a6d66b16",
         "integration.csv": "6bcb60665a99956227691990deb71271b925807cef8117b31ac8531a5950aff8",
         "market.csv": "544f43dc46aff3bae8abaddb6620d8a6374a399f58dc312cfd9c6854bea0007c",
-        "markouts.csv": "8369de1ff2f194c14d52f690554beffbba93aa784b806794f2c49843ad28a7dd",
+        "markouts.csv": "dfa7b3be9dc0f0ed3a4778e0bdf2decc20633cbaf0e9ffea57d7fd9f8384d6ac",
+        "markouts_mr.npy": "d35003857cdcd0dc9234cdb85de70cc4056bc2e1c1ef49081571c5e28bc90a97",
         "profiles.csv": "8ac9ab6ec6ce488d9ad9d68c473db3d67455bbc831c3fe239cbd80f38ce8535c",
         "summary.csv": "18b37f3d43340e14d5acbc7fe8ad1c5db2b04782dc680d37e75a445c4d7fdad9",
         "verdicts.csv": "7c8f2ddff5b7b882742e32fb9b3e9bfa47ba3de198afc569be32bc4d1c12c437",
-        "manifest.json": "93fc7b23c7da35509b0c6fb55399f0d5b8aa45d6a3f15af585ead6ca780a9670",
+        "manifest.json": "4da616cfabfcbf51027b3e827766563b442f7de188835bb558b92bdb2c792b33",
     },
     "varied": {
         "builder_blocks.csv": "0627c26f91768cc5c268b3c130a73a5a0e15819a125043813657ea5103e7293f",
@@ -1237,11 +1344,12 @@ PINNED_RUN_DIGESTS = {
         "economics.csv": "2fef6aca836ad9d5477b09e7b1d0011dbaa4b08bdd8b3d5af40099a922c1a193",
         "integration.csv": "9c4e1e47dfd3805eab5e3260b5f5698e4c6960c7b6663f4ce67cdf8d1da61837",
         "market.csv": "5ee6da35b244a145f9baca1dcd13db6741830614a2d530df4f7c67b1619b79af",
-        "markouts.csv": "3dcc46cf8bad9de9c8fd07f0b49c43801f9cad239e9de65954f65c856e25653c",
+        "markouts.csv": "623284a9cf099d39af0be7587feea48d83358262507e320275829ef84b37d1af",
+        "markouts_mr.npy": "c5c3a69dde907637edaced457bca479427b6ae05a0baf05a3c02cdf5c7ec6cd5",
         "profiles.csv": "651c355895c9c39cc48088a7bd238a31aeffe5d0df2f3efad8a718b8dd28bdcb",
         "summary.csv": "10ab5ecaad6c9de930c9f848e1ead08630e4c79d9dc0d5122c9ea6c5cef89b14",
         "verdicts.csv": "328052a1f1aae92bfbf23d9abdbf7244c2c20413853ad7fb7c6e55a9c5c764cd",
-        "manifest.json": "32836bed86abf548cb2e0f4d71fc2fb3bc5fa6bc9c53b3d93315d2f8bd26c547",
+        "manifest.json": "cc7062e084390f731e195800819661ccd711e47ecbc954d97e658faac00718b1",
     },
     "handoff": {
         "builder_blocks.csv": "165497edfd70a94eb6a64e7d3ec0c1050c8bbb6f1ca8976f65866ebec3b9f0ed",
@@ -1252,33 +1360,59 @@ PINNED_RUN_DIGESTS = {
         "economics.csv": "d7a86370c35096a9d3d343b8c2f8c1975786a587e5645380a883b0fc9aa98563",
         "integration.csv": "e1b1bbdfcc9cf19c47e16a220bb7571a0727a24a1b05019a407d75469a4c533e",
         "market.csv": "f7a93160a2c1eef7e1748d7360537dfe8da39d632237139fd4c8dbca8925ab33",
-        "markouts.csv": "3b580fa9e774d6c9d20354a5bc94c5f0d7c3a10b338f643e3b7a260ebcf924fc",
+        "markouts.csv": "cbee244e6f6629f04ced96d0fc15bd6f88d76941356d3e373b2e4580ccfb80bc",
+        "markouts_mr.npy": "c2a8b68bf3b200df16806ef6ec975bcd54c8ea15e644bcbf86a30bd3e724d8e9",
         "profiles.csv": "2191b2e32df9a301db42760b3b7e7fff0521e7af3d8640489b76ebe626780758",
         "summary.csv": "f7549b9fa08546f0f368287a625d7ec1a8d9daa87cf04d1c9534e9eb4043ce1b",
         "verdicts.csv": "e769f325bdc9e2ac05b67f9868412da2c149ea60dc29948225d2fe9d20c4ed9a",
-        "manifest.json": "4ab6d5783bc5fd9115afe72aa9f63d6ad05ab1c12c7c9d8960448e5194ab2424",
+        "manifest.json": "f8c776a508a6d73a245ee4c5376ff9f7e39f45aea26d896c4cc0d2a4a19f5344",
     },
 }
+
+
+def pinned_run(scenario: str, request, tmp_path: Path) -> tuple[Path, Path]:
+    """(inputs, cexdex all's out-dir) of a scenario of PINNED_RUN_DIGESTS."""
+    if scenario == "handoff":
+        return request.getfixturevalue("handoff_corpus"), request.getfixturevalue("handoff_out")
+    if scenario == "many":
+        return request.getfixturevalue("many_searchers")
+    inputs = tmp_path / "in"
+    generate({"small": small_config, "varied": varied_config}[scenario](), inputs)
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "out")]) == 0
+    return inputs, tmp_path / "out"
 
 
 @pytest.mark.parametrize("scenario", sorted(PINNED_RUN_DIGESTS))
 def test_all_writes_pinned_bytes(scenario, request, tmp_path):
     """cexdex all, and the six stage commands run one by one, each a fresh
     process's worth of reading the outputs before it, write the pinned bytes."""
-    if scenario == "handoff":
-        inputs = request.getfixturevalue("handoff_corpus")
-        assert all_digests(request.getfixturevalue("handoff_out")) == PINNED_RUN_DIGESTS[scenario]
-    elif scenario == "many":
-        inputs, out = request.getfixturevalue("many_searchers")
-        assert all_digests(out) == PINNED_RUN_DIGESTS[scenario]
-    else:
-        inputs = tmp_path / "in"
-        generate({"small": small_config, "varied": varied_config}[scenario](), inputs)
-        assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "out")]) == 0
-        assert all_digests(tmp_path / "out") == PINNED_RUN_DIGESTS[scenario]
+    inputs, out = pinned_run(scenario, request, tmp_path)
+    assert all_digests(out) == PINNED_RUN_DIGESTS[scenario]
     for stage in pipeline.STAGE_ORDER:
         assert main([stage, "--input-dir", str(inputs), "--out-dir", str(tmp_path / "stages")]) == 0
     assert all_digests(tmp_path / "stages") == PINNED_RUN_DIGESTS[scenario]
+
+
+# sha256 of the wide markouts.csv that earlier versions wrote, its key columns
+# then an mr_usd@<offset> column per offset, for the scenarios above
+WIDE_MARKOUTS_DIGESTS = {
+    "many": "f60ff41dc07f98001a650b65fcde2d188b636a49e37a904c24e1ea35184c805a",
+    "small": "8369de1ff2f194c14d52f690554beffbba93aa784b806794f2c49843ad28a7dd",
+    "varied": "3dcc46cf8bad9de9c8fd07f0b49c43801f9cad239e9de65954f65c856e25653c",
+    "handoff": "3b580fa9e774d6c9d20354a5bc94c5f0d7c3a10b338f643e3b7a260ebcf924fc",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(WIDE_MARKOUTS_DIGESTS))
+def test_markouts_npy_rebuilds_the_parent_csv(scenario, request, tmp_path):
+    """markouts.csv's key cells and markouts_mr.npy's floats, written by
+    _write_csv as one wide file, are the wide markouts.csv byte for byte: the
+    .npy holds the MR that file held, bit for bit, in its row order."""
+    _, out = pinned_run(scenario, request, tmp_path)
+    header, rows = wide_markouts(out)
+    wide = tmp_path / "wide.csv"
+    pipeline._write_csv(wide, header, [[r[k] for r in rows] for k in range(len(header))])
+    assert hashlib.sha256(wide.read_bytes()).hexdigest() == WIDE_MARKOUTS_DIGESTS[scenario]
 
 
 def cexdex_process(args: list[str], hash_seed: int) -> None:
