@@ -41,17 +41,13 @@ class MarkoutTable:
 
     @cached_property
     def gr(self) -> np.ndarray:
-        return gross_return(self.mr_usd, self.volume_usd)
+        """GR = MR / volume_usd; zeros on rows whose volume is not above 0."""
+        volume = np.asarray(self.volume_usd, dtype=np.float64)[:, None]
+        return np.divide(self.mr_usd, volume, out=np.zeros_like(self.mr_usd), where=volume > 0)
 
     def included(self) -> np.ndarray:
         """The mask of the included trades."""
         return self.exclusion_reason == ""
-
-
-def gross_return(mr: np.ndarray, volume_usd: np.ndarray) -> np.ndarray:
-    """GR = MR / volume_usd per row of ``mr``; zeros on rows whose volume is not above 0."""
-    volume = np.asarray(volume_usd, dtype=np.float64)[:, None]
-    return np.divide(mr, volume, out=np.zeros_like(mr), where=volume > 0)
 
 
 def _usd_prices(rows: np.ndarray, queries: np.ndarray, store: QuoteStore,

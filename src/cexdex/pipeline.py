@@ -441,35 +441,34 @@ def _load_economics(ws: Workspace) -> Table:
 # ---------------------------------------------------------------------------
 # market
 
-def _daily_shares(included: Table, economics: Table, labels: np.ndarray, code: np.ndarray):
-    """(market.csv as a Table of DailyShare, the UTC day numbers with
-    included trades, their dates, each day's total volume). ``code`` codes
-    the searchers of ``included``, then of ``economics``, as ``labels``.
+def _daily_shares(included: Table, economics: Table, labels: np.ndarray, dates: list[str],
+                  trade_coding: tuple[np.ndarray, np.ndarray],
+                  ev_coding: tuple[np.ndarray, np.ndarray]):
+    """(market.csv as a Table of DailyShare, each day's total volume).
+    ``dates`` are the UTC days with included trades, in order; the codings
+    are (day index into ``dates``, searcher index into ``labels``) of each
+    row of ``included`` and of ``economics``.
 
     Volume shares cover all patterns and EV shares exclude P3. Day totals
     add each day's searchers in the order they first trade that day, and a
     searcher's day adds its trades in row order."""
-    n = max(len(labels), 1)
-    vol_keys, vol = keyed_sums(included.slot_time_ms // DAY_MS * n + code[:len(included)],
-                               included.volume_usd)
-    ev_keys, ev = keyed_sums(economics.slot_time_ms // DAY_MS * n + code[len(included):],
-                             economics.ev_usd)
-    days, vol_day = np.unique(vol_keys // n, return_inverse=True)
-    dates = [estimate_mod._utc_day(d * DAY_MS) for d in days.tolist()]
-    total_v = group_sum(vol_day, vol, len(days))
-    # EV shares over the positive EVs of the days with included trades
-    # kind="table": numpy's sort path calls np.unique, which imports numpy.ma
-    positive = np.isin(ev_keys // n, days, kind="table") & (ev > 0)
-    ev_day = np.searchsorted(days, ev_keys[positive] // n)
-    total_ev = group_sum(ev_day, ev[positive], len(days))
+    n, n_days = max(len(labels), 1), len(dates)
+    vol_keys, vol = keyed_sums(trade_coding[0] * n + trade_coding[1], included.volume_usd)
+    ev_keys, ev = keyed_sums(ev_coding[0] * n + ev_coding[1], economics.ev_usd)
+    vol_day = vol_keys // n
+    total_v = group_sum(vol_day, vol, n_days)
+    # EV shares over the positive EVs
+    positive = ev > 0
+    ev_day = ev_keys[positive] // n
+    total_ev = group_sum(ev_day, ev[positive], n_days)
     hhi_v = np.array([market_mod.hhi(vol[rows] / t) if t > 0 else None
-                      for rows, t in zip(group_rows(vol_day, len(days)), total_v.tolist())], object)
+                      for rows, t in zip(group_rows(vol_day, n_days), total_v.tolist())], object)
     hhi_e = np.array([market_mod.hhi(ev[positive][rows] / t) if t > 0 else None
-                      for rows, t in zip(group_rows(ev_day, len(days)), total_ev.tolist())], object)
+                      for rows, t in zip(group_rows(ev_day, n_days), total_ev.tolist())], object)
 
     # a row per day and searcher with included trades, by day then label
     keys = np.sort(vol_keys)
-    day = np.searchsorted(days, keys // n)
+    day = keys // n
     volume = vol[np.argsort(vol_keys)]
     ev_of = dict(zip(ev_keys.tolist(), ev.tolist()))
     row_ev = np.array([ev_of.get(k, 0.0) for k in keys.tolist()], dtype=np.float64)
@@ -480,7 +479,7 @@ def _daily_shares(included: Table, economics: Table, labels: np.ndarray, code: n
         strings(dates)[day], labels[keys % n], volume, optional(v_share, v_ok), row_ev,
         optional(e_share, e_ok), hhi_v[day], hhi_e[day],
     ])
-    return table, days, dates, total_v
+    return table, total_v
 
 
 def run_market(ws: Workspace) -> None:
@@ -489,11 +488,15 @@ def run_market(ws: Workspace) -> None:
     if not np.array_equal(economics.tx_hash, trades.tx_hash[ws.priced]):
         raise OutdatedOutput(f"economics.csv in {ws.out_dir} does not hold the priced trades "
                              "of markouts.csv in order; rerun the estimate stage")
-    # every per-searcher analysis below groups by the run's one coding
+    # every per-searcher analysis below groups by the run's one coding, and
+    # every daily one by the included trades' UTC days; an economics row,
+    # a priced trade, has its trade's day
     (labels, code), is_included = ws.searchers, table.included()
     included, trade_code, n = trades.select(is_included), code[is_included], len(labels)
-    shares, days, dates, total_v = _daily_shares(
-        included, economics, labels, np.concatenate([trade_code, code[ws.priced]]))
+    days, trade_day = np.unique(included.slot_time_ms // DAY_MS, return_inverse=True)
+    dates = [estimate_mod._utc_day(d * DAY_MS) for d in days.tolist()]
+    shares, total_v = _daily_shares(included, economics, labels, dates, (trade_day, trade_code),
+                                    (trade_day[ws.priced[is_included]], code[ws.priced]))
     _write_output(ws, "market.csv", shares)
 
     matrix = market_mod.integration_matrix(included, labels, trade_code)
@@ -531,7 +534,6 @@ def run_market(ws: Workspace) -> None:
         block_builder = blocks.builder_label[known]
         block_day = np.searchsorted(days, block_day[known])
         total_b = np.bincount(block_day, minlength=len(days))
-        trade_day = np.searchsorted(days, included.slot_time_ms // DAY_MS)
         # a day counts where both totals are above 0
         kept = ~((total_v <= 0) | (total_b <= 0))
         x_dates = [date for date, k in zip(dates, kept.tolist()) if k]
@@ -626,7 +628,7 @@ def write_manifest(ws: Workspace) -> None:
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
-STAGES = {
+STAGES = {  # in run order
     "detect": run_detect,
     "markout": run_markout,
     "horizon": run_horizon,
@@ -635,7 +637,7 @@ STAGES = {
     "builder": run_builder,
 }
 
-STAGE_ORDER = ["detect", "markout", "horizon", "estimate", "market", "builder"]
+STAGE_ORDER = list(STAGES)
 
 
 def run_stage(name: str, ws: Workspace) -> None:

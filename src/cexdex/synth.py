@@ -45,6 +45,12 @@ GENTLE_DECAY_PER_S = 0.10  # fraction of peak spread lost per second
 # post-drop spread retained after an abrupt hedge; low enough that the
 # gross-return decline over 3 s clears one half even after fees
 ABRUPT_KEEP_FRACTION = 0.3
+DEX_EDGE = 0.001  # baseline DEX mispricing captured by the trade
+PEAK_AMPLITUDE = 0.005  # extra spread at the hedge-delay peak
+ALT_PRICE = 10.0  # USD, every alt token
+BTC_PRICE = 60000.0
+ETH_PRICE = 2000.0
+BASE_NOTIONAL_USD = 5000.0  # a trade's notional is 0.75-1.25 times this
 
 _WBTC = "0x2260fac5e5542a773aa44fbcfedf7c193bc2c599"
 _USDT = "0xdac17f958d2ee523a2206206994597c13d831ec7"
@@ -88,12 +94,6 @@ class SynthConfig:
     base_volatility: float = 0.0  # per-tick relative price noise amplitude
     taker_fee_rate: float = 0.0001725
     base_fee_eth: float = 1e-6
-    dex_edge: float = 0.001  # baseline DEX mispricing captured by the trade
-    peak_amplitude: float = 0.005  # extra spread at the hedge-delay peak
-    alt_price: float = 10.0
-    btc_price: float = 60000.0
-    eth_price: float = 2000.0
-    base_notional_usd: float = 5000.0
 
     def validate(self, grid: MarkoutGrid) -> None:
         labels = [s.label for s in self.searchers]
@@ -104,8 +104,6 @@ class SynthConfig:
             (len(set(labels)) < len(labels), "searcher labels must be distinct"),
             *((not math.isfinite(getattr(self, f.name)), f"{f.name} must be finite")
               for f in fields(self) if f.type == "float"),
-            *((getattr(self, k) <= 0, f"{k} must be > 0")
-              for k in ("alt_price", "btc_price", "eth_price", "base_notional_usd")),
         ]:
             if bad:
                 raise InvalidConfig(message)
@@ -149,15 +147,14 @@ class SynthConfig:
         return cls(**raw)
 
 
-def _spread_at(offset_s: float, delay_s: float | None, decay: str,
-               edge: float, peak: float, grid_start_s: float) -> float:
-    """Pre-fee spread (edge + injected bump) at one markout offset."""
+def _spread_at(offset_s: float, delay_s: float | None, decay: str, grid_start_s: float) -> float:
+    """Pre-fee spread (DEX edge + injected bump) at one markout offset."""
     if decay == DECAY_NONE:
-        return edge
-    full = edge + peak
+        return DEX_EDGE
+    full = DEX_EDGE + PEAK_AMPLITUDE
     if offset_s <= delay_s:
         rise = (offset_s - grid_start_s) / (delay_s - grid_start_s)
-        return edge + peak * rise
+        return DEX_EDGE + PEAK_AMPLITUDE * rise
     if decay == DECAY_ABRUPT:
         return full * ABRUPT_KEEP_FRACTION
     return full * (1.0 - GENTLE_DECAY_PER_S * (offset_s - delay_s))
@@ -184,8 +181,8 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     priced = np.array([s.impact_decay != DECAY_NONE for s in specs])
     k_star = np.array([grid.index_of(s.true_hedge_delay_s or 0.0) for s in specs])
     # 1 + the spread at each offset
-    lift = np.array([[1.0 + _spread_at(off_s, s.true_hedge_delay_s, s.impact_decay, cfg.dex_edge,
-                                       cfg.peak_amplitude, grid.offsets_s[0])
+    lift = np.array([[1.0 + _spread_at(off_s, s.true_hedge_delay_s, s.impact_decay,
+                                       grid.offsets_s[0])
                       for off_s in grid.offsets_s] for s in specs])
     # quote symbols by code, the codes in the symbols' sort order
     symbols = sorted({"BTCUSDT", "ETHUSDT", *alt_symbol})
@@ -205,19 +202,19 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     u = uniform01(cfg.seed, 0, n * (n_grid + 5)).reshape(n, n_grid + 5)
     is_major = u[:, 0] < major_share[searcher]
     sym = np.where(is_major, code["BTCUSDT"], np.array([code[a] for a in alt_symbol])[searcher])
-    p0 = np.where(is_major, cfg.btc_price, cfg.alt_price)
-    notional = cfg.base_notional_usd * (0.75 + 0.5 * u[:, 1])
+    p0 = np.where(is_major, BTC_PRICE, ALT_PRICE)
+    notional = BASE_NOTIONAL_USD * (0.75 + 0.5 * u[:, 1])
     x = notional / p0
-    y = notional * (1.0 - cfg.dex_edge)
+    y = notional * (1.0 - DEX_EDGE)
     # bid == ask, so the midpoint is exactly the injected price
     ticks = p0[:, None] * lift[searcher] * (1.0 + cfg.base_volatility * (2.0 * u[:, 2:-3] - 1.0))
 
     # ground-truth economics at the configured delay, from the ticks emitted
     leg_a = x * ticks[np.arange(n), k_star[searcher]]
     mr = leg_a - y - cfg.taker_fee_rate * (leg_a + y)
-    ev = mr - cfg.base_fee_eth * cfg.eth_price
+    ev = mr - cfg.base_fee_eth * ETH_PRICE
     tip_usd = np.where(priced[searcher] & (ev > 0), tip_fraction[searcher] * ev, 0.0)
-    tip_eth = tip_usd / cfg.eth_price
+    tip_eth = tip_usd / ETH_PRICE
     integrated = np.array([cfg.integrated_with.get(s.label) for s in specs], dtype=object)[searcher]
     builder = np.where(np.equal(integrated, None),
                        np.array(cfg.builders, dtype=object)[slot % len(cfg.builders)], integrated)
@@ -249,7 +246,7 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     q_symbol = np.column_stack([np.tile(sym, (n_grid, 1)).T, np.full(n, code["ETHUSDT"])]).ravel()
     q_ts = np.column_stack([slot_ms[:, None] + np.array(grid.offsets_ms), slot_ms - 1000]).ravel()
     order = np.lexsort((q_ts, q_symbol))
-    q_px = np.column_stack([ticks, np.full(n, float(cfg.eth_price))]).ravel()[order]
+    q_px = np.column_stack([ticks, np.full(n, ETH_PRICE)]).ravel()[order]
     _write_csv(out / "quotes.csv", list(QUOTE_KINDS), [
         np.array(symbols, dtype=object)[q_symbol[order]], q_ts[order], q_px, q_px])
     _write_csv(out / "blocks.csv", list(BLOCK_KINDS), [
@@ -269,7 +266,7 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
             np.array([s.label for s in specs])[searcher[rows]].tolist(), ev[rows].tolist(),
             (ev - tip_usd)[rows].tolist()))),
         "blocks": dict(zip(map(str, block.tolist()), map(
-            lambda bp: {"true_bp_usd": bp}, (bp_eth * cfg.eth_price).tolist()))),
+            lambda bp: {"true_bp_usd": bp}, (bp_eth * ETH_PRICE).tolist()))),
     }
     with open(out / "ground_truth.json", "w") as f:
         json.dump(truth, f, indent=2, sort_keys=True)

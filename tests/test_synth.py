@@ -138,7 +138,6 @@ def test_validation_rejects_unknown_integration():
     (dict(searchers=(), integrated_with={}), "searchers and builders must not be empty"),
     (dict(builders=(), integrated_with={}), "searchers and builders must not be empty"),
     (dict(base_volatility=float("nan")), "base_volatility must be finite"),
-    (dict(eth_price=0.0), "eth_price must be > 0"),
     (dict(searchers=(SearcherSpec("a", "none", 5), SearcherSpec("a", "none", 5)),
           integrated_with={}), "searcher labels must be distinct"),
     # the spread rises from the grid's first offset, so the delay must come later
@@ -147,7 +146,7 @@ def test_validation_rejects_unknown_integration():
     (dict(searchers=(SearcherSpec("a", "gentle", 5, true_hedge_delay_s=float("inf")),),
           integrated_with={}), "a: delay not a grid offset after the first"),
 ], ids=["negative_seed", "seed_past_uint64", "no_days", "no_searchers", "no_builders",
-        "nan_volatility", "zero_eth_price", "duplicate_label", "delay_at_grid_start",
+        "nan_volatility", "duplicate_label", "delay_at_grid_start",
         "infinite_delay"])
 def test_validation_rejects_out_of_range_values(tmp_path, overrides, message):
     with pytest.raises(InvalidConfig) as e:
@@ -172,6 +171,21 @@ def test_score_zero_horizon(tmp_path):
     report = score(truth, tmp_path / "out")
     assert report["searchers"]["z"]["t_star_error_s"] == 0.0
     assert report["max_t_star_error_s"] == 0.0
+
+
+@pytest.mark.parametrize("key", ["dex_edge", "peak_amplitude", "alt_price", "btc_price",
+                                 "eth_price", "base_notional_usd"])
+def test_from_json_refuses_a_scenario_constant(tmp_path, key):
+    """Prices, notional and the impact model's edge and peak are the
+    generator's constants, not scenario keys."""
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps({
+        "seed": 7, "n_days": 2, key: 1.0,
+        "searchers": [{"label": "x", "impact_decay": "none", "trades_per_day": 5}],
+    }))
+    with pytest.raises(InvalidConfig) as e:
+        SynthConfig.from_json(p)
+    assert str(e.value) == f"unknown keys in scenario.json: [{key!r}]"
 
 
 def test_from_json_round_trip(tmp_path):
