@@ -1,5 +1,6 @@
-"""Numeric kernels: the step-function quote lookup, group sums and rows in
-row order, and the median."""
+"""Numeric kernels: the step-function quote lookup, the sorted-key join,
+group sums and rows in row order, and the median. None imports numpy.ma
+(about 10 ms), as np.median, np.quantile and numpy's sorting isin do."""
 
 from __future__ import annotations
 
@@ -21,6 +22,15 @@ def step_mid_lookup(ts, bid, ask, queries, staleness_ms):
     mids = np.zeros(queries.shape, dtype=np.float64)
     mids[ok] = (bid[safe[ok]] + ask[safe[ok]]) / 2.0
     return mids, ok
+
+
+def lookup(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """The index of each integer of ``keys`` in ascending ``sorted_keys``, or
+    -1 where it is absent; memory in proportion to the keys, not their values."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < len(sorted_keys)
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return np.where(found, at, -1)
 
 
 def group_sum(codes: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -50,11 +60,11 @@ def group_rows(codes: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def median(values: np.ndarray) -> np.ndarray:
-    """np.median(values, axis=0) to the bit, a NaN's payload aside, without
-    the numpy.ma import (about 10 ms) of its first call: the middle value or
-    (a + b) / 2 of the two middles, + 0.0 as np.median turns -0.0 to 0.0."""
+    """np.median(values, axis=0) to the bit, a NaN's payload aside: the
+    middle value or (a + b) / 2 of the two middles, summed from 0.0 as
+    np.mean does, so -0.0 + -0.0 is 0.0 but 0.0 + -5e-324 halves to -0.0."""
     half, odd = divmod(len(values), 2)
     part = np.partition(values, half if odd else [half - 1, half], axis=0)
-    middle = part[half] if odd else (part[half - 1] + part[half]) / 2
-    return np.where(np.isnan(values).any(axis=0), np.nan, middle + 0.0)
+    middle = 0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2
+    return np.where(np.isnan(values).any(axis=0), np.nan, middle)
 

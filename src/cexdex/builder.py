@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import group_sum
+from ._kernels import group_sum, lookup
 from .data_model import Table, optional
 
 # Ultra Sound relay halved the refund rate at 2024-03-05 05:00 UTC.
@@ -63,15 +63,14 @@ def integrated_searcher_pnl(
     economics-row order; builders without an integrated searcher get SP = 0
     marked N/A.
     """
-    # kind="table": numpy's sort path calls np.unique, which imports numpy.ma
-    rows = np.flatnonzero(np.isin(economics.block_number, blocks.block_number, kind="table"))
-    k = np.searchsorted(blocks.block_number, economics.block_number[rows])  # each row's block
-    searcher, builder = economics.searcher_label[rows], blocks.builder_label[k]
+    k = lookup(economics.block_number, blocks.block_number)  # each row's block, or -1
+    rows = np.flatnonzero(k >= 0)
+    searcher, builder = economics.searcher_label[rows], blocks.builder_label[k[rows]]
     mine, applicable = np.zeros(len(rows), dtype=bool), np.zeros(len(blocks), dtype=bool)
     for s, b in integrated_with.items():
         mine |= (searcher == s) & (builder == b)
         applicable |= blocks.builder_label == b
-    return group_sum(k[mine], economics.pnl_usd[rows[mine]], len(blocks)), applicable
+    return group_sum(k[rows[mine]], economics.pnl_usd[rows[mine]], len(blocks)), applicable
 
 
 def aggregated_margin(blocks: Table, p_usd: np.ndarray, eth_usd: np.ndarray

@@ -29,7 +29,7 @@ from . import estimate as estimate_mod
 from . import horizon as horizon_mod
 from . import market as market_mod
 from . import markout as markout_mod
-from ._kernels import group_rows, group_sum, keyed_sums
+from ._kernels import group_rows, group_sum, keyed_sums, lookup
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .data_model import (
     AMOUNT,
@@ -470,8 +470,8 @@ def _daily_shares(included: Table, economics: Table, labels: np.ndarray, dates: 
     keys = np.sort(vol_keys)
     day = keys // n
     volume = vol[np.argsort(vol_keys)]
-    ev_of = dict(zip(ev_keys.tolist(), ev.tolist()))
-    row_ev = np.array([ev_of.get(k, 0.0) for k in keys.tolist()], dtype=np.float64)
+    row_ev = np.zeros(len(keys))
+    row_ev[lookup(ev_keys, keys)] = ev  # an economics row is an included trade
     v_ok, e_ok = total_v[day] > 0, total_ev[day] > 0
     v_share = np.divide(volume, total_v[day], out=np.zeros(len(keys)), where=v_ok)
     e_share = np.divide(row_ev, total_ev[day], out=np.zeros(len(keys)), where=e_ok)
@@ -516,7 +516,7 @@ def run_market(ws: Workspace) -> None:
     declining = [k for k, label in enumerate(names) if n_trades[k] and label in profiles
                  and profiles[label].decline_3s_fraction is not None]
     declines = [profiles[names[k]].decline_3s_fraction for k in declining]
-    mine = np.isin(trade_code, np.array(declining, dtype=np.int64), kind="table")
+    mine = lookup(trade_code, np.array(declining, dtype=np.int64)) >= 0
     count_shares, volume_shares = market_mod.major_major_shares(
         included.select(mine), trade_code[mine], n, ws.registry)
     r_count = market_mod.spearman(declines, [count_shares[k] for k in declining])
@@ -529,10 +529,9 @@ def run_market(ws: Workspace) -> None:
     # blocks.csv is needed by builder only
     blocks = ws.blocks if (ws.input_dir / "blocks.csv").exists() else None
     if blocks is not None and len(blocks):
-        block_day = blocks.slot_time_ms // DAY_MS
-        known = np.isin(block_day, days, kind="table")
-        block_builder = blocks.builder_label[known]
-        block_day = np.searchsorted(days, block_day[known])
+        block_day = lookup(blocks.slot_time_ms // DAY_MS, days)
+        known = block_day >= 0
+        block_builder, block_day = blocks.builder_label[known], block_day[known]
         total_b = np.bincount(block_day, minlength=len(days))
         # a day counts where both totals are above 0
         kept = ~((total_v <= 0) | (total_b <= 0))

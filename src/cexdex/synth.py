@@ -51,6 +51,7 @@ ALT_PRICE = 10.0  # USD, every alt token
 BTC_PRICE = 60000.0
 ETH_PRICE = 2000.0
 BASE_NOTIONAL_USD = 5000.0  # a trade's notional is 0.75-1.25 times this
+BASE_FEE_ETH = 1e-6  # every trade's base fee
 
 _WBTC = "0x2260fac5e5542a773aa44fbcfedf7c193bc2c599"
 _USDT = "0xdac17f958d2ee523a2206206994597c13d831ec7"
@@ -93,7 +94,6 @@ class SynthConfig:
     integrated_with: dict[str, str] = field(default_factory=dict)  # label -> builder
     base_volatility: float = 0.0  # per-tick relative price noise amplitude
     taker_fee_rate: float = 0.0001725
-    base_fee_eth: float = 1e-6
 
     def validate(self, grid: MarkoutGrid) -> None:
         labels = [s.label for s in self.searchers]
@@ -212,7 +212,7 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     # ground-truth economics at the configured delay, from the ticks emitted
     leg_a = x * ticks[np.arange(n), k_star[searcher]]
     mr = leg_a - y - cfg.taker_fee_rate * (leg_a + y)
-    ev = mr - cfg.base_fee_eth * ETH_PRICE
+    ev = mr - BASE_FEE_ETH * ETH_PRICE
     tip_usd = np.where(priced[searcher] & (ev > 0), tip_fraction[searcher] * ev, 0.0)
     tip_eth = tip_usd / ETH_PRICE
     integrated = np.array([cfg.integrated_with.get(s.label) for s in specs], dtype=object)[searcher]
@@ -237,7 +237,7 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
         "log_index": 0, "first_in_direction": "true", "seen_in_mempool": "false",
         "atomic_mev_flag": "false", "liquidation_flag": "false", "ofa_backrun_flag": "false",
         "router_or_bot_flag": "false", "erc721_transfer_count": 0,
-        "base_fee_eth": cfg.base_fee_eth, "priority_fee_eth": tip_eth,
+        "base_fee_eth": BASE_FEE_ETH, "priority_fee_eth": tip_eth,
         "coinbase_transfer_eth": "0.0", "builder_label": builder, "volume_usd": notional,
     }
     _write_csv(out / "transactions.csv", TRANSACTION_COLUMNS, [txs[c] for c in TRANSACTION_COLUMNS])

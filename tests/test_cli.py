@@ -96,14 +96,19 @@ def test_config_value_of_another_type_exits_1(synth_inputs, tmp_path, capsys, up
     ({"pattern_abrupt_drop_fraction": 0.0}, "pattern_abrupt_drop_fraction"),
     ({"pattern_flat_epsilon_bps": -0.5}, "pattern_flat_epsilon_bps"),
     ({"min_trades_low_confidence": -1}, "min_trades_low_confidence"),
+    ({"grid_step_s": 0.0}, "grid_step_s must be > 0"),
+    ({"grid_start_s": 10.0, "grid_end_s": 10.0}, "grid_start_s must be < grid_end_s"),
+    ({"exclusivity_threshold": 1.0}, "exclusivity_threshold must be in (0, 1)"),
+    ({"quote_staleness_ms": 0}, "quote_staleness_ms must be > 0"),
 ], ids=["nan_fee", "infinite_grid_end", "nan_grid_step", "grid_without_zero",
         "negative_drop_fraction", "zero_drop_fraction", "negative_flat_epsilon",
-        "negative_min_trades"])
+        "negative_min_trades", "zero_grid_step", "empty_grid", "exclusivity_threshold_one",
+        "zero_staleness"])
 def test_config_non_finite_or_grid_without_zero_exits_1(synth_inputs, tmp_path, capsys,
                                                          update, key):
-    """JSON's NaN and Infinity, a grid that misses offset 0, and a pattern
-    setting out of range are refused naming the key, before any stage writes
-    a file."""
+    """JSON's NaN and Infinity, a grid that is empty or misses offset 0, and
+    a setting out of range are refused naming the key, before any stage
+    writes a file."""
     config = json.loads((synth_inputs / "config.json").read_text())
     rc, err, written = run_with_replaced_input(
         synth_inputs, tmp_path, capsys, "config.json", json.dumps({**config, **update}))
@@ -128,9 +133,13 @@ NOT_OBJECTS = {"list": [], "zero": 0, "empty_string": "", "false": False}
      "'labels' of 's_gentle' in searchers.json must be a list of address strings"),
     ({"labels": {"s_gentle": ["0x5ea"]}, "integrated_with": {"s_gentle": ["builderA"]}},
      "'integrated_with' of 's_gentle' in searchers.json must be one builder label"),
+    ({"labels": {"s_a": ["0x5EA"], "s_b": ["0x5ea"]}}, "address 0x5ea appears under two labels"),
+    ({"labels": {"s_gentle": ["0x5ea"]}, "integrated_with": {"s_other": "builderA"}},
+     "integrated_with references unknown label 's_other'"),
     *(({key: section}, f"{key!r} in searchers.json must be an object keyed by searcher label")
       for key in SEARCHERS_KEYS for section in NOT_OBJECTS.values()),
 ], ids=["top_level_list", "labels_a_string", "integrated_with_a_list",
+        "address_under_two_labels", "integrated_with_an_unknown_label",
         *(f"{key}_is_{name}" for key in SEARCHERS_KEYS for name in NOT_OBJECTS)])
 def test_searchers_of_another_shape_exit_1(synth_inputs, tmp_path, capsys, searchers, message):
     rc, err, _ = run_with_replaced_input(

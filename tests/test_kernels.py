@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -77,6 +77,7 @@ def test_lookup_property_vs_linear_scan(raw_ts, query):
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
                   elements=st.floats() | st.sampled_from([0.0, -0.0, np.nan])))
 @settings(max_examples=500, deadline=None)
+@example(np.array([0.0, -5e-324]))  # np.mean's sum from 0.0 keeps the half's sign: -0.0
 def test_median_has_the_bits_of_np_median(values):
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and a sum past the largest
         got, want = k.median(values), np.asarray(np.median(values, axis=0))
@@ -85,3 +86,13 @@ def test_median_has_the_bits_of_np_median(values):
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()  # -0.0 and 0.0 told apart
 
+
+@given(st.lists(st.integers(-2**62, 2**62) | st.integers(-3, 3), max_size=20),
+       st.lists(st.integers(-2**62, 2**62) | st.integers(-3, 3), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_lookup_finds_each_key_as_a_linear_search_does(keys, table):
+    """The first index of each key in the sorted table, or -1, for keys
+    as far apart as 2**63 and tables with repeats."""
+    table.sort()
+    got = k.lookup(np.array(keys, dtype=np.int64), np.array(table, dtype=np.int64))
+    assert got.tolist() == [table.index(x) if x in table else -1 for x in keys]

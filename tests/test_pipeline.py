@@ -1472,6 +1472,33 @@ def test_all_parses_no_stage_output(markout_corpus, tmp_path, monkeypatch):
     assert read == ["detections.csv", "markouts.csv", "profiles.csv"]
 
 
+def test_a_block_with_no_trade_moves_only_the_builder_outputs(tmp_path):
+    """An irrelevant input: one more block, numbered 2**40 and with no trade,
+    changes only builder_blocks.csv (by its row), builder_summary.csv and the
+    manifest. No stage sizes memory by the range of block numbers."""
+    inputs = tmp_path / "in"
+    generate(SynthConfig(seed=1, n_days=2, searchers=(  # perfbench's tiny corpus, seed 1
+        SearcherSpec("s_gentle_1s", "gentle", 5, true_hedge_delay_s=1.0),
+        SearcherSpec("s_abrupt_05s", "abrupt", 5, true_hedge_delay_s=0.5),
+        SearcherSpec("s_gentle_2s", "gentle", 5, true_hedge_delay_s=2.0),
+        SearcherSpec("s_flat", "none", 5)),
+        integrated_with={"s_abrupt_05s": "builderA"}), inputs)
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "plain")]) == 0
+    with open(inputs / "blocks.csv", newline="") as f:
+        header, first = next(csv.reader(f)), next(csv.reader(f))
+    extra = dict(zip(header, first), block_number=str(2**40), builder_label="builderB")
+    with open(inputs / "blocks.csv", "a", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerow([extra[c] for c in header])
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "more")]) == 0
+
+    plain, more = all_digests(tmp_path / "plain"), all_digests(tmp_path / "more")
+    moved = {"builder_blocks.csv", "builder_summary.csv", "manifest.json"}
+    assert {name for name in plain if plain[name] != more[name]} == moved
+    rows = read_rows(tmp_path / "more" / "builder_blocks.csv")
+    assert rows[:-1] == read_rows(tmp_path / "plain" / "builder_blocks.csv")
+    assert (rows[-1]["block_number"], rows[-1]["builder_label"]) == (str(2**40), "builderB")
+
+
 def test_all_codes_no_token_column(tmp_path, monkeypatch):
     """Tokens are looked up in tokens.csv's vocabulary, never coded by
     np.unique over the trades; the text codings left are one per column."""

@@ -145,9 +145,12 @@ def test_validation_rejects_unknown_integration():
           integrated_with={}), "a: delay not a grid offset after the first"),
     (dict(searchers=(SearcherSpec("a", "gentle", 5, true_hedge_delay_s=float("inf")),),
           integrated_with={}), "a: delay not a grid offset after the first"),
+    (dict(searchers=(SearcherSpec("a", "none", 7000), SearcherSpec("b", "none", 201)),
+          integrated_with={}), "7201 trades/day exceeds 7200 slots"),
+    (dict(integrated_with={"b": "builderZ"}), "integrated_with references unknown builder builderZ"),
 ], ids=["negative_seed", "seed_past_uint64", "no_days", "no_searchers", "no_builders",
         "nan_volatility", "duplicate_label", "delay_at_grid_start",
-        "infinite_delay"])
+        "infinite_delay", "more_trades_than_slots", "unknown_integrated_builder"])
 def test_validation_rejects_out_of_range_values(tmp_path, overrides, message):
     with pytest.raises(InvalidConfig) as e:
         generate(small_config(**overrides), tmp_path / "out")
@@ -174,10 +177,10 @@ def test_score_zero_horizon(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["dex_edge", "peak_amplitude", "alt_price", "btc_price",
-                                 "eth_price", "base_notional_usd"])
+                                 "eth_price", "base_notional_usd", "base_fee_eth"])
 def test_from_json_refuses_a_scenario_constant(tmp_path, key):
-    """Prices, notional and the impact model's edge and peak are the
-    generator's constants, not scenario keys."""
+    """Prices, notional, the base fee and the impact model's edge and peak
+    are the generator's constants, not scenario keys."""
     p = tmp_path / "scenario.json"
     p.write_text(json.dumps({
         "seed": 7, "n_days": 2, key: 1.0,
