@@ -4,10 +4,11 @@ and writes its own CSVs, so every intermediate is auditable.
 Stage outputs land in --out-dir: CSVs, and markout's MR matrix as
 markouts_mr.npy beside the key columns of markouts.csv. A manifest.json with
 the digests of inputs and outputs and the CSVs' row counts is refreshed after
-every stage for reproducibility checks. The checked quote series are kept
-there too, in quotes.npz, and a stage command keeps each output a later stage
-reads as <name>.npz, so that the next process loads these copies instead of
-parsing the CSVs again.
+every stage for reproducibility checks, each digest one pass over the file
+on disk (Workspace.entry). The checked quote series are kept there too, in
+quotes.npz, and a stage command keeps each output a later stage reads as
+<name>.npz, so that the next process loads these copies instead of parsing
+the CSVs again.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,10 +93,9 @@ def _format(values) -> list[str]:
     return values if kinds == {str} else list(map(_cell, values))
 
 
-def _write_csv(path: Path, header: list[str], columns) -> dict:
+def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write ``columns`` under ``header``, each a list, tuple or numpy array of
     one cell per row, or else one value for every row; another shape is refused.
-    Returns the file's manifest entry, made as its bytes are written.
 
     The bytes are csv.writer's for the same rows in UTF-8, bools written as
     true/false: each chunk of rows is formatted a column at a time and joined
@@ -123,8 +122,8 @@ def _write_csv(path: Path, header: list[str], columns) -> dict:
             return buffer.getvalue().encode()
         return ("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode()
 
-    with open(path, "wb") as f:  # each chunk written as it is hashed; none is empty
-        return _manifest_entry(path, (f.write(data) and data for data in map(utf8, chunks())))
+    with open(path, "wb") as f:
+        f.writelines(map(utf8, chunks()))
 
 
 def _columns(cls: type) -> list[str]:
@@ -205,15 +204,15 @@ class Workspace:
         # read now, so that a bad config.json is refused before any stage runs
         p = self.input_dir / "config.json"
         self.config: PipelineConfig = load_config(p) if p.exists() else PipelineConfig()
-        self.entries: dict[str, dict] = {}  # each output's manifest entry, by entry()
+        self.entries: dict[Path, dict] = {}  # manifest entries by path; a write drops its own
         self.copies = False  # set by run_stage: _write_output keeps copies
 
-    def entry(self, name: str) -> dict:
-        """The manifest entry of the output ``name``: made as this Workspace
-        wrote it, or else from one pass over the file."""
-        if name not in self.entries:
-            self.entries[name] = _manifest_entry(self.out_dir / name)
-        return self.entries[name]
+    def entry(self, path: Path) -> dict:
+        """The manifest entry of the file at ``path``: one pass over it the
+        first time it is asked for after this Workspace last wrote it."""
+        if path not in self.entries:
+            self.entries[path] = _manifest_entry(path)
+        return self.entries[path]
 
     @cached_property
     def grid(self) -> MarkoutGrid:
@@ -223,16 +222,10 @@ class Workspace:
     def registry(self) -> TokenRegistry:
         return load_tokens(_require_input(self.input_dir, "tokens.csv"))
 
-    @cached_property
-    def manifest_inputs(self) -> dict[str, dict]:
-        """The manifest entry of each input file present, one pass over each."""
-        return {name: _manifest_entry(p) for name in INPUT_FILES
-                if (p := self.input_dir / name).exists()}
-
     def _quotes(self, symbols=None) -> QuoteStore:
         path = _require_input(self.input_dir, "quotes.csv")
         return QuoteStore(load_quotes(path, self.out_dir / "quotes.npz",
-                                      self.manifest_inputs["quotes.csv"]["sha256"], symbols))
+                                      self.entry(path)["sha256"], symbols))
 
     quotes = cached_property(_quotes)
 
@@ -290,11 +283,13 @@ def _write_output(ws: Workspace, name: str, table, kinds: dict | None = None) ->
     """Write the output ``name``: ``table``, a Table, or else its columns
     under the header of ``kinds``. In a stage command, an output with
     ``kinds``, the layout a later stage reads, is also kept as <name>.npz."""
+    path = ws.out_dir / name
     header, columns = ((_columns(table.row), table.columns) if isinstance(table, Table)
                        else (list(kinds), table))
-    ws.entries[name] = _write_csv(ws.out_dir / name, header, columns)
+    _write_csv(path, header, columns)
+    ws.entries.pop(path, None)
     if kinds is not None and ws.copies:
-        keep_arrays((ws.out_dir / name).with_suffix(".npz"), ws.entries[name]["sha256"], kinds,
+        keep_arrays(path.with_suffix(".npz"), ws.entry(path)["sha256"], kinds,
                     {c: a for (c, kind), a in zip(kinds.items(), columns) if kind})
 
 
@@ -304,7 +299,7 @@ def _read_kept(ws: Workspace, name: str, kinds: dict, stage: str) -> dict:
     bytes and ``kinds``; else parsed, or refused, by _read_csv, and the copy
     replaced. So a CSV edited after its stage wrote it is read as edited."""
     path, names = ws.out_dir / name, [c for c, kind in kinds.items() if kind]
-    sha256 = ws.entry(name)["sha256"] if path.exists() else ""
+    sha256 = ws.entry(path)["sha256"] if path.exists() else ""
     cells = kept_arrays(path.with_suffix(".npz"), sha256, kinds, names)
     if cells is None:
         parsed = _read_csv(path, kinds, stage)
@@ -350,10 +345,8 @@ def run_markout(ws: Workspace) -> None:
         table.tx_hash, table.searcher_label, ~table.included(), table.exclusion_reason,
         table.volume_usd], _MARKOUTS_KINDS)
     mr = np.ascontiguousarray(table.mr_usd).view(_mr_dtype(ws.grid)).reshape(-1)
-    with open(ws.out_dir / MR_FILE, "wb") as f:  # hashed as it is written, as a CSV is
-        h = hashlib.sha256()
-        np.save(SimpleNamespace(write=lambda b: h.update(b) or f.write(b)), mr, allow_pickle=False)
-    ws.entries[MR_FILE] = {"sha256": h.hexdigest(), "rows": None}
+    np.save(ws.out_dir / MR_FILE, mr, allow_pickle=False)
+    ws.entries.pop(ws.out_dir / MR_FILE, None)
     ws.markouts = table
 
 
@@ -392,7 +385,7 @@ def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:
 # horizon
 
 def run_horizon(ws: Workspace) -> None:
-    table, (labels, code) = ws.markouts, ws.searchers
+    table, (labels, code) = _markouts_of_detections(ws), ws.searchers
     rows = np.flatnonzero(table.included())  # a profile per searcher with included trades
     profiles = [horizon_mod.build_profile(label, table.gr[rows[k]], ws.config, ws.grid)
                 for label, k in zip(labels.tolist(), group_rows(code[rows], len(labels))) if len(k)]
@@ -589,25 +582,23 @@ INPUT_FILES = ["transactions.csv", "quotes.csv", "tokens.csv", "blocks.csv",
 _BLOCK = 1 << 16  # bytes read at a time to hash a file: larger ones make larger temporaries
 
 
-def _manifest_entry(path: Path, chunks=None) -> dict:
-    """sha256 of the file and, for a CSV, its data rows, from one pass over
-    ``chunks``, its bytes in order, or else over the file.
+def _manifest_entry(path: Path) -> dict:
+    """sha256 of the file at ``path`` and, for a CSV, its data rows, from one
+    pass over its bytes.
 
     Rows are lines less the header, counted as text mode counts them: "\r\n",
     "\n" and a bare "\r" each end a line, as does the end of the file.
     """
-    if chunks is None:
-        with open(path, "rb") as f:
-            return _manifest_entry(path, iter(lambda: f.read(_BLOCK), b""))
     h = hashlib.sha256()
     ends = 0  # "\n", and "\r" followed by a byte other than "\n"
     tail = b""  # the last byte read: the next chunk decides whether it ends a line
-    for chunk in chunks:
-        h.update(chunk)
-        b = np.frombuffer(tail + chunk, dtype=np.uint8)
-        ends += np.count_nonzero(b[len(tail):] == 10)
-        ends += np.count_nonzero((b[:-1] == 13) & (b[1:] != 10))
-        tail = chunk[-1:]
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(_BLOCK), b""):
+            h.update(chunk)
+            b = np.frombuffer(tail + chunk, dtype=np.uint8)
+            ends += np.count_nonzero(b[len(tail):] == 10)
+            ends += np.count_nonzero((b[:-1] == 13) & (b[1:] != 10))
+            tail = chunk[-1:]
     rows = None
     if path.suffix == ".csv":  # a last "\r", or a last line without a line end, ends one more
         rows = max(int(ends) + (tail not in (b"", b"\n")) - 1, 0)
@@ -618,11 +609,11 @@ def write_manifest(ws: Workspace) -> None:
     manifest = {
         "config": json.loads(ws.config.to_json()),
         "config_hash": hashlib.sha256(ws.config.to_json().encode()).hexdigest(),
-        "inputs": ws.manifest_inputs,
-        "outputs": {},
+        "inputs": {name: ws.entry(p) for name in INPUT_FILES
+                   if (p := ws.input_dir / name).exists()},
+        "outputs": {p.name: ws.entry(p)
+                    for p in sorted([*ws.out_dir.glob("*.csv"), *ws.out_dir.glob("*.npy")])},
     }
-    for p in sorted([*ws.out_dir.glob("*.csv"), *ws.out_dir.glob("*.npy")]):
-        manifest["outputs"][p.name] = ws.entry(p.name)
     with open(ws.out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
 

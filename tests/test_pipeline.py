@@ -10,7 +10,7 @@ import operator
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Context, Decimal, Inexact, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -772,11 +772,12 @@ def relabel_first_row(path: Path) -> None:
 
 
 @pytest.mark.parametrize("damage", [drop_second_row, swap_first_rows, relabel_first_row])
-@pytest.mark.parametrize("stage", ["estimate", "market"])
+@pytest.mark.parametrize("stage", ["horizon", "estimate", "market"])
 def test_markouts_of_other_trades_exit_1(markout_corpus, tmp_path, capsys, damage, stage):
-    """estimate and market join markouts.csv to detections.csv row by row, and
-    group by the searchers of markouts.csv, so a markouts.csv whose trades
-    are not detections.csv's, in order and of the same searchers, is refused."""
+    """horizon, estimate and market group by the searchers of markouts.csv,
+    and estimate and market join it to detections.csv row by row, so a
+    markouts.csv whose trades are not detections.csv's, in order and of the
+    same searchers, is refused."""
     inputs, out = markout_corpus
     stale = copy_tree(out, tmp_path / "out")
     hashes = [r["tx_hash"] for r in read_rows(stale / "markouts.csv")]
@@ -1152,6 +1153,27 @@ def test_manifest_counts_no_rows_outside_csv(tmp_path):
     }
 
 
+def test_rewritten_output_is_digested_as_it_now_is(markout_corpus, tmp_path):
+    """A Workspace digests a file once, and writing the file drops that
+    digest: outputs digested, then written again with other bytes (a CSV by
+    _write_output, the .npy by run_markout), enter the manifest as they now are."""
+    inputs, out = markout_corpus
+    out = copy_tree(out, tmp_path / "out")
+    ws = pipeline.Workspace(inputs, out)
+    rewritten = [out / "markouts.csv", out / pipeline.MR_FILE]
+    before = [ws.entry(p) for p in rewritten]
+    ws.detections = ws.detections.select(np.arange(len(ws.detections)) > 0)  # one trade fewer
+    pipeline.run_markout(ws)
+    pipeline.write_manifest(ws)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for p, old in zip(rewritten, before):
+        assert manifest["outputs"][p.name] == pipeline._manifest_entry(p) != old
+    files = {**{n: inputs / n for n in manifest["inputs"]},
+             **{n: out / n for n in manifest["outputs"]}}
+    assert {**manifest["inputs"], **manifest["outputs"]} == {
+        n: pipeline._manifest_entry(p) for n, p in files.items()}
+
+
 # ---------------------------------------------------------------------------
 # stage outputs handed on in memory: the same values the CSVs hold
 
@@ -1472,17 +1494,28 @@ def test_all_parses_no_stage_output(markout_corpus, tmp_path, monkeypatch):
     assert read == ["detections.csv", "markouts.csv", "profiles.csv"]
 
 
-def test_a_block_with_no_trade_moves_only_the_builder_outputs(tmp_path):
-    """An irrelevant input: one more block, numbered 2**40 and with no trade,
-    changes only builder_blocks.csv (by its row), builder_summary.csv and the
-    manifest. No stage sizes memory by the range of block numbers."""
-    inputs = tmp_path / "in"
-    generate(SynthConfig(seed=1, n_days=2, searchers=(  # perfbench's tiny corpus, seed 1
+def tiny_corpus(inputs: Path) -> None:
+    """perfbench's tiny corpus, seed 1, in ``inputs``."""
+    generate(SynthConfig(seed=1, n_days=2, searchers=(
         SearcherSpec("s_gentle_1s", "gentle", 5, true_hedge_delay_s=1.0),
         SearcherSpec("s_abrupt_05s", "abrupt", 5, true_hedge_delay_s=0.5),
         SearcherSpec("s_gentle_2s", "gentle", 5, true_hedge_delay_s=2.0),
         SearcherSpec("s_flat", "none", 5)),
         integrated_with={"s_abrupt_05s": "builderA"}), inputs)
+
+
+def edit_rows(path: Path, change) -> None:
+    """Rewrite the CSV at ``path`` with each row, a dict, updated by ``change(row)``."""
+    rows = read_rows(path)
+    write_rows(path, list(rows[0]), [list((r | change(r)).values()) for r in rows])
+
+
+def test_a_block_with_no_trade_moves_only_the_builder_outputs(tmp_path):
+    """An irrelevant input: one more block, numbered 2**40 and with no trade,
+    changes only builder_blocks.csv (by its row), builder_summary.csv and the
+    manifest. No stage sizes memory by the range of block numbers."""
+    inputs = tmp_path / "in"
+    tiny_corpus(inputs)
     assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "plain")]) == 0
     with open(inputs / "blocks.csv", newline="") as f:
         header, first = next(csv.reader(f)), next(csv.reader(f))
@@ -1497,6 +1530,45 @@ def test_a_block_with_no_trade_moves_only_the_builder_outputs(tmp_path):
     rows = read_rows(tmp_path / "more" / "builder_blocks.csv")
     assert rows[:-1] == read_rows(tmp_path / "plain" / "builder_blocks.csv")
     assert (rows[-1]["block_number"], rows[-1]["builder_label"]) == (str(2**40), "builderB")
+
+
+TOK00 = "0xa170000000000000000000000000000000000000"  # synth's first alt, quoted as TOK00USDT
+
+
+def test_redenominated_token_moves_only_its_amounts(tmp_path):
+    """Re-denomination: TOK00 quoted at twice its price, with each of its DEX
+    amounts halved (both exact in decimal text, and exact again as doubles),
+    has every USD value's bits. Only TOK00's amount cells in detections.csv
+    move, and in manifest.json the digests of the two files edited and of
+    detections.csv. An output that moves shows a quantity kept in token units."""
+    inputs = tmp_path / "in"
+    tiny_corpus(inputs)
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "plain")]) == 0
+    with localcontext(Context(prec=100, traps=[Inexact])):
+        edit_rows(inputs / "quotes.csv", lambda r: {k: str(Decimal(r[k]) * 2) for k in (
+            "bid", "ask")} if r["symbol"] == "TOK00USDT" else {})
+        edit_rows(inputs / "transactions.csv", lambda r: {
+            f"amount_{leg}": str(Decimal(r[f"amount_{leg}"]) / 2)
+            for leg in ("in", "out") if r[f"token_{leg}"] == TOK00})
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(tmp_path / "moved")]) == 0
+
+    plain, moved = tmp_path / "plain", tmp_path / "moved"
+    before, after = all_digests(plain), all_digests(moved)
+    assert {name for name in before if before[name] != after[name]} == {
+        "detections.csv", "manifest.json"}
+    halved = 0
+    for row, old in zip(read_rows(moved / "detections.csv"), read_rows(plain / "detections.csv"),
+                        strict=True):
+        for cell in (f"amount_{leg}" for leg in ("bought", "sold") if row[f"token_{leg}"] == TOK00):
+            assert Decimal(row[cell]) * 2 == Decimal(old[cell])
+            row[cell], halved = old[cell], halved + 1
+        assert row == old
+    assert halved
+    was, now = (json.loads((out / "manifest.json").read_text()) for out in (plain, moved))
+    for section, name in (("inputs", "transactions.csv"), ("inputs", "quotes.csv"),
+                          ("outputs", "detections.csv")):
+        assert was[section].pop(name)["rows"] == now[section].pop(name)["rows"]
+    assert was == now
 
 
 def test_all_codes_no_token_column(tmp_path, monkeypatch):
