@@ -1,12 +1,13 @@
 """Domain types and file ingestion.
 
 A CSV is read by ``_read_columns``, to which a caller names its columns by
-kind (text, short text, int64, float, flag, amount, ...): numpy's C
-tokenizer reads a file, and one it cannot read as csv, int(), float() and
-Decimal do is read again cell by cell. A short text column, such as
-quotes.csv's symbols, is read beside the numbers as 16-byte fields, so that
-quotes.csv takes one tokenizer pass. A loader checks the columns
-it gets back; an error names the file, the first failing 1-based data row,
+kind (text, short text, int64, float, flag, amount, ...); a stage output's
+are kinds_of(row), of its row dataclass, the kinds pipeline writes it by.
+numpy's C tokenizer reads a file, and one it cannot read as csv, int(),
+float() and Decimal do is read again cell by cell. A short text column, such
+as quotes.csv's symbols, is read beside the numbers as 16-byte fields, so
+that quotes.csv takes one tokenizer pass. A loader checks the columns it
+gets back; an error names the file, the first failing 1-based data row,
 blank lines not counted, and that row's first failing check. In an input,
 a number that is not finite, or an integer past int64, does not parse.
 Searchers are JSON.
@@ -108,22 +109,11 @@ def optional(values: np.ndarray, defined: np.ndarray) -> np.ndarray:
     return np.where(defined, values, None)
 
 
-# the column of each field annotation
-_COLUMN = {
-    "str": strings, "Decimal": strings,  # an amount is held as the text str() gives it
-    "int": lambda v: np.asarray(v, dtype=np.int64),
-    "float": lambda v: np.asarray(v, dtype=np.float64),
-    "bool": lambda v: np.asarray(v, dtype=bool),
-    "float | None": lambda v: np.asarray(v, dtype=object),  # Python floats and None
-}
-
-
 class Table:
     """Rows of the dataclass ``row`` held as columns, each the attribute named
-    after its field: a numpy array for a field annotated str or Decimal
-    (StringDType; a Decimal as the text str() gives it), int (int64), float
-    (float64), bool, or float | None (object: Python floats and None). The
-    row dataclass still declares its file's header and each cell's kind."""
+    after its field, of the dtype _CELL_PARSE gives its kind (kinds_of): text
+    (StringDType; a Decimal as str() gives it), int64, float64, bool, or
+    object for float | None (Python floats and None)."""
 
     def __init__(self, row: type, columns):
         """``columns``: one sequence of cells per field of ``row``, in field order."""
@@ -132,10 +122,10 @@ class Table:
             raise ValueError(f"{row.__name__}: {len(columns)} columns of "
                              f"{sorted({len(c) for c in columns})} rows for {len(fields)} fields")
         self.row = row
-        for f, column in zip(fields, columns):
-            if f.type not in _COLUMN or hasattr(Table, f.name):
-                raise TypeError(f"{row.__name__}: no column for the field {f.name}: {f.type}")
-            setattr(self, f.name, _COLUMN[f.type](column))
+        for f, kind, column in zip(fields, kinds_of(row).values(), columns):
+            if hasattr(Table, f.name):
+                raise TypeError(f"{row.__name__}: the field {f.name} hides Table.{f.name}")
+            setattr(self, f.name, np.asarray(column, dtype=_CELL_PARSE[kind][1]))
 
     @classmethod
     def of_rows(cls, row: type, rows: list) -> Table:
@@ -259,6 +249,20 @@ _CELL_PARSE = {
     INT: (int, np.int64), FLOAT: (_finite_float, np.float64), ANY_FLOAT: (float, np.float64),
     FLOAT_OR_NONE: (lambda raw: float(raw) if raw else None, object), FLAG: (_bool, bool),
 }
+
+# the kind of each field annotation of a row dataclass: reads back what pipeline._write_csv wrote
+_FIELD_KINDS = {"str": STR, "int": INT, "float": ANY_FLOAT, "Decimal": AMOUNT, "bool": FLAG,
+                "float | None": FLOAT_OR_NONE}
+
+
+def kinds_of(row: type) -> dict:
+    """{column: kind} of the file of ``row``, a row dataclass: its field names
+    in declaration order, less PEP 8's trailing underscore (the field
+    ``class_`` is the column ``class``), each of its annotation's kind."""
+    try:
+        return {f.name.removesuffix("_"): _FIELD_KINDS[f.type] for f in dataclasses.fields(row)}
+    except KeyError as e:
+        raise TypeError(f"{row.__name__}: no CSV kind for a field annotated {e}") from None
 
 # ASCII bytes that numpy reads otherwise than csv, int(), float() and
 # str.strip: numpy skips the separators \x1c-\x1f as blanks around a number,
@@ -536,7 +540,6 @@ TRANSACTION_KINDS = {
     "erc721_transfer_count": INT, "base_fee_eth": FLOAT, "priority_fee_eth": FLOAT,
     "coinbase_transfer_eth": FLOAT, "builder_label": TEXT, "volume_usd": FLOAT,
 }
-TRANSACTION_COLUMNS = list(TRANSACTION_KINDS)
 # the fields every row of one transaction repeats
 _TX_LEVEL = ["block_number", "slot_time_ms", "searcher_contract", "erc721_transfer_count",
              "builder_label", *_TX_FLOATS, *_TX_FLAGS]

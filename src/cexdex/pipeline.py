@@ -1,14 +1,15 @@
 """Stage drivers: each stage reads input files and/or earlier stages' outputs
 and writes its own CSVs, so every intermediate is auditable.
 
-Stage outputs land in --out-dir: CSVs, and markout's MR matrix as
-markouts_mr.npy beside the key columns of markouts.csv. A manifest.json with
-the digests of inputs and outputs and the CSVs' row counts is refreshed after
-every stage for reproducibility checks, each digest one pass over the file
-on disk (Workspace.entry). The checked quote series are kept there too, in
-quotes.npz, and a stage command keeps each output a later stage reads as
-<name>.npz, so that the next process loads these copies instead of parsing
-the CSVs again.
+Stage outputs land in --out-dir: CSVs, each of a row dataclass and written
+and read by its kinds (data_model.kinds_of), and markout's MR matrix as
+markouts_mr.npy beside the key columns of markouts.csv. A manifest.json
+with the digests of inputs and outputs and the CSVs' row counts is
+refreshed after every stage for reproducibility checks, each digest one
+pass over the file on disk (Workspace.entry). The checked quote series are
+kept there too, in quotes.npz, and a stage command keeps each output a
+later stage reads as <name>.npz, so that the next process loads these
+copies instead of parsing the CSVs again.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from . import markout as markout_mod
 from ._kernels import group_rows, group_sum, keyed_sums, lookup
 from .config import MarkoutGrid, PipelineConfig, load_config
 from .data_model import (
-    AMOUNT,
     ANY_FLOAT,
     FLAG,
+    FLOAT,
     FLOAT_OR_NONE,
     INT,
-    STR,
     SearcherLabelFile,
     Table,
     TokenRegistry,
@@ -45,6 +45,7 @@ from .data_model import (
     _read_columns,
     keep_arrays,
     kept_arrays,
+    kinds_of,
     load_block_records,
     load_quotes,
     load_searchers,
@@ -70,50 +71,40 @@ class OutdatedOutput(PipelineError):
 
 # Rows formatted and written at a time: only one chunk's cell strings exist at once.
 _CHUNK_ROWS = 1024
-_BOOL_TEXT = ("false", "true")
+# each kind's text of a cell as tolist() gives it; a kind not here is text, written as it is
+_FORMAT = {INT: int.__repr__, FLOAT: float.__repr__, ANY_FLOAT: float.__repr__,
+           FLAG: ("false", "true").__getitem__,
+           FLOAT_OR_NONE: lambda v: "" if v is None else float.__repr__(v)}
 
 
-def _cell(v) -> str:
-    """One cell as csv.writer writes it, a bool (numpy's too) written as
-    true/false and a float (numpy's float64 too) as float's repr."""
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return _BOOL_TEXT[bool(v)]
-    return float.__repr__(v) if isinstance(v, float) else str(v)
-
-
-def _format(values) -> list[str]:
-    """A column's cells, formatted by one rule when all are of one kind."""
-    kinds = set(map(type, values))
-    if kinds <= {int, float}:
-        return list(map(repr, values))
-    if kinds == {bool}:
-        return list(map(_BOOL_TEXT.__getitem__, values))
-    return values if kinds == {str} else list(map(_cell, values))
-
-
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write ``columns`` under ``header``, each a list, tuple or numpy array of
-    one cell per row, or else one value for every row; another shape is refused.
-
-    The bytes are csv.writer's for the same rows in UTF-8, bools written as
-    true/false: each chunk of rows is formatted a column at a time and joined
-    directly, or by csv.writer when a cell needs quotes or the file has one column."""
+def _write_csv(path: Path, kinds: dict, columns) -> None:
+    """Write ``columns`` under the header of ``kinds``' names, each a numpy
+    array of one cell per row, or else one value for every row, formatted by
+    its kind: an int or a float as its repr, a flag as true/false, a float |
+    None as its repr or empty, text as it is. A flag column not of bools, or
+    another shape, is refused (ValueError). The bytes are csv.writer's for the
+    same rows in UTF-8: each chunk of rows is formatted a column at a time and
+    joined directly, or by csv.writer when a cell needs quotes or the file has one column."""
     columns = list(columns)
-    lengths = {len(c) for c in columns if isinstance(c, (list, tuple, np.ndarray))}
-    if len(columns) != len(header) or len(lengths) > 1:
+    # a scalar as a 0-d array; text as StringDType, which keeps a trailing NUL
+    arrays = [c if isinstance(c, np.ndarray) else np.asarray(c) if kind in _FORMAT else strings(c)
+              for kind, c in zip(kinds.values(), columns)]
+    lengths = {len(c) for c in arrays if c.ndim}
+    if len(columns) != len(kinds) or len(lengths) > 1:
         raise ValueError(f"{path.name}: {len(columns)} columns of {sorted(lengths)} rows "
-                         f"for {len(header)} header names; pass one column per name")
+                         f"for {len(kinds)} header names; pass one column per name")
+    for (name, kind), c in zip(kinds.items(), arrays):
+        if kind == FLAG and c.dtype != bool:  # never cast: numpy reads the text "false" as True
+            raise ValueError(f"{path.name}: the flag column {name} is {c.dtype}, not bool")
     n = lengths.pop() if lengths else 0
+    arrays = [np.broadcast_to(c, n) for c in arrays]  # a scalar as a view of n cells
+    formats = [_FORMAT.get(kind) for kind in kinds.values()]
 
     def chunks():  # the header, then _CHUNK_ROWS rows at a time, each as a list per column
-        yield [[name] for name in header]
+        yield [[name] for name in kinds]
         for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(n, lo + _CHUNK_ROWS)
-            yield [_format(c[lo:hi].tolist()) if isinstance(c, np.ndarray)
-                   else _format(c[lo:hi]) if isinstance(c, (list, tuple))
-                   else _format([c]) * (hi - lo) for c in columns]
+            cells = [c[lo:lo + _CHUNK_ROWS].tolist() for c in arrays]
+            yield [v if fmt is None else list(map(fmt, v)) for v, fmt in zip(cells, formats)]
 
     def utf8(cells: list) -> bytes:
         if len(cells) == 1 or any(ch in text for text in map("".join, cells) for ch in ',"\r\n'):
@@ -124,17 +115,6 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
     with open(path, "wb") as f:
         f.writelines(map(utf8, chunks()))
-
-
-def _columns(cls: type) -> list[str]:
-    """The header of ``cls``'s file: its field names in declaration order,
-    less PEP 8's trailing underscore, so the field ``class_`` is the column ``class``."""
-    return [f.name.removesuffix("_") for f in dataclasses.fields(cls)]
-
-
-# the reader's kind of each field annotation: each reads back what _write_csv wrote
-_KINDS = {"str": STR, "int": INT, "float": ANY_FLOAT, "Decimal": AMOUNT, "bool": FLAG,
-          "float | None": FLOAT_OR_NONE}
 
 
 def _read_csv(path: Path, kinds: dict, stage: str) -> dict:
@@ -165,19 +145,11 @@ def _read_csv(path: Path, kinds: dict, stage: str) -> dict:
     return cells
 
 
-def _kinds(cls: type) -> dict:
-    """The reader's kind of each column of ``cls``'s file, in order."""
-    try:
-        return {c: _KINDS[f.type] for c, f in zip(_columns(cls), dataclasses.fields(cls))}
-    except KeyError as e:
-        raise TypeError(f"{cls.__name__}: no CSV decoder for a field annotated {e}") from None
-
-
-def _read_output(path: Path, cls: type, stage: str) -> Table:
-    """The Table of ``cls`` that _write_output wrote to ``path``, parsed."""
-    kinds = _kinds(cls)
+def _read_output(path: Path, row: type, stage: str) -> Table:
+    """The Table of ``row`` that _write_output wrote to ``path``, parsed."""
+    kinds = kinds_of(row)
     cells = _read_csv(path, kinds, stage)
-    return Table(cls, [cells[c] for c in kinds])
+    return Table(row, [cells[c] for c in kinds])
 
 
 def _require_input(input_dir: Path, name: str) -> Path:
@@ -279,54 +251,59 @@ class Workspace:
 # ---------------------------------------------------------------------------
 # detect
 
-def _write_output(ws: Workspace, name: str, table, kinds: dict | None = None) -> None:
-    """Write the output ``name``: ``table``, a Table, or else its columns
-    under the header of ``kinds``. In a stage command, an output with
-    ``kinds``, the layout a later stage reads, is also kept as <name>.npz."""
-    path = ws.out_dir / name
-    header, columns = ((_columns(table.row), table.columns) if isinstance(table, Table)
-                       else (list(kinds), table))
-    _write_csv(path, header, columns)
+def _write_output(ws: Workspace, name: str, table: Table, keep: bool = False) -> None:
+    """Write the output ``name``, ``table`` under the kinds of its row. In a
+    stage command, an output a later stage reads (``keep``) is also kept as <name>.npz."""
+    path, kinds = ws.out_dir / name, kinds_of(table.row)
+    _write_csv(path, kinds, table.columns)
     ws.entries.pop(path, None)
-    if kinds is not None and ws.copies:
+    if keep and ws.copies:
         keep_arrays(path.with_suffix(".npz"), ws.entry(path)["sha256"], kinds,
-                    {c: a for (c, kind), a in zip(kinds.items(), columns) if kind})
+                    dict(zip(kinds, table.columns)))
 
 
-def _read_kept(ws: Workspace, name: str, kinds: dict, stage: str) -> dict:
-    """The columns of the output ``name`` that _read_csv reads by ``kinds``,
-    from its copy <name>.npz while that is kept under the key of the CSV's
-    bytes and ``kinds``; else parsed, or refused, by _read_csv, and the copy
-    replaced. So a CSV edited after its stage wrote it is read as edited."""
-    path, names = ws.out_dir / name, [c for c, kind in kinds.items() if kind]
+def _read_kept(ws: Workspace, name: str, row: type, stage: str) -> Table:
+    """The Table of ``row`` in the output ``name``, from its copy <name>.npz
+    while that is kept under the key of the CSV's bytes and kinds; else
+    parsed, or refused, by _read_output, and the copy replaced. So a CSV
+    edited after its stage wrote it is read as edited."""
+    path, kinds = ws.out_dir / name, kinds_of(row)
     sha256 = ws.entry(path)["sha256"] if path.exists() else ""
-    cells = kept_arrays(path.with_suffix(".npz"), sha256, kinds, names)
-    if cells is None:
-        parsed = _read_csv(path, kinds, stage)
-        cells = {c: parsed[c] for c in names}
-        keep_arrays(path.with_suffix(".npz"), sha256, kinds, cells)
-    return cells
+    cells = kept_arrays(path.with_suffix(".npz"), sha256, kinds, list(kinds))
+    if cells is not None:
+        return Table(row, cells.values())
+    table = _read_output(path, row, stage)
+    keep_arrays(path.with_suffix(".npz"), sha256, kinds, dict(zip(kinds, table.columns)))
+    return table
 
 
 def run_detect(ws: Workspace) -> None:
     table = load_transactions(_require_input(ws.input_dir, "transactions.csv"))
     trades, verdicts = detect_all(table, ws.registry, ws.labels)
-    _write_output(ws, "detections.csv", trades, _kinds(ArbTrade))
+    _write_output(ws, "detections.csv", trades, keep=True)
     _write_output(ws, "verdicts.csv", verdicts)
     ws.detections = trades
 
 
 def _load_detections(ws: Workspace) -> Table:
-    return Table(ArbTrade, _read_kept(ws, "detections.csv", _kinds(ArbTrade), "detect").values())
+    return _read_kept(ws, "detections.csv", ArbTrade, "detect")
 
 
 # ---------------------------------------------------------------------------
 # markout
 
-# markouts.csv: a trade's keys. markouts_mr.npy, in the same row order: its MR at
-# every grid offset, a float64 field mr_usd@<offset> each, so the file names its grid.
-_MARKOUTS_KINDS = {"tx_hash": STR, "searcher_label": STR, "excluded": None,
-                   "exclusion_reason": STR, "volume_usd": ANY_FLOAT}
+@dataclasses.dataclass(frozen=True)
+class MarkoutKeys:
+    """A row of markouts.csv: a trade's keys. markouts_mr.npy, in the same row
+    order, holds its MR at every grid offset, a float64 field mr_usd@<offset>
+    each, so the file names its grid."""
+    tx_hash: str
+    searcher_label: str
+    excluded: bool  # exclusion_reason != ""
+    exclusion_reason: str
+    volume_usd: float
+
+
 MR_FILE = "markouts_mr.npy"
 
 
@@ -341,9 +318,9 @@ def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable
 
 def run_markout(ws: Workspace) -> None:
     table = markout_mod.markout_table(ws.detections, ws.grid, ws.quotes, ws.registry, ws.config)
-    _write_output(ws, "markouts.csv", [
+    _write_output(ws, "markouts.csv", Table(MarkoutKeys, [
         table.tx_hash, table.searcher_label, ~table.included(), table.exclusion_reason,
-        table.volume_usd], _MARKOUTS_KINDS)
+        table.volume_usd]), keep=True)
     mr = np.ascontiguousarray(table.mr_usd).view(_mr_dtype(ws.grid)).reshape(-1)
     np.save(ws.out_dir / MR_FILE, mr, allow_pickle=False)
     ws.entries.pop(ws.out_dir / MR_FILE, None)
@@ -351,10 +328,15 @@ def run_markout(ws: Workspace) -> None:
 
 
 def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
-    """The table of markouts.csv and markouts_mr.npy, a .npy of another grid or row
-    count refused; perfbench/spans.py times it by this name, until ROADMAP item 1."""
-    c = _read_kept(ws, "markouts.csv", _MARKOUTS_KINDS, "markout")
-    path, dtype, n = ws.out_dir / MR_FILE, _mr_dtype(ws.grid), len(c["tx_hash"])
+    """The table of markouts.csv and markouts_mr.npy, refused where a row's
+    excluded flag contradicts its exclusion_reason, or the .npy is of another
+    grid or row count; perfbench/spans.py times it by this name, until ROADMAP item 1."""
+    keys = _read_kept(ws, "markouts.csv", MarkoutKeys, "markout")
+    contradicts = keys.excluded != (keys.exclusion_reason != "")
+    if contradicts.any():
+        raise OutdatedOutput(f"row {np.argmax(contradicts) + 1} of markouts.csv in {ws.out_dir}: "
+                             "excluded contradicts exclusion_reason; rerun the markout stage")
+    path, dtype, n = ws.out_dir / MR_FILE, _mr_dtype(ws.grid), len(keys)
     if not path.exists():
         raise DependencyMissing(f"{MR_FILE} not found in {ws.out_dir}; run the producing stage first")
     try:
@@ -364,8 +346,8 @@ def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
     if not isinstance(mr, np.ndarray) or mr.dtype != dtype or mr.shape != (n,):
         raise OutdatedOutput(f"{path} does not hold the MR of markouts.csv's rows on this "
                              "config's grid (an older version's layout?); rerun the markout stage")
-    return markout_mod.MarkoutTable(c["tx_hash"], c["searcher_label"], c["volume_usd"],
-                                    mr.view("<f8").reshape(n, len(dtype)), c["exclusion_reason"])
+    return markout_mod.MarkoutTable(keys.tx_hash, keys.searcher_label, keys.volume_usd,
+                                    mr.view("<f8").reshape(n, len(dtype)), keys.exclusion_reason)
 
 
 def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:
@@ -390,13 +372,12 @@ def run_horizon(ws: Workspace) -> None:
     profiles = [horizon_mod.build_profile(label, table.gr[rows[k]], ws.config, ws.grid)
                 for label, k in zip(labels.tolist(), group_rows(code[rows], len(labels))) if len(k)]
     cls = horizon_mod.SearcherProfile
-    _write_output(ws, "profiles.csv", Table.of_rows(cls, profiles), _kinds(cls))
+    _write_output(ws, "profiles.csv", Table.of_rows(cls, profiles), keep=True)
     ws.profiles = {p.searcher_label: p for p in profiles}
 
 
 def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
-    cls = horizon_mod.SearcherProfile
-    profiles = Table(cls, _read_kept(ws, "profiles.csv", _kinds(cls), "horizon").values())
+    profiles = _read_kept(ws, "profiles.csv", horizon_mod.SearcherProfile, "horizon")
     return {p.searcher_label: p for p in profiles.rows()}
 
 
@@ -414,7 +395,7 @@ def run_estimate(ws: Workspace) -> None:
         cols[k] = estimate_mod.t_star_column(ws.profiles[labels[k]], ws.grid)
     economics = estimate_mod.trade_economics(priced, table.mr_usd[rows, cols[code[rows]]], eth)
 
-    _write_output(ws, "economics.csv", economics, _kinds(TradeEconomics))
+    _write_output(ws, "economics.csv", economics, keep=True)
     ws.economics = economics
 
     inventory = table.exclusion_reason == EXCLUSION_INVENTORY
@@ -427,8 +408,7 @@ def run_estimate(ws: Workspace) -> None:
 
 
 def _load_economics(ws: Workspace) -> Table:
-    c = _read_kept(ws, "economics.csv", _kinds(TradeEconomics), "estimate")
-    return Table(TradeEconomics, c.values())
+    return _read_kept(ws, "economics.csv", TradeEconomics, "estimate")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .builder import BuilderBlockEconomics, refund_rate
 from .config import MarkoutGrid, PipelineConfig, checked_fields, read_json
-from .data_model import BLOCK_KINDS, QUOTE_KINDS, TRANSACTION_COLUMNS
+from .data_model import BLOCK_KINDS, QUOTE_KINDS, TOKEN_KINDS, TRANSACTION_KINDS, strings
 from .errors import InvalidConfig, MissingOutputs
 from .estimate import TradeEconomics
 from .horizon import SearcherProfile
@@ -164,8 +164,9 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     """Write the six input files plus ground_truth.json; returns the ledger.
     Each per-trade column repeats one trade's operations in their order, so
     every float has the bits a trade-by-trade loop gives it. The CSVs are
-    written as columns by pipeline._write_csv, a scalar standing for one
-    value in every row."""
+    written as columns under their loaders' kinds by pipeline._write_csv, a
+    scalar standing for one value in every row; an amount is text, numpy's
+    cast of the float, which is its repr."""
     grid = MarkoutGrid(PipelineConfig())
     cfg.validate(grid)
     out = Path(out_dir)
@@ -226,30 +227,30 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     bp_eth = np.where(used_adj, delta_c - bid + refund * delta, delta_c)
 
     k = len(specs)
-    _write_csv(out / "tokens.csv", ["address", "symbol", "cex_listed", "is_major", "decimals"], [
-        [_WBTC, _USDT, *alt_addr], ["WBTC", "USDT", *(f"TOK{j:02d}" for j in range(k))], "true",
-        ["true"] * 2 + ["false"] * k, [8, 6] + [18] * k,
+    _write_csv(out / "tokens.csv", dict(list(TOKEN_KINDS.items())[:5]), [
+        [_WBTC, _USDT, *alt_addr], ["WBTC", "USDT", *(f"TOK{j:02d}" for j in range(k))], True,
+        np.array([True] * 2 + [False] * k), [8, 6] + [18] * k,
     ])
     txs = {
         "tx_hash": tx_hash, "block_number": block, "slot_time_ms": slot_ms,
         "searcher_contract": contract[searcher], "pool_id": pools[sym], "dex": "synthswap",
-        "token_in": _USDT, "amount_in": y, "token_out": symbol_token[sym], "amount_out": x,
-        "log_index": 0, "first_in_direction": "true", "seen_in_mempool": "false",
-        "atomic_mev_flag": "false", "liquidation_flag": "false", "ofa_backrun_flag": "false",
-        "router_or_bot_flag": "false", "erc721_transfer_count": 0,
+        "token_in": _USDT, "amount_in": strings(y), "token_out": symbol_token[sym],
+        "amount_out": strings(x), "log_index": 0, "first_in_direction": True,
+        "seen_in_mempool": False, "atomic_mev_flag": False, "liquidation_flag": False,
+        "ofa_backrun_flag": False, "router_or_bot_flag": False, "erc721_transfer_count": 0,
         "base_fee_eth": BASE_FEE_ETH, "priority_fee_eth": tip_eth,
-        "coinbase_transfer_eth": "0.0", "builder_label": builder, "volume_usd": notional,
+        "coinbase_transfer_eth": 0.0, "builder_label": builder, "volume_usd": notional,
     }
-    _write_csv(out / "transactions.csv", TRANSACTION_COLUMNS, [txs[c] for c in TRANSACTION_COLUMNS])
+    _write_csv(out / "transactions.csv", TRANSACTION_KINDS, [txs[c] for c in TRANSACTION_KINDS])
     # per trade, a tick at each offset, then ETHUSDT a second before the
     # slot; sorted by symbol and time (lexsort is stable)
     q_symbol = np.column_stack([np.tile(sym, (n_grid, 1)).T, np.full(n, code["ETHUSDT"])]).ravel()
     q_ts = np.column_stack([slot_ms[:, None] + np.array(grid.offsets_ms), slot_ms - 1000]).ravel()
     order = np.lexsort((q_ts, q_symbol))
     q_px = np.column_stack([ticks, np.full(n, ETH_PRICE)]).ravel()[order]
-    _write_csv(out / "quotes.csv", list(QUOTE_KINDS), [
+    _write_csv(out / "quotes.csv", QUOTE_KINDS, [
         np.array(symbols, dtype=object)[q_symbol[order]], q_ts[order], q_px, q_px])
-    _write_csv(out / "blocks.csv", list(BLOCK_KINDS), [
+    _write_csv(out / "blocks.csv", BLOCK_KINDS, [
         block, builder, delta_c, bid, used_adj, delta, slot_ms])
     with open(out / "searchers.json", "w") as f:
         json.dump({"labels": {s.label: [c] for s, c in zip(specs, contract)},

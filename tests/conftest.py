@@ -8,7 +8,7 @@ import pytest
 
 from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.data_model import (
-    TRANSACTION_COLUMNS, SearcherLabelFile, Table, TokenRegistry, load_transactions,
+    TRANSACTION_KINDS, SearcherLabelFile, Table, TokenRegistry, load_transactions,
 )
 from cexdex.detect import ArbTrade, DetectionVerdict, detect_all
 from cexdex.market import integration_matrix
@@ -94,9 +94,9 @@ def write_transactions(directory: Path, txs) -> Path:
     path = directory / "transactions.csv"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(TRANSACTION_COLUMNS)
+        w.writerow(TRANSACTION_KINDS)
         w.writerows([("true" if r[c] else "false") if isinstance(r[c], bool) else r[c]
-                     for c in TRANSACTION_COLUMNS] for tx in txs for r in tx)
+                     for c in TRANSACTION_KINDS] for tx in txs for r in tx)
     return path
 
 

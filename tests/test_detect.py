@@ -1,6 +1,6 @@
 from decimal import Decimal
 
-from cexdex import pipeline
+from cexdex import data_model, pipeline
 from cexdex.data_model import SearcherLabelFile, load_transactions
 from cexdex.detect import HEURISTICS, DetectionVerdict, detect_all, effective_pair
 
@@ -140,7 +140,7 @@ def test_corpus_verdicts_csv_lines(registry, tmp_path):
     table = load_transactions(write_transactions(tmp_path, txs))
     _, verdicts = detect_all(table, registry, SearcherLabelFile(labels={}))
     path = tmp_path / "verdicts.csv"
-    pipeline._write_csv(path, pipeline._columns(DetectionVerdict), verdicts.columns)
+    pipeline._write_csv(path, data_model.kinds_of(DetectionVerdict), verdicts.columns)
     header, *lines = path.read_text().splitlines()
     assert header == "tx_hash,passed,h1,h2,h3,h4,h5,h6,failure_reasons"
     by_hash = {line.split(",")[0]: line for line in lines}

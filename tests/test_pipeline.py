@@ -10,6 +10,7 @@ import operator
 import os
 import subprocess
 import sys
+from datetime import date, timedelta
 from decimal import Context, Decimal, Inexact, localcontext
 from pathlib import Path
 
@@ -40,7 +41,7 @@ def read_rows(path: Path) -> list[dict]:
 
 def write_table(path: Path, table: Table) -> None:
     """Write ``table`` as a stage writes its output."""
-    pipeline._write_csv(path, pipeline._columns(table.row), table.columns)
+    pipeline._write_csv(path, data_model.kinds_of(table.row), table.columns)
 
 
 def write_rows(path: Path, header: list[str], rows: list[list]) -> None:
@@ -124,7 +125,7 @@ def test_reader_refuses_a_field_it_cannot_decode(tmp_path):
         values: "list[int]"
 
     path = tmp_path / "rows.csv"
-    pipeline._write_csv(path, pipeline._columns(Row), [["a"], ["[1]"]])
+    write_rows(path, ["name", "values"], [["a", "[1]"]])
     with pytest.raises(TypeError, match=r"list\[int\]"):
         pipeline._read_output(path, Row, "test")
 
@@ -159,7 +160,7 @@ def test_floats_round_trip_bit_for_bit(tmp_path_factory, label, tokenized, rows)
     path = tmp_path_factory.mktemp("floats") / "floats.csv"
     values, maybe = [v for v, _ in rows], [m for _, m in rows]
     write_table(path, Table(FloatRow, [[label] * len(rows), values, maybe]))
-    kinds = {f.name: pipeline._KINDS[f.type] for f in dataclasses.fields(FloatRow)}
+    kinds = data_model.kinds_of(FloatRow)
     assert (data_model._tokenize_columns(path, kinds) is not None) == tokenized
     read = pipeline._read_output(path, FloatRow, "test")
     assert read.label.tolist() == [label] * len(rows)
@@ -185,76 +186,90 @@ WRITER_CHUNK = pipeline._CHUNK_ROWS
 texts = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "é", "\x00"])
                 | st.characters(blacklist_categories=("Cs",)), max_size=5)
 floats = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e16, 0.1, float("nan")])
-ints = st.integers(-2**70, 2**70)
 decimals = st.integers(-10**50, 10**50).map(lambda i: Decimal(i).scaleb(-20)) | st.decimals()
-# (values of one kind, as the column is passed: a list, a numpy array, or a scalar)
+# each kind the writer formats: (its values, as Python gives them, and its column's dtype)
 KINDS = {
-    "str": (texts, list), "float": (floats, list), "int": (ints, list), "bool": (st.booleans(), list),
-    "float|None": (floats | st.none(), list), "Decimal": (decimals, list),
-    "any": (texts | floats | ints | st.booleans() | st.none() | decimals, list),
-    "float64": (floats, lambda v: np.array(v, dtype=np.float64)),
-    "int64": (st.integers(-2**63, 2**63 - 1), lambda v: np.array(v, dtype=np.int64)),
-    "bool_": (st.booleans(), lambda v: np.array(v, dtype=bool)),
-    "scalar": (texts | floats | ints | st.booleans() | st.none(), None),
+    data_model.STR: (texts, np.dtypes.StringDType()),
+    data_model.AMOUNT: (decimals.map(str), np.dtypes.StringDType()),
+    data_model.INT: (st.integers(-2**63, 2**63 - 1), np.int64),
+    data_model.ANY_FLOAT: (floats, np.float64),
+    data_model.FLAG: (st.booleans(), bool),
+    data_model.FLOAT_OR_NONE: (floats | st.none(), object),
 }
 
 
 @st.composite
 def tables(draw):
-    """(columns, rows): each column filled with its kind's first value and a
-    few others at random rows, so that quotes fall in some chunks only. The
-    first column is not a scalar: scalars alone give no row count."""
+    """(kinds, columns, rows): each column an array of its kind's dtype,
+    filled with the kind's first value and a few others at random rows, so
+    that quotes fall in some chunks only; or else that value as a scalar.
+    The first column is not a scalar: scalars alone give no row count."""
     n = draw(st.sampled_from([0, 1, 2, WRITER_CHUNK - 1, WRITER_CHUNK, WRITER_CHUNK + 1,
                               2 * WRITER_CHUNK + 3]))
     rnd = draw(st.randoms(use_true_random=False))
-    columns, plain = [], []
-    first = draw(st.sampled_from(sorted(set(KINDS) - {"scalar"})))
-    for kind in [first, *draw(st.lists(st.sampled_from(sorted(KINDS)), max_size=5))]:
-        values, wrap = KINDS[kind]
+    kinds, columns, plain = {}, [], []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1,
+                                           max_size=6))):
+        values, dtype = KINDS[kind]
         pool = draw(st.lists(values, min_size=1, max_size=4))
-        if wrap is None:
+        kinds[f"c{i}"] = kind
+        if i and draw(st.booleans()):
             columns.append(pool[0])
             plain.append([pool[0]] * n)
             continue
         column = [pool[0]] * n
-        for i in rnd.sample(range(n), min(n, 3)):
-            column[i] = rnd.choice(pool)
-        columns.append(wrap(column))
-        plain.append(column if wrap is list else columns[-1].tolist())
-    return columns, list(zip(*plain))
+        for k in rnd.sample(range(n), min(n, 3)):
+            column[k] = rnd.choice(pool)
+        columns.append(np.array(column, dtype=dtype))
+        plain.append(column)
+    return kinds, columns, list(zip(*plain))
 
 
 @given(tables())
 @settings(max_examples=150, deadline=None)
 def test_writer_bytes_equal_csv_writer(tmp_path_factory, table):
-    columns, rows = table
-    header = [f"c{i}" for i in range(len(columns))]
+    kinds, columns, rows = table
     d = tmp_path_factory.mktemp("csv")
-    pipeline._write_csv(d / "columns.csv", header, columns)
-    reference_csv(d / "rows.csv", header, rows)
+    pipeline._write_csv(d / "columns.csv", kinds, columns)
+    reference_csv(d / "rows.csv", list(kinds), rows)
     assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
 
 
+VERDICT_KINDS = {"tx_hash": data_model.STR, "passed": data_model.FLAG,
+                 "volume": data_model.ANY_FLOAT}
+
+
 @pytest.mark.parametrize("columns", [
-    [["0xa", True, 1.5], ["0xb", False, 2.5]],  # two rows where three columns are due
-    [["0xa", "0xb"], [True], [1.5, 2.5]],  # a short column
+    [np.array(["0xa", "0xb"]), np.array([True, False])],  # two columns where three are due
+    [np.array(["0xa", "0xb"]), np.array([True]), np.array([1.5, 2.5])],  # a short column
 ])
 def test_writer_refuses_a_wrong_shape(tmp_path, columns):
     path = tmp_path / "verdicts.csv"
     with pytest.raises(ValueError, match="verdicts.csv"):
-        pipeline._write_csv(path, ["tx_hash", "passed", "volume"], columns)
+        pipeline._write_csv(path, VERDICT_KINDS, columns)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    np.array(["false", "true"], dtype=object), data_model.strings(["false", "true"]), "false",
+    np.array([0, 1]), np.array([np.False_, np.True_], dtype=object),
+])
+def test_writer_refuses_a_flag_column_that_is_not_bool(tmp_path, flags):
+    """A flag is written from a bool and nothing else: cast to bool, the text
+    "false" would be written true."""
+    path = tmp_path / "verdicts.csv"
+    with pytest.raises(ValueError, match="verdicts.csv: the flag column passed"):
+        pipeline._write_csv(path, VERDICT_KINDS, [np.array(["0xa", "0xb"]), flags, 1.5])
     assert not path.exists()
 
 
 def test_writer_writes_numpy_scalars_as_their_values(tmp_path):
-    """An object column of numpy scalars is written as the Python values are,
-    so a float | None column of them reads back."""
+    """A float | None column of numpy floats is written as the Python values
+    are, and reads back."""
     nan = float("nan")
     floats = np.array([np.float64(1.5), np.float64(-0.0), None, np.float64(nan)], dtype=object)
-    flags = np.array([np.True_, np.False_, True, None], dtype=object)
-    pipeline._write_csv(tmp_path / "numpy.csv", ["x", "flag"], [floats, flags])
-    reference_csv(tmp_path / "python.csv", ["x", "flag"],
-                  zip([1.5, -0.0, None, nan], [True, False, True, None]))
+    pipeline._write_csv(tmp_path / "numpy.csv", {"x": data_model.FLOAT_OR_NONE}, [floats])
+    reference_csv(tmp_path / "python.csv", ["x"], zip([1.5, -0.0, None, nan]))
     assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
     path = tmp_path / "floats.csv"
     write_table(path, Table(FloatRow, [["s", "s"], np.array([1.5, 2.5]),
@@ -1433,7 +1448,10 @@ def test_markouts_npy_rebuilds_the_parent_csv(scenario, request, tmp_path):
     _, out = pinned_run(scenario, request, tmp_path)
     header, rows = wide_markouts(out)
     wide = tmp_path / "wide.csv"
-    pipeline._write_csv(wide, header, [[r[k] for r in rows] for k in range(len(header))])
+    kinds = {c: data_model.ANY_FLOAT if c.startswith("mr_usd@") else data_model.STR
+             for c in header}
+    pipeline._write_csv(wide, kinds, [np.array([r[k] for r in rows], dtype=object)
+                                      for k in range(len(header))])
     assert hashlib.sha256(wide.read_bytes()).hexdigest() == WIDE_MARKOUTS_DIGESTS[scenario]
 
 
@@ -1569,6 +1587,152 @@ def test_redenominated_token_moves_only_its_amounts(tmp_path):
                           ("outputs", "detections.csv")):
         assert was[section].pop(name)["rows"] == now[section].pop(name)["rows"]
     assert was == now
+
+
+def cexdex_all(inputs: Path, out: Path) -> Path:
+    """``out`` after cexdex all on ``inputs``, which exits 0."""
+    assert main(["all", "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    return out
+
+
+def moved_outputs(before: Path, after: Path) -> set[str]:
+    """The outputs, markouts_mr.npy and manifest.json, whose bytes differ."""
+    was, now = all_digests(before), all_digests(after)
+    return {name for name in was if was[name] != now[name]}
+
+
+def test_a_transaction_failing_h1_moves_only_its_verdict(tmp_path):
+    """Irrelevant input: one more transaction in an existing block, seen in
+    the public mempool (H1 fails), changes only verdicts.csv, by the row of
+    that transaction, and the manifest."""
+    inputs = tmp_path / "in"
+    tiny_corpus(inputs)
+    plain = cexdex_all(inputs, tmp_path / "plain")
+    rows = read_rows(inputs / "transactions.csv")
+    seen = rows[0] | {"tx_hash": "0xtx_seen", "seen_in_mempool": "true"}
+    write_rows(inputs / "transactions.csv", list(seen), [list(r.values()) for r in [*rows, seen]])
+    more = cexdex_all(inputs, tmp_path / "more")
+
+    assert moved_outputs(plain, more) == {"verdicts.csv", "manifest.json"}
+    verdicts = read_rows(more / "verdicts.csv")
+    assert [r for r in verdicts if r["tx_hash"] != "0xtx_seen"] == read_rows(plain / "verdicts.csv")
+    assert [(r["passed"], r["h1"]) for r in verdicts if r["tx_hash"] == "0xtx_seen"] == [
+        ("false", "false")]
+
+
+def test_quotes_of_an_unused_symbol_move_only_the_manifest(tmp_path):
+    """Irrelevant input: ETHUSDT's quotes copied under ZZZUSDT, a symbol no
+    token is quoted as, ahead of every other row, change no output: only
+    quotes.csv's digest in the manifest."""
+    inputs = tmp_path / "in"
+    tiny_corpus(inputs)
+    plain = cexdex_all(inputs, tmp_path / "plain")
+    rows = read_rows(inputs / "quotes.csv")
+    copies = [r | {"symbol": "ZZZUSDT"} for r in rows if r["symbol"] == "ETHUSDT"]
+    assert copies
+    write_rows(inputs / "quotes.csv", list(rows[0]), [list(r.values()) for r in [*copies, *rows]])
+    more = cexdex_all(inputs, tmp_path / "more")
+
+    assert moved_outputs(plain, more) == {"manifest.json"}
+    was, now = (json.loads((out / "manifest.json").read_text()) for out in (plain, more))
+    assert was["inputs"].pop("quotes.csv")["rows"] + len(copies) == now["inputs"].pop(
+        "quotes.csv")["rows"]
+    assert was == now
+
+
+SHIFT_DAYS = 3
+
+
+def test_a_shift_by_whole_days_moves_only_times_and_dates(tmp_path):
+    """Time shift: every slot, quote and block time 3 days later moves only
+    the date cells of market.csv and cumulative_ev.csv and the slot_time_ms
+    cells of detections.csv and economics.csv, each by 3 days, and the
+    manifest. Both corpora are past builder.REFUND_CUTOFF_MS."""
+    inputs = tmp_path / "in"
+    tiny_corpus(inputs)
+    plain = cexdex_all(inputs, tmp_path / "plain")
+    shift = SHIFT_DAYS * DAY_MS
+    shifted = {"transactions.csv": "slot_time_ms", "quotes.csv": "ts_ms",
+               "blocks.csv": "slot_time_ms"}
+    for name, column in shifted.items():
+        edit_rows(inputs / name, lambda r, c=column: {c: str(int(r[c]) + shift)})
+    later = cexdex_all(inputs, tmp_path / "later")
+
+    assert min(int(r["slot_time_ms"]) for r in read_rows(plain / "detections.csv")) > \
+        builder.REFUND_CUTOFF_MS
+    earlier = {"date": lambda d: (date.fromisoformat(d) - timedelta(days=SHIFT_DAYS)).isoformat(),
+               "slot_time_ms": lambda ms: str(int(ms) - shift)}
+    moved = {"market.csv": "date", "cumulative_ev.csv": "date",
+             "detections.csv": "slot_time_ms", "economics.csv": "slot_time_ms"}
+    assert moved_outputs(plain, later) == {*moved, "manifest.json"}
+    for name, column in moved.items():
+        rows = read_rows(later / name)
+        assert rows and [r | {column: earlier[column](r[column])} for r in rows] == read_rows(
+            plain / name), name
+    was, now = (json.loads((out / "manifest.json").read_text()) for out in (plain, later))
+    for section, name in [*(("inputs", name) for name in shifted),
+                          *(("outputs", name) for name in moved)]:
+        assert was[section].pop(name)["rows"] == now[section].pop(name)["rows"], name
+    assert was == now
+
+
+def staged_tiny(tmp_path: Path) -> tuple[Path, Path]:
+    """perfbench's tiny corpus, seed 1, after cexdex detect, markout and horizon."""
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    tiny_corpus(inputs)
+    for stage in ("detect", "markout", "horizon"):
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    return inputs, out
+
+
+def set_excluded(out: Path, row: int, cell: str) -> None:
+    """Write ``cell`` into markouts.csv's excluded column of data row ``row``,
+    an included trade's."""
+    rows = read_rows(out / "markouts.csv")
+    assert (rows[row - 1]["excluded"], rows[row - 1]["exclusion_reason"]) == ("false", "")
+    rows[row - 1]["excluded"] = cell
+    write_rows(out / "markouts.csv", list(rows[0]), [list(r.values()) for r in rows])
+
+
+def test_excluded_flag_that_is_not_a_flag_exits_1(tmp_path, capsys):
+    inputs, out = staged_tiny(tmp_path)
+    set_excluded(out, 2, "maybe")
+    capsys.readouterr()
+    assert main(["horizon", "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "MalformedRow",
+                   "message": "malformed row 2: bad value 'maybe' in excluded of markouts.csv"}
+
+
+def excluded_in_csv(out: Path) -> None:
+    set_excluded(out, 1, "true")
+
+
+def excluded_in_copy(out: Path) -> None:
+    """The copy markouts.npz, under the key of markouts.csv's bytes, with the
+    first trade excluded and still without a reason."""
+    kinds = data_model.kinds_of(pipeline.MarkoutKeys)
+    sha256 = hashlib.sha256((out / "markouts.csv").read_bytes()).hexdigest()
+    keys = data_model.kept_arrays(out / "markouts.npz", sha256, kinds, list(kinds))
+    assert keys is not None and keys["exclusion_reason"][0] == ""
+    keys["excluded"][0] = True
+    data_model.keep_arrays(out / "markouts.npz", sha256, kinds, keys)
+
+
+@pytest.mark.parametrize("damage", [excluded_in_csv, excluded_in_copy])
+def test_excluded_without_a_reason_exits_1(tmp_path, capsys, damage):
+    """markouts.csv's excluded flag says whether a trade has an exclusion
+    reason: a row that contradicts it is refused as outdated, read from the
+    CSV or from its copy, and profiles.csv is left as it was."""
+    inputs, out = staged_tiny(tmp_path)
+    profiles = (out / "profiles.csv").read_bytes()
+    damage(out)
+    capsys.readouterr()
+    assert main(["horizon", "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OutdatedOutput" and "row 1 of markouts.csv" in err["message"]
+    assert "rerun the markout stage" in err["message"]
+    assert (out / "profiles.csv").read_bytes() == profiles
 
 
 def test_all_codes_no_token_column(tmp_path, monkeypatch):
