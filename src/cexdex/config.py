@@ -1,8 +1,8 @@
-"""Run configuration and the markout grid it defines.
+"""Run configuration, the markout grid included.
 
 A PipelineConfig is checked whole when it is made, so a bad config.json is
-refused before any stage runs; MarkoutGrid is built from one and holds no
-settings of its own. read_json and checked_fields read the JSON inputs
+refused before any stage runs, and derives its markout offsets from its grid
+settings. read_json and checked_fields read the JSON inputs
 (config.json, searchers.json and a synth scenario) and check a JSON
 object's keys and value types against a dataclass's fields.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 from .errors import InvalidConfig
@@ -48,7 +49,7 @@ class PipelineConfig:
             )
         if self.grid_start_s >= self.grid_end_s:
             raise InvalidConfig("grid_start_s must be < grid_end_s")
-        if 0 not in MarkoutGrid(self).offsets_ms:
+        if 0 not in self.offsets_ms:
             raise InvalidConfig("the grid from grid_start_s to grid_end_s by grid_step_s "
                                 "must contain offset 0.0")
         if not (0 < self.exclusivity_threshold < 1):
@@ -62,6 +63,24 @@ class PipelineConfig:
         for key in ("pattern_flat_epsilon_bps", "min_trades_low_confidence"):
             if getattr(self, key) < 0:
                 raise InvalidConfig(f"{key} must be >= 0")
+
+    @cached_property
+    def offsets_ms(self) -> list[int]:
+        """The markout offsets, grid_start_s to grid_end_s by grid_step_s, in
+        integer ms, so that quote-store lookups never accumulate float error."""
+        start_ms, end_ms = round(self.grid_start_s * 1000), round(self.grid_end_s * 1000)
+        return list(range(start_ms, end_ms + 1, round(self.grid_step_s * 1000)))
+
+    @cached_property
+    def offsets_s(self) -> list[float]:
+        return [ms / 1000.0 for ms in self.offsets_ms]
+
+    def index_of(self, offset_s: float) -> int:
+        """The grid column of ``offset_s``, rounded to the ms."""
+        try:
+            return self.offsets_ms.index(round(offset_s * 1000))
+        except ValueError:
+            raise InvalidConfig(f"offset {offset_s} not on grid") from None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -119,26 +138,3 @@ def load_config(path: str | Path) -> PipelineConfig:
     """config.json: an object of PipelineConfig fields, each of its field's JSON type."""
     return PipelineConfig(**checked_fields(read_json(path), PipelineConfig, Path(path).name))
 
-
-class MarkoutGrid:
-    """A config's markout offsets, grid_start_s to grid_end_s by grid_step_s.
-
-    Offsets are stored both in seconds and in integer milliseconds so that
-    quote-store lookups never accumulate float error. PipelineConfig has
-    checked that they include 0.
-    """
-
-    def __init__(self, cfg: PipelineConfig):
-        start_ms, end_ms = round(cfg.grid_start_s * 1000), round(cfg.grid_end_s * 1000)
-        self.offsets_ms = list(range(start_ms, end_ms + 1, round(cfg.grid_step_s * 1000)))
-        self.offsets_s: list[float] = [ms / 1000.0 for ms in self.offsets_ms]
-
-    def __len__(self) -> int:
-        return len(self.offsets_ms)
-
-    def index_of(self, offset_s: float) -> int:
-        ms = round(offset_s * 1000)
-        try:
-            return self.offsets_ms.index(ms)
-        except ValueError:
-            raise InvalidConfig(f"offset {offset_s} not on grid") from None

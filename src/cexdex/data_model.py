@@ -482,7 +482,8 @@ def kept_arrays(path: Path, sha256: str, kinds: dict, names: list[str]) -> dict 
     """The arrays ``names`` kept in the .npz at ``path`` under this key; None
     for a file that is missing, unreadable, incomplete or of another key."""
     try:
-        with np.load(path, allow_pickle=False) as z:
+        # opened here, so a truncated file is closed when np.load refuses it
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
             if z["key"].item() != json.dumps([sha256, list(kinds.items())]):
                 return None
             arrays = {}

@@ -20,9 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._kernels import group_rows, group_sum, median
-from .config import MarkoutGrid
 from .data_model import Table, optional
-from .horizon import SearcherProfile
 
 DAY_MS = 86_400_000
 
@@ -40,12 +38,6 @@ class TradeEconomics:
     margin: float | None
     builder_tip_usd: float
     base_fee_usd: float
-
-
-def t_star_column(profile: SearcherProfile, grid: MarkoutGrid) -> int:
-    """The grid column of a peaked searcher's t*; a Pattern 3 profile has no
-    t* and prices no trade."""
-    return grid.index_of(profile.t_star_s)
 
 
 def trade_economics(trades: Table, mr_usd: np.ndarray, eth_usd_at_slot: np.ndarray) -> Table:

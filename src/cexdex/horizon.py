@@ -1,8 +1,8 @@
 """Per-searcher optimal execution horizon and curve-shape classification.
 
 A searcher's input is the GR rows of its included trades, one column per
-offset of the run's MarkoutGrid (``MarkoutTable.gr``, grouped by the
-run's one searcher coding, ``pipeline.Workspace.searchers``).
+markout offset of the run's PipelineConfig (``MarkoutTable.gr``, grouped
+by the run's one searcher coding, ``pipeline.Workspace.searchers``).
 ``build_profile`` takes their median once and reads everything off it. The horizon t* is the grid offset
 maximizing the cross-trade median gross return; tied maxima on the leading
 plateau (before the first strict decrease) resolve to the largest offset.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import median
-from .config import DECLINE_HORIZON_S, MarkoutGrid, PipelineConfig
+from .config import DECLINE_HORIZON_S, PipelineConfig
 
 PATTERN_GENTLE = "P1"
 PATTERN_ABRUPT = "P2"
@@ -43,13 +43,8 @@ def _plateau_end(med: np.ndarray) -> int:
     return peak
 
 
-def build_profile(
-    searcher_label: str,
-    grs: np.ndarray,
-    cfg: PipelineConfig,
-    grid: MarkoutGrid,
-) -> SearcherProfile:
-    """One searcher's profile from its GR rows on ``grid``.
+def build_profile(searcher_label: str, grs: np.ndarray, cfg: PipelineConfig) -> SearcherProfile:
+    """One searcher's profile from its GR rows on ``cfg``'s grid.
 
     The median is per offset; an even count takes the mean of the two
     central values (numpy's default). A curve within
@@ -66,14 +61,14 @@ def build_profile(
         pattern = PATTERN_FLAT
     else:
         peak = _plateau_end(med)
-        t_star, at_peak = grid.offsets_s[peak], float(med[peak])
-        end_ms = grid.offsets_ms[peak] + round(DECLINE_HORIZON_S * 1000)
-        if end_ms > grid.offsets_ms[-1]:
+        t_star, at_peak = cfg.offsets_s[peak], float(med[peak])
+        end_ms = cfg.offsets_ms[peak] + round(DECLINE_HORIZON_S * 1000)
+        if end_ms > cfg.offsets_ms[-1]:
             drop = 0.0 if at_peak <= 0 else (at_peak - float(med[-1])) / at_peak
         elif at_peak <= 0:
             drop = None
         else:  # a NaN peak too: its decline is NaN
-            decline = drop = (at_peak - float(med[grid.offsets_ms.index(end_ms)])) / at_peak
+            decline = drop = (at_peak - float(med[cfg.offsets_ms.index(end_ms)])) / at_peak
         abrupt = drop is not None and drop >= cfg.pattern_abrupt_drop_fraction
         pattern = PATTERN_ABRUPT if abrupt else PATTERN_GENTLE
     return SearcherProfile(

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import MarkoutGrid, PipelineConfig
+from .config import PipelineConfig
 from ._kernels import group_rows
 from .data_model import Table, TokenRegistry, strings
 from .detect import ArbTrade
@@ -29,15 +29,13 @@ EXCLUSION_INVENTORY = "InventoryAdjustment"
 @dataclass
 class MarkoutTable:
     """MR of trades (rows, in the order they were marked out) at every grid
-    offset (columns, in grid order). markouts.csv holds the keys, a row per
-    trade, and markouts_mr.npy the MR matrix. ``exclusion_reason[i]`` is ""
-    for a trade that is included, as markouts.csv writes it."""
+    offset (columns, in grid order); the trades marked out hold their keys,
+    and markouts_mr.npy the MR matrix. ``exclusion_reason[i]`` is "" for a
+    trade that is included, as markouts.csv writes it."""
 
-    tx_hash: np.ndarray  # StringDType, as searcher_label and exclusion_reason
-    searcher_label: np.ndarray
     volume_usd: np.ndarray
     mr_usd: np.ndarray  # (trades, offsets)
-    exclusion_reason: np.ndarray
+    exclusion_reason: np.ndarray  # StringDType
 
     @cached_property
     def gr(self) -> np.ndarray:
@@ -70,8 +68,8 @@ def _usd_prices(rows: np.ndarray, queries: np.ndarray, store: QuoteStore,
     return prices, ok
 
 
-def markout_table(trades: Table, grid: MarkoutGrid, store: QuoteStore,
-                  registry: TokenRegistry, cfg: PipelineConfig) -> MarkoutTable:
+def markout_table(trades: Table, store: QuoteStore, registry: TokenRegistry,
+                  cfg: PipelineConfig) -> MarkoutTable:
     """Every trade's MR at every grid offset, and why a trade is excluded.
 
     A trade is a QuoteGap when either leg lacks a fresh USD quote at any
@@ -80,7 +78,7 @@ def markout_table(trades: Table, grid: MarkoutGrid, store: QuoteStore,
     is read as float() reads its text, which is float() of its Decimal.
     """
     n = len(trades)
-    queries = trades.slot_time_ms[:, None] + np.array(grid.offsets_ms, dtype=np.int64)
+    queries = trades.slot_time_ms[:, None] + np.array(cfg.offsets_ms, dtype=np.int64)
     prices, ok = _usd_prices(  # rows of each column: concatenating them would copy the text
         np.concatenate([registry.rows(trades.token_bought), registry.rows(trades.token_sold)]),
         np.concatenate([queries, queries]), store, registry, cfg.quote_staleness_ms,
@@ -95,10 +93,10 @@ def markout_table(trades: Table, grid: MarkoutGrid, store: QuoteStore,
     inventory = np.all(mr < base_fee_usd[:, None], axis=1)  # MR never covers the base fee
     reasons = strings(np.where(priced & eth_priced, np.where(inventory, EXCLUSION_INVENTORY, ""),
                                EXCLUSION_QUOTE_GAP))
-    return MarkoutTable(trades.tx_hash, trades.searcher_label, trades.volume_usd, mr, reasons)
+    return MarkoutTable(trades.volume_usd, mr, reasons)
 
 
-def markout_curve(trade: ArbTrade, grid: MarkoutGrid, store: QuoteStore,
-                  registry: TokenRegistry, cfg: PipelineConfig) -> MarkoutTable:
+def markout_curve(trade: ArbTrade, store: QuoteStore, registry: TokenRegistry,
+                  cfg: PipelineConfig) -> MarkoutTable:
     """One trade's one-row table; kept for perfbench/spans.py until ROADMAP item 1."""
-    return markout_table(Table.of_rows(ArbTrade, [trade]), grid, store, registry, cfg)
+    return markout_table(Table.of_rows(ArbTrade, [trade]), store, registry, cfg)

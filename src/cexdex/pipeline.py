@@ -31,7 +31,7 @@ from . import horizon as horizon_mod
 from . import market as market_mod
 from . import markout as markout_mod
 from ._kernels import group_rows, group_sum, keyed_sums, lookup
-from .config import MarkoutGrid, PipelineConfig, load_config
+from .config import PipelineConfig, load_config
 from .data_model import (
     ANY_FLOAT,
     FLAG,
@@ -187,10 +187,6 @@ class Workspace:
         return self.entries[path]
 
     @cached_property
-    def grid(self) -> MarkoutGrid:
-        return MarkoutGrid(self.config)
-
-    @cached_property
     def registry(self) -> TokenRegistry:
         return load_tokens(_require_input(self.input_dir, "tokens.csv"))
 
@@ -228,11 +224,11 @@ class Workspace:
 
     @cached_property
     def searchers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the sorted searcher labels of markouts.csv, each trade's index into
-        them): the run's one searcher coding. A label is found by its code or
-        by ``==``, never by np.searchsorted, which on numpy 2.4.6 gives wrong
-        indices on StringDType text over 15 bytes."""
-        return np.unique(self.markouts.searcher_label, return_inverse=True)
+        """(the sorted searcher labels of detections.csv, each trade's index
+        into them): the run's one searcher coding. A label is found by its
+        code or by ``==``, never by np.searchsorted, which on numpy 2.4.6
+        gives wrong indices on StringDType text over 15 bytes."""
+        return np.unique(self.detections.searcher_label, return_inverse=True)
 
     @cached_property
     def priced(self) -> np.ndarray:
@@ -294,9 +290,9 @@ def _load_detections(ws: Workspace) -> Table:
 
 @dataclasses.dataclass(frozen=True)
 class MarkoutKeys:
-    """A row of markouts.csv: a trade's keys. markouts_mr.npy, in the same row
-    order, holds its MR at every grid offset, a float64 field mr_usd@<offset>
-    each, so the file names its grid."""
+    """A row of markouts.csv: the keys of a trade of detections.csv, in its
+    order. markouts_mr.npy, in the same row order, holds its MR at every grid
+    offset, a float64 field mr_usd@<offset> each, so the file names its grid."""
     tx_hash: str
     searcher_label: str
     excluded: bool  # exclusion_reason != ""
@@ -307,21 +303,22 @@ class MarkoutKeys:
 MR_FILE = "markouts_mr.npy"
 
 
-def _mr_dtype(grid: MarkoutGrid) -> np.dtype:
-    return np.dtype([(f"mr_usd@{o!r}", "<f8") for o in grid.offsets_s])
+def _mr_dtype(config: PipelineConfig) -> np.dtype:
+    return np.dtype([(f"mr_usd@{o!r}", "<f8") for o in config.offsets_s])
 
 
 def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable:
     """One trade's one-row table; kept for perfbench/spans.py until ROADMAP item 1."""
-    return markout_mod.markout_curve(trade, ws.grid, ws.quotes, ws.registry, ws.config)
+    return markout_mod.markout_curve(trade, ws.quotes, ws.registry, ws.config)
 
 
 def run_markout(ws: Workspace) -> None:
-    table = markout_mod.markout_table(ws.detections, ws.grid, ws.quotes, ws.registry, ws.config)
+    trades = ws.detections
+    table = markout_mod.markout_table(trades, ws.quotes, ws.registry, ws.config)
     _write_output(ws, "markouts.csv", Table(MarkoutKeys, [
-        table.tx_hash, table.searcher_label, ~table.included(), table.exclusion_reason,
+        trades.tx_hash, trades.searcher_label, ~table.included(), table.exclusion_reason,
         table.volume_usd]), keep=True)
-    mr = np.ascontiguousarray(table.mr_usd).view(_mr_dtype(ws.grid)).reshape(-1)
+    mr = np.ascontiguousarray(table.mr_usd).view(_mr_dtype(ws.config)).reshape(-1)
     np.save(ws.out_dir / MR_FILE, mr, allow_pickle=False)
     ws.entries.pop(ws.out_dir / MR_FILE, None)
     ws.markouts = table
@@ -329,14 +326,16 @@ def run_markout(ws: Workspace) -> None:
 
 def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
     """The table of markouts.csv and markouts_mr.npy, refused where a row's
-    excluded flag contradicts its exclusion_reason, or the .npy is of another
-    grid or row count; perfbench/spans.py times it by this name, until ROADMAP item 1."""
+    excluded flag contradicts its exclusion_reason, the .npy is of another
+    grid or row count, or the rows are not detections.csv's trades in order,
+    each of the same searcher; perfbench/spans.py times it by this name,
+    until ROADMAP item 1."""
     keys = _read_kept(ws, "markouts.csv", MarkoutKeys, "markout")
     contradicts = keys.excluded != (keys.exclusion_reason != "")
     if contradicts.any():
         raise OutdatedOutput(f"row {np.argmax(contradicts) + 1} of markouts.csv in {ws.out_dir}: "
                              "excluded contradicts exclusion_reason; rerun the markout stage")
-    path, dtype, n = ws.out_dir / MR_FILE, _mr_dtype(ws.grid), len(keys)
+    path, dtype, n = ws.out_dir / MR_FILE, _mr_dtype(ws.config), len(keys)
     if not path.exists():
         raise DependencyMissing(f"{MR_FILE} not found in {ws.out_dir}; run the producing stage first")
     try:
@@ -346,30 +345,24 @@ def _load_markout_curves(ws: Workspace) -> markout_mod.MarkoutTable:
     if not isinstance(mr, np.ndarray) or mr.dtype != dtype or mr.shape != (n,):
         raise OutdatedOutput(f"{path} does not hold the MR of markouts.csv's rows on this "
                              "config's grid (an older version's layout?); rerun the markout stage")
-    return markout_mod.MarkoutTable(keys.tx_hash, keys.searcher_label, keys.volume_usd,
-                                    mr.view("<f8").reshape(n, len(dtype)), keys.exclusion_reason)
-
-
-def _markouts_of_detections(ws: Workspace) -> markout_mod.MarkoutTable:
-    """ws.markouts, refused unless its rows are ws.detections' trades in
-    order, each of the same searcher."""
-    table, trades = ws.markouts, ws.detections
-    if not (np.array_equal(table.tx_hash, trades.tx_hash)
-            and np.array_equal(table.searcher_label, trades.searcher_label)):
+    trades = ws.detections
+    if not (np.array_equal(keys.tx_hash, trades.tx_hash)
+            and np.array_equal(keys.searcher_label, trades.searcher_label)):
         raise OutdatedOutput(
             f"markouts.csv in {ws.out_dir} does not hold the trades of detections.csv "
             "in order, with their searchers; rerun the markout stage"
         )
-    return table
+    return markout_mod.MarkoutTable(keys.volume_usd, mr.view("<f8").reshape(n, len(dtype)),
+                                    keys.exclusion_reason)
 
 
 # ---------------------------------------------------------------------------
 # horizon
 
 def run_horizon(ws: Workspace) -> None:
-    table, (labels, code) = _markouts_of_detections(ws), ws.searchers
+    table, (labels, code) = ws.markouts, ws.searchers
     rows = np.flatnonzero(table.included())  # a profile per searcher with included trades
-    profiles = [horizon_mod.build_profile(label, table.gr[rows[k]], ws.config, ws.grid)
+    profiles = [horizon_mod.build_profile(label, table.gr[rows[k]], ws.config)
                 for label, k in zip(labels.tolist(), group_rows(code[rows], len(labels))) if len(k)]
     cls = horizon_mod.SearcherProfile
     _write_output(ws, "profiles.csv", Table.of_rows(cls, profiles), keep=True)
@@ -385,14 +378,14 @@ def _load_profiles(ws: Workspace) -> dict[str, horizon_mod.SearcherProfile]:
 # estimate
 
 def run_estimate(ws: Workspace) -> None:
-    trades, table, (labels, code) = ws.detections, _markouts_of_detections(ws), ws.searchers
+    trades, table, (labels, code) = ws.detections, ws.markouts, ws.searchers
     rows, priced = np.flatnonzero(ws.priced), trades.select(ws.priced)
     eth, eth_ok = ws.eth_quotes.eth_usd(priced.slot_time_ms, ws.config.quote_staleness_ms)
     if not eth_ok.all():  # refused at the first trade without an ETH quote
         raise ws.eth_quotes.unpriced("ETHUSDT", int(priced.slot_time_ms[np.argmin(eth_ok)]))
     cols = np.zeros(len(labels), dtype=np.int64)  # MR at each searcher's t* column
     for k in np.flatnonzero(np.bincount(code[rows], minlength=len(labels))).tolist():
-        cols[k] = estimate_mod.t_star_column(ws.profiles[labels[k]], ws.grid)
+        cols[k] = ws.config.index_of(ws.profiles[labels[k]].t_star_s)
     economics = estimate_mod.trade_economics(priced, table.mr_usd[rows, cols[code[rows]]], eth)
 
     _write_output(ws, "economics.csv", economics, keep=True)
@@ -456,8 +449,7 @@ def _daily_shares(included: Table, economics: Table, labels: np.ndarray, dates: 
 
 
 def run_market(ws: Workspace) -> None:
-    trades, table, profiles, economics = (
-        ws.detections, _markouts_of_detections(ws), ws.profiles, ws.economics)
+    trades, table, profiles, economics = ws.detections, ws.markouts, ws.profiles, ws.economics
     if not np.array_equal(economics.tx_hash, trades.tx_hash[ws.priced]):
         raise OutdatedOutput(f"economics.csv in {ws.out_dir} does not hold the priced trades "
                              "of markouts.csv in order; rerun the estimate stage")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .builder import BuilderBlockEconomics, refund_rate
-from .config import MarkoutGrid, PipelineConfig, checked_fields, read_json
+from .config import PipelineConfig, checked_fields, read_json
 from .data_model import BLOCK_KINDS, QUOTE_KINDS, TOKEN_KINDS, TRANSACTION_KINDS, strings
 from .errors import InvalidConfig, MissingOutputs
 from .estimate import TradeEconomics
@@ -95,7 +95,7 @@ class SynthConfig:
     base_volatility: float = 0.0  # per-tick relative price noise amplitude
     taker_fee_rate: float = 0.0001725
 
-    def validate(self, grid: MarkoutGrid) -> None:
+    def validate(self, config: PipelineConfig) -> None:
         labels = [s.label for s in self.searchers]
         for bad, message in [
             (not 0 <= self.seed < 2**64, "seed must be in [0, 2**64)"),
@@ -115,7 +115,7 @@ class SynthConfig:
                 (not flat and delay is None, "missing true_hedge_delay_s"),
                 # the spread rises from the grid's first offset to the delay
                 (delay is not None and not (math.isfinite(delay)
-                                            and round(delay * 1000) in grid.offsets_ms[1:]),
+                                            and round(delay * 1000) in config.offsets_ms[1:]),
                  "delay not a grid offset after the first"),
                 (not 0.0 <= s.major_share <= 1.0, "major_share outside [0, 1]"),
                 (not 0.0 <= s.tip_fraction <= 1.0, "tip_fraction outside [0, 1]"),
@@ -167,11 +167,11 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     written as columns under their loaders' kinds by pipeline._write_csv, a
     scalar standing for one value in every row; an amount is text, numpy's
     cast of the float, which is its repr."""
-    grid = MarkoutGrid(PipelineConfig())
-    cfg.validate(grid)
+    run_cfg = PipelineConfig()  # the default markout grid
+    cfg.validate(run_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    specs, n_grid = cfg.searchers, len(grid)
+    specs, n_grid = cfg.searchers, len(run_cfg.offsets_ms)
 
     # per searcher, in config order
     contract = np.array([f"0x5ea{j:037x}" for j in range(len(specs))], dtype=object)
@@ -180,11 +180,11 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     major_share, tip_fraction, per_day = (np.array([getattr(s, name) for s in specs]) for name in (
         "major_share", "tip_fraction", "trades_per_day"))
     priced = np.array([s.impact_decay != DECAY_NONE for s in specs])
-    k_star = np.array([grid.index_of(s.true_hedge_delay_s or 0.0) for s in specs])
+    k_star = np.array([run_cfg.index_of(s.true_hedge_delay_s or 0.0) for s in specs])
     # 1 + the spread at each offset
     lift = np.array([[1.0 + _spread_at(off_s, s.true_hedge_delay_s, s.impact_decay,
-                                       grid.offsets_s[0])
-                      for off_s in grid.offsets_s] for s in specs])
+                                       run_cfg.offsets_s[0])
+                      for off_s in run_cfg.offsets_s] for s in specs])
     # quote symbols by code, the codes in the symbols' sort order
     symbols = sorted({"BTCUSDT", "ETHUSDT", *alt_symbol})
     code = {sym: c for c, sym in enumerate(symbols)}
@@ -245,7 +245,7 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> dict:
     # per trade, a tick at each offset, then ETHUSDT a second before the
     # slot; sorted by symbol and time (lexsort is stable)
     q_symbol = np.column_stack([np.tile(sym, (n_grid, 1)).T, np.full(n, code["ETHUSDT"])]).ravel()
-    q_ts = np.column_stack([slot_ms[:, None] + np.array(grid.offsets_ms), slot_ms - 1000]).ravel()
+    q_ts = np.column_stack([slot_ms[:, None] + np.array(run_cfg.offsets_ms), slot_ms - 1000]).ravel()
     order = np.lexsort((q_ts, q_symbol))
     q_px = np.column_stack([ticks, np.full(n, ETH_PRICE)]).ravel()[order]
     _write_csv(out / "quotes.csv", QUOTE_KINDS, [

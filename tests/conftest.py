@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cexdex.config import MarkoutGrid, PipelineConfig
+from cexdex.config import PipelineConfig
 from cexdex.data_model import (
     TRANSACTION_KINDS, SearcherLabelFile, Table, TokenRegistry, load_transactions,
 )
@@ -44,11 +44,6 @@ def registry():
 @pytest.fixture
 def config():
     return PipelineConfig()
-
-
-@pytest.fixture
-def grid():
-    return MarkoutGrid(PipelineConfig())
 
 
 def make_store(series: dict[str, list[tuple[int, float, float]]]) -> QuoteStore:
@@ -154,6 +149,5 @@ def mr_at_zero(trade: ArbTrade, store: QuoteStore, registry: TokenRegistry,
     prices both offsets.
     """
     cfg = dataclasses.replace(cfg, grid_start_s=0.0, grid_end_s=0.5, grid_step_s=0.5)
-    grid = MarkoutGrid(cfg)
-    table = markout_table(trade_table(trade), grid, store, registry, cfg)
-    return float(table.mr_usd[0, grid.index_of(0.0)])
+    table = markout_table(trade_table(trade), store, registry, cfg)
+    return float(table.mr_usd[0, cfg.index_of(0.0)])

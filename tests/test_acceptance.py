@@ -14,10 +14,9 @@ import pytest
 
 from cexdex.builder import REFUND_CUTOFF_MS, subsidy_flags
 from cexdex.cli import main
-from cexdex.config import MarkoutGrid, PipelineConfig
+from cexdex.config import PipelineConfig
 from cexdex.data_model import BlockRecord
 from cexdex.detect import HEURISTICS
-from cexdex.estimate import t_star_column
 from cexdex.horizon import SearcherProfile
 from cexdex.market import (
     classify_exclusivity,
@@ -79,7 +78,7 @@ def test_criterion_2_markout_anchor(registry, config):
     profile = SearcherProfile(searcher_label="s1", t_star_s=0.0, pattern="P1",
                               decline_3s_fraction=0.1, n_arb_trades=500,
                               low_confidence=False)
-    assert t_star_column(profile, MarkoutGrid(config)) == MarkoutGrid(config).index_of(0.0)
+    assert config.index_of(profile.t_star_s) == config.index_of(0.0)
     e = economics_of(trade, mr0, eth_usd_at_slot=2000.0)
     assert e.ev_usd == pytest.approx(-1.0, abs=1e-9)
     assert e.pnl_usd == pytest.approx(-11.0, abs=1e-9)

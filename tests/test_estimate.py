@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from cexdex.config import MarkoutGrid, PipelineConfig
 from cexdex.data_model import Table, strings
 from cexdex.estimate import (
     CumulativeEv,
     TradeEconomics,
     cumulative_ev_series,
     searcher_summaries,
-    t_star_column,
     trade_economics,
 )
 from cexdex.horizon import SearcherProfile
+from cexdex.markout import MarkoutTable
+from cexdex.pipeline import Workspace
 
 from conftest import make_trade, searcher_coding, trade_table
 
@@ -81,9 +81,16 @@ def test_zero_ev_margin_undefined():
     assert e.pnl_usd == pytest.approx(-4.0)
 
 
-def test_p3_excluded():
-    grid = MarkoutGrid(PipelineConfig())
-    assert t_star_column(profile(t_star=1.0), grid) == grid.index_of(1.0)
+def test_p3_excluded(tmp_path):
+    # estimate prices the included trades of a peaked searcher only: a P3
+    # profile has no t*, and a searcher without a profile has none either
+    ws = Workspace(tmp_path, tmp_path / "out")
+    ws.detections = trade_table(*(make_trade(f"0x{s}", searcher_label=s)
+                                  for s in ("s1", "s2", "s3", "s1")))
+    ws.markouts = MarkoutTable(np.ones(4), np.zeros((4, 23)),
+                               strings(["", "", "", "QuoteGap"]))
+    ws.profiles = {"s1": profile(), "s2": profile(t_star=None, pattern="P3")}
+    assert ws.priced.tolist() == [True, False, False, False]
 
 
 def test_summary_singleton():

@@ -1,24 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cexdex.config import MarkoutGrid, PipelineConfig
+from cexdex.config import PipelineConfig
 from cexdex.horizon import build_profile
 
-CFG = PipelineConfig()  # flat within 1 bps, abrupt from a 50% decline
-GRID = MarkoutGrid(CFG)  # the 23 offsets -1.0 .. 10.0 s; offset 0 is column 2, +3 s column 8
+# flat within 1 bps, abrupt from a 50% decline; the 23 offsets -1.0 .. 10.0 s,
+# offset 0 is column 2, +3 s column 8
+CFG = PipelineConfig()
 
 
 def profile(*rows, offsets=None, cfg=CFG):
-    """build_profile of GR rows, one per trade, over ``offsets`` (the 23
-    default offsets when None)."""
-    grid = GRID
+    """build_profile of GR rows, one per trade, over ``offsets`` (``cfg``'s
+    offsets when None)."""
     if offsets is not None:
-        grid = MarkoutGrid(PipelineConfig(grid_start_s=offsets[0], grid_end_s=offsets[-1],
-                                          grid_step_s=offsets[1] - offsets[0]))
-        assert grid.offsets_s == list(offsets)
-    return build_profile("s", np.array(rows, dtype=np.float64), cfg, grid)
+        cfg = dataclasses.replace(cfg, grid_start_s=offsets[0], grid_end_s=offsets[-1],
+                                  grid_step_s=offsets[1] - offsets[0])
+        assert cfg.offsets_s == list(offsets)
+    return build_profile("s", np.array(rows, dtype=np.float64), cfg)
 
 
 def peak_at_zero(at_peak, at_3s, rest=0.0):
@@ -134,5 +135,5 @@ def test_profile_values_are_python_floats():
 
 def test_median_is_argmax_consistent():
     values = np.random.default_rng(3).uniform(0, 1, 23)
-    idx = GRID.index_of(profile(values).t_star_s)
+    idx = CFG.index_of(profile(values).t_star_s)
     assert np.all(values[idx] >= values)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from cexdex import pipeline
-from cexdex.config import MarkoutGrid, PipelineConfig
+from cexdex.config import PipelineConfig
 from cexdex.errors import InvalidConfig
 from cexdex.markout import (
     EXCLUSION_INVENTORY,
     EXCLUSION_QUOTE_GAP,
-    markout_curve,
     markout_table,
 )
 
@@ -53,8 +52,8 @@ def test_markout_revenue_fee_only(registry, config):
     assert mr == pytest.approx(-0.0345, abs=1e-12)
 
 
-def test_markout_curve_full_grid(registry, config, grid):
-    table = markout_curve(two_leg_trade(), grid, flat_store(), registry, config)
+def test_markout_curve_full_grid(registry, config):
+    table = markout_table(trade_table(two_leg_trade()), flat_store(), registry, config)
     assert table.exclusion_reason == [""]
     (mr,), (gr,) = table.mr_usd, table.gr
     assert len(mr) == 23
@@ -63,51 +62,51 @@ def test_markout_curve_full_grid(registry, config, grid):
     assert np.allclose(gr, mr / 110.0)
 
 
-def test_markout_curve_quote_gap_excludes(registry, config, grid):
+def test_markout_curve_quote_gap_excludes(registry, config):
     # no quotes late in the window -> excluded entirely
     store = make_store({
         "TOKAUSDT": [(999_000, 55.0, 55.0)],  # stale by +10s offset
         "ETHUSDT": [(999_000, 2000.0, 2000.0)],
     })
-    table = markout_curve(two_leg_trade(), grid, store, registry, config)
+    table = markout_table(trade_table(two_leg_trade()), store, registry, config)
     assert table.exclusion_reason == [EXCLUSION_QUOTE_GAP]
 
 
-def test_inventory_flag_all_below(registry, config, grid):
+def test_inventory_flag_all_below(registry, config):
     trade = make_trade(amount_bought="2", amount_sold="100", volume_usd=100.0,
                        base_fee_eth=0.001)
     store = flat_store(price_a=50.0)
-    table = markout_curve(trade, grid, store, registry, config)
+    table = markout_table(trade_table(trade), store, registry, config)
     # MR = -0.0345 everywhere, cost = 2 USD at ETH 2000
     assert table.exclusion_reason == [EXCLUSION_INVENTORY]
 
 
-def test_inventory_flag_single_crossing(registry, config, grid):
+def test_inventory_flag_single_crossing(registry, config):
     trade = make_trade(amount_bought="2", amount_sold="100", volume_usd=100.0,
                        base_fee_eth=0.001)
     ticks = [(1_000_000 - 2000 + k * 500, 50.0, 50.0) for k in range(30)]
     # one rich tick inside the window lifts MR above cost there
     ticks[6] = (ticks[6][0], 53.0, 53.0)
     store = make_store({"TOKAUSDT": ticks, "ETHUSDT": [(999_000, 2000.0, 2000.0)]})
-    table = markout_curve(trade, grid, store, registry, config)
+    table = markout_table(trade_table(trade), store, registry, config)
     assert table.exclusion_reason == [""]
 
 
-def test_inventory_flag_zero_boundary(registry, grid):
+def test_inventory_flag_zero_boundary(registry):
     # base fee 0 and MR identically 0: strict < fails, not flagged
     cfg = PipelineConfig(taker_fee_rate=0.0)
     trade = make_trade(amount_bought="2", amount_sold="110", volume_usd=110.0,
                        base_fee_eth=0.0)
-    table = markout_curve(trade, grid, flat_store(), registry, cfg)
+    table = markout_table(trade_table(trade), flat_store(), registry, cfg)
     assert not table.mr_usd.any()
     assert table.exclusion_reason == [""]
 
 
-def test_mr_scale_invariance_of_gr(registry, config, grid):
+def test_mr_scale_invariance_of_gr(registry, config):
     base = make_trade(amount_bought="2", amount_sold="100", volume_usd=110.0)
     scaled = make_trade(amount_bought="6", amount_sold="300", volume_usd=330.0)
-    c1 = markout_curve(base, grid, flat_store(), registry, config)
-    c2 = markout_curve(scaled, grid, flat_store(), registry, config)
+    c1 = markout_table(trade_table(base), flat_store(), registry, config)
+    c2 = markout_table(trade_table(scaled), flat_store(), registry, config)
     assert np.allclose(c2.mr_usd, 3.0 * c1.mr_usd, rtol=1e-12)
     assert np.allclose(c2.gr, c1.gr, rtol=1e-12)
 
@@ -164,17 +163,18 @@ def branch_trades():
 
 
 @pytest.mark.parametrize("with_eth", [True, False])
-def test_batched_markout_equals_per_trade_reference(registry, config, grid, with_eth):
+def test_batched_markout_equals_per_trade_reference(registry, config, with_eth):
     store = branch_store(with_eth)
     trades = branch_trades()
-    table = markout_table(trade_table(*trades), grid, store, registry, config)
-    assert len(table.tx_hash) == len(trades) and table.mr_usd.shape == (len(trades), len(grid))
+    table = markout_table(trade_table(*trades), store, registry, config)
+    assert table.mr_usd.shape == (len(trades), len(config.offsets_ms))
     for i, trade in enumerate(trades):
-        assert_same_row(table, i, trade, oracle_curve(trade, grid, store, registry, config))
-    reason = dict(zip(table.tx_hash, table.exclusion_reason))
+        assert_same_row(table, i, trade, oracle_curve(trade, store, registry, config))
+    hashes = [t.tx_hash for t in trades]
+    reason = dict(zip(hashes, table.exclusion_reason))
     gap_in_markout = ["0xunknown", "0xunlisted", "0xnoseries", "0xnoquote", "0xlatestale"]
     assert all(reason[h] == EXCLUSION_QUOTE_GAP for h in gap_in_markout)
-    mr = dict(zip(table.tx_hash, table.mr_usd))
+    mr = dict(zip(hashes, table.mr_usd))
     assert all(not mr[h].any() for h in gap_in_markout)
     if with_eth:
         assert reason["0xstaleeth"] == EXCLUSION_QUOTE_GAP and mr["0xstaleeth"].all()
@@ -183,25 +183,31 @@ def test_batched_markout_equals_per_trade_reference(registry, config, grid, with
     else:  # no ETHUSDT series: every trade is a QuoteGap, priced ones keep their MR
         assert set(reason.values()) == {EXCLUSION_QUOTE_GAP}
         assert mr["0xusdt"].all() and mr["0xmix0"].all()
-    gr = dict(zip(table.tx_hash, table.gr))
+    gr = dict(zip(hashes, table.gr))
     assert mr["0xzerovol"].all() and not gr["0xzerovol"].any() and not gr["0xnegvol"].any()
 
 
-def test_public_markout_curve_equals_reference(tmp_path, registry, config, grid):
-    """The one-trade entries decide exclusion as the stage does, ETH and
-    inventory rules included."""
+def test_public_markout_curve_equals_reference(tmp_path, registry, config):
+    """The one-trade entry (pipeline._curve_for_trade, through
+    markout.markout_curve) and a one-row markout_table decide exclusion as
+    the stage does, ETH and inventory rules included."""
     store = branch_store()
     ws = pipeline.Workspace(tmp_path, tmp_path / "out")
     ws.quotes, ws.registry = store, registry
     for trade in branch_trades():
-        want = oracle_curve(trade, grid, store, registry, config)
-        assert_same_row(markout_curve(trade, grid, store, registry, config), 0, trade, want)
+        want = oracle_curve(trade, store, registry, config)
+        assert_same_row(markout_table(trade_table(trade), store, registry, config), 0, trade, want)
         assert_same_row(pipeline._curve_for_trade(trade, ws), 0, trade, want)
 
 
-def test_grid_index_rounds_to_ms_and_refuses_off_grid(grid):
-    assert grid.index_of(0.5) == grid.index_of(0.5004) == 3
-    tenths = MarkoutGrid(PipelineConfig(grid_start_s=-0.1, grid_end_s=0.3, grid_step_s=0.1))
+def test_grid_index_rounds_to_ms_and_refuses_off_grid(config):
+    # the default grid, pinned: -1.0 s to 10.0 s by 0.5 s, offset 0 at column 2
+    assert config.offsets_ms == list(range(-1000, 10_001, 500))
+    assert config.offsets_s == [-1.0 + 0.5 * k for k in range(23)]
+    assert config.index_of(0.0) == 2
+    assert config.index_of(0.5) == config.index_of(0.5004) == 3
+    tenths = PipelineConfig(grid_start_s=-0.1, grid_end_s=0.3, grid_step_s=0.1)
+    assert tenths.offsets_ms == [-100, 0, 100, 200, 300]
     assert tenths.index_of(0.1 + 0.2) == 4  # 0.3 to the ms
     with pytest.raises(InvalidConfig):
-        grid.index_of(0.25)
+        config.index_of(0.25)

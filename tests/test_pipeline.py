@@ -8,6 +8,7 @@ import hashlib
 import json
 import operator
 import os
+import shutil
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -571,12 +572,12 @@ def test_markouts_round_trip_bit_identical(markout_corpus):
     inputs, out = markout_corpus
     ws = pipeline.Workspace(inputs, out)
     trades = pipeline._load_detections(ws).rows()
-    computed = [oracle_curve(t, ws.grid, ws.quotes, ws.registry, ws.config) for t in trades]
+    computed = [oracle_curve(t, ws.quotes, ws.registry, ws.config) for t in trades]
     loaded = pipeline._load_markout_curves(ws)
-    assert loaded.tx_hash.tolist() == [t.tx_hash for t in trades]
+    assert loaded.mr_usd.shape == (len(trades), len(ws.config.offsets_ms))
     reasons = {reason for _, _, reason in computed}
     assert reasons == {"", "QuoteGap", "InventoryAdjustment"}
-    assert ws.grid.offsets_s[:3] == [-1.5, -1.25, -1.0]
+    assert ws.config.offsets_s[:3] == [-1.5, -1.25, -1.0]
     for i, (trade, c) in enumerate(zip(trades, computed)):
         assert_same_row(loaded, i, trade, c)
 
@@ -1220,7 +1221,7 @@ def handoff_corpus(markout_corpus, tmp_path_factory):
         if table.exclusion_reason[i] != "" or trade.searcher_label == "s_flat":
             continue
         t_star = ws.profiles[trade.searcher_label].t_star_s
-        low = float(table.mr_usd[i, ws.grid.index_of(t_star)])
+        low = float(table.mr_usd[i, ws.config.index_of(t_star)])
         high = float(table.mr_usd[i].max())
         if low < high:
             break
@@ -1283,7 +1284,7 @@ def test_kept_outputs_equal_parsed(handoff_corpus, tmp_path, monkeypatch):
             same_fields(a, b)
         assert len(kept.economics) == len(other.economics)
         same_fields(kept.economics, other.economics)
-    assert "" not in kept.markouts.searcher_label.tolist()
+    assert "" not in kept.detections.searcher_label.tolist()
     # every column is an array, kept, parsed and copied alike, and an included
     # trade's exclusion reason is "", as markouts.csv writes it
     for ws in (kept, parsed, copied):
@@ -1486,13 +1487,13 @@ def test_ev_uses_t_star_offset(markout_corpus):
     inputs, out = markout_corpus
     ws = pipeline.Workspace(inputs, out)
     table = ws.markouts
-    row = {tx: i for i, tx in enumerate(table.tx_hash)}
+    row = {tx: i for i, tx in enumerate(ws.detections.tx_hash)}
     off_zero = 0
     for e in ws.economics.rows():
         mr = table.mr_usd[row[e.tx_hash]]
-        col = ws.grid.index_of(ws.profiles[e.searcher_label].t_star_s)
+        col = ws.config.index_of(ws.profiles[e.searcher_label].t_star_s)
         assert same_bits(e.ev_usd, float(mr[col]) - e.base_fee_usd), e.tx_hash
-        off_zero += bool(mr[col] != mr[ws.grid.index_of(0.0)])
+        off_zero += bool(mr[col] != mr[ws.config.index_of(0.0)])
     assert ws.economics and off_zero
 
 
@@ -1674,6 +1675,76 @@ def test_a_shift_by_whole_days_moves_only_times_and_dates(tmp_path):
                           *(("outputs", name) for name in moved)]:
         assert was[section].pop(name)["rows"] == now[section].pop(name)["rows"], name
     assert was == now
+
+
+# a bijection of tiny_corpus's searchers that reverses their sort order
+RENAMED = {"s_gentle_1s": "z_one", "s_abrupt_05s": "y_two", "s_gentle_2s": "x_three",
+           "s_flat": "a_four"}
+
+
+def test_relabelled_searchers_move_only_names_and_row_order(tmp_path):
+    """Relabelling: the searchers renamed in searchers.json by RENAMED. With
+    the names mapped back, the outputs not sorted by searcher are identical,
+    and those sorted by searcher hold the same rows, reordered: no bit moves,
+    day totals and HHI included, and markouts_mr.npy is unchanged."""
+    inputs = tmp_path / "in"
+    tiny_corpus(inputs)
+    plain = cexdex_all(inputs, tmp_path / "plain")
+    raw = json.loads((inputs / "searchers.json").read_text())
+    for key in ("labels", "integrated_with"):
+        raw[key] = {RENAMED[label]: v for label, v in raw[key].items()}
+    (inputs / "searchers.json").write_text(json.dumps(raw))
+    renamed = cexdex_all(inputs, tmp_path / "renamed")
+
+    old = {new: label for label, new in RENAMED.items()}
+
+    def named_back(row: dict) -> dict:  # a correlation's pair is "<searcher>-><builder>"
+        if "searcher_label" in row:
+            row["searcher_label"] = old[row["searcher_label"]]
+        if row.get("pair"):
+            searcher, arrow, builder_label = row["pair"].partition("->")
+            row["pair"] = old[searcher] + arrow + builder_label
+        return row
+
+    same = {"detections.csv", "verdicts.csv", "markouts.csv", "economics.csv",
+            "builder_blocks.csv", "builder_summary.csv", "correlations.csv"}
+    reordered = {"cumulative_ev.csv", "integration.csv", "market.csv", "profiles.csv",
+                 "summary.csv"}
+    assert {p.name for p in plain.glob("*.csv")} == same | reordered
+    for name in same | reordered:
+        rows, was = [named_back(r) for r in read_rows(renamed / name)], read_rows(plain / name)
+        if name in same:
+            assert rows == was, name
+        else:
+            assert rows != was and sorted(rows, key=lambda r: list(r.values())) == sorted(
+                was, key=lambda r: list(r.values())), name
+    assert (renamed / "markouts_mr.npy").read_bytes() == (plain / "markouts_mr.npy").read_bytes()
+
+
+def test_a_split_at_midnight_concatenates_the_per_trade_rows(tmp_path):
+    """Locality in time: tiny_corpus split at its UTC midnight, each half with
+    its day's transactions and blocks and all the quotes. The whole run's
+    rows of detections.csv, verdicts.csv and markouts.csv, and its MR rows in
+    markouts_mr.npy, are the halves' rows concatenated, bit for bit."""
+    inputs = tmp_path / "in"
+    tiny_corpus(inputs)
+    whole = cexdex_all(inputs, tmp_path / "whole")
+    midnight = T0_MS + DAY_MS  # tiny_corpus's two days start at T0_MS
+    halves = []
+    for k, on_day in enumerate((lambda ms: ms < midnight, lambda ms: ms >= midnight)):
+        half = tmp_path / f"in{k}"
+        shutil.copytree(inputs, half)
+        for name in ("transactions.csv", "blocks.csv"):
+            rows = read_rows(inputs / name)
+            write_rows(half / name, list(rows[0]),
+                       [list(r.values()) for r in rows if on_day(int(r["slot_time_ms"]))])
+        halves.append(cexdex_all(half, tmp_path / f"out{k}"))
+
+    for name in ("detections.csv", "verdicts.csv", "markouts.csv"):
+        first, second = (read_rows(out / name) for out in halves)
+        assert first and second and first + second == read_rows(whole / name), name
+    first, second, mr = (np.load(out / "markouts_mr.npy") for out in (*halves, whole))
+    assert first.dtype == mr.dtype and np.concatenate([first, second]).tobytes() == mr.tobytes()
 
 
 def staged_tiny(tmp_path: Path) -> tuple[Path, Path]:
