@@ -75,12 +75,6 @@ class StaleQuote(PipelineError):
         super().__init__(f"latest quote is {gap_ms} ms old")
 
 
-class UnknownToken(PipelineError):
-    def __init__(self, token: str):
-        self.token = token
-        super().__init__(f"token {token} not in registry")
-
-
 # --- synth / scoring ---
 
 class MissingOutputs(PipelineError):

@@ -17,7 +17,6 @@ import numpy as np
 
 from ._kernels import group_sum, keyed_sums
 from .data_model import SearcherLabelFile, Table, TokenRegistry
-from .errors import UnknownToken
 
 EXCL_NEUTRAL = "Neutral"
 EXCL_EXCLUSIVE = "Exclusive"
@@ -102,27 +101,16 @@ def classify_exclusivity(
     return out
 
 
-def major_major_shares(trades: Table, code: np.ndarray, n: int, registry: TokenRegistry
-                       ) -> tuple[list[float], list[float]]:
-    """Per searcher 0..n-1, coded by ``code`` over the rows of ``trades``, a
-    Table of ArbTrade: the count and the volume fractions of its Major-Major
+def major_major_shares(legs: np.ndarray, volume_usd: np.ndarray, code: np.ndarray, n: int,
+                       registry: TokenRegistry) -> tuple[list[float], list[float]]:
+    """Per searcher 0..n-1, coded by ``code`` over the trades whose tokens are
+    the ``registry`` rows ``legs`` (bought, sold) and whose volumes are
+    ``volume_usd``: the count and the volume fractions of its Major-Major
     trades, 0.0 where it has no trades or no volume above 0. A volume adds
-    its trades in row order.
-
-    Raises UnknownToken for the first token the registry does not hold: in
-    the lowest-coded searcher holding one, its first such trade by row, the
-    bought token before the sold.
-    """
-    tokens = (trades.token_bought, trades.token_sold)
-    legs = np.stack([registry.rows(t) for t in tokens])  # not concatenated: that copies the text
-    unknown = legs < 0
-    if unknown.any():
-        rows = np.flatnonzero(unknown.any(axis=0))
-        first = rows[np.argmin(code[rows])]  # argmin takes the first row of that searcher
-        raise UnknownToken(tokens[np.argmax(unknown[:, first])][first])
+    its trades in row order."""
     mm = registry.major[legs].all(axis=0)
     count, mm_count = (np.bincount(c, minlength=n).tolist() for c in (code, code[mm]))
-    volume, mm_volume = (group_sum(code[keep], trades.volume_usd[keep], n).tolist()
+    volume, mm_volume = (group_sum(code[keep], volume_usd[keep], n).tolist()
                          for keep in (slice(None), mm))
     return ([c / t if t else 0.0 for c, t in zip(mm_count, count)],
             [v / t if t > 0 else 0.0 for v, t in zip(mm_volume, volume)])
@@ -133,16 +121,9 @@ def major_major_shares(trades: Table, code: np.ndarray, n: int, registry: TokenR
 
 
 @dataclass(frozen=True)
-class CorrelationResult:
-    rho: float
-    n: int
-    p_value: float
-    lag_days: int = 0
-
-
-@dataclass(frozen=True)
 class Correlation:
-    """One row of correlations.csv; pair and window_end are "" where unused."""
+    """One row of correlations.csv; pair and window_end are "" where unused,
+    and spearman leaves analysis, pair and window_end "" for the stage to name."""
     analysis: str
     pair: str
     lag_days: int
@@ -167,7 +148,7 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 _EXACT_P_MAX_N = 9
 
 
-def spearman(x, y, lag_days: int = 0) -> CorrelationResult | None:
+def spearman(x, y, lag_days: int = 0) -> Correlation | None:
     """Spearman's rho of x and y, or None where it is undefined: fewer than
     3 points, or a constant series."""
     x = np.asarray(x, dtype=np.float64)
@@ -185,7 +166,7 @@ def spearman(x, y, lag_days: int = 0) -> CorrelationResult | None:
         p = _exact_permutation_p(sx, sy, denom, rho)
     else:
         p = _t_approx_p(rho, n)
-    return CorrelationResult(rho=rho, n=n, p_value=p, lag_days=lag_days)
+    return Correlation("", "", lag_days, "", rho, n, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,7 +198,7 @@ def _t_approx_p(rho: float, n: int) -> float:
 
 def lagged_correlation(
     x, y, lags: tuple[int, ...] = (1, 3, 7)
-) -> list[CorrelationResult | None]:
+) -> list[Correlation | None]:
     """Spearman between x(t) and y(t+lag), both directions per lag, in lag
     order; an entry is None where its lag leaves fewer than 3 pairs or a
     constant series.
@@ -228,7 +209,7 @@ def lagged_correlation(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(x)
-    results: list[CorrelationResult | None] = []
+    results: list[Correlation | None] = []
     for lag in sorted({sign * lag for lag in lags for sign in (-1, 1)}):
         k = abs(lag)
         xs, ys = (x[: n - k], y[k:]) if lag >= 0 else (x[k:], y[: n - k])
@@ -238,7 +219,7 @@ def lagged_correlation(
 
 def rolling_correlation(
     x, y, dates: list[str], window_days: int
-) -> list[tuple[str, CorrelationResult]]:
+) -> list[tuple[str, Correlation]]:
     """One Spearman per trailing window end-date, where it is defined; empty
     below the window."""
     x = np.asarray(x, dtype=np.float64)

@@ -50,27 +50,25 @@ class MarkoutTable:
 
 def _usd_prices(rows: np.ndarray, queries: np.ndarray, store: QuoteStore,
                 registry: TokenRegistry, staleness_ms: int):
-    """USD prices of the token at ``registry`` row ``rows[i]`` at the times in
-    row i of ``queries``, and a mask of the rows priced at every time. An
-    unknown (row -1) or unlisted token has no price; USDT is 1; any other
-    token is its ``<quote_symbol>USDT`` mid. One lookup per quote series."""
-    prices = np.ones(queries.shape)
-    ok = np.append(registry.listed, False)[rows]  # row -1 reads the appended False
-    listed = np.flatnonzero(ok)
+    """USD prices of the CEX-listed token at ``registry`` row ``rows[i]`` at
+    the times in row i of ``queries``, and a mask of the rows priced at every
+    time. USDT is 1; any other token is its ``<quote_symbol>USDT`` mid. One
+    lookup per quote series."""
+    prices, ok = np.ones(queries.shape), np.ones(len(rows), dtype=bool)
     series: dict[str, int] = {}  # the registry's quote symbols, coded in row order
     code = np.array([series.setdefault(s, len(series)) for s in registry.quote_symbol.tolist()],
                     dtype=np.int64)
-    for symbol, at in zip(series, group_rows(code[rows[listed]], len(series))):
+    for symbol, at in zip(series, group_rows(code[rows], len(series))):
         if symbol != "USDT" and len(at):
-            at = listed[at]
             prices[at], fresh = store.mids(f"{symbol}USDT", queries[at], staleness_ms)
-            ok[at] &= fresh.all(axis=1)
+            ok[at] = fresh.all(axis=1)
     return prices, ok
 
 
-def markout_table(trades: Table, store: QuoteStore, registry: TokenRegistry,
+def markout_table(trades: Table, legs: np.ndarray, store: QuoteStore, registry: TokenRegistry,
                   cfg: PipelineConfig) -> MarkoutTable:
     """Every trade's MR at every grid offset, and why a trade is excluded.
+    ``legs`` are the registry rows of the CEX-listed tokens it bought and sold.
 
     A trade is a QuoteGap when either leg lacks a fresh USD quote at any
     offset (its MR is then zeros) or ETH has no fresh quote at its slot, and
@@ -79,10 +77,8 @@ def markout_table(trades: Table, store: QuoteStore, registry: TokenRegistry,
     """
     n = len(trades)
     queries = trades.slot_time_ms[:, None] + np.array(cfg.offsets_ms, dtype=np.int64)
-    prices, ok = _usd_prices(  # rows of each column: concatenating them would copy the text
-        np.concatenate([registry.rows(trades.token_bought), registry.rows(trades.token_sold)]),
-        np.concatenate([queries, queries]), store, registry, cfg.quote_staleness_ms,
-    )
+    prices, ok = _usd_prices(legs.ravel(), np.concatenate([queries, queries]), store, registry,
+                             cfg.quote_staleness_ms)
     leg_a = trades.amount_bought.astype(np.float64)[:, None] * prices[:n]
     leg_b = trades.amount_sold.astype(np.float64)[:, None] * prices[n:]
     mr = leg_a - leg_b - cfg.taker_fee_rate * (leg_a + leg_b)
@@ -98,5 +94,6 @@ def markout_table(trades: Table, store: QuoteStore, registry: TokenRegistry,
 
 def markout_curve(trade: ArbTrade, store: QuoteStore, registry: TokenRegistry,
                   cfg: PipelineConfig) -> MarkoutTable:
-    """One trade's one-row table; kept for perfbench/spans.py until ROADMAP item 1."""
-    return markout_table(Table.of_rows(ArbTrade, [trade]), store, registry, cfg)
+    """One CEX-listed trade's one-row table; kept for perfbench/spans.py until ROADMAP item 1."""
+    legs = registry.rows(strings([trade.token_bought, trade.token_sold]))[:, None]
+    return markout_table(Table.of_rows(ArbTrade, [trade]), legs, store, registry, cfg)

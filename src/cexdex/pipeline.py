@@ -215,6 +215,20 @@ class Workspace:
         return _load_detections(self)
 
     @cached_property
+    def legs(self) -> np.ndarray:
+        """(2, trades): the tokens.csv rows of each detection's bought and sold
+        token, the run's one token lookup; refused where detect, which passes
+        only CEX-listed tokens, ran under another tokens.csv."""
+        tokens = (self.detections.token_bought, self.detections.token_sold)
+        legs = np.stack([self.registry.rows(t) for t in tokens])  # concatenating copies the text
+        stale = ~np.append(self.registry.listed, False)[legs]  # row -1 reads the appended False
+        if stale.any():  # the first trade's, its bought token before its sold
+            k, side = divmod(int(np.argmax(stale.T)), 2)
+            raise OutdatedOutput(f"token {tokens[side][k]} of detections.csv in {self.out_dir} "
+                                 "is not CEX-listed in tokens.csv; rerun the detect stage")
+        return legs
+
+    @cached_property
     def markouts(self) -> markout_mod.MarkoutTable:
         return _load_markout_curves(self)
 
@@ -314,7 +328,7 @@ def _curve_for_trade(trade: ArbTrade, ws: Workspace) -> markout_mod.MarkoutTable
 
 def run_markout(ws: Workspace) -> None:
     trades = ws.detections
-    table = markout_mod.markout_table(trades, ws.quotes, ws.registry, ws.config)
+    table = markout_mod.markout_table(trades, ws.legs, ws.quotes, ws.registry, ws.config)
     _write_output(ws, "markouts.csv", Table(MarkoutKeys, [
         trades.tx_hash, trades.searcher_label, ~table.included(), table.exclusion_reason,
         table.volume_usd]), keep=True)
@@ -453,10 +467,10 @@ def run_market(ws: Workspace) -> None:
     if not np.array_equal(economics.tx_hash, trades.tx_hash[ws.priced]):
         raise OutdatedOutput(f"economics.csv in {ws.out_dir} does not hold the priced trades "
                              "of markouts.csv in order; rerun the estimate stage")
-    # every per-searcher analysis below groups by the run's one coding, and
-    # every daily one by the included trades' UTC days; an economics row,
-    # a priced trade, has its trade's day
-    (labels, code), is_included = ws.searchers, table.included()
+    # each per-searcher analysis groups by the run's one coding, each daily
+    # one by the included trades' UTC days (an economics row, a priced trade,
+    # has its trade's day); the legs are found, or refused, before any write
+    (labels, code), is_included, legs = ws.searchers, table.included(), ws.legs
     included, trade_code, n = trades.select(is_included), code[is_included], len(labels)
     days, trade_day = np.unique(included.slot_time_ms // DAY_MS, return_inverse=True)
     dates = [estimate_mod._utc_day(d * DAY_MS) for d in days.tolist()]
@@ -481,14 +495,13 @@ def run_market(ws: Workspace) -> None:
     declining = [k for k, label in enumerate(names) if n_trades[k] and label in profiles
                  and profiles[label].decline_3s_fraction is not None]
     declines = [profiles[names[k]].decline_3s_fraction for k in declining]
-    mine = lookup(trade_code, np.array(declining, dtype=np.int64)) >= 0
     count_shares, volume_shares = market_mod.major_major_shares(
-        included.select(mine), trade_code[mine], n, ws.registry)
+        legs[:, is_included], included.volume_usd, trade_code, n, ws.registry)
     r_count = market_mod.spearman(declines, [count_shares[k] for k in declining])
     r_vol = market_mod.spearman(declines, [volume_shares[k] for k in declining])
     if r_count is not None and r_vol is not None:
-        corr_rows += [market_mod.Correlation(name, "", 0, "", r.rho, r.n, r.p_value) for name, r in
-                      (("decline_vs_major_count", r_count), ("decline_vs_major_volume", r_vol))]
+        corr_rows += [dataclasses.replace(r_count, analysis="decline_vs_major_count"),
+                      dataclasses.replace(r_vol, analysis="decline_vs_major_volume")]
 
     # exclusive searcher daily volume share vs builder daily block share;
     # blocks.csv is needed by builder only
@@ -521,9 +534,8 @@ def run_market(ws: Workspace) -> None:
                 results += [("pair_lagged", "", r) for r in lagged]
             results += [("pair_rolling", end, r) for end, r in market_mod.rolling_correlation(
                 x, y, dates=x_dates, window_days=ws.config.rolling_window_days)]
-            corr_rows += [market_mod.Correlation(analysis, f"{label}->{cls_builder}", r.lag_days,
-                                                 end, r.rho, r.n, r.p_value)
-                          for analysis, end, r in results]
+            corr_rows += [dataclasses.replace(r, analysis=analysis, pair=f"{label}->{cls_builder}",
+                                              window_end=end) for analysis, end, r in results]
 
     _write_output(ws, "correlations.csv", Table.of_rows(market_mod.Correlation, corr_rows))
 

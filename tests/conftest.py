@@ -8,7 +8,7 @@ import pytest
 
 from cexdex.config import PipelineConfig
 from cexdex.data_model import (
-    TRANSACTION_KINDS, SearcherLabelFile, Table, TokenRegistry, load_transactions,
+    TRANSACTION_KINDS, SearcherLabelFile, Table, TokenRegistry, load_transactions, strings,
 )
 from cexdex.detect import ArbTrade, DetectionVerdict, detect_all
 from cexdex.market import integration_matrix
@@ -140,6 +140,13 @@ def make_trade(tx_hash="0xt1", *, block_number=100, searcher_label="s1",
     )
 
 
+def legs(registry: TokenRegistry, *trades: ArbTrade) -> np.ndarray:
+    """The (2, trades) registry rows of the trades' bought and sold tokens,
+    which Workspace.legs finds for a stage and markout_table takes."""
+    tokens = [t.token_bought for t in trades] + [t.token_sold for t in trades]
+    return registry.rows(strings(tokens)).reshape(2, len(trades))
+
+
 def mr_at_zero(trade: ArbTrade, store: QuoteStore, registry: TokenRegistry,
                cfg: PipelineConfig) -> float:
     """The trade's MR at offset 0 from ``markout_table``, at ``cfg``'s fee.
@@ -149,5 +156,5 @@ def mr_at_zero(trade: ArbTrade, store: QuoteStore, registry: TokenRegistry,
     prices both offsets.
     """
     cfg = dataclasses.replace(cfg, grid_start_s=0.0, grid_end_s=0.5, grid_step_s=0.5)
-    table = markout_table(trade_table(trade), store, registry, cfg)
+    table = markout_table(trade_table(trade), legs(registry, trade), store, registry, cfg)
     return float(table.mr_usd[0, cfg.index_of(0.0)])

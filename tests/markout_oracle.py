@@ -1,8 +1,8 @@
 """The per-trade markout as it was computed before the markout stage was
 batched, frozen here as the reference the batched path must equal bit for bit.
 
-One trade per call, returning its (MR, GR, exclusion reason): the registry
-rule and a quote lookup for each leg at every grid offset, then one ETHUSDT
+One trade per call, of CEX-listed tokens, returning its (MR, GR, exclusion
+reason): a quote lookup for each leg at every grid offset, then one ETHUSDT
 lookup at the slot for the inventory rule. It shares no code with
 ``cexdex.markout`` or the quote store's lookup: it reads the store's
 (ts, bid, ask) arrays with its own step lookup.
@@ -29,11 +29,9 @@ def _mids(store, symbol, t_ms, staleness_ms):
 
 
 def _usd_price(token, t_ms, store, registry, staleness_ms):
-    """USD prices of ``token`` at ``t_ms``, or None: an unknown or unlisted
-    token has none, USDT is 1, any other token is its <quote_symbol>USDT mid."""
+    """USD prices of the listed ``token`` at ``t_ms``, or None: USDT is 1,
+    any other token is its <quote_symbol>USDT mid."""
     row = registry.rows(np.array([token], dtype=np.dtypes.StringDType()))[0]
-    if row < 0 or not registry.listed[row]:
-        return None
     if registry.quote_symbol[row] == "USDT":
         return np.ones(len(t_ms))
     return _mids(store, f"{registry.quote_symbol[row]}USDT", t_ms, staleness_ms)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import json
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from cexdex import data_model
 from cexdex.data_model import (
     BlockRecord,
+    Table,
     TokenRegistry,
     load_block_records,
     load_quotes,
@@ -1051,3 +1053,27 @@ def test_load_transactions_refuses_integers_past_int64(tmp_path, column):
     with pytest.raises(MalformedRow) as e:
         load_transactions(edited_transactions(tmp_path, [(3, column, "9223372036854775808")]))
     assert str(e.value) == row_error(3, f"bad value '9223372036854775808' in {column}")
+
+
+def test_a_short_row_is_found_when_only_text_is_read(tmp_path):
+    """The tokenizer reads the header's last column too, though only a text
+    column before it is asked for, so a row that stops short is flagged."""
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\nx,1\ny\n")
+    cells, parsed = data_model._read_columns(p, {"a": data_model.TEXT})
+    assert cells["a"].tolist() == ["x", "y"]
+    assert parsed["short"][0].tolist() == [False, True]
+
+
+PAIR = dataclasses.make_dataclass("Pair", [("a", "int"), ("b", "str")])
+
+
+def test_table_refuses_columns_that_do_not_fit_its_row():
+    assert Table(PAIR, [[1, 2], ["x", "y"]]).rows() == [PAIR(1, "x"), PAIR(2, "y")]
+    with pytest.raises(ValueError, match=r"^Pair: 2 columns of \[1, 2\] rows for 2 fields$"):
+        Table(PAIR, [[1], ["x", "y"]])
+    with pytest.raises(ValueError, match=r"^Pair: 1 columns of \[2\] rows for 2 fields$"):
+        Table(PAIR, [[1, 2]])
+    hides = dataclasses.make_dataclass("Hides", [("a", "int"), ("select", "int")])
+    with pytest.raises(TypeError, match="^Hides: the field select hides Table.select$"):
+        Table(hides, [[1], [2]])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cexdex.data_model import SearcherLabelFile
-from cexdex.errors import UnknownToken
 from cexdex.market import (
     _midranks,
     classify_exclusivity,
@@ -15,7 +14,7 @@ from cexdex.market import (
     spearman,
 )
 
-from conftest import TOKA, TOKC, USDT, WBTC, WETH, integration_of, make_trade, trade_table
+from conftest import TOKA, TOKC, USDT, WBTC, WETH, integration_of, legs, make_trade, trade_table
 
 
 def brute_spearman(x, y):
@@ -82,10 +81,11 @@ def test_major_major_share(registry):
         make_trade("0x4", token_bought=TOKA, token_sold=TOKC, volume_usd=5.0),
     ]
     code = np.array([0, 0, 2, 0, 0])
-    counts, volumes = major_major_shares(trade_table(*trades), code, 3, registry)
+    volume_usd = trade_table(*trades).volume_usd
+    counts, volumes = major_major_shares(legs(registry, *trades), volume_usd, code, 3, registry)
     assert counts == [0.5, 0.0, 0.0] and volumes == [0.9, 0.0, 0.0]
-    assert major_major_shares(trade_table(), np.zeros(0, dtype=np.int64), 2, registry) == (
-        [0.0, 0.0], [0.0, 0.0])
+    assert major_major_shares(legs(registry), np.zeros(0), np.zeros(0, dtype=np.int64), 2,
+                              registry) == ([0.0, 0.0], [0.0, 0.0])
 
 
 def test_spearman_monotone():
@@ -233,22 +233,6 @@ def test_spearman_monotone_transform_invariance():
     base = spearman(x, y).rho
     assert spearman(np.exp(x), y).rho == pytest.approx(base, abs=1e-12)
     assert spearman(x, y ** 3 + 5).rho == pytest.approx(base, abs=1e-12)
-
-
-def test_major_major_share_names_the_first_unknown_token(registry):
-    """The first unknown token of the lowest-coded searcher holding one, in
-    row order, a trade's bought token first."""
-    unknown_a, unknown_b = "0x" + "e" * 40, "0x" + "f" * 40
-    trades = [make_trade("0x1", token_bought=WETH, token_sold=USDT),
-              make_trade("0x2", token_bought=TOKA, token_sold=unknown_b),
-              make_trade("0x3", token_bought=unknown_a, token_sold=unknown_b)]
-    with pytest.raises(UnknownToken, match=unknown_b):
-        major_major_shares(trade_table(*trades), np.zeros(3, dtype=np.int64), 1, registry)
-    with pytest.raises(UnknownToken, match=unknown_a):
-        major_major_shares(trade_table(*trades[2:]), np.zeros(1, dtype=np.int64), 1, registry)
-    # searcher 0's only trade comes last in row order, and it comes first
-    with pytest.raises(UnknownToken, match=unknown_a):
-        major_major_shares(trade_table(*trades), np.array([1, 1, 0]), 2, registry)
 
 
 def test_rolling_drops_only_windows_with_a_constant_series():

@@ -11,7 +11,7 @@ from cexdex.markout import (
 )
 
 from conftest import (
-    TOKA, TOKB, TOKC, USDT, WBTC, WETH, make_store, make_trade, mr_at_zero, trade_table,
+    TOKA, TOKC, USDT, WBTC, WETH, legs, make_store, make_trade, mr_at_zero, trade_table,
 )
 from markout_oracle import assert_same_row, oracle_curve
 
@@ -53,7 +53,8 @@ def test_markout_revenue_fee_only(registry, config):
 
 
 def test_markout_curve_full_grid(registry, config):
-    table = markout_table(trade_table(two_leg_trade()), flat_store(), registry, config)
+    trade = two_leg_trade()
+    table = markout_table(trade_table(trade), legs(registry, trade), flat_store(), registry, config)
     assert table.exclusion_reason == [""]
     (mr,), (gr,) = table.mr_usd, table.gr
     assert len(mr) == 23
@@ -68,7 +69,8 @@ def test_markout_curve_quote_gap_excludes(registry, config):
         "TOKAUSDT": [(999_000, 55.0, 55.0)],  # stale by +10s offset
         "ETHUSDT": [(999_000, 2000.0, 2000.0)],
     })
-    table = markout_table(trade_table(two_leg_trade()), store, registry, config)
+    trade = two_leg_trade()
+    table = markout_table(trade_table(trade), legs(registry, trade), store, registry, config)
     assert table.exclusion_reason == [EXCLUSION_QUOTE_GAP]
 
 
@@ -76,7 +78,7 @@ def test_inventory_flag_all_below(registry, config):
     trade = make_trade(amount_bought="2", amount_sold="100", volume_usd=100.0,
                        base_fee_eth=0.001)
     store = flat_store(price_a=50.0)
-    table = markout_table(trade_table(trade), store, registry, config)
+    table = markout_table(trade_table(trade), legs(registry, trade), store, registry, config)
     # MR = -0.0345 everywhere, cost = 2 USD at ETH 2000
     assert table.exclusion_reason == [EXCLUSION_INVENTORY]
 
@@ -88,7 +90,7 @@ def test_inventory_flag_single_crossing(registry, config):
     # one rich tick inside the window lifts MR above cost there
     ticks[6] = (ticks[6][0], 53.0, 53.0)
     store = make_store({"TOKAUSDT": ticks, "ETHUSDT": [(999_000, 2000.0, 2000.0)]})
-    table = markout_table(trade_table(trade), store, registry, config)
+    table = markout_table(trade_table(trade), legs(registry, trade), store, registry, config)
     assert table.exclusion_reason == [""]
 
 
@@ -97,7 +99,7 @@ def test_inventory_flag_zero_boundary(registry):
     cfg = PipelineConfig(taker_fee_rate=0.0)
     trade = make_trade(amount_bought="2", amount_sold="110", volume_usd=110.0,
                        base_fee_eth=0.0)
-    table = markout_table(trade_table(trade), flat_store(), registry, cfg)
+    table = markout_table(trade_table(trade), legs(registry, trade), flat_store(), registry, cfg)
     assert not table.mr_usd.any()
     assert table.exclusion_reason == [""]
 
@@ -105,8 +107,8 @@ def test_inventory_flag_zero_boundary(registry):
 def test_mr_scale_invariance_of_gr(registry, config):
     base = make_trade(amount_bought="2", amount_sold="100", volume_usd=110.0)
     scaled = make_trade(amount_bought="6", amount_sold="300", volume_usd=330.0)
-    c1 = markout_table(trade_table(base), flat_store(), registry, config)
-    c2 = markout_table(trade_table(scaled), flat_store(), registry, config)
+    c1 = markout_table(trade_table(base), legs(registry, base), flat_store(), registry, config)
+    c2 = markout_table(trade_table(scaled), legs(registry, scaled), flat_store(), registry, config)
     assert np.allclose(c2.mr_usd, 3.0 * c1.mr_usd, rtol=1e-12)
     assert np.allclose(c2.gr, c1.gr, rtol=1e-12)
 
@@ -114,7 +116,6 @@ def test_mr_scale_invariance_of_gr(registry, config):
 # ---------------------------------------------------------------------------
 # the batched markout stage against the frozen per-trade reference
 
-UNKNOWN = "0x" + "f" * 40
 SLOT0 = 1_000_000
 
 
@@ -137,8 +138,6 @@ def branch_trades():
     """One trade per branch of the markout, then trades of several symbols
     interleaved, so the per-symbol lookups must scatter back in trade order."""
     trades = [
-        make_trade("0xunknown", token_bought=UNKNOWN),
-        make_trade("0xunlisted", token_sold=TOKB),
         make_trade("0xnoseries", token_bought=TOKC),
         make_trade("0xnoquote", slot_time_ms=900_500),  # nothing before 899.5 s
         make_trade("0xlatestale", slot_time_ms=1_046_000),  # stale from +4.5 s on
@@ -166,13 +165,13 @@ def branch_trades():
 def test_batched_markout_equals_per_trade_reference(registry, config, with_eth):
     store = branch_store(with_eth)
     trades = branch_trades()
-    table = markout_table(trade_table(*trades), store, registry, config)
+    table = markout_table(trade_table(*trades), legs(registry, *trades), store, registry, config)
     assert table.mr_usd.shape == (len(trades), len(config.offsets_ms))
     for i, trade in enumerate(trades):
         assert_same_row(table, i, trade, oracle_curve(trade, store, registry, config))
     hashes = [t.tx_hash for t in trades]
     reason = dict(zip(hashes, table.exclusion_reason))
-    gap_in_markout = ["0xunknown", "0xunlisted", "0xnoseries", "0xnoquote", "0xlatestale"]
+    gap_in_markout = ["0xnoseries", "0xnoquote", "0xlatestale"]
     assert all(reason[h] == EXCLUSION_QUOTE_GAP for h in gap_in_markout)
     mr = dict(zip(hashes, table.mr_usd))
     assert all(not mr[h].any() for h in gap_in_markout)
@@ -196,7 +195,8 @@ def test_public_markout_curve_equals_reference(tmp_path, registry, config):
     ws.quotes, ws.registry = store, registry
     for trade in branch_trades():
         want = oracle_curve(trade, store, registry, config)
-        assert_same_row(markout_table(trade_table(trade), store, registry, config), 0, trade, want)
+        assert_same_row(markout_table(trade_table(trade), legs(registry, trade),
+                                      store, registry, config), 0, trade, want)
         assert_same_row(pipeline._curve_for_trade(trade, ws), 0, trade, want)
 
 

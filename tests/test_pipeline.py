@@ -1806,16 +1806,72 @@ def test_excluded_without_a_reason_exits_1(tmp_path, capsys, damage):
     assert (out / "profiles.csv").read_bytes() == profiles
 
 
-def test_all_codes_no_token_column(tmp_path, monkeypatch):
-    """Tokens are looked up in tokens.csv's vocabulary, never coded by
-    np.unique over the trades; the text codings left are one per column."""
+def stale_tokens(inputs: Path, change: str) -> None:
+    """tokens.csv in ``inputs`` with TOK00's row unlisted or deleted."""
+    rows = read_rows(inputs / "tokens.csv")
+    assert [r["cex_listed"] for r in rows if r["address"] == TOK00] == ["true"]
+    if change == "unlisted":
+        kept = [r | {"cex_listed": "false"} if r["address"] == TOK00 else r for r in rows]
+    else:
+        kept = [r for r in rows if r["address"] != TOK00]
+    write_rows(inputs / "tokens.csv", list(rows[0]), [list(r.values()) for r in kept])
+
+
+@pytest.mark.parametrize("change", ["unlisted", "deleted"])
+def test_detections_of_another_tokens_csv_exit_1(tmp_path, capsys, change):
+    """Detect passes only trades of CEX-listed tokens, so detections with a
+    token that tokens.csv no longer lists, or no longer holds, were made
+    under another tokens.csv: markout and market refuse them, naming the
+    token and the detect stage, and write nothing."""
     inputs, out = tmp_path / "in", tmp_path / "out"
-    generate(SynthConfig(seed=1, n_days=4, searchers=(  # perfbench's dense corpus, seed 1
+    tiny_corpus(inputs)
+    for stage in ("detect", "markout", "horizon", "estimate"):
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(out)]) == 0
+    assert TOK00 in {r["token_bought"] for r in read_rows(out / "detections.csv")}
+    stale_tokens(inputs, change)
+    markouts = (out / "markouts.csv").read_bytes()
+    for stage in ("markout", "market"):
+        capsys.readouterr()
+        assert main([stage, "--input-dir", str(inputs), "--out-dir", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "OutdatedOutput", err
+        assert f"token {TOK00} of detections.csv" in err["message"]
+        assert err["message"].endswith("rerun the detect stage")
+    assert (out / "markouts.csv").read_bytes() == markouts
+    assert not (out / "market.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def dense_inputs(tmp_path_factory) -> Path:
+    """perfbench's dense corpus, seed 1."""
+    inputs = tmp_path_factory.mktemp("dense") / "in"
+    generate(SynthConfig(seed=1, n_days=4, searchers=(
         SearcherSpec("s_gentle_1s", "gentle", 400, true_hedge_delay_s=1.0),
         SearcherSpec("s_abrupt_05s", "abrupt", 400, true_hedge_delay_s=0.5),
         SearcherSpec("s_gentle_2s", "gentle", 400, true_hedge_delay_s=2.0),
         SearcherSpec("s_flat", "none", 400)),
         integrated_with={"s_abrupt_05s": "builderA"}, base_volatility=5e-4), inputs)
+    return inputs
+
+
+def test_all_looks_each_token_column_up_once(dense_inputs, tmp_path, monkeypatch):
+    """One cexdex all finds tokens in tokens.csv five times: load_tokens its
+    own addresses, detect each transaction's bought and sold token, and
+    Workspace.legs each trade's, for markout and market both."""
+    sizes: list[int] = []
+    rows = data_model.TokenRegistry.rows
+    monkeypatch.setattr(data_model.TokenRegistry, "rows",
+                        lambda self, tokens: sizes.append(len(tokens)) or rows(self, tokens))
+    out = cexdex_all(dense_inputs, tmp_path / "out")
+    n_tokens, n_txs, n_trades = (len(read_rows(p)) for p in (
+        dense_inputs / "tokens.csv", out / "verdicts.csv", out / "detections.csv"))
+    assert sizes == [n_tokens, n_txs, n_txs, n_trades, n_trades]
+
+
+def test_all_codes_no_token_column(dense_inputs, tmp_path, monkeypatch):
+    """Tokens are looked up in tokens.csv's vocabulary, never coded by
+    np.unique over the trades; the text codings left are one per column."""
+    inputs, out = dense_inputs, tmp_path / "out"
     calls: list[tuple[set, bool]] = []
     unique = np.unique
 

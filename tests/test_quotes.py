@@ -4,7 +4,7 @@ import pytest
 from cexdex.errors import NoQuoteBefore, StaleQuote
 from cexdex.markout import _usd_prices
 
-from conftest import TOKA, TOKB, TOKC, USDT, WETH, make_store
+from conftest import TOKA, TOKC, USDT, WETH, make_store
 
 
 @pytest.fixture
@@ -72,14 +72,6 @@ def usd_prices(store, registry, *tokens, t_ms=100):
 def test_usd_price_paths(store, registry):
     # USDT is pegged at 1; WETH is priced from ETHUSDT
     assert usd_prices(store, registry, USDT, WETH, TOKA) == ([1.0, 2000.0, 10.0], [True] * 3)
-
-
-def test_usd_price_unlisted(store, registry):
-    assert usd_prices(store, registry, TOKB)[1] == [False]
-
-
-def test_usd_price_unknown(store, registry):
-    assert usd_prices(store, registry, "0x" + "f" * 40)[1] == [False]
 
 
 def test_usd_price_without_fresh_quote(store, registry):

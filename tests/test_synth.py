@@ -176,6 +176,17 @@ def test_score_zero_horizon(tmp_path):
     assert report["max_t_star_error_s"] == 0.0
 
 
+def test_score_leaves_out_a_searcher_without_a_profile(tmp_path):
+    """A truth searcher that profiles.csv has no row for is not scored: a
+    ground truth with one more such searcher gives the same report."""
+    truth = generate(small_config(), tmp_path / "in")
+    assert main(["all", "--input-dir", str(tmp_path / "in"), "--out-dir", str(tmp_path / "out")]) == 0
+    report = score(truth, tmp_path / "out")
+    assert sorted(report["searchers"]) == ["a", "b", "c"]
+    truth["searchers"]["ghost"] = truth["searchers"]["a"]
+    assert score(truth, tmp_path / "out") == report
+
+
 @pytest.mark.parametrize("key", ["dex_edge", "peak_amplitude", "alt_price", "btc_price",
                                  "eth_price", "base_notional_usd", "base_fee_eth"])
 def test_from_json_refuses_a_scenario_constant(tmp_path, key):
